@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
 import owasdp.solver as solver_module
 from owasdp.omrf import LambdaWeights, OmrfProblem, build_kcentrum
@@ -18,6 +20,7 @@ from owasdp.polynomial import (
 )
 from owasdp.relaxation import (
     AffineForm,
+    EqualityRow,
     PsdBlock,
     SdpProblem,
     build_dense,
@@ -91,6 +94,56 @@ def unbounded_sdp():
         equalities=(),
         pivot_substitution=AffineForm((), (), 1.0),
         moment_scales=(1.0,),
+        original_variables=(),
+    )
+
+
+def mixed_layout_sdp():
+    """Blocks of sizes 1, 2 and 3: two 2x2 blocks touching 2 and 1 moments
+    and a constant-only 3x3 block.  Minimize y0 + y1 + y2 subject to
+    y1 >= y0^2, y0 >= -1, y0 <= 2, y2 >= 0 and y2 = 0.5: the optimum 0.25 is
+    attained at y = (-0.5, 0.25, 0.5)."""
+
+    def form(pairs, constant=0.0):
+        return AffineForm(
+            tuple(i for i, _ in pairs), tuple(c for _, c in pairs), constant
+        )
+
+    one = AffineForm((), (), 1.0)
+    blocks = (
+        PsdBlock(
+            2,
+            "localizing",
+            "parabola",
+            (),
+            ((0, 0, one), (0, 1, form([(0, 1.0)])), (1, 1, form([(1, 1.0)]))),
+        ),
+        PsdBlock(
+            2, "localizing", "lower", (), ((0, 0, form([(0, 1.0)], 1.0)), (1, 1, one))
+        ),
+        PsdBlock(
+            3,
+            "localizing",
+            "constant",
+            (),
+            (
+                (0, 0, AffineForm((), (), 2.0)),
+                (0, 1, one),
+                (1, 1, AffineForm((), (), 2.0)),
+                (2, 2, one),
+            ),
+        ),
+        PsdBlock(1, "moment", "slack", (), ((0, 0, form([(2, 1.0)])),)),
+        PsdBlock(1, "localizing", "upper", (), ((0, 0, form([(0, -1.0)], 2.0)),)),
+    )
+    return SdpProblem(
+        y_dim=3,
+        order=1,
+        objective=form([(0, 1.0), (1, 1.0), (2, 1.0)]),
+        psd_blocks=blocks,
+        equalities=(EqualityRow("fix", form([(2, 1.0)]), 0.5),),
+        pivot_substitution=AffineForm((), (), 1.0),
+        moment_scales=(1.0, 1.0, 1.0),
         original_variables=(),
     )
 
@@ -240,6 +293,39 @@ class TestBundledBackend:
         assert first.objective == second.objective
         assert np.array_equal(first.y, second.y)
 
+    def test_phase_seconds_split_the_wall_time(self, weber_sparse):
+        res = solve(weber_sparse)
+        phases = res.diagnostics["phase_seconds"]
+        assert set(phases) == {
+            "residuals",
+            "scaling",
+            "schur",
+            "kkt_factor",
+            "kkt_solve",
+            "step_search",
+        }
+        assert all(seconds >= 0.0 for seconds in phases.values())
+        assert sum(phases.values()) <= res.wall_time
+
+    def test_non_finite_kkt_solution_reports_failure(self, monkeypatch, weber_sparse):
+        # Order 2 keeps the KKT system dense (LU), so lu_solve serves it.
+        assert weber_sparse.y_dim + len(weber_sparse.equalities) <= 500
+        real_lu_solve = scipy.linalg.lu_solve
+        calls = []
+
+        def breaking_lu_solve(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 30:
+                return np.full_like(args[1], np.nan)
+            return real_lu_solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_solve", breaking_lu_solve)
+        res = solve(weber_sparse)
+        assert len(calls) > 30
+        assert res.status is SolveStatus.NUMERICAL_FAILURE
+        assert res.y is None
+        assert "non-finite" in res.diagnostics["note"]
+
     def test_iteration_cap_reports_failure(self, max_dense):
         res = solve(max_dense, SolverOptions(max_iters=1))
         assert res.status is SolveStatus.NUMERICAL_FAILURE
@@ -259,6 +345,108 @@ class TestBundledBackend:
         assert res.status in (SolveStatus.UNBOUNDED, SolveStatus.NUMERICAL_FAILURE)
         assert not res.status.solved()
         assert res.y is None
+
+
+class TestGroupedLayout:
+    """Blocks of several sizes, mixed moment counts within one size, and a
+    block without moments."""
+
+    def test_known_optimum(self):
+        res = solve(mixed_layout_sdp())
+        assert res.status.solved()
+        assert res.objective == pytest.approx(0.25, abs=1e-6)
+        assert res.y == pytest.approx([-0.5, 0.25, 0.5], abs=1e-4)
+
+    def test_bitwise_deterministic(self):
+        first = solve(mixed_layout_sdp())
+        second = solve(mixed_layout_sdp())
+        assert first.iterations == second.iterations
+        assert np.array_equal(first.y, second.y)
+
+
+class TestBatchedKernels:
+    """The stacked per-group kernels against per-block reference formulas."""
+
+    @staticmethod
+    def _random_point(comp, rng, definite):
+        flat = np.empty(comp.dim)
+        for stack in comp.stacks(flat):
+            B = rng.standard_normal(stack.shape)
+            if definite:
+                stack[...] = B @ np.swapaxes(B, 1, 2) + stack.shape[1] * np.eye(stack.shape[1])
+            else:
+                stack[...] = B + np.swapaxes(B, 1, 2)
+        return flat
+
+    def test_block_operator_matches_per_block_maps(self):
+        sdp = mixed_layout_sdp()
+        comp = solver_module._Compiled(sdp)
+        y = np.random.default_rng(0).standard_normal(sdp.y_dim)
+        stacked = [m for s in comp.stacks(comp.constant + comp.A @ y) for m in s]
+        assert len(stacked) == len(sdp.psd_blocks)
+        for block in sdp.psd_blocks:
+            constant, indices, tensor = solver_module._dense_block(block, np.ones(3))
+            expected = constant + np.tensordot(y[indices], tensor, axes=(0, 0))
+            assert any(
+                m.shape == expected.shape and np.allclose(m, expected, rtol=0, atol=1e-14)
+                for m in stacked
+            )
+
+    def test_nt_scaling_identities(self):
+        comp = solver_module._Compiled(mixed_layout_sdp())
+        rng = np.random.default_rng(1)
+        X = self._random_point(comp, rng, definite=True)
+        Z = self._random_point(comp, rng, definite=True)
+        for x, z in zip(comp.stacks(X), comp.stacks(Z)):
+            G, S, S_inv, d, Q = solver_module._nt_scaling(x, z)
+            lam = (Q * d[:, None, :]) @ np.swapaxes(Q, 1, 2)
+            np.testing.assert_allclose(G @ x @ G, z, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(S @ S, G, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(S @ x @ S, lam, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(S_inv @ z @ S_inv, lam, rtol=1e-10, atol=1e-10)
+
+    def test_step_length_matches_generalized_eigenproblem(self):
+        comp = solver_module._Compiled(mixed_layout_sdp())
+        rng = np.random.default_rng(2)
+        current = self._random_point(comp, rng, definite=True)
+        direction = self._random_point(comp, rng, definite=False)
+        smallest = min(
+            scipy.linalg.eigh(d, c, eigvals_only=True)[0]
+            for cs, ds in zip(comp.stacks(current), comp.stacks(direction))
+            for c, d in zip(cs, ds)
+        )
+        assert smallest < 0.0
+        inv_chol = [np.linalg.inv(np.linalg.cholesky(c)) for c in comp.stacks(current)]
+        step = solver_module._max_step(comp, inv_chol, direction)
+        assert step == pytest.approx(-1.0 / smallest, rel=1e-10)
+
+    def test_schur_complement_matches_operator_form(self, weber_sparse):
+        # H[:, j] = A' vec(G A_j G), with A_j the j-th column of the operator.
+        comp = solver_module._Compiled(weber_sparse)
+        rng = np.random.default_rng(3)
+        X = self._random_point(comp, rng, definite=True)
+        Z = self._random_point(comp, rng, definite=True)
+        G = [
+            solver_module._nt_scaling(x, z)[0]
+            for x, z in zip(comp.stacks(X), comp.stacks(Z))
+        ]
+        columns = comp.A.toarray()
+        reference = np.column_stack(
+            [
+                comp.At @ solver_module._congruence(comp, G, columns[:, j])
+                for j in range(comp.y_dim)
+            ]
+        )
+        data = comp.kkt_data(solver_module._schur_terms(comp, G), 0.0)
+        dim = comp.y_dim + comp.n_eq
+        kkt = scipy.sparse.csc_matrix(
+            (data, comp.kkt_indices, comp.kkt_indptr), shape=(dim, dim)
+        ).toarray()
+        scale = np.max(np.abs(reference))
+        np.testing.assert_allclose(
+            kkt[: comp.y_dim, : comp.y_dim], reference, rtol=0, atol=1e-12 * scale
+        )
+        np.testing.assert_array_equal(kkt[comp.y_dim :, : comp.y_dim], comp.E.toarray())
 
 
 class TestCvxoptBackend:
