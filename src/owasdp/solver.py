@@ -18,11 +18,15 @@ contract with two implementations:
   per group, and the block map and its adjoint are one sparse operator.  The
   Schur complement (Fujisawa, Kojima & Nakata 1997) is formed per group of
   same-shape blocks and inherits the clique sparsity of the relaxation; its
-  terms are scattered into a KKT sparsity pattern fixed at compile time, and
-  the symmetric quasidefinite KKT system is factored with a sparse LU (dense
-  for small problems).  The iteration is deterministic: identical inputs,
-  options and BLAS thread counts produce bitwise identical iterates.
-  ``diagnostics['phase_seconds']`` splits the iteration time by phase.
+  terms are scattered into a KKT sparsity pattern fixed at compile time.
+  Small KKT systems are factored by a dense LU.  Larger ones are stored in a
+  symmetric fill-reducing order, also fixed at compile time (minimum degree,
+  then every equality row behind the last moment it touches), and SuperLU
+  factors the quasidefinite matrix in that order in symmetric mode without
+  pivoting (Vanderbei 1995).  The iteration is deterministic: identical
+  inputs, options and BLAS thread counts produce bitwise identical iterates.
+  ``diagnostics['phase_seconds']`` splits the iteration time by phase and
+  ``diagnostics['kkt']`` reports the size and fill of the KKT system.
 - ``cvxopt``: feeds the problem through the text export/import round trip and
   into ``cvxopt.solvers.conelp``, giving an independent cross-check of the
   bundled backend.
@@ -96,6 +100,9 @@ class SolverOptions:
 _NEAR_GAP = 1e-4
 _NEAR_RES = 1e-5
 
+# KKT systems with at most this many rows are factored densely.
+_DENSE_KKT_MAX = 500
+
 
 @dataclass(frozen=True)
 class SolverResult:
@@ -108,7 +115,10 @@ class SolverResult:
     ``diagnostics['phase_seconds']`` the seconds its iterations spent in each
     phase: ``residuals``, ``scaling`` (NT scaling and Mehrotra corrector),
     ``schur`` (Schur terms and KKT fill), ``kkt_factor``, ``kkt_solve``
-    (search directions) and ``step_search`` (step lengths and PD checks).
+    (search directions) and ``step_search`` (step lengths and PD checks),
+    and in ``diagnostics['kkt']`` the KKT system's ``dim`` and ``nnz`` (of
+    its pattern) and the ``factor_nnz`` of its last factorization (L + U
+    nonzeros, dim^2 when dense; 0 before the first).
     """
 
     status: SolveStatus
@@ -308,7 +318,12 @@ class _Compiled:
     def _build_kkt_pattern(self) -> None:
         """CSC pattern of [[H + dI, E'], [E, -dI]] and the position in its
         data array of every Schur term, diagonal entry and E entry, in the
-        order ``kkt_data`` lists them."""
+        order ``kkt_data`` lists them.
+
+        Above ``_DENSE_KKT_MAX`` rows the pattern is stored symmetrically
+        permuted into the factor order ``kkt_order`` (``kkt_order[k]`` is the
+        unknown eliminated k-th), so that ``kkt_data`` fills the permuted
+        matrix directly; at or below it ``kkt_order`` is None."""
         y_dim, dim = self.y_dim, self.y_dim + self.n_eq
         e_coo = self.E.tocoo()
         rows = [np.arange(dim), e_coo.row + y_dim, e_coo.col]
@@ -319,9 +334,54 @@ class _Compiled:
             cols.append(np.broadcast_to(indices[:, None, :], (K, m, m)).ravel())
         keys = np.concatenate(cols) * dim + np.concatenate(rows)
         unique, self.kkt_scatter = np.unique(keys, return_inverse=True)
+        self.kkt_order = None
+        if dim > _DENSE_KKT_MAX:
+            position = self._kkt_positions(unique, e_coo)
+            self.kkt_order = np.argsort(position)
+            permuted = position[unique // dim] * dim + position[unique % dim]
+            relabel = np.argsort(permuted)
+            unique = permuted[relabel]
+            rank = np.empty_like(relabel)
+            rank[relabel] = np.arange(relabel.size)
+            self.kkt_scatter = rank[self.kkt_scatter]
         self.kkt_indices = unique % dim
         self.kkt_indptr = np.searchsorted(unique, np.arange(dim + 1) * dim)
         self.kkt_fixed = np.concatenate([e_coo.data, e_coo.data])
+
+    def _kkt_positions(self, keys: np.ndarray, e_coo) -> np.ndarray:
+        """Position of every KKT unknown in a symmetric fill-reducing order.
+
+        Minimum degree on the pattern of A + A' (SuperLU's MMD_AT_PLUS_A, run
+        on a diagonally dominant matrix of the KKT pattern so that nothing
+        pivots), after which every equality row moves behind the last moment
+        it touches.  Eliminated before its moments, a row's pivot would be
+        its regularization -d alone; eliminated after them it is
+        -d - e H^{-1} e', which stays away from zero.  Quasidefinite
+        matrices factor stably in any symmetric order without pivoting
+        (Vanderbei 1995)."""
+        y_dim, dim = self.y_dim, self.y_dim + self.n_eq
+        rows = keys % dim
+        pattern = scipy.sparse.csc_matrix(
+            (
+                np.where(rows == keys // dim, dim + 1.0, 1.0),
+                rows,
+                np.searchsorted(keys, np.arange(dim + 1) * dim),
+            ),
+            shape=(dim, dim),
+        )
+        minimum_degree = scipy.sparse.linalg.splu(
+            pattern,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        ).perm_c
+        last_moment = np.full(self.n_eq, -np.inf)
+        np.maximum.at(last_moment, e_coo.row, minimum_degree[e_coo.col])
+        sort_key = minimum_degree.astype(float)
+        sort_key[y_dim:] = np.maximum(sort_key[y_dim:], 0.5 + last_moment)
+        position = np.empty(dim, dtype=np.int64)
+        position[np.argsort(sort_key, kind="stable")] = np.arange(dim)
+        return position
 
     def kkt_data(self, schur_terms: List[np.ndarray], delta: float) -> np.ndarray:
         """CSC data of the KKT matrix from the flattened Schur terms of each
@@ -428,19 +488,21 @@ def _schur_terms(comp: _Compiled, G: List[np.ndarray]) -> List[np.ndarray]:
     <A_i, G A_j G> = <A_i G, G A_j>: with P_i = A_i G (and G A_i = P_i'), one
     batched product per shape group gives them all."""
     terms = []
-    for g, lo, hi, tensor, _ in comp.shapes:
-        K, m, n, _ = tensor.shape
-        P = (tensor.reshape(K, m * n, n) @ G[g][lo:hi]).reshape(K, m, n, n)
-        local = P.reshape(K, m, n * n) @ _t(_t(P).reshape(K, m, n * n))
-        terms.append(_symmetrize(local).ravel())
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
+        for g, lo, hi, tensor, _ in comp.shapes:
+            K, m, n, _ = tensor.shape
+            P = (tensor.reshape(K, m * n, n) @ G[g][lo:hi]).reshape(K, m, n, n)
+            local = P.reshape(K, m, n * n) @ _t(_t(P).reshape(K, m, n * n))
+            terms.append(_symmetrize(local).ravel())
     return terms
 
 
 def _congruence(comp: _Compiled, G: List[np.ndarray], flat: np.ndarray) -> np.ndarray:
     """sym(G M G) for every block M of a flat block vector."""
     out = np.empty_like(flat)
-    for g, m, dst in zip(G, comp.stacks(flat), comp.stacks(out)):
-        dst[...] = _symmetrize(g @ m @ g)
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
+        for g, m, dst in zip(G, comp.stacks(flat), comp.stacks(out)):
+            dst[...] = _symmetrize(g @ m @ g)
     return out
 
 
@@ -459,7 +521,14 @@ def _max_step(comp: _Compiled, inv_chol: List[np.ndarray], direction: np.ndarray
 
 
 class _Kkt:
-    """Factorization of [[H + dI, E'], [E, -dI]] with iterative refinement."""
+    """Factorization of [[H + dI, E'], [E, -dI]] with iterative refinement.
+
+    At most ``_DENSE_KKT_MAX`` rows are factored by a dense LU.  Larger
+    systems arrive in the compile-time order ``kkt_order`` of
+    :class:`_Compiled` and are factored by SuperLU in that order, in
+    symmetric mode without pivoting (the matrix is quasidefinite); the
+    right-hand side is permuted in and the solution out.  ``factor_nnz``
+    counts the nonzeros of L + U (dim^2 for the dense LU)."""
 
     def __init__(self, comp: _Compiled, data: np.ndarray) -> None:
         dim = comp.y_dim + comp.n_eq
@@ -467,12 +536,20 @@ class _Kkt:
             (data, comp.kkt_indices, comp.kkt_indptr), shape=(dim, dim)
         )
         self.y_dim = comp.y_dim
-        if dim <= 500:
+        self.order = comp.kkt_order
+        if self.order is None:
             self._dense = scipy.linalg.lu_factor(self.matrix.toarray(), check_finite=False)
             self._sparse = None
+            self.factor_nnz = dim * dim
         else:
             self._dense = None
-            self._sparse = scipy.sparse.linalg.splu(self.matrix)
+            self._sparse = scipy.sparse.linalg.splu(
+                self.matrix,
+                permc_spec="NATURAL",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+            self.factor_nnz = int(self._sparse.nnz)
 
     def _solve_once(self, rhs: np.ndarray) -> np.ndarray:
         if self._dense is not None:
@@ -482,6 +559,8 @@ class _Kkt:
     def solve(self, top: np.ndarray, bottom: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Refined solution; non-finite when the factorization breaks down."""
         rhs = np.concatenate([top, bottom])
+        if self.order is not None:
+            rhs = rhs[self.order]
         scale = 1.0 + float(np.linalg.norm(rhs))
         sol = self._solve_once(rhs)
         for _ in range(3):
@@ -491,6 +570,10 @@ class _Kkt:
             if float(np.linalg.norm(residual)) <= 1e-13 * scale:
                 break
             sol = sol + self._solve_once(residual)
+        if self.order is not None:
+            unpermuted = np.empty_like(sol)
+            unpermuted[self.order] = sol
+            sol = unpermuted
         return sol[: self.y_dim], sol[self.y_dim :]
 
 
@@ -498,6 +581,13 @@ def _solve_interior_point(sdp: SdpProblem, opts: SolverOptions) -> SolverResult:
     start = time.perf_counter()
     comp = _Compiled(sdp)
     clock = _PhaseClock()
+    kkt_stats = {
+        "dim": comp.y_dim + comp.n_eq,
+        "nnz": int(comp.kkt_indices.size),
+        "factor_nnz": 0,
+    }
+    # Reported with every result; both dicts fill in as the solve runs.
+    stats = {"phase_seconds": clock.seconds, "kkt": kkt_stats}
     y_dim = comp.y_dim
 
     if y_dim == 0:
@@ -508,7 +598,7 @@ def _solve_interior_point(sdp: SdpProblem, opts: SolverOptions) -> SolverResult:
             value,
             0,
             time.perf_counter() - start,
-            {"phase_seconds": clock.seconds},
+            dict(stats),
         )
 
     total_cone = max(comp.cone_dim, 1)
@@ -580,7 +670,7 @@ def _solve_interior_point(sdp: SdpProblem, opts: SolverOptions) -> SolverResult:
                 math.inf,
                 iteration,
                 time.perf_counter() - start,
-                {"note": "dual objective diverging", "phase_seconds": clock.seconds},
+                {"note": "dual objective diverging", **stats},
             )
         if pobj < -1e12 and pres <= 1e-7:
             return SolverResult(
@@ -589,7 +679,7 @@ def _solve_interior_point(sdp: SdpProblem, opts: SolverOptions) -> SolverResult:
                 -math.inf,
                 iteration,
                 time.perf_counter() - start,
-                {"note": "primal objective diverging", "phase_seconds": clock.seconds},
+                {"note": "primal objective diverging", **stats},
             )
 
         if merit < 0.9 * stall_ref:
@@ -628,6 +718,7 @@ def _solve_interior_point(sdp: SdpProblem, opts: SolverOptions) -> SolverResult:
             break
         try:
             kkt = _Kkt(comp, data)
+            kkt_stats["factor_nnz"] = kkt.factor_nnz
         except RuntimeError:
             note = "KKT factorization failed"
             break
@@ -657,26 +748,28 @@ def _solve_interior_point(sdp: SdpProblem, opts: SolverOptions) -> SolverResult:
         # Mehrotra corrector: in the scaled space the combined step solves
         # lambda o (dx~ + dz~) = sigma*mu*I - lambda^2 - sym(dx~_aff dz~_aff),
         # done exactly in lambda's eigenbasis, then mapped back through S.
-        # A block whose solve overflows falls back to the pure centering step.
+        # A block whose solve overflows falls back to the pure centering step;
+        # a direction that is still non-finite ends the solve below.
         target = np.empty(comp.dim)
-        for (n, _, _), (_, S, S_inv, d, Q), dxa, dza, dst in zip(
-            comp.groups,
-            scaling,
-            comp.stacks(dX_aff),
-            comp.stacks(dZ_aff),
-            comp.stacks(target),
-        ):
-            rhs = -(_t(Q) @ _symmetrize(S @ dxa @ dza @ S_inv) @ Q)
-            diag = np.arange(n)
-            rhs[:, diag, diag] += sigma * mu - d * d
-            jordan = 2.0 * rhs / (d[:, :, None] + d[:, None, :])
-            corrected = S_inv @ (Q @ jordan @ _t(Q)) @ S_inv
-            bad = ~np.all(np.isfinite(corrected), axis=(1, 2))
-            if bad.any():
-                Qb, db = Q[bad], d[bad]
-                centered = (Qb * (sigma * mu / db - db)[:, None, :]) @ _t(Qb)
-                corrected[bad] = S_inv[bad] @ centered @ S_inv[bad]
-            dst[...] = _symmetrize(corrected)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (n, _, _), (_, S, S_inv, d, Q), dxa, dza, dst in zip(
+                comp.groups,
+                scaling,
+                comp.stacks(dX_aff),
+                comp.stacks(dZ_aff),
+                comp.stacks(target),
+            ):
+                rhs = -(_t(Q) @ _symmetrize(S @ dxa @ dza @ S_inv) @ Q)
+                diag = np.arange(n)
+                rhs[:, diag, diag] += sigma * mu - d * d
+                jordan = 2.0 * rhs / (d[:, :, None] + d[:, None, :])
+                corrected = S_inv @ (Q @ jordan @ _t(Q)) @ S_inv
+                bad = ~np.all(np.isfinite(corrected), axis=(1, 2))
+                if bad.any():
+                    Qb, db = Q[bad], d[bad]
+                    centered = (Qb * (sigma * mu / db - db)[:, None, :]) @ _t(Qb)
+                    corrected[bad] = S_inv[bad] @ centered @ S_inv[bad]
+                dst[...] = _symmetrize(corrected)
         clock.lap("scaling")
 
         dy, dnu, dX, dZ = directions(target)
@@ -717,7 +810,7 @@ def _solve_interior_point(sdp: SdpProblem, opts: SolverOptions) -> SolverResult:
         "primal_residual": pres,
         "dual_residual": dres,
         "best_iteration": best_iteration,
-        "phase_seconds": clock.seconds,
+        **stats,
     }
     if status is SolveStatus.OPTIMAL:
         return SolverResult(status, y_orig, value, iterations, wall, diagnostics)

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 import owasdp.solver as solver_module
+from owasdp.location import build_lifted, random_instance
 from owasdp.omrf import LambdaWeights, OmrfProblem, build_kcentrum
 from owasdp.polynomial import (
     Polynomial,
@@ -176,6 +179,65 @@ def weber_sparse(weber_lift):
 
 
 @pytest.fixture(scope="module")
+def weber20_instance():
+    """Planar l2 Weber with 20 anchors: at order 2 its KKT system has 614
+    rows, above the dense cut-off, so it runs the sparse factor."""
+    return random_instance(20, 2, seed=2)
+
+
+@pytest.fixture(scope="module")
+def weber20_sparse(weber20_instance):
+    return build_sparse(build_lifted(weber20_instance), 2)
+
+
+def random_block_vector(comp, rng, definite):
+    """Flat block vector of random symmetric blocks, PD when ``definite``."""
+    flat = np.empty(comp.dim)
+    for stack in comp.stacks(flat):
+        B = rng.standard_normal(stack.shape)
+        if definite:
+            stack[...] = B @ np.swapaxes(B, 1, 2) + stack.shape[1] * np.eye(stack.shape[1])
+        else:
+            stack[...] = B + np.swapaxes(B, 1, 2)
+    return flat
+
+
+def random_scaling(comp, seed):
+    """NT scaling matrices G of a random PD primal-dual pair, per size group."""
+    rng = np.random.default_rng(seed)
+    X = random_block_vector(comp, rng, definite=True)
+    Z = random_block_vector(comp, rng, definite=True)
+    return [
+        solver_module._nt_scaling(x, z)[0]
+        for x, z in zip(comp.stacks(X), comp.stacks(Z))
+    ]
+
+
+def unpermuted_kkt(comp, data):
+    """Dense KKT matrix from its CSC data, in the original unknown order."""
+    dim = comp.y_dim + comp.n_eq
+    stored = scipy.sparse.csc_matrix(
+        (data, comp.kkt_indices, comp.kkt_indptr), shape=(dim, dim)
+    ).toarray()
+    if comp.kkt_order is None:
+        return stored
+    out = np.empty_like(stored)
+    out[np.ix_(comp.kkt_order, comp.kkt_order)] = stored
+    return out
+
+
+def operator_schur(comp, G):
+    """H[:, j] = A' vec(G A_j G), with A_j the j-th column of the operator."""
+    columns = comp.A.toarray()
+    return np.column_stack(
+        [
+            comp.At @ solver_module._congruence(comp, G, columns[:, j])
+            for j in range(comp.y_dim)
+        ]
+    )
+
+
+@pytest.fixture(scope="module")
 def max_lift():
     """Epigraph lift of min max(x, 1-x) over [0, 1]; optimum 0.5 at x = 0.5."""
     universe = VariableUniverse(["x"])
@@ -326,6 +388,31 @@ class TestBundledBackend:
         assert res.y is None
         assert "non-finite" in res.diagnostics["note"]
 
+    @pytest.mark.parametrize("part", [0, 2], ids=["G", "S_inv"])
+    def test_overflow_reports_failure_without_warnings(
+        self, monkeypatch, weber_sparse, part
+    ):
+        # Blowing up the NT scaling G (or S^{-1}) overflows the Schur terms
+        # (or the corrector and the congruences), which the solver checks.
+        real_nt_scaling = solver_module._nt_scaling
+        calls = []
+
+        def blown_up(X, Z):
+            calls.append(1)
+            parts = list(real_nt_scaling(X, Z))
+            if len(calls) > 6:
+                parts[part] = parts[part] * 1e200
+            return tuple(parts)
+
+        monkeypatch.setattr(solver_module, "_nt_scaling", blown_up)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve(weber_sparse)
+        assert len(calls) > 6
+        assert res.status is SolveStatus.NUMERICAL_FAILURE
+        assert res.y is None
+        assert "non-finite" in res.diagnostics["note"]
+
     def test_iteration_cap_reports_failure(self, max_dense):
         res = solve(max_dense, SolverOptions(max_iters=1))
         assert res.status is SolveStatus.NUMERICAL_FAILURE
@@ -367,17 +454,6 @@ class TestGroupedLayout:
 class TestBatchedKernels:
     """The stacked per-group kernels against per-block reference formulas."""
 
-    @staticmethod
-    def _random_point(comp, rng, definite):
-        flat = np.empty(comp.dim)
-        for stack in comp.stacks(flat):
-            B = rng.standard_normal(stack.shape)
-            if definite:
-                stack[...] = B @ np.swapaxes(B, 1, 2) + stack.shape[1] * np.eye(stack.shape[1])
-            else:
-                stack[...] = B + np.swapaxes(B, 1, 2)
-        return flat
-
     def test_block_operator_matches_per_block_maps(self):
         sdp = mixed_layout_sdp()
         comp = solver_module._Compiled(sdp)
@@ -395,8 +471,8 @@ class TestBatchedKernels:
     def test_nt_scaling_identities(self):
         comp = solver_module._Compiled(mixed_layout_sdp())
         rng = np.random.default_rng(1)
-        X = self._random_point(comp, rng, definite=True)
-        Z = self._random_point(comp, rng, definite=True)
+        X = random_block_vector(comp, rng, definite=True)
+        Z = random_block_vector(comp, rng, definite=True)
         for x, z in zip(comp.stacks(X), comp.stacks(Z)):
             G, S, S_inv, d, Q = solver_module._nt_scaling(x, z)
             lam = (Q * d[:, None, :]) @ np.swapaxes(Q, 1, 2)
@@ -408,8 +484,8 @@ class TestBatchedKernels:
     def test_step_length_matches_generalized_eigenproblem(self):
         comp = solver_module._Compiled(mixed_layout_sdp())
         rng = np.random.default_rng(2)
-        current = self._random_point(comp, rng, definite=True)
-        direction = self._random_point(comp, rng, definite=False)
+        current = random_block_vector(comp, rng, definite=True)
+        direction = random_block_vector(comp, rng, definite=False)
         smallest = min(
             scipy.linalg.eigh(d, c, eigvals_only=True)[0]
             for cs, ds in zip(comp.stacks(current), comp.stacks(direction))
@@ -421,32 +497,95 @@ class TestBatchedKernels:
         assert step == pytest.approx(-1.0 / smallest, rel=1e-10)
 
     def test_schur_complement_matches_operator_form(self, weber_sparse):
-        # H[:, j] = A' vec(G A_j G), with A_j the j-th column of the operator.
         comp = solver_module._Compiled(weber_sparse)
-        rng = np.random.default_rng(3)
-        X = self._random_point(comp, rng, definite=True)
-        Z = self._random_point(comp, rng, definite=True)
-        G = [
-            solver_module._nt_scaling(x, z)[0]
-            for x, z in zip(comp.stacks(X), comp.stacks(Z))
-        ]
-        columns = comp.A.toarray()
-        reference = np.column_stack(
-            [
-                comp.At @ solver_module._congruence(comp, G, columns[:, j])
-                for j in range(comp.y_dim)
-            ]
-        )
+        G = random_scaling(comp, 3)
+        reference = operator_schur(comp, G)
         data = comp.kkt_data(solver_module._schur_terms(comp, G), 0.0)
-        dim = comp.y_dim + comp.n_eq
-        kkt = scipy.sparse.csc_matrix(
-            (data, comp.kkt_indices, comp.kkt_indptr), shape=(dim, dim)
-        ).toarray()
+        kkt = unpermuted_kkt(comp, data)
         scale = np.max(np.abs(reference))
         np.testing.assert_allclose(
             kkt[: comp.y_dim, : comp.y_dim], reference, rtol=0, atol=1e-12 * scale
         )
         np.testing.assert_array_equal(kkt[comp.y_dim :, : comp.y_dim], comp.E.toarray())
+
+
+class TestSparseKkt:
+    """The KKT system above the dense cut-off: factored by SuperLU in the
+    symmetric order fixed at compile time."""
+
+    @pytest.fixture(scope="class")
+    def result(self, weber20_sparse):
+        return solve(weber20_sparse)
+
+    def test_solved_bitwise_repeatable_and_a_lower_bound(
+        self, weber20_instance, weber20_sparse, result
+    ):
+        assert result.status.solved()
+        again = solve(weber20_sparse)
+        assert again.iterations == result.iterations
+        assert np.array_equal(again.y, result.y)
+        points = np.asarray(weber20_instance.points)
+        centroid_value = np.linalg.norm(points - points.mean(axis=0), axis=1).sum()
+        assert result.objective <= centroid_value
+
+    def test_kkt_diagnostics(self, weber_sparse, weber20_sparse, result):
+        stats = result.diagnostics["kkt"]
+        assert set(stats) == {"dim", "nnz", "factor_nnz"}
+        assert stats["dim"] == weber20_sparse.y_dim + len(weber20_sparse.equalities) == 614
+        assert stats["nnz"] <= stats["factor_nnz"] < stats["dim"] ** 2
+        dense = solve(weber_sparse).diagnostics["kkt"]
+        assert dense["dim"] <= 500
+        assert dense["factor_nnz"] == dense["dim"] ** 2
+
+    def test_equality_rows_follow_their_moments(self, weber20_sparse):
+        comp = solver_module._Compiled(weber20_sparse)
+        dim = comp.y_dim + comp.n_eq
+        assert np.array_equal(np.sort(comp.kkt_order), np.arange(dim))
+        position = np.argsort(comp.kkt_order)
+        rows = comp.E.tocoo()
+        assert rows.nnz > 0
+        assert np.all(position[comp.y_dim + rows.row] > position[rows.col])
+
+    def test_solve_matches_dense_reference(self, weber20_sparse):
+        comp = solver_module._Compiled(weber20_sparse)
+        G = random_scaling(comp, 4)
+        delta = 1e-12
+        data = comp.kkt_data(solver_module._schur_terms(comp, G), delta)
+        matrix = unpermuted_kkt(comp, data)
+        schur = operator_schur(comp, G)
+        np.testing.assert_allclose(
+            matrix[: comp.y_dim, : comp.y_dim] - delta * np.eye(comp.y_dim),
+            schur,
+            rtol=0,
+            atol=1e-12 * np.max(np.abs(schur)),
+        )
+        rng = np.random.default_rng(5)
+        top = rng.standard_normal(comp.y_dim)
+        bottom = rng.standard_normal(comp.n_eq)
+        dy, dnu = solver_module._Kkt(comp, data).solve(top, bottom)
+        expected = np.linalg.solve(matrix, np.concatenate([top, bottom]))
+        np.testing.assert_allclose(
+            np.concatenate([dy, dnu]),
+            expected,
+            rtol=0,
+            atol=1e-12 * np.max(np.abs(expected)),
+        )
+
+    def test_factorization_failure_reports_failure(self, monkeypatch, weber20_sparse):
+        real_splu = scipy.sparse.linalg.splu
+
+        def failing_splu(matrix, permc_spec=None, **kwargs):
+            # The compile-time ordering goes through; every factorization in
+            # that order fails.
+            if permc_spec == "NATURAL":
+                raise RuntimeError("Factor is exactly singular")
+            return real_splu(matrix, permc_spec=permc_spec, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", failing_splu)
+        res = solve(weber20_sparse)
+        assert res.status is SolveStatus.NUMERICAL_FAILURE
+        assert res.y is None
+        assert res.diagnostics["note"] == "KKT factorization failed"
 
 
 class TestCvxoptBackend:
