@@ -15,18 +15,23 @@ contract with two implementations:
   adaptive centering parameter.  The blocks are grouped by size: the primal
   and dual matrices of one group are stacked, so every phase of an iteration
   (scaling, corrector, step search, PD check) is a few batched NumPy calls
-  per group, and the block map and its adjoint are one sparse operator.  The
-  Schur complement (Fujisawa, Kojima & Nakata 1997) is formed per group of
-  same-shape blocks and inherits the clique sparsity of the relaxation; its
-  terms are scattered into a KKT sparsity pattern fixed at compile time.
-  Small KKT systems are factored by a dense LU.  Larger ones are stored in a
-  symmetric fill-reducing order, also fixed at compile time (minimum degree,
-  then every equality row behind the last moment it touches), and SuperLU
-  factors the quasidefinite matrix in that order in symmetric mode without
-  pivoting (Vanderbei 1995).  The iteration is deterministic: identical
-  inputs, options and BLAS thread counts produce bitwise identical iterates.
-  ``diagnostics['phase_seconds']`` splits the iteration time by phase and
-  ``diagnostics['kkt']`` reports the size and fill of the KKT system.
+  per group.  Every block map is compiled once into the sparsity pattern of
+  its coefficient matrices, which yields the block map and its adjoint (one
+  sparse operator), the KKT pattern and the Schur terms.  The Schur
+  complement is formed per group of same-shape blocks from those patterns
+  (Fujisawa, Kojima & Nakata 1997, formula F2: one sparse product, one
+  batched dense product and one sparse contraction per group) and inherits
+  the clique sparsity of the relaxation; its terms are scattered into a KKT
+  sparsity pattern fixed at compile time.  Small KKT systems are factored by
+  a dense LU.  Larger ones are stored in a symmetric fill-reducing order,
+  also fixed at compile time (minimum degree, then every equality row behind
+  the last moment it touches), and SuperLU factors the quasidefinite matrix
+  in that order in symmetric mode without pivoting (Vanderbei 1995).  The
+  iteration is deterministic: identical inputs, options and BLAS thread
+  counts produce bitwise identical iterates.
+  ``diagnostics['phase_seconds']`` splits the iteration time by phase,
+  ``diagnostics['kkt']`` reports the size and fill of the KKT system and
+  ``diagnostics['schur']`` the size of the Schur terms.
 - ``cvxopt``: feeds the problem through the text export/import round trip and
   into ``cvxopt.solvers.conelp``, giving an independent cross-check of the
   bundled backend.
@@ -118,7 +123,10 @@ class SolverResult:
     (search directions) and ``step_search`` (step lengths and PD checks),
     and in ``diagnostics['kkt']`` the KKT system's ``dim`` and ``nnz`` (of
     its pattern) and the ``factor_nnz`` of its last factorization (L + U
-    nonzeros, dim^2 when dense; 0 before the first).
+    nonzeros, dim^2 when dense; 0 before the first), and in
+    ``diagnostics['schur']`` the work of the Schur terms: the nonzero
+    ``coefficients`` of the block maps and the number of ``terms`` formed
+    per iteration (the sum over blocks of (moments touched)^2).
     """
 
     status: SolveStatus
@@ -189,29 +197,83 @@ def verify_vector(
 # ---------------------------------------------------------------------------
 
 
-def _dense_block(block, scales: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Constant (n, n), touched moment indices (m,) and coefficient tensor
-    (m, n, n) of one PSD block, scaled and normalized to unit Frobenius norm."""
+def _block_pattern(block, scales: np.ndarray):
+    """Constant (n, n), touched moment indices (m,) and coefficient pattern of
+    one PSD block, scaled and normalized to unit Frobenius norm.  The pattern
+    lists the nonzeros of the (m, n, n) coefficient tensor, whose slice l is
+    A_l (both triangles), as sorted flat positions l n^2 + i n + j and their
+    values."""
     n = block.size
     constant = np.zeros((n, n))
     touched: Dict[int, int] = {}
-    coo: List[Tuple[int, int, int, float]] = []  # (local, i, j, coeff)
+    positions: List[int] = []
+    coeffs: List[float] = []
     for i, j, form in block.entries:
         if form.constant != 0.0:
             constant[i, j] = form.constant
             constant[j, i] = form.constant
         for idx, coeff in zip(form.indices, form.coefficients):
-            local = touched.setdefault(idx, len(touched))
-            coo.append((local, i, j, coeff * scales[idx]))
+            base = touched.setdefault(idx, len(touched)) * n
+            positions.append((base + i) * n + j)
+            coeffs.append(coeff * scales[idx])
+            if i != j:
+                positions.append((base + j) * n + i)
+                coeffs.append(coeff * scales[idx])
     indices = np.fromiter(touched.keys(), dtype=np.int64, count=len(touched))
-    tensor = np.zeros((len(touched), n, n))
-    for local, i, j, coeff in coo:
-        tensor[local, i, j] += coeff
-        if i != j:
-            tensor[local, j, i] += coeff
-    norm = math.sqrt(float(np.sum(constant**2)) + float(np.sum(tensor**2)))
+    position, slot = np.unique(np.array(positions, dtype=np.int64), return_inverse=True)
+    value = np.bincount(slot, weights=np.array(coeffs), minlength=position.size)
+    nonzero = value != 0.0
+    norm = math.sqrt(float(np.sum(constant**2)) + float(np.sum(value[nonzero] ** 2)))
     norm = norm if norm > 0.0 else 1.0
-    return constant / norm, indices, tensor / norm
+    return constant / norm, indices, position[nonzero], value[nonzero] / norm
+
+
+@dataclass(frozen=True)
+class _SchurGroup:
+    """The blocks lo:hi of size group ``group``, all of shape (n, m), with
+    the sparse maps that form their Schur terms (see ``_schur_terms``).
+
+    ``indices`` (K, m) are the moments each block touches.  ``left`` maps
+    the stacked G (K n, n) to T[k, i, l, :] = (A_l G)[i, :], rows ordered
+    (k, i, l).  ``pair_rows`` and ``pair_cols`` are the positions (i <= j)
+    at which some A_l of the group is nonzero.  ``right`` maps F_b = G A_b G,
+    gathered at those pairs in (pair, k) order, to H[k, a, b] / 2 =
+    <A_a, F_b> / 2: it holds A_a at the pairs, halved on the diagonal (the
+    off-diagonal pairs stand for both triangles of the symmetric F_b)."""
+
+    group: int
+    lo: int
+    hi: int
+    indices: np.ndarray
+    left: scipy.sparse.csr_matrix
+    pair_rows: np.ndarray
+    pair_cols: np.ndarray
+    right: scipy.sparse.csr_matrix
+
+    @classmethod
+    def build(cls, group: int, lo: int, blocks) -> "_SchurGroup":
+        """The group of the compiled blocks (constant, indices, position, value)."""
+        K = len(blocks)
+        n = blocks[0][0].shape[0]
+        m = blocks[0][1].size
+        k = np.repeat(np.arange(K), [blk[2].size for blk in blocks])
+        l, ij = np.divmod(np.concatenate([blk[2] for blk in blocks]), n * n)
+        i, j = np.divmod(ij, n)
+        value = np.concatenate([blk[3] for blk in blocks])
+        left = scipy.sparse.csr_matrix(
+            (value, (((k * n + i) * m + l), k * n + j)), shape=(K * n * m, K * n)
+        )
+        upper = i <= j
+        pairs, pair = np.unique(ij[upper], return_inverse=True)
+        right = scipy.sparse.csr_matrix(
+            (
+                np.where(i == j, 0.5, 1.0)[upper] * value[upper],
+                (k[upper] * m + l[upper], pair * K + k[upper]),
+            ),
+            shape=(K * m, pairs.size * K),
+        )
+        indices = np.stack([blk[1] for blk in blocks])
+        return cls(group, lo, lo + K, indices, left, pairs // n, pairs % n, right)
 
 
 class _Compiled:
@@ -222,10 +284,12 @@ class _Compiled:
     one size n form a group whose K matrices are stacked as one (K, n, n)
     array; the groups are consecutive segments of one flat vector, on which
     the block map is  vec M(y) = constant + A y  and its adjoint is  A' v.
-    Blocks of one shape (size and moment count) share a stacked coefficient
-    tensor for the Schur terms.  The sparsity pattern of the KKT matrix and
-    the scatter map from Schur terms, regularization and E into its CSC data
-    are fixed here, so an iteration only fills numbers in.
+    Each block is compiled once into its coefficient pattern
+    (``_block_pattern``), which yields A and, for the blocks of one shape
+    (size and moment count), the sparse maps of a ``_SchurGroup``.  The
+    sparsity pattern of the KKT matrix and the scatter map from Schur terms,
+    regularization and E into its CSC data are fixed here, so an iteration
+    only fills numbers in.
     """
 
     def __init__(self, sdp: SdpProblem) -> None:
@@ -235,41 +299,30 @@ class _Compiled:
             if sdp.moment_scales
             else np.ones(y_dim)
         )
-        if scales.size != y_dim:
-            scales = np.ones(y_dim)
         self.y_scales = scales
-        dense = sorted(
-            (_dense_block(b, scales) for b in sdp.psd_blocks if b.size),
+        blocks = sorted(
+            (_block_pattern(b, scales) for b in sdp.psd_blocks if b.size),
             key=lambda blk: (blk[0].shape[0], blk[1].size),
         )
-        sizes = np.array([c.shape[0] for c, _, _ in dense], dtype=np.int64)
+        sizes = np.array([blk[0].shape[0] for blk in blocks], dtype=np.int64)
         self.cone_dim = int(sizes.sum())
         offsets = np.concatenate([[0], np.cumsum(sizes**2)])
         self.dim = int(offsets[-1])
         self.block_starts = offsets[:-1]
-        self.constant = np.concatenate([c.ravel() for c, _, _ in dense] + [np.zeros(0)])
-        self.block_scale = 1.0 + np.array([np.linalg.norm(c) for c, _, _ in dense])
+        self.constant = np.concatenate([blk[0].ravel() for blk in blocks] + [np.zeros(0)])
+        self.block_scale = 1.0 + np.array([np.linalg.norm(blk[0]) for blk in blocks])
 
-        # Size groups (n, first block, end block) and the Schur shape groups
-        # (size group, first, end within it, stacked tensors, stacked indices).
+        # Size groups (n, first block, end block) and the Schur shape groups.
         self.groups: List[Tuple[int, int, int]] = []
-        self.shapes: List[Tuple[int, int, int, np.ndarray, np.ndarray]] = []
+        self.shapes: List[_SchurGroup] = []
         first = 0
-        for n, same_size in itertools.groupby(dense, key=lambda blk: blk[0].shape[0]):
+        for n, same_size in itertools.groupby(blocks, key=lambda blk: blk[0].shape[0]):
             same_size = list(same_size)
             lo = 0
             for m, same_shape in itertools.groupby(same_size, key=lambda blk: blk[1].size):
                 same_shape = list(same_shape)
                 if m:
-                    self.shapes.append(
-                        (
-                            len(self.groups),
-                            lo,
-                            lo + len(same_shape),
-                            np.stack([tensor for _, _, tensor in same_shape]),
-                            np.stack([indices for _, indices, _ in same_shape]),
-                        )
-                    )
+                    self.shapes.append(_SchurGroup.build(len(self.groups), lo, same_shape))
                 lo += len(same_shape)
             self.groups.append((n, first, first + lo))
             first += lo
@@ -277,17 +330,20 @@ class _Compiled:
         rows: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
         cols: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
         vals: List[np.ndarray] = [np.zeros(0)]
-        for (constant, indices, tensor), offset in zip(dense, offsets):
-            n = constant.shape[0]
-            local, i, j = np.nonzero(tensor)
-            rows.append(offset + i * n + j)
+        for (constant, indices, position, value), offset in zip(blocks, offsets):
+            local, ij = np.divmod(position, constant.size)
+            rows.append(offset + ij)
             cols.append(indices[local])
-            vals.append(tensor[local, i, j])
+            vals.append(value)
         self.A = scipy.sparse.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.dim, y_dim),
         )
         self.At = self.A.T.tocsr()
+        self.schur_stats = {
+            "coefficients": int(self.A.nnz),
+            "terms": sum(int(s.indices.size * s.indices.shape[1]) for s in self.shapes),
+        }
 
         rows_l: List[int] = []
         cols_l: List[int] = []
@@ -328,7 +384,8 @@ class _Compiled:
         e_coo = self.E.tocoo()
         rows = [np.arange(dim), e_coo.row + y_dim, e_coo.col]
         cols = [np.arange(dim), e_coo.col, e_coo.row + y_dim]
-        for _, _, _, _, indices in self.shapes:
+        for shape in self.shapes:
+            indices = shape.indices
             K, m = indices.shape
             rows.append(np.broadcast_to(indices[:, :, None], (K, m, m)).ravel())
             cols.append(np.broadcast_to(indices[:, None, :], (K, m, m)).ravel())
@@ -485,15 +542,21 @@ def _nt_scaling(X: np.ndarray, Z: np.ndarray):
 def _schur_terms(comp: _Compiled, G: List[np.ndarray]) -> List[np.ndarray]:
     """Flattened Schur terms <A_i, G A_j G> of every block, per shape group.
 
-    <A_i, G A_j G> = <A_i G, G A_j>: with P_i = A_i G (and G A_i = P_i'), one
-    batched product per shape group gives them all."""
+    Fujisawa, Kojima & Nakata's formula F2, three calls per shape group: the
+    sparse product T = A_l G against the stacked G, the batched product
+    F_l = G T, and the sparse contraction H[i, j] = <A_i, F_j> over the
+    positions where some A_i is nonzero."""
     terms = []
     with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
-        for g, lo, hi, tensor, _ in comp.shapes:
-            K, m, n, _ = tensor.shape
-            P = (tensor.reshape(K, m * n, n) @ G[g][lo:hi]).reshape(K, m, n, n)
-            local = P.reshape(K, m, n * n) @ _t(_t(P).reshape(K, m, n * n))
-            terms.append(_symmetrize(local).ravel())
+        for shape in comp.shapes:
+            K, m = shape.indices.shape
+            g = G[shape.group][shape.lo : shape.hi]
+            n = g.shape[1]
+            T = (shape.left @ g.reshape(K * n, n)).reshape(K, n, m * n)
+            F = (g @ T).reshape(K, n, m, n)
+            gathered = F[:, shape.pair_rows, :, shape.pair_cols]
+            half = (shape.right @ gathered.reshape(-1, m)).reshape(K, m, m)
+            terms.append((half + _t(half)).ravel())
     return terms
 
 
@@ -586,8 +649,13 @@ def _solve_interior_point(sdp: SdpProblem, opts: SolverOptions) -> SolverResult:
         "nnz": int(comp.kkt_indices.size),
         "factor_nnz": 0,
     }
-    # Reported with every result; both dicts fill in as the solve runs.
-    stats = {"phase_seconds": clock.seconds, "kkt": kkt_stats}
+    # Reported with every result; the phase and KKT dicts fill in as the
+    # solve runs.
+    stats = {
+        "phase_seconds": clock.seconds,
+        "kkt": kkt_stats,
+        "schur": comp.schur_stats,
+    }
     y_dim = comp.y_dim
 
     if y_dim == 0:

@@ -190,6 +190,29 @@ def weber20_sparse(weber20_instance):
     return build_sparse(build_lifted(weber20_instance), 2)
 
 
+@pytest.fixture(scope="module")
+def mixed_layout():
+    return mixed_layout_sdp()
+
+
+@pytest.fixture(scope="module")
+def rational_omrf_sparse():
+    """Epigraph lift of the larger of two rational functions over [-1, 1],
+    at order 2: moment and localizing blocks with non-unit coefficients and
+    moment scales, in shape groups of one and two blocks."""
+    universe = VariableUniverse(["x"])
+    problem = OmrfProblem(
+        (
+            RationalFunction(parse("x^2 + 1", universe), parse("0.5*x^2 + 2", universe)),
+            RationalFunction(parse("3*x - 1", universe), parse("x^2 + 1.5", universe)),
+        ),
+        LambdaWeights.constants(universe, (1.0, 0.0)),
+        SemialgebraicSet(universe, [parse("1 - x^2", universe)], []),
+        4.0,
+    )
+    return build_sparse(build_kcentrum(problem, 1), 2)
+
+
 def random_block_vector(comp, rng, definite):
     """Flat block vector of random symmetric blocks, PD when ``definite``."""
     flat = np.empty(comp.dim)
@@ -369,6 +392,13 @@ class TestBundledBackend:
         assert all(seconds >= 0.0 for seconds in phases.values())
         assert sum(phases.values()) <= res.wall_time
 
+    def test_schur_diagnostics(self, weber_sparse):
+        stats = solve(weber_sparse).diagnostics["schur"]
+        assert set(stats) == {"coefficients", "terms"}
+        blocks = weber_sparse.psd_blocks
+        assert stats["coefficients"] == sum(b.nonzero_count() for b in blocks) > 0
+        assert stats["terms"] == sum(len(b.referenced_indices()) ** 2 for b in blocks)
+
     def test_non_finite_kkt_solution_reports_failure(self, monkeypatch, weber_sparse):
         # Order 2 keeps the KKT system dense (LU), so lu_solve serves it.
         assert weber_sparse.y_dim + len(weber_sparse.equalities) <= 500
@@ -461,8 +491,12 @@ class TestBatchedKernels:
         stacked = [m for s in comp.stacks(comp.constant + comp.A @ y) for m in s]
         assert len(stacked) == len(sdp.psd_blocks)
         for block in sdp.psd_blocks:
-            constant, indices, tensor = solver_module._dense_block(block, np.ones(3))
-            expected = constant + np.tensordot(y[indices], tensor, axes=(0, 0))
+            # The compiled block is the assembled one over its Frobenius norm
+            # sqrt(|C|^2 + sum_l |A_l|^2); the moment scales are all 1.
+            constant = block.assemble(np.zeros(sdp.y_dim))
+            coefficients = [block.assemble(e) - constant for e in np.eye(sdp.y_dim)]
+            norm = math.sqrt(np.sum(constant**2) + sum(np.sum(a**2) for a in coefficients))
+            expected = block.assemble(y) / norm
             assert any(
                 m.shape == expected.shape and np.allclose(m, expected, rtol=0, atol=1e-14)
                 for m in stacked
@@ -496,16 +530,19 @@ class TestBatchedKernels:
         step = solver_module._max_step(comp, inv_chol, direction)
         assert step == pytest.approx(-1.0 / smallest, rel=1e-10)
 
-    def test_schur_complement_matches_operator_form(self, weber_sparse):
-        comp = solver_module._Compiled(weber_sparse)
+    @pytest.mark.parametrize(
+        "problem", ["weber_sparse", "mixed_layout", "rational_omrf_sparse"]
+    )
+    def test_schur_complement_matches_operator_form(self, request, problem):
+        comp = solver_module._Compiled(request.getfixturevalue(problem))
         G = random_scaling(comp, 3)
         reference = operator_schur(comp, G)
         data = comp.kkt_data(solver_module._schur_terms(comp, G), 0.0)
         kkt = unpermuted_kkt(comp, data)
+        schur = kkt[: comp.y_dim, : comp.y_dim]
         scale = np.max(np.abs(reference))
-        np.testing.assert_allclose(
-            kkt[: comp.y_dim, : comp.y_dim], reference, rtol=0, atol=1e-12 * scale
-        )
+        np.testing.assert_allclose(schur, reference, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_array_equal(schur, schur.T)
         np.testing.assert_array_equal(kkt[comp.y_dim :, : comp.y_dim], comp.E.toarray())
 
 
