@@ -12,34 +12,40 @@ contract with two implementations:
 
 - ``interior-point`` (bundled, default): an infeasible-start primal-dual
   path-following method with Nesterov-Todd scaling and a Mehrotra-style
-  adaptive centering parameter.  The blocks are grouped by size: the primal
-  and dual matrices of one group are stacked, so every phase of an iteration
-  (scaling, corrector, step search, PD check) is a few batched NumPy calls
-  per group.  Every block map is compiled once into the sparsity pattern of
-  its coefficient matrices, which yields the block map and its adjoint (one
-  sparse operator), the KKT pattern and the Schur terms.  The Schur
-  complement is formed per group of same-shape blocks from those patterns
-  (Fujisawa, Kojima & Nakata 1997, formula F2: one sparse product, one
-  batched dense product and one sparse contraction per group) and inherits
-  the clique sparsity of the relaxation; its terms are scattered into a KKT
-  sparsity pattern fixed at compile time.  Small KKT systems are factored by
-  a dense LU.  Larger ones are stored in a symmetric fill-reducing order,
-  also fixed at compile time (minimum degree, then every equality row behind
-  the last moment it touches), and SuperLU factors the quasidefinite matrix
-  in that order in symmetric mode without pivoting (Vanderbei 1995).  The
-  iteration is deterministic: identical inputs, options and BLAS thread
-  counts produce bitwise identical iterates.
-  ``diagnostics['phase_seconds']`` splits the iteration time by phase,
-  ``diagnostics['kkt']`` reports the size and fill of the KKT system and
-  ``diagnostics['schur']`` the size of the Schur terms.
+  adaptive centering parameter.  The equality rows are eliminated once, at
+  compile time, by a sparse Gauss-Jordan pass with threshold pivoting
+  (Andersen & Andersen 1995): every y with E y = b is y = fixed + free z,
+  dependent rows are dropped after a consistency check, and the iteration
+  runs over the free moments z on the blocks substituted at that y.  The
+  blocks are grouped by size: the primal and dual matrices of one group are
+  stacked, so every phase of an iteration (scaling, corrector, step search,
+  PD check) is a few batched NumPy calls per group.  Every substituted block
+  map is compiled once into the sparsity pattern of its coefficient
+  matrices, which yields the block map and its adjoint (one sparse
+  operator), the KKT pattern and the Schur terms.  The Schur complement is
+  formed per group of same-shape blocks from those patterns (Fujisawa,
+  Kojima & Nakata 1997, formula F2: one sparse product, one batched dense
+  product and one sparse contraction per group) and inherits the clique
+  sparsity of the relaxation; its terms are written into one values vector
+  and scattered into a KKT sparsity pattern fixed at compile time.  The KKT
+  matrix is the positive-definite Schur complement H + dI alone.  Small KKT
+  systems are factored by a dense LU.  Larger ones are stored in a
+  minimum-degree order, also fixed at compile time, and SuperLU factors them
+  in that order in symmetric mode without pivoting.  The iteration is
+  deterministic: identical inputs, options and BLAS thread counts produce
+  bitwise identical iterates.  ``diagnostics['phase_seconds']`` splits the
+  iteration time by phase, ``diagnostics['kkt']`` reports the size and fill
+  of the KKT system, ``diagnostics['schur']`` the size of the Schur terms
+  and ``diagnostics['equalities']`` the elimination.
 - ``cvxopt``: feeds the problem through the text export/import round trip and
   into ``cvxopt.solvers.conelp``, giving an independent cross-check of the
   bundled backend.
 
-Before solving, every PSD block map is normalized to unit Frobenius norm and
-every equality row to unit Euclidean norm; the per-moment magnitude hints
-carried by the relaxation (``moment_scales``) rescale the variables.  All
-reported quantities (``y``, objective) are mapped back to original units.
+Before solving, every equality row is normalized to unit Euclidean norm
+before the elimination and every substituted PSD block map to unit Frobenius
+norm; the per-moment magnitude hints carried by the relaxation
+(``moment_scales``) rescale the variables.  All reported quantities (the
+full-length ``y``, objective) are mapped back to original units.
 """
 
 from __future__ import annotations
@@ -108,6 +114,15 @@ _NEAR_RES = 1e-5
 # KKT systems with at most this many rows are factored densely.
 _DENSE_KKT_MAX = 500
 
+# Elimination of the equality rows (scaled to unit norm).  A pivot is an
+# entry of at least _PIVOT_THRESHOLD times its reduced row's largest; a row
+# whose entries all reduce to at most _DEPENDENT_TOL is dependent, and
+# consistent when its right-hand side does too.  Entries that cancel to at
+# most _ELIMINATION_DROP are dropped.
+_PIVOT_THRESHOLD = 0.1
+_DEPENDENT_TOL = 1e-9
+_ELIMINATION_DROP = 1e-15
+
 
 @dataclass(frozen=True)
 class SolverResult:
@@ -126,7 +141,19 @@ class SolverResult:
     nonzeros, dim^2 when dense; 0 before the first), and in
     ``diagnostics['schur']`` the work of the Schur terms: the nonzero
     ``coefficients`` of the block maps and the number of ``terms`` formed
-    per iteration (the sum over blocks of (moments touched)^2).
+    per iteration (the sum over blocks of (moments touched)^2).  The
+    equality rows are eliminated before the iteration, so the KKT system,
+    its ``dim`` and the Schur terms are over the free moments only;
+    ``diagnostics['equalities']`` reports the ``rows``, how many of them
+    were ``dependent`` (dropped), the number of ``free`` moments (equal to
+    ``kkt['dim']``) and the ``residual`` max |E y - b| over the scaled,
+    unit-norm rows at the reported iterate (or, when the rows are
+    inconsistent, the largest right-hand side of a row that reduced to
+    0 = rhs).  ``primal_residual`` includes that residual, and
+    ``dual_residual`` is the y-space dual residual max|c - A'Z - E'nu| /
+    (1 + max|c|) at the multipliers nu = E_B^{-T} (c - A'Z)_B that zero it
+    on the pivot moments B, which equals max|N'(c - A'Z)| / (1 + max|c|)
+    for the null-space basis N of the elimination.
     """
 
     status: SolveStatus
@@ -197,35 +224,137 @@ def verify_vector(
 # ---------------------------------------------------------------------------
 
 
-def _block_pattern(block, scales: np.ndarray):
-    """Constant (n, n), touched moment indices (m,) and coefficient pattern of
-    one PSD block, scaled and normalized to unit Frobenius norm.  The pattern
+@dataclass(frozen=True)
+class _Elimination:
+    """The solution set y = fixed + free z of E y = b, over the free moments z.
+
+    ``free`` is the (y_dim, z_dim) sparse basis of the null space of E: the
+    identity on the free moments and -M on the pivot moments, whose reduced
+    rows read y_p + M_p z = fixed_p.  ``dependent`` counts the rows that
+    reduced to 0 = rhs, and ``inconsistency`` is the largest |rhs| among
+    them."""
+
+    fixed: np.ndarray
+    free: scipy.sparse.csr_matrix
+    dependent: int
+    inconsistency: float
+
+
+def _eliminate(E: scipy.sparse.csr_matrix, b: np.ndarray) -> _Elimination:
+    """Sparse Gauss-Jordan elimination of E y = b with threshold pivoting.
+
+    The rows are taken in order.  Each is first reduced by the earlier pivot
+    rows.  Its pivot is then, among the entries of at least
+    ``_PIVOT_THRESHOLD`` times its largest, the one whose column occurs in
+    the fewest rows of E (ties by column index), and the earlier pivot rows
+    are reduced by it, so every pivot row holds its pivot and free columns
+    only.  Dicts keep every iteration order deterministic."""
+    y_dim = E.shape[1]
+    occurrences = np.bincount(E.indices, minlength=y_dim)
+    # Pivot column -> (its row over the free columns, right-hand side).
+    pivots: Dict[int, Tuple[Dict[int, float], float]] = {}
+    # Free column -> the pivot columns whose rows hold it (an ordered set).
+    holders: Dict[int, Dict[int, None]] = {}
+    dependent = 0
+    inconsistency = 0.0
+    for r in range(E.shape[0]):
+        span = slice(E.indptr[r], E.indptr[r + 1])
+        row = dict(zip(E.indices[span].tolist(), E.data[span].tolist()))
+        rhs = float(b[r])
+        for col in [c for c in row if c in pivots]:
+            coeff = row.pop(col)
+            other, other_rhs = pivots[col]
+            for f, v in other.items():
+                row[f] = row.get(f, 0.0) - coeff * v
+            rhs -= coeff * other_rhs
+        row = {c: v for c, v in row.items() if abs(v) > _ELIMINATION_DROP}
+        largest = max(map(abs, row.values()), default=0.0)
+        if largest <= _DEPENDENT_TOL:
+            dependent += 1
+            inconsistency = max(inconsistency, abs(rhs))
+            continue
+        pivot = min(
+            (c for c, v in row.items() if abs(v) >= _PIVOT_THRESHOLD * largest),
+            key=lambda c: (occurrences[c], c),
+        )
+        scale = row.pop(pivot)
+        row = {c: v / scale for c, v in row.items()}
+        rhs /= scale
+        for q in holders.pop(pivot, {}):
+            other, other_rhs = pivots[q]
+            coeff = other.pop(pivot)
+            for f, v in row.items():
+                value = other.get(f, 0.0) - coeff * v
+                if abs(value) > _ELIMINATION_DROP:
+                    other[f] = value
+                    holders.setdefault(f, {})[q] = None
+                elif f in other:
+                    del other[f]
+                    del holders[f][q]
+            pivots[q] = (other, other_rhs - coeff * rhs)
+        pivots[pivot] = (row, rhs)
+        for f in row:
+            holders.setdefault(f, {})[pivot] = None
+
+    pivot_cols = np.fromiter(pivots, dtype=np.int64, count=len(pivots))
+    free_cols = np.setdiff1d(np.arange(y_dim), pivot_cols)
+    z_of = np.empty(y_dim, dtype=np.int64)
+    z_of[free_cols] = np.arange(free_cols.size)
+    fixed = np.zeros(y_dim)
+    rows: List[int] = free_cols.tolist()
+    cols: List[int] = list(range(free_cols.size))
+    vals: List[float] = [1.0] * free_cols.size
+    for p, (row, rhs) in pivots.items():
+        fixed[p] = rhs
+        rows.extend([p] * len(row))
+        cols.extend(z_of[list(row)].tolist())
+        vals.extend(-v for v in row.values())
+    free = scipy.sparse.csr_matrix(
+        (vals, (rows, cols)), shape=(y_dim, free_cols.size)
+    )
+    return _Elimination(fixed, free, dependent, inconsistency)
+
+
+def _block_pattern(block, scales: np.ndarray, elim: _Elimination):
+    """Constant (n, n), touched free moments (m,) and coefficient pattern of
+    one PSD block over the free moments z, scaled and normalized to unit
+    Frobenius norm.  The block is substituted at y = fixed + free z: its
+    constant gains A fixed and its coefficients become A free.  The pattern
     lists the nonzeros of the (m, n, n) coefficient tensor, whose slice l is
     A_l (both triangles), as sorted flat positions l n^2 + i n + j and their
     values."""
     n = block.size
     constant = np.zeros((n, n))
-    touched: Dict[int, int] = {}
-    positions: List[int] = []
+    ij: List[int] = []
+    moments: List[int] = []
     coeffs: List[float] = []
     for i, j, form in block.entries:
         if form.constant != 0.0:
             constant[i, j] = form.constant
             constant[j, i] = form.constant
         for idx, coeff in zip(form.indices, form.coefficients):
-            base = touched.setdefault(idx, len(touched)) * n
-            positions.append((base + i) * n + j)
+            ij.append(i * n + j)
+            moments.append(idx)
             coeffs.append(coeff * scales[idx])
             if i != j:
-                positions.append((base + j) * n + i)
+                ij.append(j * n + i)
+                moments.append(idx)
                 coeffs.append(coeff * scales[idx])
-    indices = np.fromiter(touched.keys(), dtype=np.int64, count=len(touched))
-    position, slot = np.unique(np.array(positions, dtype=np.int64), return_inverse=True)
-    value = np.bincount(slot, weights=np.array(coeffs), minlength=position.size)
+    touched, local = np.unique(np.array(moments, dtype=np.int64), return_inverse=True)
+    raw = scipy.sparse.csr_matrix(
+        (np.array(coeffs), (np.array(ij, dtype=np.int64), local)),
+        shape=(n * n, touched.size),
+    )
+    constant += (raw @ elim.fixed[touched]).reshape(n, n)
+    sub = (raw @ elim.free[touched]).tocoo()
+    indices, local = np.unique(sub.col, return_inverse=True)
+    position = local.astype(np.int64) * (n * n) + sub.row
+    order = np.argsort(position)
+    position, value = position[order], sub.data[order]
     nonzero = value != 0.0
     norm = math.sqrt(float(np.sum(constant**2)) + float(np.sum(value[nonzero] ** 2)))
     norm = norm if norm > 0.0 else 1.0
-    return constant / norm, indices, position[nonzero], value[nonzero] / norm
+    return constant / norm, indices.astype(np.int64), position[nonzero], value[nonzero] / norm
 
 
 @dataclass(frozen=True)
@@ -233,8 +362,9 @@ class _SchurGroup:
     """The blocks lo:hi of size group ``group``, all of shape (n, m), with
     the sparse maps that form their Schur terms (see ``_schur_terms``).
 
-    ``indices`` (K, m) are the moments each block touches.  ``left`` maps
-    the stacked G (K n, n) to T[k, i, l, :] = (A_l G)[i, :], rows ordered
+    ``indices`` (K, m) are the free moments each block touches, and its K m^2
+    terms go to ``_Compiled.kkt_values[start:]``.  ``left`` maps the
+    stacked G (K n, n) to T[k, i, l, :] = (A_l G)[i, :], rows ordered
     (k, i, l).  ``pair_rows`` and ``pair_cols`` are the positions (i <= j)
     at which some A_l of the group is nonzero.  ``right`` maps F_b = G A_b G,
     gathered at those pairs in (pair, k) order, to H[k, a, b] / 2 =
@@ -244,6 +374,7 @@ class _SchurGroup:
     group: int
     lo: int
     hi: int
+    start: int
     indices: np.ndarray
     left: scipy.sparse.csr_matrix
     pair_rows: np.ndarray
@@ -251,7 +382,7 @@ class _SchurGroup:
     right: scipy.sparse.csr_matrix
 
     @classmethod
-    def build(cls, group: int, lo: int, blocks) -> "_SchurGroup":
+    def build(cls, group: int, lo: int, start: int, blocks) -> "_SchurGroup":
         """The group of the compiled blocks (constant, indices, position, value)."""
         K = len(blocks)
         n = blocks[0][0].shape[0]
@@ -273,23 +404,29 @@ class _SchurGroup:
             shape=(K * m, pairs.size * K),
         )
         indices = np.stack([blk[1] for blk in blocks])
-        return cls(group, lo, lo + K, indices, left, pairs // n, pairs % n, right)
+        return cls(
+            group, lo, lo + K, start, indices, left, pairs // n, pairs % n, right
+        )
 
 
 class _Compiled:
-    """Scaled standard form in grouped layout, plus the bookkeeping to undo
-    the scaling.
+    """Scaled standard form over the free moments in grouped layout, plus the
+    bookkeeping to undo the elimination and the scaling.
 
-    Blocks are ordered by (size, number of touched moments).  The blocks of
-    one size n form a group whose K matrices are stacked as one (K, n, n)
-    array; the groups are consecutive segments of one flat vector, on which
-    the block map is  vec M(y) = constant + A y  and its adjoint is  A' v.
-    Each block is compiled once into its coefficient pattern
-    (``_block_pattern``), which yields A and, for the blocks of one shape
-    (size and moment count), the sparse maps of a ``_SchurGroup``.  The
-    sparsity pattern of the KKT matrix and the scatter map from Schur terms,
-    regularization and E into its CSC data are fixed here, so an iteration
-    only fills numbers in.
+    The equality rows, scaled and normalized to unit norm, are eliminated
+    once (``_eliminate``): every y with E y = b is y = fixed + free z, so the
+    iteration runs over the free moments z alone, on the blocks substituted
+    at that y (objective c'y = (free' c)'z + c'fixed).  Blocks are ordered
+    by (size, number of touched free moments).  The blocks of one size n
+    form a group whose K matrices are stacked as one (K, n, n) array; the
+    groups are consecutive segments of one flat vector, on which the block
+    map is  vec M(z) = constant + A z  and its adjoint is  A' v.  Each block
+    is compiled once into its coefficient pattern (``_block_pattern``),
+    which yields A and, for the blocks of one shape (size and moment count),
+    the sparse maps of a ``_SchurGroup``.  The sparsity pattern of the KKT
+    matrix H + dI, the values vector its Schur terms and diagonal are written
+    into and the scatter map from that vector into its CSC data are fixed
+    here, so an iteration only fills numbers in.
     """
 
     def __init__(self, sdp: SdpProblem) -> None:
@@ -300,50 +437,6 @@ class _Compiled:
             else np.ones(y_dim)
         )
         self.y_scales = scales
-        blocks = sorted(
-            (_block_pattern(b, scales) for b in sdp.psd_blocks if b.size),
-            key=lambda blk: (blk[0].shape[0], blk[1].size),
-        )
-        sizes = np.array([blk[0].shape[0] for blk in blocks], dtype=np.int64)
-        self.cone_dim = int(sizes.sum())
-        offsets = np.concatenate([[0], np.cumsum(sizes**2)])
-        self.dim = int(offsets[-1])
-        self.block_starts = offsets[:-1]
-        self.constant = np.concatenate([blk[0].ravel() for blk in blocks] + [np.zeros(0)])
-        self.block_scale = 1.0 + np.array([np.linalg.norm(blk[0]) for blk in blocks])
-
-        # Size groups (n, first block, end block) and the Schur shape groups.
-        self.groups: List[Tuple[int, int, int]] = []
-        self.shapes: List[_SchurGroup] = []
-        first = 0
-        for n, same_size in itertools.groupby(blocks, key=lambda blk: blk[0].shape[0]):
-            same_size = list(same_size)
-            lo = 0
-            for m, same_shape in itertools.groupby(same_size, key=lambda blk: blk[1].size):
-                same_shape = list(same_shape)
-                if m:
-                    self.shapes.append(_SchurGroup.build(len(self.groups), lo, same_shape))
-                lo += len(same_shape)
-            self.groups.append((n, first, first + lo))
-            first += lo
-
-        rows: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
-        cols: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
-        vals: List[np.ndarray] = [np.zeros(0)]
-        for (constant, indices, position, value), offset in zip(blocks, offsets):
-            local, ij = np.divmod(position, constant.size)
-            rows.append(offset + ij)
-            cols.append(indices[local])
-            vals.append(value)
-        self.A = scipy.sparse.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.dim, y_dim),
-        )
-        self.At = self.A.T.tocsr()
-        self.schur_stats = {
-            "coefficients": int(self.A.nnz),
-            "terms": sum(int(s.indices.size * s.indices.shape[1]) for s in self.shapes),
-        }
 
         rows_l: List[int] = []
         cols_l: List[int] = []
@@ -362,28 +455,84 @@ class _Compiled:
         self.E = scipy.sparse.csr_matrix(
             (vals_l, (rows_l, cols_l)), shape=(self.n_eq, y_dim)
         )
-        self.Et = self.E.T.tocsr()
         self.b = np.asarray(rhs, dtype=float)
+        elim = _eliminate(self.E, self.b)
+        self.fixed, self.free = elim.fixed, elim.free
+        self.z_dim = z_dim = self.free.shape[1]
+        self.dependent = elim.dependent
+        self.inconsistency = elim.inconsistency
 
-        self.c = np.zeros(y_dim)
+        blocks = sorted(
+            (_block_pattern(b, scales, elim) for b in sdp.psd_blocks if b.size),
+            key=lambda blk: (blk[0].shape[0], blk[1].size),
+        )
+        sizes = np.array([blk[0].shape[0] for blk in blocks], dtype=np.int64)
+        self.cone_dim = int(sizes.sum())
+        offsets = np.concatenate([[0], np.cumsum(sizes**2)])
+        self.dim = int(offsets[-1])
+        self.block_starts = offsets[:-1]
+        self.constant = np.concatenate([blk[0].ravel() for blk in blocks] + [np.zeros(0)])
+        self.block_scale = 1.0 + np.array([np.linalg.norm(blk[0]) for blk in blocks])
+
+        # Size groups (n, first block, end block) and the Schur shape groups,
+        # whose terms follow the z_dim diagonal entries in ``kkt_values``.
+        self.groups: List[Tuple[int, int, int]] = []
+        self.shapes: List[_SchurGroup] = []
+        first = 0
+        start = z_dim
+        for n, same_size in itertools.groupby(blocks, key=lambda blk: blk[0].shape[0]):
+            same_size = list(same_size)
+            lo = 0
+            for m, same_shape in itertools.groupby(same_size, key=lambda blk: blk[1].size):
+                same_shape = list(same_shape)
+                if m:
+                    self.shapes.append(
+                        _SchurGroup.build(len(self.groups), lo, start, same_shape)
+                    )
+                    start += len(same_shape) * m * m
+                lo += len(same_shape)
+            self.groups.append((n, first, first + lo))
+            first += lo
+        self.kkt_values = np.empty(start)
+
+        rows: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+        cols: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+        vals: List[np.ndarray] = [np.zeros(0)]
+        for (constant, indices, position, value), offset in zip(blocks, offsets):
+            local, ij = np.divmod(position, constant.size)
+            rows.append(offset + ij)
+            cols.append(indices[local])
+            vals.append(value)
+        self.A = scipy.sparse.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.dim, z_dim),
+        )
+        self.At = self.A.T.tocsr()
+        self.schur_stats = {
+            "coefficients": int(self.A.nnz),
+            "terms": start - z_dim,
+        }
+
+        c = np.zeros(y_dim)
         for idx, coeff in zip(sdp.objective.indices, sdp.objective.coefficients):
-            self.c[idx] += coeff * scales[idx]
+            c[idx] += coeff * scales[idx]
+        self.c_ref = 1.0 + float(np.max(np.abs(c), initial=0.0))
+        self.c = self.free.T @ c
+        self.c_offset = float(c @ self.fixed)
 
         self._build_kkt_pattern()
 
     def _build_kkt_pattern(self) -> None:
-        """CSC pattern of [[H + dI, E'], [E, -dI]] and the position in its
-        data array of every Schur term, diagonal entry and E entry, in the
-        order ``kkt_data`` lists them.
+        """CSC pattern of H + dI and the position in its data array of every
+        entry of ``kkt_values`` (diagonal, then Schur terms).
 
         Above ``_DENSE_KKT_MAX`` rows the pattern is stored symmetrically
-        permuted into the factor order ``kkt_order`` (``kkt_order[k]`` is the
-        unknown eliminated k-th), so that ``kkt_data`` fills the permuted
-        matrix directly; at or below it ``kkt_order`` is None."""
-        y_dim, dim = self.y_dim, self.y_dim + self.n_eq
-        e_coo = self.E.tocoo()
-        rows = [np.arange(dim), e_coo.row + y_dim, e_coo.col]
-        cols = [np.arange(dim), e_coo.col, e_coo.row + y_dim]
+        permuted into a minimum-degree order ``kkt_order`` (``kkt_order[k]``
+        is the unknown eliminated k-th), so that ``kkt_data`` fills the
+        permuted matrix directly; at or below it ``kkt_order`` is None."""
+        dim = self.z_dim
+        rows = [np.arange(dim)]
+        cols = [np.arange(dim)]
         for shape in self.shapes:
             indices = shape.indices
             K, m = indices.shape
@@ -393,7 +542,7 @@ class _Compiled:
         unique, self.kkt_scatter = np.unique(keys, return_inverse=True)
         self.kkt_order = None
         if dim > _DENSE_KKT_MAX:
-            position = self._kkt_positions(unique, e_coo)
+            position = self._minimum_degree(unique)
             self.kkt_order = np.argsort(position)
             permuted = position[unique // dim] * dim + position[unique % dim]
             relabel = np.argsort(permuted)
@@ -403,20 +552,13 @@ class _Compiled:
             self.kkt_scatter = rank[self.kkt_scatter]
         self.kkt_indices = unique % dim
         self.kkt_indptr = np.searchsorted(unique, np.arange(dim + 1) * dim)
-        self.kkt_fixed = np.concatenate([e_coo.data, e_coo.data])
 
-    def _kkt_positions(self, keys: np.ndarray, e_coo) -> np.ndarray:
-        """Position of every KKT unknown in a symmetric fill-reducing order.
-
-        Minimum degree on the pattern of A + A' (SuperLU's MMD_AT_PLUS_A, run
-        on a diagonally dominant matrix of the KKT pattern so that nothing
-        pivots), after which every equality row moves behind the last moment
-        it touches.  Eliminated before its moments, a row's pivot would be
-        its regularization -d alone; eliminated after them it is
-        -d - e H^{-1} e', which stays away from zero.  Quasidefinite
-        matrices factor stably in any symmetric order without pivoting
-        (Vanderbei 1995)."""
-        y_dim, dim = self.y_dim, self.y_dim + self.n_eq
+    def _minimum_degree(self, keys: np.ndarray) -> np.ndarray:
+        """Position of every unknown in a minimum-degree order of the KKT
+        pattern (SuperLU's MMD_AT_PLUS_A, run on a diagonally dominant
+        matrix of that pattern so that nothing pivots).  The matrix is
+        positive definite, so it factors stably in any symmetric order."""
+        dim = self.z_dim
         rows = keys % dim
         pattern = scipy.sparse.csc_matrix(
             (
@@ -426,34 +568,28 @@ class _Compiled:
             ),
             shape=(dim, dim),
         )
-        minimum_degree = scipy.sparse.linalg.splu(
+        return scipy.sparse.linalg.splu(
             pattern,
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         ).perm_c
-        last_moment = np.full(self.n_eq, -np.inf)
-        np.maximum.at(last_moment, e_coo.row, minimum_degree[e_coo.col])
-        sort_key = minimum_degree.astype(float)
-        sort_key[y_dim:] = np.maximum(sort_key[y_dim:], 0.5 + last_moment)
-        position = np.empty(dim, dtype=np.int64)
-        position[np.argsort(sort_key, kind="stable")] = np.arange(dim)
-        return position
 
-    def kkt_data(self, schur_terms: List[np.ndarray], delta: float) -> np.ndarray:
-        """CSC data of the KKT matrix from the flattened Schur terms of each
-        shape group and the regularization delta."""
-        values = np.concatenate(
-            [
-                np.full(self.y_dim, delta),
-                np.full(self.n_eq, -delta),
-                self.kkt_fixed,
-            ]
-            + schur_terms
-        )
+    def kkt_data(self, delta: float) -> np.ndarray:
+        """CSC data of H + delta I from the Schur terms that ``_schur_terms``
+        last wrote into ``kkt_values``."""
+        self.kkt_values[: self.z_dim] = delta
         return np.bincount(
-            self.kkt_scatter, weights=values, minlength=self.kkt_indices.size
+            self.kkt_scatter, weights=self.kkt_values, minlength=self.kkt_indices.size
         )
+
+    def moments(self, z: np.ndarray) -> np.ndarray:
+        """The scaled moment vector fixed + free z."""
+        return self.fixed + self.free @ z
+
+    def equality_residual(self, y: np.ndarray) -> float:
+        """max |E y - b| over the scaled, unit-norm rows."""
+        return float(np.max(np.abs(self.E @ y - self.b), initial=0.0))
 
     def stacks(self, flat: np.ndarray) -> List[np.ndarray]:
         """(K, n, n) views of a flat block vector, one per size group."""
@@ -539,14 +675,14 @@ def _nt_scaling(X: np.ndarray, Z: np.ndarray):
     return G, S, S_inv, np.clip(d, 1e-300, None), Q
 
 
-def _schur_terms(comp: _Compiled, G: List[np.ndarray]) -> List[np.ndarray]:
-    """Flattened Schur terms <A_i, G A_j G> of every block, per shape group.
+def _schur_terms(comp: _Compiled, G: List[np.ndarray]) -> None:
+    """Write the Schur terms <A_i, G A_j G> of every block, per shape group,
+    into ``comp.kkt_values``.
 
     Fujisawa, Kojima & Nakata's formula F2, three calls per shape group: the
     sparse product T = A_l G against the stacked G, the batched product
     F_l = G T, and the sparse contraction H[i, j] = <A_i, F_j> over the
     positions where some A_i is nonzero."""
-    terms = []
     with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
         for shape in comp.shapes:
             K, m = shape.indices.shape
@@ -556,8 +692,8 @@ def _schur_terms(comp: _Compiled, G: List[np.ndarray]) -> List[np.ndarray]:
             F = (g @ T).reshape(K, n, m, n)
             gathered = F[:, shape.pair_rows, :, shape.pair_cols]
             half = (shape.right @ gathered.reshape(-1, m)).reshape(K, m, m)
-            terms.append((half + _t(half)).ravel())
-    return terms
+            terms = comp.kkt_values[shape.start : shape.start + K * m * m]
+            np.add(half, _t(half), out=terms.reshape(K, m, m))
 
 
 def _congruence(comp: _Compiled, G: List[np.ndarray], flat: np.ndarray) -> np.ndarray:
@@ -584,21 +720,21 @@ def _max_step(comp: _Compiled, inv_chol: List[np.ndarray], direction: np.ndarray
 
 
 class _Kkt:
-    """Factorization of [[H + dI, E'], [E, -dI]] with iterative refinement.
+    """Factorization of the positive-definite H + dI over the free moments,
+    with iterative refinement.
 
     At most ``_DENSE_KKT_MAX`` rows are factored by a dense LU.  Larger
     systems arrive in the compile-time order ``kkt_order`` of
     :class:`_Compiled` and are factored by SuperLU in that order, in
-    symmetric mode without pivoting (the matrix is quasidefinite); the
-    right-hand side is permuted in and the solution out.  ``factor_nnz``
-    counts the nonzeros of L + U (dim^2 for the dense LU)."""
+    symmetric mode without pivoting; the right-hand side is permuted in and
+    the solution out.  ``factor_nnz`` counts the nonzeros of L + U (dim^2
+    for the dense LU)."""
 
     def __init__(self, comp: _Compiled, data: np.ndarray) -> None:
-        dim = comp.y_dim + comp.n_eq
+        dim = comp.z_dim
         self.matrix = scipy.sparse.csc_matrix(
             (data, comp.kkt_indices, comp.kkt_indptr), shape=(dim, dim)
         )
-        self.y_dim = comp.y_dim
         self.order = comp.kkt_order
         if self.order is None:
             self._dense = scipy.linalg.lu_factor(self.matrix.toarray(), check_finite=False)
@@ -619,9 +755,8 @@ class _Kkt:
             return scipy.linalg.lu_solve(self._dense, rhs, check_finite=False)
         return self._sparse.solve(rhs)
 
-    def solve(self, top: np.ndarray, bottom: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Refined solution; non-finite when the factorization breaks down."""
-        rhs = np.concatenate([top, bottom])
         if self.order is not None:
             rhs = rhs[self.order]
         scale = 1.0 + float(np.linalg.norm(rhs))
@@ -637,7 +772,40 @@ class _Kkt:
             unpermuted = np.empty_like(sol)
             unpermuted[self.order] = sol
             sol = unpermuted
-        return sol[: self.y_dim], sol[self.y_dim :]
+        return sol
+
+
+def _fixed_point_result(
+    sdp: SdpProblem, comp: _Compiled, opts: SolverOptions, start: float, stats
+) -> SolverResult:
+    """Result of a problem without free moments: its single candidate y is
+    the elimination's ``fixed``, optimal when every (now constant) block is
+    PSD within ``abs_tol``."""
+    y = comp.fixed
+    stats["equalities"]["residual"] = comp.equality_residual(y)
+    smallest = min(
+        (float(np.min(np.linalg.eigvalsh(s))) for s in comp.stacks(comp.constant)),
+        default=0.0,
+    )
+    wall = time.perf_counter() - start
+    if smallest < -opts.abs_tol:
+        return SolverResult(
+            SolveStatus.INFEASIBLE,
+            None,
+            math.inf,
+            0,
+            wall,
+            {"note": "fixed moments violate a PSD block", **stats},
+        )
+    y_orig = comp.y_scales * y
+    return SolverResult(
+        SolveStatus.OPTIMAL,
+        y_orig,
+        sdp.objective.evaluate(y_orig),
+        0,
+        wall,
+        {"note": "every moment fixed by the equality rows", **stats},
+    )
 
 
 def _solve_interior_point(sdp: SdpProblem, opts: SolverOptions) -> SolverResult:
@@ -645,36 +813,41 @@ def _solve_interior_point(sdp: SdpProblem, opts: SolverOptions) -> SolverResult:
     comp = _Compiled(sdp)
     clock = _PhaseClock()
     kkt_stats = {
-        "dim": comp.y_dim + comp.n_eq,
+        "dim": comp.z_dim,
         "nnz": int(comp.kkt_indices.size),
         "factor_nnz": 0,
     }
-    # Reported with every result; the phase and KKT dicts fill in as the
-    # solve runs.
+    equality_stats = {
+        "rows": comp.n_eq,
+        "dependent": comp.dependent,
+        "free": comp.z_dim,
+        "residual": comp.inconsistency,
+    }
+    # Reported with every result; the phase, KKT and equality dicts fill in
+    # as the solve runs.
     stats = {
         "phase_seconds": clock.seconds,
         "kkt": kkt_stats,
         "schur": comp.schur_stats,
+        "equalities": equality_stats,
     }
-    y_dim = comp.y_dim
 
-    if y_dim == 0:
-        value = sdp.objective.evaluate(np.zeros(0))
+    if comp.inconsistency > _DEPENDENT_TOL:
         return SolverResult(
-            SolveStatus.OPTIMAL,
-            np.zeros(0),
-            value,
+            SolveStatus.INFEASIBLE,
+            None,
+            math.inf,
             0,
             time.perf_counter() - start,
-            dict(stats),
+            {"note": "equality rows inconsistent", **stats},
         )
+    if comp.z_dim == 0:
+        return _fixed_point_result(sdp, comp, opts, start, stats)
 
     total_cone = max(comp.cone_dim, 1)
-    y = np.zeros(y_dim)
-    nu = np.zeros(comp.n_eq)
+    z = np.zeros(comp.z_dim)
     X = comp.identity_point()
     Z = X.copy()
-    c_ref = 1.0 + float(np.max(np.abs(comp.c))) if y_dim else 1.0
 
     status = SolveStatus.NUMERICAL_FAILURE
     stall_ref = math.inf
@@ -689,26 +862,28 @@ def _solve_interior_point(sdp: SdpProblem, opts: SolverOptions) -> SolverResult:
     # floor where the gap keeps shrinking while dual feasibility drifts; the
     # reported solution is the iterate with the smallest worst-case merit.
     best_merit = math.inf
-    best_y = y
+    best_y = comp.moments(z)
     best_triple = (relgap, pres, dres)
     best_iteration = 0
 
     for iteration in range(1, opts.max_iters + 1):
         iterations = iteration
-        residual = comp.constant + comp.A @ y - X
-        r_p = comp.b - comp.E @ y
-        r_d = comp.c - comp.Et @ nu - comp.At @ Z
+        y = comp.moments(z)
+        residual = comp.constant + comp.A @ z - X
+        # free' (c - A'Z): the y-space dual residual at the multipliers of
+        # the rows that zero it on the pivot moments (see SolverResult).
+        r_d = comp.c - comp.At @ Z
 
         gap = float(X @ Z)
         mu = gap / total_cone
-        pobj = float(comp.c @ y)
-        dobj = float(comp.b @ nu) - float(comp.constant @ Z)
+        pobj = float(comp.c @ z) + comp.c_offset
+        dobj = comp.c_offset - float(comp.constant @ Z)
         relgap = gap / (1.0 + abs(pobj) + abs(dobj))
         pres_blocks = np.max(
             comp.block_norms(residual) / comp.block_scale, initial=0.0
         )
-        pres = max(float(np.max(np.abs(r_p), initial=0.0)), float(pres_blocks))
-        dres = float(np.max(np.abs(r_d))) / c_ref
+        pres = max(comp.equality_residual(y), float(pres_blocks))
+        dres = float(np.max(np.abs(r_d))) / comp.c_ref
         clock.lap("residuals")
 
         if opts.verbosity > 0:
@@ -723,7 +898,7 @@ def _solve_interior_point(sdp: SdpProblem, opts: SolverOptions) -> SolverResult:
         merit = max(relgap, pres, dres)
         if merit < best_merit:
             best_merit = merit
-            best_y = y.copy()
+            best_y = y
             best_triple = (relgap, pres, dres)
             best_iteration = iteration
 
@@ -732,6 +907,7 @@ def _solve_interior_point(sdp: SdpProblem, opts: SolverOptions) -> SolverResult:
             note = "converged"
             break
         if dobj > 1e12 and dres <= 1e-7:
+            equality_stats["residual"] = comp.equality_residual(y)
             return SolverResult(
                 SolveStatus.INFEASIBLE,
                 None,
@@ -741,6 +917,7 @@ def _solve_interior_point(sdp: SdpProblem, opts: SolverOptions) -> SolverResult:
                 {"note": "dual objective diverging", **stats},
             )
         if pobj < -1e12 and pres <= 1e-7:
+            equality_stats["residual"] = comp.equality_residual(y)
             return SolverResult(
                 SolveStatus.UNBOUNDED,
                 None,
@@ -770,7 +947,7 @@ def _solve_interior_point(sdp: SdpProblem, opts: SolverOptions) -> SolverResult:
         # NT scaling per size group: G = W^{-1}, its PD square root S, and
         # the eigenbasis of the shared scaled point lambda for the Jordan-
         # product solves below.
-        scaling = [_nt_scaling(x, z) for x, z in zip(comp.stacks(X), comp.stacks(Z))]
+        scaling = [_nt_scaling(x, s) for x, s in zip(comp.stacks(X), comp.stacks(Z))]
         if not all(_finite(*parts) for parts in scaling):
             note = "non-finite NT scaling"
             finite = False
@@ -778,7 +955,8 @@ def _solve_interior_point(sdp: SdpProblem, opts: SolverOptions) -> SolverResult:
         G = [parts[0] for parts in scaling]
         clock.lap("scaling")
 
-        data = comp.kkt_data(_schur_terms(comp, G), 1e-12 * (1.0 + mu))
+        _schur_terms(comp, G)
+        data = comp.kkt_data(1e-12 * (1.0 + mu))
         clock.lap("schur")
         if not _finite(data):
             note = "non-finite Schur complement"
@@ -793,20 +971,19 @@ def _solve_interior_point(sdp: SdpProblem, opts: SolverOptions) -> SolverResult:
         clock.lap("kkt_factor")
 
         def directions(target: np.ndarray):
-            top = comp.At @ _congruence(comp, G, target - residual) - r_d
-            dy, neg_dnu = kkt.solve(top, r_p)
-            dX = comp.A @ dy + residual
-            return dy, -neg_dnu, dX, _congruence(comp, G, target - dX)
+            dz = kkt.solve(comp.At @ _congruence(comp, G, target - residual) - r_d)
+            dX = comp.A @ dz + residual
+            return dz, dX, _congruence(comp, G, target - dX)
 
         # Predictor: pure Newton step toward the boundary.
-        dy, dnu, dX_aff, dZ_aff = directions(-X)
+        dz, dX_aff, dZ_aff = directions(-X)
         clock.lap("kkt_solve")
-        if not _finite(dy, dnu, dX_aff, dZ_aff):
+        if not _finite(dz, dX_aff, dZ_aff):
             note = "non-finite predictor direction"
             finite = False
             break
         inv_chol_x = [np.linalg.inv(np.linalg.cholesky(x)) for x in comp.stacks(X)]
-        inv_chol_z = [np.linalg.inv(np.linalg.cholesky(z)) for z in comp.stacks(Z)]
+        inv_chol_z = [np.linalg.inv(np.linalg.cholesky(s)) for s in comp.stacks(Z)]
         alpha_p_aff = min(1.0, _max_step(comp, inv_chol_x, dX_aff))
         alpha_d_aff = min(1.0, _max_step(comp, inv_chol_z, dZ_aff))
         gap_aff = float((X + alpha_p_aff * dX_aff) @ (Z + alpha_d_aff * dZ_aff))
@@ -840,9 +1017,9 @@ def _solve_interior_point(sdp: SdpProblem, opts: SolverOptions) -> SolverResult:
                 dst[...] = _symmetrize(corrected)
         clock.lap("scaling")
 
-        dy, dnu, dX, dZ = directions(target)
+        dz, dX, dZ = directions(target)
         clock.lap("kkt_solve")
-        if not _finite(dy, dnu, dX, dZ):
+        if not _finite(dz, dX, dZ):
             note = "non-finite corrector direction"
             finite = False
             break
@@ -863,13 +1040,13 @@ def _solve_interior_point(sdp: SdpProblem, opts: SolverOptions) -> SolverResult:
             note = "step rejected"
             break
 
-        y = y + alpha_p * dy
-        nu = nu + alpha_d * dnu
+        z = z + alpha_p * dz
         X = new_x
         Z = new_z
 
     wall = time.perf_counter() - start
     relgap, pres, dres = best_triple
+    equality_stats["residual"] = comp.equality_residual(best_y)
     y_orig = comp.y_scales * best_y
     value = sdp.objective.evaluate(y_orig)
     diagnostics = {

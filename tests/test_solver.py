@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -13,7 +14,7 @@ import scipy.sparse.linalg
 
 import owasdp.solver as solver_module
 from owasdp.location import build_lifted, random_instance
-from owasdp.omrf import LambdaWeights, OmrfProblem, build_kcentrum
+from owasdp.omrf import LambdaWeights, OmrfProblem, build_general_lift, build_kcentrum
 from owasdp.polynomial import (
     Polynomial,
     RationalFunction,
@@ -179,15 +180,16 @@ def weber_sparse(weber_lift):
 
 
 @pytest.fixture(scope="module")
-def weber20_instance():
-    """Planar l2 Weber with 20 anchors: at order 2 its KKT system has 614
-    rows, above the dense cut-off, so it runs the sparse factor."""
-    return random_instance(20, 2, seed=2)
+def weber50_instance():
+    """Planar l2 Weber with 50 anchors: at order 2 its KKT system over the
+    free moments has 514 rows, above the dense cut-off, so it runs the
+    sparse factor."""
+    return random_instance(50, 2, seed=2)
 
 
 @pytest.fixture(scope="module")
-def weber20_sparse(weber20_instance):
-    return build_sparse(build_lifted(weber20_instance), 2)
+def weber50_sparse(weber50_instance):
+    return build_sparse(build_lifted(weber50_instance), 2)
 
 
 @pytest.fixture(scope="module")
@@ -196,12 +198,10 @@ def mixed_layout():
 
 
 @pytest.fixture(scope="module")
-def rational_omrf_sparse():
-    """Epigraph lift of the larger of two rational functions over [-1, 1],
-    at order 2: moment and localizing blocks with non-unit coefficients and
-    moment scales, in shape groups of one and two blocks."""
+def rational_omrf():
+    """The larger of two rational functions over [-1, 1]."""
     universe = VariableUniverse(["x"])
-    problem = OmrfProblem(
+    return OmrfProblem(
         (
             RationalFunction(parse("x^2 + 1", universe), parse("0.5*x^2 + 2", universe)),
             RationalFunction(parse("3*x - 1", universe), parse("x^2 + 1.5", universe)),
@@ -210,7 +210,22 @@ def rational_omrf_sparse():
         SemialgebraicSet(universe, [parse("1 - x^2", universe)], []),
         4.0,
     )
-    return build_sparse(build_kcentrum(problem, 1), 2)
+
+
+@pytest.fixture(scope="module")
+def rational_omrf_sparse(rational_omrf):
+    """Its epigraph lift at order 2: moment and localizing blocks with
+    non-unit coefficients and moment scales, in shape groups of one and two
+    blocks."""
+    return build_sparse(build_kcentrum(rational_omrf, 1), 2)
+
+
+@pytest.fixture(scope="module")
+def rational_general_sparse(rational_omrf):
+    """Its general (assignment) lift at the minimum order 3: binary and
+    assignment equality rows, about half of them dependent, and non-unit
+    moment scales."""
+    return build_sparse(build_general_lift(rational_omrf), 3)
 
 
 def random_block_vector(comp, rng, definite):
@@ -238,7 +253,7 @@ def random_scaling(comp, seed):
 
 def unpermuted_kkt(comp, data):
     """Dense KKT matrix from its CSC data, in the original unknown order."""
-    dim = comp.y_dim + comp.n_eq
+    dim = comp.z_dim
     stored = scipy.sparse.csc_matrix(
         (data, comp.kkt_indices, comp.kkt_indptr), shape=(dim, dim)
     ).toarray()
@@ -255,9 +270,51 @@ def operator_schur(comp, G):
     return np.column_stack(
         [
             comp.At @ solver_module._congruence(comp, G, columns[:, j])
-            for j in range(comp.y_dim)
+            for j in range(comp.z_dim)
         ]
     )
+
+
+def substituted_blocks(sdp, comp, z):
+    """Every PSD block assembled at the moments y = fixed + free z (original
+    units) and divided by the Frobenius norm of its substituted map,
+    sqrt(|C|^2 + sum_l |A_l|^2) with C the block at z = 0 and A_l the change
+    along the l-th free moment; computed from ``PsdBlock.assemble`` alone."""
+
+    def moments(point):
+        return comp.y_scales * comp.moments(point)
+
+    out = []
+    for block in sdp.psd_blocks:
+        if not block.size:
+            continue
+        constant = block.assemble(moments(np.zeros(comp.z_dim)))
+        coefficients = [
+            block.assemble(moments(e)) - constant for e in np.eye(comp.z_dim)
+        ]
+        norm = math.sqrt(np.sum(constant**2) + sum(np.sum(a**2) for a in coefficients))
+        out.append(block.assemble(moments(z)) / norm)
+    return out
+
+
+def assert_compiled_blocks_match(sdp, seed, atol):
+    """The compiled block map at a random z equals ``substituted_blocks``."""
+    comp = solver_module._Compiled(sdp)
+    z = np.random.default_rng(seed).standard_normal(comp.z_dim)
+    stacked = [m for s in comp.stacks(comp.constant + comp.A @ z) for m in s]
+    expected_blocks = substituted_blocks(sdp, comp, z)
+    assert len(stacked) == len(expected_blocks)
+    for expected in expected_blocks:
+        assert any(
+            m.shape == expected.shape and np.allclose(m, expected, rtol=0, atol=atol)
+            for m in stacked
+        )
+    return comp, z
+
+
+def with_rows(sdp, *rows):
+    """``sdp`` with extra equality rows."""
+    return dataclasses.replace(sdp, equalities=sdp.equalities + rows)
 
 
 @pytest.fixture(scope="module")
@@ -395,13 +452,26 @@ class TestBundledBackend:
     def test_schur_diagnostics(self, weber_sparse):
         stats = solve(weber_sparse).diagnostics["schur"]
         assert set(stats) == {"coefficients", "terms"}
-        blocks = weber_sparse.psd_blocks
-        assert stats["coefficients"] == sum(b.nonzero_count() for b in blocks) > 0
-        assert stats["terms"] == sum(len(b.referenced_indices()) ** 2 for b in blocks)
+        # Count the nonzero coefficients of every block over the free
+        # moments, and the free moments each block touches, from the blocks
+        # assembled along each free moment.
+        comp = solver_module._Compiled(weber_sparse)
+        coefficients = terms = 0
+        for block in weber_sparse.psd_blocks:
+            base = block.assemble(comp.y_scales * comp.moments(np.zeros(comp.z_dim)))
+            changes = [
+                block.assemble(comp.y_scales * comp.moments(e)) - base
+                for e in np.eye(comp.z_dim)
+            ]
+            nonzero = [np.abs(a) > 1e-12 * (1.0 + np.abs(base)) for a in changes]
+            coefficients += sum(int(np.sum(mask)) for mask in nonzero)
+            terms += sum(bool(mask.any()) for mask in nonzero) ** 2
+        assert stats["coefficients"] == coefficients > 0
+        assert stats["terms"] == terms
 
     def test_non_finite_kkt_solution_reports_failure(self, monkeypatch, weber_sparse):
         # Order 2 keeps the KKT system dense (LU), so lu_solve serves it.
-        assert weber_sparse.y_dim + len(weber_sparse.equalities) <= 500
+        assert solver_module._Compiled(weber_sparse).z_dim <= 500
         real_lu_solve = scipy.linalg.lu_solve
         calls = []
 
@@ -485,22 +555,10 @@ class TestBatchedKernels:
     """The stacked per-group kernels against per-block reference formulas."""
 
     def test_block_operator_matches_per_block_maps(self):
-        sdp = mixed_layout_sdp()
-        comp = solver_module._Compiled(sdp)
-        y = np.random.default_rng(0).standard_normal(sdp.y_dim)
-        stacked = [m for s in comp.stacks(comp.constant + comp.A @ y) for m in s]
-        assert len(stacked) == len(sdp.psd_blocks)
-        for block in sdp.psd_blocks:
-            # The compiled block is the assembled one over its Frobenius norm
-            # sqrt(|C|^2 + sum_l |A_l|^2); the moment scales are all 1.
-            constant = block.assemble(np.zeros(sdp.y_dim))
-            coefficients = [block.assemble(e) - constant for e in np.eye(sdp.y_dim)]
-            norm = math.sqrt(np.sum(constant**2) + sum(np.sum(a**2) for a in coefficients))
-            expected = block.assemble(y) / norm
-            assert any(
-                m.shape == expected.shape and np.allclose(m, expected, rtol=0, atol=1e-14)
-                for m in stacked
-            )
+        # The compiled block is the assembled one at y = fixed + free z over
+        # the Frobenius norm of its substituted map; the moment scales are
+        # all 1, and the row y2 = 0.5 fixes one moment.
+        assert_compiled_blocks_match(mixed_layout_sdp(), 0, 1e-14)
 
     def test_nt_scaling_identities(self):
         comp = solver_module._Compiled(mixed_layout_sdp())
@@ -537,78 +595,67 @@ class TestBatchedKernels:
         comp = solver_module._Compiled(request.getfixturevalue(problem))
         G = random_scaling(comp, 3)
         reference = operator_schur(comp, G)
-        data = comp.kkt_data(solver_module._schur_terms(comp, G), 0.0)
-        kkt = unpermuted_kkt(comp, data)
-        schur = kkt[: comp.y_dim, : comp.y_dim]
+        solver_module._schur_terms(comp, G)
+        schur = unpermuted_kkt(comp, comp.kkt_data(0.0))
+        # The KKT matrix is the Schur complement alone: no equality rows.
+        assert schur.shape == reference.shape == (comp.z_dim, comp.z_dim)
         scale = np.max(np.abs(reference))
         np.testing.assert_allclose(schur, reference, rtol=0, atol=1e-12 * scale)
         np.testing.assert_array_equal(schur, schur.T)
-        np.testing.assert_array_equal(kkt[comp.y_dim :, : comp.y_dim], comp.E.toarray())
 
 
 class TestSparseKkt:
     """The KKT system above the dense cut-off: factored by SuperLU in the
-    symmetric order fixed at compile time."""
+    minimum-degree order fixed at compile time."""
 
     @pytest.fixture(scope="class")
-    def result(self, weber20_sparse):
-        return solve(weber20_sparse)
+    def result(self, weber50_sparse):
+        return solve(weber50_sparse)
 
     def test_solved_bitwise_repeatable_and_a_lower_bound(
-        self, weber20_instance, weber20_sparse, result
+        self, weber50_instance, weber50_sparse, result
     ):
         assert result.status.solved()
-        again = solve(weber20_sparse)
+        again = solve(weber50_sparse)
         assert again.iterations == result.iterations
         assert np.array_equal(again.y, result.y)
-        points = np.asarray(weber20_instance.points)
+        points = np.asarray(weber50_instance.points)
         centroid_value = np.linalg.norm(points - points.mean(axis=0), axis=1).sum()
         assert result.objective <= centroid_value
 
-    def test_kkt_diagnostics(self, weber_sparse, weber20_sparse, result):
+    def test_kkt_diagnostics(self, weber_sparse, weber50_sparse, result):
         stats = result.diagnostics["kkt"]
         assert set(stats) == {"dim", "nnz", "factor_nnz"}
-        assert stats["dim"] == weber20_sparse.y_dim + len(weber20_sparse.equalities) == 614
+        free = solver_module._Compiled(weber50_sparse).z_dim
+        assert stats["dim"] == free == result.diagnostics["equalities"]["free"] == 514
         assert stats["nnz"] <= stats["factor_nnz"] < stats["dim"] ** 2
         dense = solve(weber_sparse).diagnostics["kkt"]
         assert dense["dim"] <= 500
         assert dense["factor_nnz"] == dense["dim"] ** 2
 
-    def test_equality_rows_follow_their_moments(self, weber20_sparse):
-        comp = solver_module._Compiled(weber20_sparse)
-        dim = comp.y_dim + comp.n_eq
-        assert np.array_equal(np.sort(comp.kkt_order), np.arange(dim))
-        position = np.argsort(comp.kkt_order)
-        rows = comp.E.tocoo()
-        assert rows.nnz > 0
-        assert np.all(position[comp.y_dim + rows.row] > position[rows.col])
-
-    def test_solve_matches_dense_reference(self, weber20_sparse):
-        comp = solver_module._Compiled(weber20_sparse)
+    def test_solve_matches_dense_reference(self, weber50_sparse):
+        comp = solver_module._Compiled(weber50_sparse)
+        assert np.array_equal(np.sort(comp.kkt_order), np.arange(comp.z_dim))
         G = random_scaling(comp, 4)
         delta = 1e-12
-        data = comp.kkt_data(solver_module._schur_terms(comp, G), delta)
+        solver_module._schur_terms(comp, G)
+        data = comp.kkt_data(delta)
         matrix = unpermuted_kkt(comp, data)
         schur = operator_schur(comp, G)
         np.testing.assert_allclose(
-            matrix[: comp.y_dim, : comp.y_dim] - delta * np.eye(comp.y_dim),
+            matrix - delta * np.eye(comp.z_dim),
             schur,
             rtol=0,
             atol=1e-12 * np.max(np.abs(schur)),
         )
-        rng = np.random.default_rng(5)
-        top = rng.standard_normal(comp.y_dim)
-        bottom = rng.standard_normal(comp.n_eq)
-        dy, dnu = solver_module._Kkt(comp, data).solve(top, bottom)
-        expected = np.linalg.solve(matrix, np.concatenate([top, bottom]))
+        rhs = np.random.default_rng(5).standard_normal(comp.z_dim)
+        solution = solver_module._Kkt(comp, data).solve(rhs)
+        expected = np.linalg.solve(matrix, rhs)
         np.testing.assert_allclose(
-            np.concatenate([dy, dnu]),
-            expected,
-            rtol=0,
-            atol=1e-12 * np.max(np.abs(expected)),
+            solution, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected))
         )
 
-    def test_factorization_failure_reports_failure(self, monkeypatch, weber20_sparse):
+    def test_factorization_failure_reports_failure(self, monkeypatch, weber50_sparse):
         real_splu = scipy.sparse.linalg.splu
 
         def failing_splu(matrix, permc_spec=None, **kwargs):
@@ -619,10 +666,124 @@ class TestSparseKkt:
             return real_splu(matrix, permc_spec=permc_spec, **kwargs)
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", failing_splu)
-        res = solve(weber20_sparse)
+        res = solve(weber50_sparse)
         assert res.status is SolveStatus.NUMERICAL_FAILURE
         assert res.y is None
         assert res.diagnostics["note"] == "KKT factorization failed"
+
+
+class TestEqualityElimination:
+    """E y = b eliminated at compile time: y = fixed + free z."""
+
+    @pytest.mark.parametrize(
+        "problem", ["rational_omrf_sparse", "weber_sparse", "rational_general_sparse"]
+    )
+    def test_compiled_blocks_are_the_substituted_blocks(self, request, problem):
+        sdp = request.getfixturevalue(problem)
+        comp, z = assert_compiled_blocks_match(sdp, 6, 1e-14)
+        assert comp.n_eq == len(sdp.equalities)
+        assert comp.z_dim == sdp.y_dim - (comp.n_eq - comp.dependent)
+        assert comp.equality_residual(comp.moments(z)) <= 1e-13
+        y = comp.y_scales * comp.moments(z)
+        residuals = [abs(row.residual(y)) for row in sdp.equalities]
+        assert max(residuals, default=0.0) <= 1e-13 * (1.0 + np.max(np.abs(y)))
+
+    def test_duplicate_row_changes_nothing(self):
+        sdp = mixed_layout_sdp()
+        (row,) = sdp.equalities
+        tripled = AffineForm(
+            row.form.indices, tuple(3.0 * c for c in row.form.coefficients), 0.0
+        )
+        duplicated = with_rows(sdp, EqualityRow("fix-again", tripled, 3.0 * row.rhs))
+        plain, twice = solve(sdp), solve(duplicated)
+        assert plain.status.solved() and twice.status.solved()
+        assert twice.diagnostics["equalities"]["dependent"] == 1
+        assert twice.diagnostics["equalities"]["free"] == plain.diagnostics["kkt"]["dim"]
+        np.testing.assert_allclose(twice.y, plain.y, rtol=0, atol=1e-10)
+        assert twice.objective == pytest.approx(plain.objective, rel=0, abs=1e-10)
+
+    def test_inconsistent_rows_are_infeasible(self):
+        sdp = mixed_layout_sdp()
+        (row,) = sdp.equalities
+        res = solve(with_rows(sdp, EqualityRow("clash", row.form, row.rhs + 0.25)))
+        assert res.status is SolveStatus.INFEASIBLE
+        assert res.y is None
+        assert res.objective == math.inf
+        assert res.diagnostics["note"] == "equality rows inconsistent"
+        stats = res.diagnostics["equalities"]
+        assert stats["dependent"] == 1
+        assert stats["residual"] == pytest.approx(0.25)
+
+    @staticmethod
+    def _fixed_sdp(lower):
+        """y0 + y1 = 1 and y0 - y1 = 0.5 fix y = (0.75, 0.25); the block
+        asks y1 >= lower."""
+        return SdpProblem(
+            y_dim=2,
+            order=1,
+            objective=AffineForm((0, 1), (2.0, 1.0), 0.5),
+            psd_blocks=(
+                PsdBlock(
+                    1, "localizing", "y1", (), ((0, 0, AffineForm((1,), (1.0,), -lower)),)
+                ),
+            ),
+            equalities=(
+                EqualityRow("sum", AffineForm((0, 1), (1.0, 1.0), 0.0), 1.0),
+                EqualityRow("difference", AffineForm((0, 1), (1.0, -1.0), 0.0), 0.5),
+            ),
+            pivot_substitution=AffineForm((), (), 1.0),
+            moment_scales=(1.0, 1.0),
+            original_variables=(),
+        )
+
+    def test_fully_fixed_problem_returns_the_fixed_point(self):
+        res = solve(self._fixed_sdp(0.0))
+        assert res.status is SolveStatus.OPTIMAL
+        assert res.iterations == 0
+        np.testing.assert_allclose(res.y, [0.75, 0.25], rtol=0, atol=1e-15)
+        assert res.objective == pytest.approx(2.25, abs=1e-15)
+        assert res.diagnostics["kkt"]["dim"] == res.diagnostics["equalities"]["free"] == 0
+        infeasible = solve(self._fixed_sdp(0.5))
+        assert infeasible.status is SolveStatus.INFEASIBLE
+        assert infeasible.y is None
+
+    @pytest.mark.parametrize(
+        "problem", ["weber_sparse", "rational_general_sparse", "mixed_layout", "max_dense"]
+    )
+    def test_usable_results_satisfy_their_equalities(self, request, problem):
+        sdp = request.getfixturevalue(problem)
+        res = solve(sdp)
+        assert res.status.solved()
+        report = verify_result(sdp, res, 1e-6)
+        assert report.max_equality_residual <= 1e-10
+        assert res.diagnostics["equalities"]["residual"] <= 1e-12
+
+    def test_equality_residual_counts_in_pres(self, monkeypatch, weber_sparse):
+        # An elimination whose fixed point misses a row by 1e-3 must not
+        # yield a usable result, although its blocks are consistent.
+        real_eliminate = solver_module._eliminate
+
+        def off_by_one_row(E, b):
+            elim = real_eliminate(E, b)
+            fixed = elim.fixed.copy()
+            fixed[E.indices[0]] += 1e-3 / E.data[0]
+            return dataclasses.replace(elim, fixed=fixed)
+
+        monkeypatch.setattr(solver_module, "_eliminate", off_by_one_row)
+        res = solve(weber_sparse)
+        assert not res.status.solved()
+        assert res.diagnostics["primal_residual"] >= 1e-4
+        assert res.diagnostics["equalities"]["residual"] >= 1e-4
+
+    def test_equality_diagnostics(self, weber_sparse):
+        res = solve(weber_sparse)
+        stats = res.diagnostics["equalities"]
+        assert set(stats) == {"rows", "dependent", "free", "residual"}
+        assert stats["rows"] == len(weber_sparse.equalities) > 0
+        assert stats["free"] == res.diagnostics["kkt"]["dim"]
+        # Every independent row fixes one moment.
+        assert stats["rows"] - stats["dependent"] == weber_sparse.y_dim - stats["free"]
+        assert 0.0 <= stats["residual"] <= 1e-12
 
 
 class TestCvxoptBackend:
