@@ -229,6 +229,33 @@ class OmrfProblem:
     def objective_value(self, point: np.ndarray) -> float:
         return evaluate_ordered_median(self, point)
 
+    def objective_values(self, points: np.ndarray) -> np.ndarray:
+        """Ordered-median value at each row of the 2-D array ``points``.
+
+        Vectorized counterpart of ``objective_value`` through
+        ``Polynomial.evaluate_many``, so the two agree to rounding.  Each
+        row's function values are sorted nonincreasingly by a stable sort,
+        so ties go by function index as in ``evaluate_ordered_median``;
+        weights may be constants or polynomials.  A row where some
+        denominator is not positive gets +inf, where ``objective_value``
+        raises ``ValueError``.
+        """
+        x = np.asarray(points, dtype=float)
+        values = np.zeros((len(x), self.m))
+        undefined = np.zeros(len(x), dtype=bool)
+        for i, f in enumerate(self.functions):
+            den = f.denominator.evaluate_many(x)
+            defined = den > 0.0
+            undefined |= ~defined
+            np.divide(f.numerator.evaluate_many(x), den, out=values[:, i], where=defined)
+        order = np.argsort(-values, axis=1, kind="stable")
+        ranked = np.take_along_axis(values, order, axis=1)
+        total = np.zeros(len(x))
+        for j, entry in enumerate(self.weights.entries):
+            total += entry.evaluate_many(x) * ranked[:, j]
+        total[undefined] = np.inf
+        return total
+
 
 @dataclass(frozen=True)
 class LiftedProblem:

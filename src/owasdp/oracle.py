@@ -9,9 +9,24 @@ two bracket the optimum.
 
 A problem is any object with an ``objective_value(point) -> float`` method
 and a ``region`` attribute (a ``SemialgebraicSet`` or None for unconstrained
-problems); an optional ``objective_values(points) -> array`` method enables
-batched grid evaluation.  ``CallableProblem`` adapts bare callables to this
-protocol.
+problems).  An optional ``objective_values(points) -> array`` method, one
+value per row of a 2-D array, is the batched protocol: the searches
+evaluate their objective through it, whole blocks of points per call, and
+fall back to ``objective_value`` point by point only when it is missing or
+raises one of the domain errors in ``_EVAL_ERRORS``.  A value that is not
+finite, or a point where the objective raises such an error (say, a
+vanishing denominator), counts as +inf.  Region checks on blocks of points
+are batched the same way (``Polynomial.evaluate_many`` and
+``SemialgebraicSet.ball_values``).  ``CallableProblem`` adapts bare
+callables to the protocol.
+
+``grid_search`` evaluates the grid in chunks of whole first-axis slices of
+at least ``_GRID_CHUNK`` points (a 101 x 101 grid in one call).  Within a
+chunk and across chunks the first minimum in row-major order wins, so the
+tie-break is lexicographic whatever the chunk size.  Each round of the
+coordinate refinement and each poll of the pattern search and of the
+feasibility repair is evaluated as one block; a move is taken only on
+strict improvement, and ties go to the first candidate in poll order.
 """
 
 from __future__ import annotations
@@ -30,6 +45,10 @@ Box = Sequence[Tuple[float, float]]
 # Domain errors an objective may raise at an undefined point (for example a
 # rational function with a vanishing denominator); treated as +infinity.
 _EVAL_ERRORS = (ValueError, ZeroDivisionError, FloatingPointError, OverflowError)
+
+# Least number of points per batched grid evaluation; whole first-axis
+# slices are added until a chunk reaches it.
+_GRID_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -110,55 +129,32 @@ def _evaluate_block(problem, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _poly_values(poly: Polynomial, points: np.ndarray) -> np.ndarray:
-    """Vectorized polynomial evaluation over rows of ``points``."""
-    out = np.zeros(len(points))
-    for mono, coef in poly.terms.items():
-        term = np.full(len(points), coef)
-        for vid, exp in mono.exps:
-            term *= points[:, vid] ** exp
-        out += term
-    return out
-
-
 def _feasible_mask(
     region: SemialgebraicSet, points: np.ndarray, tol: float = 1e-9
 ) -> np.ndarray:
     mask = np.ones(len(points), dtype=bool)
     for h in region.equalities:
-        values = _poly_values(h, points)
-        mask &= np.abs(values) <= tol
+        mask &= np.abs(h.evaluate_many(points)) <= tol
     for g in region.inequalities:
-        mask &= _poly_values(g, points) >= -tol
-    ball = region.ball_polynomial()
+        mask &= g.evaluate_many(points) >= -tol
+    ball = region.ball_values(points)
     if ball is not None:
-        mask &= _poly_values(ball, points) >= -tol
+        mask &= ball >= -tol
     return mask
 
 
-def _violation(region: SemialgebraicSet, point: np.ndarray) -> float:
-    total = 0.0
-    for h in region.equalities:
-        total += abs(h.evaluate(point))
-    for g in region.inequalities:
-        total += max(0.0, -g.evaluate(point))
-    ball = region.ball_polynomial()
-    if ball is not None:
-        total += max(0.0, -ball.evaluate(point))
-    return total
-
-
 def _violation_block(region: SemialgebraicSet, points: np.ndarray) -> np.ndarray:
-    """Vectorized counterpart of ``_violation`` over rows of ``points``."""
+    """Total constraint violation at each row of ``points``; a violation
+    that is not a number counts as +inf."""
     total = np.zeros(len(points))
     for h in region.equalities:
-        total += np.abs(_poly_values(h, points))
+        total += np.abs(h.evaluate_many(points))
     for g in region.inequalities:
-        total += np.maximum(0.0, -_poly_values(g, points))
-    ball = region.ball_polynomial()
+        total += np.maximum(0.0, -g.evaluate_many(points))
+    ball = region.ball_values(points)
     if ball is not None:
-        total += np.maximum(0.0, -_poly_values(ball, points))
-    return total
+        total += np.maximum(0.0, -ball)
+    return np.where(np.isnan(total), math.inf, total)
 
 
 def ball_box(region: SemialgebraicSet, pad: float = 0.0) -> Tuple[Tuple[float, float], ...]:
@@ -190,20 +186,24 @@ def grid_search(problem, box: Box, step: float) -> OracleResult:
     region = _region_of(problem)
     axes = [np.arange(lo, hi + 0.5 * step, step) for lo, hi in box]
 
-    # Slices along the first axis bound peak memory while keeping batched
-    # evaluation; row-major order makes first-hit argmin the lexicographic
-    # tie-break.
+    # Chunks of whole first-axis slices bound peak memory while keeping
+    # batched evaluation; row-major order makes first-hit argmin the
+    # lexicographic tie-break.
     if dimension == 1:
         tail = np.zeros((1, 0))
     else:
         mesh = np.meshgrid(*axes[1:], indexing="ij")
         tail = np.stack([m.ravel() for m in mesh], axis=1)
+    slices = math.ceil(_GRID_CHUNK / len(tail))
 
     evaluations = 0
     best_value = math.inf
     best_point: Optional[np.ndarray] = None
-    for lead in axes[0]:
-        chunk = np.column_stack([np.full(len(tail), lead), tail])
+    for first in range(0, len(axes[0]), slices):
+        leads = axes[0][first:first + slices]
+        chunk = np.column_stack(
+            [np.repeat(leads, len(tail)), np.tile(tail, (len(leads), 1))]
+        )
         values = _evaluate_block(problem, chunk)
         evaluations += len(chunk)
         if region is not None:
@@ -234,29 +234,34 @@ def _coordinate_refine(
     box: Box,
     max_rounds: int = 10000,
 ) -> Tuple[np.ndarray, float, int]:
-    """Fixed-step steepest coordinate descent inside the box."""
+    """Fixed-step steepest coordinate descent inside the box.
+
+    Each round polls the moves of +h and -h along every axis, in that order,
+    that stay inside the box along the moved axis and inside the region, in
+    one batched call; it takes the first best move if it strictly improves.
+    """
     dimension = len(point)
+    rows = np.arange(2 * dimension)
+    moved_axis = rows // 2
+    moves = np.zeros((2 * dimension, dimension))
+    moves[rows, moved_axis] = np.where(rows % 2 == 0, 1.0, -1.0)
+    lo = np.array([b[0] for b in box], dtype=float)[moved_axis]
+    hi = np.array([b[1] for b in box], dtype=float)[moved_axis]
     evaluations = 0
     for _ in range(max_rounds):
-        best_value = value
-        best_move: Optional[np.ndarray] = None
-        for axis in range(dimension):
-            for sign in (1.0, -1.0):
-                candidate = point.copy()
-                candidate[axis] += sign * h
-                lo, hi = box[axis]
-                if candidate[axis] < lo or candidate[axis] > hi:
-                    continue
-                if region is not None and not region.contains(candidate, 1e-9):
-                    continue
-                cand_value = _safe_value(problem, candidate)
-                evaluations += 1
-                if cand_value < best_value:
-                    best_value = cand_value
-                    best_move = candidate
-        if best_move is None:
+        candidates = point + h * moves
+        moved = candidates[rows, moved_axis]
+        candidates = candidates[~((moved < lo) | (moved > hi))]
+        if region is not None:
+            candidates = candidates[_feasible_mask(region, candidates)]
+        if not len(candidates):
             break
-        point, value = best_move, best_value
+        values = _evaluate_block(problem, candidates)
+        evaluations += len(candidates)
+        idx = int(np.argmin(values))
+        if not values[idx] < value:
+            break
+        point, value = candidates[idx], float(values[idx])
     return point, value, evaluations
 
 
@@ -326,15 +331,15 @@ def multistart_descent(
     )
 
 
-def _stencil(dimension: int) -> List[np.ndarray]:
-    """All +/-1/0 directions, normalized; richer than plain coordinate moves
-    so searches can follow constraint ridges."""
+def _stencil(dimension: int) -> np.ndarray:
+    """All +/-1/0 directions, normalized, one per row; richer than plain
+    coordinate moves so searches can follow constraint ridges."""
     directions = []
     for combo in itertools.product((-1.0, 0.0, 1.0), repeat=dimension):
         if any(combo):
             arr = np.array(combo)
             directions.append(arr / np.linalg.norm(arr))
-    return directions
+    return np.array(directions)
 
 
 def _draw_start(
@@ -362,7 +367,7 @@ def _merit(
     if not math.isfinite(value):
         return math.inf
     if region is not None:
-        value += penalty * _violation(region, point)
+        value += penalty * float(_violation_block(region, point[None, :])[0])
     return value
 
 
@@ -395,33 +400,44 @@ def _newton_restore(
     clipped to the box; tiny residual violations are left to the penalty.
     """
     z = np.array(point, dtype=float)
-    ball = region.ball_polynomial()
-    constraints = list(region.inequalities)
-    if ball is not None:
-        constraints.append(ball)
+    ball_variables = list(region.ball_variables)
     for _ in range(sweeps):
         moved = False
-        for g in constraints:
+        for g in region.inequalities:
             value = g.evaluate(z)
             if value < 0.0:
-                grad = _poly_gradient(g, z)
-                norm_sq = float(np.dot(grad, grad))
-                if norm_sq <= 1e-18:
+                z = _newton_step(z, value, _poly_gradient(g, z))
+                if z is None:
                     return None
-                z = z - (value / norm_sq) * grad
                 moved = True
+        ball = region.ball_values(z)
+        if ball is not None and ball < 0.0:
+            # The gradient of M - sum(v^2), as _poly_gradient would give it.
+            grad = np.zeros(len(z))
+            grad[ball_variables] = -2.0 * z[ball_variables]
+            z = _newton_step(z, float(ball), grad)
+            if z is None:
+                return None
+            moved = True
         for h in region.equalities:
             value = h.evaluate(z)
             if abs(value) > 1e-12:
-                grad = _poly_gradient(h, z)
-                norm_sq = float(np.dot(grad, grad))
-                if norm_sq <= 1e-18:
+                z = _newton_step(z, value, _poly_gradient(h, z))
+                if z is None:
                     return None
-                z = z - (value / norm_sq) * grad
                 moved = True
         if not moved:
             break
     return np.clip(z, lo, hi)
+
+
+def _newton_step(z: np.ndarray, value: float, grad: np.ndarray) -> Optional[np.ndarray]:
+    """Newton step from ``z`` toward a constraint's root along its gradient;
+    None when the gradient vanishes."""
+    norm_sq = float(np.dot(grad, grad))
+    if norm_sq <= 1e-18:
+        return None
+    return z - (value / norm_sq) * grad
 
 
 def _pattern_search(
@@ -430,7 +446,7 @@ def _pattern_search(
     start: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    directions: Sequence[np.ndarray],
+    directions: np.ndarray,
     penalty: float,
     min_step: float,
     max_iters: int = 100000,
@@ -439,12 +455,11 @@ def _pattern_search(
     merit = _merit(problem, region, point, penalty)
     evaluations = 1
     span = float(np.max(hi - lo))
-    direction_matrix = np.array(directions)
     h = 0.25 * span
     iterations = 0
     while h >= min_step and iterations < max_iters:
         iterations += 1
-        raw = np.clip(point + h * direction_matrix, lo, hi)
+        raw = np.clip(point + h * directions, lo, hi)
         values = _evaluate_block(problem, raw)
         evaluations += len(raw)
         if region is not None:
@@ -482,30 +497,26 @@ def _repair(
     problem,
     region: Optional[SemialgebraicSet],
     point: np.ndarray,
-    directions: Sequence[np.ndarray],
+    directions: np.ndarray,
 ) -> Tuple[np.ndarray, float, bool, int]:
     """Pull a near-feasible candidate into the region, then re-evaluate.
 
-    Descends on the constraint violation alone with the same pattern search;
-    reports whether the final point is feasible within 1e-9.
+    Descends on the constraint violation alone with the same pattern search,
+    one batched violation poll per round; reports whether the final point is
+    feasible within 1e-9.
     """
     evaluations = 1
     if region is None or region.contains(point, 1e-9):
         return point, _safe_value(problem, point), True, evaluations
-    violation = _violation(region, point)
+    violation = float(_violation_block(region, point[None, :])[0])
     h = 1e-2
     while h >= 1e-12 and violation > 0.0:
-        best_violation = violation
-        best_point: Optional[np.ndarray] = None
-        for direction in directions:
-            candidate = point + h * direction
-            cand_violation = _violation(region, candidate)
-            evaluations += 1
-            if cand_violation < best_violation:
-                best_violation = cand_violation
-                best_point = candidate
-        if best_point is not None:
-            point, violation = best_point, best_violation
+        candidates = point + h * directions
+        violations = _violation_block(region, candidates)
+        evaluations += len(candidates)
+        idx = int(np.argmin(violations))
+        if violations[idx] < violation:
+            point, violation = candidates[idx], float(violations[idx])
             h *= 2.0
         else:
             h *= 0.5

@@ -9,6 +9,7 @@ are numerator/denominator pairs.  A small text grammar (``parse`` /
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
@@ -294,6 +295,22 @@ class Polynomial:
     def evaluate(self, point: np.ndarray) -> float:
         return sum(c * m.evaluate(point) for m, c in self._terms.items())
 
+    def evaluate_many(self, points: np.ndarray) -> np.ndarray:
+        """Values at each row of the 2-D array ``points``.
+
+        Vectorized counterpart of ``evaluate``, with the same order of
+        operations.  NumPy's vector power is not the C library's ``pow``
+        that ``evaluate`` uses, so the two agree to rounding, not bitwise.
+        """
+        x = np.asarray(points, dtype=float)
+        out = np.zeros(len(x))
+        for mono, coef in self._terms.items():
+            values = np.ones(len(x))
+            for vid, exp in mono.exps:
+                values = values * x[:, vid] ** exp
+            out += coef * values
+        return out
+
     # -- comparison / formatting --------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -377,13 +394,32 @@ class SemialgebraicSet:
             p = p - Polynomial.variable(self.universe, v) ** 2
         return p
 
+    def ball_values(self, points: np.ndarray) -> np.ndarray | None:
+        """M - sum(v^2) at one point, or at each row of a 2-D array of points.
+
+        Numeric counterpart of ``ball_polynomial().evaluate``, equal to it
+        bit for bit: the squares go through Python's float power, as in
+        ``Monomial.evaluate``, because the C library's ``pow`` and NumPy's
+        exact product differ in the last bit on about 0.1% of squares.
+        None when M is not set.
+        """
+        if self.ball_bound is None:
+            return None
+        x = np.asarray(points, dtype=float)
+        values = np.full(x.shape[:-1], float(self.ball_bound))
+        for v in self.ball_variables:
+            column = x[..., v]
+            squares = map(pow, column.ravel().tolist(), itertools.repeat(2))
+            values -= np.fromiter(squares, float, column.size).reshape(column.shape)
+        return values
+
     def contains(self, point: np.ndarray, tol: float = 1e-9) -> bool:
-        if any(h.evaluate(point) < -tol or h.evaluate(point) > tol for h in self.equalities):
+        if any(abs(h.evaluate(point)) > tol for h in self.equalities):
             return False
         if any(g.evaluate(point) < -tol for g in self.inequalities):
             return False
-        ball = self.ball_polynomial()
-        return ball is None or ball.evaluate(point) >= -tol
+        ball = self.ball_values(point)
+        return ball is None or bool(ball >= -tol)
 
 
 # ----------------------------------------------------------------------------

@@ -246,6 +246,69 @@ class TestEvaluate:
             evaluate_ordered_median(problem, [-0.5])
 
 
+class TestObjectiveValues:
+    """The batched ``objective_values`` against the pointwise evaluator."""
+
+    # f1 and f2 are identical (ties); the denominators of f1, f2 and f3
+    # vanish on the lines x = -1.2, y = 1.1 and x + y = -1.5 of the box.
+    NUMERATORS = ("x^2 - y + 0.5", "x^2 - y + 0.5", "x*y - x^3 + 2*y^2", "1 - x*y^3")
+    DENOMINATORS = ("x + 1.2", "x + 1.2", "1.1 - y + 0.3*x^2", "x + y + 1.5")
+
+    def problem(self, weights):
+        m = len(weights)
+        return make_problem(
+            ("x", "y"),
+            self.NUMERATORS[:m],
+            weights,
+            denominator_texts=self.DENOMINATORS[:m],
+            ball=8.0,
+        )
+
+    def points(self):
+        points = np.random.default_rng(23).uniform(-2.0, 2.0, (1000, 2))
+        # exact zeros of the first denominator
+        points[::97, 0] = -1.2
+        return points
+
+    def assert_matches_pointwise(self, problem):
+        points = self.points()
+        batch = problem.objective_values(points)
+        undefined = 0
+        for point, value in zip(points, batch):
+            try:
+                expected = problem.objective_value(point)
+            except ValueError:
+                assert value == math.inf
+                undefined += 1
+                continue
+            assert abs(value - expected) <= 1e-14 * (1.0 + abs(expected))
+        assert 0 < undefined < len(points)
+
+    def test_general_with_polynomial_weights(self):
+        base = self.problem((0.0, 0.0, 0.0))
+        weights = LambdaWeights(
+            tuple(parse(t, base.universe) for t in ("1 + 0.5*x", "-0.3 + y", "0.7 - x*y"))
+        )
+        problem = OmrfProblem(base.functions, weights, base.ground_set, 8.0)
+        assert problem.weights.classify() == "generic"
+        self.assert_matches_pointwise(problem)
+
+    def test_kcentrum(self):
+        problem = self.problem((1.0, 1.0, 0.0, 0.0))
+        assert problem.weights.classify() == "top_k"
+        self.assert_matches_pointwise(problem)
+
+    def test_monotone(self):
+        problem = self.problem((2.0, 1.0, 0.5))
+        assert problem.weights.classify() == "monotone"
+        self.assert_matches_pointwise(problem)
+
+    def test_trimmed(self):
+        problem = self.problem((0.0, 1.0, 1.0, 0.0))
+        assert problem.weights.classify() == "trimmed_window"
+        self.assert_matches_pointwise(problem)
+
+
 # ---------------------------------------------------------------------------
 # Structural checks
 # ---------------------------------------------------------------------------

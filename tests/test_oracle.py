@@ -5,10 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from owasdp.location import LocationInstance
 from owasdp.omrf import LambdaWeights, OmrfProblem
 from owasdp.oracle import (
     CallableProblem,
     OracleResult,
+    _coordinate_refine,
+    _newton_restore,
+    _poly_gradient,
+    _repair,
+    _stencil,
     analytic,
     ball_box,
     grid_search,
@@ -253,3 +259,218 @@ class TestAgreement:
         target = [0.25, -0.15]
         np.testing.assert_allclose(grid.best_point, target, atol=1e-3)
         np.testing.assert_allclose(multistart.best_point, target, atol=1e-5)
+
+
+def constrained_omrf():
+    """2-centrum of three rational functions on an ellipse cut by an active
+    half-plane; one denominator vanishes inside the search box."""
+    universe = VariableUniverse(["x", "y"])
+    functions = tuple(
+        RationalFunction(parse(num, universe), parse(den, universe))
+        for num, den in (
+            ("x^2 - 0.6*x + 0.09 + y^2", "1 + 0.2*y^2"),
+            ("x^2 + y^2 - y + 0.25 - x*y", "1.5 + x"),
+            ("0.5 + x*y^3 - y", "1"),
+        )
+    )
+    ground = SemialgebraicSet(
+        universe, [parse("x + y - 1", universe), parse("2 - x^2 - 2*y^2", universe)]
+    )
+    return OmrfProblem(
+        functions, LambdaWeights.constants(universe, [1.0, 1.0, 0.0]), ground, 4.0
+    )
+
+
+def constrained_location():
+    """(1, 1)-trimmed planar l2 location with an active half-plane."""
+    universe = VariableUniverse(["x1", "x2"])
+    ground = SemialgebraicSet(universe, [parse("x1 + x2 - 1.6", universe)])
+    anchors = np.random.default_rng(4).random((6, 2))
+    return LocationInstance(
+        points=tuple(map(tuple, anchors)), variant="trimmed", trim=(1, 1), ground_set=ground
+    )
+
+
+@pytest.mark.parametrize("make", [constrained_omrf, constrained_location])
+class TestBatchedAgreesWithPointwise:
+    """A batched problem and its pointwise-only adapter search identically."""
+
+    def assert_same(self, batched, pointwise):
+        assert batched.best_point == pointwise.best_point
+        assert batched.evaluations == pointwise.evaluations
+        assert batched.start_values == pointwise.start_values
+        assert abs(batched.best_value - pointwise.best_value) <= 1e-14 * abs(
+            pointwise.best_value
+        )
+
+    def test_grid_search(self, make):
+        problem = make()
+        pointwise = CallableProblem(problem.objective_value, problem.region)
+        box = ball_box(problem.region)
+        step = 0.05
+        self.assert_same(grid_search(problem, box, step), grid_search(pointwise, box, step))
+
+    # At the weak penalty the descents end outside the region, so the
+    # feasibility repair runs too.
+    @pytest.mark.parametrize("penalty", [1e4, 0.1])
+    def test_multistart(self, make, penalty):
+        problem = make()
+        pointwise = CallableProblem(problem.objective_value, problem.region)
+        batched = multistart_descent(problem, n_starts=4, seed=6, penalty=penalty)
+        assert np.isfinite(batched.best_value)
+        self.assert_same(
+            batched, multistart_descent(pointwise, n_starts=4, seed=6, penalty=penalty)
+        )
+
+
+class TestBatchedCalls:
+    def test_two_dimensional_grid_is_one_call(self):
+        sizes = []
+
+        def batch(points):
+            sizes.append(len(points))
+            return (points**2).sum(axis=1)
+
+        problem = CallableProblem(lambda p: float(p @ p), batch_objective=batch)
+        result = grid_search(problem, [(-2.0, 2.0), (-2.0, 2.0)], 0.04)
+        assert sizes[0] == 101 * 101
+        # the refinement rounds poll at most 2d = 4 moves per call
+        assert all(size <= 4 for size in sizes[1:])
+        assert result.evaluations == sum(sizes)
+
+    def test_searches_never_build_the_ball_polynomial(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("ball_polynomial called")
+
+        monkeypatch.setattr(SemialgebraicSet, "ball_polynomial", forbidden)
+        problem = constrained_omrf()
+        assert multistart_descent(problem, n_starts=3, seed=1).best_point is not None
+        assert grid_search(problem, ball_box(problem.region), 0.1).best_point is not None
+
+
+class TestPollsMatchSequentialLoops:
+    """The batched polls and the numeric ball against the one-at-a-time
+    loops and the symbolic ball they replace: first strict improvement, the
+    same moves and the same counts."""
+
+    @staticmethod
+    def sequential_refine(problem, region, point, value, h, box, max_rounds=10000):
+        evaluations = 0
+        for _ in range(max_rounds):
+            best_value, best_move = value, None
+            for axis in range(len(point)):
+                for sign in (1.0, -1.0):
+                    candidate = point.copy()
+                    candidate[axis] += sign * h
+                    lo, hi = box[axis]
+                    if candidate[axis] < lo or candidate[axis] > hi:
+                        continue
+                    if region is not None and not region.contains(candidate, 1e-9):
+                        continue
+                    cand_value = problem.objective_value(candidate)
+                    evaluations += 1
+                    if cand_value < best_value:
+                        best_value, best_move = cand_value, candidate
+            if best_move is None:
+                break
+            point, value = best_move, best_value
+        return point, value, evaluations
+
+    @staticmethod
+    def sequential_repair(region, point, directions):
+        def violation(x):
+            total = sum(abs(h.evaluate(x)) for h in region.equalities)
+            total += sum(max(0.0, -g.evaluate(x)) for g in region.inequalities)
+            return total + max(0.0, -region.ball_polynomial().evaluate(x))
+
+        evaluations, current, h = 1, violation(point), 1e-2
+        while h >= 1e-12 and current > 0.0:
+            best_violation, best_point = current, None
+            for direction in directions:
+                candidate = point + h * direction
+                cand_violation = violation(candidate)
+                evaluations += 1
+                if cand_violation < best_violation:
+                    best_violation, best_point = cand_violation, candidate
+            if best_point is not None:
+                point, current = best_point, best_violation
+                h *= 2.0
+            else:
+                h *= 0.5
+        return point, evaluations
+
+    @staticmethod
+    def symbolic_restore(region, point, lo, hi, sweeps=3):
+        z = np.array(point, dtype=float)
+        constraints = list(region.inequalities) + [region.ball_polynomial()]
+        for _ in range(sweeps):
+            moved = False
+            for g in constraints:
+                value = g.evaluate(z)
+                if value < 0.0:
+                    grad = _poly_gradient(g, z)
+                    z = z - (value / float(np.dot(grad, grad))) * grad
+                    moved = True
+            if not moved:
+                break
+        return np.clip(z, lo, hi)
+
+    def assert_refine_matches(self, problem, region, start, h, box):
+        value = problem.objective_value(start)
+        got = _coordinate_refine(problem, region, start, value, h, box)
+        want = self.sequential_refine(problem, region, start, value, h, box)
+        assert tuple(got[0]) == tuple(want[0])
+        assert got[1:] == want[1:]
+
+    def test_coordinate_refine(self):
+        omrf = constrained_omrf()
+        problem = CallableProblem(omrf.objective_value, omrf.region)
+        box = ball_box(omrf.region)
+        for start in np.random.default_rng(8).uniform(0.3, 0.9, (5, 2)):
+            if omrf.region.contains(start):
+                for h in (0.05, 0.01):
+                    self.assert_refine_matches(problem, omrf.region, start, h, box)
+
+    def test_coordinate_refine_ties_and_box_edges(self):
+        box = [(-1.0, 1.0), (-1.0, 1.0)]
+        flat = CallableProblem(lambda p: 0.0)
+        self.assert_refine_matches(flat, None, np.array([0.2, -0.3]), 0.1, box)
+        # descent pushes against the corner: moves out of the box are not polled
+        outward = CallableProblem(lambda p: -float(p[0] + 2.0 * p[1]))
+        self.assert_refine_matches(outward, None, np.array([0.35, 0.5]), 0.25, box)
+
+    def test_repair(self):
+        problem = constrained_location()
+        directions = _stencil(2)
+        for point in np.random.default_rng(9).uniform(0.2, 1.0, (6, 2)):
+            got_point, _, _, used = _repair(problem, problem.region, point, directions)
+            want_point, want_used = self.sequential_repair(problem.region, point, directions)
+            assert tuple(got_point) == tuple(want_point)
+            assert used == want_used
+
+    def test_repair_keeps_its_point_on_a_violation_plateau(self):
+        universe = VariableUniverse(["x", "y"])
+        region = SemialgebraicSet(
+            universe, [], [Polynomial.constant(universe, 1.0)], 4.0, (0, 1)
+        )
+        problem = CallableProblem(lambda p: 0.0, region)
+        point = np.array([0.1, 0.2])
+        got_point, _, feasible, used = _repair(problem, region, point, _stencil(2))
+        want_point, want_used = self.sequential_repair(region, point, _stencil(2))
+        assert not feasible
+        assert tuple(got_point) == tuple(want_point) == (0.1, 0.2)
+        assert used == want_used
+
+    def test_newton_restore_matches_the_symbolic_ball(self):
+        problem = constrained_location()
+        region = problem.region
+        lo, hi = np.array(ball_box(region)).T
+        radius = np.sqrt(region.ball_bound)
+        rng = np.random.default_rng(10)
+        for angle in rng.uniform(0.0, 2.0 * np.pi, 8):
+            # outside the ball, and on either side of the half-plane
+            point = 1.05 * radius * np.array([np.cos(angle), np.sin(angle)])
+            got = _newton_restore(region, point, lo, hi)
+            want = self.symbolic_restore(region, point, lo, hi)
+            assert tuple(got) == tuple(want)
+            assert not np.array_equal(got, point)

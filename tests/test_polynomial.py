@@ -1,6 +1,7 @@
 """Tests for the polynomial substrate: arithmetic, ordering, parsing,
 interval enclosures."""
 
+import itertools
 import math
 
 import numpy as np
@@ -208,6 +209,57 @@ class TestSemialgebraicSet:
         assert not K.contains(np.array([1.3, 1.0]))
         ball = K.ball_polynomial()
         assert ball.evaluate(np.array([1.0, 1.0])) == pytest.approx(0.0)
+
+    def test_ball_values_equal_the_ball_polynomial_bitwise(self):
+        u = uni(3)
+        K = SemialgebraicSet(u, ball_bound=3.5, ball_variables=(2, 0))
+        # enough points that a square rounded differently from Python's float
+        # power (as NumPy's exact product is on ~0.1% of them) shows up
+        points = np.random.default_rng(5).uniform(-2.5, 2.5, (20000, 3))
+        ball = K.ball_polynomial()
+        expected = np.array([ball.evaluate(p) for p in points])
+        np.testing.assert_array_equal(K.ball_values(points), expected)
+        assert K.ball_values(points[7]) == ball.evaluate(points[7])
+        assert SemialgebraicSet(u).ball_values(points) is None
+
+    def test_contains_equalities_use_absolute_tolerance(self):
+        u = uni(2)
+        K = SemialgebraicSet(u, equalities=[parse("x1 - x2", u)])
+        assert K.contains(np.array([1.0, 1.0 + 5e-10]))
+        assert not K.contains(np.array([1.0, 1.0 + 2e-9]))
+        assert not K.contains(np.array([1.0 + 2e-9, 1.0]))
+        # NaN fails no comparison, so it is not rejected (as before)
+        assert K.contains(np.array([np.nan, 1.0]))
+
+
+class TestEvaluateMany:
+    def test_matches_evaluate_row_by_row(self):
+        u = uni(3)
+        rng = np.random.default_rng(11)
+        points = rng.uniform(-1.5, 1.5, (1000, 3))
+        monomials = [
+            Monomial(dict(zip(range(3), exps)))
+            for exps in itertools.product(range(4), repeat=3)
+            if sum(exps) <= 4
+        ]
+        for _ in range(5):
+            chosen = rng.choice(len(monomials), size=8, replace=False)
+            poly = Polynomial(
+                u, {monomials[i]: float(rng.uniform(-2.0, 2.0)) for i in chosen}
+            )
+            batch = poly.evaluate_many(points)
+            assert batch.shape == (len(points),)
+            for row, value in zip(points, batch):
+                expected = poly.evaluate(row)
+                assert abs(value - expected) <= 1e-14 * (1.0 + abs(expected))
+
+    def test_constant_and_zero_polynomials(self):
+        u = uni(2)
+        points = np.zeros((4, 2))
+        np.testing.assert_array_equal(
+            Polynomial.constant(u, 2.5).evaluate_many(points), np.full(4, 2.5)
+        )
+        np.testing.assert_array_equal(Polynomial.zero(u).evaluate_many(points), np.zeros(4))
 
 
 class TestIntervalEnclosure:
