@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -152,12 +152,6 @@ class LinearMatrixMap:
             out[j, i] = val
         return out
 
-    def referenced_moments(self) -> List[int]:
-        seen = set()
-        for form in self.entries.values():
-            seen.update(form.keys())
-        return sorted(seen)
-
 
 def moment_matrix(basis: MonomialBasis, index: MomentIndex) -> LinearMatrixMap:
     """Moment matrix M(y) over the basis: entry (a, b) is y_{a+b}."""
@@ -187,19 +181,6 @@ def localizing_matrix(
                 form[pos] = form.get(pos, 0.0) + coef
             mat.set_entry(i, j, {k: v for k, v in form.items() if v != 0.0})
     return mat
-
-
-def apply_functional(p: Polynomial, index: MomentIndex) -> LinearForm:
-    """The linear functional L_y(p) as a sparse form over moment positions."""
-    form: LinearForm = {}
-    for mono, coef in p.terms.items():
-        pos = index.intern(mono)
-        form[pos] = form.get(pos, 0.0) + coef
-    return form
-
-
-def evaluate_form(form: LinearForm, y: np.ndarray) -> float:
-    return sum(c * y[pos] for pos, c in form.items())
 
 
 def dirac_moments(point: np.ndarray, index: MomentIndex) -> np.ndarray:

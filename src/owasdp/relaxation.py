@@ -21,49 +21,19 @@ tables this package reproduces):
   contribute a single scalar row L_y(h) = 0;
 - odd-degree constraints may reference moments of degree 2r + 1; the moment
   dictionary extends on demand.
-
-Text format
------------
-
-``to_sdp_text`` serializes the numeric content of an ``SdpProblem`` (not the
-monomial metadata) to a line-oriented, whitespace-separated format for
-debugging against external solvers.  Floats are printed with 17 significant
-digits, so a round trip is bit-exact.  Layout::
-
-    OWASDP-SDP 1
-    ydim <int>
-    order <int>
-    originals <k> <id>*
-    scales <k> <float>*              # k = ydim, or 0 meaning all ones
-    objective <constant> <nnz> (<index> <coeff>)*
-    pivot <constant> <nnz> (<index> <coeff>)*
-    blocks <count>
-    block <size> <kind> <label> <nvars> (<id>)* <nentries>
-    entry <i> <j> <constant> <nnz> (<index> <coeff>)*
-    ...
-    equalities <count>
-    equality <label> <rhs> <nnz> (<index> <coeff>)*
-    ...
-    end
-
-``from_sdp_text`` parses this back into an ``SdpProblem`` whose monomial
-metadata fields are empty; structural equality ignores metadata, so a round
-trip compares equal to the original.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .moment import LinearForm as RawForm
 from .moment import MomentIndex, MonomialBasis, localizing_matrix, moment_matrix
 from .omrf import running_intersection_holds
-from .polynomial import Monomial, Polynomial, VariableUniverse, VarId
-
-COEFF_EPS = 1e-14  # threshold below which a coefficient counts as zero
+from .polynomial import COEFF_EPS, Monomial, Polynomial, VariableUniverse, VarId
 
 
 class RelaxationError(ValueError):
@@ -76,10 +46,6 @@ class OrderTooSmallError(RelaxationError):
 
 class RelaxationStructureError(RelaxationError):
     """Constraint or objective structure incompatible with the cliques."""
-
-
-class SdpFormatError(ValueError):
-    """Malformed SDP text input."""
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +108,6 @@ def min_order(lifted) -> RelaxationOrders:
     )
 
 
-def check_rip(cliques: Sequence[Iterable[VarId]]) -> bool:
-    """Running intersection property of an ordered clique list."""
-    return running_intersection_holds(cliques)
-
-
 # ---------------------------------------------------------------------------
 # Standard-form data types
 # ---------------------------------------------------------------------------
@@ -191,7 +152,8 @@ class PsdBlock:
 
     ``entries`` holds the upper triangle (i <= j) only; structurally zero
     entries are omitted.  ``variables`` records the basis variable ids the
-    block was built over (informational; empty on imported problems).
+    block was built over (informational; may be empty on hand-built
+    problems).
     """
 
     size: int
@@ -201,8 +163,6 @@ class PsdBlock:
     entries: Tuple[Tuple[int, int, AffineForm], ...]
 
     def __post_init__(self) -> None:
-        if " " in self.label or not self.label:
-            raise ValueError("block labels must be nonempty and whitespace-free")
         for i, j, _ in self.entries:
             if not (0 <= i <= j < self.size):
                 raise ValueError("block entry outside the upper triangle")
@@ -238,8 +198,6 @@ class EqualityRow:
     rhs: float
 
     def __post_init__(self) -> None:
-        if " " in self.label or not self.label:
-            raise ValueError("equality labels must be nonempty and whitespace-free")
         if self.form.constant != 0.0:
             raise ValueError("equality forms must carry constants in rhs")
 
@@ -268,8 +226,8 @@ class SdpProblem:
 
     Metadata fields (``moments`` — the monomial of each y index, ``universe``,
     ``pivot_monomial``, ``denominator``) support moment evaluation and point
-    extraction; they are None on problems read back from text.  Structural
-    equality compares the numeric content only.
+    extraction; they may be None on hand-built problems.  Structural equality
+    compares the numeric content only.
     """
 
     y_dim: int
@@ -326,31 +284,8 @@ class SdpProblem:
     def _require_metadata(self) -> None:
         if self.moments is None or self.pivot_monomial is None:
             raise RelaxationStructureError(
-                "operation requires moment metadata (absent on imported problems)"
+                "operation requires moment metadata (absent on hand-built problems)"
             )
-
-    def linear_functional(self, p: Polynomial) -> AffineForm:
-        """L_y(p) as an affine form over the free moments."""
-        self._require_metadata()
-        positions = {mono: i for i, mono in enumerate(self.moments)}
-        acc: Dict[int, float] = {}
-        constant = 0.0
-        for mono, coeff in p.terms.items():
-            if mono == self.pivot_monomial:
-                constant += coeff * self.pivot_substitution.constant
-                for idx, sub_coeff in zip(
-                    self.pivot_substitution.indices,
-                    self.pivot_substitution.coefficients,
-                ):
-                    acc[idx] = acc.get(idx, 0.0) + coeff * sub_coeff
-            else:
-                idx = positions.get(mono)
-                if idx is None:
-                    raise RelaxationStructureError(
-                        f"monomial {mono!r} has no moment variable"
-                    )
-                acc[idx] = acc.get(idx, 0.0) + coeff
-        return _affine_from_dict(acc, constant)
 
     def moment_value(self, mono: Monomial, y: np.ndarray) -> float:
         """L_y of a single monomial (pivot-aware)."""
@@ -406,10 +341,6 @@ def size_stats_of(sdp: "SdpProblem") -> SizeStats:
     denom = cols * rows
     pct = 100.0 * nnz / denom if denom else 0.0
     return SizeStats(cols, rows, pct)
-
-
-def size_stats(sdp: SdpProblem) -> SizeStats:
-    return sdp.stats
 
 
 # ---------------------------------------------------------------------------
@@ -611,186 +542,8 @@ def build_sparse(lifted, r: int) -> SdpProblem:
     cliques = tuple(tuple(c) for c in lifted.cliques)
     if not cliques:
         raise RelaxationStructureError("sparse build requires at least one clique")
-    if not check_rip(cliques):
+    if not running_intersection_holds(cliques):
         raise RelaxationStructureError(
             "cliques violate the running intersection property"
         )
     return _build(lifted, r, cliques)
-
-
-# ---------------------------------------------------------------------------
-# Text export / import
-# ---------------------------------------------------------------------------
-
-_MAGIC = "OWASDP-SDP 1"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _form_tokens(form: AffineForm) -> List[str]:
-    tokens = [_fmt(form.constant), str(form.nnz)]
-    for idx, coeff in zip(form.indices, form.coefficients):
-        tokens.append(str(idx))
-        tokens.append(_fmt(coeff))
-    return tokens
-
-
-def to_sdp_text(sdp: SdpProblem) -> str:
-    """Serialize the numeric content of a relaxation (see module docstring)."""
-    lines = [_MAGIC]
-    lines.append(f"ydim {sdp.y_dim}")
-    lines.append(f"order {sdp.order}")
-    originals = " ".join(str(v) for v in sdp.original_variables)
-    lines.append(
-        f"originals {len(sdp.original_variables)}"
-        + (f" {originals}" if originals else "")
-    )
-    if all(s == 1.0 for s in sdp.moment_scales):
-        lines.append("scales 0")
-    else:
-        lines.append(
-            f"scales {len(sdp.moment_scales)} "
-            + " ".join(_fmt(s) for s in sdp.moment_scales)
-        )
-    lines.append("objective " + " ".join(_form_tokens(sdp.objective)))
-    lines.append("pivot " + " ".join(_form_tokens(sdp.pivot_substitution)))
-    lines.append(f"blocks {len(sdp.psd_blocks)}")
-    for block in sdp.psd_blocks:
-        head = [
-            "block",
-            str(block.size),
-            block.kind,
-            block.label,
-            str(len(block.variables)),
-        ]
-        head.extend(str(v) for v in block.variables)
-        head.append(str(len(block.entries)))
-        lines.append(" ".join(head))
-        for i, j, form in block.entries:
-            lines.append(f"entry {i} {j} " + " ".join(_form_tokens(form)))
-    lines.append(f"equalities {len(sdp.equalities)}")
-    for row in sdp.equalities:
-        lines.append(
-            f"equality {row.label} {_fmt(row.rhs)} "
-            + " ".join(_form_tokens(row.form)[1:])
-        )
-    lines.append("end")
-    return "\n".join(lines) + "\n"
-
-
-class _Reader:
-    def __init__(self, text: str) -> None:
-        self.lines = [ln for ln in text.splitlines() if ln.strip()]
-        self.pos = 0
-
-    def next(self, expected: str) -> List[str]:
-        if self.pos >= len(self.lines):
-            raise SdpFormatError(f"unexpected end of input, wanted {expected!r}")
-        tokens = self.lines[self.pos].split()
-        self.pos += 1
-        if tokens[0] != expected:
-            raise SdpFormatError(f"expected {expected!r}, found {tokens[0]!r}")
-        return tokens[1:]
-
-
-def _parse_int(token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise SdpFormatError(f"bad integer for {what}: {token!r}") from None
-
-
-def _parse_float(token: str, what: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise SdpFormatError(f"bad float for {what}: {token!r}") from None
-
-
-def _parse_form(tokens: List[str], what: str) -> AffineForm:
-    if len(tokens) < 2:
-        raise SdpFormatError(f"truncated form for {what}")
-    constant = _parse_float(tokens[0], what)
-    nnz = _parse_int(tokens[1], what)
-    if len(tokens) != 2 + 2 * nnz:
-        raise SdpFormatError(f"form for {what} expects {nnz} pairs")
-    indices = []
-    coefficients = []
-    for k in range(nnz):
-        indices.append(_parse_int(tokens[2 + 2 * k], what))
-        coefficients.append(_parse_float(tokens[3 + 2 * k], what))
-    return AffineForm(tuple(indices), tuple(coefficients), constant)
-
-
-def from_sdp_text(text: str) -> SdpProblem:
-    """Parse the text format back into a metadata-free ``SdpProblem``."""
-    reader = _Reader(text)
-    if reader.pos >= len(reader.lines) or reader.lines[0].strip() != _MAGIC:
-        raise SdpFormatError("missing OWASDP-SDP header")
-    reader.pos = 1
-    y_dim = _parse_int(reader.next("ydim")[0], "ydim")
-    order = _parse_int(reader.next("order")[0], "order")
-    orig_tokens = reader.next("originals")
-    n_orig = _parse_int(orig_tokens[0], "originals")
-    if len(orig_tokens) != 1 + n_orig:
-        raise SdpFormatError("originals count mismatch")
-    originals = tuple(_parse_int(t, "originals") for t in orig_tokens[1:])
-    scale_tokens = reader.next("scales")
-    n_scales = _parse_int(scale_tokens[0], "scales")
-    if n_scales == 0:
-        scales = tuple(1.0 for _ in range(y_dim))
-    else:
-        if n_scales != y_dim or len(scale_tokens) != 1 + n_scales:
-            raise SdpFormatError("scales count mismatch")
-        scales = tuple(_parse_float(t, "scales") for t in scale_tokens[1:])
-    objective = _parse_form(reader.next("objective"), "objective")
-    pivot = _parse_form(reader.next("pivot"), "pivot")
-    n_blocks = _parse_int(reader.next("blocks")[0], "blocks")
-    blocks: List[PsdBlock] = []
-    for _ in range(n_blocks):
-        head = reader.next("block")
-        if len(head) < 4:
-            raise SdpFormatError("truncated block header")
-        size = _parse_int(head[0], "block size")
-        kind, label = head[1], head[2]
-        n_vars = _parse_int(head[3], "block nvars")
-        if len(head) != 4 + n_vars + 1:
-            raise SdpFormatError("block header count mismatch")
-        variables = tuple(_parse_int(t, "block var") for t in head[4 : 4 + n_vars])
-        n_entries = _parse_int(head[4 + n_vars], "block entries")
-        entries = []
-        for _ in range(n_entries):
-            tok = reader.next("entry")
-            i = _parse_int(tok[0], "entry row")
-            j = _parse_int(tok[1], "entry col")
-            entries.append((i, j, _parse_form(tok[2:], "entry")))
-        blocks.append(PsdBlock(size, kind, label, variables, tuple(entries)))
-    n_eqs = _parse_int(reader.next("equalities")[0], "equalities")
-    rows: List[EqualityRow] = []
-    for _ in range(n_eqs):
-        tok = reader.next("equality")
-        if len(tok) < 3:
-            raise SdpFormatError("truncated equality")
-        label = tok[0]
-        rhs = _parse_float(tok[1], "equality rhs")
-        nnz = _parse_int(tok[2], "equality nnz")
-        if len(tok) != 3 + 2 * nnz:
-            raise SdpFormatError("equality expects matching pairs")
-        indices = tuple(_parse_int(tok[3 + 2 * k], "equality") for k in range(nnz))
-        coefficients = tuple(
-            _parse_float(tok[4 + 2 * k], "equality") for k in range(nnz)
-        )
-        rows.append(EqualityRow(label, AffineForm(indices, coefficients, 0.0), rhs))
-    reader.next("end")
-    return SdpProblem(
-        y_dim=y_dim,
-        order=order,
-        objective=objective,
-        psd_blocks=tuple(blocks),
-        equalities=tuple(rows),
-        pivot_substitution=pivot,
-        moment_scales=scales,
-        original_variables=originals,
-    )

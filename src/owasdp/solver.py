@@ -7,39 +7,33 @@ The standard form produced by :mod:`owasdp.relaxation` is
                 E y = b,
 
 a linear objective over free moment variables with affine PSD blocks and
-affine equality rows.  This module solves it through a pluggable backend
-contract with two implementations:
-
-- ``interior-point`` (bundled, default): an infeasible-start primal-dual
-  path-following method with Nesterov-Todd scaling and a Mehrotra-style
-  adaptive centering parameter.  The equality rows are eliminated once, at
-  compile time, by a sparse Gauss-Jordan pass with threshold pivoting
-  (Andersen & Andersen 1995): every y with E y = b is y = fixed + free z,
-  dependent rows are dropped after a consistency check, and the iteration
-  runs over the free moments z on the blocks substituted at that y.  The
-  blocks are grouped by size: the primal and dual matrices of one group are
-  stacked, so every phase of an iteration (scaling, corrector, step search,
-  PD check) is a few batched NumPy calls per group.  Every substituted block
-  map is compiled once into the sparsity pattern of its coefficient
-  matrices, which yields the block map and its adjoint (one sparse
-  operator), the KKT pattern and the Schur terms.  The Schur complement is
-  formed per group of same-shape blocks from those patterns (Fujisawa,
-  Kojima & Nakata 1997, formula F2: one sparse product, one batched dense
-  product and one sparse contraction per group) and inherits the clique
-  sparsity of the relaxation; its terms are written into one values vector
-  and scattered into a KKT sparsity pattern fixed at compile time.  The KKT
-  matrix is the positive-definite Schur complement H + dI alone.  Small KKT
-  systems are factored by a dense LU.  Larger ones are stored in a
-  minimum-degree order, also fixed at compile time, and SuperLU factors them
-  in that order in symmetric mode without pivoting.  The iteration is
-  deterministic: identical inputs, options and BLAS thread counts produce
-  bitwise identical iterates.  ``diagnostics['phase_seconds']`` splits the
-  iteration time by phase, ``diagnostics['kkt']`` reports the size and fill
-  of the KKT system, ``diagnostics['schur']`` the size of the Schur terms
-  and ``diagnostics['equalities']`` the elimination.
-- ``cvxopt``: feeds the problem through the text export/import round trip and
-  into ``cvxopt.solvers.conelp``, giving an independent cross-check of the
-  bundled backend.
+affine equality rows.  This module solves it by an infeasible-start
+primal-dual path-following method with Nesterov-Todd scaling and a
+Mehrotra-style adaptive centering parameter.  The equality rows are
+eliminated once, at compile time, by a sparse Gauss-Jordan pass with
+threshold pivoting (Andersen & Andersen 1995): every y with E y = b is
+y = fixed + free z, dependent rows are dropped after a consistency check,
+and the iteration runs over the free moments z on the blocks substituted at
+that y.  The blocks are grouped by size: the primal and dual matrices of one
+group are stacked, so every phase of an iteration (scaling, corrector, step
+search, PD check) is a few batched NumPy calls per group.  Every substituted
+block map is compiled once into the sparsity pattern of its coefficient
+matrices, which yields the block map and its adjoint (one sparse operator),
+the KKT pattern and the Schur terms.  The Schur complement is formed per
+group of same-shape blocks from those patterns (Fujisawa, Kojima & Nakata
+1997, formula F2: one sparse product, one batched dense product and one
+sparse contraction per group) and inherits the clique sparsity of the
+relaxation; its terms are written into one values vector and scattered into
+a KKT sparsity pattern fixed at compile time.  The KKT matrix is the
+positive-definite Schur complement H + dI alone.  Small KKT systems are
+factored by a dense LU.  Larger ones are stored in a minimum-degree order,
+also fixed at compile time, and SuperLU factors them in that order in
+symmetric mode without pivoting.  The iteration is deterministic: identical
+inputs, options and BLAS thread counts produce bitwise identical
+iterates.  ``diagnostics['phase_seconds']`` splits the iteration time by
+phase, ``diagnostics['kkt']`` reports the size and fill of the KKT system,
+``diagnostics['schur']`` the size of the Schur terms and
+``diagnostics['equalities']`` the elimination.
 
 Before solving, every equality row is normalized to unit Euclidean norm
 before the elimination and every substituted PSD block map to unit Frobenius
@@ -56,20 +50,16 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .relaxation import SdpProblem, from_sdp_text, to_sdp_text
+from .relaxation import SdpProblem
 
 logger = logging.getLogger(__name__)
-
-
-class SolverError(RuntimeError):
-    """Backend-level failure unrelated to problem conditioning."""
 
 
 class SolveStatus(str, Enum):
@@ -85,17 +75,17 @@ class SolveStatus(str, Enum):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Termination controls shared by every backend.
+    """Termination controls of the interior-point method.
 
     ``abs_tol`` bounds the (normalized) primal and dual residuals, ``rel_tol``
-    the relative duality gap.  ``backend`` names a registered backend.
+    the relative duality gap, ``max_iters`` the number of iterations, and
+    ``verbosity`` > 0 logs one line per iteration.
     """
 
     abs_tol: float = 1e-8
     rel_tol: float = 1e-8
     max_iters: int = 200
     verbosity: int = 0
-    backend: str = "interior-point"
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
@@ -131,7 +121,7 @@ class SolverResult:
     ``y`` is present exactly when the status is optimal or near-optimal; for
     numerical failures the last iterate travels in ``diagnostics['last_y']``.
     ``objective`` is +inf for infeasible problems, -inf for unbounded ones and
-    NaN on numerical failure.  The bundled backend reports in
+    NaN on numerical failure.  The solver reports in
     ``diagnostics['phase_seconds']`` the seconds its iterations spent in each
     phase: ``residuals``, ``scaling`` (NT scaling and Mehrotra corrector),
     ``schur`` (Schur terms and KKT fill), ``kkt_factor``, ``kkt_solve``
@@ -622,7 +612,7 @@ class _Compiled:
 
 
 # ---------------------------------------------------------------------------
-# Bundled interior-point backend
+# Interior-point method
 # ---------------------------------------------------------------------------
 
 _PHASES = ("residuals", "scaling", "schur", "kkt_factor", "kkt_solve", "step_search")
@@ -808,7 +798,9 @@ def _fixed_point_result(
     )
 
 
-def _solve_interior_point(sdp: SdpProblem, opts: SolverOptions) -> SolverResult:
+def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult:
+    """Solve a relaxation with the bundled interior-point method."""
+    opts = opts if opts is not None else SolverOptions()
     start = time.perf_counter()
     comp = _Compiled(sdp)
     clock = _PhaseClock()
@@ -1072,166 +1064,3 @@ def _solve_interior_point(sdp: SdpProblem, opts: SolverOptions) -> SolverResult:
         wall,
         diagnostics,
     )
-
-
-# ---------------------------------------------------------------------------
-# cvxopt backend (through the text export, as an independent path)
-# ---------------------------------------------------------------------------
-
-
-def _solve_cvxopt(sdp: SdpProblem, opts: SolverOptions) -> SolverResult:
-    try:
-        import cvxopt
-        import cvxopt.solvers
-    except ImportError as exc:  # pragma: no cover - environment dependent
-        raise SolverError("the cvxopt backend requires the cvxopt package") from exc
-
-    start = time.perf_counter()
-    prob = from_sdp_text(to_sdp_text(sdp))
-    y_dim = prob.y_dim
-    if y_dim == 0:
-        value = sdp.objective.evaluate(np.zeros(0))
-        return SolverResult(
-            SolveStatus.OPTIMAL, np.zeros(0), value, 0, time.perf_counter() - start
-        )
-
-    g_rows: List[int] = []
-    g_cols: List[int] = []
-    g_vals: List[float] = []
-    h_parts: List[np.ndarray] = []
-    offset = 0
-    sizes = []
-    for block in prob.psd_blocks:
-        n = block.size
-        sizes.append(n)
-        constant = np.zeros((n, n))
-        for i, j, form in block.entries:
-            constant[i, j] = form.constant
-            constant[j, i] = form.constant
-            for idx, coeff in zip(form.indices, form.coefficients):
-                g_rows.append(offset + j * n + i)
-                g_cols.append(idx)
-                g_vals.append(-coeff)
-                if i != j:
-                    g_rows.append(offset + i * n + j)
-                    g_cols.append(idx)
-                    g_vals.append(-coeff)
-        h_parts.append(constant.ravel(order="F"))
-        offset += n * n
-    G = cvxopt.spmatrix(g_vals, g_rows, g_cols, (offset, y_dim))
-    h = cvxopt.matrix(np.concatenate(h_parts) if h_parts else np.zeros(0))
-    c = np.zeros(y_dim)
-    for idx, coeff in zip(prob.objective.indices, prob.objective.coefficients):
-        c[idx] += coeff
-
-    A = b = None
-    if prob.equalities:
-        dense_e = np.zeros((len(prob.equalities), y_dim))
-        rhs = np.zeros(len(prob.equalities))
-        for r, row in enumerate(prob.equalities):
-            for idx, coeff in zip(row.form.indices, row.form.coefficients):
-                dense_e[r, idx] += coeff
-            rhs[r] = row.rhs
-        keep = _independent_rows(dense_e)
-        a_rows, a_cols = np.nonzero(dense_e[keep])
-        A = cvxopt.spmatrix(
-            dense_e[keep][a_rows, a_cols], a_rows, a_cols, (len(keep), y_dim)
-        )
-        b = cvxopt.matrix(rhs[keep])
-
-    saved = dict(cvxopt.solvers.options)
-    cvxopt.solvers.options.update(
-        {
-            "show_progress": opts.verbosity > 1,
-            "maxiters": opts.max_iters,
-            "abstol": opts.abs_tol,
-            "reltol": opts.rel_tol,
-            "feastol": max(opts.abs_tol, 1e-9),
-        }
-    )
-    try:
-        sol = cvxopt.solvers.conelp(
-            cvxopt.matrix(c), G, h, dims={"l": 0, "q": [], "s": sizes}, A=A, b=b
-        )
-    finally:
-        cvxopt.solvers.options.clear()
-        cvxopt.solvers.options.update(saved)
-
-    wall = time.perf_counter() - start
-    iterations = int(sol.get("iterations", 0))
-    raw_status = sol["status"]
-    x = sol["x"]
-    y = np.asarray(x).ravel() if x is not None else None
-    diagnostics = {"cvxopt_status": raw_status}
-
-    if raw_status == "primal infeasible":
-        return SolverResult(
-            SolveStatus.INFEASIBLE, None, math.inf, iterations, wall, diagnostics
-        )
-    if raw_status == "dual infeasible":
-        return SolverResult(
-            SolveStatus.UNBOUNDED, None, -math.inf, iterations, wall, diagnostics
-        )
-    if y is None:
-        return SolverResult(
-            SolveStatus.NUMERICAL_FAILURE, None, math.nan, iterations, wall, diagnostics
-        )
-    value = sdp.objective.evaluate(y)
-    if raw_status == "optimal":
-        report = verify_vector(sdp, y, 10.0 * max(opts.abs_tol, 1e-8))
-        status = SolveStatus.OPTIMAL if report.within_tolerance else SolveStatus.NEAR_OPTIMAL
-        return SolverResult(status, y, value, iterations, wall, diagnostics)
-    # 'unknown': keep the iterate when it is usable, else report failure.
-    report = verify_vector(sdp, y, 1e-5)
-    if report.within_tolerance:
-        return SolverResult(
-            SolveStatus.NEAR_OPTIMAL, y, value, iterations, wall, diagnostics
-        )
-    diagnostics["last_y"] = y
-    return SolverResult(
-        SolveStatus.NUMERICAL_FAILURE, None, math.nan, iterations, wall, diagnostics
-    )
-
-
-def _independent_rows(matrix: np.ndarray) -> np.ndarray:
-    """Indices of a maximal linearly independent row subset (QR pivoting)."""
-    if matrix.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    _, r, piv = scipy.linalg.qr(matrix.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0:
-        return np.zeros(0, dtype=np.int64)
-    rank = int(np.sum(diag > diag[0] * max(matrix.shape) * np.finfo(float).eps))
-    return np.sort(piv[:rank])
-
-
-# ---------------------------------------------------------------------------
-# Backend registry and entry point
-# ---------------------------------------------------------------------------
-
-Backend = Callable[[SdpProblem, SolverOptions], SolverResult]
-
-_BACKENDS: Dict[str, Backend] = {
-    "interior-point": _solve_interior_point,
-    "cvxopt": _solve_cvxopt,
-}
-
-
-def register_backend(name: str, backend: Backend) -> None:
-    _BACKENDS[name] = backend
-
-
-def available_backends() -> Tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult:
-    """Solve a relaxation with the backend named in the options."""
-    options = opts if opts is not None else SolverOptions()
-    try:
-        backend = _BACKENDS[options.backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {options.backend!r}; available: {available_backends()}"
-        ) from None
-    return backend(sdp, options)

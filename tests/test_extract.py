@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,8 +30,6 @@ from owasdp.relaxation import (
     build_dense,
     build_sparse,
     dirac_moment_vector,
-    from_sdp_text,
-    to_sdp_text,
 )
 from owasdp.solver import solve
 
@@ -168,7 +167,7 @@ class TestRankCheck:
         assert tight.blocks[0].rank_full >= 2
 
     def test_requires_metadata(self, weber_sparse):
-        stripped = from_sdp_text(to_sdp_text(weber_sparse))
+        stripped = dataclasses.replace(weber_sparse, moments=None, pivot_monomial=None)
         with pytest.raises(RelaxationStructureError, match="metadata"):
             rank_check(stripped, np.zeros(stripped.y_dim), 1)
 

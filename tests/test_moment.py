@@ -4,16 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from owasdp.moment import (
     MomentIndex,
     MonomialBasis,
-    apply_functional,
     basis_size,
     dirac_moments,
-    evaluate_form,
     localizing_matrix,
     moment_matrix,
 )
@@ -141,30 +137,3 @@ class TestLocalizingMatrix:
         mm = moment_matrix(b, MomentIndex(u))
         y = np.array([1.0, 0.5, 0.3])
         assert np.allclose(loc.assemble(y), 3.0 * mm.assemble(y))
-
-
-class TestFunctional:
-    def test_apply_and_evaluate(self):
-        u = uni(2)
-        idx = MomentIndex(u)
-        p = parse("2*x1^2 + 3*x2 - 1", u)
-        form = apply_functional(p, idx)
-        pt = np.array([0.5, -2.0])
-        y = dirac_moments(pt, idx)
-        assert evaluate_form(form, y) == pytest.approx(p.evaluate(pt))
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 10**6))
-    def test_functional_linear_in_polynomial(self, seed):
-        rng = np.random.default_rng(seed)
-        u = uni(2)
-        p = parse("x1*x2 - 2*x2^2", u)
-        q = parse("x1 + 1", u)
-        idx = MomentIndex(u)
-        fp = apply_functional(p, idx)
-        fq = apply_functional(q, idx)
-        fsum = apply_functional(p + q, idx)
-        y = rng.normal(size=idx.n_moments)
-        assert evaluate_form(fsum, y) == pytest.approx(
-            evaluate_form(fp, y) + evaluate_form(fq, y)
-        )

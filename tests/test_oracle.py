@@ -155,7 +155,7 @@ class TestGridSearch:
         lows = DEMO_POINTS.min(axis=0)
         highs = DEMO_POINTS.max(axis=0)
         problem = CallableProblem(sum_l3_value, batch_objective=sum_l3_batch)
-        result = grid_search(problem, list(zip(lows, highs)), 5e-3)
+        result = grid_search(problem, list(zip(lows, highs)), 2e-2)
         assert abs(result.best_value - SUM_L3_OPT_VALUE) <= 5e-4
         np.testing.assert_allclose(result.best_point, SUM_L3_OPT_POINT, atol=1e-3)
 

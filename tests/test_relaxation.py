@@ -15,6 +15,7 @@ from owasdp.omrf import (
     LambdaWeights,
     LiftedProblem,
     OmrfProblem,
+    running_intersection_holds,
 )
 from owasdp.polynomial import (
     Polynomial,
@@ -27,19 +28,14 @@ from owasdp.relaxation import (
     AffineForm,
     OrderTooSmallError,
     RelaxationStructureError,
-    SdpFormatError,
     SdpProblem,
     SizeStats,
     build_dense,
     build_sparse,
-    check_rip,
     dirac_moment_vector,
-    from_sdp_text,
     localizing_order,
     min_order,
     multiplier_degree,
-    size_stats,
-    to_sdp_text,
 )
 
 from support import (
@@ -48,6 +44,12 @@ from support import (
     random_omrf_point,
     two_point_weber_lift,
 )
+
+
+def moment_position(sdp, text, universe):
+    """Index in y of the moment of the single monomial ``text``."""
+    (mono,) = parse(text, universe).terms
+    return sdp.moments.index(mono)
 
 
 class TestOrders:
@@ -87,13 +89,13 @@ class TestOrders:
 
 class TestCheckRip:
     def test_chain(self):
-        assert check_rip([(0,), (0, 1), (0, 2)])
+        assert running_intersection_holds([(0,), (0, 1), (0, 2)])
 
     def test_split_intersection(self):
-        assert not check_rip([(0, 1), (2, 3), (1, 2)])
+        assert not running_intersection_holds([(0, 1), (2, 3), (1, 2)])
 
     def test_single(self):
-        assert check_rip([(0, 1, 2)])
+        assert running_intersection_holds([(0, 1, 2)])
 
 
 class TestHandWeberStructure:
@@ -117,7 +119,7 @@ class TestHandWeberStructure:
 
     def test_size_stats_by_hand(self):
         sdp = build_sparse(two_point_weber_lift(), 2)
-        stats = size_stats(sdp)
+        stats = sdp.stats
         assert stats.cols == 2 * 100 + 4 * 16 + 20 == 284
         assert stats.rows == 54
         # nonzeros counted entry by entry: 99 per moment block, 16 per
@@ -171,9 +173,7 @@ class TestPivotElimination:
         lift = hand_lift(("x",), "x", inequality_texts=("1 - x^2",),
                          denominator_text="1 + x^2")
         sdp = build_dense(lift, 1)
-        x_sq = sdp.linear_functional(parse("x^2", lift.universe))
-        assert len(x_sq.indices) == 1
-        idx = x_sq.indices[0]
+        idx = moment_position(sdp, "x^2", lift.universe)
         assert sdp.pivot_substitution == AffineForm((idx,), (-1.0,), 1.0)
         corner = next(
             form for i, j, form in sdp.psd_blocks[0].entries if (i, j) == (0, 0)
@@ -207,8 +207,7 @@ class TestOddDegreeConventions:
         assert cubic_block.kind == "localizing"
         assert cubic_block.size == 2  # truncated at order r - 1 = 1
         # entries reach degree 2r + 1 = 5; the dictionary extends on demand
-        top = sdp.linear_functional(parse("x^5", lift.universe))
-        assert len(top.indices) == 1
+        moment_position(sdp, "x^5", lift.universe)
         # degree-3 equality expands against multipliers up to degree 2
         labels = [row.label for row in sdp.equalities]
         assert labels == ["eq0.m0", "eq0.m1", "eq0.m2"]
@@ -262,9 +261,8 @@ class TestScales:
             scales=(2.0, 3.0),
         )
         sdp = build_dense(lift, 2)
-        target = sdp.linear_functional(parse("x^2*y", lift.universe))
-        assert len(target.indices) == 1
-        assert sdp.moment_scales[target.indices[0]] == pytest.approx(12.0)
+        target = moment_position(sdp, "x^2*y", lift.universe)
+        assert sdp.moment_scales[target] == pytest.approx(12.0)
         plain = hand_lift(("x", "y"), "x + y",
                           inequality_texts=("4 - x^2 - y^2",))
         assert all(s == 1.0 for s in build_dense(plain, 2).moment_scales)
@@ -335,47 +333,6 @@ class TestDiracInvariant:
             self.check(problem, lift, min_order(lift).r_min)
 
 
-class TestExportImport:
-    def roundtrip(self, sdp):
-        text = to_sdp_text(sdp)
-        loaded = from_sdp_text(text)
-        assert loaded == sdp
-        assert to_sdp_text(loaded) == text
-        return loaded
-
-    def test_weber_roundtrip(self):
-        self.roundtrip(build_sparse(two_point_weber_lift(), 2))
-
-    def test_rational_roundtrip_and_metadata_absence(self):
-        lift = hand_lift(("x",), "x^2 + 1", inequality_texts=("1 - x^2",),
-                         denominator_text="x^2 + 2")
-        loaded = self.roundtrip(build_dense(lift, 2))
-        assert loaded.moments is None
-        with pytest.raises(RelaxationStructureError):
-            loaded.linear_functional(parse("x", lift.universe))
-
-    def test_scaled_roundtrip(self):
-        lift = hand_lift(("x", "y"), "x + y",
-                         inequality_texts=("4 - x^2 - y^2",), scales=(2.0, 3.0))
-        self.roundtrip(build_dense(lift, 2))
-
-    def test_bad_magic(self):
-        with pytest.raises(SdpFormatError, match="header"):
-            from_sdp_text("NOT-AN-SDP\n")
-
-    def test_truncated_input(self):
-        text = to_sdp_text(build_sparse(two_point_weber_lift(), 2))
-        clipped = "\n".join(text.splitlines()[:5])
-        with pytest.raises(SdpFormatError):
-            from_sdp_text(clipped)
-
-    def test_bad_token(self):
-        text = to_sdp_text(build_sparse(two_point_weber_lift(), 2))
-        broken = text.replace("ydim 54", "ydim many", 1)
-        with pytest.raises(SdpFormatError, match="integer"):
-            from_sdp_text(broken)
-
-
 class TestSizeStatsEdge:
     def test_empty_problem_reports_zeros(self):
         empty = SdpProblem(
@@ -388,4 +345,4 @@ class TestSizeStatsEdge:
             moment_scales=(),
             original_variables=(),
         )
-        assert size_stats(empty) == SizeStats(0, 0, 0.0)
+        assert empty.stats == SizeStats(0, 0, 0.0)

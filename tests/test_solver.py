@@ -1,4 +1,4 @@
-"""End-to-end tests for the SDP solver backends and result verification."""
+"""End-to-end tests for the interior-point SDP solver and result verification."""
 
 from __future__ import annotations
 
@@ -30,15 +30,11 @@ from owasdp.relaxation import (
     build_dense,
     build_sparse,
     dirac_moment_vector,
-    from_sdp_text,
-    to_sdp_text,
 )
 from owasdp.solver import (
     SolveStatus,
     SolverOptions,
     SolverResult,
-    available_backends,
-    register_backend,
     solve,
     verify_result,
     verify_vector,
@@ -357,33 +353,6 @@ class TestOptionsAndResults:
             SolverResult(SolveStatus.OPTIMAL, None, 0.0, 1, 0.0)
         with pytest.raises(ValueError, match="solved"):
             SolverResult(SolveStatus.NUMERICAL_FAILURE, np.zeros(2), math.nan, 1, 0.0)
-
-    def test_unknown_backend_lists_known_ones(self):
-        with pytest.raises(ValueError, match="interior-point"):
-            solve(one_by_one_sdp(), SolverOptions(backend="no-such-backend"))
-
-    def test_backend_registry_dispatch(self):
-        calls = []
-
-        def stub(sdp, opts):
-            calls.append(sdp.y_dim)
-            return SolverResult(
-                SolveStatus.OPTIMAL, np.zeros(sdp.y_dim), 0.0, 0, 0.0
-            )
-
-        register_backend("stub-for-test", stub)
-        try:
-            assert "stub-for-test" in available_backends()
-            res = solve(one_by_one_sdp(), SolverOptions(backend="stub-for-test"))
-            assert res.status is SolveStatus.OPTIMAL
-            assert calls == [1]
-        finally:
-            del solver_module._BACKENDS["stub-for-test"]
-
-    def test_default_backends_present(self):
-        names = available_backends()
-        assert "interior-point" in names
-        assert "cvxopt" in names
 
 
 class TestBundledBackend:
@@ -784,48 +753,6 @@ class TestEqualityElimination:
         # Every independent row fixes one moment.
         assert stats["rows"] - stats["dependent"] == weber_sparse.y_dim - stats["free"]
         assert 0.0 <= stats["residual"] <= 1e-12
-
-
-class TestCvxoptBackend:
-    OPTS = SolverOptions(backend="cvxopt")
-
-    def test_one_by_one_block(self):
-        res = solve(one_by_one_sdp(), self.OPTS)
-        assert res.status.solved()
-        assert abs(res.objective) <= 1e-7
-
-    def test_max_of_two_affine(self, max_dense):
-        res = solve(max_dense, self.OPTS)
-        assert res.status.solved()
-        assert res.objective == pytest.approx(0.5, abs=1e-6)
-
-    def test_backends_agree(self, rational_sdp, weber_sparse, max_dense):
-        for sdp in (rational_sdp, weber_sparse, max_dense):
-            bundled = solve(sdp)
-            external = solve(sdp, self.OPTS)
-            assert bundled.status.solved() and external.status.solved()
-            scale = max(1.0, abs(external.objective))
-            assert abs(bundled.objective - external.objective) <= 1e-5 * scale
-
-    def test_serialized_roundtrip_agrees(self, weber_sparse):
-        reread = from_sdp_text(to_sdp_text(weber_sparse))
-        direct = solve(weber_sparse)
-        external = solve(reread, self.OPTS)
-        assert external.status.solved()
-        scale = max(1.0, abs(external.objective))
-        assert abs(direct.objective - external.objective) <= 1e-5 * scale
-
-    def test_infeasible_certificate(self):
-        res = solve(infeasible_sdp(), self.OPTS)
-        assert res.status is SolveStatus.INFEASIBLE
-        assert res.objective == math.inf
-        assert res.y is None
-
-    def test_unbounded_certificate(self):
-        res = solve(unbounded_sdp(), self.OPTS)
-        assert res.status is SolveStatus.UNBOUNDED
-        assert res.objective == -math.inf
-        assert res.y is None
 
 
 class TestVerifyResult:
