@@ -13,8 +13,9 @@ problems).  An optional ``objective_values(points) -> array`` method, one
 value per row of a 2-D array, is the batched protocol: the searches
 evaluate their objective through it, whole blocks of points per call, and
 fall back to ``objective_value`` point by point only when it is missing or
-raises one of the domain errors in ``_EVAL_ERRORS``.  A value that is not
-finite, or a point where the objective raises such an error (say, a
+raises one of the domain errors in ``_EVAL_ERRORS`` (in a lockstep round of
+the pattern search, only the raising start's rows fall back).  A value that
+is not finite, or a point where the objective raises such an error (say, a
 vanishing denominator), counts as +inf.  Region checks on blocks of points
 are batched the same way (``Polynomial.evaluate_many`` and
 ``SemialgebraicSet.ball_values``).  ``CallableProblem`` adapts bare
@@ -24,9 +25,10 @@ callables to the protocol.
 at least ``_GRID_CHUNK`` points (a 101 x 101 grid in one call).  Within a
 chunk and across chunks the first minimum in row-major order wins, so the
 tie-break is lexicographic whatever the chunk size.  Each round of the
-coordinate refinement and each poll of the pattern search and of the
-feasibility repair is evaluated as one block; a move is taken only on
-strict improvement, and ties go to the first candidate in poll order.
+coordinate refinement and each poll of the feasibility repair is evaluated
+as one block, and the pattern search's polls as one block per round across
+all live starts; a move is taken only on strict improvement, and ties go
+to the first candidate in poll order.
 """
 
 from __future__ import annotations
@@ -115,14 +117,26 @@ def _safe_value(problem, point: np.ndarray) -> float:
     return value if math.isfinite(value) else math.inf
 
 
-def _evaluate_block(problem, points: np.ndarray) -> np.ndarray:
+def _evaluate_block(
+    problem, points: np.ndarray, sizes: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Objective at each row of ``points``, +inf where it is not finite.
+
+    ``sizes`` splits the rows into consecutive slices, one per descent of
+    a lockstep round.  When the batched call raises, each slice is
+    evaluated again on its own, so only a slice that raises by itself falls
+    back to pointwise values: a row's value never depends on the rows of
+    the other descents.
+    """
     batched = getattr(problem, "objective_values", None)
     if batched is not None:
         try:
             values = np.asarray(batched(points), dtype=float)
             return np.where(np.isfinite(values), values, math.inf)
         except _EVAL_ERRORS:
-            pass  # fall back to pointwise evaluation below
+            if sizes is not None and len(sizes) > 1:
+                parts = np.split(points, np.cumsum(sizes)[:-1])
+                return np.concatenate([_evaluate_block(problem, part) for part in parts])
     out = np.empty(len(points))
     for i, pt in enumerate(points):
         out[i] = _safe_value(problem, pt)
@@ -291,6 +305,15 @@ def multistart_descent(
     feasibility before reporting; starts that cannot be repaired are
     discarded.  Results merge deterministically by value, then lexicographic
     point.
+
+    All starts are drawn first; the descents then run in lockstep, one
+    round per step of every descent still live.  A round evaluates the
+    stencils of all live descents as one block, restores each descent's
+    up-to-three violating candidates of lowest merit (stable order) and
+    evaluates those restored points as a second block.  Each descent then
+    moves to the first strict improvement among its own candidates, its
+    stencil rows in stencil order before its restored rows, so it follows
+    exactly the path it would follow alone, with the same evaluations.
     """
     region = _region_of(problem)
     if box is None:
@@ -302,15 +325,15 @@ def multistart_descent(
     rng = np.random.default_rng(seed)
     directions = _stencil(len(box))
 
-    evaluations = 0
+    starts = np.array([_draw_start(rng, lo, hi, region) for _ in range(n_starts)])
+    points, counts = _lockstep_search(
+        problem, region, starts.reshape(n_starts, len(box)), lo, hi,
+        directions, penalty, min_step,
+    )
+    evaluations = int(counts.sum())
     best: Optional[Tuple[float, Tuple[float, ...]]] = None
     start_values: List[float] = []
-    for _ in range(n_starts):
-        start = _draw_start(rng, lo, hi, region)
-        point, used = _pattern_search(
-            problem, region, start, lo, hi, directions, penalty, min_step
-        )
-        evaluations += used
+    for point in points:
         point, value, feasible, used = _repair(problem, region, point, directions)
         evaluations += used
         if not feasible or not math.isfinite(value):
@@ -440,57 +463,82 @@ def _newton_step(z: np.ndarray, value: float, grad: np.ndarray) -> Optional[np.n
     return z - (value / norm_sq) * grad
 
 
-def _pattern_search(
+def _lockstep_search(
     problem,
     region: Optional[SemialgebraicSet],
-    start: np.ndarray,
+    starts: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     directions: np.ndarray,
     penalty: float,
     min_step: float,
     max_iters: int = 100000,
-) -> Tuple[np.ndarray, int]:
-    point = np.clip(np.asarray(start, dtype=float), lo, hi)
-    merit = _merit(problem, region, point, penalty)
-    evaluations = 1
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Pattern-search descents from every row of ``starts``, stepped in
+    lockstep; returns the final points and each descent's evaluation count.
+
+    Each descent keeps its own point, merit, step and round count, and
+    makes the moves it would make alone.  A round polls the stencils of
+    all live descents as one block and the restored candidates of all of
+    them as a second block; each descent then takes the first strict
+    improvement among its own candidates, stencil rows before restored
+    rows.  A descent leaves the round set when its step falls below
+    ``min_step`` or after ``max_iters`` rounds.
+    """
+    count, width = len(starts), len(directions)
+    points = np.clip(np.asarray(starts, dtype=float), lo, hi)
+    merits = np.array([_merit(problem, region, p, penalty) for p in points])
+    evaluations = np.ones(count, dtype=int)
     span = float(np.max(hi - lo))
-    h = 0.25 * span
-    iterations = 0
-    while h >= min_step and iterations < max_iters:
-        iterations += 1
-        raw = np.clip(point + h * directions, lo, hi)
-        values = _evaluate_block(problem, raw)
-        evaluations += len(raw)
+    steps = np.full(count, 0.25 * span)
+    iterations = np.zeros(count, dtype=int)
+    live = np.flatnonzero(steps >= min_step)
+    while len(live):
+        iterations[live] += 1
+        raw = np.clip(points[live, None, :] + steps[live, None, None] * directions, lo, hi)
+        flat = raw.reshape(len(live) * width, -1)
+        pool = _evaluate_block(problem, flat, np.full(len(live), width))
+        pool = pool.reshape(len(live), width)
+        evaluations[live] += width
         if region is not None:
-            violations = _violation_block(region, raw)
-            merits = values + penalty * violations
+            violations = _violation_block(region, flat).reshape(len(live), width)
+            pool = pool + penalty * violations
             # Steps that graze a curved constraint pick up an O(h^2) penalty
-            # that blocks tangential progress; restoring the most promising
-            # violating candidates to the boundary keeps the descent moving
+            # that blocks tangential progress; restoring each descent's most
+            # promising violating candidates to the boundary keeps it moving
             # along active constraints.
-            violated = np.flatnonzero(violations > 0.0)
-            restored_points = []
-            for i in violated[np.argsort(merits[violated], kind="stable")][:3]:
-                restored = _newton_restore(region, raw[i], lo, hi)
-                if restored is not None:
-                    restored_points.append(restored)
-            if restored_points:
-                extra = np.array(restored_points)
-                extra_merits = _evaluate_block(problem, extra)
+            restored, owners, slots = [], [], []
+            for row in np.flatnonzero((violations > 0.0).any(axis=1)):
+                violated = np.flatnonzero(violations[row] > 0.0)
+                slot = width
+                for i in violated[np.argsort(pool[row, violated], kind="stable")][:3]:
+                    point = _newton_restore(region, raw[row, i], lo, hi)
+                    if point is not None:
+                        restored.append(point)
+                        owners.append(row)
+                        slots.append(slot)
+                        slot += 1
+            if restored:
+                extra = np.array(restored)
+                sizes = np.bincount(owners, minlength=len(live))
+                extra_merits = _evaluate_block(problem, extra, sizes[sizes > 0])
                 extra_merits += penalty * _violation_block(region, extra)
-                evaluations += len(extra)
-                raw = np.vstack([raw, extra])
-                merits = np.concatenate([merits, extra_merits])
-        else:
-            merits = values
-        idx = int(np.argmin(merits))
-        if merits[idx] < merit:
-            point, merit = raw[idx], float(merits[idx])
-            h = min(h * 2.0, span)  # expansion
-        else:
-            h *= 0.5  # contraction
-    return point, evaluations
+                evaluations[live] += sizes
+                # Pad every descent's candidates to width + 3 with +inf, so
+                # a row-wise argmin still picks each one's first minimum.
+                raw = np.concatenate([raw, np.zeros((len(live), 3, raw.shape[-1]))], axis=1)
+                raw[owners, slots] = extra
+                pool = np.concatenate([pool, np.full((len(live), 3), math.inf)], axis=1)
+                pool[owners, slots] = extra_merits
+        rows = np.arange(len(live))
+        best = np.argmin(pool, axis=1)
+        chosen = pool[rows, best]
+        moved = chosen < merits[live]
+        points[live[moved]] = raw[rows[moved], best[moved]]
+        merits[live[moved]] = chosen[moved]
+        steps[live] = np.where(moved, np.minimum(steps[live] * 2.0, span), steps[live] * 0.5)
+        live = live[(steps[live] >= min_step) & (iterations[live] < max_iters)]
+    return points, evaluations
 
 
 def _repair(

@@ -7,14 +7,20 @@ import pytest
 
 from owasdp.location import LocationInstance
 from owasdp.omrf import LambdaWeights, OmrfProblem
+from owasdp import oracle
 from owasdp.oracle import (
     CallableProblem,
     OracleResult,
     _coordinate_refine,
+    _draw_start,
+    _evaluate_block,
+    _merit,
     _newton_restore,
     _poly_gradient,
+    _region_of,
     _repair,
     _stencil,
+    _violation_block,
     analytic,
     ball_box,
     grid_search,
@@ -338,6 +344,39 @@ class TestBatchedCalls:
         assert all(size <= 4 for size in sizes[1:])
         assert result.evaluations == sum(sizes)
 
+    def test_one_poll_call_per_round_across_starts(self, monkeypatch):
+        location = constrained_location()
+        _, rounds = TestPollsMatchSequentialLoops.sequential_multistart(
+            location, n_starts=10, seed=0
+        )
+        events = []
+
+        def batch(points):
+            events.append(len(points))
+            return location.objective_values(points)
+
+        def restore(*args):
+            restored = real_restore(*args)
+            if restored is not None:
+                events.append("restored")
+            return restored
+
+        real_restore = oracle._newton_restore
+        monkeypatch.setattr(oracle, "_newton_restore", restore)
+        problem = CallableProblem(location.objective_value, location.region, batch)
+        multistart_descent(problem, n_starts=10, seed=0)
+        calls = [event for event in events if event != "restored"]
+        # a call right after a restored point evaluates the restored block
+        polls = [
+            size
+            for previous, size in zip([None] + events, events)
+            if size != "restored" and previous != "restored"
+        ]
+        assert "restored" in events
+        assert len(calls) <= 2 * max(rounds)
+        live = [sum(r >= k for r in rounds) for k in range(1, max(rounds) + 1)]
+        assert polls == [8 * count for count in live]
+
     def test_searches_never_build_the_ball_polynomial(self, monkeypatch):
         def forbidden(self):
             raise AssertionError("ball_polynomial called")
@@ -375,6 +414,134 @@ class TestPollsMatchSequentialLoops:
                 break
             point, value = best_move, best_value
         return point, value, evaluations
+
+    @staticmethod
+    def sequential_descent(problem, region, start, lo, hi, directions, penalty, min_step):
+        """One pattern-search descent on its own: its final point, its
+        evaluation count and its number of poll rounds."""
+        point = np.clip(np.asarray(start, dtype=float), lo, hi)
+        merit = _merit(problem, region, point, penalty)
+        evaluations, rounds = 1, 0
+        span = float(np.max(hi - lo))
+        h = 0.25 * span
+        while h >= min_step:
+            rounds += 1
+            raw = np.clip(point + h * directions, lo, hi)
+            merits = _evaluate_block(problem, raw)
+            evaluations += len(raw)
+            if region is not None:
+                violations = _violation_block(region, raw)
+                merits = merits + penalty * violations
+                violated = np.flatnonzero(violations > 0.0)
+                restored = []
+                for i in violated[np.argsort(merits[violated], kind="stable")][:3]:
+                    candidate = _newton_restore(region, raw[i], lo, hi)
+                    if candidate is not None:
+                        restored.append(candidate)
+                if restored:
+                    extra = np.array(restored)
+                    extra_merits = _evaluate_block(problem, extra)
+                    extra_merits += penalty * _violation_block(region, extra)
+                    evaluations += len(extra)
+                    raw = np.vstack([raw, extra])
+                    merits = np.concatenate([merits, extra_merits])
+            idx = int(np.argmin(merits))
+            if merits[idx] < merit:
+                point, merit = raw[idx], float(merits[idx])
+                h = min(h * 2.0, span)
+            else:
+                h *= 0.5
+        return point, evaluations, rounds
+
+    @classmethod
+    def sequential_multistart(cls, problem, n_starts, seed, box=None, penalty=1e4):
+        """``multistart_descent`` with its descents run one start at a time;
+        also returns each descent's number of poll rounds."""
+        region = _region_of(problem)
+        lo, hi = np.array(box if box is not None else ball_box(region), dtype=float).T
+        rng = np.random.default_rng(seed)
+        directions = _stencil(len(lo))
+        evaluations, best, start_values, rounds = 0, None, [], []
+        for _ in range(n_starts):
+            start = _draw_start(rng, lo, hi, region)
+            point, used, count = cls.sequential_descent(
+                problem, region, start, lo, hi, directions, penalty, 1e-8
+            )
+            evaluations += used
+            rounds.append(count)
+            point, value, feasible, used = _repair(problem, region, point, directions)
+            evaluations += used
+            if not feasible or not np.isfinite(value):
+                start_values.append(np.inf)
+                continue
+            start_values.append(value)
+            candidate = (value, tuple(float(c) for c in point))
+            if best is None or candidate < best:
+                best = candidate
+        value, point = best if best is not None else (np.inf, None)
+        result = OracleResult(
+            point, value, "multistart", evaluations,
+            starts=n_starts, start_values=tuple(start_values),
+        )
+        return result, rounds
+
+    def assert_multistart_matches(self, problem, n_starts, seed, box=None, penalty=1e4):
+        got = multistart_descent(problem, n_starts, seed, box=box, penalty=penalty)
+        want, _ = self.sequential_multistart(problem, n_starts, seed, box, penalty)
+        assert got.best_point == want.best_point
+        assert got.best_value == want.best_value
+        assert got.start_values == want.start_values
+        assert got.evaluations == want.evaluations
+        return got
+
+    @pytest.mark.parametrize("penalty", [1e4, 0.1])
+    @pytest.mark.parametrize("make", [constrained_omrf, constrained_location])
+    def test_lockstep_descents(self, make, penalty):
+        self.assert_multistart_matches(make(), n_starts=6, seed=6, penalty=penalty)
+
+    @pytest.mark.parametrize(
+        "variant, options",
+        [
+            ("weber", {}),
+            ("center", {}),
+            ("kcentrum", {"k": 2}),
+            ("trimmed", {"trim": (1, 1)}),
+            ("range", {}),
+        ],
+    )
+    def test_lockstep_descents_on_location_variants(self, variant, options):
+        anchors = np.random.default_rng(11).random((5, 2))
+        problem = LocationInstance(
+            points=tuple(map(tuple, anchors)), variant=variant, **options
+        )
+        self.assert_multistart_matches(problem, n_starts=5, seed=2)
+
+    def test_a_raising_start_falls_back_alone(self):
+        """Rows of a start whose block raises get pointwise values, and the
+        other starts' rows of the same round keep their batched values."""
+        anchors = np.array([[0.1, 0.2], [-0.2, 0.5], [0.4, -0.3]])
+        raised = []
+
+        def squares(xs):
+            return ((xs[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=(1, 2))
+
+        def batch(xs):
+            if np.any(xs[:, 0] < 0.0):
+                raised.append(len(xs))
+                raise ValueError("x < 0")
+            return squares(xs)
+
+        # pointwise values are tilted, so a row's path shows which evaluator
+        # gave its value
+        problem = CallableProblem(
+            lambda x: float(squares(x[None, :])[0] + 1e-3 * x[1]), batch_objective=batch
+        )
+        box = [(-1.0, 1.0), (-1.0, 1.0)]
+        result = self.assert_multistart_matches(problem, n_starts=6, seed=3, box=box)
+        assert any(size > 8 for size in raised)
+        # the first start alone, as a one-start search
+        alone = multistart_descent(problem, n_starts=1, seed=3, box=box)
+        assert alone.start_values == result.start_values[:1]
 
     @staticmethod
     def sequential_repair(region, point, directions):
