@@ -1,26 +1,34 @@
-"""Monomial bases, moment indexing, and moment/localizing matrix assembly.
+"""Monomial rows and keys, bases, moment indexing, and moment/localizing
+matrix assembly.
+
+A monomial is the sorted multiset of its variable ids (x0^2 x3 is 0, 0, 3).
+An array of monomials is an integer array of such rows, padded in front with
+-1 to a common width; a product of monomials is a concatenation of rows,
+sorted again.  Read as the digits id + 1 in base ``n_vars + 1``, a row packs
+into one integer key that does not depend on the padding
+(``monomial_keys``).
 
 A truncated moment sequence y is stored as a flat vector indexed by a
-``MomentIndex``: a global monomial-to-position dictionary shared by all
-cliques, so that monomials supported on clique intersections receive a single
-moment variable.  Moment and localizing matrices are produced as
-``LinearMatrixMap`` objects — symmetric matrices whose entries are linear
-forms in y — which downstream modules turn into semidefinite blocks.
+``MomentIndex``: a global key-to-position map shared by all cliques, so that
+monomials supported on clique intersections receive a single moment
+variable.  Moment and localizing matrices are ``LinearMatrixMap`` objects —
+symmetric matrices whose upper-triangle entries are affine forms in y, held
+as arrays — which downstream modules turn into semidefinite blocks.
+``localizing_forms`` builds the entries of many such matrices (and
+equality rows) at once: one sort of all product rows and one interning pass.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import chain, combinations_with_replacement, groupby
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .polynomial import Monomial, Polynomial, VariableUniverse, VarId
-
-# L_y(p) as a sparse map from moment position to coefficient.
-LinearForm = Dict[int, float]
 
 
 def basis_size(n_vars: int, degree: int) -> int:
@@ -28,14 +36,279 @@ def basis_size(n_vars: int, degree: int) -> int:
     return math.comb(n_vars + degree, degree)
 
 
-@dataclass(frozen=True)
+def local_basis(n_vars: int, degree: int) -> np.ndarray:
+    """Rows (width ``degree``) of all monomials of degree <= ``degree`` over
+    the local variables 0..n_vars-1, in graded-lex order (constant first).
+
+    Within one degree, graded-lex order is the reverse lexicographic order
+    of the sorted rows: a lower variable id is more significant and a higher
+    exponent larger."""
+    parts = [np.full((1, degree), -1, dtype=np.int64)]
+    for d in range(1, degree + 1):
+        combos = np.fromiter(
+            chain.from_iterable(combinations_with_replacement(range(n_vars), d)),
+            dtype=np.int64,
+        ).reshape(-1, d)
+        part = np.full((len(combos), degree), -1, dtype=np.int64)
+        part[:, degree - d :] = combos[::-1]
+        parts.append(part)
+    return np.concatenate(parts)
+
+
+def basis_rows(variables: Sequence[VarId], degree: int) -> np.ndarray:
+    """``local_basis`` over the given variable ids."""
+    # The trailing -1 maps the padding (local -1) to itself.
+    ids = np.array(sorted(variables) + [-1], dtype=np.int64)
+    return ids[local_basis(len(variables), degree)]
+
+
+def monomial_rows(monos: Sequence[Monomial], width: int) -> np.ndarray:
+    """Rows of the given monomials, each of degree <= ``width``."""
+    rows = []
+    for mono in monos:
+        ids = [v for v, e in mono.exps for _ in range(e)]
+        rows.append([-1] * (width - len(ids)) + ids)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+
+
+def row_monomials(rows: np.ndarray) -> List[Monomial]:
+    """The monomials of the rows."""
+    return [
+        Monomial.of_sorted(tuple((v, len(list(run))) for v, run in groupby(row) if v >= 0))
+        for row in rows.tolist()
+    ]
+
+
+def monomial_keys(rows: np.ndarray, n_vars: int) -> np.ndarray:
+    """One integer key per row: its digits id + 1 in base n_vars + 1 (the
+    padding reads as leading zeros).  Python integers (object dtype) carry
+    keys too wide for int64."""
+    base = n_vars + 1
+    dtype = np.int64 if base ** rows.shape[1] <= np.iinfo(np.int64).max else object
+    keys = np.zeros(len(rows), dtype=dtype)
+    for column in rows.T:
+        keys = keys * base + (column + 1).astype(dtype)
+    return keys
+
+
+def key_rows(keys: np.ndarray, n_vars: int) -> np.ndarray:
+    """The rows of ``monomial_keys`` (inverse map), as narrow as possible."""
+    base = n_vars + 1
+    columns = []
+    rest = keys
+    while np.any(rest > 0):
+        columns.append((rest % base).astype(np.int64) - 1)
+        rest = rest // base
+    return np.stack(columns[::-1], axis=1) if columns else np.zeros((len(keys), 0), np.int64)
+
+
+class MomentIndex:
+    """Global dictionary of moment variables keyed by monomial key.
+
+    The constant monomial always occupies position 0.  Cliques register their
+    full monomial range up front (everything of degree <= 2r over the clique
+    variables); matrix assembly may intern further monomials on demand, e.g.
+    for odd-degree localizing blocks that reach degree 2r+1.  New monomials
+    take positions in order of first occurrence.
+    """
+
+    __slots__ = ("universe", "keys")
+
+    def __init__(self, universe: VariableUniverse) -> None:
+        self.universe = universe
+        self.keys = monomial_keys(np.zeros((1, 0), dtype=np.int64), len(universe))
+
+    @property
+    def one_index(self) -> int:
+        return 0
+
+    @property
+    def n_moments(self) -> int:
+        return len(self.keys)
+
+    @property
+    def monomials(self) -> Tuple[Monomial, ...]:
+        return tuple(row_monomials(key_rows(self.keys, len(self.universe))))
+
+    def register_range(self, variables: Sequence[VarId], degree: int) -> None:
+        """Intern every monomial over ``variables`` up to ``degree``,
+        in graded-lex order."""
+        self.intern(basis_rows(variables, degree))
+
+    def intern(self, rows: np.ndarray) -> np.ndarray:
+        """Positions of the monomial rows, adding the absent ones."""
+        known = len(self.keys)
+        stacked = np.concatenate([self.keys, monomial_keys(rows, len(self.universe))])
+        unique, first, inverse = np.unique(stacked, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
+        self.keys = unique[order]
+        return position[inverse[known:]]
+
+    def lookup(self, rows: np.ndarray) -> np.ndarray:
+        """Positions of the monomial rows, -1 where absent."""
+        keys = monomial_keys(rows, len(self.universe))
+        order = np.argsort(self.keys)
+        at = np.minimum(np.searchsorted(self.keys[order], keys), order.size - 1)
+        return np.where(self.keys[order[at]] == keys, order[at], -1)
+
+    def get(self, mono: Monomial) -> int:
+        pos = int(self.lookup(monomial_rows([mono], mono.degree))[0])
+        if pos < 0:
+            raise KeyError(f"monomial {mono!r} not indexed")
+        return pos
+
+
+@dataclass(frozen=True, eq=False)
+class LinearMatrixMap:
+    """Symmetric matrix whose entries are affine forms in the moment vector.
+
+    Only the upper triangle is stored, one entry e per nonzero position
+    (rows[e] <= cols[e]): its value is constants[e] + sum_k coefficients[k]
+    y[indices[k]] over k in indptr[e]:indptr[e + 1].
+    """
+
+    size: int
+    rows: np.ndarray
+    cols: np.ndarray
+    constants: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    coefficients: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in (
+            ("rows", np.int64),
+            ("cols", np.int64),
+            ("constants", float),
+            ("indptr", np.int64),
+            ("indices", np.int64),
+            ("coefficients", float),
+        ):
+            array = np.asarray(getattr(self, name), dtype=dtype).view()
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        entries = len(self.rows)
+        if not (
+            len(self.cols) == len(self.constants) == entries
+            and len(self.indptr) == entries + 1
+            and self.indptr[0] == 0
+            and np.all(np.diff(self.indptr) >= 0)
+            and self.indptr[-1] == len(self.indices) == len(self.coefficients)
+        ):
+            raise ValueError("inconsistent entry arrays")
+        if np.any((self.rows < 0) | (self.rows > self.cols) | (self.cols >= self.size)):
+            raise ValueError("block entry outside the upper triangle")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in (
+                (getattr(self, f.name), getattr(other, f.name))
+                for f in dataclasses.fields(self)
+            )
+        )
+
+    __hash__ = None
+
+    def entry_values(self, y: np.ndarray) -> np.ndarray:
+        """The value of every entry at y, each summed term by term in order
+        from its constant."""
+        values = self.constants.copy()
+        counts = np.diff(self.indptr)
+        for k in range(int(counts.max(initial=0))):
+            live = np.flatnonzero(counts > k)
+            term = self.indptr[live] + k
+            values[live] += self.coefficients[term] * y[self.indices[term]]
+        return values
+
+    def assemble(self, y: np.ndarray) -> np.ndarray:
+        """Evaluate the map at a concrete moment vector (dense symmetric)."""
+        out = np.zeros((self.size, self.size))
+        values = self.entry_values(y)
+        out[self.rows, self.cols] = values
+        out[self.cols, self.rows] = values
+        return out
+
+    def nonzero_count(self) -> int:
+        """Nonzero coefficients in the full (square) vectorization."""
+        counts = np.diff(self.indptr)
+        return int(np.sum(np.where(self.rows == self.cols, counts, 2 * counts)))
+
+
+def localizing_forms(
+    index: MomentIndex, products: Sequence[np.ndarray], polys: Sequence[Polynomial]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The raw forms L_y(p_k m) for every monomial row m of ``products[k]``.
+
+    Forms are numbered through all rows of all products in order.  Returns
+    (form, position, coefficient) per nonzero, each form's nonzeros in the
+    term order of its polynomial.  The product monomials are interned in
+    that order."""
+    counts = np.array([len(rows) for rows in products], dtype=np.int64)
+    width = max((rows.shape[1] for rows in products), default=0)
+    entry_rows = np.full((int(counts.sum()), width), -1, dtype=np.int64)
+    ends = np.cumsum(counts)
+    for rows, end in zip(products, ends):
+        entry_rows[end - len(rows) : end, width - rows.shape[1] :] = rows
+
+    term_width = max((p.degree for p in polys), default=0)
+    sizes, monos, coefs = [], [], []
+    for p in polys:
+        terms = p.terms
+        sizes.append(len(terms))
+        monos.extend(terms)
+        coefs.extend(terms.values())
+    term_rows = monomial_rows(monos, term_width)
+    sizes = np.array(sizes, dtype=np.int64)
+    term_start = np.cumsum(sizes) - sizes
+
+    piece = np.repeat(np.arange(len(products)), counts)
+    per_form = sizes[piece]
+    form = np.repeat(np.arange(piece.size), per_form)
+    term = np.repeat(term_start[piece] - (np.cumsum(per_form) - per_form), per_form)
+    term += np.arange(form.size)
+    product = np.sort(
+        np.concatenate([entry_rows[form], term_rows[term]], axis=1), axis=1
+    )
+    degree = int(np.max(np.sum(product >= 0, axis=1), initial=0))
+    product = product[:, product.shape[1] - degree :]
+    return form, index.intern(product), np.array(coefs, dtype=float)[term]
+
+
+def pair_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs i <= j of basis rows in row-major order, and the rows of
+    their products b_i b_j (unsorted concatenations)."""
+    i, j = np.triu_indices(len(rows))
+    return i, j, np.concatenate([rows[i], rows[j]], axis=1)
+
+
+def localizing_matrix(
+    g: Polynomial, basis: "MonomialBasis", index: MomentIndex
+) -> LinearMatrixMap:
+    """Localizing matrix M(g y): entry (a, b) is L_y(g * a * b)."""
+    i, j, pairs = pair_rows(basis.rows)
+    form, position, coef = localizing_forms(index, [pairs], [g])
+    indptr = np.searchsorted(form, np.arange(i.size + 1))
+    return LinearMatrixMap(len(basis), i, j, np.zeros(i.size), indptr, position, coef)
+
+
+def moment_matrix(basis: "MonomialBasis", index: MomentIndex) -> LinearMatrixMap:
+    """Moment matrix M(y) over the basis: entry (a, b) is y_{a+b}."""
+    return localizing_matrix(Polynomial.constant(index.universe, 1.0), basis, index)
+
+
+@dataclass(frozen=True, eq=False)
 class MonomialBasis:
-    """All monomials over a fixed variable tuple up to a total degree,
-    enumerated in graded-lex order (constant first)."""
+    """All monomials over a fixed variable tuple up to a total degree, as
+    rows in graded-lex order (constant first)."""
 
     variables: Tuple[VarId, ...]
     degree: int
-    elements: Tuple[Monomial, ...]
+    rows: np.ndarray
 
     @staticmethod
     def build(variables: Sequence[VarId], degree: int) -> "MonomialBasis":
@@ -44,143 +317,23 @@ class MonomialBasis:
         vs = tuple(variables)
         if len(set(vs)) != len(vs):
             raise ValueError("duplicate variables in basis")
-        monos: List[Monomial] = []
-        for d in range(degree + 1):
-            for combo in combinations_with_replacement(vs, d):
-                exps: Dict[VarId, int] = {}
-                for v in combo:
-                    exps[v] = exps.get(v, 0) + 1
-                monos.append(Monomial(exps))
-        monos.sort(key=lambda m: m.grlex_key())
-        return MonomialBasis(vs, degree, tuple(monos))
-
-    def __post_init__(self) -> None:
-        expected = basis_size(len(self.variables), self.degree)
-        if len(self.elements) != expected:
-            raise ValueError(
-                f"basis has {len(self.elements)} elements, expected {expected}"
-            )
+        return MonomialBasis(vs, degree, basis_rows(vs, degree))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.rows)
+
+    @property
+    def elements(self) -> Tuple[Monomial, ...]:
+        return tuple(row_monomials(self.rows))
 
     def truncated(self, degree: int) -> "MonomialBasis":
         """The sub-basis of degree <= ``degree`` (a prefix in graded-lex order)."""
         if degree > self.degree:
             raise ValueError("cannot truncate to a larger degree")
-        keep = tuple(m for m in self.elements if m.degree <= degree)
-        return MonomialBasis(self.variables, degree, keep)
-
-
-class MomentIndex:
-    """Global dictionary of moment variables keyed by monomial.
-
-    The constant monomial always occupies position 0.  Cliques register their
-    full monomial range up front (everything of degree <= 2r over the clique
-    variables); matrix assembly may intern further monomials on demand, e.g.
-    for odd-degree localizing blocks that reach degree 2r+1.
-    """
-
-    __slots__ = ("universe", "_positions", "_monomials")
-
-    def __init__(self, universe: VariableUniverse) -> None:
-        self.universe = universe
-        self._positions: Dict[Monomial, int] = {}
-        self._monomials: List[Monomial] = []
-        self.intern(Monomial.one())
-
-    @property
-    def one_index(self) -> int:
-        return 0
-
-    @property
-    def n_moments(self) -> int:
-        return len(self._monomials)
-
-    @property
-    def monomials(self) -> Tuple[Monomial, ...]:
-        return tuple(self._monomials)
-
-    def register_range(self, variables: Sequence[VarId], degree: int) -> None:
-        """Intern every monomial over ``variables`` up to ``degree``,
-        in graded-lex order."""
-        for m in MonomialBasis.build(variables, degree).elements:
-            self.intern(m)
-
-    def intern(self, mono: Monomial) -> int:
-        pos = self._positions.get(mono)
-        if pos is None:
-            pos = len(self._monomials)
-            self._positions[mono] = pos
-            self._monomials.append(mono)
-        return pos
-
-    def get(self, mono: Monomial) -> int:
-        try:
-            return self._positions[mono]
-        except KeyError:
-            raise KeyError(f"monomial {mono!r} not indexed") from None
-
-    def __contains__(self, mono: Monomial) -> bool:
-        return mono in self._positions
-
-    def monomial_at(self, pos: int) -> Monomial:
-        return self._monomials[pos]
-
-
-@dataclass
-class LinearMatrixMap:
-    """Symmetric matrix whose entries are linear forms in the moment vector.
-
-    Only the upper triangle (i <= j) is stored.
-    """
-
-    size: int
-    entries: Dict[Tuple[int, int], LinearForm] = field(default_factory=dict)
-
-    def set_entry(self, i: int, j: int, form: LinearForm) -> None:
-        if not (0 <= i <= j < self.size):
-            raise IndexError("entry outside upper triangle")
-        self.entries[(i, j)] = form
-
-    def assemble(self, y: np.ndarray) -> np.ndarray:
-        """Evaluate the map at a concrete moment vector (dense symmetric)."""
-        out = np.zeros((self.size, self.size))
-        for (i, j), form in self.entries.items():
-            val = sum(c * y[pos] for pos, c in form.items())
-            out[i, j] = val
-            out[j, i] = val
-        return out
-
-
-def moment_matrix(basis: MonomialBasis, index: MomentIndex) -> LinearMatrixMap:
-    """Moment matrix M(y) over the basis: entry (a, b) is y_{a+b}."""
-    n = len(basis)
-    mat = LinearMatrixMap(n)
-    els = basis.elements
-    for i in range(n):
-        for j in range(i, n):
-            mat.set_entry(i, j, {index.intern(els[i] * els[j]): 1.0})
-    return mat
-
-
-def localizing_matrix(
-    g: Polynomial, basis: MonomialBasis, index: MomentIndex
-) -> LinearMatrixMap:
-    """Localizing matrix M(g y): entry (a, b) is L_y(g * a * b)."""
-    n = len(basis)
-    mat = LinearMatrixMap(n)
-    els = basis.elements
-    terms = list(g.terms.items())
-    for i in range(n):
-        for j in range(i, n):
-            prod = els[i] * els[j]
-            form: LinearForm = {}
-            for mono, coef in terms:
-                pos = index.intern(prod * mono)
-                form[pos] = form.get(pos, 0.0) + coef
-            mat.set_entry(i, j, {k: v for k, v in form.items() if v != 0.0})
-    return mat
+        keep = basis_size(len(self.variables), degree)
+        return MonomialBasis(
+            self.variables, degree, self.rows[:keep, self.degree - degree :]
+        )
 
 
 def dirac_moments(point: np.ndarray, index: MomentIndex) -> np.ndarray:
@@ -189,7 +342,4 @@ def dirac_moments(point: np.ndarray, index: MomentIndex) -> np.ndarray:
     ``point`` must assign a value to every variable occurring in the indexed
     monomials (it is indexed by variable id).
     """
-    y = np.empty(index.n_moments)
-    for pos, mono in enumerate(index.monomials):
-        y[pos] = mono.evaluate(point)
-    return y
+    return np.array([mono.evaluate(point) for mono in index.monomials], dtype=float)

@@ -104,6 +104,16 @@ class Monomial:
         self._degree = sum(e for _, e in cleaned)
         self._hash = hash(cleaned)
 
+    @classmethod
+    def of_sorted(cls, exps: Tuple[Tuple[VarId, int], ...]) -> "Monomial":
+        """The monomial of (id, exponent) pairs already sorted by id, with
+        positive exponents (unchecked)."""
+        mono = cls.__new__(cls)
+        mono._exps = exps
+        mono._degree = sum(e for _, e in exps)
+        mono._hash = hash(exps)
+        return mono
+
     @staticmethod
     def one() -> "Monomial":
         return _MONOMIAL_ONE

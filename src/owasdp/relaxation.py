@@ -21,6 +21,10 @@ tables this package reproduces):
   contribute a single scalar row L_y(h) = 0;
 - odd-degree constraints may reference moments of degree 2r + 1; the moment
   dictionary extends on demand.
+
+Every block entry, equality row and the objective is built as an array of
+raw terms in one pass (``localizing_forms``), and the pivot substitution is
+applied to all of them at once (``_Eliminator.forms``).
 """
 
 from __future__ import annotations
@@ -30,8 +34,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .moment import LinearForm as RawForm
-from .moment import MomentIndex, MonomialBasis, localizing_matrix, moment_matrix
+from .moment import (
+    LinearMatrixMap,
+    MomentIndex,
+    basis_rows,
+    local_basis,
+    localizing_forms,
+    monomial_rows,
+    pair_rows,
+)
 from .omrf import running_intersection_holds
 from .polynomial import COEFF_EPS, Monomial, Polynomial, VariableUniverse, VarId
 
@@ -146,47 +157,19 @@ def _affine_from_dict(acc: Dict[int, float], constant: float) -> AffineForm:
     )
 
 
-@dataclass(frozen=True)
-class PsdBlock:
+@dataclass(frozen=True, eq=False)
+class PsdBlock(LinearMatrixMap):
     """One semidefinite block: an affine symmetric matrix map of the moments.
 
-    ``entries`` holds the upper triangle (i <= j) only; structurally zero
-    entries are omitted.  ``variables`` records the basis variable ids the
-    block was built over (informational; may be empty on hand-built
-    problems).
+    The entry arrays (see ``LinearMatrixMap``) hold the upper triangle
+    only, in row-major order; structurally zero entries are omitted.
+    ``variables`` records the basis variable ids the block was built over
+    (informational; may be empty on hand-built problems).
     """
 
-    size: int
     kind: str  # "moment" | "localizing"
     label: str
     variables: Tuple[VarId, ...]
-    entries: Tuple[Tuple[int, int, AffineForm], ...]
-
-    def __post_init__(self) -> None:
-        for i, j, _ in self.entries:
-            if not (0 <= i <= j < self.size):
-                raise ValueError("block entry outside the upper triangle")
-
-    def assemble(self, y: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.size, self.size))
-        for i, j, form in self.entries:
-            value = form.evaluate(y)
-            out[i, j] = value
-            out[j, i] = value
-        return out
-
-    def nonzero_count(self) -> int:
-        """Nonzero coefficients in the full (square) vectorization."""
-        total = 0
-        for i, j, form in self.entries:
-            total += form.nnz if i == j else 2 * form.nnz
-        return total
-
-    def referenced_indices(self) -> Tuple[int, ...]:
-        seen = set()
-        for _, _, form in self.entries:
-            seen.update(form.indices)
-        return tuple(sorted(seen))
 
 
 @dataclass(frozen=True)
@@ -251,9 +234,8 @@ class SdpProblem:
             if not 0 <= idx < self.y_dim:
                 raise ValueError("objective/pivot index out of range")
         for block in self.psd_blocks:
-            for _, _, form in block.entries:
-                if form.indices and max(form.indices) >= self.y_dim:
-                    raise ValueError("block index out of range")
+            if block.indices.size and block.indices.max() >= self.y_dim:
+                raise ValueError("block index out of range")
         for row in self.equalities:
             if row.form.indices and max(row.form.indices) >= self.y_dim:
                 raise ValueError("equality index out of range")
@@ -361,172 +343,223 @@ def _basis_variables(
 
 
 class _Eliminator:
-    """Rewrites raw moment-index forms over the free moments, substituting
-    the pivot moment via the normalization row."""
+    """Rewrites raw moment-position forms over the free moments, substituting
+    the pivot moment via the normalization row.  ``positions`` are the raw
+    positions of the denominator's terms, in term order."""
 
-    def __init__(self, index: MomentIndex, denominator: Polynomial) -> None:
-        self.pivot_monomial = min(
-            denominator.terms, key=lambda m: m.grlex_key()
-        )
-        pivot_coeff = denominator.terms[self.pivot_monomial]
-        self.pivot_raw = index.get(self.pivot_monomial)
-        n_raw = index.n_moments
-        free_of = np.full(n_raw, -1, dtype=int)
-        free = 0
-        for raw in range(n_raw):
-            if raw != self.pivot_raw:
-                free_of[raw] = free
-                free += 1
-        self.free_of = free_of
-        self.y_dim = free
+    def __init__(self, denominator: Polynomial, positions: np.ndarray, n_raw: int) -> None:
+        terms = denominator.terms
+        self.pivot_monomial = min(terms, key=lambda m: m.grlex_key())
+        pivot_coeff = terms[self.pivot_monomial]
+        self.pivot_raw = int(positions[list(terms).index(self.pivot_monomial)])
+        self.y_dim = n_raw - 1
         # y_pivot = (1 - sum_{other} q_gamma y_gamma) / q_pivot
         acc: Dict[int, float] = {}
-        for mono, coeff in denominator.terms.items():
+        for (mono, coeff), raw in zip(terms.items(), positions.tolist()):
             if mono == self.pivot_monomial:
                 continue
-            raw = index.get(mono)
-            idx = int(free_of[raw])
+            idx = raw - (raw > self.pivot_raw)
             acc[idx] = acc.get(idx, 0.0) - coeff / pivot_coeff
         self.substitution = _affine_from_dict(acc, 1.0 / pivot_coeff)
 
-    def affine(self, raw_form: RawForm) -> AffineForm:
-        acc: Dict[int, float] = {}
-        constant = 0.0
-        for raw, coeff in raw_form.items():
-            if raw == self.pivot_raw:
-                constant += coeff * self.substitution.constant
-                for idx, sub_coeff in zip(
-                    self.substitution.indices, self.substitution.coefficients
-                ):
-                    acc[idx] = acc.get(idx, 0.0) + coeff * sub_coeff
-            else:
-                idx = int(self.free_of[raw])
-                acc[idx] = acc.get(idx, 0.0) + coeff
-        return _affine_from_dict(acc, constant)
+    def forms(self, n_forms: int, form: np.ndarray, raw: np.ndarray, coef: np.ndarray):
+        """The forms of the raw terms (form, raw position, coefficient) over
+        the free moments: per form its constant, and its terms in CSR layout
+        (indptr, indices, coefficients) sorted by index, with the terms of
+        one index summed and those of magnitude <= COEFF_EPS dropped."""
+        pivot = raw == self.pivot_raw
+        constants = np.zeros(n_forms)
+        constants[form[pivot]] += coef[pivot] * self.substitution.constant
+        sub_indices = np.array(self.substitution.indices, dtype=np.int64)
+        sub_coefficients = np.array(self.substitution.coefficients, dtype=float)
+        hits = int(np.count_nonzero(pivot))
+        direct = raw[~pivot]
+        form = np.concatenate([form[~pivot], np.repeat(form[pivot], sub_indices.size)])
+        index = np.concatenate(
+            [direct - (direct > self.pivot_raw), np.tile(sub_indices, hits)]
+        )
+        value = np.concatenate(
+            [
+                coef[~pivot],
+                np.repeat(coef[pivot], sub_indices.size) * np.tile(sub_coefficients, hits),
+            ]
+        )
+        width = max(self.y_dim, 1)
+        keys, inverse = np.unique(form * width + index, return_inverse=True)
+        sums = np.bincount(inverse, weights=value, minlength=keys.size)
+        keep = np.abs(sums) > COEFF_EPS
+        form, index = np.divmod(keys[keep], width)
+        return constants, np.searchsorted(form, np.arange(n_forms + 1)), index, sums[keep]
 
 
-def _strict_functional(p: Polynomial, index: MomentIndex, what: str) -> RawForm:
-    form: RawForm = {}
-    for mono, coeff in p.terms.items():
-        if mono not in index:
-            raise RelaxationStructureError(
-                f"{what} references monomial {mono!r} outside every clique range"
-            )
-        pos = index.get(mono)
-        form[pos] = form.get(pos, 0.0) + coeff
-    return form
+def _strict_terms(p: Polynomial, index: MomentIndex, what: str):
+    """Positions and coefficients of the terms of ``p``, all of which must
+    be indexed."""
+    terms = p.terms
+    monos = list(terms)
+    positions = index.lookup(monomial_rows(monos, p.degree))
+    missing = np.flatnonzero(positions < 0)
+    if missing.size:
+        raise RelaxationStructureError(
+            f"{what} references monomial {monos[missing[0]]!r} outside every clique range"
+        )
+    return positions, np.array(list(terms.values()), dtype=float)
 
 
 def _build(lifted, r: int, cliques: Sequence[Tuple[VarId, ...]]) -> SdpProblem:
     orders = min_order(lifted)
     orders.validate(r)
-    index = MomentIndex(lifted.universe)
-    for clique in cliques:
-        index.register_range(clique, 2 * r)
+    universe = lifted.universe
+    index = MomentIndex(universe)
+    index.intern(np.concatenate([basis_rows(clique, 2 * r) for clique in cliques]))
 
-    # Raw blocks over the shared moment dictionary.
-    raw_blocks: List[Tuple[str, str, Tuple[VarId, ...], object]] = []
+    # Local bases and their pair products, by (variable count, degree).
+    tables: Dict[Tuple[int, int], Tuple[np.ndarray, ...]] = {}
+
+    def basis(variables: Sequence[VarId], degree: int):
+        """Global basis rows, entry rows, entry columns and pair products."""
+        key = (len(variables), degree)
+        if key not in tables:
+            rows = local_basis(*key)
+            tables[key] = (rows, *pair_rows(rows))
+        ids = np.array(sorted(variables) + [-1], dtype=np.int64)
+        rows, i, j, pairs = tables[key]
+        return ids[rows], i, j, ids[pairs]
+
+    # Raw block entries: clique moment blocks, then one localizing block per
+    # inequality, each a product polynomial times basis pair.
+    one = Polynomial.constant(universe, 1.0)
+    products: List[np.ndarray] = []
+    polys: List[Polynomial] = []
+    blocks: List[Tuple[str, str, Tuple[VarId, ...], int, np.ndarray, np.ndarray]] = []
     for c_idx, clique in enumerate(cliques):
-        basis = MonomialBasis.build(clique, r)
-        raw_blocks.append(
-            ("moment", f"moment.c{c_idx}", tuple(clique), moment_matrix(basis, index))
-        )
+        rows, i, j, pairs = basis(clique, r)
+        blocks.append(("moment", f"moment.c{c_idx}", tuple(clique), len(rows), i, j))
+        products.append(pairs)
+        polys.append(one)
     for g_idx, g in enumerate(lifted.inequality_constraints):
         assigned = _basis_variables(g.variables(), cliques)
         if assigned is None:
             raise RelaxationStructureError(
                 f"inequality {g_idx} is supported on no single clique"
             )
-        basis = MonomialBasis.build(assigned, localizing_order(r, g.degree))
-        raw_blocks.append(
-            ("localizing", f"loc.g{g_idx}", assigned, localizing_matrix(g, basis, index))
-        )
+        rows, i, j, pairs = basis(assigned, localizing_order(r, g.degree))
+        blocks.append(("localizing", f"loc.g{g_idx}", assigned, len(rows), i, j))
+        products.append(pairs)
+        polys.append(g)
+    n_entries = sum(i.size for *_, i, _ in blocks)
 
     # Raw equality rows: clique-local equalities against all multipliers,
     # cross-clique equalities as a single scalar row.
-    raw_rows: List[Tuple[str, RawForm]] = []
+    labels: List[str] = []
+    expanded_rows: List[int] = []
+    strict: List[Tuple[int, Tuple[np.ndarray, np.ndarray]]] = []
     for h_idx, h in enumerate(lifted.equality_constraints):
         assigned = _basis_variables(h.variables(), cliques)
         if assigned is None:
-            raw_rows.append(
-                (f"eq{h_idx}.cross", _strict_functional(h, index, f"equality {h_idx}"))
-            )
+            strict.append((len(labels), _strict_terms(h, index, f"equality {h_idx}")))
+            labels.append(f"eq{h_idx}.cross")
             continue
-        degree = multiplier_degree(r, h.degree)
-        multipliers = MonomialBasis.build(assigned, degree).elements
-        for m_idx, beta in enumerate(multipliers):
-            form: RawForm = {}
-            for mono, coeff in h.terms.items():
-                pos = index.intern(mono * beta)
-                form[pos] = form.get(pos, 0.0) + coeff
-            raw_rows.append((f"eq{h_idx}.m{m_idx}", form))
+        multipliers = basis(assigned, multiplier_degree(r, h.degree))[0]
+        expanded_rows.extend(range(len(labels), len(labels) + len(multipliers)))
+        labels.extend(f"eq{h_idx}.m{m_idx}" for m_idx in range(len(multipliers)))
+        products.append(multipliers)
+        polys.append(h)
 
-    raw_objective = _strict_functional(lifted.objective_num, index, "objective")
-    # The denominator support must be indexed before elimination.
-    _strict_functional(lifted.objective_den, index, "normalization")
+    strict.append((len(labels), _strict_terms(lifted.objective_num, index, "objective")))
+    den_positions, _ = _strict_terms(lifted.objective_den, index, "normalization")
+    expanded, raw, coef = localizing_forms(index, products, polys)
 
-    eliminator = _Eliminator(index, lifted.objective_den)
+    # Forms: the block entries, the equality rows, the objective.
+    n_forms = n_entries + len(labels) + 1
+    form_of = np.concatenate(
+        [np.arange(n_entries), n_entries + np.array(expanded_rows, dtype=np.int64)]
+    )
+    forms, raws, coefs = [form_of[expanded]], [raw], [coef]
+    for row, (positions, coefficients) in strict:
+        forms.append(np.full(positions.size, n_entries + row))
+        raws.append(positions)
+        coefs.append(coefficients)
 
-    blocks: List[PsdBlock] = []
-    for kind, label, variables, raw in raw_blocks:
-        entries = []
-        for (i, j), raw_form in sorted(raw.entries.items()):
-            form = eliminator.affine(raw_form)
-            if not form.is_zero():
-                entries.append((i, j, form))
-        blocks.append(PsdBlock(raw.size, kind, label, variables, tuple(entries)))
+    eliminator = _Eliminator(lifted.objective_den, den_positions, index.n_moments)
+    constants, indptr, indices, coefficients = eliminator.forms(
+        n_forms, np.concatenate(forms), np.concatenate(raws), np.concatenate(coefs)
+    )
+
+    keep = (np.diff(indptr) > 0) | (constants != 0.0)
+    psd_blocks: List[PsdBlock] = []
+    start = 0
+    for kind, label, variables, size, i, j in blocks:
+        stop = start + i.size
+        kept = np.flatnonzero(keep[start:stop])
+        lo, hi = indptr[start], indptr[stop]
+        psd_blocks.append(
+            PsdBlock(
+                size=size,
+                rows=i[kept],
+                cols=j[kept],
+                constants=constants[start + kept],
+                indptr=np.append(indptr[start + kept], hi) - lo,
+                indices=indices[lo:hi],
+                coefficients=coefficients[lo:hi],
+                kind=kind,
+                label=label,
+                variables=variables,
+            )
+        )
+        start = stop
+
+    ptr = indptr.tolist()
+    index_list = indices.tolist()
+    coefficient_list = coefficients.tolist()
+    constant_list = constants.tolist()
+
+    def affine(f: int, constant: float) -> AffineForm:
+        span = slice(ptr[f], ptr[f + 1])
+        return AffineForm(tuple(index_list[span]), tuple(coefficient_list[span]), constant)
 
     equalities: List[EqualityRow] = []
-    for label, raw_form in raw_rows:
-        form = eliminator.affine(raw_form)
-        row = EqualityRow(
-            label,
-            AffineForm(form.indices, form.coefficients, 0.0),
-            -form.constant,
-        )
-        if not row.form.indices:
-            if abs(row.rhs) > 1e-9:
+    for row, label in enumerate(labels):
+        f = n_entries + row
+        rhs = -constant_list[f]
+        if ptr[f] == ptr[f + 1]:
+            if abs(rhs) > 1e-9:
                 raise RelaxationStructureError(
-                    f"equality row {label} reduces to the contradiction 0 = {row.rhs}"
+                    f"equality row {label} reduces to the contradiction 0 = {rhs}"
                 )
             continue  # structurally vacuous
-        equalities.append(row)
+        equalities.append(EqualityRow(label, affine(f, 0.0), rhs))
 
-    objective = eliminator.affine(raw_objective)
+    objective = affine(n_forms - 1, constant_list[n_forms - 1])
 
     if lifted.variable_scales:
         per_var = {
             vid: float(s)
-            for vid, s in zip(range(len(lifted.universe)), lifted.variable_scales)
+            for vid, s in zip(range(len(universe)), lifted.variable_scales)
         }
     else:
         per_var = {}
-    moments: List[Monomial] = []
+    moments = list(index.monomials)
+    del moments[eliminator.pivot_raw]
     scales: List[float] = []
-    for raw, mono in enumerate(index.monomials):
-        if raw == eliminator.pivot_raw:
-            continue
-        moments.append(mono)
-        if per_var:
-            scale = 1.0
-            for vid, exp in mono.exps:
-                scale *= per_var.get(vid, 1.0) ** exp
-            scales.append(scale)
-        else:
-            scales.append(1.0)
+    for mono in moments:
+        scale = 1.0
+        for vid, exp in mono.exps:
+            scale *= per_var.get(vid, 1.0) ** exp
+        scales.append(scale)
 
     return SdpProblem(
         y_dim=eliminator.y_dim,
         order=r,
         objective=objective,
-        psd_blocks=tuple(blocks),
+        psd_blocks=tuple(psd_blocks),
         equalities=tuple(equalities),
         pivot_substitution=eliminator.substitution,
         moment_scales=tuple(scales),
         original_variables=tuple(lifted.original_variables),
         moments=tuple(moments),
         pivot_monomial=eliminator.pivot_monomial,
-        universe=lifted.universe,
+        universe=universe,
         denominator=lifted.objective_den,
     )
 

@@ -16,10 +16,11 @@ y = fixed + free z, dependent rows are dropped after a consistency check,
 and the iteration runs over the free moments z on the blocks substituted at
 that y.  The blocks are grouped by size: the primal and dual matrices of one
 group are stacked, so every phase of an iteration (scaling, corrector, step
-search, PD check) is a few batched NumPy calls per group.  Every substituted
-block map is compiled once into the sparsity pattern of its coefficient
-matrices, which yields the block map and its adjoint (one sparse operator),
-the KKT pattern and the Schur terms.  The Schur complement is formed per
+search, PD check) is a few batched NumPy calls per group.  All block maps
+are substituted at once, by two sparse products over the stacked blocks,
+and compiled into the sparsity patterns of their coefficient matrices, which
+yield the block map and its adjoint (one sparse operator), the KKT pattern
+and the Schur terms.  The Schur complement is formed per
 group of same-shape blocks from those patterns (Fujisawa, Kojima & Nakata
 1997, formula F2: one sparse product, one batched dense product and one
 sparse contraction per group) and inherits the clique sparsity of the
@@ -30,9 +31,9 @@ factored by a dense LU.  Larger ones are stored in a minimum-degree order,
 also fixed at compile time, and SuperLU factors them in that order in
 symmetric mode without pivoting.  The iteration is deterministic: identical
 inputs, options and BLAS thread counts produce bitwise identical
-iterates.  ``diagnostics['phase_seconds']`` splits the iteration time by
-phase, ``diagnostics['kkt']`` reports the size and fill of the KKT system,
-``diagnostics['schur']`` the size of the Schur terms and
+iterates.  ``diagnostics['phase_seconds']`` splits the compile and
+iteration time by phase, ``diagnostics['kkt']`` reports the size and fill
+of the KKT system, ``diagnostics['schur']`` the size of the Schur terms and
 ``diagnostics['equalities']`` the elimination.
 
 Before solving, every equality row is normalized to unit Euclidean norm
@@ -122,10 +123,12 @@ class SolverResult:
     numerical failures the last iterate travels in ``diagnostics['last_y']``.
     ``objective`` is +inf for infeasible problems, -inf for unbounded ones and
     NaN on numerical failure.  The solver reports in
-    ``diagnostics['phase_seconds']`` the seconds its iterations spent in each
-    phase: ``residuals``, ``scaling`` (NT scaling and Mehrotra corrector),
+    ``diagnostics['phase_seconds']`` the seconds spent compiling the problem
+    (``compile``) and its iterations' seconds in each phase: ``residuals``,
+    ``scaling`` (NT scaling and Mehrotra corrector),
     ``schur`` (Schur terms and KKT fill), ``kkt_factor``, ``kkt_solve``
-    (search directions) and ``step_search`` (step lengths and PD checks),
+    (search directions) and ``step_search`` (step lengths and Cholesky
+    checks, whose factors the next iteration's step lengths reuse),
     and in ``diagnostics['kkt']`` the KKT system's ``dim`` and ``nnz`` (of
     its pattern) and the ``factor_nnz`` of its last factorization (L + U
     nonzeros, dim^2 when dense; 0 before the first), and in
@@ -305,48 +308,6 @@ def _eliminate(E: scipy.sparse.csr_matrix, b: np.ndarray) -> _Elimination:
     return _Elimination(fixed, free, dependent, inconsistency)
 
 
-def _block_pattern(block, scales: np.ndarray, elim: _Elimination):
-    """Constant (n, n), touched free moments (m,) and coefficient pattern of
-    one PSD block over the free moments z, scaled and normalized to unit
-    Frobenius norm.  The block is substituted at y = fixed + free z: its
-    constant gains A fixed and its coefficients become A free.  The pattern
-    lists the nonzeros of the (m, n, n) coefficient tensor, whose slice l is
-    A_l (both triangles), as sorted flat positions l n^2 + i n + j and their
-    values."""
-    n = block.size
-    constant = np.zeros((n, n))
-    ij: List[int] = []
-    moments: List[int] = []
-    coeffs: List[float] = []
-    for i, j, form in block.entries:
-        if form.constant != 0.0:
-            constant[i, j] = form.constant
-            constant[j, i] = form.constant
-        for idx, coeff in zip(form.indices, form.coefficients):
-            ij.append(i * n + j)
-            moments.append(idx)
-            coeffs.append(coeff * scales[idx])
-            if i != j:
-                ij.append(j * n + i)
-                moments.append(idx)
-                coeffs.append(coeff * scales[idx])
-    touched, local = np.unique(np.array(moments, dtype=np.int64), return_inverse=True)
-    raw = scipy.sparse.csr_matrix(
-        (np.array(coeffs), (np.array(ij, dtype=np.int64), local)),
-        shape=(n * n, touched.size),
-    )
-    constant += (raw @ elim.fixed[touched]).reshape(n, n)
-    sub = (raw @ elim.free[touched]).tocoo()
-    indices, local = np.unique(sub.col, return_inverse=True)
-    position = local.astype(np.int64) * (n * n) + sub.row
-    order = np.argsort(position)
-    position, value = position[order], sub.data[order]
-    nonzero = value != 0.0
-    norm = math.sqrt(float(np.sum(constant**2)) + float(np.sum(value[nonzero] ** 2)))
-    norm = norm if norm > 0.0 else 1.0
-    return constant / norm, indices.astype(np.int64), position[nonzero], value[nonzero] / norm
-
-
 @dataclass(frozen=True)
 class _SchurGroup:
     """The blocks lo:hi of size group ``group``, all of shape (n, m), with
@@ -372,15 +333,23 @@ class _SchurGroup:
     right: scipy.sparse.csr_matrix
 
     @classmethod
-    def build(cls, group: int, lo: int, start: int, blocks) -> "_SchurGroup":
-        """The group of the compiled blocks (constant, indices, position, value)."""
-        K = len(blocks)
-        n = blocks[0][0].shape[0]
-        m = blocks[0][1].size
-        k = np.repeat(np.arange(K), [blk[2].size for blk in blocks])
-        l, ij = np.divmod(np.concatenate([blk[2] for blk in blocks]), n * n)
+    def build(
+        cls,
+        group: int,
+        lo: int,
+        start: int,
+        n: int,
+        indices: np.ndarray,
+        k: np.ndarray,
+        l: np.ndarray,
+        ij: np.ndarray,
+        value: np.ndarray,
+    ) -> "_SchurGroup":
+        """The group of K blocks of size n touching the (K, m) free moments
+        ``indices``, from the nonzeros of their coefficient tensors: block k,
+        local moment l, flat position ij = i n + j and value."""
+        K, m = indices.shape
         i, j = np.divmod(ij, n)
-        value = np.concatenate([blk[3] for blk in blocks])
         left = scipy.sparse.csr_matrix(
             (value, (((k * n + i) * m + l), k * n + j)), shape=(K * n * m, K * n)
         )
@@ -393,7 +362,6 @@ class _SchurGroup:
             ),
             shape=(K * m, pairs.size * K),
         )
-        indices = np.stack([blk[1] for blk in blocks])
         return cls(
             group, lo, lo + K, start, indices, left, pairs // n, pairs % n, right
         )
@@ -410,13 +378,13 @@ class _Compiled:
     by (size, number of touched free moments).  The blocks of one size n
     form a group whose K matrices are stacked as one (K, n, n) array; the
     groups are consecutive segments of one flat vector, on which the block
-    map is  vec M(z) = constant + A z  and its adjoint is  A' v.  Each block
-    is compiled once into its coefficient pattern (``_block_pattern``),
-    which yields A and, for the blocks of one shape (size and moment count),
-    the sparse maps of a ``_SchurGroup``.  The sparsity pattern of the KKT
-    matrix H + dI, the values vector its Schur terms and diagonal are written
-    into and the scatter map from that vector into its CSC data are fixed
-    here, so an iteration only fills numbers in.
+    map is  vec M(z) = constant + A z  and its adjoint is  A' v.  All blocks
+    are compiled together into their coefficient patterns
+    (``_compile_blocks``), which yield A and, for the blocks of one shape
+    (size and moment count), the sparse maps of a ``_SchurGroup``.  The
+    sparsity pattern of the KKT matrix H + dI, the values vector its Schur
+    terms and diagonal are written into and the scatter map from that vector
+    into its CSC data are fixed here, so an iteration only fills numbers in.
     """
 
     def __init__(self, sdp: SdpProblem) -> None:
@@ -428,79 +396,41 @@ class _Compiled:
         )
         self.y_scales = scales
 
-        rows_l: List[int] = []
-        cols_l: List[int] = []
-        vals_l: List[float] = []
-        rhs: List[float] = []
-        for r_idx, row in enumerate(sdp.equalities):
-            coeffs = np.asarray(row.form.coefficients) * scales[list(row.form.indices)]
-            norm = float(np.linalg.norm(coeffs))
-            norm = norm if norm > 0.0 else 1.0
-            for idx, coeff in zip(row.form.indices, coeffs):
-                rows_l.append(r_idx)
-                cols_l.append(idx)
-                vals_l.append(coeff / norm)
-            rhs.append(row.rhs / norm)
-        self.n_eq = len(sdp.equalities)
-        self.E = scipy.sparse.csr_matrix(
-            (vals_l, (rows_l, cols_l)), shape=(self.n_eq, y_dim)
+        forms = [row.form for row in sdp.equalities]
+        self.n_eq = len(forms)
+        terms = np.array([form.nnz for form in forms], dtype=np.int64)
+        indices = np.fromiter(
+            itertools.chain.from_iterable(form.indices for form in forms), dtype=np.int64
         )
-        self.b = np.asarray(rhs, dtype=float)
+        coeffs = np.fromiter(
+            itertools.chain.from_iterable(form.coefficients for form in forms), dtype=float
+        )
+        coeffs *= scales[indices]
+        norms = np.ones(self.n_eq)
+        for r_idx, end in enumerate(np.cumsum(terms).tolist()):
+            row = coeffs[end - terms[r_idx] : end]
+            norm = math.sqrt(row.dot(row))
+            if norm > 0.0:
+                norms[r_idx] = norm
+        self.E = scipy.sparse.csr_matrix(
+            (
+                coeffs / np.repeat(norms, terms),
+                (np.repeat(np.arange(self.n_eq), terms), indices),
+            ),
+            shape=(self.n_eq, y_dim),
+        )
+        self.b = np.array([row.rhs for row in sdp.equalities], dtype=float) / norms
         elim = _eliminate(self.E, self.b)
         self.fixed, self.free = elim.fixed, elim.free
         self.z_dim = z_dim = self.free.shape[1]
         self.dependent = elim.dependent
         self.inconsistency = elim.inconsistency
 
-        blocks = sorted(
-            (_block_pattern(b, scales, elim) for b in sdp.psd_blocks if b.size),
-            key=lambda blk: (blk[0].shape[0], blk[1].size),
-        )
-        sizes = np.array([blk[0].shape[0] for blk in blocks], dtype=np.int64)
-        self.cone_dim = int(sizes.sum())
-        offsets = np.concatenate([[0], np.cumsum(sizes**2)])
-        self.dim = int(offsets[-1])
-        self.block_starts = offsets[:-1]
-        self.constant = np.concatenate([blk[0].ravel() for blk in blocks] + [np.zeros(0)])
-        self.block_scale = 1.0 + np.array([np.linalg.norm(blk[0]) for blk in blocks])
-
-        # Size groups (n, first block, end block) and the Schur shape groups,
-        # whose terms follow the z_dim diagonal entries in ``kkt_values``.
-        self.groups: List[Tuple[int, int, int]] = []
-        self.shapes: List[_SchurGroup] = []
-        first = 0
-        start = z_dim
-        for n, same_size in itertools.groupby(blocks, key=lambda blk: blk[0].shape[0]):
-            same_size = list(same_size)
-            lo = 0
-            for m, same_shape in itertools.groupby(same_size, key=lambda blk: blk[1].size):
-                same_shape = list(same_shape)
-                if m:
-                    self.shapes.append(
-                        _SchurGroup.build(len(self.groups), lo, start, same_shape)
-                    )
-                    start += len(same_shape) * m * m
-                lo += len(same_shape)
-            self.groups.append((n, first, first + lo))
-            first += lo
-        self.kkt_values = np.empty(start)
-
-        rows: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
-        cols: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
-        vals: List[np.ndarray] = [np.zeros(0)]
-        for (constant, indices, position, value), offset in zip(blocks, offsets):
-            local, ij = np.divmod(position, constant.size)
-            rows.append(offset + ij)
-            cols.append(indices[local])
-            vals.append(value)
-        self.A = scipy.sparse.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.dim, z_dim),
-        )
+        self._compile_blocks([b for b in sdp.psd_blocks if b.size], scales, elim)
         self.At = self.A.T.tocsr()
         self.schur_stats = {
             "coefficients": int(self.A.nnz),
-            "terms": start - z_dim,
+            "terms": self.kkt_values.size - z_dim,
         }
 
         c = np.zeros(y_dim)
@@ -511,6 +441,129 @@ class _Compiled:
         self.c_offset = float(c @ self.fixed)
 
         self._build_kkt_pattern()
+
+    def _compile_blocks(self, blocks, scales: np.ndarray, elim: _Elimination) -> None:
+        """Substitute, normalize, order and group the nonempty blocks.
+
+        All blocks are stacked into one raw map R from the scaled moments to
+        their flat vectors (entry (i, j) of block k at offset_k + i n_k + j,
+        in the given order), and substituted at y = fixed + free z by two
+        products, R fixed and R free.  Every block is then divided by the
+        Frobenius norm of its substituted map, sqrt(|C_k|^2 + sum_l
+        |A_{k,l}|^2), and the blocks are ordered by (size, number of touched
+        free moments)."""
+        z_dim = self.z_dim
+        n = np.array([b.size for b in blocks], dtype=np.int64)
+        K = n.size
+        raw_offsets = np.concatenate([[0], np.cumsum(n * n)]).astype(np.int64)
+
+        def stacked(arrays, dtype) -> np.ndarray:
+            return np.concatenate(list(arrays) + [np.zeros(0, dtype)])
+
+        owner = np.repeat(np.arange(K), [b.rows.size for b in blocks])
+        i = stacked((b.rows for b in blocks), np.int64)
+        j = stacked((b.cols for b in blocks), np.int64)
+        constants = stacked((b.constants for b in blocks), float)
+        terms = stacked((np.diff(b.indptr) for b in blocks), np.int64)
+        moments = stacked((b.indices for b in blocks), np.int64)
+        coeffs = stacked((b.coefficients for b in blocks), float) * scales[moments]
+        flat = raw_offsets[owner] + i * n[owner] + j
+        mirror = raw_offsets[owner] + j * n[owner] + i
+        entry = np.repeat(np.arange(i.size), terms)
+        lower = i[entry] != j[entry]
+        raw = scipy.sparse.csr_matrix(
+            (
+                np.concatenate([coeffs, coeffs[lower]]),
+                (
+                    np.concatenate([flat[entry], mirror[entry][lower]]),
+                    np.concatenate([moments, moments[lower]]),
+                ),
+            ),
+            shape=(int(raw_offsets[-1]), self.y_dim),
+        )
+        constant = np.zeros(int(raw_offsets[-1]))
+        nonzero = constants != 0.0
+        constant[flat[nonzero]] = constants[nonzero]
+        constant[mirror[nonzero]] = constants[nonzero]
+        constant += raw @ elim.fixed
+        sub = (raw @ elim.free).tocoo()
+
+        # The block order, and the coefficient nonzeros in that order, each
+        # block's by (free moment, flat position).
+        block = np.repeat(np.arange(K), n * n)[sub.row]
+        ij = sub.row - raw_offsets[block]
+        col = sub.col.astype(np.int64)
+        m = np.bincount(np.unique(block * (z_dim + 1) + col) // (z_dim + 1), minlength=K)
+        order = np.lexsort((m, n))
+        rank = np.empty(K, dtype=np.int64)
+        rank[order] = np.arange(K)
+        nz = np.lexsort((ij, col, rank[block]))
+        ranked, col, ij, value = rank[block][nz], col[nz], ij[nz], sub.data[nz]
+        first = np.ones(ranked.size, dtype=bool)
+        first[1:] = (ranked[1:] != ranked[:-1]) | (col[1:] != col[:-1])
+        touched = col[first]
+        widths = m[order]
+        touched_start = np.cumsum(widths) - widths
+        local = np.cumsum(first) - 1 - touched_start[ranked]
+        value_start = np.searchsorted(ranked, np.arange(K + 1))
+
+        sizes = n[order]
+        norms = np.ones(K)
+        self.block_scale = np.ones(K)
+        for q, k in enumerate(order.tolist()):
+            own = constant[raw_offsets[k] : raw_offsets[k + 1]]
+            norm = math.sqrt(
+                float(np.sum(own**2))
+                + float(np.sum(value[value_start[q] : value_start[q + 1]] ** 2))
+            )
+            if norm > 0.0:
+                norms[q] = norm
+            self.block_scale[q] += np.linalg.norm(own / norms[q])
+        value = value / norms[ranked]
+
+        self.cone_dim = int(sizes.sum())
+        offsets = np.concatenate([[0], np.cumsum(sizes**2)]).astype(np.int64)
+        self.dim = int(offsets[-1])
+        self.block_starts = offsets[:-1]
+        slot = np.repeat(np.arange(K), sizes**2)
+        self.constant = (
+            constant[raw_offsets[order][slot] + np.arange(self.dim) - offsets[slot]]
+            / norms[slot]
+        )
+        self.A = scipy.sparse.csr_matrix(
+            (value, (offsets[ranked] + ij, col)), shape=(self.dim, z_dim)
+        )
+
+        # Size groups (n, first block, end block) and the Schur shape groups,
+        # whose terms follow the z_dim diagonal entries in ``kkt_values``.
+        self.groups: List[Tuple[int, int, int]] = []
+        self.shapes: List[_SchurGroup] = []
+        lo = 0
+        start = z_dim
+        for (size, width), run in itertools.groupby(zip(sizes.tolist(), widths.tolist())):
+            hi = lo + sum(1 for _ in run)
+            if not self.groups or self.groups[-1][0] != size:
+                self.groups.append((size, lo, hi))
+            group_first = self.groups[-1][1]
+            self.groups[-1] = (size, group_first, hi)
+            if width:
+                span = slice(value_start[lo], value_start[hi])
+                self.shapes.append(
+                    _SchurGroup.build(
+                        len(self.groups) - 1,
+                        lo - group_first,
+                        start,
+                        size,
+                        touched[touched_start[lo:hi, None] + np.arange(width)],
+                        ranked[span] - lo,
+                        local[span],
+                        ij[span],
+                        value[span],
+                    )
+                )
+                start += (hi - lo) * width * width
+            lo = hi
+        self.kkt_values = np.empty(start)
 
     def _build_kkt_pattern(self) -> None:
         """CSC pattern of H + dI and the position in its data array of every
@@ -602,20 +655,28 @@ class _Compiled:
             return np.zeros(0)
         return np.sqrt(np.add.reduceat(flat * flat, self.block_starts))
 
-    def is_pd(self, flat: np.ndarray) -> bool:
+    def cholesky(self, flat: np.ndarray) -> Optional[List[np.ndarray]]:
+        """Cholesky factors of the stacked blocks of every size group, or
+        None when some block is not positive definite."""
         try:
-            for stack in self.stacks(flat):
-                np.linalg.cholesky(stack)
+            return [np.linalg.cholesky(stack) for stack in self.stacks(flat)]
         except np.linalg.LinAlgError:
-            return False
-        return True
+            return None
 
 
 # ---------------------------------------------------------------------------
 # Interior-point method
 # ---------------------------------------------------------------------------
 
-_PHASES = ("residuals", "scaling", "schur", "kkt_factor", "kkt_solve", "step_search")
+_PHASES = (
+    "compile",
+    "residuals",
+    "scaling",
+    "schur",
+    "kkt_factor",
+    "kkt_solve",
+    "step_search",
+)
 
 
 class _PhaseClock:
@@ -802,8 +863,9 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
     """Solve a relaxation with the bundled interior-point method."""
     opts = opts if opts is not None else SolverOptions()
     start = time.perf_counter()
-    comp = _Compiled(sdp)
     clock = _PhaseClock()
+    comp = _Compiled(sdp)
+    clock.lap("compile")
     kkt_stats = {
         "dim": comp.z_dim,
         "nnz": int(comp.kkt_indices.size),
@@ -840,6 +902,9 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
     z = np.zeros(comp.z_dim)
     X = comp.identity_point()
     Z = X.copy()
+    # Cholesky factors of X and Z, carried over from the step search.
+    chol_x = comp.cholesky(X)
+    chol_z = comp.cholesky(Z)
 
     status = SolveStatus.NUMERICAL_FAILURE
     stall_ref = math.inf
@@ -974,8 +1039,8 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
             note = "non-finite predictor direction"
             finite = False
             break
-        inv_chol_x = [np.linalg.inv(np.linalg.cholesky(x)) for x in comp.stacks(X)]
-        inv_chol_z = [np.linalg.inv(np.linalg.cholesky(s)) for s in comp.stacks(Z)]
+        inv_chol_x = [np.linalg.inv(factor) for factor in chol_x]
+        inv_chol_z = [np.linalg.inv(factor) for factor in chol_z]
         alpha_p_aff = min(1.0, _max_step(comp, inv_chol_x, dX_aff))
         alpha_d_aff = min(1.0, _max_step(comp, inv_chol_z, dZ_aff))
         gap_aff = float((X + alpha_p_aff * dX_aff) @ (Z + alpha_d_aff * dZ_aff))
@@ -1022,7 +1087,9 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
         for _ in range(6):
             new_x = X + alpha_p * dX
             new_z = Z + alpha_d * dZ
-            if comp.is_pd(new_x) and comp.is_pd(new_z):
+            new_chol_x = comp.cholesky(new_x)
+            new_chol_z = None if new_chol_x is None else comp.cholesky(new_z)
+            if new_chol_z is not None:
                 accepted = True
                 break
             alpha_p *= 0.5
@@ -1033,8 +1100,8 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
             break
 
         z = z + alpha_p * dz
-        X = new_x
-        Z = new_z
+        X, chol_x = new_x, new_chol_x
+        Z, chol_z = new_z, new_chol_z
 
     wall = time.perf_counter() - start
     relgap, pres, dres = best_triple

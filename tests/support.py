@@ -71,6 +71,25 @@ def abs_evaluate(poly: Polynomial, point: np.ndarray) -> float:
     )
 
 
+def psd_block(size, kind, label, variables, entries):
+    """A PsdBlock from its upper-triangle entries (i, j, AffineForm)."""
+    from owasdp.relaxation import PsdBlock
+
+    forms = [form for _, _, form in entries]
+    return PsdBlock(
+        size=size,
+        rows=[i for i, _, _ in entries],
+        cols=[j for _, j, _ in entries],
+        constants=[form.constant for form in forms],
+        indptr=np.cumsum([0] + [form.nnz for form in forms]),
+        indices=[idx for form in forms for idx in form.indices],
+        coefficients=[c for form in forms for c in form.coefficients],
+        kind=kind,
+        label=label,
+        variables=variables,
+    )
+
+
 def random_omrf_problem(rng, pattern, rational=None, max_m=4):
     """Random small ordered-median problem whose weights match ``pattern``.
 

@@ -32,6 +32,8 @@ class TestMonomialBasis:
         degs = [m.degree for m in b.elements]
         assert degs == sorted(degs)
         assert b.elements[0].is_one()
+        unsorted = MonomialBasis.build([4, 0, 2], 3).elements
+        assert list(unsorted) == sorted(unsorted, key=Monomial.grlex_key)
         # truncated basis is a prefix
         t = b.truncated(1)
         assert t.elements == b.elements[: len(t)]
@@ -61,6 +63,14 @@ class TestMomentIndex:
         idx = MomentIndex(uni(3))
         idx.register_range([0, 1, 2], 4)
         assert idx.n_moments == math.comb(3 + 4, 4)
+
+    def test_keys_wider_than_int64(self):
+        # 101^10 > 2^63: degree-10 keys over 100 variables are Python integers.
+        idx = MomentIndex(uni(100))
+        idx.register_range([98, 99], 10)
+        assert idx.keys.dtype == object
+        assert idx.monomials == MonomialBasis.build([98, 99], 10).elements
+        assert idx.get(Monomial.of(98, 10)) == idx.n_moments - 1 == 65
 
     def test_get_missing_raises(self):
         idx = MomentIndex(uni(2))

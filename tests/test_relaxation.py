@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from owasdp.location import LocationInstance, build_lifted
 from owasdp.omrf import (
+    build_auto,
     build_general_lift,
     build_kcentrum,
     build_monotone,
@@ -39,11 +43,23 @@ from owasdp.relaxation import (
 )
 
 from support import (
+    DEMO_POINTS,
     hand_lift,
     random_omrf_problem,
     random_omrf_point,
     two_point_weber_lift,
 )
+
+
+def corner_form(block):
+    """The affine form of a block's (0, 0) entry."""
+    (e,) = np.flatnonzero((block.rows == 0) & (block.cols == 0))
+    span = slice(block.indptr[e], block.indptr[e + 1])
+    return AffineForm(
+        tuple(block.indices[span].tolist()),
+        tuple(block.coefficients[span].tolist()),
+        float(block.constants[e]),
+    )
 
 
 def moment_position(sdp, text, universe):
@@ -141,7 +157,7 @@ class TestHandWeberStructure:
         sdp = build_sparse(two_point_weber_lift(), 2)
         for block in sdp.psd_blocks:
             allowed = set(block.variables)
-            for idx in block.referenced_indices():
+            for idx in np.unique(block.indices):
                 assert set(sdp.moments[idx].variables()) <= allowed
 
     def test_dirac_feasibility_and_objective(self):
@@ -164,10 +180,7 @@ class TestPivotElimination:
         lift = hand_lift(("x",), "x", inequality_texts=("1 - x^2",),
                          denominator_text="2")
         sdp = build_dense(lift, 1)
-        corner = next(
-            form for i, j, form in sdp.psd_blocks[0].entries if (i, j) == (0, 0)
-        )
-        assert corner == AffineForm((), (), 0.5)
+        assert corner_form(sdp.psd_blocks[0]) == AffineForm((), (), 0.5)
 
     def test_polynomial_denominator_substitutes(self):
         lift = hand_lift(("x",), "x", inequality_texts=("1 - x^2",),
@@ -175,10 +188,7 @@ class TestPivotElimination:
         sdp = build_dense(lift, 1)
         idx = moment_position(sdp, "x^2", lift.universe)
         assert sdp.pivot_substitution == AffineForm((idx,), (-1.0,), 1.0)
-        corner = next(
-            form for i, j, form in sdp.psd_blocks[0].entries if (i, j) == (0, 0)
-        )
-        assert corner == AffineForm((idx,), (-1.0,), 1.0)
+        assert corner_form(sdp.psd_blocks[0]) == AffineForm((idx,), (-1.0,), 1.0)
 
     def test_rational_dirac_matches_function_value(self):
         lift = hand_lift(("x",), "x^2 + 1", inequality_texts=("1 - x^2",),
@@ -346,3 +356,82 @@ class TestSizeStatsEdge:
             original_variables=(),
         )
         assert empty.stats == SizeStats(0, 0, 0.0)
+
+
+def relaxation_digest(sdp):
+    """SHA-256 of the numeric content of a relaxation, one text line per
+    item with every float as ``float.hex``: y_dim; every block's size, kind
+    and label and, per upper-triangle entry in order, i, j, its constant and
+    its (index, coefficient) terms; every equality row's label, right-hand
+    side and terms; the objective and the pivot substitution (constant and
+    terms); the moment scales and ``repr`` of the moments."""
+
+    def terms(indices, coefficients):
+        return " ".join(f"{int(i)}:{float(c).hex()}" for i, c in zip(indices, coefficients))
+
+    lines = [f"y_dim {sdp.y_dim}"]
+    for b in sdp.psd_blocks:
+        lines.append(f"block {b.size} {b.kind} {b.label}")
+        for e in range(len(b.rows)):
+            span = slice(b.indptr[e], b.indptr[e + 1])
+            lines.append(
+                f"{b.rows[e]} {b.cols[e]} {float(b.constants[e]).hex()} "
+                + terms(b.indices[span], b.coefficients[span])
+            )
+    for row in sdp.equalities:
+        lines.append(
+            f"eq {row.label} {float(row.rhs).hex()} "
+            + terms(row.form.indices, row.form.coefficients)
+        )
+    for name, form in (("objective", sdp.objective), ("pivot", sdp.pivot_substitution)):
+        lines.append(
+            f"{name} {float(form.constant).hex()} " + terms(form.indices, form.coefficients)
+        )
+    lines.append("scales " + " ".join(float(s).hex() for s in sdp.moment_scales))
+    lines.append("moments " + repr(sdp.moments))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def golden_case(name):
+    """(lift, order) of a digest case: the planar l2 location variants over
+    six anchors (the general variant over three), one random OMRF problem
+    per weight pattern at its minimum order, and the paper's 20-anchor l3
+    example at its minimum order 2."""
+    anchors = tuple(map(tuple, np.random.default_rng(0).random((6, 2))))
+    kind, variant = name.split("-")
+    if kind == "ladder":
+        params = {"kcentrum": {"k": 2}, "trimmed": {"trim": (1, 1)}}.get(variant, {})
+        if variant == "general":
+            anchors = anchors[:3]
+            params = {"position_lambda": (1.0, 0.5, -0.25)}
+        lift = build_lifted(LocationInstance(points=anchors, variant=variant, **params))
+        return lift, 2
+    if kind == "omrf":
+        patterns = ("general", "kcentrum", "monotone", "trimmed")
+        rng = np.random.default_rng(patterns.index(variant))
+        lift = build_auto(random_omrf_problem(rng, variant, max_m=3))
+        return lift, min_order(lift).r_min
+    return build_lifted(LocationInstance(points=DEMO_POINTS, norm_tau=(3, 1))), 2
+
+
+# Recorded from the object-by-object relaxation assembly that the array
+# assembly replaced.
+GOLDEN_DIGESTS = {
+    "ladder-weber": "3481f46c08a17d957985eb483ac9971c28e4887134722f2037c0c1214807e85e",
+    "ladder-center": "75ec6c3e325186c5a42ad190d1b63586b6cfa610bbbb272faf42f77d193349a2",
+    "ladder-kcentrum": "d3a22314ea2fb5e9443fb959f7499737ed7711190fdc71f90270803086eebc05",
+    "ladder-trimmed": "2534fd69cf260daa664f02de216d62e4384f2545aed532eb1b3fe98ce66ef61c",
+    "ladder-range": "629472cab04c5499efd3fee70d9debb9bd4e446cf2a267afb18ebb311100a4e4",
+    "ladder-general": "f1fb746ca52801bf925e1a70da865a9357bf276327a107611cb45bf85452bcba",
+    "omrf-general": "ce532063635146b3c1d0d22ad8ee1f88fd47ae3e0129bbbe3a4ddb34ccb01b74",
+    "omrf-kcentrum": "ec739eb12f95ab164349a542c8fee93e14e8953cbe2d59ec4ee65ddfc3bb715b",
+    "omrf-monotone": "49475d1a20ea90c6eb26d1e47fe2dd34cd694365b55b220a62582b9791c05765",
+    "omrf-trimmed": "3261410f1490e2adba2c4570bf58779ebd76a3a1fd7e9359b26b7de5dd6a0d0c",
+    "demo-l3": "03f3c4892e87f6f55827a5b84715da0871adf983591cbad8ee4d6df0b2a97ee5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_golden_relaxation_digest(name):
+    lift, order = golden_case(name)
+    assert relaxation_digest(build_sparse(lift, order)) == GOLDEN_DIGESTS[name]

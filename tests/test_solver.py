@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import types
 import warnings
 
 import numpy as np
@@ -25,7 +27,6 @@ from owasdp.polynomial import (
 from owasdp.relaxation import (
     AffineForm,
     EqualityRow,
-    PsdBlock,
     SdpProblem,
     build_dense,
     build_sparse,
@@ -40,7 +41,7 @@ from owasdp.solver import (
     verify_vector,
 )
 
-from support import hand_lift, two_point_weber_lift
+from support import hand_lift, psd_block, two_point_weber_lift
 
 
 def one_by_one_sdp():
@@ -50,7 +51,7 @@ def one_by_one_sdp():
         order=1,
         objective=AffineForm((0,), (1.0,), 0.0),
         psd_blocks=(
-            PsdBlock(1, "moment", "m", (), ((0, 0, AffineForm((0,), (1.0,), 0.0)),)),
+            psd_block(1, "moment", "m", (), ((0, 0, AffineForm((0,), (1.0,), 0.0)),)),
         ),
         equalities=(),
         pivot_substitution=AffineForm((), (), 1.0),
@@ -66,8 +67,8 @@ def infeasible_sdp():
         order=1,
         objective=AffineForm((0,), (1.0,), 0.0),
         psd_blocks=(
-            PsdBlock(1, "moment", "m", (), ((0, 0, AffineForm((0,), (1.0,), 0.0)),)),
-            PsdBlock(
+            psd_block(1, "moment", "m", (), ((0, 0, AffineForm((0,), (1.0,), 0.0)),)),
+            psd_block(
                 1,
                 "localizing",
                 "neg",
@@ -89,7 +90,7 @@ def unbounded_sdp():
         order=1,
         objective=AffineForm((0,), (-1.0,), 0.0),
         psd_blocks=(
-            PsdBlock(1, "moment", "m", (), ((0, 0, AffineForm((0,), (1.0,), 0.0)),)),
+            psd_block(1, "moment", "m", (), ((0, 0, AffineForm((0,), (1.0,), 0.0)),)),
         ),
         equalities=(),
         pivot_substitution=AffineForm((), (), 1.0),
@@ -111,17 +112,17 @@ def mixed_layout_sdp():
 
     one = AffineForm((), (), 1.0)
     blocks = (
-        PsdBlock(
+        psd_block(
             2,
             "localizing",
             "parabola",
             (),
             ((0, 0, one), (0, 1, form([(0, 1.0)])), (1, 1, form([(1, 1.0)]))),
         ),
-        PsdBlock(
+        psd_block(
             2, "localizing", "lower", (), ((0, 0, form([(0, 1.0)], 1.0)), (1, 1, one))
         ),
-        PsdBlock(
+        psd_block(
             3,
             "localizing",
             "constant",
@@ -133,8 +134,8 @@ def mixed_layout_sdp():
                 (2, 2, one),
             ),
         ),
-        PsdBlock(1, "moment", "slack", (), ((0, 0, form([(2, 1.0)])),)),
-        PsdBlock(1, "localizing", "upper", (), ((0, 0, form([(0, -1.0)], 2.0)),)),
+        psd_block(1, "moment", "slack", (), ((0, 0, form([(2, 1.0)])),)),
+        psd_block(1, "localizing", "upper", (), ((0, 0, form([(0, -1.0)], 2.0)),)),
     )
     return SdpProblem(
         y_dim=3,
@@ -308,6 +309,108 @@ def assert_compiled_blocks_match(sdp, seed, atol):
     return comp, z
 
 
+def reference_block_pattern(block, scales, elim):
+    """One block compiled on its own, entry by entry: its constant (n, n),
+    touched free moments (m,) and coefficient pattern (sorted flat positions
+    l n^2 + i n + j of the (m, n, n) coefficient tensor, and their values),
+    scaled, substituted at y = fixed + free z and normalized to unit
+    Frobenius norm."""
+    n = block.size
+    constant = np.zeros((n, n))
+    ij, moments, coeffs = [], [], []
+    for e, (i, j) in enumerate(zip(block.rows.tolist(), block.cols.tolist())):
+        if block.constants[e] != 0.0:
+            constant[i, j] = constant[j, i] = block.constants[e]
+        span = slice(block.indptr[e], block.indptr[e + 1])
+        for idx, coeff in zip(block.indices[span], block.coefficients[span]):
+            for position in {i * n + j, j * n + i}:
+                ij.append(position)
+                moments.append(idx)
+                coeffs.append(coeff * scales[idx])
+    touched, local = np.unique(np.array(moments, dtype=np.int64), return_inverse=True)
+    raw = scipy.sparse.csr_matrix(
+        (np.array(coeffs), (np.array(ij, dtype=np.int64), local)),
+        shape=(n * n, touched.size),
+    )
+    constant += (raw @ elim.fixed[touched]).reshape(n, n)
+    sub = (raw @ elim.free[touched]).tocoo()
+    indices, local = np.unique(sub.col, return_inverse=True)
+    position = local.astype(np.int64) * (n * n) + sub.row
+    order = np.argsort(position)
+    position, value = position[order], sub.data[order]
+    nonzero = value != 0.0
+    norm = math.sqrt(float(np.sum(constant**2)) + float(np.sum(value[nonzero] ** 2)))
+    norm = norm if norm > 0.0 else 1.0
+    return constant / norm, indices.astype(np.int64), position[nonzero], value[nonzero] / norm
+
+
+def reference_compile(sdp, comp):
+    """The block operator, Schur groups and KKT pattern of ``sdp`` assembled
+    from per-block patterns, over the elimination of ``comp``."""
+    elim = solver_module._Elimination(comp.fixed, comp.free, 0, 0.0)
+    blocks = sorted(
+        (reference_block_pattern(b, comp.y_scales, elim) for b in sdp.psd_blocks if b.size),
+        key=lambda blk: (blk[0].shape[0], blk[1].size),
+    )
+    offsets = np.cumsum([0] + [blk[0].size for blk in blocks])
+    rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+    for (constant, indices, position, value), offset in zip(blocks, offsets):
+        local, ij = np.divmod(position, constant.size)
+        rows.append(offset + ij)
+        cols.append(indices[local])
+        vals.append(value)
+    out = {
+        "constant": np.concatenate([blk[0].ravel() for blk in blocks] + [np.zeros(0)]),
+        "block_scale": 1.0 + np.array([np.linalg.norm(blk[0]) for blk in blocks]),
+        "A": scipy.sparse.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(int(offsets[-1]), comp.z_dim),
+        ),
+    }
+    groups, shapes = [], []
+    first, start = 0, comp.z_dim
+    for n, same_size in itertools.groupby(blocks, key=lambda blk: blk[0].shape[0]):
+        same_size = list(same_size)
+        lo = 0
+        for m, same_shape in itertools.groupby(same_size, key=lambda blk: blk[1].size):
+            same_shape = list(same_shape)
+            if m:
+                K = len(same_shape)
+                k = np.repeat(np.arange(K), [blk[2].size for blk in same_shape])
+                l, ij = np.divmod(np.concatenate([blk[2] for blk in same_shape]), n * n)
+                value = np.concatenate([blk[3] for blk in same_shape])
+                indices = np.stack([blk[1] for blk in same_shape])
+                shapes.append(
+                    solver_module._SchurGroup.build(len(groups), lo, start, n, indices, k, l, ij, value)
+                )
+                start += K * m * m
+            lo += len(same_shape)
+        groups.append((n, first, first + lo))
+        first += lo
+    out["groups"], out["shapes"] = groups, shapes
+    pattern = types.SimpleNamespace(z_dim=comp.z_dim, shapes=shapes)
+    pattern._minimum_degree = lambda keys: solver_module._Compiled._minimum_degree(pattern, keys)
+    solver_module._Compiled._build_kkt_pattern(pattern)
+    for name in ("kkt_indices", "kkt_indptr", "kkt_scatter", "kkt_order"):
+        out[name] = getattr(pattern, name)
+    return out
+
+
+def assert_same_bits(actual, expected):
+    """Equal dtype, shape and bytes (CSR matrices: data, indices, indptr)."""
+    if scipy.sparse.issparse(expected):
+        assert actual.shape == expected.shape
+        for name in ("data", "indices", "indptr"):
+            assert_same_bits(getattr(actual, name), getattr(expected, name))
+        return
+    if expected is None:
+        assert actual is None
+        return
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
 def with_rows(sdp, *rows):
     """``sdp`` with extra equality rows."""
     return dataclasses.replace(sdp, equalities=sdp.equalities + rows)
@@ -408,6 +511,7 @@ class TestBundledBackend:
         res = solve(weber_sparse)
         phases = res.diagnostics["phase_seconds"]
         assert set(phases) == {
+            "compile",
             "residuals",
             "scaling",
             "schur",
@@ -416,6 +520,7 @@ class TestBundledBackend:
             "step_search",
         }
         assert all(seconds >= 0.0 for seconds in phases.values())
+        assert phases["compile"] > 0.0
         assert sum(phases.values()) <= res.wall_time
 
     def test_schur_diagnostics(self, weber_sparse):
@@ -573,6 +678,66 @@ class TestBatchedKernels:
         np.testing.assert_array_equal(schur, schur.T)
 
 
+class TestBatchedCompile:
+    """All blocks are substituted and compiled together; the result is the
+    per-block compilation's, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            "weber_sparse",
+            "rational_general_sparse",
+            "rational_omrf_sparse",
+            "mixed_layout",
+            "weber50_sparse",
+        ],
+    )
+    def test_matches_the_per_block_reference(self, request, problem):
+        sdp = request.getfixturevalue(problem)
+        comp = solver_module._Compiled(sdp)
+        reference = reference_compile(sdp, comp)
+        for name in (
+            "constant",
+            "block_scale",
+            "A",
+            "kkt_indices",
+            "kkt_indptr",
+            "kkt_scatter",
+            "kkt_order",
+        ):
+            assert_same_bits(getattr(comp, name), reference[name])
+        assert comp.groups == reference["groups"]
+        assert len(comp.shapes) == len(reference["shapes"])
+        for shape, expected in zip(comp.shapes, reference["shapes"]):
+            assert (shape.group, shape.lo, shape.hi, shape.start) == (
+                expected.group,
+                expected.lo,
+                expected.hi,
+                expected.start,
+            )
+            for name in ("indices", "left", "pair_rows", "pair_cols", "right"):
+                assert_same_bits(getattr(shape, name), getattr(expected, name))
+
+    @pytest.mark.parametrize("problem", ["weber_sparse", "weber50_sparse"])
+    def test_builds_no_sparse_matrix_per_block(self, monkeypatch, request, problem):
+        sdp = request.getfixturevalue(problem)
+        built = []
+
+        class CountingCsr(scipy.sparse.csr_matrix):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse, "csr_matrix", CountingCsr)
+        comp = solver_module._Compiled(sdp)
+        # A few per problem (E, its null-space basis, the stacked raw
+        # blocks, their products, A and its transpose), and the left and
+        # right maps of every Schur group: none per block.
+        assert len(built) <= 8 + 2 * len(comp.shapes)
+        if problem == "weber50_sparse":
+            assert len(built) < len(sdp.psd_blocks) / 4
+
+
 class TestSparseKkt:
     """The KKT system above the dense cut-off: factored by SuperLU in the
     minimum-degree order fixed at compile time."""
@@ -692,7 +857,7 @@ class TestEqualityElimination:
             order=1,
             objective=AffineForm((0, 1), (2.0, 1.0), 0.5),
             psd_blocks=(
-                PsdBlock(
+                psd_block(
                     1, "localizing", "y1", (), ((0, 0, AffineForm((1,), (1.0,), -lower)),)
                 ),
             ),
