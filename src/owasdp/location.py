@@ -745,7 +745,6 @@ def build_kcentrum_loc(
         cliques=tuple(cliques),
         original_variables=scaffold.lift.x_ids,
         form="kcentrum-loc",
-        form_params=(k,),
         variable_groups=_groups(scaffold, ("t", (t,)), ("r", tuple(surplus_ids))),
         variable_scales=tuple(scaffold.scales),
     )
@@ -833,7 +832,6 @@ def build_trimmed_loc(
         cliques=tuple(cliques),
         original_variables=scaffold.lift.x_ids,
         form="trimmed-loc",
-        form_params=(k1, k2),
         variable_groups=_groups(
             scaffold,
             ("t", (t,)),

@@ -9,12 +9,16 @@ set (``LiftedProblem``):
 * ``build_general_lift`` introduces one 0/1 assignment variable per
   (function, sorted position) pair and supports arbitrary, even polynomial,
   position weights;
-* ``build_kcentrum`` handles weights ``(1,..,1,0,..,0)`` -- the sum of the k
-  largest values -- with one epigraph variable and one slack per function;
-* ``build_monotone`` handles nonincreasing nonnegative constant weights by
-  telescoping over sums-of-largest-values;
-* ``build_trimmed`` handles windows ``(0,..,0,1,..,1,0,..,0)`` with 0/1
-  selector variables that subtract the discarded largest values.
+* ``build_telescoping`` handles constant weights by writing the objective
+  as ``sum_k (lambda_k - lambda_{k+1}) S_k`` over the sums ``S_k`` of the k
+  largest values: an epigraph variable and one slack per function for each
+  level with a positive difference, 0/1 selectors of the k largest values
+  for each level with a negative one.
+
+``build_auto`` sends nonincreasing nonnegative weights (the k-centrum
+``(1,..,1,0,..,0)`` among them) and trimming windows
+``(0,..,0,1,..,1,0,..,0)`` to the telescoping form, everything else to the
+assignment lift.
 
 Every builder emits redundant box and ball constraints so that the lifted
 feasible set is compact with a structural certificate: for each variable some
@@ -110,21 +114,6 @@ class LambdaWeights:
         """Constant weights with the implicit trailing zero appended."""
         return self.constant_values() + (0.0,)
 
-    def is_all_ones(self) -> bool:
-        return self.is_constant() and all(v == 1.0 for v in self.constant_values())
-
-    def top_k(self) -> Optional[int]:
-        """The k of a ``(1,..,1,0,..,0)`` pattern, or None."""
-        if not self.is_constant():
-            return None
-        values = self.constant_values()
-        k = 0
-        while k < len(values) and values[k] == 1.0:
-            k += 1
-        if k == 0 or any(v != 0.0 for v in values[k:]):
-            return None
-        return k
-
     def trimmed_window(self) -> Optional[Tuple[int, int]]:
         """The (k1, k2) of a ``(0^k1, 1^w, 0^k2)`` pattern with w >= 1, or None."""
         if not self.is_constant():
@@ -146,19 +135,6 @@ class LambdaWeights:
             return False
         values = self.constant_values()
         return values[-1] >= 0.0 and all(a >= b for a, b in zip(values, values[1:]))
-
-    def classify(self) -> str:
-        """Most specific recognized pattern: ``all_ones`` > ``top_k`` >
-        ``trimmed_window`` > ``monotone`` > ``generic``."""
-        if self.is_all_ones():
-            return "all_ones"
-        if self.top_k() is not None:
-            return "top_k"
-        if self.trimmed_window() is not None:
-            return "trimmed_window"
-        if self.is_monotone():
-            return "monotone"
-        return "generic"
 
     def evaluate(self, point: np.ndarray) -> np.ndarray:
         return np.array([entry.evaluate(point) for entry in self.entries])
@@ -262,7 +238,7 @@ class LiftedProblem:
     """Polynomial optimization problem equivalent to an ``OmrfProblem``.
 
     The objective is the ratio ``objective_num / objective_den`` (denominator
-    1 for the compact forms).  ``cliques`` lists variable groups that cover
+    1 for telescoping lifts without selector levels).  ``cliques`` lists variable groups that cover
     every objective term and every inequality constraint; the ordered list
     satisfies the running intersection property.  Equality constraints may
     couple variables across cliques (relaxations impose those only as scalar
@@ -280,7 +256,6 @@ class LiftedProblem:
     cliques: Tuple[Tuple[VarId, ...], ...]
     original_variables: Tuple[VarId, ...]
     form: str
-    form_params: Tuple[int, ...] = ()
     variable_groups: Tuple[Tuple[str, Tuple[VarId, ...]], ...] = ()
     variable_scales: Tuple[float, ...] = ()
     denominators_positive: bool = True
@@ -488,6 +463,21 @@ def _box_ball(
     return total
 
 
+def _cleared_numerators(g: _Ground) -> Tuple[Polynomial, List[Polynomial]]:
+    """The product of all denominators, and each numerator times the
+    product of the other denominators (by prefix/suffix sweeps)."""
+    one = Polynomial.constant(g.ext, 1.0)
+    prefix = [one]
+    for q in g.denominators:
+        prefix.append(prefix[-1] * q)
+    suffix = [one]
+    for q in reversed(g.denominators):
+        suffix.append(suffix[-1] * q)
+    suffix.reverse()  # suffix[i] = product of denominators i..m-1
+    m = len(g.denominators)
+    return prefix[m], [g.numerators[i] * prefix[i] * suffix[i + 1] for i in range(m)]
+
+
 def _scale_hint(lo: float, hi: float) -> float:
     magnitude = max(abs(lo), abs(hi))
     return magnitude if magnitude > 0.0 else 1.0
@@ -515,17 +505,7 @@ def build_general_lift(problem: OmrfProblem) -> LiftedProblem:
         for i in range(m)
     ]
     w_var = [[Polynomial.variable(ext, w_ids[i][j]) for j in range(m)] for i in range(m)]
-
-    # Products of all denominators but one, via prefix/suffix sweeps.
-    prefix = [Polynomial.constant(ext, 1.0)]
-    for q in g.denominators:
-        prefix.append(prefix[-1] * q)
-    suffix = [Polynomial.constant(ext, 1.0)]
-    for q in reversed(g.denominators):
-        suffix.append(suffix[-1] * q)
-    suffix.reverse()  # suffix[i] = product of denominators i..m-1
-    den_product = prefix[m]
-    cleared = [g.numerators[i] * prefix[i] * suffix[i + 1] for i in range(m)]
+    den_product, cleared = _cleared_numerators(g)
 
     # column[j](x, w) = sum_i w_ij * p_i * prod_{k != i} q_k
     columns: List[Polynomial] = []
@@ -583,100 +563,48 @@ def build_general_lift(problem: OmrfProblem) -> LiftedProblem:
         cliques=cliques,
         original_variables=g.x_ids,
         form="general",
-        form_params=(),
         variable_groups=(("w", flat_w),),
         variable_scales=tuple(scales),
         denominators_positive=problem.denominators_positive,
     )
 
 
-def build_kcentrum(problem: OmrfProblem, k: int) -> LiftedProblem:
-    """Rewrite minimization of the sum of the k largest function values.
+def _telescoping_levels(weights: LambdaWeights) -> Tuple[List[float], List[int], List[int]]:
+    """The differences ``lambda_k - lambda_{k+1}`` of constant weights (with
+    ``lambda_{m+1} = 0``, indexed from 0) and the levels where they are
+    positive and negative."""
+    padded = weights.padded_constant_values()
+    deltas = [padded[k] - padded[k + 1] for k in range(weights.m)]
+    positive = [k for k, d in enumerate(deltas) if d > 0.0]
+    negative = [k for k, d in enumerate(deltas) if d < 0.0]
+    return deltas, positive, negative
 
-    Requires constant weights of the shape ``(1,..,1,0,..,0)`` with exactly
-    ``k`` ones.  Introduces an epigraph variable ``t`` and slacks ``r_j``
-    with ``t + r_j >= f_j`` (denominator-cleared), plus box and redundant
-    ball constraints derived from interval enclosures of the functions.
+
+def build_telescoping(problem: OmrfProblem) -> LiftedProblem:
+    """Rewrite constant weights as the signed telescoping sum of
+    sums-of-largest values: the objective is ``sum_k D_k S_k``, where
+    ``S_k`` is the sum of the ``k`` largest values and
+    ``D_k = lambda_k - lambda_{k+1}`` with ``lambda_{m+1} = 0``.
+
+    A level with ``D_k > 0`` gets an epigraph variable ``t_k`` and slacks
+    ``r_kj`` with ``t_k + r_kj >= f_j`` (denominator-cleared), one clique
+    ``(x, t_k, r_kj)`` per function, and adds ``D_k (k t_k + sum_j r_kj)``.
+    A level with ``D_k < 0`` gets 0/1 selectors ``v_kj`` with
+    ``sum_j v_kj = k`` marking the ``k`` largest values; ``v_kj`` joins
+    column ``j``'s clique of the first positive level, the level adds
+    ``D_k sum_j v_kj f_j``, and the whole objective is then taken over the
+    product of the denominators.  A level with ``D_k = 0`` gets no
+    variables, so all-zero weights leave the original variables alone with
+    objective 0.  Box and redundant ball constraints bound every auxiliary
+    variable.  Weights (1,..,1,0,..,0), nonincreasing nonnegative weights
+    and windows (0,..,0,1,..,1,0,..,0) have no or one negative level.
     """
+    if not problem.weights.is_constant():
+        raise PatternMismatchError("telescoping needs constant weights")
     m = problem.m
-    pattern = problem.weights.top_k()
-    if pattern is None:
-        raise PatternMismatchError(
-            "weights must be 1 on a leading block and 0 afterwards"
-        )
-    if not 1 <= k <= m:
-        raise LiftBuildError(f"k must be between 1 and {m}, got {k}")
-    if pattern != k:
-        raise PatternMismatchError(
-            f"weights select the {pattern} largest values but k={k} was requested"
-        )
-    g = _prepare(problem)
-    ext = g.ext
-    bounds = function_bounds(problem)
-    lower = min(lo for lo, _ in bounds)
-    upper = max(hi for _, hi in bounds)
-
-    t_id = ext.add(_fresh_name(ext, "t"))
-    r_ids = [ext.add(_fresh_name(ext, f"r_{j + 1}")) for j in range(m)]
-    t = Polynomial.variable(ext, t_id)
-    r = [Polynomial.variable(ext, rid) for rid in r_ids]
-    r_boxes = [(0.0, bounds[j][1] - lower) for j in range(m)]
-
-    inequalities = list(g.inequalities)
-    for j in range(m):  # t + r_j >= f_j, denominators cleared
-        inequalities.append(g.denominators[j] * (t + r[j]) - g.numerators[j])
-    for j in range(m):
-        inequalities.append(r[j])
-    inequalities.append(t - lower)
-    inequalities.append(upper - t)
-    for j in range(m):
-        inequalities.append(r_boxes[j][1] - r[j])
-    for j in range(m):  # redundant per-clique ball over the auxiliaries
-        inequalities.append(
-            _box_ball(ext, [(t_id, lower, upper), (r_ids[j], *r_boxes[j])])
-        )
-
-    objective = t * float(k)
-    for j in range(m):
-        objective = objective + r[j]
-
-    x = list(g.x_ids)
-    cliques = tuple(tuple(sorted(x + [t_id, r_ids[j]])) for j in range(m))
-    scales = (
-        [g.x_scale] * len(x)
-        + [_scale_hint(lower, upper)]
-        + [_scale_hint(*r_boxes[j]) for j in range(m)]
-    )
-    return LiftedProblem(
-        universe=ext,
-        objective_num=objective,
-        objective_den=Polynomial.constant(ext, 1.0),
-        inequality_constraints=tuple(inequalities),
-        equality_constraints=tuple(g.equalities),
-        cliques=cliques,
-        original_variables=g.x_ids,
-        form="kcentrum",
-        form_params=(k,),
-        variable_groups=(("t", (t_id,)), ("r", tuple(r_ids))),
-        variable_scales=tuple(scales),
-        denominators_positive=problem.denominators_positive,
-    )
-
-
-def build_monotone(problem: OmrfProblem) -> LiftedProblem:
-    """Rewrite for constant nonincreasing nonnegative weights by telescoping.
-
-    The weighted sum of sorted values equals the telescoping combination of
-    sums-of-k-largest, so one epigraph variable ``t_k`` and slacks ``r_kj``
-    are introduced per level ``k`` and the objective combines the levels with
-    the weight differences (the implicit trailing weight is zero).
-    """
-    m = problem.m
-    if not problem.weights.is_monotone():
-        raise PatternMismatchError(
-            "weights must be constant, nonincreasing, and end nonnegative"
-        )
-    padded = problem.weights.padded_constant_values()
+    deltas, positive, negative = _telescoping_levels(problem.weights)
+    if negative and not positive:
+        raise PatternMismatchError("weights need a level with lambda_k > lambda_{k+1}")
     g = _prepare(problem)
     ext = g.ext
     bounds = function_bounds(problem)
@@ -684,163 +612,77 @@ def build_monotone(problem: OmrfProblem) -> LiftedProblem:
     upper = max(hi for _, hi in bounds)
     r_boxes = [(0.0, bounds[j][1] - lower) for j in range(m)]
 
-    t_ids = [ext.add(_fresh_name(ext, f"t_{k + 1}")) for k in range(m)]
+    t_ids = [ext.add(_fresh_name(ext, f"t_{k + 1}")) for k in positive]
     r_ids = [
-        [ext.add(_fresh_name(ext, f"r_{k + 1}_{j + 1}")) for j in range(m)]
-        for k in range(m)
+        [ext.add(_fresh_name(ext, f"r_{k + 1}_{j + 1}")) for j in range(m)] for k in positive
+    ]
+    v_ids = [
+        [ext.add(_fresh_name(ext, f"v_{k + 1}_{j + 1}")) for j in range(m)] for k in negative
     ]
     t = [Polynomial.variable(ext, tid) for tid in t_ids]
     r = [[Polynomial.variable(ext, rid) for rid in row] for row in r_ids]
+    v = [[Polynomial.variable(ext, vid) for vid in row] for row in v_ids]
 
     inequalities = list(g.inequalities)
-    for k in range(m):
+    for tk, rk in zip(t, r):
         for j in range(m):  # t_k + r_kj >= f_j, denominators cleared
-            inequalities.append(g.denominators[j] * (t[k] + r[k][j]) - g.numerators[j])
-    for k in range(m):
-        for j in range(m):
-            inequalities.append(r[k][j])
-    for k in range(m):
-        inequalities.append(t[k] - lower)
-        inequalities.append(upper - t[k])
-    for k in range(m):
-        for j in range(m):
-            inequalities.append(r_boxes[j][1] - r[k][j])
-    for k in range(m):
+            inequalities.append(g.denominators[j] * (tk + rk[j]) - g.numerators[j])
+    for rk in r:
+        inequalities.extend(rk)
+    for tk in t:
+        inequalities.extend((tk - lower, upper - tk))
+    for rk in r:
+        inequalities.extend(r_boxes[j][1] - rk[j] for j in range(m))
+    x = list(g.x_ids)
+    cliques = []
+    for level, (tid, rk_ids) in enumerate(zip(t_ids, r_ids)):
         for j in range(m):  # redundant per-clique ball over the auxiliaries
-            inequalities.append(
-                _box_ball(ext, [(t_ids[k], lower, upper), (r_ids[k][j], *r_boxes[j])])
-            )
+            selectors = [row[j] for row in v_ids] if level == 0 else []
+            boxes = [(tid, lower, upper), (rk_ids[j], *r_boxes[j])]
+            inequalities.append(_box_ball(ext, boxes + [(s, 0.0, 1.0) for s in selectors]))
+            cliques.append(tuple(sorted(x + [tid, rk_ids[j]] + selectors)))
+
+    equalities = list(g.equalities)
+    for k, vk in zip(negative, v):
+        selector_sum = Polynomial.constant(ext, -float(k + 1))
+        for vj in vk:
+            selector_sum = selector_sum + vj
+        equalities.append(selector_sum)  # exactly k values are selected
+        equalities.extend(vj**2 - vj for vj in vk)
 
     objective = Polynomial.zero(ext)
-    for k in range(m):
-        coefficient = padded[k] - padded[k + 1]
-        level = t[k] * float(k + 1)
-        for j in range(m):
-            level = level + r[k][j]
-        objective = objective + coefficient * level
+    for k, tk, rk in zip(positive, t, r):
+        level = tk * float(k + 1)
+        for rj in rk:
+            level = level + rj
+        objective = objective + deltas[k] * level
+    objective_den = Polynomial.constant(ext, 1.0)
+    if negative:
+        # (sum of the epigraph levels) * prod_j q_j
+        #   + sum_k D_k sum_j v_kj p_j prod_{i != j} q_i
+        objective_den, cleared = _cleared_numerators(g)
+        objective = objective * objective_den
+        for k, vk in zip(negative, v):
+            for j in range(m):
+                objective = objective + deltas[k] * (vk[j] * cleared[j])
 
-    x = list(g.x_ids)
-    cliques = tuple(
-        tuple(sorted(x + [t_ids[k], r_ids[k][j]])) for k in range(m) for j in range(m)
-    )
-    scales = [g.x_scale] * len(x) + [_scale_hint(lower, upper)] * m
-    for k in range(m):
-        scales.extend(_scale_hint(*r_boxes[j]) for j in range(m))
-    flat_r = tuple(r_ids[k][j] for k in range(m) for j in range(m))
+    scales = [g.x_scale] * len(x) + [_scale_hint(lower, upper)] * len(t)
+    scales += [_scale_hint(*r_boxes[j]) for _ in r for j in range(m)]
+    scales += [1.0] * (m * len(v))
     return LiftedProblem(
         universe=ext,
         objective_num=objective,
-        objective_den=Polynomial.constant(ext, 1.0),
-        inequality_constraints=tuple(inequalities),
-        equality_constraints=tuple(g.equalities),
-        cliques=cliques,
-        original_variables=g.x_ids,
-        form="monotone",
-        form_params=(),
-        variable_groups=(("t", tuple(t_ids)), ("r", flat_r)),
-        variable_scales=tuple(scales),
-        denominators_positive=problem.denominators_positive,
-    )
-
-
-def build_trimmed(problem: OmrfProblem, k1: int, k2: int) -> LiftedProblem:
-    """Rewrite minimization of the sum of central values (a trimmed mean
-    without the averaging constant): the ``k1`` largest and ``k2`` smallest
-    values are discarded.
-
-    Requires the matching ``(0^k1, 1^w, 0^k2)`` weight pattern.  The sum of
-    the surviving values is the difference of two sums-of-largest; the
-    subtracted part is expressed with 0/1 selector variables ``v_j`` marking
-    the ``k1`` discarded largest values.  With ``k1 = 0`` the selectors are
-    unnecessary and the construction is exactly the k-largest-sum form.
-    """
-    m = problem.m
-    if k1 < 0 or k2 < 0:
-        raise LiftBuildError("trim counts must be nonnegative")
-    if k1 + k2 >= m:
-        raise EmptyWindowError(f"trimming {k1}+{k2} of {m} values leaves nothing")
-    window = problem.weights.trimmed_window()
-    if window != (k1, k2):
-        raise PatternMismatchError(
-            f"weights encode the window {window}, but ({k1}, {k2}) was requested"
-        )
-    if k1 == 0:
-        return build_kcentrum(problem, m - k2)
-
-    g = _prepare(problem)
-    ext = g.ext
-    bounds = function_bounds(problem)
-    lower = min(lo for lo, _ in bounds)
-    upper = max(hi for _, hi in bounds)
-    r_boxes = [(0.0, bounds[j][1] - lower) for j in range(m)]
-
-    t_id = ext.add(_fresh_name(ext, "t"))
-    r_ids = [ext.add(_fresh_name(ext, f"r_{j + 1}")) for j in range(m)]
-    v_ids = [ext.add(_fresh_name(ext, f"v_{j + 1}")) for j in range(m)]
-    t = Polynomial.variable(ext, t_id)
-    r = [Polynomial.variable(ext, rid) for rid in r_ids]
-    v = [Polynomial.variable(ext, vid) for vid in v_ids]
-
-    equalities = list(g.equalities)
-    selector_sum = Polynomial.constant(ext, -float(k1))
-    for j in range(m):
-        selector_sum = selector_sum + v[j]
-    equalities.append(selector_sum)  # exactly k1 values are discarded as largest
-    for j in range(m):
-        equalities.append(v[j] ** 2 - v[j])
-
-    inequalities = list(g.inequalities)
-    for j in range(m):  # t + r_j >= f_j, denominators cleared
-        inequalities.append(g.denominators[j] * (t + r[j]) - g.numerators[j])
-    for j in range(m):
-        inequalities.append(r[j])
-    inequalities.append(t - lower)
-    inequalities.append(upper - t)
-    for j in range(m):
-        inequalities.append(r_boxes[j][1] - r[j])
-    for j in range(m):  # redundant per-clique ball over the auxiliaries
-        inequalities.append(
-            _box_ball(
-                ext,
-                [(t_id, lower, upper), (r_ids[j], *r_boxes[j]), (v_ids[j], 0.0, 1.0)],
-            )
-        )
-
-    # ((m - k2) t + sum_j r_j) * prod_k q_k  -  sum_j v_j p_j prod_{k != j} q_k
-    prefix = [Polynomial.constant(ext, 1.0)]
-    for q in g.denominators:
-        prefix.append(prefix[-1] * q)
-    suffix = [Polynomial.constant(ext, 1.0)]
-    for q in reversed(g.denominators):
-        suffix.append(suffix[-1] * q)
-    suffix.reverse()
-    den_product = prefix[m]
-    epigraph = t * float(m - k2)
-    for j in range(m):
-        epigraph = epigraph + r[j]
-    objective_num = epigraph * den_product
-    for j in range(m):
-        objective_num = objective_num - v[j] * (g.numerators[j] * prefix[j] * suffix[j + 1])
-
-    x = list(g.x_ids)
-    cliques = tuple(tuple(sorted(x + [t_id, r_ids[j], v_ids[j]])) for j in range(m))
-    scales = (
-        [g.x_scale] * len(x)
-        + [_scale_hint(lower, upper)]
-        + [_scale_hint(*r_boxes[j]) for j in range(m)]
-        + [1.0] * m
-    )
-    return LiftedProblem(
-        universe=ext,
-        objective_num=objective_num,
-        objective_den=den_product,
+        objective_den=objective_den,
         inequality_constraints=tuple(inequalities),
         equality_constraints=tuple(equalities),
-        cliques=cliques,
+        cliques=tuple(cliques) or (tuple(x),),
         original_variables=g.x_ids,
-        form="trimmed",
-        form_params=(k1, k2),
-        variable_groups=(("t", (t_id,)), ("r", tuple(r_ids)), ("v", tuple(v_ids))),
+        form="telescoping",
+        variable_groups=(
+            ("t", tuple(t_ids)),
+            ("r", tuple(rid for row in r_ids for rid in row)),
+            ("v", tuple(vid for row in v_ids for vid in row)),
+        ),
         variable_scales=tuple(scales),
         denominators_positive=problem.denominators_positive,
     )
@@ -849,21 +691,13 @@ def build_trimmed(problem: OmrfProblem, k1: int, k2: int) -> LiftedProblem:
 def build_auto(problem: OmrfProblem) -> LiftedProblem:
     """Build the most compact recognized reformulation for the weights.
 
-    Leading-ones windows (including all-ones) use the k-largest-sum form;
-    windows with a leading zero block use the trimmed form; other
-    nonincreasing nonnegative constant weights use the telescoping form;
-    everything else falls back to the general assignment lift.
+    Nonincreasing nonnegative constant weights and trimming windows
+    ``(0,..,0,1,..,1,0,..,0)`` use the telescoping form; everything else
+    falls back to the general assignment lift.
     """
     w = problem.weights
-    if w.is_constant():
-        k = w.top_k()
-        if k is not None:
-            return build_kcentrum(problem, k)
-        window = w.trimmed_window()
-        if window is not None:
-            return build_trimmed(problem, window[0], window[1])
-        if w.is_monotone():
-            return build_monotone(problem)
+    if w.is_monotone() or w.trimmed_window() is not None:
+        return build_telescoping(problem)
     return build_general_lift(problem)
 
 
@@ -893,28 +727,16 @@ def lifted_witness(
         flat_w = groups["w"]
         for position, func_index in enumerate(order):
             z[flat_w[func_index * m + position]] = 1.0
-    elif lifted.form == "kcentrum":
-        k = lifted.form_params[0]
-        t_val = values[order[k - 1]]
-        z[groups["t"][0]] = t_val
-        for j, rid in enumerate(groups["r"]):
-            z[rid] = max(0.0, values[j] - t_val)
-    elif lifted.form == "monotone":
-        t_ids = groups["t"]
-        flat_r = groups["r"]
-        for level in range(m):
-            t_val = values[order[level]]
-            z[t_ids[level]] = t_val
+    elif lifted.form == "telescoping":
+        _, positive, negative = _telescoping_levels(problem.weights)
+        for level, k in enumerate(positive):  # t_k at the k-th largest value
+            t_val = values[order[k]]
+            z[groups["t"][level]] = t_val
             for j in range(m):
-                z[flat_r[level * m + j]] = max(0.0, values[j] - t_val)
-    elif lifted.form == "trimmed":
-        k1, k2 = lifted.form_params
-        t_val = values[order[m - k2 - 1]]
-        z[groups["t"][0]] = t_val
-        for j, rid in enumerate(groups["r"]):
-            z[rid] = max(0.0, values[j] - t_val)
-        for position in range(k1):
-            z[groups["v"][order[position]]] = 1.0
+                z[groups["r"][level * m + j]] = max(0.0, values[j] - t_val)
+        for level, k in enumerate(negative):  # v_kj marks the k largest values
+            for position in range(k + 1):
+                z[groups["v"][level * m + order[position]]] = 1.0
     else:
         raise ValueError(f"unknown lifted form {lifted.form!r}")
     return z

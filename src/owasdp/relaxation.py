@@ -30,6 +30,7 @@ applied to all of them at once (``_Eliminator.forms``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -269,14 +270,18 @@ class SdpProblem:
                 "operation requires moment metadata (absent on hand-built problems)"
             )
 
+    @cached_property
+    def _moment_positions(self) -> Dict[Monomial, int]:
+        return {mono: idx for idx, mono in enumerate(self.moments)}
+
     def moment_value(self, mono: Monomial, y: np.ndarray) -> float:
         """L_y of a single monomial (pivot-aware)."""
         self._require_metadata()
         if mono == self.pivot_monomial:
             return self.pivot_substitution.evaluate(y)
         try:
-            idx = self.moments.index(mono)
-        except ValueError:
+            idx = self._moment_positions[mono]
+        except KeyError:
             raise RelaxationStructureError(
                 f"monomial {mono!r} has no moment variable"
             ) from None

@@ -810,14 +810,16 @@ class _Kkt:
         """Refined solution; non-finite when the factorization breaks down."""
         if self.order is not None:
             rhs = rhs[self.order]
-        scale = 1.0 + float(np.linalg.norm(rhs))
+        with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
+            scale = 1.0 + float(np.linalg.norm(rhs))
         sol = self._solve_once(rhs)
         for _ in range(3):
             if not _finite(sol):
                 break
             residual = rhs - self.matrix @ sol
-            if float(np.linalg.norm(residual)) <= 1e-13 * scale:
-                break
+            with np.errstate(over="ignore", invalid="ignore"):
+                if float(np.linalg.norm(residual)) <= 1e-13 * scale:
+                    break
             sol = sol + self._solve_once(residual)
         if self.order is not None:
             unpermuted = np.empty_like(sol)

@@ -215,3 +215,27 @@ def two_point_weber_lift(ball=9.0):
         cliques=((0, 1, 2), (0, 1, 3)),
         original=2,
     )
+
+
+def with_constant_weights(problem, values):
+    """``problem`` with constant position weights ``values`` (a scalar
+    applies to every position)."""
+    from owasdp.omrf import LambdaWeights, OmrfProblem
+
+    values = np.broadcast_to(np.asarray(values, dtype=float), (problem.m,))
+    weights = LambdaWeights.constants(problem.universe, values)
+    return OmrfProblem(problem.functions, weights, problem.ground_set, problem.ball_bound)
+
+
+def random_sign_mixed_problem(rng, rational=None, max_m=4):
+    """Random problem of 3 to ``max_m`` functions whose constant weights
+    telescope into at least one positive and at least two negative levels:
+    lambda_k - lambda_{k+1} (with lambda_{m+1} = 0) takes both signs."""
+    problem = random_omrf_problem(rng, "monotone", rational=rational, max_m=max_m)
+    while problem.m < 3:
+        problem = random_omrf_problem(rng, "monotone", rational=rational, max_m=max_m)
+    while True:
+        values = rng.uniform(-2.0, 2.0, problem.m)
+        deltas = values - np.append(values[1:], 0.0)
+        if (deltas > 0.0).any() and (deltas < 0.0).sum() >= 2:
+            return with_constant_weights(problem, values)

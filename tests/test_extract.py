@@ -17,7 +17,7 @@ from owasdp.extract import (
     flatness_orders,
     rank_check,
 )
-from owasdp.omrf import LambdaWeights, OmrfProblem, build_kcentrum
+from owasdp.omrf import LambdaWeights, OmrfProblem, build_telescoping
 from owasdp.polynomial import (
     Polynomial,
     RationalFunction,
@@ -220,7 +220,7 @@ class TestExtractPoint:
             ),
             1.0,
         )
-        sdp = build_dense(build_kcentrum(problem, 1), 2)
+        sdp = build_dense(build_telescoping(problem), 2)
         res = solve(sdp)
         assert res.status.solved()
         solution = extract_point(

@@ -18,9 +18,7 @@ from owasdp.omrf import (
     PatternMismatchError,
     build_auto,
     build_general_lift,
-    build_kcentrum,
-    build_monotone,
-    build_trimmed,
+    build_telescoping,
     evaluate_ordered_median,
     function_bounds,
     lifted_witness,
@@ -35,7 +33,13 @@ from owasdp.polynomial import (
     parse,
 )
 
-from support import abs_evaluate, random_omrf_problem, random_omrf_point
+from support import (
+    abs_evaluate,
+    random_omrf_point,
+    random_omrf_problem,
+    random_sign_mixed_problem,
+    with_constant_weights,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -95,60 +99,53 @@ random_point = random_omrf_point
 
 
 class TestLambdaWeights:
-    def classify(self, values):
+    def weights(self, values):
         universe = VariableUniverse(["x"])
         return LambdaWeights.constants(universe, values)
 
     def test_all_ones(self):
-        w = self.classify([1.0, 1.0, 1.0])
-        assert w.is_all_ones()
-        assert w.top_k() == 3
+        w = self.weights([1.0, 1.0, 1.0])
         assert w.trimmed_window() == (0, 0)
         assert w.is_monotone()
-        assert w.classify() == "all_ones"
 
     def test_top_k(self):
-        w = self.classify([1.0, 1.0, 0.0])
-        assert not w.is_all_ones()
-        assert w.top_k() == 2
+        w = self.weights([1.0, 1.0, 0.0])
         assert w.trimmed_window() == (0, 1)
         assert w.is_monotone()
-        assert w.classify() == "top_k"
 
     def test_trimmed_window(self):
-        w = self.classify([0.0, 1.0, 1.0, 0.0])
-        assert w.top_k() is None
+        w = self.weights([0.0, 1.0, 1.0, 0.0])
         assert w.trimmed_window() == (1, 1)
         assert not w.is_monotone()
-        assert w.classify() == "trimmed_window"
 
     def test_monotone(self):
-        w = self.classify([3.0, 2.0, 1.0])
-        assert w.top_k() is None
+        w = self.weights([3.0, 2.0, 1.0])
         assert w.trimmed_window() is None
         assert w.is_monotone()
-        assert w.classify() == "monotone"
 
     def test_generic(self):
-        assert self.classify([1.0, 0.0, -1.0]).classify() == "generic"
-        assert self.classify([2.0, 1.0, 3.0]).classify() == "generic"
-        assert self.classify([1.0, 1.0, 0.0, 1.0]).classify() == "generic"
+        for values in ([1.0, 0.0, -1.0], [2.0, 1.0, 3.0], [1.0, 1.0, 0.0, 1.0]):
+            w = self.weights(values)
+            assert w.trimmed_window() is None
+            assert not w.is_monotone()
 
     def test_all_zero_is_monotone(self):
-        assert self.classify([0.0, 0.0]).classify() == "monotone"
+        w = self.weights([0.0, 0.0])
+        assert w.is_monotone()
+        assert w.trimmed_window() is None
 
     def test_polynomial_weights(self):
         universe = VariableUniverse(["x"])
         entries = (parse("1 + x", universe), parse("x", universe))
         w = LambdaWeights(entries)
         assert not w.is_constant()
-        assert w.top_k() is None
-        assert w.classify() == "generic"
+        assert w.trimmed_window() is None
+        assert not w.is_monotone()
         with pytest.raises(ValueError):
             w.constant_values()
 
     def test_padded_values(self):
-        assert self.classify([1.0, 0.5]).padded_constant_values() == (1.0, 0.5, 0.0)
+        assert self.weights([1.0, 0.5]).padded_constant_values() == (1.0, 0.5, 0.0)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyProblemError):
@@ -290,22 +287,23 @@ class TestObjectiveValues:
             tuple(parse(t, base.universe) for t in ("1 + 0.5*x", "-0.3 + y", "0.7 - x*y"))
         )
         problem = OmrfProblem(base.functions, weights, base.ground_set, 8.0)
-        assert problem.weights.classify() == "generic"
+        assert not problem.weights.is_constant()
         self.assert_matches_pointwise(problem)
 
     def test_kcentrum(self):
         problem = self.problem((1.0, 1.0, 0.0, 0.0))
-        assert problem.weights.classify() == "top_k"
+        assert problem.weights.trimmed_window() == (0, 2)
         self.assert_matches_pointwise(problem)
 
     def test_monotone(self):
         problem = self.problem((2.0, 1.0, 0.5))
-        assert problem.weights.classify() == "monotone"
+        assert problem.weights.is_monotone()
+        assert problem.weights.trimmed_window() is None
         self.assert_matches_pointwise(problem)
 
     def test_trimmed(self):
         problem = self.problem((0.0, 1.0, 1.0, 0.0))
-        assert problem.weights.classify() == "trimmed_window"
+        assert problem.weights.trimmed_window() == (1, 1)
         self.assert_matches_pointwise(problem)
 
 
@@ -478,8 +476,12 @@ class TestGeneralLift:
 
 
 # ---------------------------------------------------------------------------
-# Compact builders
+# Telescoping builder, by weight class
 # ---------------------------------------------------------------------------
+
+
+def group_sizes(lifted):
+    return {name: len(ids) for name, ids in lifted.variable_groups}
 
 
 class TestKcentrum:
@@ -489,27 +491,25 @@ class TestKcentrum:
         return make_problem(("x",), texts, weights, ball=9.0)
 
     def test_pattern_required(self):
-        problem = make_problem(("x",), ("x", "1 - x"), (1.0, -1.0), ball=4.0)
+        # no level with lambda_k > lambda_{k+1}
+        for weights in ((-1.0, 0.0), (-1.0, -1.0)):
+            problem = make_problem(("x",), ("x", "1 - x"), weights, ball=4.0)
+            with pytest.raises(PatternMismatchError):
+                build_telescoping(problem)
+        universe = VariableUniverse(["x"])
+        functions = tuple(
+            RationalFunction.from_polynomial(parse(t, universe)) for t in ("x", "1 - x")
+        )
+        weights = LambdaWeights((parse("1 + x", universe), parse("1", universe)))
+        problem = OmrfProblem(functions, weights, SemialgebraicSet(universe), 4.0)
         with pytest.raises(PatternMismatchError):
-            build_kcentrum(problem, 1)
-
-    def test_k_must_match_pattern(self):
-        problem = self.make(2)
-        with pytest.raises(PatternMismatchError):
-            build_kcentrum(problem, 1)
-
-    def test_k_out_of_range(self):
-        problem = self.make(2)
-        with pytest.raises(LiftBuildError):
-            build_kcentrum(problem, 0)
-        with pytest.raises(LiftBuildError):
-            build_kcentrum(problem, 4)
+            build_telescoping(problem)
 
     def test_structure(self):
         problem = self.make(2)
-        lifted = build_kcentrum(problem, 2)
-        assert lifted.form == "kcentrum"
-        assert lifted.form_params == (2,)
+        lifted = build_telescoping(problem)
+        assert lifted.form == "telescoping"
+        assert group_sizes(lifted) == {"t": 1, "r": 3, "v": 0}
         assert len(lifted.universe) == 1 + 1 + 3
         assert len(lifted.cliques) == 3
         for clique in lifted.cliques:
@@ -517,10 +517,12 @@ class TestKcentrum:
         assert putinar_structurally_bounded(lifted)
         assert running_intersection_holds(lifted.cliques)
         assert lifted.objective_den == Polynomial.constant(lifted.universe, 1.0)
+        expected = parse("2*t_2 + r_2_1 + r_2_2 + r_2_3", lifted.universe)
+        assert lifted.objective_num == expected
 
     def test_k_equals_m_objective_is_plain_sum(self):
         problem = self.make(3)
-        lifted = build_kcentrum(problem, 3)
+        lifted = build_telescoping(problem)
         rng = np.random.default_rng(11)
         for _ in range(10):
             x = rng.uniform(-1.0, 1.0, 1)
@@ -544,23 +546,32 @@ class TestKcentrum:
 
 class TestMonotone:
     def test_pattern_required(self):
-        problem = make_problem(("x",), ("x", "1 - x"), (1.0, 2.0), ball=4.0)
-        with pytest.raises(PatternMismatchError):
-            build_monotone(problem)
-        problem = make_problem(("x",), ("x", "1 - x"), (1.0, -1.0), ball=4.0)
-        with pytest.raises(PatternMismatchError):
-            build_monotone(problem)
+        # only nonincreasing nonnegative weights and windows are telescoped
+        # by build_auto; other constant weights keep the assignment lift
+        for weights in ((1.0, 2.0), (1.0, -1.0)):
+            problem = make_problem(("x",), ("x", "1 - x"), weights, ball=4.0)
+            assert build_auto(problem).form == "general"
 
     def test_structure(self):
         problem = make_problem(
             ("x",), ("x^2", "x^2 - x", "2*x^2 + 1"), (3.0, 2.0, 1.0), ball=9.0
         )
-        lifted = build_monotone(problem)
-        assert lifted.form == "monotone"
+        lifted = build_telescoping(problem)
+        assert lifted.form == "telescoping"
         assert len(lifted.universe) == 1 + 3 + 9
         assert len(lifted.cliques) == 9
         assert putinar_structurally_bounded(lifted)
         assert running_intersection_holds(lifted.cliques)
+
+    def test_ties_drop_zero_levels(self):
+        problem = make_problem(
+            ("x",), ("x^2", "x^2 - x", "2*x^2 + 1"), (2.0, 2.0, 1.0), ball=9.0
+        )
+        lifted = build_telescoping(problem)
+        assert group_sizes(lifted) == {"t": 2, "r": 6, "v": 0}
+        assert "t_1" not in lifted.universe
+        assert len(lifted.cliques) == 6
+        assert_lift_sound(problem, lifted, np.array([0.3]))
 
     def test_telescoping_identity(self):
         # weighted sorted sum == telescoped sums-of-largest, pointwise
@@ -580,21 +591,24 @@ class TestMonotone:
 
     def test_single_level_matches_kcentrum_witness_values(self):
         top1 = make_problem(("x",), ("x^2", "1 - x"), (1.0, 0.0), ball=4.0)
-        monotone = build_monotone(top1)
-        kcentrum = build_kcentrum(top1, 1)
+        scaled = make_problem(("x",), ("x^2", "1 - x"), (2.5, 0.0), ball=4.0)
+        kcentrum = build_telescoping(top1)
+        monotone = build_telescoping(scaled)
+        assert monotone.universe.names == kcentrum.universe.names
         rng = np.random.default_rng(17)
         for _ in range(20):
             x = rng.uniform(-1.0, 1.0, 1)
-            z_m = lifted_witness(top1, monotone, x)
+            z_m = lifted_witness(scaled, monotone, x)
             z_k = lifted_witness(top1, kcentrum, x)
+            np.testing.assert_array_equal(z_m, z_k)
             value_m = monotone.objective_num.evaluate(z_m)
             value_k = kcentrum.objective_num.evaluate(z_k)
-            assert value_m == pytest.approx(value_k)
-            assert value_m == pytest.approx(evaluate_ordered_median(top1, x))
+            assert value_m == pytest.approx(2.5 * value_k)
+            assert value_m == pytest.approx(evaluate_ordered_median(scaled, x))
 
     def test_all_ones_reproduces_plain_sum(self):
         problem = make_problem(("x",), ("x", "1 - x", "x^2"), (1.0, 1.0, 1.0), ball=4.0)
-        lifted = build_monotone(problem)
+        lifted = build_telescoping(problem)
         rng = np.random.default_rng(19)
         for _ in range(10):
             x = rng.uniform(-1.0, 1.0, 1)
@@ -623,24 +637,26 @@ class TestTrimmed:
 
     def test_zero_k1_collapses_to_kcentrum(self):
         problem = self.make([1.0, 1.0, 1.0, 0.0])
-        lifted = build_trimmed(problem, 0, 1)
-        assert lifted.form == "kcentrum"
-        assert lifted.form_params == (3,)
-        reference = build_kcentrum(problem, 3)
-        assert lifted.objective_num == _rehomed(reference.objective_num, lifted)
-        assert len(lifted.universe) == len(reference.universe)
+        lifted = build_telescoping(problem)
+        assert group_sizes(lifted) == {"t": 1, "r": 4, "v": 0}
+        assert lifted.equality_constraints == ()
+        assert lifted.objective_den == Polynomial.constant(lifted.universe, 1.0)
+        expected = parse("3*t_3 + r_3_1 + r_3_2 + r_3_3 + r_3_4", lifted.universe)
+        assert lifted.objective_num == expected
 
     def test_zero_trim_is_plain_sum(self):
         problem = self.make([1.0, 1.0, 1.0, 1.0])
-        lifted = build_trimmed(problem, 0, 0)
-        assert lifted.form == "kcentrum"
-        assert lifted.form_params == (4,)
+        lifted = build_telescoping(problem)
+        assert group_sizes(lifted) == {"t": 1, "r": 4, "v": 0}
+        x = np.array([0.4])
+        z = lifted_witness(problem, lifted, x)
+        total = sum(f.evaluate(x) for f in problem.functions)
+        assert lifted.objective_num.evaluate(z) == pytest.approx(total)
 
     def test_structure(self):
         problem = self.make([0.0, 1.0, 1.0, 0.0])
-        lifted = build_trimmed(problem, 1, 1)
-        assert lifted.form == "trimmed"
-        assert lifted.form_params == (1, 1)
+        lifted = build_telescoping(problem)
+        assert group_sizes(lifted) == {"t": 1, "r": 4, "v": 4}
         assert len(lifted.universe) == 1 + 1 + 4 + 4
         assert len(lifted.cliques) == 4
         for clique in lifted.cliques:
@@ -656,24 +672,58 @@ class TestTrimmed:
         ]
         assert len(crossing) == 1
 
-    def test_empty_window_rejected(self):
-        problem = self.make([0.0, 1.0, 1.0, 0.0])
-        with pytest.raises(EmptyWindowError):
-            build_trimmed(problem, 2, 2)
-
-    def test_negative_counts_rejected(self):
-        problem = self.make([0.0, 1.0, 1.0, 0.0])
-        with pytest.raises(LiftBuildError):
-            build_trimmed(problem, -1, 1)
-
     def test_pattern_must_match(self):
-        problem = self.make([0.0, 1.0, 1.0, 0.0])
-        with pytest.raises(PatternMismatchError):
-            build_trimmed(problem, 2, 1)
+        # a window needs one block of ones; other 0/1 weights are neither
+        # windows nor monotone and keep the assignment lift
+        problem = self.make([0.0, 1.0, 0.0, 1.0])
+        assert problem.weights.trimmed_window() is None
+        assert build_auto(problem).form == "general"
 
 
-def _rehomed(poly, lifted):
-    return Polynomial(lifted.universe, poly.terms)
+class TestSignMixed:
+    def test_structure(self):
+        # differences (-0.5, -1, 2): two selector levels, one epigraph level
+        problem = make_problem(
+            ("x",),
+            ("x^2", "x^2 - x", "2*x^2 + 1"),
+            (0.5, 1.0, 2.0),
+            denominator_texts=("1 + x^2", "2", "1"),
+            ball=4.0,
+        )
+        lifted = build_telescoping(problem)
+        assert group_sizes(lifted) == {"t": 1, "r": 3, "v": 6}
+        assert len(lifted.cliques) == 3
+        for clique in lifted.cliques:
+            assert len(clique) == 1 + 1 + 1 + 2  # x, t_3, r_3j, v_1j, v_2j
+        v_ids = dict(lifted.variable_groups)["v"]
+        sums = [
+            h for h in lifted.equality_constraints if len(h.variables()) == 3
+        ]
+        assert [set(h.variables()) for h in sums] == [set(v_ids[:3]), set(v_ids[3:])]
+        assert [h.constant_value() for h in sums] == [-1.0, -2.0]
+        assert lifted.objective_den == parse("2 + 2*x^2", lifted.universe)
+        assert putinar_structurally_bounded(lifted)
+        assert running_intersection_holds(lifted.cliques)
+        for x in (-1.5, -0.2, 0.0, 0.7, 1.9):
+            assert_lift_sound(problem, lifted, np.array([x]))
+
+    def test_witness_selects_the_largest_values(self):
+        problem = make_problem(("x",), ("x", "1 - x", "0.2"), (0.5, 1.0, 2.0), ball=4.0)
+        lifted = build_telescoping(problem)
+        z = lifted_witness(problem, lifted, [0.9])  # values 0.9, 0.1, 0.2
+        v_ids = dict(lifted.variable_groups)["v"]
+        np.testing.assert_array_equal(z[list(v_ids)], [1, 0, 0, 1, 0, 1])
+
+    def test_all_zero_weights_keep_the_original_variables(self):
+        problem = make_problem(("x", "y"), ("x", "x*y", "y^2"), (0.0, 0.0, 0.0), ball=4.0)
+        lifted = build_auto(problem)
+        assert lifted.form == "telescoping"
+        assert lifted.universe.names == ("x", "y")
+        assert lifted.cliques == ((0, 1),)
+        assert lifted.objective_num.is_zero()
+        assert lifted.objective_den == Polynomial.constant(lifted.universe, 1.0)
+        assert putinar_structurally_bounded(lifted)
+        assert_lift_sound(problem, lifted, np.array([0.3, -1.2]))
 
 
 # ---------------------------------------------------------------------------
@@ -684,17 +734,21 @@ def _rehomed(poly, lifted):
 class TestBuildAuto:
     def test_top_k_routes_to_kcentrum(self):
         problem = make_problem(("x",), ("x", "1 - x"), (1.0, 1.0), ball=4.0)
-        assert build_auto(problem).form == "kcentrum"
+        lifted = build_auto(problem)
+        assert lifted.form == "telescoping"
+        assert group_sizes(lifted) == {"t": 1, "r": 2, "v": 0}
 
     def test_window_routes_to_trimmed(self):
         problem = make_problem(("x",), ("x", "1 - x", "x^2"), (0.0, 1.0, 0.0), ball=4.0)
         lifted = build_auto(problem)
-        assert lifted.form == "trimmed"
-        assert lifted.form_params == (1, 1)
+        assert lifted.form == "telescoping"
+        assert group_sizes(lifted) == {"t": 1, "r": 3, "v": 3}
 
     def test_monotone_routes_to_telescoping(self):
         problem = make_problem(("x",), ("x", "1 - x"), (3.0, 1.0), ball=4.0)
-        assert build_auto(problem).form == "monotone"
+        lifted = build_auto(problem)
+        assert lifted.form == "telescoping"
+        assert group_sizes(lifted) == {"t": 2, "r": 4, "v": 0}
 
     def test_generic_routes_to_general(self):
         problem = make_problem(("x",), ("x", "1 - x"), (1.0, -1.0), ball=4.0)
@@ -717,7 +771,7 @@ class TestBuildAuto:
 
 # ---------------------------------------------------------------------------
 # Lift soundness: witness feasibility and objective agreement on >= 100
-# random (problem, point) pairs across all four builders.
+# random (problem, point) pairs across both builders and every weight class.
 # ---------------------------------------------------------------------------
 
 
@@ -736,17 +790,31 @@ class TestLiftSoundness:
         self.run_pattern("general", build_general_lift, 40, 101)
 
     def test_kcentrum(self):
-        self.run_pattern(
-            "kcentrum", lambda p: build_kcentrum(p, p.weights.top_k()), 20, 102
-        )
+        self.run_pattern("kcentrum", build_telescoping, 20, 102)
 
     def test_monotone(self):
-        self.run_pattern("monotone", build_monotone, 20, 103)
+        self.run_pattern("monotone", build_telescoping, 20, 103)
 
     def test_trimmed(self):
-        self.run_pattern(
-            "trimmed", lambda p: build_trimmed(p, *p.weights.trimmed_window()), 20, 104
-        )
+        self.run_pattern("trimmed", build_telescoping, 20, 104)
+
+    def test_sign_mixed(self):
+        rng = np.random.default_rng(105)
+        for _ in range(20):
+            problem = random_sign_mixed_problem(rng)
+            lifted = build_telescoping(problem)
+            for _ in range(2):
+                assert_lift_sound(problem, lifted, random_point(rng, problem))
+            assert putinar_structurally_bounded(lifted)
+            assert running_intersection_holds(lifted.cliques)
+
+    def test_all_zero(self):
+        rng = np.random.default_rng(106)
+        for _ in range(5):
+            problem = with_constant_weights(random_problem(rng, "monotone"), 0.0)
+            lifted = build_telescoping(problem)
+            assert_lift_sound(problem, lifted, random_point(rng, problem))
+            assert putinar_structurally_bounded(lifted)
 
     def test_denominator_flag_propagates(self):
         universe = VariableUniverse(["x"])

@@ -11,9 +11,7 @@ from owasdp.location import LocationInstance, build_lifted
 from owasdp.omrf import (
     build_auto,
     build_general_lift,
-    build_kcentrum,
-    build_monotone,
-    build_trimmed,
+    build_telescoping,
     evaluate_ordered_median,
     lifted_witness,
     LambdaWeights,
@@ -47,7 +45,9 @@ from support import (
     hand_lift,
     random_omrf_problem,
     random_omrf_point,
+    random_sign_mixed_problem,
     two_point_weber_lift,
+    with_constant_weights,
 )
 
 
@@ -283,7 +283,7 @@ class TestSparseDenseCoincidence:
         problem = random_omrf_problem(
             np.random.default_rng(3), "kcentrum", rational=False, max_m=1
         )
-        lift = build_kcentrum(problem, 1)
+        lift = build_telescoping(problem)
         # one function: single clique covering every variable
         assert len(lift.cliques) == 1
         r = min_order(lift).r_min
@@ -322,14 +322,14 @@ class TestDiracInvariant:
         rng = np.random.default_rng(22)
         for _ in range(4):
             problem = random_omrf_problem(rng, "kcentrum", max_m=4)
-            lift = build_kcentrum(problem, problem.weights.top_k())
+            lift = build_telescoping(problem)
             self.check(problem, lift, min_order(lift).r_min)
 
     def test_monotone(self):
         rng = np.random.default_rng(23)
         for _ in range(3):
             problem = random_omrf_problem(rng, "monotone", max_m=3)
-            lift = build_monotone(problem)
+            lift = build_telescoping(problem)
             self.check(problem, lift, min_order(lift).r_min)
 
     def test_trimmed(self):
@@ -339,7 +339,24 @@ class TestDiracInvariant:
             # of denominators, and the resulting dense order is too large for
             # a unit test
             problem = random_omrf_problem(rng, "trimmed", rational=False, max_m=4)
-            lift = build_trimmed(problem, *problem.weights.trimmed_window())
+            lift = build_telescoping(problem)
+            self.check(problem, lift, min_order(lift).r_min)
+
+    def test_sign_mixed(self):
+        rng = np.random.default_rng(25)
+        for _ in range(3):
+            # two or more selector levels join the first epigraph level's
+            # cliques; polynomial entries keep the dense order small
+            problem = random_sign_mixed_problem(rng, rational=False, max_m=3)
+            lift = build_telescoping(problem)
+            assert len(dict(lift.variable_groups)["v"]) >= 2 * problem.m
+            self.check(problem, lift, min_order(lift).r_min)
+
+    def test_all_zero(self):
+        rng = np.random.default_rng(26)
+        for _ in range(2):
+            problem = with_constant_weights(random_omrf_problem(rng, "monotone"), 0.0)
+            lift = build_telescoping(problem)
             self.check(problem, lift, min_order(lift).r_min)
 
 
@@ -392,11 +409,33 @@ def relaxation_digest(sdp):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+# (weight pattern, seed, rational) of each OMRF digest case: one random
+# problem per pattern, then a rational monotone problem with three distinct
+# weights, a rational trimmed problem that discards its two largest values
+# (so its objective is over the product of the denominators) and a 2-of-3
+# k-centrum problem.
+OMRF_CASES = {
+    "general": ("general", 0, None),
+    "kcentrum": ("kcentrum", 1, None),
+    "monotone": ("monotone", 2, None),
+    "trimmed": ("trimmed", 3, None),
+    "monotone3": ("monotone", 14, True),
+    "trimmedrational": ("trimmed", 10, True),
+    "kcentrum2of3": ("kcentrum", 14, None),
+}
+
+
+def omrf_case_problem(variant):
+    pattern, seed, rational = OMRF_CASES[variant]
+    rng = np.random.default_rng(seed)
+    return random_omrf_problem(rng, pattern, rational=rational, max_m=3)
+
+
 def golden_case(name):
     """(lift, order) of a digest case: the planar l2 location variants over
-    six anchors (the general variant over three), one random OMRF problem
-    per weight pattern at its minimum order, and the paper's 20-anchor l3
-    example at its minimum order 2."""
+    six anchors (the general variant over three), the ``OMRF_CASES`` at
+    their minimum order, and the paper's 20-anchor l3 example at its
+    minimum order 2."""
     anchors = tuple(map(tuple, np.random.default_rng(0).random((6, 2))))
     kind, variant = name.split("-")
     if kind == "ladder":
@@ -407,9 +446,7 @@ def golden_case(name):
         lift = build_lifted(LocationInstance(points=anchors, variant=variant, **params))
         return lift, 2
     if kind == "omrf":
-        patterns = ("general", "kcentrum", "monotone", "trimmed")
-        rng = np.random.default_rng(patterns.index(variant))
-        lift = build_auto(random_omrf_problem(rng, variant, max_m=3))
+        lift = build_auto(omrf_case_problem(variant))
         return lift, min_order(lift).r_min
     return build_lifted(LocationInstance(points=DEMO_POINTS, norm_tau=(3, 1))), 2
 
@@ -427,6 +464,11 @@ GOLDEN_DIGESTS = {
     "omrf-kcentrum": "ec739eb12f95ab164349a542c8fee93e14e8953cbe2d59ec4ee65ddfc3bb715b",
     "omrf-monotone": "49475d1a20ea90c6eb26d1e47fe2dd34cd694365b55b220a62582b9791c05765",
     "omrf-trimmed": "3261410f1490e2adba2c4570bf58779ebd76a3a1fd7e9359b26b7de5dd6a0d0c",
+    # Recorded from the separate k-centrum, monotone and trimmed builders
+    # that the telescoping builder replaced.
+    "omrf-monotone3": "f3468a76762d78145b845f58c104d616958221848903cc98b2ff283d40a88524",
+    "omrf-trimmedrational": "d1ffcd0b7b0df7a888039b5a83b17e68a881892b8a4e76854faeb6ad1481d8db",
+    "omrf-kcentrum2of3": "12ac58a11c130689af22c822913ecbeb42f848395cb686fa9a6a3746d4d835c8",
     "demo-l3": "03f3c4892e87f6f55827a5b84715da0871adf983591cbad8ee4d6df0b2a97ee5",
 }
 
@@ -435,3 +477,16 @@ GOLDEN_DIGESTS = {
 def test_golden_relaxation_digest(name):
     lift, order = golden_case(name)
     assert relaxation_digest(build_sparse(lift, order)) == GOLDEN_DIGESTS[name]
+
+
+def test_omrf_cases_have_their_weight_shapes():
+    def shape(variant):
+        problem = omrf_case_problem(variant)
+        rational = any(not f.denominator.is_constant() for f in problem.functions)
+        return problem.weights.constant_values(), rational
+
+    weights, rational = shape("monotone3")
+    assert len(set(weights)) == 3 and min(weights) > 0.0 and rational
+    weights, rational = shape("trimmedrational")
+    assert weights == (0.0, 0.0, 1.0) and rational
+    assert shape("kcentrum2of3")[0] == (1.0, 1.0, 0.0)

@@ -15,8 +15,9 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import owasdp.solver as solver_module
-from owasdp.location import build_lifted, random_instance
-from owasdp.omrf import LambdaWeights, OmrfProblem, build_general_lift, build_kcentrum
+from owasdp.location import LocationInstance, build_lifted, random_instance
+from owasdp.omrf import LambdaWeights, OmrfProblem, build_general_lift, build_telescoping
+from owasdp.oracle import ball_box, grid_search
 from owasdp.polynomial import (
     Polynomial,
     RationalFunction,
@@ -31,6 +32,7 @@ from owasdp.relaxation import (
     build_dense,
     build_sparse,
     dirac_moment_vector,
+    min_order,
 )
 from owasdp.solver import (
     SolveStatus,
@@ -41,7 +43,7 @@ from owasdp.solver import (
     verify_vector,
 )
 
-from support import hand_lift, psd_block, two_point_weber_lift
+from support import hand_lift, psd_block, random_sign_mixed_problem, two_point_weber_lift
 
 
 def one_by_one_sdp():
@@ -214,7 +216,7 @@ def rational_omrf_sparse(rational_omrf):
     """Its epigraph lift at order 2: moment and localizing blocks with
     non-unit coefficients and moment scales, in shape groups of one and two
     blocks."""
-    return build_sparse(build_kcentrum(rational_omrf, 1), 2)
+    return build_sparse(build_telescoping(rational_omrf), 2)
 
 
 @pytest.fixture(scope="module")
@@ -432,7 +434,7 @@ def max_lift():
         ),
         1.0,
     )
-    return build_kcentrum(problem, 1)
+    return build_telescoping(problem)
 
 
 @pytest.fixture(scope="module")
@@ -956,3 +958,70 @@ class TestVerifyResult:
         report = verify_result(max_dense, res, 1e-7)
         assert report.within_tolerance
         assert report.min_block_eigenvalue >= -1e-7
+
+
+class TestTelescopingBounds:
+    """The relaxation of a telescoping lift bounds the ordered median from
+    below, for sign-mixed weights with two or more selector levels and for
+    all-zero weights."""
+
+    def bound_and_reference(self, problem, step):
+        lift = build_telescoping(problem)
+        result = solve(build_sparse(lift, min_order(lift).r_min))
+        reference = grid_search(problem, ball_box(problem.region), step).best_value
+        if result.status.solved():
+            assert result.objective <= reference + 1e-6 * (1.0 + abs(reference))
+        return result, reference
+
+    def test_sign_mixed(self):
+        # Most selector lifts stall at the minimum order (numerical_failure,
+        # no bound), as the trimmed lifts do; every solved one is checked.
+        rng = np.random.default_rng(8)
+        solved = 0
+        for _ in range(8):
+            problem = random_sign_mixed_problem(rng, rational=False, max_m=3)
+            step = 1e-2 if len(problem.universe) == 1 else 5e-2
+            result, _ = self.bound_and_reference(problem, step)
+            solved += result.status.solved()
+        assert solved >= 2
+
+    def test_all_zero(self):
+        universe = VariableUniverse(["x", "y"])
+        functions = (
+            RationalFunction.from_polynomial(parse("x*y", universe)),
+            RationalFunction(parse("x - y^2", universe), parse("1 + x^2", universe)),
+        )
+        weights = LambdaWeights.constants(universe, (0.0, 0.0))
+        problem = OmrfProblem(functions, weights, SemialgebraicSet(universe, [], []), 4.0)
+        result, reference = self.bound_and_reference(problem, 0.05)
+        assert result.status.solved()
+        assert result.objective == pytest.approx(0.0, abs=1e-8)
+        assert reference == 0.0
+
+
+class TestOverflowGuards:
+    """An overflowing KKT right-hand side ends in a result, not in a
+    RuntimeWarning (an error under the test settings)."""
+
+    def test_range_instance_returns_a_result(self):
+        # the planar range instance over six anchors from default_rng(0) at
+        # order 2: with two BLAS threads the norm of the KKT right-hand side
+        # overflows at iteration 28 (with one thread the solve ends
+        # near_optimal at iteration 21)
+        anchors = tuple(map(tuple, np.random.default_rng(0).random((6, 2))))
+        lift = build_lifted(LocationInstance(points=anchors, variant="range"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = solve(build_sparse(lift, 2))
+        assert isinstance(result, SolverResult)
+
+    @pytest.mark.parametrize("fixture", ["weber_sparse", "weber50_sparse"])
+    def test_kkt_solve_of_an_overflowing_norm(self, request, fixture):
+        # dense LU below the KKT size cut-off, SuperLU above it
+        comp = solver_module._Compiled(request.getfixturevalue(fixture))
+        solver_module._schur_terms(comp, random_scaling(comp, 4))
+        kkt = solver_module._Kkt(comp, comp.kkt_data(1e-12))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            solution = kkt.solve(np.full(comp.z_dim, 1e300))
+        assert solution.shape == (comp.z_dim,)
