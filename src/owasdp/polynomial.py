@@ -56,9 +56,6 @@ class VariableUniverse:
         self._ids[name] = vid
         return vid
 
-    def add_many(self, names: Iterable[str]) -> List[VarId]:
-        return [self.add(n) for n in names]
-
     def id_of(self, name: str) -> VarId:
         try:
             return self._ids[name]
@@ -358,10 +355,6 @@ class RationalFunction:
     @property
     def universe(self) -> VariableUniverse:
         return self.numerator.universe
-
-    def is_polynomial(self) -> bool:
-        den = self.denominator
-        return den.is_constant() and abs(den.constant_value() - 1.0) < COEFF_EPS
 
     def evaluate(self, point: np.ndarray) -> float:
         den = self.denominator.evaluate(point)

@@ -9,15 +9,21 @@ The standard form produced by :mod:`owasdp.relaxation` is
 a linear objective over free moment variables with affine PSD blocks and
 affine equality rows.  This module solves it by an infeasible-start
 primal-dual path-following method with Nesterov-Todd scaling and a
-Mehrotra-style adaptive centering parameter.  The equality rows are
-eliminated once, at compile time, by a sparse Gauss-Jordan pass with
-threshold pivoting (Andersen & Andersen 1995): every y with E y = b is
+Mehrotra-style adaptive centering parameter.  The NT scaling is built from
+the Cholesky factors X = Lx Lx' and Z = Lz Lz' that the previous step
+search computed, by one SVD of Lz' Lx (Todd, Toh & Tutuncu 1998, as in
+SDPT3): it yields T with W = T T' and T^{-1} X T^{-T} = T' Z T = diag(d),
+so the Mehrotra corrector is a diagonal Jordan solve in that scaled space
+and both step lengths are extreme eigenvalues of the scaled directions;
+the iteration computes no eigenvectors and no inverse.  The equality
+rows are eliminated once, at compile time, by a sparse Gauss-Jordan pass
+with threshold pivoting (Andersen & Andersen 1995): every y with E y = b is
 y = fixed + free z, dependent rows are dropped after a consistency check,
 and the iteration runs over the free moments z on the blocks substituted at
 that y.  The blocks are grouped by size: the primal and dual matrices of one
 group are stacked, so every phase of an iteration (scaling, corrector, step
-search, PD check) is a few batched NumPy calls per group.  All block maps
-are substituted at once, by two sparse products over the stacked blocks,
+lengths, Cholesky checks) is a few batched NumPy calls per group.  All block
+maps are substituted at once, by two sparse products over the stacked blocks,
 and compiled into the sparsity patterns of their coefficient matrices, which
 yield the block map and its adjoint (one sparse operator), the KKT pattern
 and the Schur terms.  The Schur complement is formed per
@@ -102,6 +108,9 @@ class SolverOptions:
 _NEAR_GAP = 1e-4
 _NEAR_RES = 1e-5
 
+# Columns of ``SolverResult.trace``, one row per iteration.
+TRACE_COLUMNS = ("relgap", "pres", "dres", "mu", "sigma", "alpha_p", "alpha_d")
+
 # KKT systems with at most this many rows are factored densely.
 _DENSE_KKT_MAX = 500
 
@@ -125,10 +134,11 @@ class SolverResult:
     NaN on numerical failure.  The solver reports in
     ``diagnostics['phase_seconds']`` the seconds spent compiling the problem
     (``compile``) and its iterations' seconds in each phase: ``residuals``,
-    ``scaling`` (NT scaling and Mehrotra corrector),
-    ``schur`` (Schur terms and KKT fill), ``kkt_factor``, ``kkt_solve``
-    (search directions) and ``step_search`` (step lengths and Cholesky
-    checks, whose factors the next iteration's step lengths reuse),
+    ``scaling`` (the NT scaling from the Cholesky factors by one SVD, and
+    the Mehrotra corrector), ``schur`` (Schur terms and KKT fill),
+    ``kkt_factor``, ``kkt_solve`` (search directions) and ``step_search``
+    (scaled directions, step lengths and the Cholesky checks, whose factors
+    feed the next iteration's scaling),
     and in ``diagnostics['kkt']`` the KKT system's ``dim`` and ``nnz`` (of
     its pattern) and the ``factor_nnz`` of its last factorization (L + U
     nonzeros, dim^2 when dense; 0 before the first), and in
@@ -147,6 +157,13 @@ class SolverResult:
     (1 + max|c|) at the multipliers nu = E_B^{-T} (c - A'Z)_B that zero it
     on the pivot moments B, which equals max|N'(c - A'Z)| / (1 + max|c|)
     for the null-space basis N of the elimination.
+
+    ``trace`` holds one row per iteration, with the columns
+    ``TRACE_COLUMNS``: the iterate's relative gap, primal and dual
+    residuals (as above) and mu = <X, Z> / (cone dimension), then the
+    centering parameter sigma and the primal and dual step lengths taken
+    from it; those three are 0 in a row whose iteration took no step (the
+    last one, and any that stopped on a failure).
     """
 
     status: SolveStatus
@@ -155,6 +172,9 @@ class SolverResult:
     iterations: int
     wall_time: float
     diagnostics: Dict[str, object] = field(default_factory=dict)
+    trace: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, len(TRACE_COLUMNS)))
+    )
 
     def __post_init__(self) -> None:
         if (self.y is not None) != self.status.solved():
@@ -705,25 +725,22 @@ def _finite(*arrays: np.ndarray) -> bool:
     return all(bool(np.all(np.isfinite(a))) for a in arrays)
 
 
-def _nt_scaling(X: np.ndarray, Z: np.ndarray):
-    """Nesterov-Todd scaling of stacked blocks: G = W^{-1} (the inverse of
-    the W with W Z W = X), its PD square root S, S^{-1}, and the eigenpairs
-    (d, Q) of lambda = S X S = S^{-1} Z S^{-1}.
-    W^{-1} = X^{-1/2} (X^{1/2} Z X^{1/2})^{1/2} X^{-1/2}."""
-    ex, Px = np.linalg.eigh(X)
-    ex = np.sqrt(np.maximum(ex, 1e-300))[:, None, :]
-    sqrt_x = (Px * ex) @ _t(Px)
-    isqrt_x = (Px / ex) @ _t(Px)
-    es, Ps = np.linalg.eigh(_symmetrize(sqrt_x @ Z @ sqrt_x))
-    es = np.sqrt(np.sqrt(np.maximum(es, 1e-300)))[:, None, :]
-    half = isqrt_x @ ((Ps * es) @ _t(Ps))
-    G = _symmetrize(half @ _t(half))
-    gw, gv = np.linalg.eigh(G)
-    sqrt_gw = np.sqrt(np.clip(gw, 1e-300, None))[:, None, :]
-    S = (gv * sqrt_gw) @ _t(gv)
-    S_inv = (gv / sqrt_gw) @ _t(gv)
-    d, Q = np.linalg.eigh(_symmetrize(S @ X @ S))
-    return G, S, S_inv, np.clip(d, 1e-300, None), Q
+def _nt_scaling(Lx: np.ndarray, Lz: np.ndarray):
+    """Nesterov-Todd scaling of stacked blocks X = Lx Lx', Z = Lz Lz' from
+    their Cholesky factors (Todd, Toh & Tutuncu 1998): with the SVD
+    Lz' Lx = U diag(d) V', the scaling T = Lx V d^{-1/2}, its inverse
+    T^{-1} = d^{-1/2} U' Lz', G = W^{-1} = T^{-T} T^{-1} for W = T T' (the W
+    with W Z W = X), and the shared scaled point
+    lambda = T^{-1} X T^{-T} = T' Z T = diag(d).  Returns (G, T, T^{-1}, d);
+    the caller checks that they are finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        U, d, Vt = np.linalg.svd(_t(Lz) @ Lx)
+        d = np.clip(d, 1e-300, None)
+        root = 1.0 / np.sqrt(d)
+        T = (Lx @ _t(Vt)) * root[:, None, :]
+        T_inv = root[:, :, None] * (_t(U) @ _t(Lz))
+        G = _symmetrize(_t(T_inv) @ T_inv)
+    return G, T, T_inv, d
 
 
 def _schur_terms(comp: _Compiled, G: List[np.ndarray]) -> None:
@@ -756,18 +773,44 @@ def _congruence(comp: _Compiled, G: List[np.ndarray], flat: np.ndarray) -> np.nd
     return out
 
 
-def _max_step(comp: _Compiled, inv_chol: List[np.ndarray], direction: np.ndarray) -> float:
-    """sup {a : current + a*direction PSD} from the smallest eigenvalue of
-    L^{-1} D L^{-T}, given the inverse Cholesky factors L^{-1} of the current
-    (PD) point per size group."""
-    smallest = min(
-        (
-            float(np.min(np.linalg.eigvalsh(li @ d @ _t(li))))
-            for li, d in zip(inv_chol, comp.stacks(direction))
-        ),
-        default=math.inf,
-    )
-    return math.inf if smallest >= 0.0 else -1.0 / smallest
+def _scaled(comp: _Compiled, T_inv: List[np.ndarray], flat: np.ndarray) -> List[np.ndarray]:
+    """sym(T^{-1} M T^{-T}) for every block M of a flat block vector, as
+    stacks per size group."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
+        return [
+            _symmetrize(ti @ m @ _t(ti)) for ti, m in zip(T_inv, comp.stacks(flat))
+        ]
+
+
+def _diagonal(d: np.ndarray) -> np.ndarray:
+    """The stack of diagonal matrices diag(d[k])."""
+    return d[:, :, None] * np.eye(d.shape[1])
+
+
+def _step_lengths(
+    d: List[np.ndarray], primal: List[np.ndarray], dual: List[np.ndarray]
+) -> Optional[Tuple[float, float]]:
+    """sup {a : X + a dX PSD} and sup {a : Z + a dZ PSD} from the scaled
+    directions dX~ = T^{-1} dX T^{-T} and dZ~ = T' dZ T per size group.
+
+    X + a dX = T (lambda + a dX~) T' with lambda = diag(d), so each bound is
+    -1 / lambda_min(d^{-1/2} dX~ d^{-1/2}) (inf when that is nonnegative);
+    the primal and dual matrices of a group share one ``eigvalsh``.  None
+    when a scaled direction is not finite."""
+    smallest = [math.inf, math.inf]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for di, dx, dz in zip(d, primal, dual):
+            root = 1.0 / np.sqrt(di)
+            outer = root[:, :, None] * root[:, None, :]
+            stacked = np.concatenate([dx * outer, dz * outer])
+            if not _finite(stacked):
+                return None
+            least = np.linalg.eigvalsh(stacked)[:, 0]
+            K = di.shape[0]
+            smallest[0] = min(smallest[0], float(np.min(least[:K])))
+            smallest[1] = min(smallest[1], float(np.min(least[K:])))
+    alpha_p, alpha_d = (math.inf if s >= 0.0 else -1.0 / s for s in smallest)
+    return alpha_p, alpha_d
 
 
 class _Kkt:
@@ -924,6 +967,10 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
     best_y = comp.moments(z)
     best_triple = (relgap, pres, dres)
     best_iteration = 0
+    trace: List[List[float]] = []
+
+    def trace_array() -> np.ndarray:
+        return np.array(trace, dtype=float).reshape(-1, len(TRACE_COLUMNS))
 
     for iteration in range(1, opts.max_iters + 1):
         iterations = iteration
@@ -943,6 +990,8 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
         )
         pres = max(comp.equality_residual(y), float(pres_blocks))
         dres = float(np.max(np.abs(r_d))) / comp.c_ref
+        row = [relgap, pres, dres, mu, 0.0, 0.0, 0.0]
+        trace.append(row)
         clock.lap("residuals")
 
         if opts.verbosity > 0:
@@ -974,6 +1023,7 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
                 iteration,
                 time.perf_counter() - start,
                 {"note": "dual objective diverging", **stats},
+                trace_array(),
             )
         if pobj < -1e12 and pres <= 1e-7:
             equality_stats["residual"] = comp.equality_residual(y)
@@ -984,6 +1034,7 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
                 iteration,
                 time.perf_counter() - start,
                 {"note": "primal objective diverging", **stats},
+                trace_array(),
             )
 
         if merit < 0.9 * stall_ref:
@@ -1003,15 +1054,18 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
             note = "progress stalled"
             break
 
-        # NT scaling per size group: G = W^{-1}, its PD square root S, and
-        # the eigenbasis of the shared scaled point lambda for the Jordan-
-        # product solves below.
-        scaling = [_nt_scaling(x, s) for x, s in zip(comp.stacks(X), comp.stacks(Z))]
-        if not all(_finite(*parts) for parts in scaling):
+        # NT scaling per size group from the Cholesky factors of X and Z:
+        # G = W^{-1}, T with W = T T', and the shared scaled point
+        # lambda = diag(d) for the Jordan-product solves below.
+        try:
+            scaling = [_nt_scaling(lx, lz) for lx, lz in zip(chol_x, chol_z)]
+        except np.linalg.LinAlgError:  # the SVD of non-finite factors
+            scaling = None
+        if scaling is None or not all(_finite(*parts) for parts in scaling):
             note = "non-finite NT scaling"
             finite = False
             break
-        G = [parts[0] for parts in scaling]
+        G, T, T_inv, d = ([parts[i] for parts in scaling] for i in range(4))
         clock.lap("scaling")
 
         _schur_terms(comp, G)
@@ -1029,61 +1083,74 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
             break
         clock.lap("kkt_factor")
 
-        def directions(target: np.ndarray):
+        def primal_direction(target: np.ndarray):
+            """dz and dX of the Newton step with dX + W dZ W = target."""
             dz = kkt.solve(comp.At @ _congruence(comp, G, target - residual) - r_d)
-            dX = comp.A @ dz + residual
-            return dz, dX, _congruence(comp, G, target - dX)
+            return dz, comp.A @ dz + residual
 
-        # Predictor: pure Newton step toward the boundary.
-        dz, dX_aff, dZ_aff = directions(-X)
+        # Predictor: pure Newton step toward the boundary, whose scaled dual
+        # direction is dZ~ = -lambda - dX~.
+        dz, dX_aff = primal_direction(-X)
         clock.lap("kkt_solve")
-        if not _finite(dz, dX_aff, dZ_aff):
+        steps = None
+        if _finite(dz, dX_aff):
+            dx_aff = _scaled(comp, T_inv, dX_aff)
+            lam = [_diagonal(di) for di in d]
+            with np.errstate(over="ignore", invalid="ignore"):
+                dz_aff = [-lm - dx for lm, dx in zip(lam, dx_aff)]
+            steps = _step_lengths(d, dx_aff, dz_aff)
+        if steps is None:
             note = "non-finite predictor direction"
             finite = False
             break
-        inv_chol_x = [np.linalg.inv(factor) for factor in chol_x]
-        inv_chol_z = [np.linalg.inv(factor) for factor in chol_z]
-        alpha_p_aff = min(1.0, _max_step(comp, inv_chol_x, dX_aff))
-        alpha_d_aff = min(1.0, _max_step(comp, inv_chol_z, dZ_aff))
-        gap_aff = float((X + alpha_p_aff * dX_aff) @ (Z + alpha_d_aff * dZ_aff))
+        alpha_p_aff, alpha_d_aff = (min(1.0, step) for step in steps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap_aff = sum(
+                float(np.sum((lm + alpha_p_aff * dx) * (lm + alpha_d_aff * dzs)))
+                for lm, dx, dzs in zip(lam, dx_aff, dz_aff)
+            )
         sigma = min(0.999, max(1e-8, (max(gap_aff, 0.0) / gap) ** 3))
         clock.lap("step_search")
 
         # Mehrotra corrector: in the scaled space the combined step solves
-        # lambda o (dx~ + dz~) = sigma*mu*I - lambda^2 - sym(dx~_aff dz~_aff),
-        # done exactly in lambda's eigenbasis, then mapped back through S.
-        # A block whose solve overflows falls back to the pure centering step;
-        # a direction that is still non-finite ends the solve below.
+        # lambda o J = sigma*mu*I - lambda^2 - sym(dx~_aff dz~_aff) for
+        # J = dx~ + dz~, exactly since lambda is diagonal; the X-space target
+        # is T J T'.  A block whose target overflows falls back to the pure
+        # centering step; a direction that is still non-finite ends the solve
+        # below.
         target = np.empty(comp.dim)
+        jordan = []
         with np.errstate(over="ignore", invalid="ignore"):
-            for (n, _, _), (_, S, S_inv, d, Q), dxa, dza, dst in zip(
-                comp.groups,
-                scaling,
-                comp.stacks(dX_aff),
-                comp.stacks(dZ_aff),
-                comp.stacks(target),
+            for (n, _, _), ti, di, dx, dzs, dst in zip(
+                comp.groups, T, d, dx_aff, dz_aff, comp.stacks(target)
             ):
-                rhs = -(_t(Q) @ _symmetrize(S @ dxa @ dza @ S_inv) @ Q)
+                rhs = -_symmetrize(dx @ dzs)
                 diag = np.arange(n)
-                rhs[:, diag, diag] += sigma * mu - d * d
-                jordan = 2.0 * rhs / (d[:, :, None] + d[:, None, :])
-                corrected = S_inv @ (Q @ jordan @ _t(Q)) @ S_inv
+                rhs[:, diag, diag] += sigma * mu - di * di
+                J = 2.0 * rhs / (di[:, :, None] + di[:, None, :])
+                corrected = ti @ J @ _t(ti)
                 bad = ~np.all(np.isfinite(corrected), axis=(1, 2))
                 if bad.any():
-                    Qb, db = Q[bad], d[bad]
-                    centered = (Qb * (sigma * mu / db - db)[:, None, :]) @ _t(Qb)
-                    corrected[bad] = S_inv[bad] @ centered @ S_inv[bad]
+                    J[bad] = _diagonal(sigma * mu / di[bad] - di[bad])
+                    corrected[bad] = ti[bad] @ J[bad] @ _t(ti[bad])
                 dst[...] = _symmetrize(corrected)
+                jordan.append(J)
         clock.lap("scaling")
 
-        dz, dX, dZ = directions(target)
+        dz, dX = primal_direction(target)
+        dZ = _congruence(comp, G, target - dX)
         clock.lap("kkt_solve")
-        if not _finite(dz, dX, dZ):
+        steps = None
+        if _finite(dz, dX, dZ):
+            dx = _scaled(comp, T_inv, dX)
+            with np.errstate(over="ignore", invalid="ignore"):
+                dzs = [J - x for J, x in zip(jordan, dx)]
+            steps = _step_lengths(d, dx, dzs)
+        if steps is None:
             note = "non-finite corrector direction"
             finite = False
             break
-        alpha_p = min(1.0, 0.98 * _max_step(comp, inv_chol_x, dX))
-        alpha_d = min(1.0, 0.98 * _max_step(comp, inv_chol_z, dZ))
+        alpha_p, alpha_d = (min(1.0, 0.98 * step) for step in steps)
 
         accepted = False
         for _ in range(6):
@@ -1101,6 +1168,7 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
             note = "step rejected"
             break
 
+        row[4:] = [sigma, alpha_p, alpha_d]
         z = z + alpha_p * dz
         X, chol_x = new_x, new_chol_x
         Z, chol_z = new_z, new_chol_z
@@ -1118,18 +1186,12 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
         "best_iteration": best_iteration,
         **stats,
     }
-    if status is SolveStatus.OPTIMAL:
-        return SolverResult(status, y_orig, value, iterations, wall, diagnostics)
-    if finite and relgap <= _NEAR_GAP and pres <= _NEAR_RES and dres <= _NEAR_RES:
-        return SolverResult(
-            SolveStatus.NEAR_OPTIMAL, y_orig, value, iterations, wall, diagnostics
-        )
-    diagnostics["last_y"] = y_orig
+    if status is not SolveStatus.OPTIMAL:
+        near = finite and relgap <= _NEAR_GAP and pres <= _NEAR_RES and dres <= _NEAR_RES
+        status = SolveStatus.NEAR_OPTIMAL if near else SolveStatus.NUMERICAL_FAILURE
+    if not status.solved():
+        diagnostics["last_y"] = y_orig
+        y_orig, value = None, math.nan
     return SolverResult(
-        SolveStatus.NUMERICAL_FAILURE,
-        None,
-        math.nan,
-        iterations,
-        wall,
-        diagnostics,
+        status, y_orig, value, iterations, wall, diagnostics, trace_array()
     )

@@ -240,14 +240,24 @@ def random_block_vector(comp, rng, definite):
 
 
 def random_scaling(comp, seed):
-    """NT scaling matrices G of a random PD primal-dual pair, per size group."""
+    """NT scaling matrices G of a random PD primal-dual pair, per size group,
+    from the pair's Cholesky factors."""
     rng = np.random.default_rng(seed)
     X = random_block_vector(comp, rng, definite=True)
     Z = random_block_vector(comp, rng, definite=True)
     return [
-        solver_module._nt_scaling(x, z)[0]
-        for x, z in zip(comp.stacks(X), comp.stacks(Z))
+        solver_module._nt_scaling(lx, lz)[0]
+        for lx, lz in zip(comp.cholesky(X), comp.cholesky(Z))
     ]
+
+
+def reference_nt_inverse(x, z):
+    """W^{-1} = X^{-1/2} (X^{1/2} Z X^{1/2})^{1/2} X^{-1/2} of one PD pair."""
+    ex, px = np.linalg.eigh(x)
+    sqrt_x = (px * np.sqrt(ex)) @ px.T
+    isqrt_x = (px / np.sqrt(ex)) @ px.T
+    es, ps = np.linalg.eigh(sqrt_x @ z @ sqrt_x)
+    return isqrt_x @ (ps * np.sqrt(es)) @ ps.T @ isqrt_x
 
 
 def unpermuted_kkt(comp, data):
@@ -525,6 +535,26 @@ class TestBundledBackend:
         assert phases["compile"] > 0.0
         assert sum(phases.values()) <= res.wall_time
 
+    def test_trace_has_one_finite_row_per_iteration(self, weber_sparse):
+        res = solve(weber_sparse)
+        trace = res.trace
+        assert trace.shape == (res.iterations, len(solver_module.TRACE_COLUMNS))
+        assert np.all(np.isfinite(trace))
+        relgap, pres, dres, mu, sigma, alpha_p, alpha_d = trace.T
+        best = res.diagnostics["best_iteration"] - 1
+        assert (relgap[best], pres[best], dres[best]) == (
+            res.diagnostics["relative_gap"],
+            res.diagnostics["primal_residual"],
+            res.diagnostics["dual_residual"],
+        )
+        assert np.all(mu > 0.0)
+        # every iteration but the last takes a step; the last stops before it
+        stepped = slice(0, -1)
+        assert np.all((sigma[stepped] >= 1e-8) & (sigma[stepped] <= 0.999))
+        assert np.all((alpha_p[stepped] > 0.0) & (alpha_p[stepped] <= 1.0))
+        assert np.all((alpha_d[stepped] > 0.0) & (alpha_d[stepped] <= 1.0))
+        assert sigma[-1] == alpha_p[-1] == alpha_d[-1] == 0.0
+
     def test_schur_diagnostics(self, weber_sparse):
         stats = solve(weber_sparse).diagnostics["schur"]
         assert set(stats) == {"coefficients", "terms"}
@@ -564,18 +594,23 @@ class TestBundledBackend:
         assert res.y is None
         assert "non-finite" in res.diagnostics["note"]
 
-    @pytest.mark.parametrize("part", [0, 2], ids=["G", "S_inv"])
+    @pytest.mark.parametrize(
+        "part, note",
+        [(0, "non-finite Schur complement"), (2, "non-finite predictor direction")],
+        ids=["G", "T_inv"],
+    )
     def test_overflow_reports_failure_without_warnings(
-        self, monkeypatch, weber_sparse, part
+        self, monkeypatch, weber_sparse, part, note
     ):
-        # Blowing up the NT scaling G (or S^{-1}) overflows the Schur terms
-        # (or the corrector and the congruences), which the solver checks.
+        # Blowing up the NT scaling G (or T^{-1}) overflows the Schur terms
+        # (or the scaled directions and their step lengths), which the
+        # solver checks.
         real_nt_scaling = solver_module._nt_scaling
         calls = []
 
-        def blown_up(X, Z):
+        def blown_up(Lx, Lz):
             calls.append(1)
-            parts = list(real_nt_scaling(X, Z))
+            parts = list(real_nt_scaling(Lx, Lz))
             if len(calls) > 6:
                 parts[part] = parts[part] * 1e200
             return tuple(parts)
@@ -587,7 +622,7 @@ class TestBundledBackend:
         assert len(calls) > 6
         assert res.status is SolveStatus.NUMERICAL_FAILURE
         assert res.y is None
-        assert "non-finite" in res.diagnostics["note"]
+        assert res.diagnostics["note"] == note
 
     def test_iteration_cap_reports_failure(self, max_dense):
         res = solve(max_dense, SolverOptions(max_iters=1))
@@ -641,28 +676,78 @@ class TestBatchedKernels:
         rng = np.random.default_rng(1)
         X = random_block_vector(comp, rng, definite=True)
         Z = random_block_vector(comp, rng, definite=True)
-        for x, z in zip(comp.stacks(X), comp.stacks(Z)):
-            G, S, S_inv, d, Q = solver_module._nt_scaling(x, z)
-            lam = (Q * d[:, None, :]) @ np.swapaxes(Q, 1, 2)
-            np.testing.assert_allclose(G @ x @ G, z, rtol=1e-10, atol=1e-10)
-            np.testing.assert_allclose(S @ S, G, rtol=1e-10, atol=1e-10)
-            np.testing.assert_allclose(S @ x @ S, lam, rtol=1e-10, atol=1e-10)
-            np.testing.assert_allclose(S_inv @ z @ S_inv, lam, rtol=1e-10, atol=1e-10)
+        for x, z, lx, lz in zip(
+            comp.stacks(X), comp.stacks(Z), comp.cholesky(X), comp.cholesky(Z)
+        ):
+            G, T, T_inv, d = solver_module._nt_scaling(lx, lz)
+            W = T @ np.swapaxes(T, 1, 2)
+            lam = d[:, :, None] * np.eye(d.shape[1])
+            tol = dict(rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(W @ z @ W, x, **tol)
+            identity = np.broadcast_to(np.eye(d.shape[1]), T.shape)
+            np.testing.assert_allclose(T @ T_inv, identity, **tol)
+            np.testing.assert_allclose(T_inv @ x @ np.swapaxes(T_inv, 1, 2), lam, **tol)
+            np.testing.assert_allclose(np.swapaxes(T, 1, 2) @ z @ T, lam, **tol)
+            np.testing.assert_allclose(G @ x @ G, z, **tol)
+            reference = np.stack([reference_nt_inverse(a, b) for a, b in zip(x, z)])
+            np.testing.assert_allclose(G, reference, **tol)
 
     def test_step_length_matches_generalized_eigenproblem(self):
         comp = solver_module._Compiled(mixed_layout_sdp())
         rng = np.random.default_rng(2)
-        current = random_block_vector(comp, rng, definite=True)
-        direction = random_block_vector(comp, rng, definite=False)
-        smallest = min(
-            scipy.linalg.eigh(d, c, eigvals_only=True)[0]
-            for cs, ds in zip(comp.stacks(current), comp.stacks(direction))
-            for c, d in zip(cs, ds)
+        X = random_block_vector(comp, rng, definite=True)
+        Z = random_block_vector(comp, rng, definite=True)
+        dX = random_block_vector(comp, rng, definite=False)
+        dZ = random_block_vector(comp, rng, definite=False)
+
+        def smallest(direction, current):
+            return min(
+                scipy.linalg.eigh(d, c, eigvals_only=True)[0]
+                for ds, cs in zip(comp.stacks(direction), comp.stacks(current))
+                for d, c in zip(ds, cs)
+            )
+
+        primal, dual = smallest(dX, X), smallest(dZ, Z)
+        assert primal < 0.0 and dual < 0.0
+        _, T, T_inv, d = zip(
+            *map(solver_module._nt_scaling, comp.cholesky(X), comp.cholesky(Z))
         )
-        assert smallest < 0.0
-        inv_chol = [np.linalg.inv(np.linalg.cholesky(c)) for c in comp.stacks(current)]
-        step = solver_module._max_step(comp, inv_chol, direction)
-        assert step == pytest.approx(-1.0 / smallest, rel=1e-10)
+        steps = solver_module._step_lengths(
+            list(d),
+            solver_module._scaled(comp, T_inv, dX),
+            solver_module._scaled(comp, [np.swapaxes(t, 1, 2) for t in T], dZ),
+        )
+        assert steps == pytest.approx((-1.0 / primal, -1.0 / dual), rel=1e-10)
+
+    def test_scaled_dual_directions_match_the_x_space_direction(self):
+        # dX + W dZ W = target scales to dX~ + dZ~ = T^{-1} target T^{-T}: the
+        # predictor's target -X gives dZ~ = -lambda - dX~, and the
+        # corrector's target T J T' gives dZ~ = J - dX~.
+        comp = solver_module._Compiled(mixed_layout_sdp())
+        rng = np.random.default_rng(3)
+        X = random_block_vector(comp, rng, definite=True)
+        Z = random_block_vector(comp, rng, definite=True)
+        dX = random_block_vector(comp, rng, definite=False)
+        J = comp.stacks(random_block_vector(comp, rng, definite=False))
+        G, T, T_inv, d = (
+            list(parts)
+            for parts in zip(
+                *map(solver_module._nt_scaling, comp.cholesky(X), comp.cholesky(Z))
+            )
+        )
+        T_t = [np.swapaxes(t, 1, 2) for t in T]
+        dx = solver_module._scaled(comp, T_inv, dX)
+        corrector_target = np.empty(comp.dim)
+        for t, j, dst in zip(T, J, comp.stacks(corrector_target)):
+            dst[...] = t @ j @ np.swapaxes(t, 1, 2)
+        tol = dict(rtol=1e-10, atol=1e-10)
+        for target, expected in [
+            (-X, [-solver_module._diagonal(di) - x for di, x in zip(d, dx)]),
+            (corrector_target, [j - x for j, x in zip(J, dx)]),
+        ]:
+            dZ = solver_module._congruence(comp, G, target - dX)
+            for got, want in zip(solver_module._scaled(comp, T_t, dZ), expected):
+                np.testing.assert_allclose(got, want, **tol)
 
     @pytest.mark.parametrize(
         "problem", ["weber_sparse", "mixed_layout", "rational_omrf_sparse"]
