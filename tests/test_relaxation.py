@@ -425,6 +425,29 @@ OMRF_CASES = {
 }
 
 
+def half_plane():
+    """The ground set {x1 + x2 >= 1/2} over the planar facility position."""
+    universe = VariableUniverse(["x1", "x2"])
+    return SemialgebraicSet(universe, [parse("x1 + x2 - 0.5", universe)], [])
+
+
+# ``LocationInstance`` keywords of each location digest case beyond the
+# ladder's planar l2 shapes: the lift branches those leave out.  The odd
+# numerator over an even denominator (tau = 3/2) adds ``v >= 0`` and, with a
+# selector, the distance caps; tau = 4/3 lifts an even numerator with s > 1;
+# a negative rank weight caps the general lift; a (0, 2) trim is built as a
+# 4-centrum.
+LOCATION_CASES = {
+    "trimmed32": dict(variant="trimmed", norm_tau=(3, 2), trim=(1, 1)),
+    "range43": dict(variant="range", norm_tau=(4, 3)),
+    "general3": dict(variant="general", norm_tau=(3, 1), position_lambda=(1.0, 0.5, -0.25)),
+    "kcentrum3": dict(variant="kcentrum", norm_tau=(3, 1), k=2),
+    "trimmed02": dict(variant="trimmed", trim=(0, 2)),
+    "center4": dict(variant="center", norm_tau=(4, 1)),
+    "weberhalfplane": dict(variant="weber", ground_set=half_plane()),
+}
+
+
 def omrf_case_problem(variant):
     pattern, seed, rational = OMRF_CASES[variant]
     rng = np.random.default_rng(seed)
@@ -433,9 +456,9 @@ def omrf_case_problem(variant):
 
 def golden_case(name):
     """(lift, order) of a digest case: the planar l2 location variants over
-    six anchors (the general variant over three), the ``OMRF_CASES`` at
-    their minimum order, and the paper's 20-anchor l3 example at its
-    minimum order 2."""
+    six anchors (the general variant over three), the ``LOCATION_CASES`` over
+    the same anchors and the ``OMRF_CASES`` at their minimum order, and the
+    paper's 20-anchor l3 example at its minimum order 2."""
     anchors = tuple(map(tuple, np.random.default_rng(0).random((6, 2))))
     kind, variant = name.split("-")
     if kind == "ladder":
@@ -445,6 +468,12 @@ def golden_case(name):
             params = {"position_lambda": (1.0, 0.5, -0.25)}
         lift = build_lifted(LocationInstance(points=anchors, variant=variant, **params))
         return lift, 2
+    if kind == "loc":
+        params = LOCATION_CASES[variant]
+        if params["variant"] == "general":
+            anchors = anchors[:3]
+        lift = build_lifted(LocationInstance(points=anchors, **params))
+        return lift, min_order(lift).r_min
     if kind == "omrf":
         lift = build_auto(omrf_case_problem(variant))
         return lift, min_order(lift).r_min
@@ -470,6 +499,15 @@ GOLDEN_DIGESTS = {
     "omrf-trimmedrational": "d1ffcd0b7b0df7a888039b5a83b17e68a881892b8a4e76854faeb6ad1481d8db",
     "omrf-kcentrum2of3": "12ac58a11c130689af22c822913ecbeb42f848395cb686fa9a6a3746d4d835c8",
     "demo-l3": "03f3c4892e87f6f55827a5b84715da0871adf983591cbad8ee4d6df0b2a97ee5",
+    # Recorded from the per-variant location builders that ``build_lifted``
+    # folded into one scaffold.
+    "loc-trimmed32": "fd6b656a74f6c01b0dcdf88a590b3e5a410c702df2bd2586e2343a9eec36f45e",
+    "loc-range43": "e316860fe0acb61711e82eb3cb96d0253cbef48cff41d9a7ebcb34703ca01a34",
+    "loc-general3": "4fe72fa567ab43d3f7244059f755f886bf1c6ecd3aafb5dfc15fd4ff15d1df12",
+    "loc-kcentrum3": "79a5e133a2f535ea8519c21583b7d0bed29a15e4f7b078d3b36f507d185ccc58",
+    "loc-trimmed02": "57226952ac0640c4fac4e5e93ce425f7f35ab05e9461f8ff6ff7c23fd8d8e5bb",
+    "loc-center4": "c0da6291c7d30f8a80c5926f842de20f0174fff8ff1fec7611522942303c5081",
+    "loc-weberhalfplane": "1ddc0284444b691b3cb5c4619b62bf6886348c54a18f3c258281cdb9d050b48f",
 }
 
 
