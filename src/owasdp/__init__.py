@@ -8,16 +8,11 @@ from .location import (
     InvalidNormError,
     LocationInstance,
     NormLift,
-    build_center,
-    build_general_location,
-    build_kcentrum_loc,
     build_lifted,
     build_norm_lift,
-    build_range,
-    build_trimmed_loc,
-    build_weber,
     calibrate_ball,
     default_ball,
+    lifted_witness,
     random_instance,
 )
 
@@ -27,15 +22,10 @@ __all__ = [
     "InvalidNormError",
     "LocationInstance",
     "NormLift",
-    "build_center",
-    "build_general_location",
-    "build_kcentrum_loc",
     "build_lifted",
     "build_norm_lift",
-    "build_range",
-    "build_trimmed_loc",
-    "build_weber",
     "calibrate_ball",
     "default_ball",
+    "lifted_witness",
     "random_instance",
 ]

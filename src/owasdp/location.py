@@ -1,43 +1,45 @@
 """Single-facility location models lifted to sparse polynomial optimization.
 
-Given anchor points with nonnegative weights and a rational norm exponent
-tau = r/s >= 1, the builders here produce :class:`~owasdp.omrf.LiftedProblem`
-instances whose optimum is the chosen aggregation of the weighted tau-norm
-distances from the facility to the anchors: their sum (``weber``), the
-largest (``center``), the sum of the k largest (``kcentrum``), a two-sided
-trimmed sum (``trimmed``), the spread between largest and smallest
-(``range``), or an arbitrary ordered-median combination with per-rank weights
-(``general``).
+A :class:`LocationInstance` holds anchor points with nonnegative weights, a
+rational norm exponent tau = r/s >= 1 and an aggregation ``variant`` of the
+weighted tau-norm distances from the facility to the anchors: their sum
+(``weber``), the largest (``center``), the sum of the k largest
+(``kcentrum``), a two-sided trimmed sum (``trimmed``), the spread between
+largest and smallest (``range``), or an ordered-median combination with
+per-rank weights (``general``).  :func:`build_lifted` turns it into the
+:class:`~owasdp.omrf.LiftedProblem` whose optimum is that aggregation, and
+:func:`lifted_witness` maps a facility position to a feasible point of it.
 
-Distances enter algebraically through per-anchor lifting variables: a
-distance variable per anchor and, for non-Euclidean exponents, one
-coordinate variable per dimension carrying ``|x_l - a_l|**(r/s)``.  Even
-numerators make the lift exact through equalities; odd numerators use
-two-sided inequalities that are tight under minimization whenever the rank
-weights are nonnegative.  Sign-mixed rank weights additionally receive valid
-upper caps on each distance variable (see the builder docstrings).
+``build_lifted`` first builds the shared scaffold: the norm lift of
+:func:`build_norm_lift` (a distance variable per anchor and, for
+non-Euclidean exponents, one coordinate variable per dimension carrying
+``|x_l - a_l|**(r/s)``) and the ground set's constraints.  Even numerators
+make the lift exact through equalities; odd numerators use two-sided
+inequalities that are tight under minimization whenever the rank weights are
+nonnegative, and aggregations that reward large distances (range,
+sign-mixed rank weights, trimmed selectors) cap each distance variable.
+The variant's builder then adds its aggregation variables, constraints and
+cliques.
 
-Every builder keeps per-anchor variables in their own clique (all cliques
-share the facility coordinates plus any aggregation variables), so the
-resulting problems relax with clique-sized moment blocks instead of one
-dense block.
+Per-anchor variables stay in their own clique (all cliques share the
+facility coordinates plus any aggregation variables), and each carries its
+own copy of the compactness ball, so the problems relax with clique-sized
+moment blocks instead of one dense block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .omrf import (
     EmptyProblemError,
     EmptyWindowError,
-    LambdaWeights,
     LiftBuildError,
     LiftedProblem,
-    PatternMismatchError,
     _fresh_name,
     _rehome,
 )
@@ -54,15 +56,10 @@ __all__ = [
     "LocationInstance",
     "NormLift",
     "build_norm_lift",
-    "build_weber",
-    "build_center",
-    "build_kcentrum_loc",
-    "build_trimmed_loc",
-    "build_range",
-    "build_general_location",
     "build_lifted",
     "calibrate_ball",
     "default_ball",
+    "lifted_witness",
     "random_instance",
 ]
 
@@ -73,18 +70,15 @@ class InvalidNormError(LiftBuildError):
     """Raised when a norm exponent pair is not a reduced rational >= 1."""
 
 
-def _box_load(
+def _default_ball(
     points: Sequence[Sequence[float]],
     weights: Sequence[float],
     norm_tau: Tuple[int, int],
-) -> Tuple[float, float, float]:
-    """Worst-case ball load over the anchors' bounding box.
-
-    Returns ``(a_sq, lift_load, cost_cap)`` where ``a_sq`` bounds
-    ``sum(x_l**2)`` over the box, ``lift_load`` bounds the largest per-anchor
-    contribution ``u_i**2 + sum_l v_il**2`` there, and ``cost_cap`` bounds
-    every weighted distance ``w_i * u_i``.
-    """
+    variant: str,
+) -> float:
+    # Worst cases over the anchors' bounding box: a_sq of sum(x_l**2),
+    # lift_load of the largest u_i**2 + sum_l v_il**2, and cost_cap of
+    # every weighted distance w_i * u_i.
     pts = np.asarray(points, dtype=float)
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
@@ -96,16 +90,6 @@ def _box_load(
     v_sq = (spans ** (2.0 * tau)).sum(axis=1) if s != 1 or r % 2 == 1 else 0.0
     lift_load = float(np.max(u_cap * u_cap + v_sq))
     cost_cap = float(np.max(np.asarray(weights, dtype=float) * u_cap))
-    return a_sq, lift_load, cost_cap
-
-
-def _default_ball(
-    points: Sequence[Sequence[float]],
-    weights: Sequence[float],
-    norm_tau: Tuple[int, int],
-    variant: str = "weber",
-) -> float:
-    a_sq, lift_load, cost_cap = _box_load(points, weights, norm_tau)
     extra = {
         "weber": 0.0,
         "general": 0.0,
@@ -465,9 +449,7 @@ def build_norm_lift(instance: LocationInstance) -> NormLift:
         ]
         if r % 2 == 0 and s == 1:
             v_ids.append(())
-            total = Polynomial.zero(ext)
-            for delta in deltas:
-                total = total + delta**r
+            total = sum((delta**r for delta in deltas), Polynomial.zero(ext))
             equalities.append(u_poly**r - total)
         else:
             row = tuple(
@@ -475,9 +457,7 @@ def build_norm_lift(instance: LocationInstance) -> NormLift:
             )
             v_ids.append(row)
             v_polys = [Polynomial.variable(ext, v) for v in row]
-            v_sum = Polynomial.zero(ext)
-            for v_poly in v_polys:
-                v_sum = v_sum + v_poly
+            v_sum = sum(v_polys, Polynomial.zero(ext))
             for l in range(d):
                 power = deltas[l] ** r
                 if r % 2 == 0:
@@ -504,7 +484,11 @@ def build_norm_lift(instance: LocationInstance) -> NormLift:
 
 @dataclass
 class _Scaffold:
-    """Shared builder state: norm lift plus ground constraints and hints."""
+    """Shared builder state: norm lift plus ground constraints and hints.
+
+    A variant's builder registers its aggregation variables through
+    :meth:`add`, appends its constraints and ends in :meth:`lifted`.
+    """
 
     instance: LocationInstance
     lift: NormLift
@@ -513,12 +497,79 @@ class _Scaffold:
     x_sq: Polynomial
     cores: List[List[VarId]] = field(default_factory=list)
     scales: List[float] = field(default_factory=list)
-    dist_hint: float = 1.0
     cost_hint: float = 1.0
 
     @property
     def ext(self) -> VariableUniverse:
         return self.lift.universe
+
+    def add(self, name: str, scale: float) -> VarId:
+        """Register a fresh aggregation variable with its moment scale."""
+        self.scales.append(scale)
+        return self.ext.add(_fresh_name(self.ext, name))
+
+    def var(self, vid: VarId) -> Polynomial:
+        return Polynomial.variable(self.ext, vid)
+
+    def u(self, i: int) -> Polynomial:
+        return self.var(self.lift.u_ids[i])
+
+    def ball(self, i: int, *extra: Polynomial) -> Polynomial:
+        """Compactness constraint of anchor ``i``: ball bound minus the squared
+        facility coordinates, the anchor's lift variables, and any listed
+        extras."""
+        total = Polynomial.constant(self.ext, self.instance.ball_bound)
+        total = total - self.x_sq
+        u_poly = self.u(i)
+        total = total - u_poly * u_poly
+        for vid in self.lift.v_ids[i]:
+            v_poly = self.var(vid)
+            total = total - v_poly * v_poly
+        for sq in extra:
+            total = total - sq * sq
+        return total
+
+    def append_u_caps(self) -> None:
+        """Cap each distance variable by its proven bound over the ball.
+
+        Needed when the aggregation rewards large distances (some rank weight
+        is negative): with an odd norm numerator the lift only lower-bounds
+        the distance, so an explicit valid upper bound keeps the encoding from
+        drifting arbitrarily far.  The caps never cut the true optimum because
+        any feasible facility position realizes distances below them.
+        """
+        for i, cap in enumerate(self.lift.u_caps):
+            u_poly = self.u(i)
+            self.inequalities.append(
+                Polynomial.constant(self.ext, cap * cap) - u_poly * u_poly
+            )
+
+    def lifted(
+        self,
+        objective: Polynomial,
+        cliques: Sequence[Tuple[VarId, ...]],
+        form: str,
+        *groups: Tuple[str, Tuple[VarId, ...]],
+    ) -> LiftedProblem:
+        """The finished problem; ``groups`` name the aggregation variables,
+        after the distance (``z``) and coordinate (``v``) lift groups."""
+        ext = self.ext
+        lift_groups: List[Tuple[str, Tuple[VarId, ...]]] = [("z", self.lift.u_ids)]
+        flat_v = tuple(v for row in self.lift.v_ids for v in row)
+        if flat_v:
+            lift_groups.append(("v", flat_v))
+        return LiftedProblem(
+            universe=ext,
+            objective_num=objective,
+            objective_den=Polynomial.constant(ext, 1.0),
+            inequality_constraints=tuple(self.inequalities),
+            equality_constraints=tuple(self.equalities),
+            cliques=tuple(cliques),
+            original_variables=self.lift.x_ids,
+            form=form,
+            variable_groups=(*lift_groups, *groups),
+            variable_scales=tuple(self.scales),
+        )
 
 
 def _base(instance: LocationInstance) -> _Scaffold:
@@ -530,9 +581,7 @@ def _base(instance: LocationInstance) -> _Scaffold:
     inequalities.extend(lift.inequalities)
     equalities.extend(lift.equalities)
 
-    x_sq = Polynomial.zero(ext)
-    for xid in lift.x_ids:
-        x_sq = x_sq + Polynomial.variable(ext, xid) ** 2
+    x_sq = sum((Polynomial.variable(ext, xid) ** 2 for xid in lift.x_ids), Polynomial.zero(ext))
 
     pts = np.asarray(instance.points, dtype=float)
     spans = pts.max(axis=0) - pts.min(axis=0)
@@ -552,7 +601,6 @@ def _base(instance: LocationInstance) -> _Scaffold:
         equalities=equalities,
         x_sq=x_sq,
         scales=[x_hint] * instance.dim,
-        dist_hint=dist_hint,
         cost_hint=cost_hint,
     )
     for i in range(instance.n):
@@ -562,288 +610,125 @@ def _base(instance: LocationInstance) -> _Scaffold:
     return scaffold
 
 
-def _groups(
-    scaffold: _Scaffold, *extra: Tuple[str, Tuple[VarId, ...]]
-) -> Tuple[Tuple[str, Tuple[VarId, ...]], ...]:
-    groups: List[Tuple[str, Tuple[VarId, ...]]] = [("z", scaffold.lift.u_ids)]
-    flat_v = tuple(v for row in scaffold.lift.v_ids for v in row)
-    if flat_v:
-        groups.append(("v", flat_v))
-    groups.extend(extra)
-    return tuple(groups)
-
-
-def _require_variant(instance: LocationInstance, variant: str) -> None:
-    if instance.variant != variant:
-        raise PatternMismatchError(
-            f"instance variant is {instance.variant!r}, need {variant!r}"
-        )
-
-
-def _u_poly(scaffold: _Scaffold, i: int) -> Polynomial:
-    return Polynomial.variable(scaffold.ext, scaffold.lift.u_ids[i])
-
-
-def _ball(scaffold: _Scaffold, i: int, *extra: Polynomial) -> Polynomial:
-    """Compactness constraint of anchor ``i``: ball bound minus the squared
-    facility coordinates, the anchor's lift variables, and any listed extras."""
-    total = Polynomial.constant(scaffold.ext, scaffold.instance.ball_bound)
-    total = total - scaffold.x_sq
-    u_poly = _u_poly(scaffold, i)
-    total = total - u_poly * u_poly
-    for vid in scaffold.lift.v_ids[i]:
-        v_poly = Polynomial.variable(scaffold.ext, vid)
-        total = total - v_poly * v_poly
-    for sq in extra:
-        total = total - sq * sq
-    return total
-
-
-def _append_u_caps(scaffold: _Scaffold) -> None:
-    """Cap each distance variable by its proven bound over the ball.
-
-    Needed when the aggregation rewards large distances (some rank weight is
-    negative): with an odd norm numerator the lift only lower-bounds the
-    distance, so an explicit valid upper bound keeps the encoding from
-    drifting arbitrarily far.  The caps never cut the true optimum because
-    any feasible facility position realizes distances below them.
-    """
-    for i in range(scaffold.instance.n):
-        cap = scaffold.lift.u_caps[i]
-        u_poly = _u_poly(scaffold, i)
-        scaffold.inequalities.append(
-            Polynomial.constant(scaffold.ext, cap * cap) - u_poly * u_poly
-        )
-
-
-def build_weber(instance: LocationInstance) -> LiftedProblem:
-    """Minimize the weighted sum of distances to all anchors.
-
-    One clique per anchor (facility coordinates plus that anchor's lift
-    variables); each clique carries its own copy of the compactness ball.
-    """
-    _require_variant(instance, "weber")
-    scaffold = _base(instance)
-    ext = scaffold.ext
-    objective = Polynomial.zero(ext)
-    cliques: List[Tuple[VarId, ...]] = []
+def _weber(scaffold: _Scaffold) -> LiftedProblem:
+    """Weighted sum of distances: one clique per anchor (facility coordinates
+    plus that anchor's lift variables), each with its own copy of the
+    compactness ball."""
+    instance = scaffold.instance
+    objective = Polynomial.zero(scaffold.ext)
+    cliques = []
     for i in range(instance.n):
-        u_poly = _u_poly(scaffold, i)
-        objective = objective + instance.weights[i] * u_poly
-        scaffold.inequalities.append(_ball(scaffold, i))
+        objective = objective + instance.weights[i] * scaffold.u(i)
+        scaffold.inequalities.append(scaffold.ball(i))
         cliques.append(tuple(sorted(scaffold.cores[i])))
-    return LiftedProblem(
-        universe=ext,
-        objective_num=objective,
-        objective_den=Polynomial.constant(ext, 1.0),
-        inequality_constraints=tuple(scaffold.inequalities),
-        equality_constraints=tuple(scaffold.equalities),
-        cliques=tuple(cliques),
-        original_variables=scaffold.lift.x_ids,
-        form="weber",
-        variable_groups=_groups(scaffold),
-        variable_scales=tuple(scaffold.scales),
-    )
+    return scaffold.lifted(objective, cliques, "weber")
 
 
-def build_center(instance: LocationInstance) -> LiftedProblem:
-    """Minimize the largest weighted distance (smallest covering radius).
-
-    A shared epigraph variable ``t`` dominates every weighted distance; it
-    joins every clique and every per-anchor ball.
-    """
-    _require_variant(instance, "center")
-    scaffold = _base(instance)
-    ext = scaffold.ext
-    t = ext.add(_fresh_name(ext, "t"))
-    scaffold.scales.append(scaffold.cost_hint)
-    t_poly = Polynomial.variable(ext, t)
-    cliques: List[Tuple[VarId, ...]] = []
+def _center(scaffold: _Scaffold) -> LiftedProblem:
+    """Largest weighted distance: a shared epigraph variable ``t`` dominates
+    every weighted distance and joins every clique and every ball."""
+    instance = scaffold.instance
+    t = scaffold.add("t", scaffold.cost_hint)
+    t_poly = scaffold.var(t)
+    cliques = []
     for i in range(instance.n):
-        u_poly = _u_poly(scaffold, i)
-        scaffold.inequalities.append(t_poly - instance.weights[i] * u_poly)
-        scaffold.inequalities.append(_ball(scaffold, i, t_poly))
+        scaffold.inequalities.append(t_poly - instance.weights[i] * scaffold.u(i))
+        scaffold.inequalities.append(scaffold.ball(i, t_poly))
         cliques.append(tuple(sorted(scaffold.cores[i] + [t])))
     scaffold.inequalities.append(t_poly)
-    return LiftedProblem(
-        universe=ext,
-        objective_num=t_poly,
-        objective_den=Polynomial.constant(ext, 1.0),
-        inequality_constraints=tuple(scaffold.inequalities),
-        equality_constraints=tuple(scaffold.equalities),
-        cliques=tuple(cliques),
-        original_variables=scaffold.lift.x_ids,
-        form="center",
-        variable_groups=_groups(scaffold, ("t", (t,))),
-        variable_scales=tuple(scaffold.scales),
-    )
+    return scaffold.lifted(t_poly, cliques, "center", ("t", (t,)))
 
 
-def build_kcentrum_loc(
-    instance: LocationInstance, k: Optional[int] = None
-) -> LiftedProblem:
-    """Minimize the sum of the ``k`` largest weighted distances.
+def _kcentrum(scaffold: _Scaffold, k: int) -> LiftedProblem:
+    """Sum of the ``k`` largest weighted distances.
 
     Uses the epigraph identity ``sum of k largest = min_t k t +
     sum_i max(c_i - t, 0)``: a shared variable ``t`` plus one nonnegative
-    surplus variable per anchor with ``t + r_i >= c_i``.  ``k`` defaults to
-    the instance's own parameter on kcentrum instances and must be given
-    explicitly otherwise (this builder accepts any variant, since the sum of
-    all distances or the single largest are special cases).
-
-    The per-anchor balls bound the surplus variables; ``t`` itself is capped
-    by a separate quadratic constraint derived from the ball bound and the
-    largest weight, which never cuts the optimum because the minimizing ``t``
-    equals one of the weighted distances.
+    surplus variable per anchor with ``t + r_i >= c_i``.  The per-anchor
+    balls bound the surplus variables; ``t`` itself is capped by a separate
+    quadratic constraint derived from the ball bound and the largest weight,
+    which never cuts the optimum because the minimizing ``t`` equals one of
+    the weighted distances.
     """
-    if instance.variant == "kcentrum":
-        assert instance.k is not None
-        if k is None:
-            k = instance.k
-        elif int(k) != instance.k:
-            raise PatternMismatchError(
-                f"k={k} disagrees with the instance's k={instance.k}"
-            )
-    if k is None:
-        raise LiftBuildError("k is required unless the instance variant is kcentrum")
-    k = int(k)
-    if not 1 <= k <= instance.n:
-        raise LiftBuildError(f"k must satisfy 1 <= k <= n, got {k} with n={instance.n}")
-
-    scaffold = _base(instance)
-    ext = scaffold.ext
-    t = ext.add(_fresh_name(ext, "t"))
-    scaffold.scales.append(scaffold.cost_hint)
-    surplus_ids = []
-    for i in range(instance.n):
-        surplus_ids.append(ext.add(_fresh_name(ext, f"r{i + 1}")))
-        scaffold.scales.append(scaffold.cost_hint)
-    t_poly = Polynomial.variable(ext, t)
+    instance = scaffold.instance
+    t = scaffold.add("t", scaffold.cost_hint)
+    surplus_ids = [scaffold.add(f"r{i + 1}", scaffold.cost_hint) for i in range(instance.n)]
+    t_poly = scaffold.var(t)
 
     objective = float(k) * t_poly
-    cliques: List[Tuple[VarId, ...]] = []
+    cliques = []
     for i in range(instance.n):
-        u_poly = _u_poly(scaffold, i)
-        r_poly = Polynomial.variable(ext, surplus_ids[i])
+        r_poly = scaffold.var(surplus_ids[i])
         objective = objective + r_poly
-        scaffold.inequalities.append(t_poly + r_poly - instance.weights[i] * u_poly)
+        scaffold.inequalities.append(t_poly + r_poly - instance.weights[i] * scaffold.u(i))
         scaffold.inequalities.append(r_poly)
-        scaffold.inequalities.append(_ball(scaffold, i, r_poly))
+        scaffold.inequalities.append(scaffold.ball(i, r_poly))
         cliques.append(tuple(sorted(scaffold.cores[i] + [t, surplus_ids[i]])))
     scaffold.inequalities.append(t_poly)
     weight_cap = max(1.0, max(instance.weights))
     scaffold.inequalities.append(
-        Polynomial.constant(ext, weight_cap * weight_cap * instance.ball_bound)
+        Polynomial.constant(scaffold.ext, weight_cap * weight_cap * instance.ball_bound)
         - t_poly * t_poly
     )
-    return LiftedProblem(
-        universe=ext,
-        objective_num=objective,
-        objective_den=Polynomial.constant(ext, 1.0),
-        inequality_constraints=tuple(scaffold.inequalities),
-        equality_constraints=tuple(scaffold.equalities),
-        cliques=tuple(cliques),
-        original_variables=scaffold.lift.x_ids,
-        form="kcentrum-loc",
-        variable_groups=_groups(scaffold, ("t", (t,)), ("r", tuple(surplus_ids))),
-        variable_scales=tuple(scaffold.scales),
+    return scaffold.lifted(
+        objective, cliques, "kcentrum-loc", ("t", (t,)), ("r", tuple(surplus_ids))
     )
 
 
-def build_trimmed_loc(
-    instance: LocationInstance,
-    k1: Optional[int] = None,
-    k2: Optional[int] = None,
-) -> LiftedProblem:
-    """Minimize the trimmed sum: drop the ``k1`` largest and ``k2`` smallest
-    weighted distances, sum the rest.
+def _trimmed(scaffold: _Scaffold) -> LiftedProblem:
+    """Trimmed sum: drop the ``k1`` largest and ``k2`` smallest weighted
+    distances and sum the rest.
 
     Binary selector variables mark the ``k1`` dropped largest costs
     (``s_i**2 = s_i``, ``sum_i s_i = k1``); subtracting the selected costs
-    from the sum of the ``n - k2`` largest (built as in the kcentrum
+    from the sum of the ``n - k2`` largest (built as in the k-centrum
     aggregation) leaves the middle window.  With ``k1 = 0`` no selectors are
-    needed and the build delegates to :func:`build_kcentrum_loc` with
-    ``k = n - k2``.
-
-    Trim counts default to the instance's own parameters on trimmed
-    instances and must be given explicitly otherwise.
+    needed and the build is the ``(n - k2)``-centrum.
     """
-    if instance.variant == "trimmed":
-        assert instance.trim is not None
-        if k1 is None and k2 is None:
-            k1, k2 = instance.trim
-        elif (k1, k2) != instance.trim:
-            raise PatternMismatchError(
-                f"trim=({k1}, {k2}) disagrees with the instance's {instance.trim}"
-            )
-    if k1 is None or k2 is None:
-        raise LiftBuildError(
-            "trim counts are required unless the instance variant is trimmed"
-        )
-    k1, k2 = int(k1), int(k2)
-    if k1 < 0 or k2 < 0:
-        raise LiftBuildError("trim counts must be nonnegative")
-    if k1 + k2 >= instance.n:
-        raise EmptyWindowError(f"trim=({k1}, {k2}) removes all {instance.n} points")
+    instance = scaffold.instance
+    n = instance.n
+    k1, k2 = instance.trim
     if k1 == 0:
-        return build_kcentrum_loc(instance, instance.n - k2)
+        return _kcentrum(scaffold, n - k2)
 
-    scaffold = _base(instance)
-    ext = scaffold.ext
-    t = ext.add(_fresh_name(ext, "t"))
-    scaffold.scales.append(scaffold.cost_hint)
-    surplus_ids = []
-    for i in range(instance.n):
-        surplus_ids.append(ext.add(_fresh_name(ext, f"r{i + 1}")))
-        scaffold.scales.append(scaffold.cost_hint)
-    selector_ids = []
-    for i in range(instance.n):
-        selector_ids.append(ext.add(_fresh_name(ext, f"s{i + 1}")))
-        scaffold.scales.append(1.0)
-    t_poly = Polynomial.variable(ext, t)
+    t = scaffold.add("t", scaffold.cost_hint)
+    surplus_ids = [scaffold.add(f"r{i + 1}", scaffold.cost_hint) for i in range(n)]
+    selector_ids = [scaffold.add(f"s{i + 1}", 1.0) for i in range(n)]
+    t_poly = scaffold.var(t)
 
-    objective = float(instance.n - k2) * t_poly
-    selector_sum = Polynomial.zero(ext)
-    cliques: List[Tuple[VarId, ...]] = []
-    for i in range(instance.n):
-        u_poly = _u_poly(scaffold, i)
-        r_poly = Polynomial.variable(ext, surplus_ids[i])
-        s_poly = Polynomial.variable(ext, selector_ids[i])
+    objective = float(n - k2) * t_poly
+    selector_sum = Polynomial.zero(scaffold.ext)
+    cliques = []
+    for i in range(n):
+        u_poly = scaffold.u(i)
+        r_poly = scaffold.var(surplus_ids[i])
+        s_poly = scaffold.var(selector_ids[i])
         objective = objective + r_poly - instance.weights[i] * s_poly * u_poly
         selector_sum = selector_sum + s_poly
         scaffold.equalities.append(s_poly * s_poly - s_poly)
         scaffold.inequalities.append(t_poly + r_poly - instance.weights[i] * u_poly)
         scaffold.inequalities.append(r_poly)
         scaffold.inequalities.append(s_poly)
-        scaffold.inequalities.append(_ball(scaffold, i, t_poly, s_poly, r_poly))
+        scaffold.inequalities.append(scaffold.ball(i, t_poly, s_poly, r_poly))
         cliques.append(
             tuple(sorted(scaffold.cores[i] + [t, surplus_ids[i], selector_ids[i]]))
         )
     scaffold.inequalities.append(t_poly)
     scaffold.equalities.append(selector_sum - float(k1))
     if instance.norm_tau[0] % 2 == 1:
-        _append_u_caps(scaffold)
-    return LiftedProblem(
-        universe=ext,
-        objective_num=objective,
-        objective_den=Polynomial.constant(ext, 1.0),
-        inequality_constraints=tuple(scaffold.inequalities),
-        equality_constraints=tuple(scaffold.equalities),
-        cliques=tuple(cliques),
-        original_variables=scaffold.lift.x_ids,
-        form="trimmed-loc",
-        variable_groups=_groups(
-            scaffold,
-            ("t", (t,)),
-            ("r", tuple(surplus_ids)),
-            ("s", tuple(selector_ids)),
-        ),
-        variable_scales=tuple(scaffold.scales),
+        scaffold.append_u_caps()
+    return scaffold.lifted(
+        objective,
+        cliques,
+        "trimmed-loc",
+        ("t", (t,)),
+        ("r", tuple(surplus_ids)),
+        ("s", tuple(selector_ids)),
     )
 
 
-def build_range(instance: LocationInstance) -> LiftedProblem:
-    """Minimize the spread between the largest and smallest weighted distance.
+def _range(scaffold: _Scaffold) -> LiftedProblem:
+    """Spread between the largest and smallest weighted distance.
 
     Shared variables sandwich every weighted distance
     (``t <= w_i u_i <= zmax``) and the objective is ``zmax - t``.  Because
@@ -851,54 +736,31 @@ def build_range(instance: LocationInstance) -> LiftedProblem:
     each distance variable (see :func:`build_norm_lift` on one-sided
     tightness).
     """
-    _require_variant(instance, "range")
-    scaffold = _base(instance)
-    ext = scaffold.ext
-    t = ext.add(_fresh_name(ext, "t"))
-    scaffold.scales.append(scaffold.cost_hint)
-    zmax = ext.add(_fresh_name(ext, "zmax"))
-    scaffold.scales.append(scaffold.cost_hint)
-    t_poly = Polynomial.variable(ext, t)
-    zmax_poly = Polynomial.variable(ext, zmax)
+    instance = scaffold.instance
+    t = scaffold.add("t", scaffold.cost_hint)
+    zmax = scaffold.add("zmax", scaffold.cost_hint)
+    t_poly = scaffold.var(t)
+    zmax_poly = scaffold.var(zmax)
 
-    cliques: List[Tuple[VarId, ...]] = []
+    cliques = []
     for i in range(instance.n):
-        u_poly = _u_poly(scaffold, i)
-        weighted = instance.weights[i] * u_poly
+        weighted = instance.weights[i] * scaffold.u(i)
         scaffold.inequalities.append(weighted - t_poly)
         scaffold.inequalities.append(zmax_poly - weighted)
-        scaffold.inequalities.append(_ball(scaffold, i, t_poly, zmax_poly))
+        scaffold.inequalities.append(scaffold.ball(i, t_poly, zmax_poly))
         cliques.append(tuple(sorted(scaffold.cores[i] + [t, zmax])))
     scaffold.inequalities.append(t_poly)
     scaffold.inequalities.append(zmax_poly)
     if instance.norm_tau[0] % 2 == 1:
-        _append_u_caps(scaffold)
-    return LiftedProblem(
-        universe=ext,
-        objective_num=zmax_poly - t_poly,
-        objective_den=Polynomial.constant(ext, 1.0),
-        inequality_constraints=tuple(scaffold.inequalities),
-        equality_constraints=tuple(scaffold.equalities),
-        cliques=tuple(cliques),
-        original_variables=scaffold.lift.x_ids,
-        form="range",
-        variable_groups=_groups(scaffold, ("t", (t,)), ("zmax", (zmax,))),
-        variable_scales=tuple(scaffold.scales),
+        scaffold.append_u_caps()
+    return scaffold.lifted(
+        zmax_poly - t_poly, cliques, "range", ("t", (t,)), ("zmax", (zmax,))
     )
 
 
-LambdaLike = Union[LambdaWeights, Sequence[Union[float, int, Polynomial]]]
-
-
-def build_general_location(
-    instance: LocationInstance, lam: Optional[LambdaLike] = None
-) -> LiftedProblem:
-    """Minimize a general ordered-median aggregation of weighted distances.
-
-    Rank weights ``lam`` (defaulting to the instance's ``position_lambda``)
-    multiply the weighted distances sorted descending.  Entries may be
-    numbers or polynomials in the facility coordinates, making the rank
-    weights position-dependent.
+def _general(scaffold: _Scaffold) -> LiftedProblem:
+    """General ordered median: the rank weights ``position_lambda`` multiply
+    the weighted distances sorted descending.
 
     Sorting is encoded with a doubly stochastic binary assignment matrix:
     ``w[i][j] = 1`` places anchor ``i``'s weighted distance in rank ``j``,
@@ -906,89 +768,38 @@ def build_general_location(
     chain over adjacent rank columns (each containing the facility
     coordinates and all distance variables), followed by per-anchor cliques
     for coordinate lift variables when present.  When some rank weight is
-    negative or position-dependent and the norm numerator is odd, distance
-    variables receive explicit caps (see :func:`build_norm_lift`).
+    negative and the norm numerator is odd, distance variables receive
+    explicit caps (see :func:`build_norm_lift`).
     """
-    if lam is None:
-        if instance.position_lambda is None:
-            raise LiftBuildError(
-                "rank weights are required unless the instance variant is general"
-            )
-        entries_in: Sequence[Union[float, int, Polynomial]] = instance.position_lambda
-    elif isinstance(lam, LambdaWeights):
-        entries_in = lam.entries
-    else:
-        entries_in = list(lam)
-    if len(entries_in) != instance.n:
-        raise LiftBuildError(
-            f"{len(entries_in)} rank weights for {instance.n} anchor points"
-        )
-
-    scaffold = _base(instance)
-    ext = scaffold.ext
+    instance = scaffold.instance
     n = instance.n
-    x_id_set = set(scaffold.lift.x_ids)
+    w_ids = [[scaffold.add(f"w{i + 1}_{j + 1}", 1.0) for j in range(n)] for i in range(n)]
+    w_polys = [[scaffold.var(w_ids[i][j]) for j in range(n)] for i in range(n)]
 
-    lambdas: List[Polynomial] = []
-    plain = True
-    for entry in entries_in:
-        if isinstance(entry, Polynomial):
-            poly = _rehome(entry, ext)
-            if not set(poly.variables()) <= x_id_set:
-                raise LiftBuildError(
-                    "rank weights may depend on the facility coordinates only"
-                )
-            if poly.is_constant():
-                plain = plain and poly.constant_value() >= 0.0
-            else:
-                plain = False
-        else:
-            poly = Polynomial.constant(ext, float(entry))
-            plain = plain and float(entry) >= 0.0
-        lambdas.append(poly)
-
-    w_ids = [
-        [ext.add(_fresh_name(ext, f"w{i + 1}_{j + 1}")) for j in range(n)]
-        for i in range(n)
+    zero = Polynomial.zero(scaffold.ext)
+    columns = [
+        sum((instance.weights[i] * w_polys[i][j] * scaffold.u(i) for i in range(n)), zero)
+        for j in range(n)
     ]
-    scaffold.scales.extend([1.0] * (n * n))
-    w_polys = [[Polynomial.variable(ext, w_ids[i][j]) for j in range(n)] for i in range(n)]
-
-    columns: List[Polynomial] = []
+    for row in w_polys:
+        scaffold.equalities.extend(w * w - w for w in row)
+        scaffold.equalities.append(sum(row, zero) - 1.0)
     for j in range(n):
-        col = Polynomial.zero(ext)
-        for i in range(n):
-            col = col + instance.weights[i] * w_polys[i][j] * _u_poly(scaffold, i)
-        columns.append(col)
-
-    for i in range(n):
-        row_sum = Polynomial.zero(ext)
-        for j in range(n):
-            row_sum = row_sum + w_polys[i][j]
-            scaffold.equalities.append(w_polys[i][j] * w_polys[i][j] - w_polys[i][j])
-        scaffold.equalities.append(row_sum - 1.0)
-    for j in range(n):
-        col_sum = Polynomial.zero(ext)
-        col_sq = Polynomial.zero(ext)
-        for i in range(n):
-            col_sum = col_sum + w_polys[i][j]
-            col_sq = col_sq + w_polys[i][j] * w_polys[i][j]
-        scaffold.equalities.append(col_sum - 1.0)
-        scaffold.inequalities.append(Polynomial.constant(ext, float(n)) - col_sq)
+        column = [row[j] for row in w_polys]
+        scaffold.equalities.append(sum(column, zero) - 1.0)
+        squares = sum((w * w for w in column), zero)
+        scaffold.inequalities.append(Polynomial.constant(scaffold.ext, float(n)) - squares)
     for j in range(n - 1):
         scaffold.inequalities.append(columns[j] - columns[j + 1])
-
-    objective = Polynomial.zero(ext)
-    for j in range(n):
-        objective = objective + lambdas[j] * columns[j]
+    objective = sum((lam * col for lam, col in zip(instance.position_lambda, columns)), zero)
 
     for i in range(n):
-        scaffold.inequalities.append(_ball(scaffold, i))
-    if not plain and instance.norm_tau[0] % 2 == 1:
-        _append_u_caps(scaffold)
+        scaffold.inequalities.append(scaffold.ball(i))
+    if min(instance.position_lambda) < 0.0 and instance.norm_tau[0] % 2 == 1:
+        scaffold.append_u_caps()
 
     shared = [*scaffold.lift.x_ids, *scaffold.lift.u_ids]
-    cliques: List[Tuple[VarId, ...]] = []
+    cliques = []
     if n == 1:
         cliques.append(tuple(sorted(shared + [w_ids[0][0]])))
     else:
@@ -1001,33 +812,72 @@ def build_general_location(
             cliques.append(tuple(sorted(scaffold.cores[i])))
 
     flat_w = tuple(w_ids[i][j] for i in range(n) for j in range(n))
-    return LiftedProblem(
-        universe=ext,
-        objective_num=objective,
-        objective_den=Polynomial.constant(ext, 1.0),
-        inequality_constraints=tuple(scaffold.inequalities),
-        equality_constraints=tuple(scaffold.equalities),
-        cliques=tuple(cliques),
-        original_variables=scaffold.lift.x_ids,
-        form="general-loc",
-        variable_groups=_groups(scaffold, ("w", flat_w)),
-        variable_scales=tuple(scaffold.scales),
-    )
+    return scaffold.lifted(objective, cliques, "general-loc", ("w", flat_w))
 
 
 def build_lifted(instance: LocationInstance) -> LiftedProblem:
-    """Build the lifted problem matching the instance's own variant."""
-    if instance.variant == "weber":
-        return build_weber(instance)
-    if instance.variant == "center":
-        return build_center(instance)
+    """Lift ``instance`` into the polynomial problem of its own variant.
+
+    The norm lift and ground constraints are shared; the variant adds its
+    aggregation variables, constraints and cliques (see the module
+    docstring for the forms).
+    """
+    scaffold = _base(instance)
     if instance.variant == "kcentrum":
-        return build_kcentrum_loc(instance)
-    if instance.variant == "trimmed":
-        return build_trimmed_loc(instance)
-    if instance.variant == "range":
-        return build_range(instance)
-    return build_general_location(instance)
+        return _kcentrum(scaffold, instance.k)
+    builder = {
+        "weber": _weber,
+        "center": _center,
+        "trimmed": _trimmed,
+        "range": _range,
+        "general": _general,
+    }[instance.variant]
+    return builder(scaffold)
+
+
+def lifted_witness(
+    instance: LocationInstance, lifted: LiftedProblem, point: Sequence[float]
+) -> np.ndarray:
+    """Point of ``lifted = build_lifted(instance)`` over facility ``point``.
+
+    Distance variables take the tau-norm distances, coordinate lift
+    variables ``|x_l - a_l|**(r/s)``, and aggregation variables the values
+    implied by the tie-stable descending sort of the weighted distances used
+    by :meth:`LocationInstance.objective_value`.  Whenever ``point`` lies in
+    the ground set and the returned vector inside the instance's ball, it
+    satisfies every lifted constraint, and the lifted objective evaluates to
+    the aggregated value there (the soundness tests rely on both facts).
+    """
+    x = np.asarray(point, dtype=float)
+    n = instance.n
+    r, s = instance.norm_tau
+    z = np.zeros(len(lifted.universe))
+    z[: len(x)] = x
+    groups = {name: list(ids) for name, ids in lifted.variable_groups}
+    dists = instance.distances(x)
+    z[groups["z"]] = dists
+    if "v" in groups:
+        z[groups["v"]] = (np.abs(x[None, :] - np.asarray(instance.points)) ** (r / s)).ravel()
+    costs = np.asarray(instance.weights) * dists
+    order = sorted(range(n), key=lambda i: (-costs[i], i))
+    if lifted.form == "center":
+        z[groups["t"]] = costs[order[0]]
+    elif lifted.form == "range":
+        z[groups["t"]] = costs[order[-1]]
+        z[groups["zmax"]] = costs[order[0]]
+    elif lifted.form in ("kcentrum-loc", "trimmed-loc"):
+        k1, k2 = instance.trim if instance.variant == "trimmed" else (0, n - instance.k)
+        level = costs[order[n - k2 - 1]]  # t at the (n - k2)-th largest cost
+        z[groups["t"]] = level
+        z[groups["r"]] = np.maximum(costs - level, 0.0)
+        if k1:  # selectors mark the k1 largest costs
+            z[[groups["s"][i] for i in order[:k1]]] = 1.0
+    elif lifted.form == "general-loc":
+        for rank, i in enumerate(order):
+            z[groups["w"][i * n + rank]] = 1.0
+    elif lifted.form != "weber":
+        raise ValueError(f"unknown lifted form {lifted.form!r}")
+    return z
 
 
 def random_instance(
