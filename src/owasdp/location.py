@@ -16,15 +16,15 @@ non-Euclidean exponents, one coordinate variable per dimension carrying
 ``|x_l - a_l|**(r/s)``) and the ground set's constraints.  Even numerators
 make the lift exact through equalities; odd numerators use two-sided
 inequalities that are tight under minimization whenever the rank weights are
-nonnegative, and aggregations that reward large distances (range,
-sign-mixed rank weights, trimmed selectors) cap each distance variable.
-The variant's builder then adds its aggregation variables, constraints and
-cliques.
+nonnegative, so with an odd numerator the aggregations that reward large
+distances (range, sign-mixed rank weights, trimmed selectors) also cap each
+distance variable.  The variant's builder then adds its aggregation
+variables, constraints and cliques.
 
 Per-anchor variables stay in their own clique (all cliques share the
-facility coordinates plus any aggregation variables), and each carries its
-own copy of the compactness ball, so the problems relax with clique-sized
-moment blocks instead of one dense block.
+facility coordinates plus any aggregation variables), and every anchor has
+its own compactness ball, so the problems relax with clique-sized moment
+blocks instead of one dense block.
 """
 
 from __future__ import annotations
@@ -449,7 +449,9 @@ def build_norm_lift(instance: LocationInstance) -> NormLift:
         ]
         if r % 2 == 0 and s == 1:
             v_ids.append(())
-            total = sum((delta**r for delta in deltas), Polynomial.zero(ext))
+            total = Polynomial.zero(ext)
+            for delta in deltas:
+                total = total + delta**r
             equalities.append(u_poly**r - total)
         else:
             row = tuple(
@@ -457,7 +459,9 @@ def build_norm_lift(instance: LocationInstance) -> NormLift:
             )
             v_ids.append(row)
             v_polys = [Polynomial.variable(ext, v) for v in row]
-            v_sum = sum(v_polys, Polynomial.zero(ext))
+            v_sum = Polynomial.zero(ext)
+            for v_poly in v_polys:
+                v_sum = v_sum + v_poly
             for l in range(d):
                 power = deltas[l] ** r
                 if r % 2 == 0:
@@ -581,7 +585,9 @@ def _base(instance: LocationInstance) -> _Scaffold:
     inequalities.extend(lift.inequalities)
     equalities.extend(lift.equalities)
 
-    x_sq = sum((Polynomial.variable(ext, xid) ** 2 for xid in lift.x_ids), Polynomial.zero(ext))
+    x_sq = Polynomial.zero(ext)
+    for xid in lift.x_ids:
+        x_sq = x_sq + Polynomial.variable(ext, xid) ** 2
 
     pts = np.asarray(instance.points, dtype=float)
     spans = pts.max(axis=0) - pts.min(axis=0)

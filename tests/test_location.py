@@ -112,11 +112,6 @@ def test_calibrated_ball_keeps_the_witness_feasible(shape, tau, outside):
     assert_feasible(lifted, lifted_witness(snug, lifted, x))
 
 
-def test_trimmed_without_a_top_trim_is_the_k_centrum_lift():
-    lifted = build_lifted(make_instance("trimmed02", (2, 1)))
-    assert lifted.form == "kcentrum-loc"
-
-
 def test_witness_rejects_an_unknown_form():
     instance = make_instance("weber", (2, 1))
     lifted = dataclasses.replace(build_lifted(instance), form="other")
@@ -134,9 +129,9 @@ ANCHORS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
         ({"variant": "kcentrum", "k": 5}, ValueError, "1 <= k <= n"),
         ({"variant": "trimmed", "trim": (-1, 1)}, ValueError, "nonnegative"),
         ({"variant": "trimmed", "trim": (2, 2)}, EmptyWindowError, "removes all"),
-        ({"variant": "weber", "k": 2}, ValueError, "only meaningful for the kcentrum"),
-        ({"variant": "kcentrum", "k": 2, "trim": (1, 1)}, ValueError, "only meaningful for the trimmed"),
-        ({"variant": "center", "position_lambda": (1, 0, 0, 0)}, ValueError, "only meaningful for the general"),
+        ({"variant": "weber", "k": 2}, ValueError, "for the kcentrum"),
+        ({"variant": "kcentrum", "k": 2, "trim": (1, 1)}, ValueError, "for the trimmed"),
+        ({"variant": "center", "position_lambda": (1, 0, 0, 0)}, ValueError, "for the general"),
         ({"norm_tau": (4, 2)}, InvalidNormError, "coprime"),
         ({"norm_tau": (1, 2)}, InvalidNormError, "r >= s >= 1"),
         ({"norm_tau": (True, 1)}, InvalidNormError, "integers"),
