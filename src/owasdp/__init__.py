@@ -11,7 +11,6 @@ from .location import (
     build_lifted,
     build_norm_lift,
     calibrate_ball,
-    default_ball,
     lifted_witness,
     random_instance,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "build_lifted",
     "build_norm_lift",
     "calibrate_ball",
-    "default_ball",
     "lifted_witness",
     "random_instance",
 ]

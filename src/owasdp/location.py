@@ -58,7 +58,6 @@ __all__ = [
     "build_norm_lift",
     "build_lifted",
     "calibrate_ball",
-    "default_ball",
     "lifted_witness",
     "random_instance",
 ]
@@ -70,15 +69,31 @@ class InvalidNormError(LiftBuildError):
     """Raised when a norm exponent pair is not a reduced rational >= 1."""
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; ValueError unless it is an integer (bools are
+    not), so that no fractional count is truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _default_ball(
     points: Sequence[Sequence[float]],
     weights: Sequence[float],
     norm_tau: Tuple[int, int],
     variant: str,
 ) -> float:
-    # Worst cases over the anchors' bounding box: a_sq of sum(x_l**2),
-    # lift_load of the largest u_i**2 + sum_l v_il**2, and cost_cap of
-    # every weighted distance w_i * u_i.
+    """Data-derived squared-radius bound certifying a compact search region.
+
+    The bound sums the worst case, over facility positions in the anchors'
+    bounding box, of every quantity the per-anchor ball constraints carry:
+    the squared position norm (a_sq), the squared tau-norm distance together
+    with its squared coordinate lifts (lift_load, the largest
+    u_i**2 + sum_l v_il**2), and the squared aggregation variables, bounded
+    through the largest weighted distance w_i * u_i (cost_cap), floored at
+    ``4``.  Every aggregation built here attains its minimum on the bounding
+    box, so adding a ball of this size never cuts an optimum, and every
+    anchor lies inside it."""
     pts = np.asarray(points, dtype=float)
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
@@ -116,7 +131,10 @@ class LocationInstance:
     ``ground_set`` constrains the facility position; it must be a set over
     exactly the facility coordinates and defaults to free space.
     ``ball_bound`` is a constant M with ``sum(x_l**2) <= M`` at any candidate
-    optimum; when omitted it is derived from the data by :func:`default_ball`.
+    optimum; when omitted it is derived from the data: the worst case over
+    the anchors' bounding box of every quantity the ball constraints carry
+    (``_default_ball``).  Anchor coordinates, anchor weights and rank
+    weights must be finite, and ``k`` and the ``trim`` counts integers.
     """
 
     points: Tuple[Tuple[float, ...], ...]
@@ -138,6 +156,8 @@ class LocationInstance:
             raise ValueError("anchor points need at least one coordinate")
         if any(len(p) != dim for p in pts):
             raise ValueError("anchor points have mixed dimensions")
+        if not all(math.isfinite(c) for p in pts for c in p):
+            raise ValueError("anchor coordinates must be finite")
         object.__setattr__(self, "points", pts)
         n = len(pts)
 
@@ -147,6 +167,8 @@ class LocationInstance:
             wts = tuple(float(v) for v in self.weights)
             if len(wts) != n:
                 raise ValueError(f"{len(wts)} weights for {n} anchor points")
+            if not all(math.isfinite(v) for v in wts):
+                raise ValueError("anchor weights must be finite")
             if any(v < 0.0 for v in wts):
                 raise ValueError("anchor weights must be nonnegative")
         object.__setattr__(self, "weights", wts)
@@ -170,7 +192,7 @@ class LocationInstance:
         if self.variant == "kcentrum":
             if self.k is None:
                 raise ValueError("the kcentrum variant requires k")
-            k = int(self.k)
+            k = _integer(self.k, "k")
             if not 1 <= k <= n:
                 raise ValueError(f"k must satisfy 1 <= k <= n, got {k} with n={n}")
             object.__setattr__(self, "k", k)
@@ -180,7 +202,7 @@ class LocationInstance:
         if self.variant == "trimmed":
             if self.trim is None:
                 raise ValueError("the trimmed variant requires trim=(k1, k2)")
-            k1, k2 = (int(v) for v in self.trim)
+            k1, k2 = (_integer(v, "each trim count") for v in self.trim)
             if k1 < 0 or k2 < 0:
                 raise ValueError("trim counts must be nonnegative")
             if k1 + k2 >= n:
@@ -195,6 +217,8 @@ class LocationInstance:
             lam = tuple(float(v) for v in self.position_lambda)
             if len(lam) != n:
                 raise ValueError(f"{len(lam)} rank weights for {n} anchor points")
+            if not all(math.isfinite(v) for v in lam):
+                raise ValueError("rank weights must be finite")
             object.__setattr__(self, "position_lambda", lam)
         elif self.position_lambda is not None:
             raise ValueError("position_lambda is only meaningful for the general variant")
@@ -305,24 +329,6 @@ class LocationInstance:
         dists = np.power(np.power(diffs, t).sum(axis=2), 1.0 / t)
         costs = np.sort(dists * np.asarray(self.weights)[None, :], axis=1)[:, ::-1]
         return costs @ np.asarray(self.position_weights())
-
-
-def default_ball(instance: LocationInstance) -> float:
-    """Data-derived squared-radius bound certifying a compact search region.
-
-    The bound sums the worst case, over facility positions in the anchors'
-    bounding box, of every quantity the per-anchor ball constraints carry:
-    the squared position norm, the squared tau-norm distance together with
-    its squared coordinate lifts, and the squared aggregation variables
-    (bounded through the largest weighted distance), floored at ``4``.  Every
-    aggregation built here attains its minimum on the bounding box, so adding
-    a ball of this size never cuts an optimum, and every anchor lies inside
-    it.
-    """
-    assert instance.weights is not None
-    return _default_ball(
-        instance.points, instance.weights, instance.norm_tau, instance.variant
-    )
 
 
 def calibrate_ball(

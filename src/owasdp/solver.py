@@ -31,14 +31,21 @@ group of same-shape blocks from those patterns (Fujisawa, Kojima & Nakata
 1997, formula F2: one sparse product, one batched dense product and one
 sparse contraction per group) and inherits the clique sparsity of the
 relaxation; its terms are written into one values vector and scattered into
-a KKT sparsity pattern fixed at compile time.  The KKT matrix is the
+a KKT storage fixed at compile time.  The KKT matrix is the
 positive-definite Schur complement H + dI alone.  Small KKT systems are
-factored by a dense LU.  Larger ones are stored in a minimum-degree order,
-also fixed at compile time, and SuperLU factors them in that order in
-symmetric mode without pivoting.  The iteration is deterministic: identical
-inputs, options and BLAS thread counts produce bitwise identical
-iterates.  ``diagnostics['phase_seconds']`` splits the compile and
-iteration time by phase, ``diagnostics['kkt']`` reports the size and fill
+stored in a CSC pattern and factored by a dense LU.  Larger ones are
+factored clique by clique (Vandenberghe & Andersen 2015): every block
+belongs to a clique of the relaxation (its ``variables``), a free moment
+touched by the blocks of one clique only is private to it, and the others
+are shared, so H + dI is block-arrow shaped.  Its dense blocks (one per
+clique over its private moments, their couplings to the shared moments,
+and the shared block) are filled straight from the Schur terms; the
+private moments are eliminated first, by a Cholesky (or LU) factor per
+clique, and the shared moments last, by a dense factor of their Schur
+complement.  The iteration is deterministic: identical inputs, options and
+BLAS thread counts produce bitwise identical iterates.
+``diagnostics['phase_seconds']`` splits the compile and iteration time by
+phase, ``diagnostics['kkt']`` reports the size and fill
 of the KKT system, ``diagnostics['schur']`` the size of the Schur terms and
 ``diagnostics['equalities']`` the elimination.
 
@@ -61,8 +68,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
+import scipy.linalg.lapack
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .relaxation import SdpProblem
 
@@ -139,10 +147,14 @@ class SolverResult:
     ``kkt_factor``, ``kkt_solve`` (search directions) and ``step_search``
     (scaled directions, step lengths and the Cholesky checks, whose factors
     feed the next iteration's scaling),
-    and in ``diagnostics['kkt']`` the KKT system's ``dim`` and ``nnz`` (of
-    its pattern) and the ``factor_nnz`` of its last factorization (L + U
-    nonzeros, dim^2 when dense; 0 before the first), and in
-    ``diagnostics['schur']`` the work of the Schur terms: the nonzero
+    and in ``diagnostics['kkt']`` the KKT system's ``dim``, the number of
+    ``cliques`` it is factored by, their ``private`` sizes p and the
+    ``separator`` size s of the shared moments (one clique of dim private
+    moments at or below the dense cut-off), the ``nnz`` of its storage (its
+    CSC pattern; sum(p^2 + 2 p s) + s^2 for the clique blocks) and the
+    ``factor_nnz`` of its last factorization (dim^2 for the dense LU,
+    sum(p^2 + 2 p s) + s^2 for the clique factors; 0 before the first), and
+    in ``diagnostics['schur']`` the work of the Schur terms: the nonzero
     ``coefficients`` of the block maps and the number of ``terms`` formed
     per iteration (the sum over blocks of (moments touched)^2).  The
     equality rows are eliminated before the iteration, so the KKT system,
@@ -328,12 +340,149 @@ def _eliminate(E: scipy.sparse.csr_matrix, b: np.ndarray) -> _Elimination:
     return _Elimination(fixed, free, dependent, inconsistency)
 
 
+def _clique_labels(blocks) -> np.ndarray:
+    """The clique of every block: the first, in sorted order, of the maximal
+    ``variables`` sets of the blocks that contains the block's own.  Blocks
+    without ``variables`` (hand-built problems) all share one clique, so a
+    problem of such blocks alone has a single clique."""
+    sets = {frozenset(b.variables) for b in blocks}
+    maximal = sorted((sorted(s) for s in sets if not any(s < t for t in sets)))
+    label = {
+        s: next(c for c, clique in enumerate(maximal) if s <= set(clique))
+        for s in sets
+    }
+    return np.array([label[frozenset(b.variables)] for b in blocks], dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class _CliqueLayout:
+    """Block-arrow storage of a KKT matrix above ``_DENSE_KKT_MAX`` rows.
+
+    A free moment is private to a clique when only that clique's blocks
+    touch it, and shared otherwise (also when no block touches it).  The
+    matrix couples the private moments of two cliques nowhere, so in the
+    order ``order`` (``order[k]`` is the k-th stored unknown: each clique's
+    private moments, clique by clique, then the s shared ones) it is
+
+        [ P_1          B_1 ]
+        [      ...     ... ]
+        [ B_1' ...     S   ]
+
+    The cliques of one private size p form a group ``(p, C, P offset,
+    B offset)`` of ``groups``: its C blocks P_c (p, p) and couplings B_c
+    (p, s) are stacked at those offsets of one flat storage vector, and S
+    (s, s) follows at ``shared_offset``.  The (shared, private) triangle is
+    not stored: its terms are scattered to the trailing slot ``size``."""
+
+    order: np.ndarray
+    groups: Tuple[Tuple[int, int, int, int], ...]
+    shared: int
+    shared_offset: int
+    size: int
+
+    @classmethod
+    def build(
+        cls, z_dim: int, shapes: List[_SchurGroup], n_values: int
+    ) -> Tuple["_CliqueLayout", np.ndarray]:
+        """The layout of the free moments touched by the blocks of
+        ``shapes``, and the position in its storage of every entry of the
+        ``n_values`` Schur values (diagonal, then the terms of each shape)."""
+        moments = np.concatenate(
+            [s.indices.ravel() for s in shapes] + [np.zeros(0, np.int64)]
+        )
+        labels = np.concatenate(
+            [np.repeat(s.cliques, s.indices.shape[1]) for s in shapes]
+            + [np.zeros(0, np.int64)]
+        )
+        lowest = np.full(z_dim, np.iinfo(np.int64).max)
+        np.minimum.at(lowest, moments, labels)
+        highest = np.full(z_dim, -1, dtype=np.int64)
+        np.maximum.at(highest, moments, labels)
+        private = lowest == highest
+
+        # Cliques with private moments by (private size, label); a moment's
+        # seat is its clique's place in that order, C for a shared moment.
+        _, owner, sizes = np.unique(
+            lowest[private], return_inverse=True, return_counts=True
+        )
+        rank = np.argsort(sizes, kind="stable")
+        place = np.empty_like(rank)
+        place[rank] = np.arange(rank.size)
+        sizes = sizes[rank]
+        C = sizes.size
+        seat = np.full(z_dim, C, dtype=np.int64)
+        seat[private] = place[owner]
+        order = np.lexsort((np.arange(z_dim), seat))
+        position = np.empty(z_dim, dtype=np.int64)
+        position[order] = np.arange(z_dim)
+        s = z_dim - int(sizes.sum())
+
+        # Storage offsets of every clique's P_c and B_c; the shared seat C
+        # points at S.
+        p_of = np.append(sizes, s)
+        first = np.append(np.cumsum(sizes) - sizes, z_dim - s)
+        p_start = np.zeros(C + 1, dtype=np.int64)
+        b_start = np.zeros(C + 1, dtype=np.int64)
+        groups = []
+        offset = 0
+        lo = 0
+        for p, run in itertools.groupby(sizes.tolist()):
+            count = sum(1 for _ in run)
+            seats = np.arange(lo, lo + count)
+            p_start[seats] = offset + (seats - lo) * p * p
+            b_start[seats] = offset + count * p * p + (seats - lo) * p * s
+            groups.append((p, count, offset, offset + count * p * p))
+            offset += count * (p * p + p * s)
+            lo += count
+        size = offset + s * s
+        p_start[C] = size  # no private columns in a shared row
+        b_start[C] = offset
+
+        # Row start of every moment in the storage, for a private and for
+        # a shared column, and its column within a block.
+        column = position - first[seat]
+        row_private = p_start[seat] + column * p_of[seat]
+        row_shared = b_start[seat] + column * s
+        scatter = np.empty(n_values, dtype=np.intp)
+        scatter[:z_dim] = np.where(private, row_private, row_shared) + column
+        for shape in shapes:
+            idx = shape.indices
+            K, m = idx.shape
+            rows = np.where(
+                private[idx][:, None, :],
+                row_private[idx][:, :, None],
+                row_shared[idx][:, :, None],
+            )
+            rows += column[idx][:, None, :]
+            # A (shared, private) term lands at or past ``size``.
+            np.minimum(
+                rows,
+                size,
+                out=scatter[shape.start : shape.start + K * m * m].reshape(K, m, m),
+            )
+        layout = cls(order, tuple(groups), s, offset, size)
+        return layout, scatter
+
+    def stats(self) -> Dict[str, object]:
+        """The clique count, private sizes and separator size s, and the
+        entries sum(p^2 + 2 p s) + s^2 of the matrix (and of its factors)."""
+        s = self.shared
+        private = [p for p, count, _, _ in self.groups for _ in range(count)]
+        return {
+            "cliques": len(private),
+            "private": private,
+            "separator": s,
+            "nnz": sum(p * p + 2 * p * s for p in private) + s * s,
+        }
+
+
 @dataclass(frozen=True)
 class _SchurGroup:
     """The blocks lo:hi of size group ``group``, all of shape (n, m), with
     the sparse maps that form their Schur terms (see ``_schur_terms``).
 
-    ``indices`` (K, m) are the free moments each block touches, and its K m^2
+    ``indices`` (K, m) are the free moments each block touches, ``cliques``
+    (K,) the clique of each block (see ``_clique_labels``), and its K m^2
     terms go to ``_Compiled.kkt_values[start:]``.  ``left`` maps the
     stacked G (K n, n) to T[k, i, l, :] = (A_l G)[i, :], rows ordered
     (k, i, l).  ``pair_rows`` and ``pair_cols`` are the positions (i <= j)
@@ -347,6 +496,7 @@ class _SchurGroup:
     hi: int
     start: int
     indices: np.ndarray
+    cliques: np.ndarray
     left: scipy.sparse.csr_matrix
     pair_rows: np.ndarray
     pair_cols: np.ndarray
@@ -360,14 +510,16 @@ class _SchurGroup:
         start: int,
         n: int,
         indices: np.ndarray,
+        cliques: np.ndarray,
         k: np.ndarray,
         l: np.ndarray,
         ij: np.ndarray,
         value: np.ndarray,
     ) -> "_SchurGroup":
         """The group of K blocks of size n touching the (K, m) free moments
-        ``indices``, from the nonzeros of their coefficient tensors: block k,
-        local moment l, flat position ij = i n + j and value."""
+        ``indices``, in the (K,) ``cliques``, from the nonzeros of their
+        coefficient tensors: block k, local moment l, flat position
+        ij = i n + j and value."""
         K, m = indices.shape
         i, j = np.divmod(ij, n)
         left = scipy.sparse.csr_matrix(
@@ -383,7 +535,16 @@ class _SchurGroup:
             shape=(K * m, pairs.size * K),
         )
         return cls(
-            group, lo, lo + K, start, indices, left, pairs // n, pairs % n, right
+            group,
+            lo,
+            lo + K,
+            start,
+            indices,
+            cliques,
+            left,
+            pairs // n,
+            pairs % n,
+            right,
         )
 
 
@@ -402,9 +563,10 @@ class _Compiled:
     are compiled together into their coefficient patterns
     (``_compile_blocks``), which yield A and, for the blocks of one shape
     (size and moment count), the sparse maps of a ``_SchurGroup``.  The
-    sparsity pattern of the KKT matrix H + dI, the values vector its Schur
+    storage of the KKT matrix H + dI (a CSC pattern, or above
+    ``_DENSE_KKT_MAX`` rows a ``_CliqueLayout``), the values vector its Schur
     terms and diagonal are written into and the scatter map from that vector
-    into its CSC data are fixed here, so an iteration only fills numbers in.
+    into the storage are fixed here, so an iteration only fills numbers in.
     """
 
     def __init__(self, sdp: SdpProblem) -> None:
@@ -528,6 +690,7 @@ class _Compiled:
         value_start = np.searchsorted(ranked, np.arange(K + 1))
 
         sizes = n[order]
+        cliques = _clique_labels(blocks)[order]
         norms = np.ones(K)
         self.block_scale = np.ones(K)
         for q, k in enumerate(order.tolist()):
@@ -575,6 +738,7 @@ class _Compiled:
                         start,
                         size,
                         touched[touched_start[lo:hi, None] + np.arange(width)],
+                        cliques[lo:hi],
                         ranked[span] - lo,
                         local[span],
                         ij[span],
@@ -584,16 +748,27 @@ class _Compiled:
                 start += (hi - lo) * width * width
             lo = hi
         self.kkt_values = np.empty(start)
+        # One buffer for the largest F = G T of ``_schur_terms``, reused by
+        # every shape and iteration: a fresh multi-megabyte F per call lets
+        # the C allocator return it to the system and fault it in again.
+        widest = (s.indices.size * self.groups[s.group][0] ** 2 for s in self.shapes)
+        self.schur_workspace = np.empty(max(widest, default=0))
 
     def _build_kkt_pattern(self) -> None:
-        """CSC pattern of H + dI and the position in its data array of every
-        entry of ``kkt_values`` (diagonal, then Schur terms).
+        """Storage of H + dI and the position in it of every entry of
+        ``kkt_values`` (diagonal, then Schur terms), ``kkt_scatter``.
 
-        Above ``_DENSE_KKT_MAX`` rows the pattern is stored symmetrically
-        permuted into a minimum-degree order ``kkt_order`` (``kkt_order[k]``
-        is the unknown eliminated k-th), so that ``kkt_data`` fills the
-        permuted matrix directly; at or below it ``kkt_order`` is None."""
+        At most ``_DENSE_KKT_MAX`` rows are stored in a CSC pattern
+        (``kkt_indices``, ``kkt_indptr``) and ``kkt_layout`` is None; above
+        it, in the dense blocks of ``kkt_layout``, a ``_CliqueLayout``."""
         dim = self.z_dim
+        self.kkt_layout = None
+        if dim > _DENSE_KKT_MAX:
+            self.kkt_layout, self.kkt_scatter = _CliqueLayout.build(
+                dim, self.shapes, self.kkt_values.size
+            )
+            self.kkt_indices = self.kkt_indptr = None
+            return
         rows = [np.arange(dim)]
         cols = [np.arange(dim)]
         for shape in self.shapes:
@@ -603,48 +778,32 @@ class _Compiled:
             cols.append(np.broadcast_to(indices[:, None, :], (K, m, m)).ravel())
         keys = np.concatenate(cols) * dim + np.concatenate(rows)
         unique, self.kkt_scatter = np.unique(keys, return_inverse=True)
-        self.kkt_order = None
-        if dim > _DENSE_KKT_MAX:
-            position = self._minimum_degree(unique)
-            self.kkt_order = np.argsort(position)
-            permuted = position[unique // dim] * dim + position[unique % dim]
-            relabel = np.argsort(permuted)
-            unique = permuted[relabel]
-            rank = np.empty_like(relabel)
-            rank[relabel] = np.arange(relabel.size)
-            self.kkt_scatter = rank[self.kkt_scatter]
         self.kkt_indices = unique % dim
         self.kkt_indptr = np.searchsorted(unique, np.arange(dim + 1) * dim)
 
-    def _minimum_degree(self, keys: np.ndarray) -> np.ndarray:
-        """Position of every unknown in a minimum-degree order of the KKT
-        pattern (SuperLU's MMD_AT_PLUS_A, run on a diagonally dominant
-        matrix of that pattern so that nothing pivots).  The matrix is
-        positive definite, so it factors stably in any symmetric order."""
-        dim = self.z_dim
-        rows = keys % dim
-        pattern = scipy.sparse.csc_matrix(
-            (
-                np.where(rows == keys // dim, dim + 1.0, 1.0),
-                rows,
-                np.searchsorted(keys, np.arange(dim + 1) * dim),
-            ),
-            shape=(dim, dim),
-        )
-        return scipy.sparse.linalg.splu(
-            pattern,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        ).perm_c
+    def kkt_stats(self) -> Dict[str, object]:
+        """Size of the KKT system: ``dim``, the cliques it is factored by
+        (see ``_CliqueLayout.stats``; one clique of ``dim`` private moments
+        for the dense LU) and its ``nnz``."""
+        if self.kkt_layout is not None:
+            return {"dim": self.z_dim, **self.kkt_layout.stats()}
+        return {
+            "dim": self.z_dim,
+            "cliques": int(self.z_dim > 0),
+            "private": [self.z_dim] if self.z_dim else [],
+            "separator": 0,
+            "nnz": int(self.kkt_indices.size),
+        }
 
     def kkt_data(self, delta: float) -> np.ndarray:
-        """CSC data of H + delta I from the Schur terms that ``_schur_terms``
-        last wrote into ``kkt_values``."""
+        """Storage of H + delta I (CSC data, or the ``_CliqueLayout``'s flat
+        vector and its trailing slot) from the Schur terms that
+        ``_schur_terms`` last wrote into ``kkt_values``."""
         self.kkt_values[: self.z_dim] = delta
-        return np.bincount(
-            self.kkt_scatter, weights=self.kkt_values, minlength=self.kkt_indices.size
+        size = (
+            self.kkt_indices.size if self.kkt_layout is None else self.kkt_layout.size + 1
         )
+        return np.bincount(self.kkt_scatter, weights=self.kkt_values, minlength=size)
 
     def moments(self, z: np.ndarray) -> np.ndarray:
         """The scaled moment vector fixed + free z."""
@@ -749,15 +908,16 @@ def _schur_terms(comp: _Compiled, G: List[np.ndarray]) -> None:
 
     Fujisawa, Kojima & Nakata's formula F2, three calls per shape group: the
     sparse product T = A_l G against the stacked G, the batched product
-    F_l = G T, and the sparse contraction H[i, j] = <A_i, F_j> over the
-    positions where some A_i is nonzero."""
+    F_l = G T (into ``comp.schur_workspace``), and the sparse contraction
+    H[i, j] = <A_i, F_j> over the positions where some A_i is nonzero."""
     with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
         for shape in comp.shapes:
             K, m = shape.indices.shape
             g = G[shape.group][shape.lo : shape.hi]
             n = g.shape[1]
             T = (shape.left @ g.reshape(K * n, n)).reshape(K, n, m * n)
-            F = (g @ T).reshape(K, n, m, n)
+            F = np.matmul(g, T, out=comp.schur_workspace[: T.size].reshape(T.shape))
+            F = F.reshape(K, n, m, n)
             gathered = F[:, shape.pair_rows, :, shape.pair_cols]
             half = (shape.right @ gathered.reshape(-1, m)).reshape(K, m, m)
             terms = comp.kkt_values[shape.start : shape.start + K * m * m]
@@ -813,60 +973,138 @@ def _step_lengths(
     return alpha_p, alpha_d
 
 
+class _CliqueFactor:
+    """LAPACK factors of one symmetric positive-definite block M of a
+    ``_CliqueLayout``: its Cholesky factor (potrf), or its LU factors
+    (getrf) when Cholesky meets a nonpositive pivot.  Both read M.T, which
+    is M: the transpose of a C-ordered block is a Fortran-ordered view that
+    LAPACK takes without reordering.  RuntimeError on an exactly zero or a
+    non-finite pivot."""
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        self.lu = None
+        self.cholesky, info = scipy.linalg.lapack.dpotrf(matrix.T, lower=1)
+        pivots = np.diagonal(self.cholesky)
+        if info != 0:
+            lu, piv, info = scipy.linalg.lapack.dgetrf(matrix.T)
+            self.lu, pivots = (lu, piv), np.diagonal(lu)
+        if info != 0 or not _finite(pivots):
+            raise RuntimeError("zero or non-finite pivot in a clique factor")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """M^{-1} rhs."""
+        if self.lu is None:
+            return scipy.linalg.lapack.dpotrs(self.cholesky, rhs, lower=1)[0]
+        return scipy.linalg.lapack.dgetrs(*self.lu, rhs, trans=1)[0]
+
+    def gram(self, coupling: np.ndarray) -> np.ndarray:
+        """B' M^{-1} B of a coupling B: V'V for V = L^{-1} B under Cholesky."""
+        if self.lu is None:
+            V = scipy.linalg.blas.dtrsm(1.0, self.cholesky, coupling, lower=1)
+            return V.T @ V
+        return coupling.T @ self.solve(coupling)
+
+
 class _Kkt:
     """Factorization of the positive-definite H + dI over the free moments,
     with iterative refinement.
 
-    At most ``_DENSE_KKT_MAX`` rows are factored by a dense LU.  Larger
-    systems arrive in the compile-time order ``kkt_order`` of
-    :class:`_Compiled` and are factored by SuperLU in that order, in
-    symmetric mode without pivoting; the right-hand side is permuted in and
-    the solution out.  ``factor_nnz`` counts the nonzeros of L + U (dim^2
-    for the dense LU)."""
+    At most ``_DENSE_KKT_MAX`` rows are factored by one dense LU.  Larger
+    systems arrive in the ``_CliqueLayout`` of :class:`_Compiled` and are
+    factored by block elimination of the clique-private moments: every P_c
+    is factored (``_CliqueFactor``), and so is the separator's Schur
+    complement S - sum_c B_c' P_c^{-1} B_c.  A solve eliminates the private
+    moments of every clique, solves for the shared ones and substitutes them
+    back, x_c = P_c^{-1} (r_c - B_c x_s).  The right-hand side is permuted
+    into the layout's order and the solution out; the refinement residual
+    runs in the same block form, with the products batched over the cliques
+    of one private size.  ``factor_nnz`` counts the entries of the factors
+    and the couplings they are applied to: dim^2 for the dense LU, and
+    sum(p^2 + 2 p s) + s^2 for the clique factors."""
 
     def __init__(self, comp: _Compiled, data: np.ndarray) -> None:
         dim = comp.z_dim
-        self.matrix = scipy.sparse.csc_matrix(
-            (data, comp.kkt_indices, comp.kkt_indptr), shape=(dim, dim)
-        )
-        self.order = comp.kkt_order
-        if self.order is None:
-            self._dense = scipy.linalg.lu_factor(self.matrix.toarray(), check_finite=False)
-            self._sparse = None
-            self.factor_nnz = dim * dim
-        else:
-            self._dense = None
-            self._sparse = scipy.sparse.linalg.splu(
-                self.matrix,
-                permc_spec="NATURAL",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
+        self.layout = layout = comp.kkt_layout
+        if layout is None:
+            self.matrix = scipy.sparse.csc_matrix(
+                (data, comp.kkt_indices, comp.kkt_indptr), shape=(dim, dim)
             )
-            self.factor_nnz = int(self._sparse.nnz)
+            self._dense = scipy.linalg.lu_factor(self.matrix.toarray(), check_finite=False)
+            self.factor_nnz = dim * dim
+            return
+        s = layout.shared
+        self._shared = data[layout.shared_offset : layout.size].reshape(s, s)
+        # Per group of same-size cliques: its unknowns (a slice of the
+        # layout's order), P (C, p, p), the stacked B (C p, s) and the
+        # factors of every P_c.
+        self._cliques = []
+        reduced = self._shared.copy()
+        start = 0
+        with np.errstate(over="ignore", invalid="ignore"):  # the pivots are checked
+            for p, count, p_offset, b_offset in layout.groups:
+                P = data[p_offset:b_offset].reshape(count, p, p)
+                B = data[b_offset : b_offset + count * p * s].reshape(count, p, s)
+                factors = [_CliqueFactor(block) for block in P]
+                for factor, coupling in zip(factors, B):
+                    reduced -= factor.gram(coupling)
+                span = slice(start, start + count * p)
+                self._cliques.append((span, P, B.reshape(count * p, s), factors))
+                start = span.stop
+            self._separator = _CliqueFactor(reduced) if s else None
+        self.factor_nnz = layout.stats()["nnz"]
 
     def _solve_once(self, rhs: np.ndarray) -> np.ndarray:
-        if self._dense is not None:
+        if self.layout is None:
             return scipy.linalg.lu_solve(self._dense, rhs, check_finite=False)
-        return self._sparse.solve(rhs)
+        private = rhs.size - self.layout.shared
+        out = np.empty_like(rhs)
+        shared = rhs[private:].copy()
+        with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
+            for span, _, B, factors in self._cliques:
+                part = rhs[span].reshape(len(factors), -1)
+                shared -= B.T @ np.concatenate([f.solve(r) for f, r in zip(factors, part)])
+            if self._separator is not None:
+                shared = self._separator.solve(shared)
+            out[private:] = shared
+            for span, _, B, factors in self._cliques:
+                part = (rhs[span] - B @ shared).reshape(len(factors), -1)
+                out[span] = np.concatenate([f.solve(r) for f, r in zip(factors, part)])
+        return out
+
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        """(H + dI) x."""
+        if self.layout is None:
+            return self.matrix @ x
+        private = x.size - self.layout.shared
+        out = np.empty_like(x)
+        shared = x[private:]
+        with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
+            out[private:] = self._shared @ shared
+            for span, P, B, _ in self._cliques:
+                part = x[span]
+                out[span] = (P @ part.reshape(P.shape[0], -1, 1)).ravel() + B @ shared
+                out[private:] += B.T @ part
+        return out
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Refined solution; non-finite when the factorization breaks down."""
-        if self.order is not None:
-            rhs = rhs[self.order]
+        order = None if self.layout is None else self.layout.order
+        if order is not None:
+            rhs = rhs[order]
         with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
             scale = 1.0 + float(np.linalg.norm(rhs))
         sol = self._solve_once(rhs)
         for _ in range(3):
             if not _finite(sol):
                 break
-            residual = rhs - self.matrix @ sol
+            residual = rhs - self._product(sol)
             with np.errstate(over="ignore", invalid="ignore"):
                 if float(np.linalg.norm(residual)) <= 1e-13 * scale:
                     break
             sol = sol + self._solve_once(residual)
-        if self.order is not None:
+        if order is not None:
             unpermuted = np.empty_like(sol)
-            unpermuted[self.order] = sol
+            unpermuted[order] = sol
             sol = unpermuted
         return sol
 
@@ -911,11 +1149,7 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
     clock = _PhaseClock()
     comp = _Compiled(sdp)
     clock.lap("compile")
-    kkt_stats = {
-        "dim": comp.z_dim,
-        "nnz": int(comp.kkt_indices.size),
-        "factor_nnz": 0,
-    }
+    kkt_stats = {**comp.kkt_stats(), "factor_nnz": 0}
     equality_stats = {
         "rows": comp.n_eq,
         "dependent": comp.dependent,

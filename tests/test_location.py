@@ -4,6 +4,7 @@ the lift's witness and Dirac soundness, and ball calibration."""
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -143,6 +144,17 @@ ANCHORS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
             "exactly the facility position",
         ),
         ({"ball_bound": 1.5}, ValueError, "does not contain the anchor"),
+        ({"variant": "kcentrum", "k": 2.7}, ValueError, "k must be an integer"),
+        ({"variant": "kcentrum", "k": True}, ValueError, "k must be an integer"),
+        ({"variant": "trimmed", "trim": (0.9, 1.5)}, ValueError, "trim count must be"),
+        ({"points": ((0.0, 0.0), (math.nan, 1.0))}, ValueError, "must be finite"),
+        ({"points": ((0.0, math.inf), (1.0, 1.0))}, ValueError, "must be finite"),
+        ({"weights": (1.0, math.nan, 1.0, 1.0)}, ValueError, "weights must be finite"),
+        (
+            {"variant": "general", "position_lambda": (1.0, math.nan, 0.0, 0.0)},
+            ValueError,
+            "rank weights must be finite",
+        ),
     ],
     ids=[
         "k_zero",
@@ -159,8 +171,23 @@ ANCHORS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
         "negative_weight",
         "ground_dimension",
         "ball_misses_anchor",
+        "k_fraction",
+        "k_bool",
+        "trim_fractions",
+        "nan_anchor",
+        "infinite_anchor",
+        "nan_weight",
+        "nan_rank_weight",
     ],
 )
 def test_instance_rejects(kwargs, error, match):
     with pytest.raises(error, match=match):
-        LocationInstance(points=ANCHORS, **kwargs)
+        LocationInstance(**{"points": ANCHORS, **kwargs})
+
+
+def test_instance_keeps_integer_counts():
+    # numpy integers are counts too, and stay exactly what was given
+    kcentrum = LocationInstance(points=ANCHORS, variant="kcentrum", k=np.int64(3))
+    trimmed = LocationInstance(points=ANCHORS, variant="trimmed", trim=(np.int32(1), 2))
+    assert (kcentrum.k, trimmed.trim) == (3, (1, 2))
+    assert type(kcentrum.k) is int and all(type(v) is int for v in trimmed.trim)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 import owasdp.solver as solver_module
 from owasdp.location import LocationInstance, build_lifted, random_instance
@@ -151,6 +150,36 @@ def mixed_layout_sdp():
     )
 
 
+def clique_chain_sdp(labelled):
+    """Minimize the sum of 521 moments, no equality rows, over 130 random
+    3x3 blocks: block k touches moments 4k + 1 .. 4k + 4 and moment 0, and
+    is PSD at y = 0.  Its KKT system has 521 rows, above the dense cut-off.
+    With ``labelled`` every third block has ``variables`` (0,) and the rest
+    (1,): two cliques of 176 and 344 private moments sharing moment 0.
+    Otherwise every block has empty ``variables``: one clique of all 521."""
+    rng = np.random.default_rng(7)
+    blocks = []
+    for k in range(130):
+        touched = (0, 4 * k + 1, 4 * k + 2, 4 * k + 3, 4 * k + 4)
+        entries = tuple(
+            (i, j, AffineForm(touched, tuple(rng.standard_normal(5)), float(i == j)))
+            for i in range(3)
+            for j in range(i, 3)
+        )
+        variables = ((0,) if k % 3 == 0 else (1,)) if labelled else ()
+        blocks.append(psd_block(3, "localizing", f"b{k}", variables, entries))
+    return SdpProblem(
+        y_dim=521,
+        order=1,
+        objective=AffineForm(tuple(range(521)), (1.0,) * 521, 0.0),
+        psd_blocks=tuple(blocks),
+        equalities=(),
+        pivot_substitution=AffineForm((), (), 1.0),
+        moment_scales=(1.0,) * 521,
+        original_variables=(),
+    )
+
+
 @pytest.fixture(scope="module")
 def linear_sdp():
     lift = hand_lift(("x",), "x", inequality_texts=("x", "1 - x"))
@@ -260,16 +289,32 @@ def reference_nt_inverse(x, z):
     return isqrt_x @ (ps * np.sqrt(es)) @ ps.T @ isqrt_x
 
 
-def unpermuted_kkt(comp, data):
-    """Dense KKT matrix from its CSC data, in the original unknown order."""
+def assembled_kkt(comp, data):
+    """Dense KKT matrix from its stored data, in the original unknown order:
+    the CSC data at or below the dense cut-off, the clique blocks P_c, B_c
+    and S of the ``_CliqueLayout`` above it (B_c' mirrored)."""
     dim = comp.z_dim
-    stored = scipy.sparse.csc_matrix(
-        (data, comp.kkt_indices, comp.kkt_indptr), shape=(dim, dim)
-    ).toarray()
-    if comp.kkt_order is None:
-        return stored
+    layout = comp.kkt_layout
+    if layout is None:
+        return scipy.sparse.csc_matrix(
+            (data, comp.kkt_indices, comp.kkt_indptr), shape=(dim, dim)
+        ).toarray()
+    s = layout.shared
+    stored = np.zeros((dim, dim))
+    start = 0
+    for p, count, p_offset, b_offset in layout.groups:
+        P = data[p_offset:b_offset].reshape(count, p, p)
+        B = data[b_offset : b_offset + count * p * s].reshape(count, p, s)
+        for c in range(count):
+            span = slice(start, start + p)
+            stored[span, span] = P[c]
+            stored[span, dim - s :] = B[c]
+            stored[dim - s :, span] = B[c].T
+            start += p
+    assert start == dim - s
+    stored[dim - s :, dim - s :] = data[layout.shared_offset : layout.size].reshape(s, s)
     out = np.empty_like(stored)
-    out[np.ix_(comp.kkt_order, comp.kkt_order)] = stored
+    out[np.ix_(layout.order, layout.order)] = stored
     return out
 
 
@@ -357,13 +402,19 @@ def reference_block_pattern(block, scales, elim):
 
 
 def reference_compile(sdp, comp):
-    """The block operator, Schur groups and KKT pattern of ``sdp`` assembled
+    """The block operator, Schur groups and KKT storage of ``sdp`` assembled
     from per-block patterns, over the elimination of ``comp``."""
     elim = solver_module._Elimination(comp.fixed, comp.free, 0, 0.0)
-    blocks = sorted(
-        (reference_block_pattern(b, comp.y_scales, elim) for b in sdp.psd_blocks if b.size),
-        key=lambda blk: (blk[0].shape[0], blk[1].size),
+    nonempty = [b for b in sdp.psd_blocks if b.size]
+    ranked = sorted(
+        zip(
+            (reference_block_pattern(b, comp.y_scales, elim) for b in nonempty),
+            solver_module._clique_labels(nonempty).tolist(),
+        ),
+        key=lambda pair: (pair[0][0].shape[0], pair[0][1].size),
     )
+    blocks = [blk for blk, _ in ranked]
+    cliques = np.array([clique for _, clique in ranked], dtype=np.int64)
     offsets = np.cumsum([0] + [blk[0].size for blk in blocks])
     rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
     for (constant, indices, position, value), offset in zip(blocks, offsets):
@@ -386,30 +437,35 @@ def reference_compile(sdp, comp):
         lo = 0
         for m, same_shape in itertools.groupby(same_size, key=lambda blk: blk[1].size):
             same_shape = list(same_shape)
+            K = len(same_shape)
             if m:
-                K = len(same_shape)
                 k = np.repeat(np.arange(K), [blk[2].size for blk in same_shape])
                 l, ij = np.divmod(np.concatenate([blk[2] for blk in same_shape]), n * n)
                 value = np.concatenate([blk[3] for blk in same_shape])
                 indices = np.stack([blk[1] for blk in same_shape])
+                labels = cliques[first + lo : first + lo + K]
                 shapes.append(
-                    solver_module._SchurGroup.build(len(groups), lo, start, n, indices, k, l, ij, value)
+                    solver_module._SchurGroup.build(
+                        len(groups), lo, start, n, indices, labels, k, l, ij, value
+                    )
                 )
                 start += K * m * m
-            lo += len(same_shape)
+            lo += K
         groups.append((n, first, first + lo))
         first += lo
     out["groups"], out["shapes"] = groups, shapes
-    pattern = types.SimpleNamespace(z_dim=comp.z_dim, shapes=shapes)
-    pattern._minimum_degree = lambda keys: solver_module._Compiled._minimum_degree(pattern, keys)
+    pattern = types.SimpleNamespace(
+        z_dim=comp.z_dim, shapes=shapes, kkt_values=np.empty(start)
+    )
     solver_module._Compiled._build_kkt_pattern(pattern)
-    for name in ("kkt_indices", "kkt_indptr", "kkt_scatter", "kkt_order"):
+    for name in ("kkt_indices", "kkt_indptr", "kkt_scatter", "kkt_layout"):
         out[name] = getattr(pattern, name)
     return out
 
 
 def assert_same_bits(actual, expected):
-    """Equal dtype, shape and bytes (CSR matrices: data, indices, indptr)."""
+    """Equal dtype, shape and bytes (CSR matrices: data, indices, indptr;
+    clique layouts: every field)."""
     if scipy.sparse.issparse(expected):
         assert actual.shape == expected.shape
         for name in ("data", "indices", "indptr"):
@@ -417,6 +473,10 @@ def assert_same_bits(actual, expected):
         return
     if expected is None:
         assert actual is None
+        return
+    if isinstance(expected, solver_module._CliqueLayout):
+        for name in ("order", "groups", "shared", "shared_offset", "size"):
+            assert_same_bits(getattr(actual, name), getattr(expected, name))
         return
     actual, expected = np.asarray(actual), np.asarray(expected)
     assert actual.dtype == expected.dtype and actual.shape == expected.shape
@@ -757,7 +817,7 @@ class TestBatchedKernels:
         G = random_scaling(comp, 3)
         reference = operator_schur(comp, G)
         solver_module._schur_terms(comp, G)
-        schur = unpermuted_kkt(comp, comp.kkt_data(0.0))
+        schur = assembled_kkt(comp, comp.kkt_data(0.0))
         # The KKT matrix is the Schur complement alone: no equality rows.
         assert schur.shape == reference.shape == (comp.z_dim, comp.z_dim)
         scale = np.max(np.abs(reference))
@@ -790,7 +850,7 @@ class TestBatchedCompile:
             "kkt_indices",
             "kkt_indptr",
             "kkt_scatter",
-            "kkt_order",
+            "kkt_layout",
         ):
             assert_same_bits(getattr(comp, name), reference[name])
         assert comp.groups == reference["groups"]
@@ -802,7 +862,7 @@ class TestBatchedCompile:
                 expected.hi,
                 expected.start,
             )
-            for name in ("indices", "left", "pair_rows", "pair_cols", "right"):
+            for name in ("indices", "cliques", "left", "pair_rows", "pair_cols", "right"):
                 assert_same_bits(getattr(shape, name), getattr(expected, name))
 
     @pytest.mark.parametrize("problem", ["weber_sparse", "weber50_sparse"])
@@ -826,8 +886,9 @@ class TestBatchedCompile:
 
 
 class TestSparseKkt:
-    """The KKT system above the dense cut-off: factored by SuperLU in the
-    minimum-degree order fixed at compile time."""
+    """The KKT system above the dense cut-off: stored in the blocks of a
+    ``_CliqueLayout`` fixed at compile time and factored by block
+    elimination, clique-private moments first and the shared ones last."""
 
     @pytest.fixture(scope="class")
     def result(self, weber50_sparse):
@@ -846,22 +907,33 @@ class TestSparseKkt:
 
     def test_kkt_diagnostics(self, weber_sparse, weber50_sparse, result):
         stats = result.diagnostics["kkt"]
-        assert set(stats) == {"dim", "nnz", "factor_nnz"}
+        assert set(stats) == {"dim", "cliques", "private", "separator", "nnz", "factor_nnz"}
         free = solver_module._Compiled(weber50_sparse).z_dim
         assert stats["dim"] == free == result.diagnostics["equalities"]["free"] == 514
-        assert stats["nnz"] <= stats["factor_nnz"] < stats["dim"] ** 2
+        # One clique per anchor, each with 10 private moments; the 14 free
+        # moments of the facility position alone are shared.
+        assert stats["cliques"] == len(stats["private"]) == 50
+        assert stats["private"] == [10] * 50 and stats["separator"] == 14
+        s = stats["separator"]
+        blocks = sum(p * p + 2 * p * s for p in stats["private"]) + s * s
+        assert stats["nnz"] == stats["factor_nnz"] == blocks < stats["dim"] ** 2
         dense = solve(weber_sparse).diagnostics["kkt"]
         assert dense["dim"] <= 500
         assert dense["factor_nnz"] == dense["dim"] ** 2
+        assert (dense["cliques"], dense["private"], dense["separator"]) == (
+            1,
+            [dense["dim"]],
+            0,
+        )
 
     def test_solve_matches_dense_reference(self, weber50_sparse):
         comp = solver_module._Compiled(weber50_sparse)
-        assert np.array_equal(np.sort(comp.kkt_order), np.arange(comp.z_dim))
+        assert np.array_equal(np.sort(comp.kkt_layout.order), np.arange(comp.z_dim))
         G = random_scaling(comp, 4)
         delta = 1e-12
         solver_module._schur_terms(comp, G)
         data = comp.kkt_data(delta)
-        matrix = unpermuted_kkt(comp, data)
+        matrix = assembled_kkt(comp, data)
         schur = operator_schur(comp, G)
         np.testing.assert_allclose(
             matrix - delta * np.eye(comp.z_dim),
@@ -876,21 +948,82 @@ class TestSparseKkt:
             solution, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected))
         )
 
+    @pytest.mark.parametrize(
+        "problem, cliques, separator",
+        [("weber50", 50, 14), ("empty_variables", 1, 0), ("two_cliques", 2, 1)],
+    )
+    def test_block_solve_matches_numpy(self, weber50_sparse, problem, cliques, separator):
+        # H + dI assembled from the block operator alone, against the block
+        # elimination's refined solve and its block-form product.
+        sdp = {
+            "weber50": weber50_sparse,
+            "empty_variables": clique_chain_sdp(labelled=False),
+            "two_cliques": clique_chain_sdp(labelled=True),
+        }[problem]
+        comp = solver_module._Compiled(sdp)
+        stats = comp.kkt_stats()
+        assert (stats["cliques"], stats["separator"]) == (cliques, separator)
+        G = random_scaling(comp, 6)
+        delta = 1e-12
+        solver_module._schur_terms(comp, G)
+        kkt = solver_module._Kkt(comp, comp.kkt_data(delta))
+        H = operator_schur(comp, G) + delta * np.eye(comp.z_dim)
+        rhs = np.random.default_rng(8).standard_normal(comp.z_dim)
+        expected = np.linalg.solve(H, rhs)
+        np.testing.assert_allclose(
+            kkt.solve(rhs), expected, rtol=0, atol=1e-12 * np.max(np.abs(expected))
+        )
+        order = comp.kkt_layout.order
+        np.testing.assert_allclose(
+            kkt._product(rhs[order]),
+            (H @ rhs)[order],
+            rtol=0,
+            atol=1e-12 * np.max(np.abs(H @ rhs)),
+        )
+
+    def test_clique_labels(self, weber50_sparse):
+        # Every moment block is a clique of its own, and every block lies in
+        # the clique it is labelled with; blocks without variables share one.
+        blocks = [b for b in weber50_sparse.psd_blocks if b.size]
+        labels = solver_module._clique_labels(blocks).tolist()
+        cliques = {l: b.variables for b, l in zip(blocks, labels) if b.kind == "moment"}
+        assert sorted(cliques) == list(range(50))
+        assert all(set(b.variables) <= set(cliques[l]) for b, l in zip(blocks, labels))
+        unlabelled = [dataclasses.replace(b, variables=()) for b in blocks]
+        assert not solver_module._clique_labels(unlabelled).any()
+
     def test_factorization_failure_reports_failure(self, monkeypatch, weber50_sparse):
-        real_splu = scipy.sparse.linalg.splu
+        real_potrf = scipy.linalg.lapack.dpotrf
+        real_getrf = scipy.linalg.lapack.dgetrf
 
-        def failing_splu(matrix, permc_spec=None, **kwargs):
-            # The compile-time ordering goes through; every factorization in
-            # that order fails.
-            if permc_spec == "NATURAL":
-                raise RuntimeError("Factor is exactly singular")
-            return real_splu(matrix, permc_spec=permc_spec, **kwargs)
+        def indefinite_potrf(matrix, *args, **kwargs):
+            # Cholesky meets a nonpositive first pivot (info = 1) ...
+            return real_potrf(matrix, *args, **kwargs)[0], 1
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", failing_splu)
+        def singular_getrf(matrix, *args, **kwargs):
+            # ... and the LU fallback an exactly zero last one (info = n).
+            lu, piv, _ = real_getrf(matrix, *args, **kwargs)
+            lu[-1, -1] = 0.0
+            return lu, piv, lu.shape[0]
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", indefinite_potrf)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", singular_getrf)
         res = solve(weber50_sparse)
         assert res.status is SolveStatus.NUMERICAL_FAILURE
         assert res.y is None
         assert res.diagnostics["note"] == "KKT factorization failed"
+
+    def test_lu_fallback_solves_the_same_problem(self, monkeypatch, weber50_sparse, result):
+        # With every Cholesky factorization refused, the LU factors serve.
+        real_potrf = scipy.linalg.lapack.dpotrf
+        monkeypatch.setattr(
+            scipy.linalg.lapack,
+            "dpotrf",
+            lambda matrix, *args, **kwargs: (real_potrf(matrix, *args, **kwargs)[0], 1),
+        )
+        res = solve(weber50_sparse)
+        assert res.status is result.status
+        assert res.objective == pytest.approx(result.objective, rel=1e-6)
 
 
 class TestEqualityElimination:
@@ -1102,7 +1235,7 @@ class TestOverflowGuards:
 
     @pytest.mark.parametrize("fixture", ["weber_sparse", "weber50_sparse"])
     def test_kkt_solve_of_an_overflowing_norm(self, request, fixture):
-        # dense LU below the KKT size cut-off, SuperLU above it
+        # dense LU below the KKT size cut-off, clique elimination above it
         comp = solver_module._Compiled(request.getfixturevalue(fixture))
         solver_module._schur_terms(comp, random_scaling(comp, 4))
         kkt = solver_module._Kkt(comp, comp.kkt_data(1e-12))
