@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -253,22 +253,21 @@ def rank_check(
         )
         break
 
+    # The rank of a pair depends only on its first block and the shared
+    # variables, so each (block, shared set) is ranked once.
     cross = []
+    variables = [frozenset(block.variables) for block in moment_blocks]
+    ranks: Dict[Tuple[int, FrozenSet[VarId]], int] = {}
     for i in range(len(moment_blocks)):
         for j in range(i + 1, len(moment_blocks)):
-            shared = set(moment_blocks[i].variables) & set(
-                moment_blocks[j].variables
-            )
+            shared = variables[i] & variables[j]
             if not shared:
                 continue
-            rows = _submatrix_rows(bases[i], shared)
-            sub = matrices[i][np.ix_(rows, rows)]
+            if (i, shared) not in ranks:
+                rows = _submatrix_rows(bases[i], shared)
+                ranks[i, shared] = _numerical_rank(matrices[i][np.ix_(rows, rows)], tol)
             cross.append(
-                (
-                    moment_blocks[i].label,
-                    moment_blocks[j].label,
-                    _numerical_rank(sub, tol),
-                )
+                (moment_blocks[i].label, moment_blocks[j].label, ranks[i, shared])
             )
 
     return RankReport(

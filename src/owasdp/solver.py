@@ -30,7 +30,10 @@ and the Schur terms.  The Schur complement is formed per
 group of same-shape blocks from those patterns (Fujisawa, Kojima & Nakata
 1997, formula F2: one sparse product, one batched dense product and one
 sparse contraction per group) and inherits the clique sparsity of the
-relaxation; its terms are written into one values vector and scattered into
+relaxation.  A shape of wide blocks whose coefficient matrices have few
+nonzero rows takes a compact form of F2 instead: it forms only the nonzero
+rows of A_l G, and G A_l G from them (Fujisawa, Kojima & Nakata choose
+their formula from the nonzeros in the same spirit).  The terms are written into one values vector and scattered into
 a KKT storage fixed at compile time.  The KKT matrix is the
 positive-definite Schur complement H + dI alone.  Small KKT systems are
 stored in a CSC pattern and factored by a dense LU.  Larger ones are
@@ -47,7 +50,8 @@ BLAS thread counts produce bitwise identical iterates.
 ``diagnostics['phase_seconds']`` splits the compile and iteration time by
 phase, ``diagnostics['kkt']`` reports the size and fill
 of the KKT system, ``diagnostics['schur']`` the size of the Schur terms and
-``diagnostics['equalities']`` the elimination.
+the shapes on each formula, and ``diagnostics['equalities']`` the
+elimination.
 
 Before solving, every equality row is normalized to unit Euclidean norm
 before the elimination and every substituted PSD block map to unit Frobenius
@@ -122,6 +126,17 @@ TRACE_COLUMNS = ("relgap", "pres", "dres", "mu", "sigma", "alpha_p", "alpha_d")
 # KKT systems with at most this many rows are factored densely.
 _DENSE_KKT_MAX = 500
 
+# A Schur shape takes the compact formula (see ``_SchurGroup``) when its
+# blocks have at least _COMPACT_MIN_SIZE rows and at most 1 /
+# _COMPACT_SUPPORT_SHARE of the rows of T are nonzero, so a slot (k, l) has
+# on average at most n / 6 of them.  Measured with 1 BLAS thread: the n = 56
+# moment blocks of order-3 OMRF lifts (12% nonzero rows) run 20-30% faster;
+# shapes with n <= 36, the order-2 demo's included, ran no faster or slower,
+# because the per-slot products and the scatter into F cost about as much
+# as the dense product saves.
+_COMPACT_MIN_SIZE = 40
+_COMPACT_SUPPORT_SHARE = 6
+
 # Elimination of the equality rows (scaled to unit norm).  A pivot is an
 # entry of at least _PIVOT_THRESHOLD times its reduced row's largest; a row
 # whose entries all reduce to at most _DEPENDENT_TOL is dependent, and
@@ -155,8 +170,12 @@ class SolverResult:
     ``factor_nnz`` of its last factorization (dim^2 for the dense LU,
     sum(p^2 + 2 p s) + s^2 for the clique factors; 0 before the first), and
     in ``diagnostics['schur']`` the work of the Schur terms: the nonzero
-    ``coefficients`` of the block maps and the number of ``terms`` formed
-    per iteration (the sum over blocks of (moments touched)^2).  The
+    ``coefficients`` of the block maps, the number of ``terms`` formed
+    per iteration (the sum over blocks of (moments touched)^2), how many
+    shape groups take formula F2 (``f2_shapes``) and how many its compact
+    form (``compact_shapes``), and the rows of T = A_l G formed per
+    iteration (``t_rows``) against the sum over blocks of size times
+    moments touched (``dense_t_rows``), which F2 forms.  The
     equality rows are eliminated before the iteration, so the KKT system,
     its ``dim`` and the Schur terms are over the free moments only;
     ``diagnostics['equalities']`` reports the ``rows``, how many of them
@@ -484,12 +503,20 @@ class _SchurGroup:
     ``indices`` (K, m) are the free moments each block touches, ``cliques``
     (K,) the clique of each block (see ``_clique_labels``), and its K m^2
     terms go to ``_Compiled.kkt_values[start:]``.  ``left`` maps the
-    stacked G (K n, n) to T[k, i, l, :] = (A_l G)[i, :], rows ordered
-    (k, i, l).  ``pair_rows`` and ``pair_cols`` are the positions (i <= j)
-    at which some A_l of the group is nonzero.  ``right`` maps F_b = G A_b G,
-    gathered at those pairs in (pair, k) order, to H[k, a, b] / 2 =
-    <A_a, F_b> / 2: it holds A_a at the pairs, halved on the diagonal (the
-    off-diagonal pairs stand for both triangles of the symmetric F_b)."""
+    stacked G (K n, n) to rows of T[k, i, l, :] = (A_l G)[i, :].  Under
+    formula F2 (``buckets`` empty) those are all K n m rows, ordered
+    (k, i, l).  Under the compact formula they are only the nonzero ones,
+    the rows i in the support R_l of each slot (k, l) (the rows where A_l
+    of block k is nonzero), ordered by (|R_l|, k, l, i); ``buckets`` then
+    holds, for every support size r in increasing order, the S slots of
+    that size, as their blocks k and moments l (S,), and the rows k n + i of
+    the stacked G that their S r rows of T pair with.  ``pair_rows`` and
+    ``pair_cols`` are the positions (i <= j) at which some A_l of the group
+    is nonzero.  ``right`` maps F_b = G A_b G, gathered at those pairs in
+    (pair, k) order, to H[k, a, b] / 2 = <A_a, F_b> / 2: it holds A_a at the
+    pairs, halved on the diagonal (the off-diagonal pairs stand for both
+    triangles of the symmetric F_b).  The formula is chosen at compile time
+    from the shape (``_COMPACT_MIN_SIZE``, ``_COMPACT_SUPPORT_SHARE``)."""
 
     group: int
     lo: int
@@ -501,6 +528,7 @@ class _SchurGroup:
     pair_rows: np.ndarray
     pair_cols: np.ndarray
     right: scipy.sparse.csr_matrix
+    buckets: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
     @classmethod
     def build(
@@ -522,9 +550,30 @@ class _SchurGroup:
         ij = i n + j and value."""
         K, m = indices.shape
         i, j = np.divmod(ij, n)
-        left = scipy.sparse.csr_matrix(
-            (value, (((k * n + i) * m + l), k * n + j)), shape=(K * n * m, K * n)
-        )
+        rows = row_of = None
+        if n >= _COMPACT_MIN_SIZE:
+            # The nonzero rows (k, l, i) of T.
+            rows, row_of = np.unique((k * m + l) * n + i, return_inverse=True)
+        buckets = []
+        if rows is None or _COMPACT_SUPPORT_SHARE * rows.size > K * m * n:
+            left = scipy.sparse.csr_matrix(
+                (value, (((k * n + i) * m + l), k * n + j)), shape=(K * n * m, K * n)
+            )
+        else:
+            support = np.bincount(rows // n, minlength=K * m)  # |R_l| of slot (k, l)
+            order = np.lexsort((rows, support[rows // n]))
+            position = np.empty_like(order)
+            position[order] = np.arange(order.size)
+            left = scipy.sparse.csr_matrix(
+                (value, (position[row_of], k * n + j)), shape=(rows.size, K * n)
+            )
+            rows = rows[order]
+            slots = rows // n
+            g_rows = slots // m * n + rows % n
+            ends = np.flatnonzero(np.diff(support[slots], append=-1)) + 1
+            for first, end in zip([0] + ends[:-1].tolist(), ends.tolist()):
+                bucket = slots[first : end : support[slots[first]]]
+                buckets.append((bucket // m, bucket % m, g_rows[first:end]))
         upper = i <= j
         pairs, pair = np.unique(ij[upper], return_inverse=True)
         right = scipy.sparse.csr_matrix(
@@ -545,6 +594,7 @@ class _SchurGroup:
             pairs // n,
             pairs % n,
             right,
+            tuple(buckets),
         )
 
 
@@ -610,9 +660,14 @@ class _Compiled:
 
         self._compile_blocks([b for b in sdp.psd_blocks if b.size], scales, elim)
         self.At = self.A.T.tocsr()
+        compact = [s for s in self.shapes if s.buckets]
         self.schur_stats = {
             "coefficients": int(self.A.nnz),
             "terms": self.kkt_values.size - z_dim,
+            "f2_shapes": len(self.shapes) - len(compact),
+            "compact_shapes": len(compact),
+            "t_rows": sum(s.left.shape[0] for s in self.shapes),
+            "dense_t_rows": sum(self.groups[s.group][0] * s.indices.size for s in self.shapes),
         }
 
         c = np.zeros(y_dim)
@@ -777,9 +832,15 @@ class _Compiled:
             rows.append(np.broadcast_to(indices[:, :, None], (K, m, m)).ravel())
             cols.append(np.broadcast_to(indices[:, None, :], (K, m, m)).ravel())
         keys = np.concatenate(cols) * dim + np.concatenate(rows)
-        unique, self.kkt_scatter = np.unique(keys, return_inverse=True)
-        self.kkt_indices = unique % dim
-        self.kkt_indptr = np.searchsorted(unique, np.arange(dim + 1) * dim)
+        # The sorted distinct keys are the set entries of a dim^2 mask, and
+        # the rank of a key among them is the running count of the mask.
+        stored = np.zeros(dim * dim, dtype=bool)
+        stored[keys] = True
+        self.kkt_scatter = (np.cumsum(stored) - 1)[keys]
+        self.kkt_indices = np.flatnonzero(stored) % dim
+        self.kkt_indptr = np.concatenate(
+            [[0], np.cumsum(stored.reshape(dim, dim).sum(axis=1))]
+        )
 
     def kkt_stats(self) -> Dict[str, object]:
         """Size of the KKT system: ``dim``, the cliques it is factored by
@@ -909,15 +970,30 @@ def _schur_terms(comp: _Compiled, G: List[np.ndarray]) -> None:
     Fujisawa, Kojima & Nakata's formula F2, three calls per shape group: the
     sparse product T = A_l G against the stacked G, the batched product
     F_l = G T (into ``comp.schur_workspace``), and the sparse contraction
-    H[i, j] = <A_i, F_j> over the positions where some A_i is nonzero."""
+    H[i, j] = <A_i, F_j> over the positions where some A_i is nonzero.
+    A shape on the compact formula (see ``_SchurGroup``) forms only the
+    nonzero rows Tc of T, and each F_l = G[R_l, :]' Tc[R_l, :] from the
+    support R_l of its slot, by one batched product per support size whose
+    result is copied into F; the gather and the contraction are F2's.  G is
+    symmetric, so both formulas give G A_l G."""
     with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
         for shape in comp.shapes:
             K, m = shape.indices.shape
             g = G[shape.group][shape.lo : shape.hi]
             n = g.shape[1]
-            T = (shape.left @ g.reshape(K * n, n)).reshape(K, n, m * n)
-            F = np.matmul(g, T, out=comp.schur_workspace[: T.size].reshape(T.shape))
-            F = F.reshape(K, n, m, n)
+            stacked = g.reshape(K * n, n)
+            F = comp.schur_workspace[: K * n * m * n].reshape(K, n, m, n)
+            if shape.buckets:
+                Tc = shape.left @ stacked
+                first = 0
+                for k, l, g_rows in shape.buckets:
+                    end = first + g_rows.size
+                    support = stacked[g_rows].reshape(k.size, -1, n)
+                    F[k, :, l, :] = _t(support) @ Tc[first:end].reshape(support.shape)
+                    first = end
+            else:
+                T = (shape.left @ stacked).reshape(K, n, m * n)
+                np.matmul(g, T, out=F.reshape(K, n, m * n))
             gathered = F[:, shape.pair_rows, :, shape.pair_cols]
             half = (shape.right @ gathered.reshape(-1, m)).reshape(K, m, m)
             terms = comp.kkt_values[shape.start : shape.start + K * m * m]

@@ -10,6 +10,7 @@ import pytest
 
 from owasdp.extract import (
     DegenerateMomentError,
+    RANK_TOLERANCE,
     ExtractedSolution,
     FlatnessOrders,
     eps_obj,
@@ -17,6 +18,8 @@ from owasdp.extract import (
     flatness_orders,
     rank_check,
 )
+from owasdp.location import build_lifted, lifted_witness, random_instance
+from owasdp.moment import MonomialBasis
 from owasdp.omrf import LambdaWeights, OmrfProblem, build_telescoping
 from owasdp.polynomial import (
     Polynomial,
@@ -165,6 +168,38 @@ class TestRankCheck:
         tight = rank_check(interval_dense, y, 1, tol=1e-13)
         assert loose.blocks[0].rank_full == 1
         assert tight.blocks[0].rank_full >= 2
+
+    def test_cross_ranks_match_the_pairwise_reference(self):
+        # 40 anchors: 780 overlapping pairs of moment blocks, but only one
+        # shared variable set per block.  The two-facility mixture gives
+        # cross ranks of 2 that the memo must carry to every pair.
+        instance = random_instance(40, 2, seed=1)
+        lift = build_lifted(instance)
+        sdp = build_sparse(lift, 2)
+        y = 0.5 * sum(
+            dirac_moment_vector(sdp, lifted_witness(instance, lift, point))
+            for point in ([0.3, 0.4], [0.6, 0.5])
+        )
+        report = rank_check(sdp, y, 1)
+
+        blocks = [b for b in sdp.psd_blocks if b.kind == "moment"]
+        expected = []
+        for i, first in enumerate(blocks):
+            basis = MonomialBasis.build(first.variables, sdp.order).elements
+            matrix = first.assemble(y)
+            for second in blocks[i + 1 :]:
+                shared = set(first.variables) & set(second.variables)
+                if not shared:
+                    continue
+                rows = [
+                    r for r, mono in enumerate(basis) if set(mono.variables()) <= shared
+                ]
+                singular = np.linalg.svd(matrix[np.ix_(rows, rows)], compute_uv=False)
+                rank = int(np.sum(singular > RANK_TOLERANCE * singular[0]))
+                expected.append((first.label, second.label, rank))
+        assert len(expected) == 780
+        assert report.cross_ranks == tuple(expected)
+        assert {rank for _, _, rank in expected} == {2}
 
     def test_requires_metadata(self, weber_sparse):
         stripped = dataclasses.replace(weber_sparse, moments=None, pivot_monomial=None)

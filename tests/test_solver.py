@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import types
 import warnings
 
@@ -15,7 +16,13 @@ import scipy.sparse
 
 import owasdp.solver as solver_module
 from owasdp.location import LocationInstance, build_lifted, random_instance
-from owasdp.omrf import LambdaWeights, OmrfProblem, build_general_lift, build_telescoping
+from owasdp.omrf import (
+    LambdaWeights,
+    OmrfProblem,
+    build_auto,
+    build_general_lift,
+    build_telescoping,
+)
 from owasdp.oracle import ball_box, grid_search
 from owasdp.polynomial import (
     Polynomial,
@@ -42,7 +49,13 @@ from owasdp.solver import (
     verify_vector,
 )
 
-from support import hand_lift, psd_block, random_sign_mixed_problem, two_point_weber_lift
+from support import (
+    hand_lift,
+    psd_block,
+    random_omrf_problem,
+    random_sign_mixed_problem,
+    two_point_weber_lift,
+)
 
 
 def one_by_one_sdp():
@@ -256,6 +269,20 @@ def rational_general_sparse(rational_omrf):
     return build_sparse(build_general_lift(rational_omrf), 3)
 
 
+@pytest.fixture(scope="module")
+def omrf_order3_sparse():
+    """A rational ordered median of two functions of two variables with
+    polynomial position weights, lifted by ``build_auto`` and relaxed at its
+    minimum order 3: one moment block of size 84 (550 free moments) beside
+    blocks of sizes 7 and 28.  Compiled by the tests, never solved."""
+    problem = random_omrf_problem(
+        np.random.default_rng([7, 0]), "general", rational=True, max_m=2
+    )
+    lift = build_auto(problem)
+    assert min_order(lift).r_min == 3
+    return build_sparse(lift, 3)
+
+
 def random_block_vector(comp, rng, definite):
     """Flat block vector of random symmetric blocks, PD when ``definite``."""
     flat = np.empty(comp.dim)
@@ -458,6 +485,16 @@ def reference_compile(sdp, comp):
         z_dim=comp.z_dim, shapes=shapes, kkt_values=np.empty(start)
     )
     solver_module._Compiled._build_kkt_pattern(pattern)
+    if pattern.kkt_layout is None:
+        # The CSC pattern by sorting one key per term, diagonal first.
+        dim = comp.z_dim
+        keys = [np.arange(dim) * (dim + 1)]
+        for shape in shapes:
+            idx = shape.indices
+            keys.append((idx[:, None, :] * dim + idx[:, :, None]).ravel())
+        unique, pattern.kkt_scatter = np.unique(np.concatenate(keys), return_inverse=True)
+        pattern.kkt_indices = unique % dim
+        pattern.kkt_indptr = np.searchsorted(unique, np.arange(dim + 1) * dim)
     for name in ("kkt_indices", "kkt_indptr", "kkt_scatter", "kkt_layout"):
         out[name] = getattr(pattern, name)
     return out
@@ -615,14 +652,21 @@ class TestBundledBackend:
         assert np.all((alpha_d[stepped] > 0.0) & (alpha_d[stepped] <= 1.0))
         assert sigma[-1] == alpha_p[-1] == alpha_d[-1] == 0.0
 
-    def test_schur_diagnostics(self, weber_sparse):
+    def test_schur_diagnostics(self, weber_sparse, omrf_order3_sparse):
         stats = solve(weber_sparse).diagnostics["schur"]
-        assert set(stats) == {"coefficients", "terms"}
+        assert set(stats) == {
+            "coefficients",
+            "terms",
+            "f2_shapes",
+            "compact_shapes",
+            "t_rows",
+            "dense_t_rows",
+        }
         # Count the nonzero coefficients of every block over the free
-        # moments, and the free moments each block touches, from the blocks
-        # assembled along each free moment.
+        # moments, the free moments each block touches and the rows of its
+        # T, from the blocks assembled along each free moment.
         comp = solver_module._Compiled(weber_sparse)
-        coefficients = terms = 0
+        coefficients = terms = rows = 0
         for block in weber_sparse.psd_blocks:
             base = block.assemble(comp.y_scales * comp.moments(np.zeros(comp.z_dim)))
             changes = [
@@ -631,9 +675,29 @@ class TestBundledBackend:
             ]
             nonzero = [np.abs(a) > 1e-12 * (1.0 + np.abs(base)) for a in changes]
             coefficients += sum(int(np.sum(mask)) for mask in nonzero)
-            terms += sum(bool(mask.any()) for mask in nonzero) ** 2
+            touched = sum(bool(mask.any()) for mask in nonzero)
+            terms += touched**2
+            rows += block.size * touched
         assert stats["coefficients"] == coefficients > 0
         assert stats["terms"] == terms
+        # Its blocks are small: every shape takes F2, which forms all of T.
+        assert (stats["f2_shapes"], stats["compact_shapes"]) == (len(comp.shapes), 0)
+        assert stats["t_rows"] == stats["dense_t_rows"] == rows
+
+        wide = solver_module._Compiled(omrf_order3_sparse)
+        stats = wide.schur_stats
+        compact = [shape for shape in wide.shapes if shape.buckets]
+        assert stats["compact_shapes"] == len(compact) == 1
+        assert stats["f2_shapes"] == len(wide.shapes) - 1
+        dense = [
+            wide.groups[shape.group][0] * shape.indices.size for shape in wide.shapes
+        ]
+        formed = [
+            nonzero_t_rows(wide, shape) if shape.buckets else rows
+            for shape, rows in zip(wide.shapes, dense)
+        ]
+        assert stats["dense_t_rows"] == sum(dense)
+        assert stats["t_rows"] == sum(formed) < sum(dense)
 
     def test_non_finite_kkt_solution_reports_failure(self, monkeypatch, weber_sparse):
         # Order 2 keeps the KKT system dense (LU), so lu_solve serves it.
@@ -823,6 +887,93 @@ class TestBatchedKernels:
         scale = np.max(np.abs(reference))
         np.testing.assert_allclose(schur, reference, rtol=0, atol=1e-12 * scale)
         np.testing.assert_array_equal(schur, schur.T)
+
+
+def shape_blocks(comp, shape):
+    """The compiled block indices of a Schur shape."""
+    first = comp.groups[shape.group][1]
+    return range(first + shape.lo, first + shape.hi)
+
+
+def nonzero_t_rows(comp, shape):
+    """The number of nonzero rows (A_l G)[i, :] of a shape's blocks: the
+    distinct (block, free moment, row i) of the nonzeros of the operator A."""
+    n = comp.groups[shape.group][0]
+    count = 0
+    for q in shape_blocks(comp, shape):
+        rows = comp.A[comp.block_starts[q] : comp.block_starts[q] + n * n].tocoo()
+        count += np.unique(np.stack([rows.col, rows.row // n]), axis=1).shape[1]
+    return count
+
+
+def forced_formula(monkeypatch, compact):
+    """Make every Schur shape compiled from now on take the compact formula
+    (``compact``) or F2."""
+    monkeypatch.setattr(solver_module, "_COMPACT_MIN_SIZE", 0 if compact else math.inf)
+    monkeypatch.setattr(solver_module, "_COMPACT_SUPPORT_SHARE", 0)
+
+
+class TestCompactSchur:
+    """The compact Schur formula, which forms only the nonzero rows of
+    T = A_l G, against F2 and the operator form."""
+
+    def test_wide_sparse_shapes_take_the_compact_formula(self, omrf_order3_sparse):
+        comp = solver_module._Compiled(omrf_order3_sparse)
+        sizes = {}
+        for shape in comp.shapes:
+            K, m = shape.indices.shape
+            n = comp.groups[shape.group][0]
+            rows = nonzero_t_rows(comp, shape)
+            compact = n >= 40 and 6 * rows <= K * m * n
+            assert bool(shape.buckets) == compact
+            assert shape.left.shape == ((rows if compact else K * n * m), K * n)
+            sizes[n] = compact
+        assert sizes == {7: False, 28: False, 84: True}
+
+    @pytest.mark.parametrize("compact", [True, False], ids=["compact", "F2"])
+    @pytest.mark.parametrize("problem", ["omrf_order3_sparse", "weber50_sparse"])
+    def test_both_formulas_match_operator_form(self, monkeypatch, request, problem, compact):
+        sdp = request.getfixturevalue(problem)
+        forced_formula(monkeypatch, compact)
+        comp = solver_module._Compiled(sdp)
+        assert all(bool(shape.buckets) == compact for shape in comp.shapes)
+        G = random_scaling(comp, 3)
+        solver_module._schur_terms(comp, G)
+        schur = assembled_kkt(comp, comp.kkt_data(0.0))
+        reference = operator_schur(comp, G)
+        np.testing.assert_allclose(
+            schur, reference, rtol=0, atol=1e-12 * np.max(np.abs(reference))
+        )
+
+    def test_compact_shapes_never_form_the_dense_t(self, monkeypatch, omrf_order3_sparse):
+        # tracemalloc sees NumPy's allocations: the peak of one compact call
+        # stays below the bytes of the dense (K n m, n) T, which F2 allocates.
+        def peak(comp, shape):
+            G = random_scaling(comp, 3)
+            one = types.SimpleNamespace(
+                shapes=[shape],
+                kkt_values=comp.kkt_values,
+                schur_workspace=comp.schur_workspace,
+            )
+            tracemalloc.start()
+            try:
+                solver_module._schur_terms(one, G)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        comp = solver_module._Compiled(omrf_order3_sparse)
+        compact = [shape for shape in comp.shapes if shape.buckets]
+        assert compact
+        for shape in compact:
+            K, m = shape.indices.shape
+            n = comp.groups[shape.group][0]
+            assert peak(comp, shape) < K * n * m * n * 8
+        forced_formula(monkeypatch, compact=False)
+        dense = solver_module._Compiled(omrf_order3_sparse)
+        (shape,) = [s for s in dense.shapes if dense.groups[s.group][0] == 84]
+        K, m = shape.indices.shape
+        assert peak(dense, shape) >= K * 84 * m * 84 * 8
 
 
 class TestBatchedCompile:
