@@ -33,9 +33,10 @@ sparse contraction per group) and inherits the clique sparsity of the
 relaxation.  A shape of wide blocks whose coefficient matrices have few
 nonzero rows takes a compact form of F2 instead: it forms only the nonzero
 rows of A_l G, and G A_l G from them (Fujisawa, Kojima & Nakata choose
-their formula from the nonzeros in the same spirit).  The terms are written into one values vector and scattered into
-a KKT storage fixed at compile time.  The KKT matrix is the
-positive-definite Schur complement H + dI alone.  Small KKT systems are
+their formula from the nonzeros in the same spirit).  The terms are
+written into one values vector and scattered into a KKT storage fixed at
+compile time.  The KKT matrix is the positive-definite Schur complement
+H + dI alone.  Small KKT systems are
 stored in a CSC pattern and factored by a dense LU.  Larger ones are
 factored clique by clique (Vandenberghe & Andersen 2015): every block
 belongs to a clique of the relaxation (its ``variables``), a free moment
@@ -129,13 +130,14 @@ _DENSE_KKT_MAX = 500
 # A Schur shape takes the compact formula (see ``_SchurGroup``) when its
 # blocks have at least _COMPACT_MIN_SIZE rows and at most 1 /
 # _COMPACT_SUPPORT_SHARE of the rows of T are nonzero, so a slot (k, l) has
-# on average at most n / 6 of them.  Measured with 1 BLAS thread: the n = 56
-# moment blocks of order-3 OMRF lifts (12% nonzero rows) run 20-30% faster;
-# shapes with n <= 36, the order-2 demo's included, ran no faster or slower,
-# because the per-slot products and the scatter into F cost about as much
-# as the dense product saves.
-_COMPACT_MIN_SIZE = 40
-_COMPACT_SUPPORT_SHARE = 6
+# on average at most n / 4 of them.  Measured with 1 BLAS thread, those
+# shapes ran 1.4-2.5 times faster (the n = 56 and 35 moment blocks of
+# order-3 OMRF lifts and the order-2 demo's n = 36, 12-17% nonzero rows);
+# at n = 21 and below the compact form ran about as fast or slower.  The
+# n = 28 blocks of the planar ladder's trimmed instances also run faster,
+# but stay on F2: those solves are sensitive to rounding.
+_COMPACT_MIN_SIZE = 32
+_COMPACT_SUPPORT_SHARE = 4
 
 # Elimination of the equality rows (scaled to unit norm).  A pivot is an
 # entry of at least _PIVOT_THRESHOLD times its reduced row's largest; a row
@@ -507,16 +509,18 @@ class _SchurGroup:
     formula F2 (``buckets`` empty) those are all K n m rows, ordered
     (k, i, l).  Under the compact formula they are only the nonzero ones,
     the rows i in the support R_l of each slot (k, l) (the rows where A_l
-    of block k is nonzero), ordered by (|R_l|, k, l, i); ``buckets`` then
-    holds, for every support size r in increasing order, the S slots of
-    that size, as their blocks k and moments l (S,), and the rows k n + i of
-    the stacked G that their S r rows of T pair with.  ``pair_rows`` and
-    ``pair_cols`` are the positions (i <= j) at which some A_l of the group
-    is nonzero.  ``right`` maps F_b = G A_b G, gathered at those pairs in
-    (pair, k) order, to H[k, a, b] / 2 = <A_a, F_b> / 2: it holds A_a at the
-    pairs, halved on the diagonal (the off-diagonal pairs stand for both
-    triangles of the symmetric F_b).  The formula is chosen at compile time
-    from the shape (``_COMPACT_MIN_SIZE``, ``_COMPACT_SUPPORT_SHARE``)."""
+    of block k is nonzero), ordered (k, l, i), and each block's moments
+    (its row of ``indices``) are ordered by (|R_l|, moment), so the slots
+    of one support size r form a run l0 <= l < l1 of a block k.
+    ``buckets`` then holds every run as (k, l0, l1, rows), with the rows
+    k n + i of the stacked G that its (l1 - l0) r rows of T pair with.
+    ``pair_rows`` and ``pair_cols`` are the positions (i <= j) at which some
+    A_l of the group is nonzero.  ``right`` maps F_b = G A_b G, gathered at
+    those pairs in (pair, k) order, to H[k, a, b] / 2 = <A_a, F_b> / 2: it
+    holds A_a at the pairs, halved on the diagonal (the off-diagonal pairs
+    stand for both triangles of the symmetric F_b).  The formula is chosen
+    at compile time from the shape (``_COMPACT_MIN_SIZE``,
+    ``_COMPACT_SUPPORT_SHARE``)."""
 
     group: int
     lo: int
@@ -528,7 +532,7 @@ class _SchurGroup:
     pair_rows: np.ndarray
     pair_cols: np.ndarray
     right: scipy.sparse.csr_matrix
-    buckets: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    buckets: Tuple[Tuple[int, int, int, np.ndarray], ...]
 
     @classmethod
     def build(
@@ -560,20 +564,25 @@ class _SchurGroup:
                 (value, (((k * n + i) * m + l), k * n + j)), shape=(K * n * m, K * n)
             )
         else:
-            support = np.bincount(rows // n, minlength=K * m)  # |R_l| of slot (k, l)
-            order = np.lexsort((rows, support[rows // n]))
-            position = np.empty_like(order)
-            position[order] = np.arange(order.size)
+            # Each block's moments by (support size |R_l|, moment), so that
+            # the slots of one support size are a run of the block's moments.
+            support = np.bincount(rows // n, minlength=K * m).reshape(K, m)
+            order = np.argsort(support, axis=1, kind="stable")
+            indices = np.take_along_axis(indices, order, axis=1)
+            l = np.argsort(order, axis=1)[k, l]
+            support = np.take_along_axis(support, order, axis=1).ravel()
+            rows, row_of = np.unique((k * m + l) * n + i, return_inverse=True)
             left = scipy.sparse.csr_matrix(
-                (value, (position[row_of], k * n + j)), shape=(rows.size, K * n)
+                (value, (row_of, k * n + j)), shape=(rows.size, K * n)
             )
-            rows = rows[order]
             slots = rows // n
             g_rows = slots // m * n + rows % n
-            ends = np.flatnonzero(np.diff(support[slots], append=-1)) + 1
+            run = slots // m * (n + 1) + support[slots]
+            ends = np.flatnonzero(np.diff(run, append=-1)) + 1
             for first, end in zip([0] + ends[:-1].tolist(), ends.tolist()):
-                bucket = slots[first : end : support[slots[first]]]
-                buckets.append((bucket // m, bucket % m, g_rows[first:end]))
+                block, l0 = divmod(int(slots[first]), m)
+                l1 = l0 + (end - first) // int(support[slots[first]])
+                buckets.append((block, l0, l1, g_rows[first:end]))
         upper = i <= j
         pairs, pair = np.unique(ij[upper], return_inverse=True)
         right = scipy.sparse.csr_matrix(
@@ -667,7 +676,9 @@ class _Compiled:
             "f2_shapes": len(self.shapes) - len(compact),
             "compact_shapes": len(compact),
             "t_rows": sum(s.left.shape[0] for s in self.shapes),
-            "dense_t_rows": sum(self.groups[s.group][0] * s.indices.size for s in self.shapes),
+            "dense_t_rows": sum(
+                self.groups[s.group][0] * s.indices.size for s in self.shapes
+            ),
         }
 
         c = np.zeros(y_dim)
@@ -973,9 +984,9 @@ def _schur_terms(comp: _Compiled, G: List[np.ndarray]) -> None:
     H[i, j] = <A_i, F_j> over the positions where some A_i is nonzero.
     A shape on the compact formula (see ``_SchurGroup``) forms only the
     nonzero rows Tc of T, and each F_l = G[R_l, :]' Tc[R_l, :] from the
-    support R_l of its slot, by one batched product per support size whose
-    result is copied into F; the gather and the contraction are F2's.  G is
-    symmetric, so both formulas give G A_l G."""
+    support R_l of its slot, by one batched product per run of slots of
+    one support size, written straight into F; the gather and the
+    contraction are F2's.  G is symmetric, so both formulas give G A_l G."""
     with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
         for shape in comp.shapes:
             K, m = shape.indices.shape
@@ -986,10 +997,14 @@ def _schur_terms(comp: _Compiled, G: List[np.ndarray]) -> None:
             if shape.buckets:
                 Tc = shape.left @ stacked
                 first = 0
-                for k, l, g_rows in shape.buckets:
+                for k, l0, l1, g_rows in shape.buckets:
                     end = first + g_rows.size
-                    support = stacked[g_rows].reshape(k.size, -1, n)
-                    F[k, :, l, :] = _t(support) @ Tc[first:end].reshape(support.shape)
+                    support = stacked[g_rows].reshape(l1 - l0, -1, n)
+                    np.matmul(
+                        _t(support),
+                        Tc[first:end].reshape(support.shape),
+                        out=F[k, :, l0:l1].swapaxes(0, 1),
+                    )
                     first = end
             else:
                 T = (shape.left @ stacked).reshape(K, n, m * n)

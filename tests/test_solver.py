@@ -492,7 +492,8 @@ def reference_compile(sdp, comp):
         for shape in shapes:
             idx = shape.indices
             keys.append((idx[:, None, :] * dim + idx[:, :, None]).ravel())
-        unique, pattern.kkt_scatter = np.unique(np.concatenate(keys), return_inverse=True)
+        unique, scatter = np.unique(np.concatenate(keys), return_inverse=True)
+        pattern.kkt_scatter = scatter
         pattern.kkt_indices = unique % dim
         pattern.kkt_indptr = np.searchsorted(unique, np.arange(dim + 1) * dim)
     for name in ("kkt_indices", "kkt_indptr", "kkt_scatter", "kkt_layout"):
@@ -889,18 +890,12 @@ class TestBatchedKernels:
         np.testing.assert_array_equal(schur, schur.T)
 
 
-def shape_blocks(comp, shape):
-    """The compiled block indices of a Schur shape."""
-    first = comp.groups[shape.group][1]
-    return range(first + shape.lo, first + shape.hi)
-
-
 def nonzero_t_rows(comp, shape):
     """The number of nonzero rows (A_l G)[i, :] of a shape's blocks: the
     distinct (block, free moment, row i) of the nonzeros of the operator A."""
-    n = comp.groups[shape.group][0]
+    n, first, _ = comp.groups[shape.group]
     count = 0
-    for q in shape_blocks(comp, shape):
+    for q in range(first + shape.lo, first + shape.hi):
         rows = comp.A[comp.block_starts[q] : comp.block_starts[q] + n * n].tocoo()
         count += np.unique(np.stack([rows.col, rows.row // n]), axis=1).shape[1]
     return count
@@ -924,7 +919,7 @@ class TestCompactSchur:
             K, m = shape.indices.shape
             n = comp.groups[shape.group][0]
             rows = nonzero_t_rows(comp, shape)
-            compact = n >= 40 and 6 * rows <= K * m * n
+            compact = n >= 32 and 4 * rows <= K * m * n
             assert bool(shape.buckets) == compact
             assert shape.left.shape == ((rows if compact else K * n * m), K * n)
             sizes[n] = compact
@@ -932,7 +927,9 @@ class TestCompactSchur:
 
     @pytest.mark.parametrize("compact", [True, False], ids=["compact", "F2"])
     @pytest.mark.parametrize("problem", ["omrf_order3_sparse", "weber50_sparse"])
-    def test_both_formulas_match_operator_form(self, monkeypatch, request, problem, compact):
+    def test_both_formulas_match_operator_form(
+        self, monkeypatch, request, problem, compact
+    ):
         sdp = request.getfixturevalue(problem)
         forced_formula(monkeypatch, compact)
         comp = solver_module._Compiled(sdp)
@@ -945,7 +942,9 @@ class TestCompactSchur:
             schur, reference, rtol=0, atol=1e-12 * np.max(np.abs(reference))
         )
 
-    def test_compact_shapes_never_form_the_dense_t(self, monkeypatch, omrf_order3_sparse):
+    def test_compact_shapes_never_form_the_dense_t(
+        self, monkeypatch, omrf_order3_sparse
+    ):
         # tracemalloc sees NumPy's allocations: the peak of one compact call
         # stays below the bytes of the dense (K n m, n) T, which F2 allocates.
         def peak(comp, shape):
