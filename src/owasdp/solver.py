@@ -990,29 +990,36 @@ def _schur_terms(comp: _Compiled, G: List[np.ndarray]) -> None:
     with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
         for shape in comp.shapes:
             K, m = shape.indices.shape
-            g = G[shape.group][shape.lo : shape.hi]
-            n = g.shape[1]
-            stacked = g.reshape(K * n, n)
-            F = comp.schur_workspace[: K * n * m * n].reshape(K, n, m, n)
-            if shape.buckets:
-                Tc = shape.left @ stacked
-                first = 0
-                for k, l0, l1, g_rows in shape.buckets:
-                    end = first + g_rows.size
-                    support = stacked[g_rows].reshape(l1 - l0, -1, n)
-                    np.matmul(
-                        _t(support),
-                        Tc[first:end].reshape(support.shape),
-                        out=F[k, :, l0:l1].swapaxes(0, 1),
-                    )
-                    first = end
-            else:
-                T = (shape.left @ stacked).reshape(K, n, m * n)
-                np.matmul(g, T, out=F.reshape(K, n, m * n))
-            gathered = F[:, shape.pair_rows, :, shape.pair_cols]
-            half = (shape.right @ gathered.reshape(-1, m)).reshape(K, m, m)
+            F = _products(comp, shape, G[shape.group][shape.lo : shape.hi])
+            gathered = F[:, shape.pair_rows, :, shape.pair_cols].reshape(-1, m)
+            half = (shape.right @ gathered).reshape(K, m, m)
+            del gathered  # before the next group forms its T
             terms = comp.kkt_values[shape.start : shape.start + K * m * m]
             np.add(half, _t(half), out=terms.reshape(K, m, m))
+
+
+def _products(comp: _Compiled, shape: _SchurGroup, g: np.ndarray) -> np.ndarray:
+    """F[k, :, l, :] = G A_l G for the (K, n, n) scaling blocks ``g`` of a
+    shape group, in ``comp.schur_workspace`` (see ``_schur_terms``).  T and
+    Tc are freed on return, before the gather allocates."""
+    K, m = shape.indices.shape
+    n = g.shape[1]
+    stacked = g.reshape(K * n, n)
+    F = comp.schur_workspace[: K * n * m * n].reshape(K, n, m, n)
+    if not shape.buckets:
+        T = (shape.left @ stacked).reshape(K, n, m * n)
+        np.matmul(g, T, out=F.reshape(K, n, m * n))
+        return F
+    Tc = shape.left @ stacked
+    first = 0
+    for k, l0, l1, g_rows in shape.buckets:
+        end = first + g_rows.size
+        support = stacked[g_rows].reshape(l1 - l0, -1, n)
+        np.matmul(
+            _t(support), Tc[first:end].reshape(support.shape), out=F[k, :, l0:l1].swapaxes(0, 1)
+        )
+        first = end
+    return F
 
 
 def _congruence(comp: _Compiled, G: List[np.ndarray], flat: np.ndarray) -> np.ndarray:
