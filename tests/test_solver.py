@@ -694,8 +694,8 @@ class TestBundledBackend:
             wide.groups[shape.group][0] * shape.indices.size for shape in wide.shapes
         ]
         formed = [
-            nonzero_t_rows(wide, shape) if shape.buckets else rows
-            for shape, rows in zip(wide.shapes, dense)
+            nonzero_t_rows(wide, shape) if shape.buckets else all_rows
+            for shape, all_rows in zip(wide.shapes, dense)
         ]
         assert stats["dense_t_rows"] == sum(dense)
         assert stats["t_rows"] == sum(formed) < sum(dense)
