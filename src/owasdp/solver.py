@@ -36,15 +36,13 @@ rows of A_l G, and G A_l G from them (Fujisawa, Kojima & Nakata choose
 their formula from the nonzeros in the same spirit).  The terms are
 written into one values vector and scattered into a KKT storage fixed at
 compile time.  The KKT matrix is the positive-definite Schur complement
-H + dI alone.  Small KKT systems are
-stored in a CSC pattern and factored by a dense LU.  Larger ones are
-factored clique by clique (Vandenberghe & Andersen 2015): every block
-belongs to a clique of the relaxation (its ``variables``), a free moment
-touched by the blocks of one clique only is private to it, and the others
-are shared, so H + dI is block-arrow shaped.  Its dense blocks (one per
-clique over its private moments, their couplings to the shared moments,
-and the shared block) are filled straight from the Schur terms; the
-private moments are eliminated first, by a Cholesky (or LU) factor per
+H + dI alone, factored clique by clique (Vandenberghe & Andersen 2015):
+every block belongs to a clique of the relaxation (its ``variables``), a
+free moment touched by the blocks of one clique only is private to it, and
+the others are shared, so H + dI is block-arrow shaped.  Its dense blocks
+(one per clique over its private moments, their couplings to the shared
+moments, and the shared block) are filled straight from the Schur terms;
+the private moments are eliminated first, by a Cholesky (or LU) factor per
 clique, and the shared moments last, by a dense factor of their Schur
 complement.  The iteration is deterministic: identical inputs, options and
 BLAS thread counts produce bitwise identical iterates.
@@ -72,7 +70,6 @@ from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.blas
 import scipy.linalg.lapack
 import scipy.sparse
@@ -124,9 +121,6 @@ _NEAR_RES = 1e-5
 # Columns of ``SolverResult.trace``, one row per iteration.
 TRACE_COLUMNS = ("relgap", "pres", "dres", "mu", "sigma", "alpha_p", "alpha_d")
 
-# KKT systems with at most this many rows are factored densely.
-_DENSE_KKT_MAX = 500
-
 # A Schur shape takes the compact formula (see ``_SchurGroup``) when its
 # blocks have at least _COMPACT_MIN_SIZE rows and at most 1 /
 # _COMPACT_SUPPORT_SHARE of the rows of T are nonzero, so a slot (k, l) has
@@ -166,11 +160,9 @@ class SolverResult:
     feed the next iteration's scaling),
     and in ``diagnostics['kkt']`` the KKT system's ``dim``, the number of
     ``cliques`` it is factored by, their ``private`` sizes p and the
-    ``separator`` size s of the shared moments (one clique of dim private
-    moments at or below the dense cut-off), the ``nnz`` of its storage (its
-    CSC pattern; sum(p^2 + 2 p s) + s^2 for the clique blocks) and the
-    ``factor_nnz`` of its last factorization (dim^2 for the dense LU,
-    sum(p^2 + 2 p s) + s^2 for the clique factors; 0 before the first), and
+    ``separator`` size s of the shared moments, the ``nnz`` of its clique
+    blocks, sum(p^2 + 2 p s) + s^2, and the ``factor_nnz`` of its last
+    factorization (the same count; 0 before the first), and
     in ``diagnostics['schur']`` the work of the Schur terms: the nonzero
     ``coefficients`` of the block maps, the number of ``terms`` formed
     per iteration (the sum over blocks of (moments touched)^2), how many
@@ -377,7 +369,7 @@ def _clique_labels(blocks) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _CliqueLayout:
-    """Block-arrow storage of a KKT matrix above ``_DENSE_KKT_MAX`` rows.
+    """Block-arrow storage of the KKT matrix.
 
     A free moment is private to a clique when only that clique's blocks
     touch it, and shared otherwise (also when no block touches it).  The
@@ -393,7 +385,9 @@ class _CliqueLayout:
     B offset)`` of ``groups``: its C blocks P_c (p, p) and couplings B_c
     (p, s) are stacked at those offsets of one flat storage vector, and S
     (s, s) follows at ``shared_offset``.  The (shared, private) triangle is
-    not stored: its terms are scattered to the trailing slot ``size``."""
+    not stored: its terms are scattered to the trailing slot ``size``.  A
+    single clique whose blocks touch every free moment is one P_1 with
+    s = 0."""
 
     order: np.ndarray
     groups: Tuple[Tuple[int, int, int, int], ...]
@@ -622,10 +616,10 @@ class _Compiled:
     are compiled together into their coefficient patterns
     (``_compile_blocks``), which yield A and, for the blocks of one shape
     (size and moment count), the sparse maps of a ``_SchurGroup``.  The
-    storage of the KKT matrix H + dI (a CSC pattern, or above
-    ``_DENSE_KKT_MAX`` rows a ``_CliqueLayout``), the values vector its Schur
-    terms and diagonal are written into and the scatter map from that vector
-    into the storage are fixed here, so an iteration only fills numbers in.
+    storage of the KKT matrix H + dI (a ``_CliqueLayout``), the values
+    vector its Schur terms and diagonal are written into and the scatter map
+    from that vector into the storage are fixed here, so an iteration only
+    fills numbers in.
     """
 
     def __init__(self, sdp: SdpProblem) -> None:
@@ -688,7 +682,11 @@ class _Compiled:
         self.c = self.free.T @ c
         self.c_offset = float(c @ self.fixed)
 
-        self._build_kkt_pattern()
+        # The storage of H + dI and the position in it of every entry of
+        # ``kkt_values`` (diagonal, then Schur terms).
+        self.kkt_layout, self.kkt_scatter = _CliqueLayout.build(
+            z_dim, self.shapes, self.kkt_values.size
+        )
 
     def _compile_blocks(self, blocks, scales: np.ndarray, elim: _Elimination) -> None:
         """Substitute, normalize, order and group the nonempty blocks.
@@ -820,61 +818,17 @@ class _Compiled:
         widest = (s.indices.size * self.groups[s.group][0] ** 2 for s in self.shapes)
         self.schur_workspace = np.empty(max(widest, default=0))
 
-    def _build_kkt_pattern(self) -> None:
-        """Storage of H + dI and the position in it of every entry of
-        ``kkt_values`` (diagonal, then Schur terms), ``kkt_scatter``.
-
-        At most ``_DENSE_KKT_MAX`` rows are stored in a CSC pattern
-        (``kkt_indices``, ``kkt_indptr``) and ``kkt_layout`` is None; above
-        it, in the dense blocks of ``kkt_layout``, a ``_CliqueLayout``."""
-        dim = self.z_dim
-        self.kkt_layout = None
-        if dim > _DENSE_KKT_MAX:
-            self.kkt_layout, self.kkt_scatter = _CliqueLayout.build(
-                dim, self.shapes, self.kkt_values.size
-            )
-            self.kkt_indices = self.kkt_indptr = None
-            return
-        rows = [np.arange(dim)]
-        cols = [np.arange(dim)]
-        for shape in self.shapes:
-            indices = shape.indices
-            K, m = indices.shape
-            rows.append(np.broadcast_to(indices[:, :, None], (K, m, m)).ravel())
-            cols.append(np.broadcast_to(indices[:, None, :], (K, m, m)).ravel())
-        keys = np.concatenate(cols) * dim + np.concatenate(rows)
-        # The sorted distinct keys are the set entries of a dim^2 mask, and
-        # the rank of a key among them is the running count of the mask.
-        stored = np.zeros(dim * dim, dtype=bool)
-        stored[keys] = True
-        self.kkt_scatter = (np.cumsum(stored) - 1)[keys]
-        self.kkt_indices = np.flatnonzero(stored) % dim
-        self.kkt_indptr = np.concatenate(
-            [[0], np.cumsum(stored.reshape(dim, dim).sum(axis=1))]
-        )
-
     def kkt_stats(self) -> Dict[str, object]:
         """Size of the KKT system: ``dim``, the cliques it is factored by
-        (see ``_CliqueLayout.stats``; one clique of ``dim`` private moments
-        for the dense LU) and its ``nnz``."""
-        if self.kkt_layout is not None:
-            return {"dim": self.z_dim, **self.kkt_layout.stats()}
-        return {
-            "dim": self.z_dim,
-            "cliques": int(self.z_dim > 0),
-            "private": [self.z_dim] if self.z_dim else [],
-            "separator": 0,
-            "nnz": int(self.kkt_indices.size),
-        }
+        and its ``nnz`` (see ``_CliqueLayout.stats``)."""
+        return {"dim": self.z_dim, **self.kkt_layout.stats()}
 
     def kkt_data(self, delta: float) -> np.ndarray:
-        """Storage of H + delta I (CSC data, or the ``_CliqueLayout``'s flat
-        vector and its trailing slot) from the Schur terms that
-        ``_schur_terms`` last wrote into ``kkt_values``."""
+        """The ``_CliqueLayout``'s flat storage of H + delta I, and its
+        trailing slot, from the Schur terms that ``_schur_terms`` last wrote
+        into ``kkt_values``."""
         self.kkt_values[: self.z_dim] = delta
-        size = (
-            self.kkt_indices.size if self.kkt_layout is None else self.kkt_layout.size + 1
-        )
+        size = self.kkt_layout.size + 1
         return np.bincount(self.kkt_scatter, weights=self.kkt_values, minlength=size)
 
     def moments(self, z: np.ndarray) -> np.ndarray:
@@ -1107,8 +1061,7 @@ class _Kkt:
     """Factorization of the positive-definite H + dI over the free moments,
     with iterative refinement.
 
-    At most ``_DENSE_KKT_MAX`` rows are factored by one dense LU.  Larger
-    systems arrive in the ``_CliqueLayout`` of :class:`_Compiled` and are
+    The system arrives in the ``_CliqueLayout`` of :class:`_Compiled` and is
     factored by block elimination of the clique-private moments: every P_c
     is factored (``_CliqueFactor``), and so is the separator's Schur
     complement S - sum_c B_c' P_c^{-1} B_c.  A solve eliminates the private
@@ -1116,20 +1069,10 @@ class _Kkt:
     back, x_c = P_c^{-1} (r_c - B_c x_s).  The right-hand side is permuted
     into the layout's order and the solution out; the refinement residual
     runs in the same block form, with the products batched over the cliques
-    of one private size.  ``factor_nnz`` counts the entries of the factors
-    and the couplings they are applied to: dim^2 for the dense LU, and
-    sum(p^2 + 2 p s) + s^2 for the clique factors."""
+    of one private size."""
 
     def __init__(self, comp: _Compiled, data: np.ndarray) -> None:
-        dim = comp.z_dim
         self.layout = layout = comp.kkt_layout
-        if layout is None:
-            self.matrix = scipy.sparse.csc_matrix(
-                (data, comp.kkt_indices, comp.kkt_indptr), shape=(dim, dim)
-            )
-            self._dense = scipy.linalg.lu_factor(self.matrix.toarray(), check_finite=False)
-            self.factor_nnz = dim * dim
-            return
         s = layout.shared
         self._shared = data[layout.shared_offset : layout.size].reshape(s, s)
         # Per group of same-size cliques: its unknowns (a slice of the
@@ -1149,11 +1092,8 @@ class _Kkt:
                 self._cliques.append((span, P, B.reshape(count * p, s), factors))
                 start = span.stop
             self._separator = _CliqueFactor(reduced) if s else None
-        self.factor_nnz = layout.stats()["nnz"]
 
     def _solve_once(self, rhs: np.ndarray) -> np.ndarray:
-        if self.layout is None:
-            return scipy.linalg.lu_solve(self._dense, rhs, check_finite=False)
         private = rhs.size - self.layout.shared
         out = np.empty_like(rhs)
         shared = rhs[private:].copy()
@@ -1171,8 +1111,6 @@ class _Kkt:
 
     def _product(self, x: np.ndarray) -> np.ndarray:
         """(H + dI) x."""
-        if self.layout is None:
-            return self.matrix @ x
         private = x.size - self.layout.shared
         out = np.empty_like(x)
         shared = x[private:]
@@ -1186,9 +1124,8 @@ class _Kkt:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Refined solution; non-finite when the factorization breaks down."""
-        order = None if self.layout is None else self.layout.order
-        if order is not None:
-            rhs = rhs[order]
+        order = self.layout.order
+        rhs = rhs[order]
         with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
             scale = 1.0 + float(np.linalg.norm(rhs))
         sol = self._solve_once(rhs)
@@ -1200,11 +1137,9 @@ class _Kkt:
                 if float(np.linalg.norm(residual)) <= 1e-13 * scale:
                     break
             sol = sol + self._solve_once(residual)
-        if order is not None:
-            unpermuted = np.empty_like(sol)
-            unpermuted[order] = sol
-            sol = unpermuted
-        return sol
+        unpermuted = np.empty_like(sol)
+        unpermuted[order] = sol
+        return unpermuted
 
 
 def _fixed_point_result(
@@ -1409,7 +1344,7 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
             break
         try:
             kkt = _Kkt(comp, data)
-            kkt_stats["factor_nnz"] = kkt.factor_nnz
+            kkt_stats["factor_nnz"] = kkt_stats["nnz"]
         except RuntimeError:
             note = "KKT factorization failed"
             break

@@ -166,10 +166,10 @@ def mixed_layout_sdp():
 def clique_chain_sdp(labelled):
     """Minimize the sum of 521 moments, no equality rows, over 130 random
     3x3 blocks: block k touches moments 4k + 1 .. 4k + 4 and moment 0, and
-    is PSD at y = 0.  Its KKT system has 521 rows, above the dense cut-off.
-    With ``labelled`` every third block has ``variables`` (0,) and the rest
-    (1,): two cliques of 176 and 344 private moments sharing moment 0.
-    Otherwise every block has empty ``variables``: one clique of all 521."""
+    is PSD at y = 0.  Its KKT system has 521 rows.  With ``labelled``
+    every third block has ``variables`` (0,) and the rest (1,): two cliques
+    of 176 and 344 private moments sharing moment 0.  Otherwise every block
+    has empty ``variables``: one clique of all 521."""
     rng = np.random.default_rng(7)
     blocks = []
     for k in range(130):
@@ -223,8 +223,7 @@ def weber_sparse(weber_lift):
 @pytest.fixture(scope="module")
 def weber50_instance():
     """Planar l2 Weber with 50 anchors: at order 2 its KKT system over the
-    free moments has 514 rows, above the dense cut-off, so it runs the
-    sparse factor."""
+    free moments has 514 rows in 50 cliques."""
     return random_instance(50, 2, seed=2)
 
 
@@ -318,14 +317,10 @@ def reference_nt_inverse(x, z):
 
 def assembled_kkt(comp, data):
     """Dense KKT matrix from its stored data, in the original unknown order:
-    the CSC data at or below the dense cut-off, the clique blocks P_c, B_c
-    and S of the ``_CliqueLayout`` above it (B_c' mirrored)."""
+    the clique blocks P_c, B_c and S of the ``_CliqueLayout`` (B_c'
+    mirrored)."""
     dim = comp.z_dim
     layout = comp.kkt_layout
-    if layout is None:
-        return scipy.sparse.csc_matrix(
-            (data, comp.kkt_indices, comp.kkt_indptr), shape=(dim, dim)
-        ).toarray()
     s = layout.shared
     stored = np.zeros((dim, dim))
     start = 0
@@ -481,23 +476,9 @@ def reference_compile(sdp, comp):
         groups.append((n, first, first + lo))
         first += lo
     out["groups"], out["shapes"] = groups, shapes
-    pattern = types.SimpleNamespace(
-        z_dim=comp.z_dim, shapes=shapes, kkt_values=np.empty(start)
+    out["kkt_layout"], out["kkt_scatter"] = solver_module._CliqueLayout.build(
+        comp.z_dim, shapes, start
     )
-    solver_module._Compiled._build_kkt_pattern(pattern)
-    if pattern.kkt_layout is None:
-        # The CSC pattern by sorting one key per term, diagonal first.
-        dim = comp.z_dim
-        keys = [np.arange(dim) * (dim + 1)]
-        for shape in shapes:
-            idx = shape.indices
-            keys.append((idx[:, None, :] * dim + idx[:, :, None]).ravel())
-        unique, scatter = np.unique(np.concatenate(keys), return_inverse=True)
-        pattern.kkt_scatter = scatter
-        pattern.kkt_indices = unique % dim
-        pattern.kkt_indptr = np.searchsorted(unique, np.arange(dim + 1) * dim)
-    for name in ("kkt_indices", "kkt_indptr", "kkt_scatter", "kkt_layout"):
-        out[name] = getattr(pattern, name)
     return out
 
 
@@ -508,9 +489,6 @@ def assert_same_bits(actual, expected):
         assert actual.shape == expected.shape
         for name in ("data", "indices", "indptr"):
             assert_same_bits(getattr(actual, name), getattr(expected, name))
-        return
-    if expected is None:
-        assert actual is None
         return
     if isinstance(expected, solver_module._CliqueLayout):
         for name in ("order", "groups", "shared", "shared_offset", "size"):
@@ -701,18 +679,16 @@ class TestBundledBackend:
         assert stats["t_rows"] == sum(formed) < sum(dense)
 
     def test_non_finite_kkt_solution_reports_failure(self, monkeypatch, weber_sparse):
-        # Order 2 keeps the KKT system dense (LU), so lu_solve serves it.
-        assert solver_module._Compiled(weber_sparse).z_dim <= 500
-        real_lu_solve = scipy.linalg.lu_solve
+        real_solve = solver_module._CliqueFactor.solve
         calls = []
 
-        def breaking_lu_solve(*args, **kwargs):
+        def breaking_solve(self, rhs):
             calls.append(1)
             if len(calls) > 30:
-                return np.full_like(args[1], np.nan)
-            return real_lu_solve(*args, **kwargs)
+                return np.full_like(rhs, np.nan)
+            return real_solve(self, rhs)
 
-        monkeypatch.setattr(scipy.linalg, "lu_solve", breaking_lu_solve)
+        monkeypatch.setattr(solver_module._CliqueFactor, "solve", breaking_solve)
         res = solve(weber_sparse)
         assert len(calls) > 30
         assert res.status is SolveStatus.NUMERICAL_FAILURE
@@ -875,7 +851,14 @@ class TestBatchedKernels:
                 np.testing.assert_allclose(got, want, **tol)
 
     @pytest.mark.parametrize(
-        "problem", ["weber_sparse", "mixed_layout", "rational_omrf_sparse"]
+        "problem",
+        [
+            "weber_sparse",
+            "mixed_layout",
+            "rational_omrf_sparse",
+            "rational_general_sparse",
+            "weber50_sparse",
+        ],
     )
     def test_schur_complement_matches_operator_form(self, request, problem):
         comp = solver_module._Compiled(request.getfixturevalue(problem))
@@ -997,8 +980,6 @@ class TestBatchedCompile:
             "constant",
             "block_scale",
             "A",
-            "kkt_indices",
-            "kkt_indptr",
             "kkt_scatter",
             "kkt_layout",
         ):
@@ -1036,9 +1017,9 @@ class TestBatchedCompile:
 
 
 class TestSparseKkt:
-    """The KKT system above the dense cut-off: stored in the blocks of a
-    ``_CliqueLayout`` fixed at compile time and factored by block
-    elimination, clique-private moments first and the shared ones last."""
+    """The KKT system: stored in the blocks of a ``_CliqueLayout`` fixed at
+    compile time and factored by block elimination, clique-private moments
+    first and the shared ones last."""
 
     @pytest.fixture(scope="class")
     def result(self, weber50_sparse):
@@ -1067,14 +1048,14 @@ class TestSparseKkt:
         s = stats["separator"]
         blocks = sum(p * p + 2 * p * s for p in stats["private"]) + s * s
         assert stats["nnz"] == stats["factor_nnz"] == blocks < stats["dim"] ** 2
-        dense = solve(weber_sparse).diagnostics["kkt"]
-        assert dense["dim"] <= 500
-        assert dense["factor_nnz"] == dense["dim"] ** 2
-        assert (dense["cliques"], dense["private"], dense["separator"]) == (
-            1,
-            [dense["dim"]],
-            0,
-        )
+        # Two anchors: two cliques of 10 private moments around the same 14
+        # shared ones.
+        small = solve(weber_sparse).diagnostics["kkt"]
+        assert small["dim"] == 34
+        assert (small["cliques"], small["private"], small["separator"]) == (2, [10, 10], 14)
+        s = small["separator"]
+        blocks = sum(p * p + 2 * p * s for p in small["private"]) + s * s
+        assert small["nnz"] == small["factor_nnz"] == blocks
 
     def test_solve_matches_dense_reference(self, weber50_sparse):
         comp = solver_module._Compiled(weber50_sparse)
@@ -1100,13 +1081,21 @@ class TestSparseKkt:
 
     @pytest.mark.parametrize(
         "problem, cliques, separator",
-        [("weber50", 50, 14), ("empty_variables", 1, 0), ("two_cliques", 2, 1)],
+        [
+            ("weber50", 50, 14),
+            ("weber", 2, 14),
+            ("empty_variables", 1, 0),
+            ("two_cliques", 2, 1),
+        ],
     )
-    def test_block_solve_matches_numpy(self, weber50_sparse, problem, cliques, separator):
+    def test_block_solve_matches_numpy(
+        self, weber50_sparse, weber_sparse, problem, cliques, separator
+    ):
         # H + dI assembled from the block operator alone, against the block
         # elimination's refined solve and its block-form product.
         sdp = {
             "weber50": weber50_sparse,
+            "weber": weber_sparse,
             "empty_variables": clique_chain_sdp(labelled=False),
             "two_cliques": clique_chain_sdp(labelled=True),
         }[problem]
@@ -1373,9 +1362,9 @@ class TestOverflowGuards:
 
     def test_range_instance_returns_a_result(self):
         # the planar range instance over six anchors from default_rng(0) at
-        # order 2: with two BLAS threads the norm of the KKT right-hand side
-        # overflows at iteration 28 (with one thread the solve ends
-        # near_optimal at iteration 21)
+        # order 2, whose KKT right-hand side has overflowed under
+        # rounding-level changes to the solve (a BLAS thread count, the KKT
+        # factor)
         anchors = tuple(map(tuple, np.random.default_rng(0).random((6, 2))))
         lift = build_lifted(LocationInstance(points=anchors, variant="range"))
         with warnings.catch_warnings():
@@ -1385,7 +1374,7 @@ class TestOverflowGuards:
 
     @pytest.mark.parametrize("fixture", ["weber_sparse", "weber50_sparse"])
     def test_kkt_solve_of_an_overflowing_norm(self, request, fixture):
-        # dense LU below the KKT size cut-off, clique elimination above it
+        # two cliques of 10 private moments (weber), fifty (weber50)
         comp = solver_module._Compiled(request.getfixturevalue(fixture))
         solver_module._schur_terms(comp, random_scaling(comp, 4))
         kkt = solver_module._Kkt(comp, comp.kkt_data(1e-12))
