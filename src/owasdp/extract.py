@@ -2,10 +2,15 @@
 
 A solved relaxation returns a moment vector, not a point.  When the moment
 matrices satisfy the rank (flat-truncation) conditions, the relaxation value
-is exact and a minimizer can be read off the first-order moments.  This
-module provides the rank diagnostics (`rank_check`), first-moment extraction
-with an independent feasibility and objective re-check (`extract_point`), and
-the standard relative objective-error measure (`eps_obj`).
+is exact and a minimizer can be read off the first-order moments (Henrion &
+Lasserre, "Detecting global optimality and extracting solutions in
+GloptiPoly", 2005).  This module provides the rank diagnostics
+(`rank_check`), first-moment extraction with an independent feasibility and
+objective re-check (`extract_point`), and the standard relative
+objective-error measure (`eps_obj`).  Both read the relaxation through the
+monomial rows of ``moment``: the rows of each clique basis select the
+submatrices that are ranked, and the first moments are found by key among
+the relaxation's ``moment_rows``.
 
 Only the single-minimizer case (all ranks one) is extracted; higher finite
 ranks are detected and reported but not decomposed into atoms.
@@ -15,13 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .moment import MonomialBasis
-from .polynomial import Monomial, VarId
-from .relaxation import SdpProblem, dirac_moment_vector
+from .moment import basis_rows, key_positions, monomial_keys
+from .polynomial import VarId
+from .relaxation import RelaxationStructureError, SdpProblem, dirac_moment_vector
 from .solver import verify_vector
 
 __all__ = [
@@ -177,32 +182,29 @@ def _numerical_rank(matrix: np.ndarray, tol: float) -> int:
 
 
 def _submatrix_rows(
-    basis: Sequence[Monomial], allowed: set, max_degree: Optional[int] = None
+    basis: np.ndarray, allowed: set, max_degree: Optional[int] = None
 ) -> np.ndarray:
-    rows = [
-        i
-        for i, mono in enumerate(basis)
-        if set(mono.variables()) <= allowed
-        and (max_degree is None or mono.degree <= max_degree)
-    ]
-    return np.asarray(rows, dtype=np.int64)
+    """Indices of the basis rows over ``allowed`` variables only, and of
+    degree <= ``max_degree`` when given."""
+    inside = np.all(np.isin(basis, list(allowed)) | (basis < 0), axis=1)
+    if max_degree is not None:
+        inside &= (basis >= 0).sum(axis=1) <= max_degree
+    return np.flatnonzero(inside)
 
 
 def rank_check(
     sdp: SdpProblem,
     y: np.ndarray,
-    orders: Union[FlatnessOrders, int],
+    orders: FlatnessOrders,
     tol: float = RANK_TOLERANCE,
 ) -> RankReport:
     """Numerical rank diagnostics of every clique moment block at ``y``.
 
     ``orders`` fixes how many hierarchy levels the reduced submatrices sit
-    below the full order (an integer applies uniformly).  Ranks count
-    singular values above ``tol`` times the largest one.
+    below the full order.  Ranks count singular values above ``tol`` times
+    the largest one.
     """
     sdp._require_metadata()
-    if isinstance(orders, int):
-        orders = FlatnessOrders(orders, orders)
     moment_blocks = [b for b in sdp.psd_blocks if b.kind == "moment"]
     original = set(sdp.original_variables)
 
@@ -210,14 +212,14 @@ def rank_check(
     bases = []
     matrices = []
     for block in moment_blocks:
-        basis = MonomialBasis.build(block.variables, sdp.order).elements
+        basis = basis_rows(block.variables, sdp.order)
         if len(basis) != block.size:
             raise ExtractionError(
                 f"moment block {block.label} does not match its clique basis"
             )
         matrix = block.assemble(y)
         reduced_degree = max(0, sdp.order - orders.clique_reduction)
-        reduced_size = sum(1 for mono in basis if mono.degree <= reduced_degree)
+        reduced_size = int(np.sum((basis >= 0).sum(axis=1) <= reduced_degree))
         reports.append(
             BlockRanks(
                 label=block.label,
@@ -345,19 +347,24 @@ def extract_point(
     vectors the returned point is the atoms' barycenter.
     """
     sdp._require_metadata()
-    mass = sdp.moment_value(Monomial.one(), y)
+    n_vars = len(sdp.universe)
+    # The rows of 1, x_0, ..., x_{n-1}; the pivot moment is substituted.
+    keys = monomial_keys(np.arange(-1, n_vars)[:, None], n_vars)
+    positions = key_positions(monomial_keys(sdp.moment_rows, n_vars), keys)
+    pivot = keys == monomial_keys(sdp.pivot_row[None, :], n_vars)
+    missing = np.flatnonzero((positions < 0) & ~pivot)
+    if missing.size:
+        raise RelaxationStructureError(
+            f"variable {missing[0] - 1} has no first moment variable"
+        )
+    first = y[positions]
+    first[pivot] = sdp.pivot_substitution.evaluate(y)
+    mass = float(first[0])
     if not mass > 0.0:
         raise DegenerateMomentError(
             f"moment vector carries nonpositive mass L_y(1) = {mass!r}"
         )
-
-    universe = sdp.universe
-    full_point = np.array(
-        [
-            sdp.moment_value(Monomial.of(v), y) / mass
-            for v in range(len(universe))
-        ]
-    )
+    full_point = first[1:] / mass
 
     denominator = sdp.denominator.evaluate(full_point)
     if not denominator > 0.0:
@@ -376,9 +383,7 @@ def extract_point(
     else:
         certified = sdp.objective.evaluate(witness)
 
-    keep = (
-        range(len(universe)) if include_auxiliary else sdp.original_variables
-    )
+    keep = range(n_vars) if include_auxiliary else sdp.original_variables
     return ExtractedSolution(
         point={int(v): float(full_point[v]) for v in keep},
         certified_value=certified,

@@ -1,39 +1,34 @@
-"""Monomial rows and keys, bases, moment indexing, and moment/localizing
-matrix assembly.
+"""Monomial rows and keys, bases, moment indexing, and localizing forms.
 
 A monomial is the sorted multiset of its variable ids (x0^2 x3 is 0, 0, 3).
 An array of monomials is an integer array of such rows, padded in front with
 -1 to a common width; a product of monomials is a concatenation of rows,
 sorted again.  Read as the digits id + 1 in base ``n_vars + 1``, a row packs
 into one integer key that does not depend on the padding
-(``monomial_keys``).
+(``monomial_keys``).  Rows are the one monomial format from relaxation
+assembly to extraction: a relaxation lists the monomial row of every moment,
+and consumers find moments by key (``key_positions``) and evaluate them at
+points (``monomial_values``).
 
 A truncated moment sequence y is stored as a flat vector indexed by a
 ``MomentIndex``: a global key-to-position map shared by all cliques, so that
 monomials supported on clique intersections receive a single moment
-variable.  Moment and localizing matrices are ``LinearMatrixMap`` objects —
-symmetric matrices whose upper-triangle entries are affine forms in y, held
-as arrays — which downstream modules turn into semidefinite blocks.
-``localizing_forms`` builds the entries of many such matrices (and
-equality rows) at once: one sort of all product rows and one interning pass.
+variable.  ``localizing_forms`` builds the entries of many moment and
+localizing matrices (and equality rows) at once: one sort of all product
+rows and one interning pass.  ``LinearMatrixMap`` holds such a matrix —
+symmetric, with upper-triangle entries that are affine forms in y.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, groupby
-from typing import List, Sequence, Tuple
+from itertools import chain, combinations_with_replacement
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .polynomial import Monomial, Polynomial, VariableUniverse, VarId
-
-
-def basis_size(n_vars: int, degree: int) -> int:
-    """Number of monomials in n_vars variables of total degree <= degree."""
-    return math.comb(n_vars + degree, degree)
 
 
 def local_basis(n_vars: int, degree: int) -> np.ndarray:
@@ -56,7 +51,9 @@ def local_basis(n_vars: int, degree: int) -> np.ndarray:
 
 
 def basis_rows(variables: Sequence[VarId], degree: int) -> np.ndarray:
-    """``local_basis`` over the given variable ids."""
+    """``local_basis`` over the given (distinct) variable ids."""
+    if len(set(variables)) != len(variables):
+        raise ValueError("duplicate variables in basis")
     # The trailing -1 maps the padding (local -1) to itself.
     ids = np.array(sorted(variables) + [-1], dtype=np.int64)
     return ids[local_basis(len(variables), degree)]
@@ -71,12 +68,28 @@ def monomial_rows(monos: Sequence[Monomial], width: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), width)
 
 
-def row_monomials(rows: np.ndarray) -> List[Monomial]:
-    """The monomials of the rows."""
-    return [
-        Monomial.of_sorted(tuple((v, len(list(run))) for v, run in groupby(row) if v >= 0))
-        for row in rows.tolist()
-    ]
+def monomial_values(rows: np.ndarray, point: Sequence[float]) -> np.ndarray:
+    """The monomials of the rows at ``point`` (indexed by variable id): per
+    row, the product of ``float(point[v]) ** e`` over its variables v with
+    exponents e, in increasing v from 1.0.  Each power is a Python float
+    power, not NumPy's vectorized one, so every value agrees bit for bit
+    with ``Monomial.evaluate``."""
+    n, width = rows.shape
+    # Exponent of each run of equal ids, at the run's last position.
+    run = np.ones((n, width), dtype=np.int64)
+    for k in range(1, width):
+        run[:, k] += np.where(rows[:, k] == rows[:, k - 1], run[:, k - 1], 0)
+    last = rows >= 0
+    last[:, :-1] &= rows[:, :-1] != rows[:, 1:]
+    pairs, inverse = np.unique(rows[last] * (width + 1) + run[last], return_inverse=True)
+    ids, exponents = np.divmod(pairs, width + 1)
+    powers = [float(point[v]) ** e for v, e in zip(ids.tolist(), exponents.tolist())]
+    factors = np.ones((n, width))
+    factors[last] = np.array(powers, dtype=float)[inverse]
+    values = np.ones(n)
+    for column in factors.T:
+        values *= column
+    return values
 
 
 def monomial_keys(rows: np.ndarray, n_vars: int) -> np.ndarray:
@@ -102,14 +115,22 @@ def key_rows(keys: np.ndarray, n_vars: int) -> np.ndarray:
     return np.stack(columns[::-1], axis=1) if columns else np.zeros((len(keys), 0), np.int64)
 
 
+def key_positions(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Positions in ``keys`` (distinct) of the ``query`` keys, -1 where
+    absent."""
+    order = np.argsort(keys)
+    at = np.minimum(np.searchsorted(keys[order], query), order.size - 1)
+    return np.where(keys[order[at]] == query, order[at], -1)
+
+
 class MomentIndex:
     """Global dictionary of moment variables keyed by monomial key.
 
-    The constant monomial always occupies position 0.  Cliques register their
-    full monomial range up front (everything of degree <= 2r over the clique
-    variables); matrix assembly may intern further monomials on demand, e.g.
-    for odd-degree localizing blocks that reach degree 2r+1.  New monomials
-    take positions in order of first occurrence.
+    The constant monomial always occupies position 0.  Relaxation assembly
+    interns every clique's full monomial range up front (everything of
+    degree <= 2r over the clique variables), then the products of its
+    localizing forms, e.g. odd-degree localizing blocks that reach degree
+    2r+1.  New monomials take positions in order of first occurrence.
     """
 
     __slots__ = ("universe", "keys")
@@ -119,21 +140,8 @@ class MomentIndex:
         self.keys = monomial_keys(np.zeros((1, 0), dtype=np.int64), len(universe))
 
     @property
-    def one_index(self) -> int:
-        return 0
-
-    @property
     def n_moments(self) -> int:
         return len(self.keys)
-
-    @property
-    def monomials(self) -> Tuple[Monomial, ...]:
-        return tuple(row_monomials(key_rows(self.keys, len(self.universe))))
-
-    def register_range(self, variables: Sequence[VarId], degree: int) -> None:
-        """Intern every monomial over ``variables`` up to ``degree``,
-        in graded-lex order."""
-        self.intern(basis_rows(variables, degree))
 
     def intern(self, rows: np.ndarray) -> np.ndarray:
         """Positions of the monomial rows, adding the absent ones."""
@@ -148,16 +156,7 @@ class MomentIndex:
 
     def lookup(self, rows: np.ndarray) -> np.ndarray:
         """Positions of the monomial rows, -1 where absent."""
-        keys = monomial_keys(rows, len(self.universe))
-        order = np.argsort(self.keys)
-        at = np.minimum(np.searchsorted(self.keys[order], keys), order.size - 1)
-        return np.where(self.keys[order[at]] == keys, order[at], -1)
-
-    def get(self, mono: Monomial) -> int:
-        pos = int(self.lookup(monomial_rows([mono], mono.degree))[0])
-        if pos < 0:
-            raise KeyError(f"monomial {mono!r} not indexed")
-        return pos
+        return key_positions(self.keys, monomial_keys(rows, len(self.universe)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,62 +283,3 @@ def pair_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     their products b_i b_j (unsorted concatenations)."""
     i, j = np.triu_indices(len(rows))
     return i, j, np.concatenate([rows[i], rows[j]], axis=1)
-
-
-def localizing_matrix(
-    g: Polynomial, basis: "MonomialBasis", index: MomentIndex
-) -> LinearMatrixMap:
-    """Localizing matrix M(g y): entry (a, b) is L_y(g * a * b)."""
-    i, j, pairs = pair_rows(basis.rows)
-    form, position, coef = localizing_forms(index, [pairs], [g])
-    indptr = np.searchsorted(form, np.arange(i.size + 1))
-    return LinearMatrixMap(len(basis), i, j, np.zeros(i.size), indptr, position, coef)
-
-
-def moment_matrix(basis: "MonomialBasis", index: MomentIndex) -> LinearMatrixMap:
-    """Moment matrix M(y) over the basis: entry (a, b) is y_{a+b}."""
-    return localizing_matrix(Polynomial.constant(index.universe, 1.0), basis, index)
-
-
-@dataclass(frozen=True, eq=False)
-class MonomialBasis:
-    """All monomials over a fixed variable tuple up to a total degree, as
-    rows in graded-lex order (constant first)."""
-
-    variables: Tuple[VarId, ...]
-    degree: int
-    rows: np.ndarray
-
-    @staticmethod
-    def build(variables: Sequence[VarId], degree: int) -> "MonomialBasis":
-        if degree < 0:
-            raise ValueError("basis degree must be nonnegative")
-        vs = tuple(variables)
-        if len(set(vs)) != len(vs):
-            raise ValueError("duplicate variables in basis")
-        return MonomialBasis(vs, degree, basis_rows(vs, degree))
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    @property
-    def elements(self) -> Tuple[Monomial, ...]:
-        return tuple(row_monomials(self.rows))
-
-    def truncated(self, degree: int) -> "MonomialBasis":
-        """The sub-basis of degree <= ``degree`` (a prefix in graded-lex order)."""
-        if degree > self.degree:
-            raise ValueError("cannot truncate to a larger degree")
-        keep = basis_size(len(self.variables), degree)
-        return MonomialBasis(
-            self.variables, degree, self.rows[:keep, self.degree - degree :]
-        )
-
-
-def dirac_moments(point: np.ndarray, index: MomentIndex) -> np.ndarray:
-    """Moment vector of the Dirac measure at ``point``.
-
-    ``point`` must assign a value to every variable occurring in the indexed
-    monomials (it is indexed by variable id).
-    """
-    return np.array([mono.evaluate(point) for mono in index.monomials], dtype=float)

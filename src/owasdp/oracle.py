@@ -103,10 +103,7 @@ class CallableProblem:
 
 
 def _region_of(problem) -> Optional[SemialgebraicSet]:
-    region = getattr(problem, "region", None)
-    if callable(region):
-        region = region()
-    return region
+    return getattr(problem, "region", None)
 
 
 def _safe_value(problem, point: np.ndarray) -> float:

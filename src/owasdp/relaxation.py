@@ -30,7 +30,6 @@ applied to all of them at once (``_Eliminator.forms``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,13 +38,15 @@ from .moment import (
     LinearMatrixMap,
     MomentIndex,
     basis_rows,
+    key_rows,
     local_basis,
     localizing_forms,
     monomial_rows,
+    monomial_values,
     pair_rows,
 )
 from .omrf import running_intersection_holds
-from .polynomial import COEFF_EPS, Monomial, Polynomial, VariableUniverse, VarId
+from .polynomial import COEFF_EPS, Polynomial, VariableUniverse, VarId
 
 
 class RelaxationError(ValueError):
@@ -208,10 +209,12 @@ class SdpProblem:
     the pivot monomial is ``pivot_substitution`` evaluated at y, and constant
     offsets appear inside the affine maps.
 
-    Metadata fields (``moments`` — the monomial of each y index, ``universe``,
-    ``pivot_monomial``, ``denominator``) support moment evaluation and point
-    extraction; they may be None on hand-built problems.  Structural equality
-    compares the numeric content only.
+    Metadata fields support moment evaluation and point extraction; they may
+    be None on hand-built problems.  ``moment_rows`` holds the monomial row
+    (see ``moment``) of every y index, in y order, and ``pivot_row`` the row
+    of the eliminated pivot moment, padded to the same width; ``universe``
+    numbers their variables and ``denominator`` is the normalization
+    polynomial q.  Structural equality compares the numeric content only.
     """
 
     y_dim: int
@@ -223,8 +226,8 @@ class SdpProblem:
     moment_scales: Tuple[float, ...]
     original_variables: Tuple[VarId, ...]
     stats: SizeStats = field(init=False)
-    moments: Optional[Tuple[Monomial, ...]] = None
-    pivot_monomial: Optional[Monomial] = None
+    moment_rows: Optional[np.ndarray] = None
+    pivot_row: Optional[np.ndarray] = None
     universe: Optional[VariableUniverse] = None
     denominator: Optional[Polynomial] = None
 
@@ -262,30 +265,11 @@ class SdpProblem:
     def __hash__(self) -> int:
         return hash((self.y_dim, self.order, self.objective))
 
-    # -- metadata-backed helpers -------------------------------------------
-
     def _require_metadata(self) -> None:
-        if self.moments is None or self.pivot_monomial is None:
+        if self.moment_rows is None or self.pivot_row is None:
             raise RelaxationStructureError(
                 "operation requires moment metadata (absent on hand-built problems)"
             )
-
-    @cached_property
-    def _moment_positions(self) -> Dict[Monomial, int]:
-        return {mono: idx for idx, mono in enumerate(self.moments)}
-
-    def moment_value(self, mono: Monomial, y: np.ndarray) -> float:
-        """L_y of a single monomial (pivot-aware)."""
-        self._require_metadata()
-        if mono == self.pivot_monomial:
-            return self.pivot_substitution.evaluate(y)
-        try:
-            idx = self._moment_positions[mono]
-        except KeyError:
-            raise RelaxationStructureError(
-                f"monomial {mono!r} has no moment variable"
-            ) from None
-        return float(y[idx])
 
 
 def dirac_moment_vector(sdp: SdpProblem, point: np.ndarray) -> np.ndarray:
@@ -302,10 +286,7 @@ def dirac_moment_vector(sdp: SdpProblem, point: np.ndarray) -> np.ndarray:
     scale = sdp.denominator.evaluate(point)
     if scale <= 0.0:
         raise ValueError("denominator must be positive at the point")
-    y = np.empty(len(sdp.moments))
-    for i, mono in enumerate(sdp.moments):
-        y[i] = mono.evaluate(point) / scale
-    return y
+    return monomial_values(sdp.moment_rows, point) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +335,14 @@ class _Eliminator:
 
     def __init__(self, denominator: Polynomial, positions: np.ndarray, n_raw: int) -> None:
         terms = denominator.terms
-        self.pivot_monomial = min(terms, key=lambda m: m.grlex_key())
-        pivot_coeff = terms[self.pivot_monomial]
-        self.pivot_raw = int(positions[list(terms).index(self.pivot_monomial)])
+        pivot = min(terms, key=lambda m: m.grlex_key())
+        pivot_coeff = terms[pivot]
+        self.pivot_raw = int(positions[list(terms).index(pivot)])
         self.y_dim = n_raw - 1
         # y_pivot = (1 - sum_{other} q_gamma y_gamma) / q_pivot
         acc: Dict[int, float] = {}
         for (mono, coeff), raw in zip(terms.items(), positions.tolist()):
-            if mono == self.pivot_monomial:
+            if mono == pivot:
                 continue
             idx = raw - (raw > self.pivot_raw)
             acc[idx] = acc.get(idx, 0.0) - coeff / pivot_coeff
@@ -537,21 +518,9 @@ def _build(lifted, r: int, cliques: Sequence[Tuple[VarId, ...]]) -> SdpProblem:
 
     objective = affine(n_forms - 1, constant_list[n_forms - 1])
 
-    if lifted.variable_scales:
-        per_var = {
-            vid: float(s)
-            for vid, s in zip(range(len(universe)), lifted.variable_scales)
-        }
-    else:
-        per_var = {}
-    moments = list(index.monomials)
-    del moments[eliminator.pivot_raw]
-    scales: List[float] = []
-    for mono in moments:
-        scale = 1.0
-        for vid, exp in mono.exps:
-            scale *= per_var.get(vid, 1.0) ** exp
-        scales.append(scale)
+    rows = key_rows(index.keys, len(universe))
+    moment_rows = np.delete(rows, eliminator.pivot_raw, axis=0)
+    per_var = np.array(lifted.variable_scales or [1.0] * len(universe), dtype=float)
 
     return SdpProblem(
         y_dim=eliminator.y_dim,
@@ -560,10 +529,10 @@ def _build(lifted, r: int, cliques: Sequence[Tuple[VarId, ...]]) -> SdpProblem:
         psd_blocks=tuple(psd_blocks),
         equalities=tuple(equalities),
         pivot_substitution=eliminator.substitution,
-        moment_scales=tuple(scales),
+        moment_scales=tuple(monomial_values(moment_rows, per_var).tolist()),
         original_variables=tuple(lifted.original_variables),
-        moments=tuple(moments),
-        pivot_monomial=eliminator.pivot_monomial,
+        moment_rows=moment_rows,
+        pivot_row=rows[eliminator.pivot_raw],
         universe=universe,
         denominator=lifted.objective_den,
     )

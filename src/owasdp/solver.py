@@ -62,7 +62,6 @@ full-length ``y``, objective) are mapped back to original units.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -75,8 +74,6 @@ import scipy.linalg.lapack
 import scipy.sparse
 
 from .relaxation import SdpProblem
-
-logger = logging.getLogger(__name__)
 
 
 class SolveStatus(str, Enum):
@@ -95,14 +92,12 @@ class SolverOptions:
     """Termination controls of the interior-point method.
 
     ``abs_tol`` bounds the (normalized) primal and dual residuals, ``rel_tol``
-    the relative duality gap, ``max_iters`` the number of iterations, and
-    ``verbosity`` > 0 logs one line per iteration.
+    the relative duality gap and ``max_iters`` the number of iterations.
     """
 
     abs_tol: float = 1e-8
     rel_tol: float = 1e-8
     max_iters: int = 200
-    verbosity: int = 0
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
@@ -1260,15 +1255,6 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
         row = [relgap, pres, dres, mu, 0.0, 0.0, 0.0]
         trace.append(row)
         clock.lap("residuals")
-
-        if opts.verbosity > 0:
-            logger.info(
-                "iter %3d gap %9.2e pres %9.2e dres %9.2e",
-                iteration,
-                relgap,
-                pres,
-                dres,
-            )
 
         merit = max(relgap, pres, dres)
         if merit < best_merit:

@@ -10,9 +10,12 @@ the nonconvex cone constraint x1^2 - 2 x2^2 - 2 x3^2 >= 0.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
 
-from owasdp.polynomial import Polynomial, SemialgebraicSet, VariableUniverse, parse
+from owasdp.moment import LinearMatrixMap, key_rows, localizing_forms, pair_rows
+from owasdp.polynomial import Monomial, Polynomial, SemialgebraicSet, VariableUniverse, parse
 
 DEMO_POINTS = np.array(
     [
@@ -69,6 +72,38 @@ def abs_evaluate(poly: Polynomial, point: np.ndarray) -> float:
     return float(
         sum(abs(c) * abs(mono.evaluate(point)) for mono, c in poly.terms.items())
     )
+
+
+def row_monomials(rows):
+    """The ``Monomial`` of each monomial row (sorted variable ids, padded in
+    front with -1), as a tuple."""
+    return tuple(
+        Monomial.of_sorted(tuple((v, len(list(run))) for v, run in groupby(row) if v >= 0))
+        for row in np.asarray(rows).tolist()
+    )
+
+
+def localizing_matrix(g, basis, index):
+    """Reference localizing matrix M(g y) over the basis rows: entry (a, b)
+    is L_y(g * a * b), its moments interned in ``index``."""
+    i, j, pairs = pair_rows(basis)
+    form, position, coef = localizing_forms(index, [pairs], [g])
+    indptr = np.searchsorted(form, np.arange(i.size + 1))
+    return LinearMatrixMap(len(basis), i, j, np.zeros(i.size), indptr, position, coef)
+
+
+def moment_matrix(basis, index):
+    """Reference moment matrix M(y) over the basis rows: entry (a, b) is
+    y_{a+b}."""
+    return localizing_matrix(Polynomial.constant(index.universe, 1.0), basis, index)
+
+
+def dirac_moments(point, index):
+    """Reference moment vector of the Dirac measure at ``point`` (indexed by
+    variable id) over every monomial of ``index``, one ``Monomial`` at a
+    time."""
+    monos = row_monomials(key_rows(index.keys, len(index.universe)))
+    return np.array([mono.evaluate(point) for mono in monos], dtype=float)
 
 
 def psd_block(size, kind, label, variables, entries):

@@ -19,7 +19,7 @@ from owasdp.extract import (
     rank_check,
 )
 from owasdp.location import build_lifted, lifted_witness, random_instance
-from owasdp.moment import MonomialBasis
+from owasdp.moment import basis_rows
 from owasdp.omrf import LambdaWeights, OmrfProblem, build_telescoping
 from owasdp.polynomial import (
     Polynomial,
@@ -127,7 +127,7 @@ class TestRankCheck:
             dirac_moment_vector(interval_dense, np.array([0.2]))
             + dirac_moment_vector(interval_dense, np.array([0.8]))
         )
-        report = rank_check(interval_dense, y, 1)
+        report = rank_check(interval_dense, y, FlatnessOrders())
         (block,) = report.blocks
         assert block.rank_full == 2
         assert block.rank_reduced == 2
@@ -141,7 +141,7 @@ class TestRankCheck:
             + dirac_moment_vector(interval_dense, np.array([0.5]))
             + dirac_moment_vector(interval_dense, np.array([0.9]))
         ) / 3.0
-        report = rank_check(interval_dense, y, 1)
+        report = rank_check(interval_dense, y, FlatnessOrders())
         (block,) = report.blocks
         assert block.rank_full == 3
         assert block.rank_reduced == 2
@@ -153,7 +153,7 @@ class TestRankCheck:
             dirac_moment_vector(weber_sparse, WEBER_POINT)
             + dirac_moment_vector(weber_sparse, WEBER_POINT_B)
         )
-        report = rank_check(weber_sparse, y, 1)
+        report = rank_check(weber_sparse, y, FlatnessOrders())
         assert all(block.flat for block in report.blocks)
         assert any(rank == 2 for _, _, rank in report.cross_ranks)
         assert not report.cross_rank_one
@@ -164,8 +164,8 @@ class TestRankCheck:
             (1.0 - 1e-9) * dirac_moment_vector(interval_dense, np.array([0.2]))
             + 1e-9 * dirac_moment_vector(interval_dense, np.array([0.8]))
         )
-        loose = rank_check(interval_dense, y, 1, tol=1e-6)
-        tight = rank_check(interval_dense, y, 1, tol=1e-13)
+        loose = rank_check(interval_dense, y, FlatnessOrders(), tol=1e-6)
+        tight = rank_check(interval_dense, y, FlatnessOrders(), tol=1e-13)
         assert loose.blocks[0].rank_full == 1
         assert tight.blocks[0].rank_full >= 2
 
@@ -180,19 +180,20 @@ class TestRankCheck:
             dirac_moment_vector(sdp, lifted_witness(instance, lift, point))
             for point in ([0.3, 0.4], [0.6, 0.5])
         )
-        report = rank_check(sdp, y, 1)
+        report = rank_check(sdp, y, FlatnessOrders())
 
         blocks = [b for b in sdp.psd_blocks if b.kind == "moment"]
         expected = []
         for i, first in enumerate(blocks):
-            basis = MonomialBasis.build(first.variables, sdp.order).elements
+            basis = basis_rows(first.variables, sdp.order)
             matrix = first.assemble(y)
             for second in blocks[i + 1 :]:
                 shared = set(first.variables) & set(second.variables)
                 if not shared:
                     continue
                 rows = [
-                    r for r, mono in enumerate(basis) if set(mono.variables()) <= shared
+                    r for r, row in enumerate(basis.tolist())
+                    if {v for v in row if v >= 0} <= shared
                 ]
                 singular = np.linalg.svd(matrix[np.ix_(rows, rows)], compute_uv=False)
                 rank = int(np.sum(singular > RANK_TOLERANCE * singular[0]))
@@ -202,9 +203,9 @@ class TestRankCheck:
         assert {rank for _, _, rank in expected} == {2}
 
     def test_requires_metadata(self, weber_sparse):
-        stripped = dataclasses.replace(weber_sparse, moments=None, pivot_monomial=None)
+        stripped = dataclasses.replace(weber_sparse, moment_rows=None, pivot_row=None)
         with pytest.raises(RelaxationStructureError, match="metadata"):
-            rank_check(stripped, np.zeros(stripped.y_dim), 1)
+            rank_check(stripped, np.zeros(stripped.y_dim), FlatnessOrders())
 
 
 class TestExtractPoint:

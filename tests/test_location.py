@@ -20,6 +20,7 @@ from owasdp.location import (
 from owasdp.omrf import EmptyWindowError
 from owasdp.polynomial import SemialgebraicSet, VariableUniverse
 from owasdp.relaxation import build_sparse, dirac_moment_vector, min_order
+from owasdp.solver import solve
 
 from support import abs_evaluate
 
@@ -84,12 +85,9 @@ def test_witness_is_feasible_and_matches_the_objective(shape, tau):
         assert lifted.objective_den.evaluate(z) == 1.0
 
 
-@lift_cases
-def test_dirac_at_the_witness_is_feasible_for_the_relaxation(shape, tau):
-    instance = make_instance(shape, tau)
-    lifted = build_lifted(instance)
-    sdp = build_sparse(lifted, min_order(lifted).r_min)
-    x = box_point(instance, np.random.default_rng(2))
+def assert_dirac_feasible(instance, lifted, sdp, x):
+    """The normalized Dirac measure at the witness of ``x`` satisfies every
+    relaxation constraint and has the objective value at ``x``."""
     y = dirac_moment_vector(sdp, lifted_witness(instance, lifted, x))
     for row in sdp.equalities:
         assert abs(row.residual(y)) <= 1e-9 * (1.0 + abs(row.rhs))
@@ -99,6 +97,39 @@ def test_dirac_at_the_witness_is_feasible_for_the_relaxation(shape, tau):
     assert sdp.objective.evaluate(y) == pytest.approx(
         instance.objective_value(x), rel=1e-9, abs=1e-9
     )
+
+
+@lift_cases
+def test_dirac_at_the_witness_is_feasible_for_the_relaxation(shape, tau):
+    instance = make_instance(shape, tau)
+    lifted = build_lifted(instance)
+    sdp = build_sparse(lifted, min_order(lifted).r_min)
+    assert_dirac_feasible(instance, lifted, sdp, box_point(instance, np.random.default_rng(2)))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [{"variant": "general", "position_lambda": (1.0,)}, {"variant": "range"}],
+    ids=["general", "range"],
+)
+def test_one_anchor_instance_is_sound(params):
+    # One anchor: the general lift has a single clique over its one
+    # assignment variable, and the range weights are (0,).  The ball is
+    # widened to hold a point off the anchor.
+    away = [1.1, -0.4]
+    instance = LocationInstance(points=((0.3, 0.6),), **params)
+    instance = dataclasses.replace(
+        instance, ball_bound=calibrate_ball(instance, away, margin=1.0)
+    )
+    lifted = build_lifted(instance)
+    sdp = build_sparse(lifted, min_order(lifted).r_min)
+    for x in (instance.points[0], away):
+        assert_dirac_feasible(instance, lifted, sdp, x)
+    result = solve(sdp)
+    assert result.status.solved()
+    anchor_value = instance.objective_value(instance.points[0])
+    assert anchor_value == 0.0
+    assert sdp.objective.evaluate(result.y) <= anchor_value + 1e-6
 
 
 @lift_cases

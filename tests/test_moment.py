@@ -1,19 +1,15 @@
-"""Tests for moment indexing and moment/localizing matrix assembly."""
+"""Tests for monomial rows, moment indexing and moment/localizing matrix
+assembly."""
 
 import math
 
 import numpy as np
 import pytest
 
-from owasdp.moment import (
-    MomentIndex,
-    MonomialBasis,
-    basis_size,
-    dirac_moments,
-    localizing_matrix,
-    moment_matrix,
-)
+from owasdp.moment import MomentIndex, basis_rows, key_rows, monomial_values
 from owasdp.polynomial import Monomial, Polynomial, VariableUniverse, parse
+
+from support import dirac_moments, localizing_matrix, moment_matrix, row_monomials
 
 
 def uni(n):
@@ -24,66 +20,75 @@ class TestMonomialBasis:
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("d", range(0, 5))
     def test_closed_form_size(self, n, d):
-        b = MonomialBasis.build(range(n), d)
-        assert len(b) == math.comb(n + d, d) == basis_size(n, d)
+        assert len(basis_rows(range(n), d)) == math.comb(n + d, d)
 
     def test_graded_lex_order_and_nesting(self):
-        b = MonomialBasis.build([0, 1], 2)
-        degs = [m.degree for m in b.elements]
+        b = basis_rows([0, 1], 2)
+        degs = (b >= 0).sum(axis=1).tolist()
         assert degs == sorted(degs)
-        assert b.elements[0].is_one()
-        unsorted = MonomialBasis.build([4, 0, 2], 3).elements
+        assert (b[0] == -1).all()
+        unsorted = row_monomials(basis_rows([4, 0, 2], 3))
         assert list(unsorted) == sorted(unsorted, key=Monomial.grlex_key)
-        # truncated basis is a prefix
-        t = b.truncated(1)
-        assert t.elements == b.elements[: len(t)]
+        # the basis of a lower degree is a prefix, narrower by the padding
+        t = basis_rows([0, 1], 1)
+        assert np.array_equal(t, b[: len(t), 1:])
 
     def test_duplicate_vars_rejected(self):
         with pytest.raises(ValueError):
-            MonomialBasis.build([0, 0], 1)
+            basis_rows([0, 0], 1)
 
 
 class TestMomentIndex:
     def test_constant_is_position_zero(self):
         idx = MomentIndex(uni(2))
-        assert idx.get(Monomial.one()) == 0
-        assert idx.one_index == 0
+        assert idx.lookup(np.zeros((1, 0), dtype=np.int64))[0] == 0
+        assert idx.lookup(np.array([[-1, -1]]))[0] == 0
 
     def test_shared_monomials_merge_across_cliques(self):
         u = uni(3)
         idx = MomentIndex(u)
-        idx.register_range([0, 1], 2)  # clique {x1, x2}
+        idx.intern(basis_rows([0, 1], 2))  # clique {x1, x2}
         n_after_first = idx.n_moments
-        idx.register_range([0, 2], 2)  # clique {x1, x3}, shares x1-monomials
+        idx.intern(basis_rows([0, 2], 2))  # clique {x1, x3}, shares x1-monomials
         # shared: 1, x1, x1^2 already present; new: x3, x1*x3, x3^2
         assert idx.n_moments == n_after_first + 3
-        assert idx.get(Monomial.of(0, 2)) < n_after_first
+        assert idx.lookup(np.array([[0, 0]]))[0] < n_after_first
 
     def test_register_count(self):
         idx = MomentIndex(uni(3))
-        idx.register_range([0, 1, 2], 4)
+        idx.intern(basis_rows([0, 1, 2], 4))
         assert idx.n_moments == math.comb(3 + 4, 4)
 
     def test_keys_wider_than_int64(self):
         # 101^10 > 2^63: degree-10 keys over 100 variables are Python integers.
         idx = MomentIndex(uni(100))
-        idx.register_range([98, 99], 10)
+        idx.intern(basis_rows([98, 99], 10))
         assert idx.keys.dtype == object
-        assert idx.monomials == MonomialBasis.build([98, 99], 10).elements
-        assert idx.get(Monomial.of(98, 10)) == idx.n_moments - 1 == 65
+        assert np.array_equal(key_rows(idx.keys, 100), basis_rows([98, 99], 10))
+        assert idx.lookup(np.full((1, 10), 98))[0] == idx.n_moments - 1 == 65
 
-    def test_get_missing_raises(self):
+    def test_lookup_missing_is_minus_one(self):
         idx = MomentIndex(uni(2))
-        with pytest.raises(KeyError):
-            idx.get(Monomial.of(1, 5))
+        assert idx.lookup(np.full((1, 5), 1))[0] == -1
+
+
+class TestMonomialValues:
+    def test_matches_monomial_evaluation_bitwise(self):
+        rng = np.random.default_rng(5)
+        point = rng.uniform(-2.0, 2.0, 4)
+        rows = basis_rows(range(4), 5)
+        expected = [mono.evaluate(point) for mono in row_monomials(rows)]
+        assert monomial_values(rows, point).tolist() == expected
+        # wider padding leaves every value unchanged
+        padded = np.concatenate([np.full((len(rows), 2), -1), rows], axis=1)
+        assert monomial_values(padded, point).tolist() == expected
 
 
 class TestMomentMatrix:
     def test_hankel_structure_univariate(self):
         u = uni(1)
         idx = MomentIndex(u)
-        b = MonomialBasis.build([0], 2)
-        mm = moment_matrix(b, idx)
+        mm = moment_matrix(basis_rows([0], 2), idx)
         y = np.array([1.0, 2.0, 5.0, 14.0, 42.0])  # y_0..y_4
         M = mm.assemble(y)
         expect = np.array([[1, 2, 5], [2, 5, 14], [5, 14, 42]], dtype=float)
@@ -96,8 +101,7 @@ class TestMomentMatrix:
             d = int(rng.integers(1, 3))
             u = uni(n)
             idx = MomentIndex(u)
-            b = MonomialBasis.build(range(n), d)
-            mm = moment_matrix(b, idx)
+            mm = moment_matrix(basis_rows(range(n), d), idx)
             pt = rng.uniform(-2, 2, size=n)
             y = dirac_moments(pt, idx)
             M = mm.assemble(y)
@@ -109,8 +113,7 @@ class TestMomentMatrix:
     def test_symmetry(self):
         u = uni(2)
         idx = MomentIndex(u)
-        b = MonomialBasis.build([0, 1], 2)
-        mm = moment_matrix(b, idx)
+        mm = moment_matrix(basis_rows([0, 1], 2), idx)
         y = np.arange(1.0, idx.n_moments + 1.0)
         M = mm.assemble(y)
         assert np.array_equal(M, M.T)
@@ -122,9 +125,9 @@ class TestLocalizingMatrix:
         u = uni(2)
         g = parse("1 - x1^2 - x2^2", u)
         rng = np.random.default_rng(3)
+        b = basis_rows([0, 1], 1)
         for _ in range(50):
             idx = MomentIndex(u)
-            b = MonomialBasis.build([0, 1], 1)
             loc = localizing_matrix(g, b, idx)
             pt = rng.uniform(-1.5, 1.5, size=2)
             y = dirac_moments(pt, idx)
@@ -136,13 +139,13 @@ class TestLocalizingMatrix:
             else:
                 assert w[0] < 0
             # L = g(pt) * v v^T with v the basis evaluated at pt
-            v = np.array([m.evaluate(pt) for m in b.elements])
+            v = monomial_values(b, pt)
             assert np.allclose(L, gval * np.outer(v, v), atol=1e-10)
 
     def test_constant_polynomial_gives_scaled_moment_matrix(self):
         u = uni(1)
         idx = MomentIndex(u)
-        b = MonomialBasis.build([0], 1)
+        b = basis_rows([0], 1)
         loc = localizing_matrix(Polynomial.constant(u, 3.0), b, idx)
         mm = moment_matrix(b, MomentIndex(u))
         y = np.array([1.0, 0.5, 0.3])

@@ -40,12 +40,15 @@ from owasdp.relaxation import (
     multiplier_degree,
 )
 
+from owasdp.moment import monomial_rows
+
 from support import (
     DEMO_POINTS,
     hand_lift,
     random_omrf_problem,
     random_omrf_point,
     random_sign_mixed_problem,
+    row_monomials,
     two_point_weber_lift,
     with_constant_weights,
 )
@@ -65,7 +68,9 @@ def corner_form(block):
 def moment_position(sdp, text, universe):
     """Index in y of the moment of the single monomial ``text``."""
     (mono,) = parse(text, universe).terms
-    return sdp.moments.index(mono)
+    row = monomial_rows([mono], sdp.moment_rows.shape[1])
+    (idx,) = np.flatnonzero((sdp.moment_rows == row).all(axis=1))
+    return int(idx)
 
 
 class TestOrders:
@@ -158,7 +163,8 @@ class TestHandWeberStructure:
         for block in sdp.psd_blocks:
             allowed = set(block.variables)
             for idx in np.unique(block.indices):
-                assert set(sdp.moments[idx].variables()) <= allowed
+                row = sdp.moment_rows[idx]
+                assert set(row[row >= 0].tolist()) <= allowed
 
     def test_dirac_feasibility_and_objective(self):
         lift = two_point_weber_lift()
@@ -381,7 +387,8 @@ def relaxation_digest(sdp):
     and label and, per upper-triangle entry in order, i, j, its constant and
     its (index, coefficient) terms; every equality row's label, right-hand
     side and terms; the objective and the pivot substitution (constant and
-    terms); the moment scales and ``repr`` of the moments."""
+    terms); the moment scales and ``repr`` of the tuple of ``Monomial``
+    objects of the moment rows."""
 
     def terms(indices, coefficients):
         return " ".join(f"{int(i)}:{float(c).hex()}" for i, c in zip(indices, coefficients))
@@ -405,7 +412,7 @@ def relaxation_digest(sdp):
             f"{name} {float(form.constant).hex()} " + terms(form.indices, form.coefficients)
         )
     lines.append("scales " + " ".join(float(s).hex() for s in sdp.moment_scales))
-    lines.append("moments " + repr(sdp.moments))
+    lines.append("moments " + repr(row_monomials(sdp.moment_rows)))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 

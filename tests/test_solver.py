@@ -1295,8 +1295,8 @@ class TestVerifyResult:
         y = self._dirac(weber_sparse)
         target = next(
             i
-            for i, mono in enumerate(weber_sparse.moments)
-            if mono.exps == ((2, 2),)  # the squared first-distance moment
+            for i, row in enumerate(weber_sparse.moment_rows.tolist())
+            if [v for v in row if v >= 0] == [2, 2]  # the squared first-distance moment
         )
         y[target] += 1e-3
         report = verify_vector(weber_sparse, y, 1e-6)
