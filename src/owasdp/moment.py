@@ -159,6 +159,25 @@ class MomentIndex:
         return key_positions(self.keys, monomial_keys(rows, len(self.universe)))
 
 
+def term_sums(
+    constants: np.ndarray,
+    counts: np.ndarray,
+    indices: np.ndarray,
+    coefficients: np.ndarray,
+    y: np.ndarray,
+) -> np.ndarray:
+    """constants[e] + sum_k coefficients[k] y[indices[k]] for every e, over
+    its counts[e] terms k (the terms of e follow those of e - 1), each summed
+    term by term in order from its constant."""
+    values = np.array(constants, dtype=float)
+    starts = np.cumsum(counts) - counts
+    for k in range(int(np.max(counts, initial=0))):
+        live = np.flatnonzero(counts > k)
+        term = starts[live] + k
+        values[live] += coefficients[term] * y[indices[term]]
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class LinearMatrixMap:
     """Symmetric matrix whose entries are affine forms in the moment vector.
@@ -213,21 +232,11 @@ class LinearMatrixMap:
 
     __hash__ = None
 
-    def entry_values(self, y: np.ndarray) -> np.ndarray:
-        """The value of every entry at y, each summed term by term in order
-        from its constant."""
-        values = self.constants.copy()
-        counts = np.diff(self.indptr)
-        for k in range(int(counts.max(initial=0))):
-            live = np.flatnonzero(counts > k)
-            term = self.indptr[live] + k
-            values[live] += self.coefficients[term] * y[self.indices[term]]
-        return values
-
     def assemble(self, y: np.ndarray) -> np.ndarray:
         """Evaluate the map at a concrete moment vector (dense symmetric)."""
         out = np.zeros((self.size, self.size))
-        values = self.entry_values(y)
+        counts = np.diff(self.indptr)
+        values = term_sums(self.constants, counts, self.indices, self.coefficients, y)
         out[self.rows, self.cols] = values
         out[self.cols, self.rows] = values
         return out

@@ -238,10 +238,10 @@ class SdpProblem:
             if not 0 <= idx < self.y_dim:
                 raise ValueError("objective/pivot index out of range")
         for block in self.psd_blocks:
-            if block.indices.size and block.indices.max() >= self.y_dim:
+            if np.any((block.indices < 0) | (block.indices >= self.y_dim)):
                 raise ValueError("block index out of range")
         for row in self.equalities:
-            if row.form.indices and max(row.form.indices) >= self.y_dim:
+            if not all(0 <= idx < self.y_dim for idx in row.form.indices):
                 raise ValueError("equality index out of range")
         object.__setattr__(self, "stats", size_stats_of(self))
 

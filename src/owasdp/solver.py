@@ -73,6 +73,7 @@ import scipy.linalg.blas
 import scipy.linalg.lapack
 import scipy.sparse
 
+from .moment import term_sums
 from .relaxation import SdpProblem
 
 
@@ -229,27 +230,76 @@ def verify_vector(
     tol: float,
     reported_objective: Optional[float] = None,
 ) -> ResidualReport:
-    """Residual report for an arbitrary moment vector (Dirac checks, tests)."""
-    max_eq = 0.0
-    for row in sdp.equalities:
-        max_eq = max(max_eq, abs(row.residual(y)))
-    min_eig = math.inf
+    """Residual report for an arbitrary moment vector (Dirac checks, tests).
+
+    Every block entry and equality row is summed term by term in order
+    (``term_sums``), and the blocks of one size are assembled as one stack
+    that shares one ``eigvalsh``.  NaN residuals and eigenvalues are
+    skipped."""
+    terms, indices, coefficients = _equality_terms(sdp)
+    rhs = np.array([row.rhs for row in sdp.equalities], dtype=float)
+    residuals = term_sums(np.zeros(rhs.size), terms, indices, coefficients, y) - rhs
+    max_eq = float(np.fmax.reduce(np.abs(residuals), initial=0.0))
+
+    sizes = np.array([b.size for b in sdp.psd_blocks], dtype=np.int64)
+    owner, rows, cols, constants, terms, indices, coefficients = _block_entries(sdp.psd_blocks)
+    values = term_sums(constants, terms, indices, coefficients, y)
+    least = np.zeros(sizes.size)
     eig_ok = True
-    for block in sdp.psd_blocks:
-        mat = block.assemble(y)
-        smallest = float(np.linalg.eigvalsh(mat)[0]) if block.size else 0.0
-        min_eig = min(min_eig, smallest)
-        if smallest < -tol * (1.0 + float(np.linalg.norm(mat))):
-            eig_ok = False
-    if min_eig is math.inf:
-        min_eig = 0.0
+    slot = np.zeros(sizes.size, dtype=np.int64)
+    for n in np.unique(sizes[sizes > 0]).tolist():
+        members = np.flatnonzero(sizes == n)
+        slot[members] = np.arange(members.size)
+        entries = sizes[owner] == n
+        k, i, j = slot[owner[entries]], rows[entries], cols[entries]
+        stack = np.zeros((members.size, n, n))
+        stack[k, i, j] = values[entries]
+        stack[k, j, i] = values[entries]
+        smallest = np.linalg.eigvalsh(stack)[:, 0]
+        least[members] = smallest
+        # 1 + norm >= 1, so with tol >= 0 only a block below -tol can fail.
+        suspect = smallest < (-tol if tol >= 0.0 else math.inf)
+        for mat, low in zip(stack[suspect], smallest[suspect]):
+            if low < -tol * (1.0 + float(np.linalg.norm(mat))):
+                eig_ok = False
+    min_eig = float(np.fmin.reduce(least)) if least.size else 0.0
     value = sdp.objective.evaluate(y)
-    if reported_objective is None:
-        delta = 0.0
-    else:
-        delta = abs(value - reported_objective)
+    delta = 0.0 if reported_objective is None else abs(value - reported_objective)
     ok = eig_ok and max_eq <= tol and delta <= tol * (1.0 + abs(value))
     return ResidualReport(max_eq, min_eig, delta, ok)
+
+
+def _block_entries(blocks) -> Tuple[np.ndarray, ...]:
+    """The entry arrays (see ``LinearMatrixMap``) of ``blocks`` end to end:
+    every entry's block, row, column and constant, then every entry's term
+    count and the moment index and coefficient of every term."""
+
+    def joined(arrays, dtype) -> np.ndarray:
+        return np.concatenate(list(arrays) + [np.zeros(0, dtype)])
+
+    return (
+        np.repeat(np.arange(len(blocks)), [b.rows.size for b in blocks]),
+        joined((b.rows for b in blocks), np.int64),
+        joined((b.cols for b in blocks), np.int64),
+        joined((b.constants for b in blocks), float),
+        joined((np.diff(b.indptr) for b in blocks), np.int64),
+        joined((b.indices for b in blocks), np.int64),
+        joined((b.coefficients for b in blocks), float),
+    )
+
+
+def _equality_terms(sdp: SdpProblem) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The term count of every equality row, and the moment indices and
+    coefficients of all their terms, row after row."""
+    forms = [row.form for row in sdp.equalities]
+    terms = np.array([form.nnz for form in forms], dtype=np.int64)
+    indices = np.fromiter(
+        itertools.chain.from_iterable(form.indices for form in forms), dtype=np.int64
+    )
+    coefficients = np.fromiter(
+        itertools.chain.from_iterable(form.coefficients for form in forms), dtype=float
+    )
+    return terms, indices, coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -626,15 +676,8 @@ class _Compiled:
         )
         self.y_scales = scales
 
-        forms = [row.form for row in sdp.equalities]
-        self.n_eq = len(forms)
-        terms = np.array([form.nnz for form in forms], dtype=np.int64)
-        indices = np.fromiter(
-            itertools.chain.from_iterable(form.indices for form in forms), dtype=np.int64
-        )
-        coeffs = np.fromiter(
-            itertools.chain.from_iterable(form.coefficients for form in forms), dtype=float
-        )
+        terms, indices, coeffs = _equality_terms(sdp)
+        self.n_eq = terms.size
         coeffs *= scales[indices]
         norms = np.ones(self.n_eq)
         for r_idx, end in enumerate(np.cumsum(terms).tolist()):
@@ -698,16 +741,8 @@ class _Compiled:
         K = n.size
         raw_offsets = np.concatenate([[0], np.cumsum(n * n)]).astype(np.int64)
 
-        def stacked(arrays, dtype) -> np.ndarray:
-            return np.concatenate(list(arrays) + [np.zeros(0, dtype)])
-
-        owner = np.repeat(np.arange(K), [b.rows.size for b in blocks])
-        i = stacked((b.rows for b in blocks), np.int64)
-        j = stacked((b.cols for b in blocks), np.int64)
-        constants = stacked((b.constants for b in blocks), float)
-        terms = stacked((np.diff(b.indptr) for b in blocks), np.int64)
-        moments = stacked((b.indices for b in blocks), np.int64)
-        coeffs = stacked((b.coefficients for b in blocks), float) * scales[moments]
+        owner, i, j, constants, terms, moments, coeffs = _block_entries(blocks)
+        coeffs *= scales[moments]
         flat = raw_offsets[owner] + i * n[owner] + j
         mirror = raw_offsets[owner] + j * n[owner] + i
         entry = np.repeat(np.arange(i.size), terms)
@@ -913,13 +948,12 @@ def _nt_scaling(Lx: np.ndarray, Lz: np.ndarray):
     with W Z W = X), and the shared scaled point
     lambda = T^{-1} X T^{-T} = T' Z T = diag(d).  Returns (G, T, T^{-1}, d);
     the caller checks that they are finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        U, d, Vt = np.linalg.svd(_t(Lz) @ Lx)
-        d = np.clip(d, 1e-300, None)
-        root = 1.0 / np.sqrt(d)
-        T = (Lx @ _t(Vt)) * root[:, None, :]
-        T_inv = root[:, :, None] * (_t(U) @ _t(Lz))
-        G = _symmetrize(_t(T_inv) @ T_inv)
+    U, d, Vt = np.linalg.svd(_t(Lz) @ Lx)
+    d = np.clip(d, 1e-300, None)
+    root = 1.0 / np.sqrt(d)
+    T = (Lx @ _t(Vt)) * root[:, None, :]
+    T_inv = root[:, :, None] * (_t(U) @ _t(Lz))
+    G = _symmetrize(_t(T_inv) @ T_inv)
     return G, T, T_inv, d
 
 
@@ -936,15 +970,14 @@ def _schur_terms(comp: _Compiled, G: List[np.ndarray]) -> None:
     support R_l of its slot, by one batched product per run of slots of
     one support size, written straight into F; the gather and the
     contraction are F2's.  G is symmetric, so both formulas give G A_l G."""
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
-        for shape in comp.shapes:
-            K, m = shape.indices.shape
-            F = _products(comp, shape, G[shape.group][shape.lo : shape.hi])
-            gathered = F[:, shape.pair_rows, :, shape.pair_cols].reshape(-1, m)
-            half = (shape.right @ gathered).reshape(K, m, m)
-            del gathered  # before the next group forms its T
-            terms = comp.kkt_values[shape.start : shape.start + K * m * m]
-            np.add(half, _t(half), out=terms.reshape(K, m, m))
+    for shape in comp.shapes:
+        K, m = shape.indices.shape
+        F = _products(comp, shape, G[shape.group][shape.lo : shape.hi])
+        gathered = F[:, shape.pair_rows, :, shape.pair_cols].reshape(-1, m)
+        half = (shape.right @ gathered).reshape(K, m, m)
+        del gathered  # before the next group forms its T
+        terms = comp.kkt_values[shape.start : shape.start + K * m * m]
+        np.add(half, _t(half), out=terms.reshape(K, m, m))
 
 
 def _products(comp: _Compiled, shape: _SchurGroup, g: np.ndarray) -> np.ndarray:
@@ -974,19 +1007,15 @@ def _products(comp: _Compiled, shape: _SchurGroup, g: np.ndarray) -> np.ndarray:
 def _congruence(comp: _Compiled, G: List[np.ndarray], flat: np.ndarray) -> np.ndarray:
     """sym(G M G) for every block M of a flat block vector."""
     out = np.empty_like(flat)
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
-        for g, m, dst in zip(G, comp.stacks(flat), comp.stacks(out)):
-            dst[...] = _symmetrize(g @ m @ g)
+    for g, m, dst in zip(G, comp.stacks(flat), comp.stacks(out)):
+        dst[...] = _symmetrize(g @ m @ g)
     return out
 
 
 def _scaled(comp: _Compiled, T_inv: List[np.ndarray], flat: np.ndarray) -> List[np.ndarray]:
     """sym(T^{-1} M T^{-T}) for every block M of a flat block vector, as
     stacks per size group."""
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
-        return [
-            _symmetrize(ti @ m @ _t(ti)) for ti, m in zip(T_inv, comp.stacks(flat))
-        ]
+    return [_symmetrize(ti @ m @ _t(ti)) for ti, m in zip(T_inv, comp.stacks(flat))]
 
 
 def _diagonal(d: np.ndarray) -> np.ndarray:
@@ -1005,17 +1034,16 @@ def _step_lengths(
     the primal and dual matrices of a group share one ``eigvalsh``.  None
     when a scaled direction is not finite."""
     smallest = [math.inf, math.inf]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for di, dx, dz in zip(d, primal, dual):
-            root = 1.0 / np.sqrt(di)
-            outer = root[:, :, None] * root[:, None, :]
-            stacked = np.concatenate([dx * outer, dz * outer])
-            if not _finite(stacked):
-                return None
-            least = np.linalg.eigvalsh(stacked)[:, 0]
-            K = di.shape[0]
-            smallest[0] = min(smallest[0], float(np.min(least[:K])))
-            smallest[1] = min(smallest[1], float(np.min(least[K:])))
+    for di, dx, dz in zip(d, primal, dual):
+        root = 1.0 / np.sqrt(di)
+        outer = root[:, :, None] * root[:, None, :]
+        stacked = np.concatenate([dx * outer, dz * outer])
+        if not _finite(stacked):
+            return None
+        least = np.linalg.eigvalsh(stacked)[:, 0]
+        K = di.shape[0]
+        smallest[0] = min(smallest[0], float(np.min(least[:K])))
+        smallest[1] = min(smallest[1], float(np.min(least[K:])))
     alpha_p, alpha_d = (math.inf if s >= 0.0 else -1.0 / s for s in smallest)
     return alpha_p, alpha_d
 
@@ -1067,16 +1095,16 @@ class _Kkt:
     of one private size."""
 
     def __init__(self, comp: _Compiled, data: np.ndarray) -> None:
-        self.layout = layout = comp.kkt_layout
-        s = layout.shared
-        self._shared = data[layout.shared_offset : layout.size].reshape(s, s)
-        # Per group of same-size cliques: its unknowns (a slice of the
-        # layout's order), P (C, p, p), the stacked B (C p, s) and the
-        # factors of every P_c.
-        self._cliques = []
-        reduced = self._shared.copy()
-        start = 0
         with np.errstate(over="ignore", invalid="ignore"):  # the pivots are checked
+            self.layout = layout = comp.kkt_layout
+            s = layout.shared
+            self._shared = data[layout.shared_offset : layout.size].reshape(s, s)
+            # Per group of same-size cliques: its unknowns (a slice of the
+            # layout's order), P (C, p, p), the stacked B (C p, s) and the
+            # factors of every P_c.
+            self._cliques = []
+            reduced = self._shared.copy()
+            start = 0
             for p, count, p_offset, b_offset in layout.groups:
                 P = data[p_offset:b_offset].reshape(count, p, p)
                 B = data[b_offset : b_offset + count * p * s].reshape(count, p, s)
@@ -1092,16 +1120,15 @@ class _Kkt:
         private = rhs.size - self.layout.shared
         out = np.empty_like(rhs)
         shared = rhs[private:].copy()
-        with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
-            for span, _, B, factors in self._cliques:
-                part = rhs[span].reshape(len(factors), -1)
-                shared -= B.T @ np.concatenate([f.solve(r) for f, r in zip(factors, part)])
-            if self._separator is not None:
-                shared = self._separator.solve(shared)
-            out[private:] = shared
-            for span, _, B, factors in self._cliques:
-                part = (rhs[span] - B @ shared).reshape(len(factors), -1)
-                out[span] = np.concatenate([f.solve(r) for f, r in zip(factors, part)])
+        for span, _, B, factors in self._cliques:
+            part = rhs[span].reshape(len(factors), -1)
+            shared -= B.T @ np.concatenate([f.solve(r) for f, r in zip(factors, part)])
+        if self._separator is not None:
+            shared = self._separator.solve(shared)
+        out[private:] = shared
+        for span, _, B, factors in self._cliques:
+            part = (rhs[span] - B @ shared).reshape(len(factors), -1)
+            out[span] = np.concatenate([f.solve(r) for f, r in zip(factors, part)])
         return out
 
     def _product(self, x: np.ndarray) -> np.ndarray:
@@ -1109,65 +1136,43 @@ class _Kkt:
         private = x.size - self.layout.shared
         out = np.empty_like(x)
         shared = x[private:]
-        with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
-            out[private:] = self._shared @ shared
-            for span, P, B, _ in self._cliques:
-                part = x[span]
-                out[span] = (P @ part.reshape(P.shape[0], -1, 1)).ravel() + B @ shared
-                out[private:] += B.T @ part
+        out[private:] = self._shared @ shared
+        for span, P, B, _ in self._cliques:
+            part = x[span]
+            out[span] = (P @ part.reshape(P.shape[0], -1, 1)).ravel() + B @ shared
+            out[private:] += B.T @ part
         return out
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Refined solution; non-finite when the factorization breaks down."""
-        order = self.layout.order
-        rhs = rhs[order]
         with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
+            order = self.layout.order
+            rhs = rhs[order]
             scale = 1.0 + float(np.linalg.norm(rhs))
-        sol = self._solve_once(rhs)
-        for _ in range(3):
-            if not _finite(sol):
-                break
-            residual = rhs - self._product(sol)
-            with np.errstate(over="ignore", invalid="ignore"):
+            sol = self._solve_once(rhs)
+            for _ in range(3):
+                if not _finite(sol):
+                    break
+                residual = rhs - self._product(sol)
                 if float(np.linalg.norm(residual)) <= 1e-13 * scale:
                     break
-            sol = sol + self._solve_once(residual)
-        unpermuted = np.empty_like(sol)
-        unpermuted[order] = sol
-        return unpermuted
+                sol = sol + self._solve_once(residual)
+            unpermuted = np.empty_like(sol)
+            unpermuted[order] = sol
+            return unpermuted
 
 
-def _fixed_point_result(
-    sdp: SdpProblem, comp: _Compiled, opts: SolverOptions, start: float, stats
-) -> SolverResult:
-    """Result of a problem without free moments: its single candidate y is
-    the elimination's ``fixed``, optimal when every (now constant) block is
-    PSD within ``abs_tol``."""
-    y = comp.fixed
-    stats["equalities"]["residual"] = comp.equality_residual(y)
-    smallest = min(
-        (float(np.min(np.linalg.eigvalsh(s))) for s in comp.stacks(comp.constant)),
-        default=0.0,
-    )
-    wall = time.perf_counter() - start
-    if smallest < -opts.abs_tol:
-        return SolverResult(
-            SolveStatus.INFEASIBLE,
-            None,
-            math.inf,
-            0,
-            wall,
-            {"note": "fixed moments violate a PSD block", **stats},
-        )
-    y_orig = comp.y_scales * y
-    return SolverResult(
-        SolveStatus.OPTIMAL,
-        y_orig,
-        sdp.objective.evaluate(y_orig),
-        0,
-        wall,
-        {"note": "every moment fixed by the equality rows", **stats},
-    )
+def _near(relgap: float, pres: float, dres: float) -> bool:
+    """Whether an iterate is within the near-optimal gates (see ``_NEAR_GAP``)."""
+    return relgap <= _NEAR_GAP and pres <= _NEAR_RES and dres <= _NEAR_RES
+
+
+# The objective reported with each unsolved status.
+_UNSOLVED_OBJECTIVE = {
+    SolveStatus.INFEASIBLE: math.inf,
+    SolveStatus.UNBOUNDED: -math.inf,
+    SolveStatus.NUMERICAL_FAILURE: math.nan,
+}
 
 
 def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult:
@@ -1192,18 +1197,45 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
         "schur": comp.schur_stats,
         "equalities": equality_stats,
     }
+    trace: List[List[float]] = []
+
+    def finish(
+        status: SolveStatus, y: Optional[np.ndarray], note: str, iterations: int, **extra
+    ) -> SolverResult:
+        """The result that reports the scaled moment vector ``y`` (None when
+        there is none) with ``status``: in original units when solved, as
+        ``last_y`` on a numerical failure, and its equality residual."""
+        if y is not None:
+            equality_stats["residual"] = comp.equality_residual(y)
+            y = comp.y_scales * y
+        diagnostics = {"note": note, **extra, **stats}
+        if status.solved():
+            objective = sdp.objective.evaluate(y)
+        else:
+            objective = _UNSOLVED_OBJECTIVE[status]
+            if status is SolveStatus.NUMERICAL_FAILURE:
+                diagnostics["last_y"] = y
+            y = None
+        rows = np.array(trace, dtype=float).reshape(-1, len(TRACE_COLUMNS))
+        wall = time.perf_counter() - start
+        return SolverResult(status, y, objective, iterations, wall, diagnostics, rows)
 
     if comp.inconsistency > _DEPENDENT_TOL:
-        return SolverResult(
-            SolveStatus.INFEASIBLE,
-            None,
-            math.inf,
-            0,
-            time.perf_counter() - start,
-            {"note": "equality rows inconsistent", **stats},
-        )
+        return finish(SolveStatus.INFEASIBLE, None, "equality rows inconsistent", 0)
     if comp.z_dim == 0:
-        return _fixed_point_result(sdp, comp, opts, start, stats)
+        # The single candidate y is the elimination's ``fixed``, optimal when
+        # every (now constant) block is PSD within ``abs_tol``.
+        smallest = min(
+            (float(np.min(np.linalg.eigvalsh(s))) for s in comp.stacks(comp.constant)),
+            default=0.0,
+        )
+        if smallest < -opts.abs_tol:
+            return finish(
+                SolveStatus.INFEASIBLE, comp.fixed, "fixed moments violate a PSD block", 0
+            )
+        return finish(
+            SolveStatus.OPTIMAL, comp.fixed, "every moment fixed by the equality rows", 0
+        )
 
     total_cone = max(comp.cone_dim, 1)
     z = np.zeros(comp.z_dim)
@@ -1216,8 +1248,6 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
     status = SolveStatus.NUMERICAL_FAILURE
     stall_ref = math.inf
     stall = 0
-    iterations = 0
-    relgap = pres = dres = math.inf
     note = "iteration limit reached"
     # A non-finite scaling, Schur complement or direction ends the solve as a
     # numerical failure, whatever the best iterate's merit.
@@ -1225,155 +1255,126 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
     # Best iterate seen so far: Schur-based steps eventually hit a numerical
     # floor where the gap keeps shrinking while dual feasibility drifts; the
     # reported solution is the iterate with the smallest worst-case merit.
-    best_merit = math.inf
     best_y = comp.moments(z)
-    best_triple = (relgap, pres, dres)
+    best_triple = (math.inf, math.inf, math.inf)
     best_iteration = 0
-    trace: List[List[float]] = []
 
-    def trace_array() -> np.ndarray:
-        return np.array(trace, dtype=float).reshape(-1, len(TRACE_COLUMNS))
+    # Overflow and invalid values are expected once an iterate degenerates;
+    # the iteration checks its scalings, Schur complements and directions for
+    # finiteness instead.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(1, opts.max_iters + 1):
+            y = comp.moments(z)
+            residual = comp.constant + comp.A @ z - X
+            # free' (c - A'Z): the y-space dual residual at the multipliers of
+            # the rows that zero it on the pivot moments (see SolverResult).
+            r_d = comp.c - comp.At @ Z
 
-    for iteration in range(1, opts.max_iters + 1):
-        iterations = iteration
-        y = comp.moments(z)
-        residual = comp.constant + comp.A @ z - X
-        # free' (c - A'Z): the y-space dual residual at the multipliers of
-        # the rows that zero it on the pivot moments (see SolverResult).
-        r_d = comp.c - comp.At @ Z
+            gap = float(X @ Z)
+            mu = gap / total_cone
+            pobj = float(comp.c @ z) + comp.c_offset
+            dobj = comp.c_offset - float(comp.constant @ Z)
+            relgap = gap / (1.0 + abs(pobj) + abs(dobj))
+            pres_blocks = np.max(comp.block_norms(residual) / comp.block_scale, initial=0.0)
+            pres = max(comp.equality_residual(y), float(pres_blocks))
+            dres = float(np.max(np.abs(r_d))) / comp.c_ref
+            row = [relgap, pres, dres, mu, 0.0, 0.0, 0.0]
+            trace.append(row)
+            clock.lap("residuals")
 
-        gap = float(X @ Z)
-        mu = gap / total_cone
-        pobj = float(comp.c @ z) + comp.c_offset
-        dobj = comp.c_offset - float(comp.constant @ Z)
-        relgap = gap / (1.0 + abs(pobj) + abs(dobj))
-        pres_blocks = np.max(
-            comp.block_norms(residual) / comp.block_scale, initial=0.0
-        )
-        pres = max(comp.equality_residual(y), float(pres_blocks))
-        dres = float(np.max(np.abs(r_d))) / comp.c_ref
-        row = [relgap, pres, dres, mu, 0.0, 0.0, 0.0]
-        trace.append(row)
-        clock.lap("residuals")
+            merit = max(relgap, pres, dres)
+            if merit < max(best_triple):
+                best_y = y
+                best_triple = (relgap, pres, dres)
+                best_iteration = iteration
 
-        merit = max(relgap, pres, dres)
-        if merit < best_merit:
-            best_merit = merit
-            best_y = y
-            best_triple = (relgap, pres, dres)
-            best_iteration = iteration
+            if relgap <= opts.rel_tol and pres <= opts.abs_tol and dres <= opts.abs_tol:
+                status = SolveStatus.OPTIMAL
+                note = "converged"
+                break
+            if dobj > 1e12 and dres <= 1e-7:
+                return finish(SolveStatus.INFEASIBLE, y, "dual objective diverging", iteration)
+            if pobj < -1e12 and pres <= 1e-7:
+                return finish(SolveStatus.UNBOUNDED, y, "primal objective diverging", iteration)
 
-        if relgap <= opts.rel_tol and pres <= opts.abs_tol and dres <= opts.abs_tol:
-            status = SolveStatus.OPTIMAL
-            note = "converged"
-            break
-        if dobj > 1e12 and dres <= 1e-7:
-            equality_stats["residual"] = comp.equality_residual(y)
-            return SolverResult(
-                SolveStatus.INFEASIBLE,
-                None,
-                math.inf,
-                iteration,
-                time.perf_counter() - start,
-                {"note": "dual objective diverging", **stats},
-                trace_array(),
-            )
-        if pobj < -1e12 and pres <= 1e-7:
-            equality_stats["residual"] = comp.equality_residual(y)
-            return SolverResult(
-                SolveStatus.UNBOUNDED,
-                None,
-                -math.inf,
-                iteration,
-                time.perf_counter() - start,
-                {"note": "primal objective diverging", **stats},
-                trace_array(),
-            )
+            if merit < 0.9 * stall_ref:
+                stall_ref = merit
+                stall = 0
+            else:
+                stall += 1
+            if stall >= 3 and _near(*best_triple):
+                note = "numerical floor reached"
+                break
+            if stall >= 10:
+                note = "progress stalled"
+                break
 
-        if merit < 0.9 * stall_ref:
-            stall_ref = merit
-            stall = 0
-        else:
-            stall += 1
-        near_best = (
-            best_triple[0] <= _NEAR_GAP
-            and best_triple[1] <= _NEAR_RES
-            and best_triple[2] <= _NEAR_RES
-        )
-        if stall >= 3 and near_best:
-            note = "numerical floor reached"
-            break
-        if stall >= 10:
-            note = "progress stalled"
-            break
-
-        # NT scaling per size group from the Cholesky factors of X and Z:
-        # G = W^{-1}, T with W = T T', and the shared scaled point
-        # lambda = diag(d) for the Jordan-product solves below.
-        try:
-            scaling = [_nt_scaling(lx, lz) for lx, lz in zip(chol_x, chol_z)]
-        except np.linalg.LinAlgError:  # the SVD of non-finite factors
-            scaling = None
-        if scaling is None or not all(_finite(*parts) for parts in scaling):
-            note = "non-finite NT scaling"
-            finite = False
-            break
-        G, T, T_inv, d = ([parts[i] for parts in scaling] for i in range(4))
-        clock.lap("scaling")
-
-        _schur_terms(comp, G)
-        data = comp.kkt_data(1e-12 * (1.0 + mu))
-        clock.lap("schur")
-        if not _finite(data):
-            note = "non-finite Schur complement"
-            finite = False
-            break
-        try:
-            kkt = _Kkt(comp, data)
-            kkt_stats["factor_nnz"] = kkt_stats["nnz"]
-        except RuntimeError:
-            note = "KKT factorization failed"
-            break
-        clock.lap("kkt_factor")
-
-        def primal_direction(target: np.ndarray):
-            """dz and dX of the Newton step with dX + W dZ W = target."""
-            dz = kkt.solve(comp.At @ _congruence(comp, G, target - residual) - r_d)
-            return dz, comp.A @ dz + residual
-
-        # Predictor: pure Newton step toward the boundary, whose scaled dual
-        # direction is dZ~ = -lambda - dX~.
-        dz, dX_aff = primal_direction(-X)
-        clock.lap("kkt_solve")
-        steps = None
-        if _finite(dz, dX_aff):
-            dx_aff = _scaled(comp, T_inv, dX_aff)
+            # NT scaling per size group from the Cholesky factors of X and Z:
+            # G = W^{-1}, T with W = T T', and the shared scaled point
+            # lambda = diag(d) for the Jordan-product solves below.
+            try:
+                scaling = [_nt_scaling(lx, lz) for lx, lz in zip(chol_x, chol_z)]
+            except np.linalg.LinAlgError:  # the SVD of non-finite factors
+                scaling = None
+            if scaling is None or not all(_finite(*parts) for parts in scaling):
+                note, finite = "non-finite NT scaling", False
+                break
+            G, T, T_inv, d = ([parts[i] for parts in scaling] for i in range(4))
             lam = [_diagonal(di) for di in d]
-            with np.errstate(over="ignore", invalid="ignore"):
-                dz_aff = [-lm - dx for lm, dx in zip(lam, dx_aff)]
-            steps = _step_lengths(d, dx_aff, dz_aff)
-        if steps is None:
-            note = "non-finite predictor direction"
-            finite = False
-            break
-        alpha_p_aff, alpha_d_aff = (min(1.0, step) for step in steps)
-        with np.errstate(over="ignore", invalid="ignore"):
+            clock.lap("scaling")
+
+            _schur_terms(comp, G)
+            data = comp.kkt_data(1e-12 * (1.0 + mu))
+            clock.lap("schur")
+            if not _finite(data):
+                note, finite = "non-finite Schur complement", False
+                break
+            try:
+                kkt = _Kkt(comp, data)
+                kkt_stats["factor_nnz"] = kkt_stats["nnz"]
+            except RuntimeError:
+                note = "KKT factorization failed"
+                break
+            clock.lap("kkt_factor")
+
+            def newton(target: np.ndarray, R: List[np.ndarray], dual: bool):
+                """The Newton step with dX + W dZ W = target, whose scaled
+                dual direction is dZ~ = R - dX~: (dz, dX, dZ, dX~, dZ~,
+                step lengths), dZ only when ``dual``; None when a direction
+                is not finite."""
+                dz = kkt.solve(comp.At @ _congruence(comp, G, target - residual) - r_d)
+                dX = comp.A @ dz + residual
+                dZ = _congruence(comp, G, target - dX) if dual else None
+                clock.lap("kkt_solve")
+                if not _finite(dz, dX) or (dual and not _finite(dZ)):
+                    return None
+                dx = _scaled(comp, T_inv, dX)
+                dzs = [r - x for r, x in zip(R, dx)]
+                steps = _step_lengths(d, dx, dzs)
+                return None if steps is None else (dz, dX, dZ, dx, dzs, steps)
+
+            # Predictor: pure Newton step toward the boundary, R = -lambda.
+            predictor = newton(-X, [-lm for lm in lam], dual=False)
+            if predictor is None:
+                note, finite = "non-finite predictor direction", False
+                break
+            *_, dx_aff, dz_aff, steps = predictor
+            alpha_p_aff, alpha_d_aff = (min(1.0, step) for step in steps)
             gap_aff = sum(
                 float(np.sum((lm + alpha_p_aff * dx) * (lm + alpha_d_aff * dzs)))
                 for lm, dx, dzs in zip(lam, dx_aff, dz_aff)
             )
-        sigma = min(0.999, max(1e-8, (max(gap_aff, 0.0) / gap) ** 3))
-        clock.lap("step_search")
+            sigma = min(0.999, max(1e-8, (max(gap_aff, 0.0) / gap) ** 3))
+            clock.lap("step_search")
 
-        # Mehrotra corrector: in the scaled space the combined step solves
-        # lambda o J = sigma*mu*I - lambda^2 - sym(dx~_aff dz~_aff) for
-        # J = dx~ + dz~, exactly since lambda is diagonal; the X-space target
-        # is T J T'.  A block whose target overflows falls back to the pure
-        # centering step; a direction that is still non-finite ends the solve
-        # below.
-        target = np.empty(comp.dim)
-        jordan = []
-        with np.errstate(over="ignore", invalid="ignore"):
+            # Mehrotra corrector: in the scaled space the combined step solves
+            # lambda o J = sigma*mu*I - lambda^2 - sym(dx~_aff dz~_aff) for
+            # J = dx~ + dz~, exactly since lambda is diagonal; the X-space
+            # target is T J T'.  A block whose target overflows falls back to
+            # the pure centering step; a direction that is still non-finite
+            # ends the solve below.
+            target = np.empty(comp.dim)
+            jordan = []
             for (n, _, _), ti, di, dx, dzs, dst in zip(
                 comp.groups, T, d, dx_aff, dz_aff, comp.stacks(target)
             ):
@@ -1388,63 +1389,45 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
                     corrected[bad] = ti[bad] @ J[bad] @ _t(ti[bad])
                 dst[...] = _symmetrize(corrected)
                 jordan.append(J)
-        clock.lap("scaling")
+            clock.lap("scaling")
 
-        dz, dX = primal_direction(target)
-        dZ = _congruence(comp, G, target - dX)
-        clock.lap("kkt_solve")
-        steps = None
-        if _finite(dz, dX, dZ):
-            dx = _scaled(comp, T_inv, dX)
-            with np.errstate(over="ignore", invalid="ignore"):
-                dzs = [J - x for J, x in zip(jordan, dx)]
-            steps = _step_lengths(d, dx, dzs)
-        if steps is None:
-            note = "non-finite corrector direction"
-            finite = False
-            break
-        alpha_p, alpha_d = (min(1.0, 0.98 * step) for step in steps)
-
-        accepted = False
-        for _ in range(6):
-            new_x = X + alpha_p * dX
-            new_z = Z + alpha_d * dZ
-            new_chol_x = comp.cholesky(new_x)
-            new_chol_z = None if new_chol_x is None else comp.cholesky(new_z)
-            if new_chol_z is not None:
-                accepted = True
+            corrector = newton(target, jordan, dual=True)
+            if corrector is None:
+                note, finite = "non-finite corrector direction", False
                 break
-            alpha_p *= 0.5
-            alpha_d *= 0.5
-        clock.lap("step_search")
-        if not accepted:
-            note = "step rejected"
-            break
+            dz, dX, dZ, *_, steps = corrector
+            alpha_p, alpha_d = (min(1.0, 0.98 * step) for step in steps)
 
-        row[4:] = [sigma, alpha_p, alpha_d]
-        z = z + alpha_p * dz
-        X, chol_x = new_x, new_chol_x
-        Z, chol_z = new_z, new_chol_z
+            for _ in range(6):
+                new_x = X + alpha_p * dX
+                new_z = Z + alpha_d * dZ
+                new_chol_x = comp.cholesky(new_x)
+                new_chol_z = None if new_chol_x is None else comp.cholesky(new_z)
+                if new_chol_z is not None:
+                    break
+                alpha_p *= 0.5
+                alpha_d *= 0.5
+            clock.lap("step_search")
+            if new_chol_z is None:
+                note = "step rejected"
+                break
 
-    wall = time.perf_counter() - start
-    relgap, pres, dres = best_triple
-    equality_stats["residual"] = comp.equality_residual(best_y)
-    y_orig = comp.y_scales * best_y
-    value = sdp.objective.evaluate(y_orig)
-    diagnostics = {
-        "note": note,
-        "relative_gap": relgap,
-        "primal_residual": pres,
-        "dual_residual": dres,
-        "best_iteration": best_iteration,
-        **stats,
-    }
+            row[4:] = [sigma, alpha_p, alpha_d]
+            z = z + alpha_p * dz
+            X, chol_x = new_x, new_chol_x
+            Z, chol_z = new_z, new_chol_z
+
     if status is not SolveStatus.OPTIMAL:
-        near = finite and relgap <= _NEAR_GAP and pres <= _NEAR_RES and dres <= _NEAR_RES
+        near = finite and _near(*best_triple)
         status = SolveStatus.NEAR_OPTIMAL if near else SolveStatus.NUMERICAL_FAILURE
-    if not status.solved():
-        diagnostics["last_y"] = y_orig
-        y_orig, value = None, math.nan
-    return SolverResult(
-        status, y_orig, value, iterations, wall, diagnostics, trace_array()
+    relgap, pres, dres = best_triple
+    return finish(
+        status,
+        best_y,
+        note,
+        iteration,  # max_iters >= 1: the loop ran
+        relative_gap=relgap,
+        primal_residual=pres,
+        dual_residual=dres,
+        best_iteration=best_iteration,
     )

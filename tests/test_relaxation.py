@@ -28,6 +28,7 @@ from owasdp.polynomial import (
 )
 from owasdp.relaxation import (
     AffineForm,
+    EqualityRow,
     OrderTooSmallError,
     RelaxationStructureError,
     SdpProblem,
@@ -45,6 +46,7 @@ from owasdp.moment import monomial_rows
 from support import (
     DEMO_POINTS,
     hand_lift,
+    psd_block,
     random_omrf_problem,
     random_omrf_point,
     random_sign_mixed_problem,
@@ -379,6 +381,44 @@ class TestSizeStatsEdge:
             original_variables=(),
         )
         assert empty.stats == SizeStats(0, 0, 0.0)
+
+
+class TestIndexValidation:
+    """Every block and equality index must address a moment: 0 <= i < y_dim."""
+
+    @staticmethod
+    def problem(block_index, equality_index):
+        return SdpProblem(
+            y_dim=2,
+            order=1,
+            objective=AffineForm((0,), (1.0,), 0.0),
+            psd_blocks=(
+                psd_block(
+                    1, "moment", "m", (), ((0, 0, AffineForm((block_index,), (1.0,), 0.0)),)
+                ),
+            ),
+            equalities=(EqualityRow("e", AffineForm((equality_index,), (1.0,)), 0.5),),
+            pivot_substitution=AffineForm((), (), 1.0),
+            moment_scales=(1.0, 1.0),
+            original_variables=(),
+        )
+
+    def test_in_range_indices_are_accepted(self):
+        assert self.problem(1, 1).y_dim == 2
+
+    @pytest.mark.parametrize(
+        "block_index, equality_index, message",
+        [
+            (-1, 0, "block index out of range"),
+            (2, 0, "block index out of range"),
+            (0, -1, "equality index out of range"),
+            (0, 2, "equality index out of range"),
+        ],
+        ids=["block-negative", "block-past-end", "equality-negative", "equality-past-end"],
+    )
+    def test_out_of_range_indices_are_rejected(self, block_index, equality_index, message):
+        with pytest.raises(ValueError, match=message):
+            self.problem(block_index, equality_index)
 
 
 def relaxation_digest(sdp):

@@ -41,6 +41,7 @@ from owasdp.relaxation import (
     min_order,
 )
 from owasdp.solver import (
+    ResidualReport,
     SolveStatus,
     SolverOptions,
     SolverResult,
@@ -697,15 +698,20 @@ class TestBundledBackend:
 
     @pytest.mark.parametrize(
         "part, note",
-        [(0, "non-finite Schur complement"), (2, "non-finite predictor direction")],
-        ids=["G", "T_inv"],
+        [
+            (0, "non-finite Schur complement"),
+            (1, "non-finite corrector direction"),
+            (2, "non-finite predictor direction"),
+        ],
+        ids=["G", "T", "T_inv"],
     )
     def test_overflow_reports_failure_without_warnings(
         self, monkeypatch, weber_sparse, part, note
     ):
-        # Blowing up the NT scaling G (or T^{-1}) overflows the Schur terms
-        # (or the scaled directions and their step lengths), which the
-        # solver checks.
+        # Blowing up the NT scaling G overflows the Schur terms, T^{-1} the
+        # scaled directions and their step lengths, and T, which only the
+        # corrector uses, its X-space target T J T' and so its direction:
+        # the solver checks each.
         real_nt_scaling = solver_module._nt_scaling
         calls = []
 
@@ -1279,7 +1285,65 @@ class TestEqualityElimination:
         assert 0.0 <= stats["residual"] <= 1e-12
 
 
+def reference_verify(sdp, y, tol, reported_objective=None):
+    """``verify_vector`` block by block and row by row: each block assembled
+    on its own with its own ``eigvalsh`` and Frobenius norm, each equality
+    row evaluated by ``EqualityRow.residual``."""
+    max_eq = 0.0
+    for row in sdp.equalities:
+        max_eq = max(max_eq, abs(row.residual(y)))
+    smallest = []
+    eig_ok = True
+    for block in sdp.psd_blocks:
+        mat = block.assemble(y)
+        smallest.append(float(np.linalg.eigvalsh(mat)[0]) if block.size else 0.0)
+        if smallest[-1] < -tol * (1.0 + float(np.linalg.norm(mat))):
+            eig_ok = False
+    value = sdp.objective.evaluate(y)
+    delta = 0.0 if reported_objective is None else abs(value - reported_objective)
+    ok = eig_ok and max_eq <= tol and delta <= tol * (1.0 + abs(value))
+    return ResidualReport(max_eq, min(smallest, default=0.0), delta, ok)
+
+
 class TestVerifyResult:
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            "weber_sparse",
+            "weber50_sparse",
+            "mixed_layout",
+            "rational_omrf_sparse",
+            "rational_general_sparse",
+            "max_dense",
+        ],
+    )
+    def test_matches_the_per_block_reference(self, request, problem):
+        # At a random vector (indefinite blocks, large residuals) and at the
+        # solver's iterate, whose smallest eigenvalues sit near the
+        # tolerances, so both sides of the eigenvalue test are taken.  The
+        # last tolerance lies between |lambda_min| / (1 + norm) and
+        # |lambda_min| for the block of the smallest eigenvalue, where only
+        # its Frobenius norm keeps it within tolerance.
+        sdp = request.getfixturevalue(problem)
+        res = solve(sdp)
+        solved = res.y if res.y is not None else res.diagnostics["last_y"]
+        random = np.random.default_rng(7).standard_normal(sdp.y_dim)
+        flags = set()
+        for y in (random, solved):
+            least = reference_verify(sdp, y, 1.0).min_block_eigenvalue
+            for tol in (1e-10, 1e-8, 1e-6, 1e-3, max(-least, 0.0) / 1.5):
+                for objective in (None, res.objective):
+                    report = verify_vector(sdp, y, tol, reported_objective=objective)
+                    assert_same_bits(
+                        np.array(dataclasses.astuple(report), dtype=float),
+                        np.array(
+                            dataclasses.astuple(reference_verify(sdp, y, tol, objective)),
+                            dtype=float,
+                        ),
+                    )
+                    flags.add(report.within_tolerance)
+        assert flags == {True, False}
+
     def _dirac(self, weber_sparse):
         point = np.array([0.3, 0.4, 0.5, math.sqrt(0.65)])
         return dirac_moment_vector(weber_sparse, point)
