@@ -7,9 +7,7 @@ from .location import (
     VARIANTS,
     InvalidNormError,
     LocationInstance,
-    NormLift,
     build_lifted,
-    build_norm_lift,
     calibrate_ball,
     lifted_witness,
     random_instance,
@@ -20,9 +18,7 @@ __all__ = [
     "VARIANTS",
     "InvalidNormError",
     "LocationInstance",
-    "NormLift",
     "build_lifted",
-    "build_norm_lift",
     "calibrate_ball",
     "lifted_witness",
     "random_instance",

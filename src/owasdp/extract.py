@@ -292,9 +292,7 @@ class ExtractedSolution:
     ``certified_value`` comes from re-evaluating the objective at the point
     (never from the solver), so ``gap = certified_value - sdp_bound`` is the
     sandwich width between the relaxation bound and a feasible evaluation;
-    a tiny gap certifies practical exactness.  ``label`` is ``"extracted"``
-    for moment-based points and ``"bound-only"`` when rank conditions failed
-    and the point came from direct search instead.
+    a tiny gap certifies practical exactness.
     """
 
     point: Mapping[VarId, float]
@@ -302,30 +300,11 @@ class ExtractedSolution:
     sdp_bound: float
     feasibility_residual: float
     feasible: bool
-    label: str = "extracted"
     gap: float = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "gap", self.certified_value - self.sdp_bound
-        )
-
-    @staticmethod
-    def bound_only(
-        point: Mapping[VarId, float],
-        certified_value: float,
-        sdp_bound: float,
-        feasibility_residual: float = 0.0,
-        feasible: bool = True,
-    ) -> "ExtractedSolution":
-        """Package a direct-search point alongside an unextractable bound."""
-        return ExtractedSolution(
-            point=dict(point),
-            certified_value=certified_value,
-            sdp_bound=sdp_bound,
-            feasibility_residual=feasibility_residual,
-            feasible=feasible,
-            label="bound-only",
         )
 
 
@@ -373,8 +352,9 @@ def extract_point(
         )
     witness = dirac_moment_vector(sdp, full_point)
     report = verify_vector(sdp, witness, tol)
-    residual = max(
-        report.max_equality_residual, max(0.0, -report.min_block_eigenvalue)
+    # np.max, unlike max, keeps a NaN residual or eigenvalue.
+    residual = float(
+        np.max([report.max_equality_residual, -report.min_block_eigenvalue, 0.0])
     )
 
     if objective is not None:

@@ -10,16 +10,18 @@ per-rank weights (``general``).  :func:`build_lifted` turns it into the
 :class:`~owasdp.omrf.LiftedProblem` whose optimum is that aggregation, and
 :func:`lifted_witness` maps a facility position to a feasible point of it.
 
-``build_lifted`` first builds the shared scaffold: the norm lift of
-:func:`build_norm_lift` (a distance variable per anchor and, for
+``build_lifted`` first builds the shared scaffold: the ground set's
+constraints and the norm lift (a distance variable per anchor and, for
 non-Euclidean exponents, one coordinate variable per dimension carrying
-``|x_l - a_l|**(r/s)``) and the ground set's constraints.  Even numerators
-make the lift exact through equalities; odd numerators use two-sided
-inequalities that are tight under minimization whenever the rank weights are
-nonnegative, so with an odd numerator the aggregations that reward large
-distances (range, sign-mixed rank weights, trimmed selectors) also cap each
-distance variable.  The variant's builder then adds its aggregation
-variables, constraints and cliques.
+``|x_l - a_l|**(r/s)``).  Even numerators make the lift exact through
+equalities; odd numerators use two-sided inequalities that are tight under
+minimization whenever the rank weights are nonnegative, so with an odd
+numerator the aggregations that reward large distances (range, sign-mixed
+rank weights, trimmed selectors) also cap each distance variable.  The
+variant's builder then adds its aggregation variables, constraints and
+cliques; the general variant takes the assignment lift of
+:func:`~owasdp.omrf.build_assignment`, the one ``build_general_lift`` uses,
+over the weighted distances.
 
 Per-anchor variables stay in their own clique (all cliques share the
 facility coordinates plus any aggregation variables), and every anchor has
@@ -42,6 +44,7 @@ from .omrf import (
     LiftedProblem,
     _fresh_name,
     _rehome,
+    build_assignment,
 )
 from .polynomial import (
     Polynomial,
@@ -54,8 +57,6 @@ __all__ = [
     "VARIANTS",
     "InvalidNormError",
     "LocationInstance",
-    "NormLift",
-    "build_norm_lift",
     "build_lifted",
     "calibrate_ball",
     "lifted_witness",
@@ -247,11 +248,7 @@ class LocationInstance:
             raise ValueError(
                 f"ball bound {bound} does not contain the anchor with squared norm {a_sq}"
             )
-        if gs.ball_bound is not None:
-            if gs.ball_bound != bound:
-                raise ValueError("ground-set ball bound disagrees with the instance's")
-            if set(gs.ball_variables) != set(range(dim)):
-                raise ValueError("ground-set ball must cover every facility coordinate")
+        gs.with_ball(bound)
         object.__setattr__(self, "ball_bound", bound)
 
     @property
@@ -273,16 +270,7 @@ class LocationInstance:
     @property
     def region(self) -> SemialgebraicSet:
         """Ground set with the compactness ball attached over the coordinates."""
-        gs = self.ground_set
-        if gs.ball_bound is not None:
-            return gs
-        return SemialgebraicSet(
-            gs.universe,
-            list(gs.inequalities),
-            list(gs.equalities),
-            ball_bound=self.ball_bound,
-            ball_variables=tuple(range(self.dim)),
-        )
+        return self.ground_set.with_ball(self.ball_bound)
 
     def position_weights(self) -> Tuple[float, ...]:
         """Rank weights applied to the weighted distances sorted descending."""
@@ -388,32 +376,105 @@ def calibrate_ball(
     return max(margin * load, floor * (1.0 + 1e-12), 1e-6)
 
 
-@dataclass(frozen=True)
-class NormLift:
-    """Algebraic encoding of the tau-norm distance to each anchor.
+@dataclass
+class _Scaffold:
+    """Shared builder state: the norm lift, the ground constraints and the
+    moment-scale hints.
 
     ``u_ids[i]`` is the distance variable of anchor ``i`` and ``v_ids[i]``
-    its per-coordinate lift variables (empty when the exponent needs none).
-    ``equalities`` and ``inequalities`` define the lift; compactness is the
-    builders' job (each folds the lift variables into its per-anchor ball).
-    ``u_caps[i]`` is a proven numeric upper bound on ``u_i`` over the
-    instance ball, for builders that must cap distances explicitly.
-
-    The universe is shared and extendable: builders register aggregation
-    variables after the lift variables without disturbing existing ids.
+    its coordinate lift variables (empty when the exponent needs none);
+    ``u_caps[i]`` is a proven upper bound on ``u_i`` over the instance ball.
+    A variant's builder registers its aggregation variables through
+    :meth:`add`, appends its constraints and ends in :meth:`lifted`.
     """
 
-    universe: VariableUniverse
-    x_ids: Tuple[VarId, ...]
-    u_ids: Tuple[VarId, ...]
-    v_ids: Tuple[Tuple[VarId, ...], ...]
-    equalities: Tuple[Polynomial, ...]
-    inequalities: Tuple[Polynomial, ...]
-    u_caps: Tuple[float, ...]
+    instance: LocationInstance
+    ext: VariableUniverse
+    inequalities: List[Polynomial]
+    equalities: List[Polynomial]
+    x_sq: Polynomial
+    scales: List[float]
+    cost_hint: float
+    u_ids: List[VarId] = field(default_factory=list)
+    v_ids: List[Tuple[VarId, ...]] = field(default_factory=list)
+    u_caps: List[float] = field(default_factory=list)
+    cores: List[List[VarId]] = field(default_factory=list)
+
+    @property
+    def x_ids(self) -> Tuple[VarId, ...]:
+        return tuple(range(self.instance.dim))
+
+    def add(self, name: str, scale: float) -> VarId:
+        """Register a fresh variable with its moment scale."""
+        self.scales.append(scale)
+        return self.ext.add(_fresh_name(self.ext, name))
+
+    def var(self, vid: VarId) -> Polynomial:
+        return Polynomial.variable(self.ext, vid)
+
+    def u(self, i: int) -> Polynomial:
+        return self.var(self.u_ids[i])
+
+    def ball(self, i: int, *extra: Polynomial) -> Polynomial:
+        """Compactness constraint of anchor ``i``: ball bound minus the squared
+        facility coordinates, the anchor's lift variables, and any listed
+        extras."""
+        total = Polynomial.constant(self.ext, self.instance.ball_bound)
+        total = total - self.x_sq
+        u_poly = self.u(i)
+        total = total - u_poly * u_poly
+        for vid in self.v_ids[i]:
+            v_poly = self.var(vid)
+            total = total - v_poly * v_poly
+        for sq in extra:
+            total = total - sq * sq
+        return total
+
+    def append_u_caps(self) -> None:
+        """Cap each distance variable by its proven bound over the ball.
+
+        Needed when the aggregation rewards large distances (some rank weight
+        is negative): with an odd norm numerator the lift only lower-bounds
+        the distance, so an explicit valid upper bound keeps the encoding from
+        drifting arbitrarily far.  The caps never cut the true optimum because
+        any feasible facility position realizes distances below them.
+        """
+        for i, cap in enumerate(self.u_caps):
+            u_poly = self.u(i)
+            self.inequalities.append(
+                Polynomial.constant(self.ext, cap * cap) - u_poly * u_poly
+            )
+
+    def lifted(
+        self,
+        objective: Polynomial,
+        cliques: Sequence[Tuple[VarId, ...]],
+        form: str,
+        *groups: Tuple[str, Tuple[VarId, ...]],
+    ) -> LiftedProblem:
+        """The finished problem; ``groups`` name the aggregation variables,
+        after the distance (``z``) and coordinate (``v``) lift groups."""
+        ext = self.ext
+        lift_groups: List[Tuple[str, Tuple[VarId, ...]]] = [("z", tuple(self.u_ids))]
+        flat_v = tuple(v for row in self.v_ids for v in row)
+        if flat_v:
+            lift_groups.append(("v", flat_v))
+        return LiftedProblem(
+            universe=ext,
+            objective_num=objective,
+            objective_den=Polynomial.constant(ext, 1.0),
+            inequality_constraints=tuple(self.inequalities),
+            equality_constraints=tuple(self.equalities),
+            cliques=tuple(cliques),
+            original_variables=self.x_ids,
+            form=form,
+            variable_groups=(*lift_groups, *groups),
+            variable_scales=tuple(self.scales),
+        )
 
 
-def build_norm_lift(instance: LocationInstance) -> NormLift:
-    """Lift the tau-norm distances of ``instance`` into polynomial form.
+def _base(instance: LocationInstance) -> _Scaffold:
+    """The ground set's constraints, then the norm lift of every anchor.
 
     For tau = r/s and anchor ``a`` the distance variable ``u`` satisfies:
 
@@ -430,195 +491,69 @@ def build_norm_lift(instance: LocationInstance) -> NormLift:
     ``u >= 0`` is always included; ``v_l >= 0`` is added exactly when ``s``
     is even (for odd ``s`` the defining constraints already force it, and
     without it an even power could hide sign cancellations across
-    coordinates, shrinking ``u`` below the distance).
+    coordinates, shrinking ``u`` below the distance).  Compactness is the
+    variants' job: each folds the lift variables into its per-anchor ball.
     """
     r, s = instance.norm_tau
     d = instance.dim
     ext = VariableUniverse(instance.universe.names)
-    x_ids = tuple(range(d))
-    radius = math.sqrt(instance.ball_bound)
+    gs = instance.ground_set
+    x_polys = [Polynomial.variable(ext, xid) for xid in range(d)]
+    x_sq = Polynomial.zero(ext)
+    for x_poly in x_polys:
+        x_sq = x_sq + x_poly**2
+
+    pts = np.asarray(instance.points, dtype=float)
+    spans = pts.max(axis=0) - pts.min(axis=0)
+    diagonal = math.sqrt(float((spans * spans).sum()))
     dual_factor = float(d) ** max(0.0, s / r - 0.5)
+    dist_hint = max(1.0, dual_factor * diagonal)
+    weight_cap = max(1.0, max(instance.weights))
+    x_hint = max(1.0, float(np.sqrt((pts * pts).sum(axis=1)).max()))
+    v_hint = max(1.0, diagonal ** (r / s))
+    radius = math.sqrt(instance.ball_bound)
 
-    u_ids: List[VarId] = []
-    v_ids: List[Tuple[VarId, ...]] = []
-    equalities: List[Polynomial] = []
-    inequalities: List[Polynomial] = []
-    caps: List[float] = []
-
+    scaffold = _Scaffold(
+        instance=instance,
+        ext=ext,
+        inequalities=[_rehome(g, ext) for g in gs.inequalities],
+        equalities=[_rehome(h, ext) for h in gs.equalities],
+        x_sq=x_sq,
+        scales=[x_hint] * d,
+        cost_hint=max(1.0, weight_cap * dist_hint),
+    )
     for i, anchor in enumerate(instance.points):
-        u = ext.add(_fresh_name(ext, f"z{i + 1}"))
-        u_ids.append(u)
-        u_poly = Polynomial.variable(ext, u)
-        inequalities.append(u_poly)
-        deltas = [
-            Polynomial.variable(ext, x_ids[l]) - anchor[l] for l in range(d)
-        ]
+        u = scaffold.add(f"z{i + 1}", dist_hint)
+        u_poly = scaffold.var(u)
+        scaffold.inequalities.append(u_poly)
+        deltas = [x_polys[l] - anchor[l] for l in range(d)]
         if r % 2 == 0 and s == 1:
-            v_ids.append(())
+            row: Tuple[VarId, ...] = ()
             total = Polynomial.zero(ext)
             for delta in deltas:
                 total = total + delta**r
-            equalities.append(u_poly**r - total)
+            scaffold.equalities.append(u_poly**r - total)
         else:
-            row = tuple(
-                ext.add(_fresh_name(ext, f"v{i + 1}_{l + 1}")) for l in range(d)
-            )
-            v_ids.append(row)
-            v_polys = [Polynomial.variable(ext, v) for v in row]
+            row = tuple(scaffold.add(f"v{i + 1}_{l + 1}", v_hint) for l in range(d))
+            v_polys = [scaffold.var(v) for v in row]
             v_sum = Polynomial.zero(ext)
             for v_poly in v_polys:
                 v_sum = v_sum + v_poly
             for l in range(d):
                 power = deltas[l] ** r
                 if r % 2 == 0:
-                    equalities.append(v_polys[l] ** s - power)
+                    scaffold.equalities.append(v_polys[l] ** s - power)
                 else:
-                    inequalities.append(v_polys[l] ** s - power)
-                    inequalities.append(v_polys[l] ** s + power)
+                    scaffold.inequalities.append(v_polys[l] ** s - power)
+                    scaffold.inequalities.append(v_polys[l] ** s + power)
                 if s % 2 == 0:
-                    inequalities.append(v_polys[l])
-            equalities.append(u_poly**r - v_sum**s)
+                    scaffold.inequalities.append(v_polys[l])
+            scaffold.equalities.append(u_poly**r - v_sum**s)
+        scaffold.u_ids.append(u)
+        scaffold.v_ids.append(row)
         anchor_norm = math.sqrt(sum(c * c for c in anchor))
-        caps.append(dual_factor * (radius + anchor_norm))
-
-    return NormLift(
-        universe=ext,
-        x_ids=x_ids,
-        u_ids=tuple(u_ids),
-        v_ids=tuple(v_ids),
-        equalities=tuple(equalities),
-        inequalities=tuple(inequalities),
-        u_caps=tuple(caps),
-    )
-
-
-@dataclass
-class _Scaffold:
-    """Shared builder state: norm lift plus ground constraints and hints.
-
-    A variant's builder registers its aggregation variables through
-    :meth:`add`, appends its constraints and ends in :meth:`lifted`.
-    """
-
-    instance: LocationInstance
-    lift: NormLift
-    inequalities: List[Polynomial]
-    equalities: List[Polynomial]
-    x_sq: Polynomial
-    cores: List[List[VarId]] = field(default_factory=list)
-    scales: List[float] = field(default_factory=list)
-    cost_hint: float = 1.0
-
-    @property
-    def ext(self) -> VariableUniverse:
-        return self.lift.universe
-
-    def add(self, name: str, scale: float) -> VarId:
-        """Register a fresh aggregation variable with its moment scale."""
-        self.scales.append(scale)
-        return self.ext.add(_fresh_name(self.ext, name))
-
-    def var(self, vid: VarId) -> Polynomial:
-        return Polynomial.variable(self.ext, vid)
-
-    def u(self, i: int) -> Polynomial:
-        return self.var(self.lift.u_ids[i])
-
-    def ball(self, i: int, *extra: Polynomial) -> Polynomial:
-        """Compactness constraint of anchor ``i``: ball bound minus the squared
-        facility coordinates, the anchor's lift variables, and any listed
-        extras."""
-        total = Polynomial.constant(self.ext, self.instance.ball_bound)
-        total = total - self.x_sq
-        u_poly = self.u(i)
-        total = total - u_poly * u_poly
-        for vid in self.lift.v_ids[i]:
-            v_poly = self.var(vid)
-            total = total - v_poly * v_poly
-        for sq in extra:
-            total = total - sq * sq
-        return total
-
-    def append_u_caps(self) -> None:
-        """Cap each distance variable by its proven bound over the ball.
-
-        Needed when the aggregation rewards large distances (some rank weight
-        is negative): with an odd norm numerator the lift only lower-bounds
-        the distance, so an explicit valid upper bound keeps the encoding from
-        drifting arbitrarily far.  The caps never cut the true optimum because
-        any feasible facility position realizes distances below them.
-        """
-        for i, cap in enumerate(self.lift.u_caps):
-            u_poly = self.u(i)
-            self.inequalities.append(
-                Polynomial.constant(self.ext, cap * cap) - u_poly * u_poly
-            )
-
-    def lifted(
-        self,
-        objective: Polynomial,
-        cliques: Sequence[Tuple[VarId, ...]],
-        form: str,
-        *groups: Tuple[str, Tuple[VarId, ...]],
-    ) -> LiftedProblem:
-        """The finished problem; ``groups`` name the aggregation variables,
-        after the distance (``z``) and coordinate (``v``) lift groups."""
-        ext = self.ext
-        lift_groups: List[Tuple[str, Tuple[VarId, ...]]] = [("z", self.lift.u_ids)]
-        flat_v = tuple(v for row in self.lift.v_ids for v in row)
-        if flat_v:
-            lift_groups.append(("v", flat_v))
-        return LiftedProblem(
-            universe=ext,
-            objective_num=objective,
-            objective_den=Polynomial.constant(ext, 1.0),
-            inequality_constraints=tuple(self.inequalities),
-            equality_constraints=tuple(self.equalities),
-            cliques=tuple(cliques),
-            original_variables=self.lift.x_ids,
-            form=form,
-            variable_groups=(*lift_groups, *groups),
-            variable_scales=tuple(self.scales),
-        )
-
-
-def _base(instance: LocationInstance) -> _Scaffold:
-    lift = build_norm_lift(instance)
-    ext = lift.universe
-    gs = instance.ground_set
-    inequalities = [_rehome(g, ext) for g in gs.inequalities]
-    equalities = [_rehome(h, ext) for h in gs.equalities]
-    inequalities.extend(lift.inequalities)
-    equalities.extend(lift.equalities)
-
-    x_sq = Polynomial.zero(ext)
-    for xid in lift.x_ids:
-        x_sq = x_sq + Polynomial.variable(ext, xid) ** 2
-
-    pts = np.asarray(instance.points, dtype=float)
-    spans = pts.max(axis=0) - pts.min(axis=0)
-    diagonal = math.sqrt(float((spans * spans).sum()))
-    r, s = instance.norm_tau
-    dual_factor = float(instance.dim) ** max(0.0, s / r - 0.5)
-    dist_hint = max(1.0, dual_factor * diagonal)
-    weight_cap = max(1.0, max(instance.weights))
-    cost_hint = max(1.0, weight_cap * dist_hint)
-    x_hint = max(1.0, float(np.sqrt((pts * pts).sum(axis=1)).max()))
-    v_hint = max(1.0, diagonal ** (r / s))
-
-    scaffold = _Scaffold(
-        instance=instance,
-        lift=lift,
-        inequalities=inequalities,
-        equalities=equalities,
-        x_sq=x_sq,
-        scales=[x_hint] * instance.dim,
-        cost_hint=cost_hint,
-    )
-    for i in range(instance.n):
-        scaffold.cores.append([*lift.x_ids, lift.u_ids[i], *lift.v_ids[i]])
-        scaffold.scales.append(dist_hint)
-        scaffold.scales.extend([v_hint] * len(lift.v_ids[i]))
+        scaffold.u_caps.append(dual_factor * (radius + anchor_norm))
+        scaffold.cores.append([*scaffold.x_ids, u, *row])
     return scaffold
 
 
@@ -745,8 +680,7 @@ def _range(scaffold: _Scaffold) -> LiftedProblem:
     Shared variables sandwich every weighted distance
     (``t <= w_i u_i <= zmax``) and the objective is ``zmax - t``.  Because
     the objective rewards a large ``t``, odd norm numerators additionally cap
-    each distance variable (see :func:`build_norm_lift` on one-sided
-    tightness).
+    each distance variable (see :func:`_base` on one-sided tightness).
     """
     instance = scaffold.instance
     t = scaffold.add("t", scaffold.cost_hint)
@@ -774,57 +708,38 @@ def _general(scaffold: _Scaffold) -> LiftedProblem:
     """General ordered median: the rank weights ``position_lambda`` multiply
     the weighted distances sorted descending.
 
-    Sorting is encoded with a doubly stochastic binary assignment matrix:
-    ``w[i][j] = 1`` places anchor ``i``'s weighted distance in rank ``j``,
-    and adjacent rank sums are constrained to be nonincreasing.  Cliques
-    chain over adjacent rank columns (each containing the facility
-    coordinates and all distance variables), followed by per-anchor cliques
-    for coordinate lift variables when present.  When some rank weight is
-    negative and the norm numerator is odd, distance variables receive
-    explicit caps (see :func:`build_norm_lift`).
+    Sorting is encoded by the assignment lift of
+    :func:`~owasdp.omrf.build_assignment` over the weighted distances
+    ``w_i * u_i``.  Cliques chain over adjacent rank columns (each
+    containing the facility coordinates and all distance variables),
+    followed by per-anchor cliques for coordinate lift variables when
+    present.  When some rank weight is negative and the norm numerator is
+    odd, distance variables receive explicit caps (see :func:`_base`).
     """
     instance = scaffold.instance
     n = instance.n
-    w_ids = [[scaffold.add(f"w{i + 1}_{j + 1}", 1.0) for j in range(n)] for i in range(n)]
-    w_polys = [[scaffold.var(w_ids[i][j]) for j in range(n)] for i in range(n)]
+    weighted = [instance.weights[i] * scaffold.u(i) for i in range(n)]
+    lift = build_assignment(scaffold.ext, weighted)
+    scaffold.scales.extend([1.0] * (n * n))
 
-    zero = Polynomial.zero(scaffold.ext)
-    columns = [
-        sum((instance.weights[i] * w_polys[i][j] * scaffold.u(i) for i in range(n)), zero)
-        for j in range(n)
-    ]
-    for row in w_polys:
-        scaffold.equalities.extend(w * w - w for w in row)
-        scaffold.equalities.append(sum(row, zero) - 1.0)
-    for j in range(n):
-        column = [row[j] for row in w_polys]
-        scaffold.equalities.append(sum(column, zero) - 1.0)
-        squares = sum((w * w for w in column), zero)
-        scaffold.inequalities.append(Polynomial.constant(scaffold.ext, float(n)) - squares)
-    for j in range(n - 1):
-        scaffold.inequalities.append(columns[j] - columns[j + 1])
-    objective = sum((lam * col for lam, col in zip(instance.position_lambda, columns)), zero)
+    for row_sum, binaries in zip(lift.row_sums, lift.binaries):
+        scaffold.equalities.extend(binaries)
+        scaffold.equalities.append(row_sum)
+    scaffold.equalities.extend(lift.column_sums)
+    scaffold.inequalities.extend(lift.column_balls)
+    scaffold.inequalities.extend(lift.ordering)
+    objective = Polynomial.zero(scaffold.ext)
+    for lam, column in zip(instance.position_lambda, lift.columns):
+        objective = objective + lam * column
 
     for i in range(n):
         scaffold.inequalities.append(scaffold.ball(i))
     if min(instance.position_lambda) < 0.0 and instance.norm_tau[0] % 2 == 1:
         scaffold.append_u_caps()
 
-    shared = [*scaffold.lift.x_ids, *scaffold.lift.u_ids]
-    cliques = []
-    if n == 1:
-        cliques.append(tuple(sorted(shared + [w_ids[0][0]])))
-    else:
-        for j in range(n - 1):
-            col_j = [w_ids[i][j] for i in range(n)]
-            col_next = [w_ids[i][j + 1] for i in range(n)]
-            cliques.append(tuple(sorted(shared + col_j + col_next)))
-    for i in range(n):
-        if scaffold.lift.v_ids[i]:
-            cliques.append(tuple(sorted(scaffold.cores[i])))
-
-    flat_w = tuple(w_ids[i][j] for i in range(n) for j in range(n))
-    return scaffold.lifted(objective, cliques, "general-loc", ("w", flat_w))
+    cliques = list(lift.cliques([*scaffold.x_ids, *scaffold.u_ids]))
+    cliques.extend(tuple(sorted(scaffold.cores[i])) for i in range(n) if scaffold.v_ids[i])
+    return scaffold.lifted(objective, cliques, "general-loc", ("w", lift.flat_ids))
 
 
 def build_lifted(instance: LocationInstance) -> LiftedProblem:

@@ -8,7 +8,8 @@ set (``LiftedProblem``):
 
 * ``build_general_lift`` introduces one 0/1 assignment variable per
   (function, sorted position) pair and supports arbitrary, even polynomial,
-  position weights;
+  position weights; its assignment lift (``build_assignment``) is shared
+  with the general location variant, which sorts weighted distances;
 * ``build_telescoping`` handles constant weights by writing the objective
   as ``sum_k (lambda_k - lambda_{k+1}) S_k`` over the sums ``S_k`` of the k
   largest values: an epigraph variable and one slack per function for each
@@ -173,12 +174,7 @@ class OmrfProblem:
                 raise UniverseMismatchError("function and ground set use different universes")
         if not self.ball_bound > 0.0:
             raise ValueError("ball bound must be positive")
-        gs = self.ground_set
-        if gs.ball_bound is not None:
-            if gs.ball_bound != self.ball_bound:
-                raise ValueError("ground-set ball bound disagrees with the problem's")
-            if set(gs.ball_variables) != set(range(len(universe))):
-                raise ValueError("ground-set ball must cover every variable")
+        self.ground_set.with_ball(self.ball_bound)
 
     @property
     def m(self) -> int:
@@ -191,16 +187,7 @@ class OmrfProblem:
     @property
     def region(self) -> SemialgebraicSet:
         """Ground set with the compactness ball attached over all variables."""
-        gs = self.ground_set
-        if gs.ball_bound is not None:
-            return gs
-        return SemialgebraicSet(
-            gs.universe,
-            list(gs.inequalities),
-            list(gs.equalities),
-            ball_bound=self.ball_bound,
-            ball_variables=tuple(range(len(gs.universe))),
-        )
+        return self.ground_set.with_ball(self.ball_bound)
 
     def objective_value(self, point: np.ndarray) -> float:
         return evaluate_ordered_median(self, point)
@@ -488,6 +475,82 @@ def _scale_hint(lo: float, hi: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class AssignmentLift:
+    """0/1 assignment encoding of the nonincreasing sort of ``m`` values.
+
+    ``ids[i][j]`` is the variable placing value ``i`` at rank ``j``, and
+    ``columns[j] = sum_i w_ij * value_i`` the value at rank ``j``.  The
+    constraints come in named pieces, so each front-end appends them in its
+    own order: the equalities ``row_sums`` and ``column_sums``
+    (``sum - 1``) and ``binaries[i][j] = w_ij**2 - w_ij``; the inequalities
+    ``ordering[j] = columns[j] - columns[j + 1]`` and the redundant
+    ``column_balls[j] = m - sum_i w_ij**2`` that keep the lift compact.
+    """
+
+    ids: Tuple[Tuple[VarId, ...], ...]
+    columns: Tuple[Polynomial, ...]
+    row_sums: Tuple[Polynomial, ...]
+    column_sums: Tuple[Polynomial, ...]
+    binaries: Tuple[Tuple[Polynomial, ...], ...]
+    ordering: Tuple[Polynomial, ...]
+    column_balls: Tuple[Polynomial, ...]
+
+    @property
+    def flat_ids(self) -> Tuple[VarId, ...]:
+        """The assignment variables row by row."""
+        return tuple(vid for row in self.ids for vid in row)
+
+    def cliques(self, shared: Sequence[VarId]) -> Tuple[Tuple[VarId, ...], ...]:
+        """One clique per pair of adjacent rank columns, each with the
+        ``shared`` variables (the single variable's when ``m == 1``)."""
+        m = len(self.ids)
+        if m == 1:
+            return (tuple(sorted([*shared, self.ids[0][0]])),)
+        ranks = list(zip(*self.ids))  # ranks[j]: the variables of rank j
+        return tuple(tuple(sorted([*shared, *ranks[j], *ranks[j + 1]])) for j in range(m - 1))
+
+
+def build_assignment(ext: VariableUniverse, values: Sequence[Polynomial]) -> AssignmentLift:
+    """Register the ``m**2`` assignment variables ``w_<i>_<j>`` of
+    ``values`` in ``ext``, row by row, and build their constraints."""
+    m = len(values)
+    ids = tuple(
+        tuple(ext.add(_fresh_name(ext, f"w_{i + 1}_{j + 1}")) for j in range(m))
+        for i in range(m)
+    )
+    w = [[Polynomial.variable(ext, vid) for vid in row] for row in ids]
+    columns = []
+    for j in range(m):
+        col = Polynomial.zero(ext)
+        for i in range(m):
+            col = col + w[i][j] * values[i]
+        columns.append(col)
+
+    def sum_minus_one(polys: Sequence[Polynomial]) -> Polynomial:
+        total = Polynomial.constant(ext, -1.0)
+        for p in polys:
+            total = total + p
+        return total
+
+    def ball(polys: Sequence[Polynomial]) -> Polynomial:
+        total = Polynomial.constant(ext, float(m))
+        for p in polys:
+            total = total - p**2
+        return total
+
+    transposed = [[row[j] for row in w] for j in range(m)]
+    return AssignmentLift(
+        ids=ids,
+        columns=tuple(columns),
+        row_sums=tuple(sum_minus_one(row) for row in w),
+        column_sums=tuple(sum_minus_one(col) for col in transposed),
+        binaries=tuple(tuple(p**2 - p for p in row) for row in w),
+        ordering=tuple(columns[j] - columns[j + 1] for j in range(m - 1)),
+        column_balls=tuple(ball(col) for col in transposed),
+    )
+
+
 def build_general_lift(problem: OmrfProblem) -> LiftedProblem:
     """Rewrite with one 0/1 assignment variable per (function, position) pair.
 
@@ -500,71 +563,28 @@ def build_general_lift(problem: OmrfProblem) -> LiftedProblem:
     g = _prepare(problem)
     m = problem.m
     ext = g.ext
-    w_ids = [
-        [ext.add(_fresh_name(ext, f"w_{i + 1}_{j + 1}")) for j in range(m)]
-        for i in range(m)
-    ]
-    w_var = [[Polynomial.variable(ext, w_ids[i][j]) for j in range(m)] for i in range(m)]
     den_product, cleared = _cleared_numerators(g)
-
     # column[j](x, w) = sum_i w_ij * p_i * prod_{k != i} q_k
-    columns: List[Polynomial] = []
-    for j in range(m):
-        col = Polynomial.zero(ext)
-        for i in range(m):
-            col = col + w_var[i][j] * cleared[i]
-        columns.append(col)
+    lift = build_assignment(ext, cleared)
 
     objective_num = Polynomial.zero(ext)
     for j in range(m):
-        objective_num = objective_num + g.lambdas[j] * columns[j]
+        objective_num = objective_num + g.lambdas[j] * lift.columns[j]
 
-    equalities = list(g.equalities)
-    for i in range(m):  # each function occupies exactly one position
-        row = Polynomial.constant(ext, -1.0)
-        for j in range(m):
-            row = row + w_var[i][j]
-        equalities.append(row)
-    for j in range(m):  # each position holds exactly one function
-        col_sum = Polynomial.constant(ext, -1.0)
-        for i in range(m):
-            col_sum = col_sum + w_var[i][j]
-        equalities.append(col_sum)
-    for i in range(m):
-        for j in range(m):
-            equalities.append(w_var[i][j] ** 2 - w_var[i][j])
-
-    inequalities = list(g.inequalities)
-    for j in range(m - 1):  # position j holds a value at least position j+1's
-        inequalities.append(columns[j] - columns[j + 1])
-    for j in range(m):  # redundant per-column ball keeping the lift compact
-        ball_j = Polynomial.constant(ext, float(m))
-        for i in range(m):
-            ball_j = ball_j - w_var[i][j] ** 2
-        inequalities.append(ball_j)
-
-    x = list(g.x_ids)
-    if m == 1:
-        cliques: Tuple[Tuple[VarId, ...], ...] = (tuple(sorted(x + [w_ids[0][0]])),)
-    else:
-        cliques = tuple(
-            tuple(sorted(x + [w_ids[i][j] for i in range(m)] + [w_ids[i][j + 1] for i in range(m)]))
-            for j in range(m - 1)
-        )
-
-    flat_w = tuple(w_ids[i][j] for i in range(m) for j in range(m))
-    scales = [g.x_scale] * len(x) + [1.0] * (m * m)
+    equalities = [*g.equalities, *lift.row_sums, *lift.column_sums]
+    equalities.extend(b for row in lift.binaries for b in row)
+    inequalities = [*g.inequalities, *lift.ordering, *lift.column_balls]
     return LiftedProblem(
         universe=ext,
         objective_num=objective_num,
         objective_den=den_product,
         inequality_constraints=tuple(inequalities),
         equality_constraints=tuple(equalities),
-        cliques=cliques,
+        cliques=lift.cliques(g.x_ids),
         original_variables=g.x_ids,
         form="general",
-        variable_groups=(("w", flat_w),),
-        variable_scales=tuple(scales),
+        variable_groups=(("w", lift.flat_ids),),
+        variable_scales=(g.x_scale,) * len(g.x_ids) + (1.0,) * (m * m),
         denominators_positive=problem.denominators_positive,
     )
 

@@ -101,16 +101,6 @@ class Monomial:
         self._degree = sum(e for _, e in cleaned)
         self._hash = hash(cleaned)
 
-    @classmethod
-    def of_sorted(cls, exps: Tuple[Tuple[VarId, int], ...]) -> "Monomial":
-        """The monomial of (id, exponent) pairs already sorted by id, with
-        positive exponents (unchecked)."""
-        mono = cls.__new__(cls)
-        mono._exps = exps
-        mono._degree = sum(e for _, e in exps)
-        mono._hash = hash(exps)
-        return mono
-
     @staticmethod
     def one() -> "Monomial":
         return _MONOMIAL_ONE
@@ -387,6 +377,28 @@ class SemialgebraicSet:
         for p in list(self.inequalities) + list(self.equalities):
             if p.universe is not self.universe:
                 raise UniverseMismatchError("constraint from a different universe")
+
+    def with_ball(self, bound: float) -> "SemialgebraicSet":
+        """This set with the ball ``sum of all squared variables <= bound``.
+
+        A set that already records that ball is returned itself; one that
+        records another bound, or a ball missing some variable, raises
+        ValueError.
+        """
+        everything = tuple(range(len(self.universe)))
+        if self.ball_bound is None:
+            return SemialgebraicSet(
+                self.universe,
+                list(self.inequalities),
+                list(self.equalities),
+                ball_bound=bound,
+                ball_variables=everything,
+            )
+        if self.ball_bound != bound:
+            raise ValueError(f"ground-set ball bound {self.ball_bound} disagrees with {bound}")
+        if set(self.ball_variables) != set(everything):
+            raise ValueError("ground-set ball must cover every variable")
+        return self
 
     def ball_polynomial(self) -> Polynomial | None:
         """The ball constraint M - sum(v^2) as a polynomial, if M is set."""

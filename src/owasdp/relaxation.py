@@ -148,9 +148,6 @@ class AffineForm:
     def nnz(self) -> int:
         return len(self.indices)
 
-    def is_zero(self) -> bool:
-        return not self.indices and self.constant == 0.0
-
 
 def _affine_from_dict(acc: Dict[int, float], constant: float) -> AffineForm:
     items = sorted((i, c) for i, c in acc.items() if abs(c) > COEFF_EPS)

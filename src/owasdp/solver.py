@@ -234,16 +234,18 @@ def verify_vector(
 
     Every block entry and equality row is summed term by term in order
     (``term_sums``), and the blocks of one size are assembled as one stack
-    that shares one ``eigvalsh``.  NaN residuals and eigenvalues are
-    skipped."""
-    terms, indices, coefficients = _equality_terms(sdp)
+    that shares one ``eigvalsh``.  A non-finite equality residual or block
+    entry puts the report out of tolerance: the maximum residual is then
+    NaN or inf, and the smallest eigenvalue of a block with such an entry
+    NaN."""
     rhs = np.array([row.rhs for row in sdp.equalities], dtype=float)
-    residuals = term_sums(np.zeros(rhs.size), terms, indices, coefficients, y) - rhs
-    max_eq = float(np.fmax.reduce(np.abs(residuals), initial=0.0))
+    owner, rows, cols, constants, *block_terms = _block_entries(sdp.psd_blocks)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN here
+        residuals = term_sums(np.zeros(rhs.size), *_equality_terms(sdp), y) - rhs
+        values = term_sums(constants, *block_terms, y)
+    max_eq = float(np.max(np.abs(residuals), initial=0.0))
 
     sizes = np.array([b.size for b in sdp.psd_blocks], dtype=np.int64)
-    owner, rows, cols, constants, terms, indices, coefficients = _block_entries(sdp.psd_blocks)
-    values = term_sums(constants, terms, indices, coefficients, y)
     least = np.zeros(sizes.size)
     eig_ok = True
     slot = np.zeros(sizes.size, dtype=np.int64)
@@ -255,14 +257,19 @@ def verify_vector(
         stack = np.zeros((members.size, n, n))
         stack[k, i, j] = values[entries]
         stack[k, j, i] = values[entries]
+        broken = ~np.isfinite(stack).all(axis=(1, 2))
+        if broken.any():
+            eig_ok = False
+            stack[broken] = 0.0
         smallest = np.linalg.eigvalsh(stack)[:, 0]
+        smallest[broken] = math.nan
         least[members] = smallest
         # 1 + norm >= 1, so with tol >= 0 only a block below -tol can fail.
         suspect = smallest < (-tol if tol >= 0.0 else math.inf)
         for mat, low in zip(stack[suspect], smallest[suspect]):
             if low < -tol * (1.0 + float(np.linalg.norm(mat))):
                 eig_ok = False
-    min_eig = float(np.fmin.reduce(least)) if least.size else 0.0
+    min_eig = float(np.min(least)) if least.size else 0.0
     value = sdp.objective.evaluate(y)
     delta = 0.0 if reported_objective is None else abs(value - reported_objective)
     ok = eig_ok and max_eq <= tol and delta <= tol * (1.0 + abs(value))

@@ -78,7 +78,7 @@ def row_monomials(rows):
     """The ``Monomial`` of each monomial row (sorted variable ids, padded in
     front with -1), as a tuple."""
     return tuple(
-        Monomial.of_sorted(tuple((v, len(list(run))) for v, run in groupby(row) if v >= 0))
+        Monomial((v, len(list(run))) for v, run in groupby(row) if v >= 0)
         for row in np.asarray(rows).tolist()
     )
 

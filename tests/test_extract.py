@@ -219,7 +219,6 @@ class TestExtractPoint:
         assert solution.sdp_bound == pytest.approx(expected, abs=1e-9)
         assert abs(solution.gap) <= 1e-9
         assert solution.feasible
-        assert solution.label == "extracted"
 
     def test_original_variables_only_by_default(self, weber_sparse):
         y = dirac_moment_vector(weber_sparse, WEBER_POINT)
@@ -296,10 +295,18 @@ class TestExtractPoint:
         with pytest.raises(DegenerateMomentError, match="mass"):
             extract_point(sdp, np.zeros(sdp.y_dim))
 
-    def test_bound_only_constructor(self):
-        solution = ExtractedSolution.bound_only(
-            {0: 0.25}, certified_value=1.5, sdp_bound=1.25
+    def test_gap_is_the_certified_value_minus_the_bound(self):
+        solution = ExtractedSolution(
+            {0: 0.25}, certified_value=1.5, sdp_bound=1.25, feasibility_residual=0.0, feasible=True
         )
-        assert solution.label == "bound-only"
         assert solution.gap == pytest.approx(0.25)
-        assert solution.feasible
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_moment_gives_an_infeasible_point(self, weber_sparse, bad):
+        # The objective's denominator is constant, so only the feasibility
+        # check meets the non-finite first moment.
+        y = solve(weber_sparse).y.copy()
+        y[1] = bad
+        solution = extract_point(weber_sparse, y)
+        assert not solution.feasible
+        assert math.isnan(solution.feasibility_residual)

@@ -175,6 +175,25 @@ ANCHORS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
             "exactly the facility position",
         ),
         ({"ball_bound": 1.5}, ValueError, "does not contain the anchor"),
+        (
+            {
+                "ground_set": SemialgebraicSet(
+                    VariableUniverse(["x1", "x2"]), ball_bound=40.0, ball_variables=(0, 1)
+                ),
+                "ball_bound": 50.0,
+            },
+            ValueError,
+            "disagrees",
+        ),
+        (
+            {
+                "ground_set": SemialgebraicSet(
+                    VariableUniverse(["x1", "x2"]), ball_bound=40.0, ball_variables=(0,)
+                )
+            },
+            ValueError,
+            "every variable",
+        ),
         ({"variant": "kcentrum", "k": 2.7}, ValueError, "k must be an integer"),
         ({"variant": "kcentrum", "k": True}, ValueError, "k must be an integer"),
         ({"variant": "trimmed", "trim": (0.9, 1.5)}, ValueError, "trim count must be"),
@@ -202,6 +221,8 @@ ANCHORS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
         "negative_weight",
         "ground_dimension",
         "ball_misses_anchor",
+        "ground_ball_disagrees",
+        "ground_ball_misses_a_coordinate",
         "k_fraction",
         "k_bool",
         "trim_fractions",
@@ -222,3 +243,13 @@ def test_instance_keeps_integer_counts():
     trimmed = LocationInstance(points=ANCHORS, variant="trimmed", trim=(np.int32(1), 2))
     assert (kcentrum.k, trimmed.trim) == (3, (1, 2))
     assert type(kcentrum.k) is int and all(type(v) is int for v in trimmed.trim)
+
+
+@pytest.mark.parametrize("ball_bound", [40.0, None])
+def test_matching_ground_ball_is_the_region(ball_bound):
+    ground = SemialgebraicSet(
+        VariableUniverse(["x1", "x2"]), ball_bound=40.0, ball_variables=(1, 0)
+    )
+    instance = LocationInstance(points=ANCHORS, ground_set=ground, ball_bound=ball_bound)
+    assert instance.ball_bound == 40.0
+    assert instance.region is ground

@@ -194,6 +194,13 @@ class TestOmrfProblem:
         with pytest.raises(ValueError):
             OmrfProblem((f,), w, ground, 4.0)
 
+    def test_matching_ground_ball_is_the_region(self):
+        universe = VariableUniverse(["x", "y"])
+        f = RationalFunction.from_polynomial(parse("x", universe))
+        w = LambdaWeights.constants(universe, [1.0])
+        ground = SemialgebraicSet(universe, ball_bound=4.0, ball_variables=(1, 0))
+        assert OmrfProblem((f,), w, ground, 4.0).region is ground
+
     def test_ground_ball_must_agree(self):
         universe = VariableUniverse(["x"])
         f = RationalFunction.from_polynomial(parse("x", universe))

@@ -1367,6 +1367,15 @@ class TestVerifyResult:
         assert not report.within_tolerance
         assert report.max_equality_residual >= 1e-4
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_moment_is_out_of_tolerance(self, weber_sparse, bad):
+        y = self._dirac(weber_sparse)
+        y[1] = bad
+        report = verify_vector(weber_sparse, y, 1e-6)
+        assert not report.within_tolerance
+        assert not math.isfinite(report.max_equality_residual)
+        assert math.isnan(report.min_block_eigenvalue)
+
     def test_requires_solved_result(self, weber_sparse):
         failed = SolverResult(
             SolveStatus.NUMERICAL_FAILURE, None, math.nan, 3, 0.0
