@@ -7,10 +7,11 @@ Lasserre, "Detecting global optimality and extracting solutions in
 GloptiPoly", 2005).  This module provides the rank diagnostics
 (`rank_check`), first-moment extraction with an independent feasibility and
 objective re-check (`extract_point`), and the standard relative
-objective-error measure (`eps_obj`).  Both read the relaxation through the
-monomial rows of ``moment``: the rows of each clique basis select the
-submatrices that are ranked, and the first moments are found by key among
-the relaxation's ``moment_rows``.
+objective-error measure (`eps_obj`).  Both read the moments through the
+basis that every moment block carries (``PsdBlock.basis``): a selection of
+basis rows by variables and degree picks each ranked submatrix, and the
+first moments L_y(1) and L_y(x_l) are the first-row entries of the moment
+blocks at the basis rows of degree at most one.
 
 Only the single-minimizer case (all ranks one) is extracted; higher finite
 ranks are detected and reported but not decomposed into atoms.
@@ -20,13 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Callable, Collection, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .moment import basis_rows, key_positions, monomial_keys
 from .polynomial import VarId
-from .relaxation import RelaxationStructureError, SdpProblem, dirac_moment_vector
+from .relaxation import PsdBlock, SdpProblem, dirac_moment_vector
 from .solver import verify_vector
 
 __all__ = [
@@ -181,14 +181,23 @@ def _numerical_rank(matrix: np.ndarray, tol: float) -> int:
     return int(np.sum(singular > tol * top))
 
 
+def _moment_blocks(sdp: SdpProblem) -> List[PsdBlock]:
+    """The moment blocks of ``sdp``, each of which must carry its basis."""
+    blocks = [b for b in sdp.psd_blocks if b.kind == "moment"]
+    for block in blocks:
+        if block.basis is None:
+            raise ExtractionError(f"moment block {block.label} carries no basis")
+    return blocks
+
+
 def _submatrix_rows(
-    basis: np.ndarray, allowed: set, max_degree: Optional[int] = None
+    basis: np.ndarray, variables: Optional[Collection[VarId]], max_degree: int
 ) -> np.ndarray:
-    """Indices of the basis rows over ``allowed`` variables only, and of
-    degree <= ``max_degree`` when given."""
-    inside = np.all(np.isin(basis, list(allowed)) | (basis < 0), axis=1)
-    if max_degree is not None:
-        inside &= (basis >= 0).sum(axis=1) <= max_degree
+    """Indices of the basis rows of degree <= ``max_degree`` over
+    ``variables`` only (over any variables when None)."""
+    inside = (basis >= 0).sum(axis=1) <= max_degree
+    if variables is not None:
+        inside &= np.all(np.isin(basis, list(variables)) | (basis < 0), axis=1)
     return np.flatnonzero(inside)
 
 
@@ -201,79 +210,57 @@ def rank_check(
     """Numerical rank diagnostics of every clique moment block at ``y``.
 
     ``orders`` fixes how many hierarchy levels the reduced submatrices sit
-    below the full order.  Ranks count singular values above ``tol`` times
-    the largest one.
+    below the full order: a reduced submatrix keeps the basis rows of degree
+    at most ``sdp.order`` minus the reduction.  Ranks count singular values
+    above ``tol`` times the largest one.  ExtractionError when a moment
+    block carries no basis.
     """
-    sdp._require_metadata()
-    moment_blocks = [b for b in sdp.psd_blocks if b.kind == "moment"]
-    original = set(sdp.original_variables)
+    moment_blocks = _moment_blocks(sdp)
+    matrices = [block.assemble(y) for block in moment_blocks]
 
-    reports = []
-    bases = []
-    matrices = []
-    for block in moment_blocks:
-        basis = basis_rows(block.variables, sdp.order)
-        if len(basis) != block.size:
-            raise ExtractionError(
-                f"moment block {block.label} does not match its clique basis"
-            )
-        matrix = block.assemble(y)
-        reduced_degree = max(0, sdp.order - orders.clique_reduction)
-        reduced_size = int(np.sum((basis >= 0).sum(axis=1) <= reduced_degree))
-        reports.append(
-            BlockRanks(
-                label=block.label,
-                size=block.size,
-                reduced_size=reduced_size,
-                rank_full=_numerical_rank(matrix, tol),
-                rank_reduced=_numerical_rank(
-                    matrix[:reduced_size, :reduced_size], tol
-                ),
-                reduction=orders.clique_reduction,
-            )
-        )
-        bases.append(basis)
-        matrices.append(matrix)
-
-    original_report = None
-    for block, basis, matrix in zip(moment_blocks, bases, matrices):
-        if not original <= set(block.variables):
-            continue
-        rows = _submatrix_rows(basis, original)
-        reduced_degree = max(0, sdp.order - orders.original_reduction)
-        reduced_rows = _submatrix_rows(basis, original, reduced_degree)
-        sub = matrix[np.ix_(rows, rows)]
-        original_report = BlockRanks(
-            label="original",
+    def ranks(label, basis, matrix, variables, reduction) -> BlockRanks:
+        """The ranks of ``matrix`` on its basis rows over ``variables``, at
+        the full order and ``reduction`` levels below it."""
+        rows = _submatrix_rows(basis, variables, sdp.order)
+        reduced = _submatrix_rows(basis, variables, max(0, sdp.order - reduction))
+        return BlockRanks(
+            label=label,
             size=rows.size,
-            reduced_size=reduced_rows.size,
-            rank_full=_numerical_rank(sub, tol),
-            rank_reduced=_numerical_rank(
-                matrix[np.ix_(reduced_rows, reduced_rows)], tol
-            ),
-            reduction=orders.original_reduction,
+            reduced_size=reduced.size,
+            rank_full=_numerical_rank(matrix[np.ix_(rows, rows)], tol),
+            rank_reduced=_numerical_rank(matrix[np.ix_(reduced, reduced)], tol),
+            reduction=reduction,
         )
-        break
+
+    pairs = list(zip(moment_blocks, matrices))
+    reports = tuple(ranks(b.label, b.basis, m, None, orders.clique_reduction) for b, m in pairs)
+    original = set(sdp.original_variables)
+    original_report = next(
+        (
+            ranks("original", b.basis, m, original, orders.original_reduction)
+            for b, m in pairs
+            if original <= set(b.variables)
+        ),
+        None,
+    )
 
     # The rank of a pair depends only on its first block and the shared
     # variables, so each (block, shared set) is ranked once.
     cross = []
     variables = [frozenset(block.variables) for block in moment_blocks]
-    ranks: Dict[Tuple[int, FrozenSet[VarId]], int] = {}
-    for i in range(len(moment_blocks)):
-        for j in range(i + 1, len(moment_blocks)):
+    memo: Dict[Tuple[int, FrozenSet[VarId]], int] = {}
+    for i, (first, matrix) in enumerate(pairs):
+        for j in range(i + 1, len(pairs)):
             shared = variables[i] & variables[j]
             if not shared:
                 continue
-            if (i, shared) not in ranks:
-                rows = _submatrix_rows(bases[i], shared)
-                ranks[i, shared] = _numerical_rank(matrices[i][np.ix_(rows, rows)], tol)
-            cross.append(
-                (moment_blocks[i].label, moment_blocks[j].label, ranks[i, shared])
-            )
+            if (i, shared) not in memo:
+                rows = _submatrix_rows(first.basis, shared, sdp.order)
+                memo[i, shared] = _numerical_rank(matrix[np.ix_(rows, rows)], tol)
+            cross.append((first.label, moment_blocks[j].label, memo[i, shared]))
 
     return RankReport(
-        blocks=tuple(reports),
+        blocks=reports,
         original=original_report,
         cross_ranks=tuple(cross),
         tolerance=tol,
@@ -308,6 +295,29 @@ class ExtractedSolution:
         )
 
 
+def _first_moments(blocks: List[PsdBlock], y: np.ndarray, n_vars: int) -> np.ndarray:
+    """L_y(1), L_y(x_0), ..., L_y(x_{n_vars - 1}): the entries (0, l) of the
+    moment blocks whose basis row 0 is the constant monomial, at the basis
+    rows l of degree at most one, each read from the first block that holds
+    it.  The block entries carry the pivot substitution."""
+    first = np.empty(n_vars + 1)
+    found = np.zeros(n_vars + 1, dtype=bool)
+    for block in blocks:
+        degree = (block.basis >= 0).sum(axis=1)
+        low = np.flatnonzero(degree <= 1)
+        # Slot 0 is the constant row, slot v + 1 the row of x_v.
+        slot = block.basis[low].max(axis=1, initial=-1) + 1
+        new = ~found[slot]
+        if degree.size and degree[0] == 0 and new.any():
+            first[slot[new]] = block.assemble(y)[0, low[new]]
+            found[slot] = True
+    if not found.all():
+        slot = int(np.argmin(found))
+        monomial = "1" if slot == 0 else f"x{slot - 1}"
+        raise ExtractionError(f"no moment block holds L_y({monomial}) in its first row")
+    return first
+
+
 def extract_point(
     sdp: SdpProblem,
     y: np.ndarray,
@@ -327,17 +337,7 @@ def extract_point(
     """
     sdp._require_metadata()
     n_vars = len(sdp.universe)
-    # The rows of 1, x_0, ..., x_{n-1}; the pivot moment is substituted.
-    keys = monomial_keys(np.arange(-1, n_vars)[:, None], n_vars)
-    positions = key_positions(monomial_keys(sdp.moment_rows, n_vars), keys)
-    pivot = keys == monomial_keys(sdp.pivot_row[None, :], n_vars)
-    missing = np.flatnonzero((positions < 0) & ~pivot)
-    if missing.size:
-        raise RelaxationStructureError(
-            f"variable {missing[0] - 1} has no first moment variable"
-        )
-    first = y[positions]
-    first[pivot] = sdp.pivot_substitution.evaluate(y)
+    first = _first_moments(_moment_blocks(sdp), y, n_vars)
     mass = float(first[0])
     if not mass > 0.0:
         raise DegenerateMomentError(

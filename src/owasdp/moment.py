@@ -223,11 +223,8 @@ class LinearMatrixMap:
         if type(other) is not type(self):
             return NotImplemented
         return all(
-            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-            for a, b in (
-                (getattr(self, f.name), getattr(other, f.name))
-                for f in dataclasses.fields(self)
-            )
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in dataclasses.fields(self)
         )
 
     __hash__ = None

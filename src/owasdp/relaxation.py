@@ -162,13 +162,17 @@ class PsdBlock(LinearMatrixMap):
 
     The entry arrays (see ``LinearMatrixMap``) hold the upper triangle
     only, in row-major order; structurally zero entries are omitted.
-    ``variables`` records the basis variable ids the block was built over
-    (informational; may be empty on hand-built problems).
+    ``variables`` records the variable ids the block was built over, and
+    ``basis`` the monomial row (see ``moment``) of each of its ``size`` rows
+    and columns: entry (i, j) of a moment block is L_y(b_i b_j), of a
+    localizing block for g L_y(g b_i b_j).  Both may be empty or None on
+    hand-built problems.
     """
 
     kind: str  # "moment" | "localizing"
     label: str
     variables: Tuple[VarId, ...]
+    basis: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -208,10 +212,9 @@ class SdpProblem:
 
     Metadata fields support moment evaluation and point extraction; they may
     be None on hand-built problems.  ``moment_rows`` holds the monomial row
-    (see ``moment``) of every y index, in y order, and ``pivot_row`` the row
-    of the eliminated pivot moment, padded to the same width; ``universe``
-    numbers their variables and ``denominator`` is the normalization
-    polynomial q.  Structural equality compares the numeric content only.
+    (see ``moment``) of every y index, in y order; ``universe`` numbers
+    their variables and ``denominator`` is the normalization polynomial q.
+    Structural equality compares the numeric content only.
     """
 
     y_dim: int
@@ -224,7 +227,6 @@ class SdpProblem:
     original_variables: Tuple[VarId, ...]
     stats: SizeStats = field(init=False)
     moment_rows: Optional[np.ndarray] = None
-    pivot_row: Optional[np.ndarray] = None
     universe: Optional[VariableUniverse] = None
     denominator: Optional[Polynomial] = None
 
@@ -263,7 +265,7 @@ class SdpProblem:
         return hash((self.y_dim, self.order, self.objective))
 
     def _require_metadata(self) -> None:
-        if self.moment_rows is None or self.pivot_row is None:
+        if self.moment_rows is None or self.universe is None or self.denominator is None:
             raise RelaxationStructureError(
                 "operation requires moment metadata (absent on hand-built problems)"
             )
@@ -278,8 +280,6 @@ def dirac_moment_vector(sdp: SdpProblem, point: np.ndarray) -> np.ndarray:
     point is feasible for the lifted problem.
     """
     sdp._require_metadata()
-    if sdp.denominator is None:
-        raise RelaxationStructureError("dirac vector requires the denominator")
     scale = sdp.denominator.evaluate(point)
     if scale <= 0.0:
         raise ValueError("denominator must be positive at the point")
@@ -414,10 +414,10 @@ def _build(lifted, r: int, cliques: Sequence[Tuple[VarId, ...]]) -> SdpProblem:
     one = Polynomial.constant(universe, 1.0)
     products: List[np.ndarray] = []
     polys: List[Polynomial] = []
-    blocks: List[Tuple[str, str, Tuple[VarId, ...], int, np.ndarray, np.ndarray]] = []
+    blocks: List[Tuple[str, str, Tuple[VarId, ...], np.ndarray, np.ndarray, np.ndarray]] = []
     for c_idx, clique in enumerate(cliques):
         rows, i, j, pairs = basis(clique, r)
-        blocks.append(("moment", f"moment.c{c_idx}", tuple(clique), len(rows), i, j))
+        blocks.append(("moment", f"moment.c{c_idx}", tuple(clique), rows, i, j))
         products.append(pairs)
         polys.append(one)
     for g_idx, g in enumerate(lifted.inequality_constraints):
@@ -427,7 +427,7 @@ def _build(lifted, r: int, cliques: Sequence[Tuple[VarId, ...]]) -> SdpProblem:
                 f"inequality {g_idx} is supported on no single clique"
             )
         rows, i, j, pairs = basis(assigned, localizing_order(r, g.degree))
-        blocks.append(("localizing", f"loc.g{g_idx}", assigned, len(rows), i, j))
+        blocks.append(("localizing", f"loc.g{g_idx}", assigned, rows, i, j))
         products.append(pairs)
         polys.append(g)
     n_entries = sum(i.size for *_, i, _ in blocks)
@@ -472,13 +472,13 @@ def _build(lifted, r: int, cliques: Sequence[Tuple[VarId, ...]]) -> SdpProblem:
     keep = (np.diff(indptr) > 0) | (constants != 0.0)
     psd_blocks: List[PsdBlock] = []
     start = 0
-    for kind, label, variables, size, i, j in blocks:
+    for kind, label, variables, rows, i, j in blocks:
         stop = start + i.size
         kept = np.flatnonzero(keep[start:stop])
         lo, hi = indptr[start], indptr[stop]
         psd_blocks.append(
             PsdBlock(
-                size=size,
+                size=len(rows),
                 rows=i[kept],
                 cols=j[kept],
                 constants=constants[start + kept],
@@ -488,6 +488,7 @@ def _build(lifted, r: int, cliques: Sequence[Tuple[VarId, ...]]) -> SdpProblem:
                 kind=kind,
                 label=label,
                 variables=variables,
+                basis=rows,
             )
         )
         start = stop
@@ -515,8 +516,7 @@ def _build(lifted, r: int, cliques: Sequence[Tuple[VarId, ...]]) -> SdpProblem:
 
     objective = affine(n_forms - 1, constant_list[n_forms - 1])
 
-    rows = key_rows(index.keys, len(universe))
-    moment_rows = np.delete(rows, eliminator.pivot_raw, axis=0)
+    moment_rows = np.delete(key_rows(index.keys, len(universe)), eliminator.pivot_raw, axis=0)
     per_var = np.array(lifted.variable_scales or [1.0] * len(universe), dtype=float)
 
     return SdpProblem(
@@ -529,7 +529,6 @@ def _build(lifted, r: int, cliques: Sequence[Tuple[VarId, ...]]) -> SdpProblem:
         moment_scales=tuple(monomial_values(moment_rows, per_var).tolist()),
         original_variables=tuple(lifted.original_variables),
         moment_rows=moment_rows,
-        pivot_row=rows[eliminator.pivot_raw],
         universe=universe,
         denominator=lifted.objective_den,
     )

@@ -12,6 +12,7 @@ from owasdp.extract import (
     DegenerateMomentError,
     RANK_TOLERANCE,
     ExtractedSolution,
+    ExtractionError,
     FlatnessOrders,
     eps_obj,
     extract_point,
@@ -19,7 +20,6 @@ from owasdp.extract import (
     rank_check,
 )
 from owasdp.location import build_lifted, lifted_witness, random_instance
-from owasdp.moment import basis_rows
 from owasdp.omrf import LambdaWeights, OmrfProblem, build_telescoping
 from owasdp.polynomial import (
     Polynomial,
@@ -29,7 +29,6 @@ from owasdp.polynomial import (
     parse,
 )
 from owasdp.relaxation import (
-    RelaxationStructureError,
     build_dense,
     build_sparse,
     dirac_moment_vector,
@@ -58,6 +57,47 @@ def interval_dense():
 
 WEBER_POINT = np.array([0.3, 0.4, 0.5, math.sqrt(0.65)])
 WEBER_POINT_B = np.array([0.6, 0.8, 1.0, math.sqrt(0.8)])
+
+
+def reference_rank(matrix):
+    singular = np.linalg.svd(matrix, compute_uv=False)
+    return int(np.sum(singular > RANK_TOLERANCE * singular[0]))
+
+
+def rows_within(basis, variables, max_degree):
+    """The basis rows over ``variables`` of degree <= ``max_degree``, by
+    the set of each row's variables."""
+    return [
+        r for r, row in enumerate(basis.tolist())
+        if {v for v in row if v >= 0} <= set(variables)
+        and sum(v >= 0 for v in row) <= max_degree
+    ]
+
+
+def restricted(block, kept):
+    """``block`` on its basis rows ``kept`` only, in the order given."""
+    new = np.full(block.size, -1)
+    new[kept] = np.arange(len(kept))
+    entries = np.flatnonzero((new[block.rows] >= 0) & (new[block.cols] >= 0))
+    i, j = new[block.rows[entries]], new[block.cols[entries]]
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    order = np.lexsort((j, i))
+    entries, i, j = entries[order], i[order], j[order]
+    counts = np.diff(block.indptr)[entries]
+    terms = np.concatenate(
+        [np.arange(block.indptr[e], block.indptr[e + 1]) for e in entries]
+    )
+    return dataclasses.replace(
+        block,
+        size=len(kept),
+        rows=i,
+        cols=j,
+        constants=block.constants[entries],
+        indptr=np.concatenate([[0], np.cumsum(counts)]),
+        indices=block.indices[terms],
+        coefficients=block.coefficients[terms],
+        basis=block.basis[kept],
+    )
 
 
 class TestEpsObj:
@@ -185,27 +225,67 @@ class TestRankCheck:
         blocks = [b for b in sdp.psd_blocks if b.kind == "moment"]
         expected = []
         for i, first in enumerate(blocks):
-            basis = basis_rows(first.variables, sdp.order)
             matrix = first.assemble(y)
             for second in blocks[i + 1 :]:
                 shared = set(first.variables) & set(second.variables)
                 if not shared:
                     continue
-                rows = [
-                    r for r, row in enumerate(basis.tolist())
-                    if {v for v in row if v >= 0} <= shared
-                ]
-                singular = np.linalg.svd(matrix[np.ix_(rows, rows)], compute_uv=False)
-                rank = int(np.sum(singular > RANK_TOLERANCE * singular[0]))
+                rows = rows_within(first.basis, shared, sdp.order)
+                rank = reference_rank(matrix[np.ix_(rows, rows)])
                 expected.append((first.label, second.label, rank))
         assert len(expected) == 780
         assert report.cross_ranks == tuple(expected)
         assert {rank for _, _, rank in expected} == {2}
 
-    def test_requires_metadata(self, weber_sparse):
-        stripped = dataclasses.replace(weber_sparse, moment_rows=None, pivot_row=None)
-        with pytest.raises(RelaxationStructureError, match="metadata"):
-            rank_check(stripped, np.zeros(stripped.y_dim), FlatnessOrders())
+    def test_strict_subset_basis_ranks_its_own_rows(self, weber_sparse):
+        # Clique 0's moment block without the rows of u1^2 and x2 u1, its
+        # rows reversed out of graded order: rank_check must select every
+        # submatrix by the block's own basis.
+        full = weber_sparse.psd_blocks[0]
+        kept = [
+            r for r, row in enumerate(full.basis.tolist()) if row not in ([2, 2], [1, 2])
+        ][::-1]
+        block = restricted(full, kept)
+        sdp = dataclasses.replace(
+            weber_sparse, psd_blocks=(block,) + weber_sparse.psd_blocks[1:]
+        )
+        points = ([0.3, 0.4, 0.5, 0.8], [0.3, 0.4, 0.9, 0.2], [0.6, 0.1, 0.5, 0.7])
+        y = sum(dirac_moment_vector(sdp, np.array(p)) for p in points) / 3.0
+        matrix = full.assemble(y)[np.ix_(kept, kept)]
+        np.testing.assert_array_equal(block.assemble(y), matrix)
+
+        report = rank_check(sdp, y, FlatnessOrders(1, 1))
+
+        def ranks(variables):
+            rows = rows_within(block.basis, variables, 2)
+            reduced = rows_within(block.basis, variables, 1)
+            return (
+                len(rows),
+                len(reduced),
+                reference_rank(matrix[np.ix_(rows, rows)]),
+                reference_rank(matrix[np.ix_(reduced, reduced)]),
+            )
+
+        def observed(ranks):
+            return (ranks.size, ranks.reduced_size, ranks.rank_full, ranks.rank_reduced)
+
+        assert observed(report.blocks[0]) == ranks((0, 1, 2)) == (8, 4, 3, 3)
+        assert observed(report.original) == ranks((0, 1)) == (6, 3, 2, 2)
+        assert report.cross_ranks == (("moment.c0", "moment.c1", 2),)
+
+    def test_moment_block_without_basis_raises(self, weber_sparse):
+        stripped = dataclasses.replace(
+            weber_sparse,
+            psd_blocks=tuple(
+                dataclasses.replace(b, basis=None) if b.kind == "moment" else b
+                for b in weber_sparse.psd_blocks
+            ),
+        )
+        y = dirac_moment_vector(weber_sparse, WEBER_POINT)
+        with pytest.raises(ExtractionError, match="moment.c0 carries no basis"):
+            rank_check(stripped, y, FlatnessOrders())
+        with pytest.raises(ExtractionError, match="moment.c0 carries no basis"):
+            extract_point(stripped, y)
 
 
 class TestExtractPoint:

@@ -41,11 +41,13 @@ from owasdp.relaxation import (
     multiplier_degree,
 )
 
-from owasdp.moment import monomial_rows
+from owasdp.moment import MomentIndex, monomial_rows
 
 from support import (
     DEMO_POINTS,
+    dirac_moments,
     hand_lift,
+    localizing_matrix,
     psd_block,
     random_omrf_problem,
     random_omrf_point,
@@ -159,6 +161,25 @@ class TestHandWeberStructure:
         sizes = [b.size for b in sdp.psd_blocks]
         assert sizes == [15, 5, 5, 5, 5]
         assert len(sdp.equalities) == 30
+
+    def test_block_bases_give_the_reference_matrices(self):
+        # Each block, moment or localizing, is the reference matrix over its
+        # own basis: at a Dirac vector they agree entry by entry.
+        lift = two_point_weber_lift()
+        sdp = build_sparse(lift, 2)
+        point = np.array([0.3, -0.4, 0.5, 1.2])
+        index = MomentIndex(lift.universe)
+        polys = [Polynomial.constant(lift.universe, 1.0)] * 2
+        polys += list(lift.inequality_constraints)
+        for block, g in zip(sdp.psd_blocks, polys, strict=True):
+            assert len(block.basis) == block.size
+            reference = localizing_matrix(g, block.basis, index)
+            np.testing.assert_allclose(
+                block.assemble(dirac_moment_vector(sdp, point)),
+                reference.assemble(dirac_moments(point, index)),
+                rtol=0.0,
+                atol=1e-12,
+            )
 
     def test_moment_blocks_stay_inside_their_cliques(self):
         sdp = build_sparse(two_point_weber_lift(), 2)
