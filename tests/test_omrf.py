@@ -10,7 +10,6 @@ import pytest
 
 from owasdp.omrf import (
     EmptyProblemError,
-    EmptyWindowError,
     LambdaWeights,
     LiftBuildError,
     LiftedProblem,

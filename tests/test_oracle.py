@@ -219,6 +219,28 @@ class TestMultistart:
         assert result.best_value == pytest.approx(0.25, abs=1e-5)
         np.testing.assert_allclose(result.best_point, [0.5, 0.0], atol=1e-4)
 
+    def test_equality_constraint(self, monkeypatch):
+        # min x + y on the unit circle: -sqrt(2) at -(1, 1)/sqrt(2).  The
+        # region has no inequality, so every gradient the restoration takes
+        # is the circle's, in the equality loop of ``_newton_restore``.
+        universe = VariableUniverse(["x", "y"])
+        circle = parse("x^2 + y^2 - 1", universe)
+        region = SemialgebraicSet(
+            universe, [], [circle], ball_bound=4.0, ball_variables=(0, 1)
+        )
+        restored = []
+
+        def gradient(poly, point):
+            restored.append(poly)
+            return _poly_gradient(poly, point)
+
+        monkeypatch.setattr(oracle, "_poly_gradient", gradient)
+        problem = CallableProblem(lambda p: float(p[0] + p[1]), region)
+        result = multistart_descent(problem, n_starts=5, seed=0)
+        assert restored and all(poly is circle for poly in restored)
+        assert result.best_value == pytest.approx(-np.sqrt(2.0), abs=1e-6)
+        assert abs(circle.evaluate(np.array(result.best_point))) <= 1e-9
+
     def test_golden_constrained_sum(self):
         problem = CallableProblem(
             sum_l3_value, cone_region(3.0), batch_objective=sum_l3_batch

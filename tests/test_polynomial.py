@@ -2,7 +2,6 @@
 interval enclosures."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest

@@ -15,7 +15,6 @@ from owasdp.omrf import (
     evaluate_ordered_median,
     lifted_witness,
     LambdaWeights,
-    LiftedProblem,
     OmrfProblem,
     running_intersection_holds,
 )
