@@ -216,23 +216,17 @@ def rank_check(
     block carries no basis.
     """
     moment_blocks = _moment_blocks(sdp)
-    matrices = [block.assemble(y) for block in moment_blocks]
+    pairs = [(block, block.assemble(y)) for block in moment_blocks]
 
     def ranks(label, basis, matrix, variables, reduction) -> BlockRanks:
         """The ranks of ``matrix`` on its basis rows over ``variables``, at
         the full order and ``reduction`` levels below it."""
         rows = _submatrix_rows(basis, variables, sdp.order)
         reduced = _submatrix_rows(basis, variables, max(0, sdp.order - reduction))
-        return BlockRanks(
-            label=label,
-            size=rows.size,
-            reduced_size=reduced.size,
-            rank_full=_numerical_rank(matrix[np.ix_(rows, rows)], tol),
-            rank_reduced=_numerical_rank(matrix[np.ix_(reduced, reduced)], tol),
-            reduction=reduction,
-        )
+        full_rank = _numerical_rank(matrix[np.ix_(rows, rows)], tol)
+        reduced_rank = _numerical_rank(matrix[np.ix_(reduced, reduced)], tol)
+        return BlockRanks(label, rows.size, reduced.size, full_rank, reduced_rank, reduction)
 
-    pairs = list(zip(moment_blocks, matrices))
     reports = tuple(ranks(b.label, b.basis, m, None, orders.clique_reduction) for b, m in pairs)
     original = set(sdp.original_variables)
     original_report = next(
@@ -303,6 +297,8 @@ def _first_moments(blocks: List[PsdBlock], y: np.ndarray, n_vars: int) -> np.nda
     first = np.empty(n_vars + 1)
     found = np.zeros(n_vars + 1, dtype=bool)
     for block in blocks:
+        if found.all():
+            break
         degree = (block.basis >= 0).sum(axis=1)
         low = np.flatnonzero(degree <= 1)
         # Slot 0 is the constant row, slot v + 1 the row of x_v.

@@ -163,10 +163,9 @@ class PsdBlock(LinearMatrixMap):
     The entry arrays (see ``LinearMatrixMap``) hold the upper triangle
     only, in row-major order; structurally zero entries are omitted.
     ``variables`` records the variable ids the block was built over, and
-    ``basis`` the monomial row (see ``moment``) of each of its ``size`` rows
-    and columns: entry (i, j) of a moment block is L_y(b_i b_j), of a
-    localizing block for g L_y(g b_i b_j).  Both may be empty or None on
-    hand-built problems.
+    ``basis`` the monomial row b_i (see ``moment``) of each row i: entry
+    (i, j) is L_y(g b_i b_j), with g = 1 in a moment block.  Both may be
+    empty or None on hand-built problems.
     """
 
     kind: str  # "moment" | "localizing"
