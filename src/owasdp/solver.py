@@ -1259,11 +1259,12 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
     # A non-finite scaling, Schur complement or direction ends the solve as a
     # numerical failure, whatever the best iterate's merit.
     finite = True
-    # Best iterate seen so far: Schur-based steps eventually hit a numerical
-    # floor where the gap keeps shrinking while dual feasibility drifts; the
-    # reported solution is the iterate with the smallest worst-case merit.
+    # The reported iterate: Schur-based steps hit a numerical floor, so it is
+    # the one of least worst-case merit among those that pass the
+    # near-optimal gates (among all of them when none does).
     best_y = comp.moments(z)
     best_triple = (math.inf, math.inf, math.inf)
+    best_key = (True, math.inf)
     best_iteration = 0
 
     # Overflow and invalid values are expected once an iterate degenerates;
@@ -1290,10 +1291,10 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
             clock.lap("residuals")
 
             merit = max(relgap, pres, dres)
-            if merit < max(best_triple):
-                best_y = y
+            key = (not _near(relgap, pres, dres), merit)
+            if key < best_key:
+                best_y, best_key, best_iteration = y, key, iteration
                 best_triple = (relgap, pres, dres)
-                best_iteration = iteration
 
             if relgap <= opts.rel_tol and pres <= opts.abs_tol and dres <= opts.abs_tol:
                 status = SolveStatus.OPTIMAL
@@ -1344,24 +1345,32 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
                 break
             clock.lap("kkt_factor")
 
-            def newton(target: np.ndarray, R: List[np.ndarray], dual: bool):
-                """The Newton step with dX + W dZ W = target, whose scaled
-                dual direction is dZ~ = R - dX~: (dz, dX, dZ, dX~, dZ~,
-                step lengths), dZ only when ``dual``; None when a direction
-                is not finite."""
+            def newton(target: np.ndarray, R: Optional[List[np.ndarray]]):
+                """The Newton step with dX + W dZ W = target: (dz, dX, dZ,
+                dX~, dZ~, step lengths); None when a direction is not finite.
+                The predictor (``R`` given) has no dZ and dZ~ = R - dX~.  The
+                corrector's dZ = G (target - dX) G drifts off A'dZ = r_d as
+                ||H|| grows; it adds sym(G (A w) G), w = (H + dI)^{-1} (r_d -
+                A'dZ), and dZ~ = sym(T' dZ T)."""
                 dz = kkt.solve(comp.At @ _congruence(comp, G, target - residual) - r_d)
                 dX = comp.A @ dz + residual
-                dZ = _congruence(comp, G, target - dX) if dual else None
+                dZ = None
+                if R is None:
+                    dZ = _congruence(comp, G, target - dX)
+                    dZ += _congruence(comp, G, comp.A @ kkt.solve(r_d - comp.At @ dZ))
                 clock.lap("kkt_solve")
-                if not _finite(dz, dX) or (dual and not _finite(dZ)):
+                if not _finite(dz, dX) or (dZ is not None and not _finite(dZ)):
                     return None
                 dx = _scaled(comp, T_inv, dX)
-                dzs = [r - x for r, x in zip(R, dx)]
+                if R is None:
+                    dzs = [_symmetrize(_t(t) @ m @ t) for t, m in zip(T, comp.stacks(dZ))]
+                else:
+                    dzs = [r - x for r, x in zip(R, dx)]
                 steps = _step_lengths(d, dx, dzs)
                 return None if steps is None else (dz, dX, dZ, dx, dzs, steps)
 
             # Predictor: pure Newton step toward the boundary, R = -lambda.
-            predictor = newton(-X, [-lm for lm in lam], dual=False)
+            predictor = newton(-X, [-lm for lm in lam])
             if predictor is None:
                 note, finite = "non-finite predictor direction", False
                 break
@@ -1381,7 +1390,6 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
             # the pure centering step; a direction that is still non-finite
             # ends the solve below.
             target = np.empty(comp.dim)
-            jordan = []
             for (n, _, _), ti, di, dx, dzs, dst in zip(
                 comp.groups, T, d, dx_aff, dz_aff, comp.stacks(target)
             ):
@@ -1395,10 +1403,9 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
                     J[bad] = _diagonal(sigma * mu / di[bad] - di[bad])
                     corrected[bad] = ti[bad] @ J[bad] @ _t(ti[bad])
                 dst[...] = _symmetrize(corrected)
-                jordan.append(J)
             clock.lap("scaling")
 
-            corrector = newton(target, jordan, dual=True)
+            corrector = newton(target, None)
             if corrector is None:
                 note, finite = "non-finite corrector direction", False
                 break

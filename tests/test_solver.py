@@ -588,6 +588,31 @@ class TestBundledBackend:
         assert low.status.solved() and high.status.solved()
         assert low.objective <= high.objective + 1e-6
 
+    def test_weber_reaches_the_optimal_tolerances(self, weber_sparse):
+        # The corrector's dual direction is projected back onto A'dZ = r_d,
+        # so the dual residual does not drift as the Schur complement grows.
+        res = solve(weber_sparse)
+        assert res.status is SolveStatus.OPTIMAL
+        assert res.diagnostics["dual_residual"] <= SolverOptions().abs_tol
+
+    def test_best_iterate_passes_the_gates_before_it_minimizes_merit(self):
+        # Planar 1-center of six anchors at order 2: its iterate of least
+        # merit misses the near-optimal gates, and a later one passes them.
+        points = np.random.default_rng(2).random((6, 2)).tolist()
+        instance = LocationInstance(points=tuple(map(tuple, points)), variant="center")
+        res = solve(build_sparse(build_lifted(instance), 2))
+        relgap, pres, dres = res.trace[:, :3].T
+        merit = np.maximum.reduce([relgap, pres, dres])
+        near = (
+            (relgap <= solver_module._NEAR_GAP)
+            & (pres <= solver_module._NEAR_RES)
+            & (dres <= solver_module._NEAR_RES)
+        )
+        assert not near[np.argmin(merit)]
+        assert res.status is SolveStatus.NEAR_OPTIMAL
+        best = 1 + np.flatnonzero(near)[np.argmin(merit[near])]
+        assert res.diagnostics["best_iteration"] == best
+
     def test_bitwise_deterministic(self, weber_sparse):
         first = solve(weber_sparse)
         second = solve(weber_sparse)
