@@ -304,7 +304,7 @@ def _first_moments(blocks: List[PsdBlock], y: np.ndarray, n_vars: int) -> np.nda
         # Slot 0 is the constant row, slot v + 1 the row of x_v.
         slot = block.basis[low].max(axis=1, initial=-1) + 1
         new = ~found[slot]
-        if degree.size and degree[0] == 0 and new.any():
+        if new.any() and degree[0] == 0:
             first[slot[new]] = block.assemble(y)[0, low[new]]
             found[slot] = True
     if not found.all():
@@ -329,7 +329,8 @@ def extract_point(
     typically an independent evaluator) when given, otherwise through the
     relaxation's rational objective at the full lifted point.  Meaningful
     only when `rank_check` certifies a single atom; on higher-rank moment
-    vectors the returned point is the atoms' barycenter.
+    vectors the returned point is the atoms' barycenter.  ExtractionError
+    when a moment block carries no basis or no block holds a first moment.
     """
     sdp._require_metadata()
     n_vars = len(sdp.universe)
