@@ -129,8 +129,9 @@ class MomentIndex:
     The constant monomial always occupies position 0.  Relaxation assembly
     interns every clique's full monomial range up front (everything of
     degree <= 2r over the clique variables), then the products of its
-    localizing forms, e.g. odd-degree localizing blocks that reach degree
-    2r+1.  New monomials take positions in order of first occurrence.
+    localizing forms, which reach degree 2r+1 only for paired odd-degree
+    inequalities and odd-degree equalities.  New monomials take positions in
+    order of first occurrence.
     """
 
     __slots__ = ("universe", "keys")

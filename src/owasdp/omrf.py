@@ -149,14 +149,13 @@ class OmrfProblem:
     ``ball_bound`` is a constant M with sum(x_i^2) <= M on the ground set; it
     certifies compactness and sizes the boxes derived by the builders.
     Positivity of the function denominators on the ground set is a caller
-    obligation recorded in ``denominators_positive``, not proven here.
+    obligation, not proven here.
     """
 
     functions: Tuple[RationalFunction, ...]
     weights: LambdaWeights
     ground_set: SemialgebraicSet
     ball_bound: float
-    denominators_positive: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "functions", tuple(self.functions))
@@ -245,7 +244,6 @@ class LiftedProblem:
     form: str
     variable_groups: Tuple[Tuple[str, Tuple[VarId, ...]], ...] = ()
     variable_scales: Tuple[float, ...] = ()
-    denominators_positive: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -585,7 +583,6 @@ def build_general_lift(problem: OmrfProblem) -> LiftedProblem:
         form="general",
         variable_groups=(("w", lift.flat_ids),),
         variable_scales=(g.x_scale,) * len(g.x_ids) + (1.0,) * (m * m),
-        denominators_positive=problem.denominators_positive,
     )
 
 
@@ -704,7 +701,6 @@ def build_telescoping(problem: OmrfProblem) -> LiftedProblem:
             ("v", tuple(vid for row in v_ids for vid in row)),
         ),
         variable_scales=tuple(scales),
-        denominators_positive=problem.denominators_positive,
     )
 
 

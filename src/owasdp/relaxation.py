@@ -13,14 +13,19 @@ Truncation conventions (fixed by the reference block structures and size
 tables this package reproduces):
 
 - a localizing block for an inequality of degree ``d`` is truncated at order
-  ``r - max(1, d // 2)``;
+  ``r - max(1, ceil(d / 2))``, so its entries stay within degree 2r, the
+  moments the clique moment blocks hold;
+- an odd-degree inequality whose top-degree part is the negation of another
+  inequality's (a pair such as v >= +-p with p odd) is truncated one order
+  later, at ``r - max(1, d // 2)``: the pair bounds its degree-(2r + 1)
+  moments from both sides;
 - an equality of degree ``d`` is expanded against all multiplier monomials of
   degree at most ``min(r, 2r - d + (d % 2))`` over its assigned variables;
 - a constraint is assigned the variables in the intersection of all cliques
   containing its support; equalities whose support lies in no single clique
   contribute a single scalar row L_y(h) = 0;
-- odd-degree constraints may reference moments of degree 2r + 1; the moment
-  dictionary extends on demand.
+- paired inequalities and odd-degree equalities may reference moments of
+  degree 2r + 1; the moment dictionary extends on demand.
 
 Every block entry, equality row and the objective is built as an array of
 raw terms in one pass (``localizing_forms``), and the pivot substitution is
@@ -70,10 +75,12 @@ def _half_ceil(degree: int) -> int:
     return (degree + 1) // 2
 
 
-def localizing_order(r: int, degree: int) -> int:
+def localizing_order(r: int, degree: int, paired: bool = False) -> int:
     """Truncation order of the localizing block for a degree-``degree``
-    inequality at relaxation order ``r``."""
-    return r - max(1, degree // 2)
+    inequality at relaxation order ``r``; ``paired`` marks an odd-degree
+    inequality whose top-degree part another one negates (see
+    ``_paired_inequalities``)."""
+    return r - max(1, degree // 2 if paired else _half_ceil(degree))
 
 
 def multiplier_degree(r: int, degree: int) -> int:
@@ -324,6 +331,18 @@ def _basis_variables(
     return tuple(sorted(shared))
 
 
+def _paired_inequalities(inequalities: Sequence[Polynomial]) -> List[bool]:
+    """Per inequality: whether it is of odd degree >= 3 and the negation of
+    its top-degree homogeneous part is the top part of another inequality."""
+
+    def top(g: Polynomial, sign: float) -> frozenset:
+        return frozenset((m, sign * c) for m, c in g.terms.items() if m.degree == g.degree)
+
+    odd = [g.degree >= 3 and g.degree % 2 == 1 for g in inequalities]
+    tops = {top(g, 1.0) for g, is_odd in zip(inequalities, odd) if is_odd}
+    return [is_odd and top(g, -1.0) in tops for g, is_odd in zip(inequalities, odd)]
+
+
 class _Eliminator:
     """Rewrites raw moment-position forms over the free moments, substituting
     the pivot moment via the normalization row.  ``positions`` are the raw
@@ -419,13 +438,14 @@ def _build(lifted, r: int, cliques: Sequence[Tuple[VarId, ...]]) -> SdpProblem:
         blocks.append(("moment", f"moment.c{c_idx}", tuple(clique), rows, i, j))
         products.append(pairs)
         polys.append(one)
+    paired = _paired_inequalities(lifted.inequality_constraints)
     for g_idx, g in enumerate(lifted.inequality_constraints):
         assigned = _basis_variables(g.variables(), cliques)
         if assigned is None:
             raise RelaxationStructureError(
                 f"inequality {g_idx} is supported on no single clique"
             )
-        rows, i, j, pairs = basis(assigned, localizing_order(r, g.degree))
+        rows, i, j, pairs = basis(assigned, localizing_order(r, g.degree, paired[g_idx]))
         blocks.append(("localizing", f"loc.g{g_idx}", assigned, rows, i, j))
         products.append(pairs)
         polys.append(g)

@@ -1127,10 +1127,10 @@ class _Kkt:
         private = rhs.size - self.layout.shared
         out = np.empty_like(rhs)
         shared = rhs[private:].copy()
-        for span, _, B, factors in self._cliques:
-            part = rhs[span].reshape(len(factors), -1)
-            shared -= B.T @ np.concatenate([f.solve(r) for f, r in zip(factors, part)])
-        if self._separator is not None:
+        if self._separator is not None:  # without shared moments B has no columns
+            for span, _, B, factors in self._cliques:
+                part = rhs[span].reshape(len(factors), -1)
+                shared -= B.T @ np.concatenate([f.solve(r) for f, r in zip(factors, part)])
             shared = self._separator.solve(shared)
         out[private:] = shared
         for span, _, B, factors in self._cliques:

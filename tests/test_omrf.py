@@ -821,16 +821,3 @@ class TestLiftSoundness:
             lifted = build_telescoping(problem)
             assert_lift_sound(problem, lifted, random_point(rng, problem))
             assert putinar_structurally_bounded(lifted)
-
-    def test_denominator_flag_propagates(self):
-        universe = VariableUniverse(["x"])
-        f = RationalFunction(parse("x", universe), parse("1 + x^2", universe))
-        problem = OmrfProblem(
-            (f,),
-            LambdaWeights.constants(universe, [1.0]),
-            SemialgebraicSet(universe),
-            4.0,
-            denominators_positive=False,
-        )
-        lifted = build_general_lift(problem)
-        assert not lifted.denominators_positive

@@ -101,10 +101,17 @@ class TestOrders:
             build_dense(lift, 1)
 
     def test_truncation_helpers(self):
+        assert localizing_order(2, 0) == 1
         assert localizing_order(2, 1) == 1
         assert localizing_order(2, 2) == 1
-        assert localizing_order(2, 3) == 1
+        assert localizing_order(2, 3) == 0
         assert localizing_order(3, 4) == 1
+        assert localizing_order(3, 5) == 0
+        # A paired odd-degree inequality keeps order r - floor(d/2); pairing
+        # changes nothing at even degree.
+        assert localizing_order(2, 3, paired=True) == 1
+        assert localizing_order(3, 5, paired=True) == 1
+        assert localizing_order(3, 4, paired=True) == 1
         assert multiplier_degree(2, 2) == 2
         assert multiplier_degree(1, 2) == 0
         assert multiplier_degree(2, 3) == 2
@@ -233,22 +240,52 @@ class TestPivotElimination:
 
 
 class TestOddDegreeConventions:
-    def test_degree_three_block_and_multipliers(self):
-        lift = hand_lift(
-            ("x",),
-            "x",
-            inequality_texts=("1 - x^3", "1 - x^2"),
-            equality_texts=("x^3 - x",),
-        )
+    def test_lone_degree_three_block_stays_within_degree_2r(self):
+        lift = hand_lift(("x",), "x", inequality_texts=("1 - x^3", "1 - x^2"))
         sdp = build_dense(lift, 2)
         cubic_block = sdp.psd_blocks[1]
         assert cubic_block.kind == "localizing"
-        assert cubic_block.size == 2  # truncated at order r - 1 = 1
-        # entries reach degree 2r + 1 = 5; the dictionary extends on demand
-        moment_position(sdp, "x^5", lift.universe)
-        # degree-3 equality expands against multipliers up to degree 2
+        assert cubic_block.size == 1  # truncated at order r - ceil(3/2) = 0
+        assert sdp.psd_blocks[2].size == 2  # the quadratic keeps order r - 1
+        # so only x, ..., x^4 are free (the pivot 1 is eliminated): no x^5
+        assert sdp.y_dim == 4
+        with pytest.raises(ValueError):
+            moment_position(sdp, "x^5", lift.universe)
+
+    def test_degree_three_block_and_multipliers(self):
+        lift = hand_lift(
+            ("x", "y"),
+            "y",
+            inequality_texts=("y - x^3", "y + x^3", "1 - x^2 - y^2"),
+            equality_texts=("x^3 - x",),
+        )
+        sdp = build_dense(lift, 2)
+        # y >= +-x^3 bound the top moments from both sides, so each keeps
+        # order r - floor(3/2) = 1 and its entries reach degree 2r + 1 = 5.
+        assert [(b.kind, b.size) for b in sdp.psd_blocks] == [
+            ("moment", 6),
+            ("localizing", 3),
+            ("localizing", 3),
+            ("localizing", 3),
+        ]
+        x5 = moment_position(sdp, "x^5", lift.universe)
+        assert x5 in sdp.psd_blocks[1].indices and x5 in sdp.psd_blocks[2].indices
+        # the degree-3 equality expands against multipliers up to degree 2
         labels = [row.label for row in sdp.equalities]
-        assert labels == ["eq0.m0", "eq0.m1", "eq0.m2"]
+        assert labels == [f"eq0.m{k}" for k in range(6)]
+
+    @pytest.mark.parametrize(
+        "texts, sizes",
+        [
+            (("1 - x^3", "1 + x^3"), [3, 3]),
+            (("1 - x^3", "2 - x^3"), [2, 2]),  # same sign on top
+            (("1 - x^3", "1 + x^5"), [2, 1]),  # negated, but another degree
+            (("1 - x^3", "1 + 2*x^3"), [2, 2]),  # not exactly the negation
+        ],
+    )
+    def test_only_negated_top_parts_pair(self, texts, sizes):
+        lift = hand_lift(("x",), "x", inequality_texts=texts)
+        assert [b.size for b in build_dense(lift, 3).psd_blocks[1:]] == sizes
 
     def test_contradictory_equality_rejected(self):
         lift = hand_lift(
@@ -556,15 +593,16 @@ GOLDEN_DIGESTS = {
     "ladder-trimmed": "2534fd69cf260daa664f02de216d62e4384f2545aed532eb1b3fe98ce66ef61c",
     "ladder-range": "629472cab04c5499efd3fee70d9debb9bd4e446cf2a267afb18ebb311100a4e4",
     "ladder-general": "f1fb746ca52801bf925e1a70da865a9357bf276327a107611cb45bf85452bcba",
-    "omrf-general": "ce532063635146b3c1d0d22ad8ee1f88fd47ae3e0129bbbe3a4ddb34ccb01b74",
-    "omrf-kcentrum": "ec739eb12f95ab164349a542c8fee93e14e8953cbe2d59ec4ee65ddfc3bb715b",
     "omrf-monotone": "49475d1a20ea90c6eb26d1e47fe2dd34cd694365b55b220a62582b9791c05765",
     "omrf-trimmed": "3261410f1490e2adba2c4570bf58779ebd76a3a1fd7e9359b26b7de5dd6a0d0c",
-    # Recorded from the separate k-centrum, monotone and trimmed builders
-    # that the telescoping builder replaced.
-    "omrf-monotone3": "f3468a76762d78145b845f58c104d616958221848903cc98b2ff283d40a88524",
-    "omrf-trimmedrational": "d1ffcd0b7b0df7a888039b5a83b17e68a881892b8a4e76854faeb6ad1481d8db",
-    "omrf-kcentrum2of3": "12ac58a11c130689af22c822913ecbeb42f848395cb686fa9a6a3746d4d835c8",
+    # Re-recorded when unpaired odd-degree inequalities moved to the
+    # truncation order r - ceil(d/2): each of these lifts has a cubic
+    # epigraph row whose block shrank.
+    "omrf-general": "d39fd6d7745c0582780021fff0490cb40985ee51cd45ea32b611cbe7eadb3424",
+    "omrf-kcentrum": "178d10e0073fb3d214b62a0dcdc7aab935bd26936410b178716d0b22d2567911",
+    "omrf-monotone3": "e3005ebfa984ac328687ee6e89c99c2ec93824de8ea50657786599b88df1f160",
+    "omrf-trimmedrational": "730191ca9ffbd8ed6682c6a4618cffd6947fb9187d027298771ff6c35292c3d7",
+    "omrf-kcentrum2of3": "3f463b97ba455b1417f6ac705c5052cf55b55703b86c899abbfc3e5d37e86aaa",
     "demo-l3": "03f3c4892e87f6f55827a5b84715da0871adf983591cbad8ee4d6df0b2a97ee5",
     # Recorded from the per-variant location builders that ``build_lifted``
     # folded into one scaffold.

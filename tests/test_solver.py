@@ -274,7 +274,7 @@ def omrf_order3_sparse():
     """A rational ordered median of two functions of two variables with
     polynomial position weights, lifted by ``build_auto`` and relaxed at its
     minimum order 3: one moment block of size 84 (550 free moments) beside
-    blocks of sizes 7 and 28.  Compiled by the tests, never solved."""
+    blocks of sizes 1 and 28.  Compiled by the tests, never solved."""
     problem = random_omrf_problem(
         np.random.default_rng([7, 0]), "general", rational=True, max_m=2
     )
@@ -756,6 +756,31 @@ class TestBundledBackend:
         assert res.y is None
         assert res.diagnostics["note"] == note
 
+    @pytest.mark.parametrize("failure", ["svd", "nan"])
+    def test_non_finite_nt_scaling_reports_failure(self, monkeypatch, weber_sparse, failure):
+        # The SVD of non-finite Cholesky factors raises; a scaling that
+        # comes out non-finite is caught by the check that follows.
+        real_nt_scaling = solver_module._nt_scaling
+        calls = []
+
+        def broken(Lx, Lz):
+            calls.append(1)
+            parts = real_nt_scaling(Lx, Lz)
+            if len(calls) <= 6:
+                return parts
+            if failure == "svd":
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return (*parts[:3], np.full_like(parts[3], np.nan))
+
+        monkeypatch.setattr(solver_module, "_nt_scaling", broken)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve(weber_sparse)
+        assert len(calls) > 6
+        assert res.status is SolveStatus.NUMERICAL_FAILURE
+        assert res.y is None
+        assert res.diagnostics["note"] == "non-finite NT scaling"
+
     def test_iteration_cap_reports_failure(self, max_dense):
         res = solve(max_dense, SolverOptions(max_iters=1))
         assert res.status is SolveStatus.NUMERICAL_FAILURE
@@ -937,7 +962,7 @@ class TestCompactSchur:
             assert bool(shape.buckets) == compact
             assert shape.left.shape == ((rows if compact else K * n * m), K * n)
             sizes[n] = compact
-        assert sizes == {7: False, 28: False, 84: True}
+        assert sizes == {1: False, 28: False, 84: True}
 
     @pytest.mark.parametrize("compact", [True, False], ids=["compact", "F2"])
     @pytest.mark.parametrize("problem", ["omrf_order3_sparse", "weber50_sparse"])
@@ -1150,6 +1175,33 @@ class TestSparseKkt:
             rtol=0,
             atol=1e-12 * np.max(np.abs(H @ rhs)),
         )
+
+    @pytest.mark.parametrize(
+        "problem, cliques, separator, passes",
+        [("max_dense", 1, 0, 1), ("weber_sparse", 2, 14, 2)],
+    )
+    def test_clique_solves_per_pass(
+        self, monkeypatch, request, problem, cliques, separator, passes
+    ):
+        # With shared moments every clique is solved twice per pass, once to
+        # eliminate it and once to substitute back; without them the
+        # elimination pass would only be discarded, so it is skipped.
+        comp = solver_module._Compiled(request.getfixturevalue(problem))
+        stats = comp.kkt_stats()
+        assert (stats["cliques"], stats["separator"]) == (cliques, separator)
+        solver_module._schur_terms(comp, random_scaling(comp, 6))
+        kkt = solver_module._Kkt(comp, comp.kkt_data(1e-12))
+        rhs = np.random.default_rng(8).standard_normal(comp.z_dim)
+        real_solve = solver_module._CliqueFactor.solve
+        calls = []
+
+        def counting_solve(factor, vector):
+            calls.append(factor)
+            return real_solve(factor, vector)
+
+        monkeypatch.setattr(solver_module._CliqueFactor, "solve", counting_solve)
+        kkt._solve_once(rhs)
+        assert len(calls) == passes * cliques + (separator > 0)
 
     def test_clique_labels(self, weber50_sparse):
         # Every moment block is a clique of its own, and every block lies in
