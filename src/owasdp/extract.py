@@ -171,14 +171,14 @@ class RankReport:
         return max(ranks, default=0)
 
 
-def _numerical_rank(matrix: np.ndarray, tol: float) -> int:
+def _numerical_rank(matrix: np.ndarray) -> int:
     if matrix.size == 0:
         return 0
     singular = np.linalg.svd(matrix, compute_uv=False)
     top = float(singular[0])
     if top <= 0.0:
         return 0
-    return int(np.sum(singular > tol * top))
+    return int(np.sum(singular > RANK_TOLERANCE * top))
 
 
 def _moment_blocks(sdp: SdpProblem) -> List[PsdBlock]:
@@ -205,15 +205,14 @@ def rank_check(
     sdp: SdpProblem,
     y: np.ndarray,
     orders: FlatnessOrders,
-    tol: float = RANK_TOLERANCE,
 ) -> RankReport:
     """Numerical rank diagnostics of every clique moment block at ``y``.
 
     ``orders`` fixes how many hierarchy levels the reduced submatrices sit
     below the full order: a reduced submatrix keeps the basis rows of degree
     at most ``sdp.order`` minus the reduction.  Ranks count singular values
-    above ``tol`` times the largest one.  ExtractionError when a moment
-    block carries no basis.
+    above ``RANK_TOLERANCE`` times the largest one.  ExtractionError when a
+    moment block carries no basis.
     """
     moment_blocks = _moment_blocks(sdp)
     pairs = [(block, block.assemble(y)) for block in moment_blocks]
@@ -223,8 +222,8 @@ def rank_check(
         the full order and ``reduction`` levels below it."""
         rows = _submatrix_rows(basis, variables, sdp.order)
         reduced = _submatrix_rows(basis, variables, max(0, sdp.order - reduction))
-        full_rank = _numerical_rank(matrix[np.ix_(rows, rows)], tol)
-        reduced_rank = _numerical_rank(matrix[np.ix_(reduced, reduced)], tol)
+        full_rank = _numerical_rank(matrix[np.ix_(rows, rows)])
+        reduced_rank = _numerical_rank(matrix[np.ix_(reduced, reduced)])
         return BlockRanks(label, rows.size, reduced.size, full_rank, reduced_rank, reduction)
 
     reports = tuple(ranks(b.label, b.basis, m, None, orders.clique_reduction) for b, m in pairs)
@@ -250,14 +249,14 @@ def rank_check(
                 continue
             if (i, shared) not in memo:
                 rows = _submatrix_rows(first.basis, shared, sdp.order)
-                memo[i, shared] = _numerical_rank(matrix[np.ix_(rows, rows)], tol)
+                memo[i, shared] = _numerical_rank(matrix[np.ix_(rows, rows)])
             cross.append((first.label, moment_blocks[j].label, memo[i, shared]))
 
     return RankReport(
         blocks=reports,
         original=original_report,
         cross_ranks=tuple(cross),
-        tolerance=tol,
+        tolerance=RANK_TOLERANCE,
     )
 
 
@@ -318,19 +317,19 @@ def extract_point(
     sdp: SdpProblem,
     y: np.ndarray,
     objective: Optional[Callable[[np.ndarray], float]] = None,
-    include_auxiliary: bool = False,
-    tol: float = FEASIBILITY_TOLERANCE,
 ) -> ExtractedSolution:
     """Read a candidate minimizer off the first-order moments of ``y``.
 
-    Coordinates are L_y(x_l) / L_y(1).  The candidate is re-checked against
-    the relaxation's own constraint system, and its value is recomputed at
-    the point: through ``objective`` (a callable on the original variables,
-    typically an independent evaluator) when given, otherwise through the
-    relaxation's rational objective at the full lifted point.  Meaningful
-    only when `rank_check` certifies a single atom; on higher-rank moment
-    vectors the returned point is the atoms' barycenter.  ExtractionError
-    when a moment block carries no basis or no block holds a first moment.
+    Coordinates are L_y(x_l) / L_y(1); the returned point holds the
+    original variables only.  The candidate is re-checked against the
+    relaxation's own constraint system within ``FEASIBILITY_TOLERANCE``, and
+    its value is recomputed at the point: through ``objective`` (a callable
+    on the original variables, typically an independent evaluator) when
+    given, otherwise through the relaxation's rational objective at the full
+    lifted point.  Meaningful only when `rank_check` certifies a single
+    atom; on higher-rank moment vectors the returned point is the atoms'
+    barycenter.  ExtractionError when a moment block carries no basis or no
+    block holds a first moment.
     """
     sdp._require_metadata()
     n_vars = len(sdp.universe)
@@ -348,7 +347,7 @@ def extract_point(
             "objective denominator vanishes at the extracted point"
         )
     witness = dirac_moment_vector(sdp, full_point)
-    report = verify_vector(sdp, witness, tol)
+    report = verify_vector(sdp, witness, FEASIBILITY_TOLERANCE)
     # np.max, unlike max, keeps a NaN residual or eigenvalue.
     residual = float(
         np.max([report.max_equality_residual, -report.min_block_eigenvalue, 0.0])
@@ -360,9 +359,8 @@ def extract_point(
     else:
         certified = sdp.objective.evaluate(witness)
 
-    keep = range(n_vars) if include_auxiliary else sdp.original_variables
     return ExtractedSolution(
-        point={int(v): float(full_point[v]) for v in keep},
+        point={int(v): float(full_point[v]) for v in sdp.original_variables},
         certified_value=certified,
         sdp_bound=sdp.objective.evaluate(y),
         feasibility_residual=residual,

@@ -241,14 +241,12 @@ class LocationInstance:
             bound = float(gs.ball_bound)
         else:
             bound = _default_ball(pts, wts, (r, s), self.variant)
-        if not bound > 0.0:
-            raise ValueError("ball bound must be positive")
+        gs.with_ball(bound)
         a_sq = max(sum(c * c for c in p) for p in pts)
         if bound < a_sq:
             raise ValueError(
                 f"ball bound {bound} does not contain the anchor with squared norm {a_sq}"
             )
-        gs.with_ball(bound)
         object.__setattr__(self, "ball_bound", bound)
 
     @property

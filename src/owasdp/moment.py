@@ -21,7 +21,6 @@ symmetric, with upper-triangle entries that are affine forms in y.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement
 from typing import Sequence, Tuple
@@ -219,16 +218,6 @@ class LinearMatrixMap:
             raise ValueError("inconsistent entry arrays")
         if np.any((self.rows < 0) | (self.rows > self.cols) | (self.cols >= self.size)):
             raise ValueError("block entry outside the upper triangle")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name))
-            for f in dataclasses.fields(self)
-        )
-
-    __hash__ = None
 
     def assemble(self, y: np.ndarray) -> np.ndarray:
         """Evaluate the map at a concrete moment vector (dense symmetric)."""

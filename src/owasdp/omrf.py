@@ -171,8 +171,6 @@ class OmrfProblem:
         for f in self.functions:
             if f.universe is not universe:
                 raise UniverseMismatchError("function and ground set use different universes")
-        if not self.ball_bound > 0.0:
-            raise ValueError("ball bound must be positive")
         self.ground_set.with_ball(self.ball_bound)
 
     @property

@@ -7,19 +7,14 @@ search with an exact penalty for constraints (``multistart_descent``).  They
 certify upper bounds only; relaxations certify lower bounds, and together the
 two bracket the optimum.
 
-A problem is any object with an ``objective_value(point) -> float`` method
-and a ``region`` attribute (a ``SemialgebraicSet`` or None for unconstrained
-problems).  An optional ``objective_values(points) -> array`` method, one
-value per row of a 2-D array, is the batched protocol: the searches
-evaluate their objective through it, whole blocks of points per call, and
-fall back to ``objective_value`` point by point only when it is missing or
-raises one of the domain errors in ``_EVAL_ERRORS`` (in a lockstep round of
-the pattern search, only the raising start's rows fall back).  A value that
-is not finite, or a point where the objective raises such an error (say, a
-vanishing denominator), counts as +inf.  Region checks on blocks of points
-are batched the same way (``Polynomial.evaluate_many`` and
-``SemialgebraicSet.ball_values``).  ``CallableProblem`` adapts bare
-callables to the protocol.
+A problem is any object with an ``objective_values(points) -> array``
+method, one value per row of a 2-D array, and a ``region`` attribute (a
+``SemialgebraicSet`` or None for unconstrained problems).  The searches
+evaluate their objective through it, whole blocks of points per call; a
+value that is not finite (say, at a vanishing denominator) counts as +inf.
+Region checks on blocks of points are batched the same way
+(``Polynomial.evaluate_many`` and ``SemialgebraicSet.ball_values``).
+``CallableProblem`` adapts a bare batched callable to the protocol.
 
 ``grid_search`` evaluates the grid in chunks of whole first-axis slices of
 at least ``_GRID_CHUNK`` points (a 101 x 101 grid in one call).  Within a
@@ -44,13 +39,14 @@ from .polynomial import Polynomial, SemialgebraicSet
 
 Box = Sequence[Tuple[float, float]]
 
-# Domain errors an objective may raise at an undefined point (for example a
-# rational function with a vanishing denominator); treated as +infinity.
-_EVAL_ERRORS = (ValueError, ZeroDivisionError, FloatingPointError, OverflowError)
-
 # Least number of points per batched grid evaluation; whole first-axis
 # slices are added until a chunk reaches it.
 _GRID_CHUNK = 65536
+
+# The pattern search's exact-penalty coefficient on the constraint
+# violation, and the step below which a descent stops.
+_PENALTY = 1e4
+_MIN_STEP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -64,7 +60,7 @@ class OracleResult:
 
     best_point: Optional[Tuple[float, ...]]
     best_value: float
-    method: str  # "grid" | "multistart" | "analytic"
+    method: str  # "grid" | "multistart"
     evaluations: int
     grid_step: Optional[float] = None
     starts: Optional[int] = None
@@ -75,26 +71,12 @@ class OracleResult:
         return self.best_point is None
 
 
-def analytic(point: Sequence[float], value: float) -> OracleResult:
-    """Wrap a closed-form optimum in the result type."""
-    return OracleResult(tuple(float(c) for c in point), float(value), "analytic", 0)
-
-
 @dataclass(frozen=True, eq=False)
 class CallableProblem:
-    """Adapter giving a bare objective callable the oracle problem protocol."""
+    """Adapter giving a bare batched objective the oracle problem protocol."""
 
-    objective: Callable[[np.ndarray], float]
+    objective_values: Callable[[np.ndarray], np.ndarray]
     region: Optional[SemialgebraicSet] = None
-    batch_objective: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def objective_value(self, point: np.ndarray) -> float:
-        return float(self.objective(np.asarray(point, dtype=float)))
-
-    def objective_values(self, points: np.ndarray) -> np.ndarray:
-        if self.batch_objective is not None:
-            return np.asarray(self.batch_objective(points), dtype=float)
-        return np.array([self.objective_value(p) for p in points])
 
 
 # ---------------------------------------------------------------------------
@@ -102,42 +84,15 @@ class CallableProblem:
 # ---------------------------------------------------------------------------
 
 
-def _region_of(problem) -> Optional[SemialgebraicSet]:
-    return getattr(problem, "region", None)
+def _evaluate_block(problem, points: np.ndarray) -> np.ndarray:
+    """Objective at each row of ``points``, +inf where it is not finite."""
+    values = np.asarray(problem.objective_values(points), dtype=float)
+    return np.where(np.isfinite(values), values, math.inf)
 
 
 def _safe_value(problem, point: np.ndarray) -> float:
-    try:
-        value = float(problem.objective_value(point))
-    except _EVAL_ERRORS:
-        return math.inf
-    return value if math.isfinite(value) else math.inf
-
-
-def _evaluate_block(
-    problem, points: np.ndarray, sizes: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Objective at each row of ``points``, +inf where it is not finite.
-
-    ``sizes`` splits the rows into consecutive slices, one per descent of
-    a lockstep round.  When the batched call raises, each slice is
-    evaluated again on its own, so only a slice that raises by itself falls
-    back to pointwise values: a row's value never depends on the rows of
-    the other descents.
-    """
-    batched = getattr(problem, "objective_values", None)
-    if batched is not None:
-        try:
-            values = np.asarray(batched(points), dtype=float)
-            return np.where(np.isfinite(values), values, math.inf)
-        except _EVAL_ERRORS:
-            if sizes is not None and len(sizes) > 1:
-                parts = np.split(points, np.cumsum(sizes)[:-1])
-                return np.concatenate([_evaluate_block(problem, part) for part in parts])
-    out = np.empty(len(points))
-    for i, pt in enumerate(points):
-        out[i] = _safe_value(problem, pt)
-    return out
+    """Objective at one point, +inf where it is not finite."""
+    return float(_evaluate_block(problem, point[None, :])[0])
 
 
 def _feasible_mask(
@@ -168,11 +123,11 @@ def _violation_block(region: SemialgebraicSet, points: np.ndarray) -> np.ndarray
     return np.where(np.isnan(total), math.inf, total)
 
 
-def ball_box(region: SemialgebraicSet, pad: float = 0.0) -> Tuple[Tuple[float, float], ...]:
+def ball_box(region: SemialgebraicSet) -> Tuple[Tuple[float, float], ...]:
     """Per-coordinate box implied by the region's ball bound."""
     if region.ball_bound is None:
         raise ValueError("region has no ball bound")
-    radius = math.sqrt(region.ball_bound) + pad
+    radius = math.sqrt(region.ball_bound)
     return tuple((-radius, radius) for _ in range(len(region.universe)))
 
 
@@ -194,7 +149,7 @@ def grid_search(problem, box: Box, step: float) -> OracleResult:
         raise ValueError("grid search supports dimensions 1 to 3")
     if step <= 0.0:
         raise ValueError("step must be positive")
-    region = _region_of(problem)
+    region = problem.region
     axes = [np.arange(lo, hi + 0.5 * step, step) for lo, hi in box]
 
     # Chunks of whole first-axis slices bound peak memory while keeping
@@ -286,17 +241,15 @@ def multistart_descent(
     n_starts: int = 50,
     seed: int = 0,
     box: Optional[Box] = None,
-    penalty: float = 1e4,
-    min_step: float = 1e-8,
 ) -> OracleResult:
     """Best of ``n_starts`` pattern-search descents from seeded uniform starts.
 
     Starts are drawn uniformly from the region's ball (rejection sampling
     inside ``box``, which defaults to the ball's bounding box).  Constraints
-    enter through an exact penalty with coefficient ``penalty``; each descent
-    polls the full +/-1 direction stencil, expanding the step by 2.0 on
-    success and contracting it by 0.5 otherwise, and stops when the step
-    falls below ``min_step``.  Trial points that land slightly outside the
+    enter through an exact penalty with coefficient ``_PENALTY``; each
+    descent polls the full +/-1 direction stencil, expanding the step by 2.0
+    on success and contracting it by 0.5 otherwise, and stops when the step
+    falls below ``_MIN_STEP``.  Trial points that land slightly outside the
     region are additionally projected back onto its boundary so the poll can
     track curved active constraints.  Final candidates are repaired to
     feasibility before reporting; starts that cannot be repaired are
@@ -312,7 +265,7 @@ def multistart_descent(
     stencil rows in stencil order before its restored rows, so it follows
     exactly the path it would follow alone, with the same evaluations.
     """
-    region = _region_of(problem)
+    region = problem.region
     if box is None:
         if region is None:
             raise ValueError("without a region ball an explicit box is required")
@@ -324,8 +277,7 @@ def multistart_descent(
 
     starts = np.array([_draw_start(rng, lo, hi, region) for _ in range(n_starts)])
     points, counts = _lockstep_search(
-        problem, region, starts.reshape(n_starts, len(box)), lo, hi,
-        directions, penalty, min_step,
+        problem, region, starts.reshape(n_starts, len(box)), lo, hi, directions
     )
     evaluations = int(counts.sum())
     best: Optional[Tuple[float, Tuple[float, ...]]] = None
@@ -380,14 +332,12 @@ def _draw_start(
     return point
 
 
-def _merit(
-    problem, region: Optional[SemialgebraicSet], point: np.ndarray, penalty: float
-) -> float:
+def _merit(problem, region: Optional[SemialgebraicSet], point: np.ndarray) -> float:
     value = _safe_value(problem, point)
     if not math.isfinite(value):
         return math.inf
     if region is not None:
-        value += penalty * float(_violation_block(region, point[None, :])[0])
+        value += _PENALTY * float(_violation_block(region, point[None, :])[0])
     return value
 
 
@@ -467,8 +417,6 @@ def _lockstep_search(
     lo: np.ndarray,
     hi: np.ndarray,
     directions: np.ndarray,
-    penalty: float,
-    min_step: float,
     max_iters: int = 100000,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Pattern-search descents from every row of ``starts``, stepped in
@@ -480,26 +428,25 @@ def _lockstep_search(
     them as a second block; each descent then takes the first strict
     improvement among its own candidates, stencil rows before restored
     rows.  A descent leaves the round set when its step falls below
-    ``min_step`` or after ``max_iters`` rounds.
+    ``_MIN_STEP`` or after ``max_iters`` rounds.
     """
     count, width = len(starts), len(directions)
     points = np.clip(np.asarray(starts, dtype=float), lo, hi)
-    merits = np.array([_merit(problem, region, p, penalty) for p in points])
+    merits = np.array([_merit(problem, region, p) for p in points])
     evaluations = np.ones(count, dtype=int)
     span = float(np.max(hi - lo))
     steps = np.full(count, 0.25 * span)
     iterations = np.zeros(count, dtype=int)
-    live = np.flatnonzero(steps >= min_step)
+    live = np.flatnonzero(steps >= _MIN_STEP)
     while len(live):
         iterations[live] += 1
         raw = np.clip(points[live, None, :] + steps[live, None, None] * directions, lo, hi)
         flat = raw.reshape(len(live) * width, -1)
-        pool = _evaluate_block(problem, flat, np.full(len(live), width))
-        pool = pool.reshape(len(live), width)
+        pool = _evaluate_block(problem, flat).reshape(len(live), width)
         evaluations[live] += width
         if region is not None:
             violations = _violation_block(region, flat).reshape(len(live), width)
-            pool = pool + penalty * violations
+            pool = pool + _PENALTY * violations
             # Steps that graze a curved constraint pick up an O(h^2) penalty
             # that blocks tangential progress; restoring each descent's most
             # promising violating candidates to the boundary keeps it moving
@@ -518,8 +465,8 @@ def _lockstep_search(
             if restored:
                 extra = np.array(restored)
                 sizes = np.bincount(owners, minlength=len(live))
-                extra_merits = _evaluate_block(problem, extra, sizes[sizes > 0])
-                extra_merits += penalty * _violation_block(region, extra)
+                extra_merits = _evaluate_block(problem, extra)
+                extra_merits += _PENALTY * _violation_block(region, extra)
                 evaluations[live] += sizes
                 # Pad every descent's candidates to width + 3 with +inf, so
                 # a row-wise argmin still picks each one's first minimum.
@@ -534,7 +481,7 @@ def _lockstep_search(
         points[live[moved]] = raw[rows[moved], best[moved]]
         merits[live[moved]] = chosen[moved]
         steps[live] = np.where(moved, np.minimum(steps[live] * 2.0, span), steps[live] * 0.5)
-        live = live[(steps[live] >= min_step) & (iterations[live] < max_iters)]
+        live = live[(steps[live] >= _MIN_STEP) & (iterations[live] < max_iters)]
     return points, evaluations
 
 

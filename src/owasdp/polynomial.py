@@ -383,8 +383,10 @@ class SemialgebraicSet:
 
         A set that already records that ball is returned itself; one that
         records another bound, or a ball missing some variable, raises
-        ValueError.
+        ValueError, as does a bound that is not finite and positive.
         """
+        if not (np.isfinite(bound) and bound > 0.0):
+            raise ValueError(f"ball bound must be finite and positive, got {bound}")
         everything = tuple(range(len(self.universe)))
         if self.ball_bound is None:
             return SemialgebraicSet(

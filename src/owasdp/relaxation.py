@@ -250,26 +250,6 @@ class SdpProblem:
                 raise ValueError("equality index out of range")
         object.__setattr__(self, "stats", size_stats_of(self))
 
-    def _key(self):
-        return (
-            self.y_dim,
-            self.order,
-            self.objective,
-            self.psd_blocks,
-            self.equalities,
-            self.pivot_substitution,
-            self.moment_scales,
-            self.original_variables,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SdpProblem):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash((self.y_dim, self.order, self.objective))
-
     def _require_metadata(self) -> None:
         if self.moment_rows is None or self.universe is None or self.denominator is None:
             raise RelaxationStructureError(

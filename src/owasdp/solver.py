@@ -44,7 +44,7 @@ the others are shared, so H + dI is block-arrow shaped.  Its dense blocks
 moments, and the shared block) are filled straight from the Schur terms;
 the private moments are eliminated first, by a Cholesky (or LU) factor per
 clique, and the shared moments last, by a dense factor of their Schur
-complement.  The iteration is deterministic: identical inputs, options and
+complement.  The iteration is deterministic: identical inputs and
 BLAS thread counts produce bitwise identical iterates.
 ``diagnostics['phase_seconds']`` splits the compile and iteration time by
 phase, ``diagnostics['kkt']`` reports the size and fill
@@ -88,24 +88,12 @@ class SolveStatus(str, Enum):
         return self in (SolveStatus.OPTIMAL, SolveStatus.NEAR_OPTIMAL)
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Termination controls of the interior-point method.
-
-    ``abs_tol`` bounds the (normalized) primal and dual residuals, ``rel_tol``
-    the relative duality gap and ``max_iters`` the number of iterations.
-    """
-
-    abs_tol: float = 1e-8
-    rel_tol: float = 1e-8
-    max_iters: int = 200
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-
+# Termination of the interior-point method: the (normalized) primal and
+# dual residuals within _ABS_TOL and the relative duality gap within
+# _REL_TOL, in at most _MAX_ITERS iterations.
+_ABS_TOL = 1e-8
+_REL_TOL = 1e-8
+_MAX_ITERS = 200
 
 # Looser fixed gates for classifying an unconverged but usable iterate.
 # Degenerate moment relaxations hit a double-precision floor in the Schur
@@ -212,18 +200,6 @@ class ResidualReport:
     within_tolerance: bool
 
 
-def verify_result(sdp: SdpProblem, res: SolverResult, tol: float) -> ResidualReport:
-    """Recompute residuals of a solved result against the original problem.
-
-    The tolerance check is relative: equality residuals against ``tol``
-    directly, block eigenvalues against ``-tol * (1 + block Frobenius norm)``
-    and the objective recomputation against ``tol * (1 + |objective|)``.
-    """
-    if res.y is None:
-        raise ValueError("verify_result requires a solved result with y")
-    return verify_vector(sdp, res.y, tol, reported_objective=res.objective)
-
-
 def verify_vector(
     sdp: SdpProblem,
     y: np.ndarray,
@@ -231,6 +207,11 @@ def verify_vector(
     reported_objective: Optional[float] = None,
 ) -> ResidualReport:
     """Residual report for an arbitrary moment vector (Dirac checks, tests).
+
+    The tolerance check is relative: equality residuals against ``tol``
+    directly, block eigenvalues against ``-tol * (1 + block Frobenius norm)``
+    and, when ``reported_objective`` is given, its recomputation against
+    ``tol * (1 + |objective|)``.
 
     Every block entry and equality row is summed term by term in order
     (``term_sums``), and the blocks of one size are assembled as one stack
@@ -1182,9 +1163,8 @@ _UNSOLVED_OBJECTIVE = {
 }
 
 
-def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult:
+def solve(sdp: SdpProblem) -> SolverResult:
     """Solve a relaxation with the bundled interior-point method."""
-    opts = opts if opts is not None else SolverOptions()
     start = time.perf_counter()
     clock = _PhaseClock()
     comp = _Compiled(sdp)
@@ -1231,12 +1211,12 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
         return finish(SolveStatus.INFEASIBLE, None, "equality rows inconsistent", 0)
     if comp.z_dim == 0:
         # The single candidate y is the elimination's ``fixed``, optimal when
-        # every (now constant) block is PSD within ``abs_tol``.
+        # every (now constant) block is PSD within _ABS_TOL.
         smallest = min(
             (float(np.min(np.linalg.eigvalsh(s))) for s in comp.stacks(comp.constant)),
             default=0.0,
         )
-        if smallest < -opts.abs_tol:
+        if smallest < -_ABS_TOL:
             return finish(
                 SolveStatus.INFEASIBLE, comp.fixed, "fixed moments violate a PSD block", 0
             )
@@ -1271,7 +1251,7 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
     # the iteration checks its scalings, Schur complements and directions for
     # finiteness instead.
     with np.errstate(over="ignore", invalid="ignore"):
-        for iteration in range(1, opts.max_iters + 1):
+        for iteration in range(1, _MAX_ITERS + 1):
             y = comp.moments(z)
             residual = comp.constant + comp.A @ z - X
             # free' (c - A'Z): the y-space dual residual at the multipliers of
@@ -1296,7 +1276,7 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
                 best_y, best_key, best_iteration = y, key, iteration
                 best_triple = (relgap, pres, dres)
 
-            if relgap <= opts.rel_tol and pres <= opts.abs_tol and dres <= opts.abs_tol:
+            if relgap <= _REL_TOL and pres <= _ABS_TOL and dres <= _ABS_TOL:
                 status = SolveStatus.OPTIMAL
                 note = "converged"
                 break
@@ -1439,7 +1419,7 @@ def solve(sdp: SdpProblem, opts: Optional[SolverOptions] = None) -> SolverResult
         status,
         best_y,
         note,
-        iteration,  # max_iters >= 1: the loop ran
+        iteration,  # _MAX_ITERS >= 1: the loop ran
         relative_gap=relgap,
         primal_residual=pres,
         dual_residual=dres,

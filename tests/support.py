@@ -48,12 +48,9 @@ CONE_L3_OPT_VALUE = 10.109333
 CONE_L3_OPT_POINT = (0.562304, 0.266296, 0.295262)
 
 
-def sum_l3_value(x: np.ndarray, points: np.ndarray = DEMO_POINTS) -> float:
-    """Sum over rows of the cubic-mean distance ||x - a||_3."""
-    diff = np.abs(np.asarray(x, dtype=float) - points)
-    return float(np.cbrt((diff**3).sum(axis=1)).sum())
-
 def sum_l3_batch(xs: np.ndarray, points: np.ndarray = DEMO_POINTS) -> np.ndarray:
+    """Sum over the anchors of the cubic-mean distance ||x - a||_3, at each
+    row x of ``xs``."""
     diff = np.abs(xs[:, None, :] - points[None, :, :])
     return np.cbrt((diff**3).sum(axis=2)).sum(axis=1)
 

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from owasdp import extract as extract_module
 from owasdp.extract import (
     DegenerateMomentError,
     RANK_TOLERANCE,
@@ -199,13 +200,15 @@ class TestRankCheck:
         assert not report.cross_rank_one
         assert not report.global_flat
 
-    def test_tolerance_controls_detected_rank(self, interval_dense):
+    def test_tolerance_controls_detected_rank(self, interval_dense, monkeypatch):
         y = (
             (1.0 - 1e-9) * dirac_moment_vector(interval_dense, np.array([0.2]))
             + 1e-9 * dirac_moment_vector(interval_dense, np.array([0.8]))
         )
-        loose = rank_check(interval_dense, y, FlatnessOrders(), tol=1e-6)
-        tight = rank_check(interval_dense, y, FlatnessOrders(), tol=1e-13)
+        loose = rank_check(interval_dense, y, FlatnessOrders())
+        monkeypatch.setattr(extract_module, "RANK_TOLERANCE", 1e-13)
+        tight = rank_check(interval_dense, y, FlatnessOrders())
+        assert (loose.tolerance, tight.tolerance) == (RANK_TOLERANCE, 1e-13)
         assert loose.blocks[0].rank_full == 1
         assert tight.blocks[0].rank_full >= 2
 
@@ -291,9 +294,9 @@ class TestRankCheck:
 class TestExtractPoint:
     def test_dirac_recovers_the_point_exactly(self, weber_sparse):
         y = dirac_moment_vector(weber_sparse, WEBER_POINT)
-        solution = extract_point(weber_sparse, y, include_auxiliary=True)
-        for var, value in solution.point.items():
-            assert value == pytest.approx(WEBER_POINT[var], abs=1e-9)
+        solution = extract_point(weber_sparse, y)
+        for var in weber_sparse.original_variables:
+            assert solution.point[var] == pytest.approx(WEBER_POINT[var], abs=1e-9)
         expected = WEBER_POINT[2] + WEBER_POINT[3]
         assert solution.certified_value == pytest.approx(expected, abs=1e-9)
         assert solution.sdp_bound == pytest.approx(expected, abs=1e-9)

@@ -175,6 +175,9 @@ ANCHORS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
             "exactly the facility position",
         ),
         ({"ball_bound": 1.5}, ValueError, "does not contain the anchor"),
+        ({"ball_bound": math.inf}, ValueError, "finite and positive"),
+        ({"ball_bound": math.nan}, ValueError, "finite and positive"),
+        ({"ball_bound": -4.0}, ValueError, "finite and positive"),
         (
             {
                 "ground_set": SemialgebraicSet(
@@ -221,6 +224,9 @@ ANCHORS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
         "negative_weight",
         "ground_dimension",
         "ball_misses_anchor",
+        "infinite_ball",
+        "nan_ball",
+        "negative_ball",
         "ground_ball_disagrees",
         "ground_ball_misses_a_coordinate",
         "k_fraction",

@@ -177,6 +177,14 @@ class TestOmrfProblem:
         with pytest.raises(ValueError):
             OmrfProblem((f,), w, SemialgebraicSet(universe), 0.0)
 
+    @pytest.mark.parametrize("bound", [math.inf, math.nan])
+    def test_non_finite_ball(self, bound):
+        universe = VariableUniverse(["x"])
+        f = RationalFunction.from_polynomial(parse("x", universe))
+        w = LambdaWeights.constants(universe, [1.0])
+        with pytest.raises(ValueError, match="finite and positive"):
+            OmrfProblem((f,), w, SemialgebraicSet(universe), bound)
+
     def test_region_attaches_ball(self):
         problem = make_problem(("x", "y"), ("x", "y"), (1.0, 0.0), ball=9.0)
         region = problem.region

@@ -17,11 +17,9 @@ from owasdp.oracle import (
     _merit,
     _newton_restore,
     _poly_gradient,
-    _region_of,
     _repair,
     _stencil,
     _violation_block,
-    analytic,
     ball_box,
     grid_search,
     multistart_descent,
@@ -42,8 +40,29 @@ from support import (
     SUM_L3_OPT_VALUE,
     cone_region,
     sum_l3_batch,
-    sum_l3_value,
 )
+
+
+def pointwise(objective, region=None):
+    """A problem whose batched objective evaluates the scalar ``objective``
+    row by row; a row where it raises ValueError (an undefined point) gets
+    +inf."""
+
+    def values(points):
+        out = np.empty(len(points))
+        for i, x in enumerate(points):
+            try:
+                out[i] = objective(x)
+            except ValueError:
+                out[i] = np.inf
+        return out
+
+    return CallableProblem(values, region)
+
+
+def value_at(problem, point):
+    """The problem's objective at one point, through its batched protocol."""
+    return float(problem.objective_values(np.asarray(point, dtype=float)[None, :])[0])
 
 
 def quadratic_distance_problem(anchors, weights=None, region=None):
@@ -52,25 +71,14 @@ def quadratic_distance_problem(anchors, weights=None, region=None):
     if weights is None:
         weights = np.ones(len(anchors))
 
-    def objective(x):
-        return float(np.dot(weights, ((anchors - x) ** 2).sum(axis=1)))
-
     def batch(xs):
         diffs = xs[:, None, :] - anchors[None, :, :]
         return (diffs**2).sum(axis=2) @ weights
 
-    return CallableProblem(objective, region, batch_objective=batch)
+    return CallableProblem(batch, region)
 
 
-class TestAnalytic:
-    def test_wraps_known_optimum(self):
-        result = analytic((1.0, 2.0), 3.5)
-        assert result.method == "analytic"
-        assert result.best_point == (1.0, 2.0)
-        assert result.best_value == 3.5
-        assert result.evaluations == 0
-        assert not result.empty
-
+class TestOracleResult:
     def test_empty_result(self):
         assert OracleResult(None, float("inf"), "grid", 10).empty
 
@@ -82,12 +90,6 @@ class TestBallBox:
         )
         box = ball_box(region)
         np.testing.assert_allclose(box, [(-3.0, 3.0), (-3.0, 3.0)])
-
-    def test_padding(self):
-        region = SemialgebraicSet(
-            VariableUniverse(["x"]), ball_bound=4.0, ball_variables=(0,)
-        )
-        np.testing.assert_allclose(ball_box(region, pad=0.5), [(-2.5, 2.5)])
 
     def test_requires_ball(self):
         region = SemialgebraicSet(VariableUniverse(["x"]))
@@ -110,7 +112,7 @@ class TestGridSearch:
         def objective(x):
             return float(((anchors - x) ** 2).sum(axis=1).max())
 
-        problem = CallableProblem(objective)
+        problem = pointwise(objective)
         result = grid_search(problem, [(-0.5, 1.5), (-0.5, 1.5)], 0.02)
         np.testing.assert_allclose(result.best_point, [0.5, 0.3], atol=0.02)
 
@@ -129,7 +131,7 @@ class TestGridSearch:
         region = SemialgebraicSet(
             universe, [parse("x - 10", universe)], ball_bound=4.0, ball_variables=(0,)
         )
-        problem = CallableProblem(lambda x: float(x[0]), region)
+        problem = pointwise(lambda x: float(x[0]), region)
         result = grid_search(problem, [(-2.0, 2.0)], 0.5)
         assert result.empty
         assert result.best_point is None
@@ -137,7 +139,7 @@ class TestGridSearch:
     def test_tie_break_is_lexicographic(self):
         universe = VariableUniverse(["x"])
         poly = parse("x^4 - 2*x^2 + 1", universe)
-        problem = CallableProblem(lambda x: poly.evaluate(x))
+        problem = CallableProblem(poly.evaluate_many)
         result = grid_search(problem, [(-2.0, 2.0)], 0.5)
         # both -1 and +1 are global minimizers on this grid; the scan keeps
         # the lexicographically first one
@@ -153,14 +155,14 @@ class TestGridSearch:
             ball_bound=8.0,
             ball_variables=(0, 1),
         )
-        problem = CallableProblem(lambda p: float((p[0] - 1.0) ** 2 + p[1]), region)
+        problem = pointwise(lambda p: float((p[0] - 1.0) ** 2 + p[1]), region)
         result = grid_search(problem, [(-1.0, 1.0), (-1.0, 1.0)], 0.25)
         assert result.best_point[0] == pytest.approx(result.best_point[1])
 
     def test_golden_unconstrained_sum(self):
         lows = DEMO_POINTS.min(axis=0)
         highs = DEMO_POINTS.max(axis=0)
-        problem = CallableProblem(sum_l3_value, batch_objective=sum_l3_batch)
+        problem = CallableProblem(sum_l3_batch)
         result = grid_search(problem, list(zip(lows, highs)), 2e-2)
         assert abs(result.best_value - SUM_L3_OPT_VALUE) <= 5e-4
         np.testing.assert_allclose(result.best_point, SUM_L3_OPT_POINT, atol=1e-3)
@@ -211,9 +213,7 @@ class TestMultistart:
             ball_bound=4.0,
             ball_variables=(0, 1),
         )
-        problem = CallableProblem(
-            lambda p: float(p[0] ** 2 + p[1] ** 2), region
-        )
+        problem = pointwise(lambda p: float(p[0] ** 2 + p[1] ** 2), region)
         result = multistart_descent(problem, n_starts=20, seed=3)
         assert region.contains(np.array(result.best_point), tol=1e-6)
         assert result.best_value == pytest.approx(0.25, abs=1e-5)
@@ -235,16 +235,14 @@ class TestMultistart:
             return _poly_gradient(poly, point)
 
         monkeypatch.setattr(oracle, "_poly_gradient", gradient)
-        problem = CallableProblem(lambda p: float(p[0] + p[1]), region)
+        problem = pointwise(lambda p: float(p[0] + p[1]), region)
         result = multistart_descent(problem, n_starts=5, seed=0)
         assert restored and all(poly is circle for poly in restored)
         assert result.best_value == pytest.approx(-np.sqrt(2.0), abs=1e-6)
         assert abs(circle.evaluate(np.array(result.best_point))) <= 1e-9
 
     def test_golden_constrained_sum(self):
-        problem = CallableProblem(
-            sum_l3_value, cone_region(3.0), batch_objective=sum_l3_batch
-        )
+        problem = CallableProblem(sum_l3_batch, cone_region(3.0))
         result = multistart_descent(problem, n_starts=100, seed=0)
         assert abs(result.best_value - CONE_L3_OPT_VALUE) <= 1e-4
         np.testing.assert_allclose(result.best_point, CONE_L3_OPT_POINT, atol=1e-3)
@@ -321,7 +319,8 @@ def constrained_location():
 
 @pytest.mark.parametrize("make", [constrained_omrf, constrained_location])
 class TestBatchedAgreesWithPointwise:
-    """A batched problem and its pointwise-only adapter search identically."""
+    """A problem's batched objective and its scalar one, evaluated row by
+    row, drive identical searches."""
 
     def assert_same(self, batched, pointwise):
         assert batched.best_point == pointwise.best_point
@@ -333,22 +332,21 @@ class TestBatchedAgreesWithPointwise:
 
     def test_grid_search(self, make):
         problem = make()
-        pointwise = CallableProblem(problem.objective_value, problem.region)
+        scalar = pointwise(problem.objective_value, problem.region)
         box = ball_box(problem.region)
         step = 0.05
-        self.assert_same(grid_search(problem, box, step), grid_search(pointwise, box, step))
+        self.assert_same(grid_search(problem, box, step), grid_search(scalar, box, step))
 
     # At the weak penalty the descents end outside the region, so the
     # feasibility repair runs too.
     @pytest.mark.parametrize("penalty", [1e4, 0.1])
-    def test_multistart(self, make, penalty):
+    def test_multistart(self, make, penalty, monkeypatch):
+        monkeypatch.setattr(oracle, "_PENALTY", penalty)
         problem = make()
-        pointwise = CallableProblem(problem.objective_value, problem.region)
-        batched = multistart_descent(problem, n_starts=4, seed=6, penalty=penalty)
+        scalar = pointwise(problem.objective_value, problem.region)
+        batched = multistart_descent(problem, n_starts=4, seed=6)
         assert np.isfinite(batched.best_value)
-        self.assert_same(
-            batched, multistart_descent(pointwise, n_starts=4, seed=6, penalty=penalty)
-        )
+        self.assert_same(batched, multistart_descent(scalar, n_starts=4, seed=6))
 
 
 class TestBatchedCalls:
@@ -359,7 +357,7 @@ class TestBatchedCalls:
             sizes.append(len(points))
             return (points**2).sum(axis=1)
 
-        problem = CallableProblem(lambda p: float(p @ p), batch_objective=batch)
+        problem = CallableProblem(batch)
         result = grid_search(problem, [(-2.0, 2.0), (-2.0, 2.0)], 0.04)
         assert sizes[0] == 101 * 101
         # the refinement rounds poll at most 2d = 4 moves per call
@@ -385,8 +383,12 @@ class TestBatchedCalls:
 
         real_restore = oracle._newton_restore
         monkeypatch.setattr(oracle, "_newton_restore", restore)
-        problem = CallableProblem(location.objective_value, location.region, batch)
+        problem = CallableProblem(batch, location.region)
         multistart_descent(problem, n_starts=10, seed=0)
+        # every start's first merit and repaired value are one-row calls of
+        # their own, before and after the rounds
+        assert events[:10] == events[-10:] == [1] * 10
+        events = events[10:-10]
         calls = [event for event in events if event != "restored"]
         # a call right after a restored point evaluates the restored block
         polls = [
@@ -428,7 +430,7 @@ class TestPollsMatchSequentialLoops:
                         continue
                     if region is not None and not region.contains(candidate, 1e-9):
                         continue
-                    cand_value = problem.objective_value(candidate)
+                    cand_value = value_at(problem, candidate)
                     evaluations += 1
                     if cand_value < best_value:
                         best_value, best_move = cand_value, candidate
@@ -438,22 +440,22 @@ class TestPollsMatchSequentialLoops:
         return point, value, evaluations
 
     @staticmethod
-    def sequential_descent(problem, region, start, lo, hi, directions, penalty, min_step):
+    def sequential_descent(problem, region, start, lo, hi, directions):
         """One pattern-search descent on its own: its final point, its
         evaluation count and its number of poll rounds."""
         point = np.clip(np.asarray(start, dtype=float), lo, hi)
-        merit = _merit(problem, region, point, penalty)
+        merit = _merit(problem, region, point)
         evaluations, rounds = 1, 0
         span = float(np.max(hi - lo))
         h = 0.25 * span
-        while h >= min_step:
+        while h >= oracle._MIN_STEP:
             rounds += 1
             raw = np.clip(point + h * directions, lo, hi)
             merits = _evaluate_block(problem, raw)
             evaluations += len(raw)
             if region is not None:
                 violations = _violation_block(region, raw)
-                merits = merits + penalty * violations
+                merits = merits + oracle._PENALTY * violations
                 violated = np.flatnonzero(violations > 0.0)
                 restored = []
                 for i in violated[np.argsort(merits[violated], kind="stable")][:3]:
@@ -463,7 +465,7 @@ class TestPollsMatchSequentialLoops:
                 if restored:
                     extra = np.array(restored)
                     extra_merits = _evaluate_block(problem, extra)
-                    extra_merits += penalty * _violation_block(region, extra)
+                    extra_merits += oracle._PENALTY * _violation_block(region, extra)
                     evaluations += len(extra)
                     raw = np.vstack([raw, extra])
                     merits = np.concatenate([merits, extra_merits])
@@ -476,19 +478,17 @@ class TestPollsMatchSequentialLoops:
         return point, evaluations, rounds
 
     @classmethod
-    def sequential_multistart(cls, problem, n_starts, seed, box=None, penalty=1e4):
+    def sequential_multistart(cls, problem, n_starts, seed, box=None):
         """``multistart_descent`` with its descents run one start at a time;
         also returns each descent's number of poll rounds."""
-        region = _region_of(problem)
+        region = problem.region
         lo, hi = np.array(box if box is not None else ball_box(region), dtype=float).T
         rng = np.random.default_rng(seed)
         directions = _stencil(len(lo))
         evaluations, best, start_values, rounds = 0, None, [], []
         for _ in range(n_starts):
             start = _draw_start(rng, lo, hi, region)
-            point, used, count = cls.sequential_descent(
-                problem, region, start, lo, hi, directions, penalty, 1e-8
-            )
+            point, used, count = cls.sequential_descent(problem, region, start, lo, hi, directions)
             evaluations += used
             rounds.append(count)
             point, value, feasible, used = _repair(problem, region, point, directions)
@@ -507,19 +507,19 @@ class TestPollsMatchSequentialLoops:
         )
         return result, rounds
 
-    def assert_multistart_matches(self, problem, n_starts, seed, box=None, penalty=1e4):
-        got = multistart_descent(problem, n_starts, seed, box=box, penalty=penalty)
-        want, _ = self.sequential_multistart(problem, n_starts, seed, box, penalty)
+    def assert_multistart_matches(self, problem, n_starts, seed, box=None):
+        got = multistart_descent(problem, n_starts, seed, box=box)
+        want, _ = self.sequential_multistart(problem, n_starts, seed, box)
         assert got.best_point == want.best_point
         assert got.best_value == want.best_value
         assert got.start_values == want.start_values
         assert got.evaluations == want.evaluations
-        return got
 
     @pytest.mark.parametrize("penalty", [1e4, 0.1])
     @pytest.mark.parametrize("make", [constrained_omrf, constrained_location])
-    def test_lockstep_descents(self, make, penalty):
-        self.assert_multistart_matches(make(), n_starts=6, seed=6, penalty=penalty)
+    def test_lockstep_descents(self, make, penalty, monkeypatch):
+        monkeypatch.setattr(oracle, "_PENALTY", penalty)
+        self.assert_multistart_matches(make(), n_starts=6, seed=6)
 
     @pytest.mark.parametrize(
         "variant, options",
@@ -537,33 +537,6 @@ class TestPollsMatchSequentialLoops:
             points=tuple(map(tuple, anchors)), variant=variant, **options
         )
         self.assert_multistart_matches(problem, n_starts=5, seed=2)
-
-    def test_a_raising_start_falls_back_alone(self):
-        """Rows of a start whose block raises get pointwise values, and the
-        other starts' rows of the same round keep their batched values."""
-        anchors = np.array([[0.1, 0.2], [-0.2, 0.5], [0.4, -0.3]])
-        raised = []
-
-        def squares(xs):
-            return ((xs[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=(1, 2))
-
-        def batch(xs):
-            if np.any(xs[:, 0] < 0.0):
-                raised.append(len(xs))
-                raise ValueError("x < 0")
-            return squares(xs)
-
-        # pointwise values are tilted, so a row's path shows which evaluator
-        # gave its value
-        problem = CallableProblem(
-            lambda x: float(squares(x[None, :])[0] + 1e-3 * x[1]), batch_objective=batch
-        )
-        box = [(-1.0, 1.0), (-1.0, 1.0)]
-        result = self.assert_multistart_matches(problem, n_starts=6, seed=3, box=box)
-        assert any(size > 8 for size in raised)
-        # the first start alone, as a one-start search
-        alone = multistart_descent(problem, n_starts=1, seed=3, box=box)
-        assert alone.start_values == result.start_values[:1]
 
     @staticmethod
     def sequential_repair(region, point, directions):
@@ -605,7 +578,7 @@ class TestPollsMatchSequentialLoops:
         return np.clip(z, lo, hi)
 
     def assert_refine_matches(self, problem, region, start, h, box):
-        value = problem.objective_value(start)
+        value = value_at(problem, start)
         got = _coordinate_refine(problem, region, start, value, h, box)
         want = self.sequential_refine(problem, region, start, value, h, box)
         assert tuple(got[0]) == tuple(want[0])
@@ -613,7 +586,7 @@ class TestPollsMatchSequentialLoops:
 
     def test_coordinate_refine(self):
         omrf = constrained_omrf()
-        problem = CallableProblem(omrf.objective_value, omrf.region)
+        problem = pointwise(omrf.objective_value, omrf.region)
         box = ball_box(omrf.region)
         for start in np.random.default_rng(8).uniform(0.3, 0.9, (5, 2)):
             if omrf.region.contains(start):
@@ -622,10 +595,10 @@ class TestPollsMatchSequentialLoops:
 
     def test_coordinate_refine_ties_and_box_edges(self):
         box = [(-1.0, 1.0), (-1.0, 1.0)]
-        flat = CallableProblem(lambda p: 0.0)
+        flat = pointwise(lambda p: 0.0)
         self.assert_refine_matches(flat, None, np.array([0.2, -0.3]), 0.1, box)
         # descent pushes against the corner: moves out of the box are not polled
-        outward = CallableProblem(lambda p: -float(p[0] + 2.0 * p[1]))
+        outward = pointwise(lambda p: -float(p[0] + 2.0 * p[1]))
         self.assert_refine_matches(outward, None, np.array([0.35, 0.5]), 0.25, box)
 
     def test_repair(self):
@@ -642,7 +615,7 @@ class TestPollsMatchSequentialLoops:
         region = SemialgebraicSet(
             universe, [], [Polynomial.constant(universe, 1.0)], 4.0, (0, 1)
         )
-        problem = CallableProblem(lambda p: 0.0, region)
+        problem = pointwise(lambda p: 0.0, region)
         point = np.array([0.1, 0.2])
         got_point, _, feasible, used = _repair(problem, region, point, _stencil(2))
         want_point, want_used = self.sequential_repair(region, point, _stencil(2))

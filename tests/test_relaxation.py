@@ -352,7 +352,9 @@ class TestSparseDenseCoincidence:
         # one function: single clique covering every variable
         assert len(lift.cliques) == 1
         r = min_order(lift).r_min
-        assert build_sparse(lift, r) == build_dense(lift, r)
+        sparse, dense = build_sparse(lift, r), build_dense(lift, r)
+        assert relaxation_digest(sparse) == relaxation_digest(dense)
+        assert (sparse.order, sparse.original_variables) == (dense.order, dense.original_variables)
 
 
 class TestDiracInvariant:
