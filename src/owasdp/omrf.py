@@ -14,7 +14,10 @@ set (``LiftedProblem``):
   as ``sum_k (lambda_k - lambda_{k+1}) S_k`` over the sums ``S_k`` of the k
   largest values: an epigraph variable and one slack per function for each
   level with a positive difference, 0/1 selectors of the k largest values
-  for each level with a negative one.
+  for each level with a negative one.  The top level ``S_m`` is the plain
+  sum of the functions and enters the objective as it stands, unless
+  clearing it would multiply two or more nonconstant denominators that no
+  selector level brings in anyway.
 
 ``build_auto`` sends nonincreasing nonnegative weights (the k-centrum
 ``(1,..,1,0,..,0)`` among them) and trimming windows
@@ -221,8 +224,10 @@ class OmrfProblem:
 class LiftedProblem:
     """Polynomial optimization problem equivalent to an ``OmrfProblem``.
 
-    The objective is the ratio ``objective_num / objective_den`` (denominator
-    1 for telescoping lifts without selector levels).  ``cliques`` lists variable groups that cover
+    The objective is the ratio ``objective_num / objective_den``.  The
+    denominator is the product of the function denominators, except on
+    telescoping lifts with neither a selector level nor a plain top-level
+    sum, where it is 1.  ``cliques`` lists variable groups that cover
     every objective term and every inequality constraint; the ordered list
     satisfies the running intersection property.  Equality constraints may
     couple variables across cliques (relaxations impose those only as scalar
@@ -584,15 +589,25 @@ def build_general_lift(problem: OmrfProblem) -> LiftedProblem:
     )
 
 
-def _telescoping_levels(weights: LambdaWeights) -> Tuple[List[float], List[int], List[int]]:
-    """The differences ``lambda_k - lambda_{k+1}`` of constant weights (with
-    ``lambda_{m+1} = 0``, indexed from 0) and the levels where they are
-    positive and negative."""
-    padded = weights.padded_constant_values()
-    deltas = [padded[k] - padded[k + 1] for k in range(weights.m)]
+def _telescoping_levels(problem: OmrfProblem) -> Tuple[List[float], List[int], List[int], bool]:
+    """The differences ``D_k = lambda_k - lambda_{k+1}`` of constant weights
+    (with ``lambda_{m+1} = 0``, indexed from 0), the levels that get an
+    epigraph, the levels with ``D_k < 0``, and whether the top level
+    ``S_m = sum_j f_j`` enters the objective as a plain sum.
+
+    A positive top level is a plain sum unless the sum would have to be
+    cleared over two or more nonconstant denominators while no selector
+    level clears the objective already; its epigraph then keeps the
+    objective's degree down.
+    """
+    m = problem.m
+    padded = problem.weights.padded_constant_values()
+    deltas = [padded[k] - padded[k + 1] for k in range(m)]
     positive = [k for k, d in enumerate(deltas) if d > 0.0]
     negative = [k for k, d in enumerate(deltas) if d < 0.0]
-    return deltas, positive, negative
+    nonconstant = sum(not f.denominator.is_constant() for f in problem.functions)
+    direct = deltas[m - 1] > 0.0 and (bool(negative) or nonconstant < 2)
+    return deltas, positive[:-1] if direct else positive, negative, direct
 
 
 def build_telescoping(problem: OmrfProblem) -> LiftedProblem:
@@ -601,24 +616,30 @@ def build_telescoping(problem: OmrfProblem) -> LiftedProblem:
     ``S_k`` is the sum of the ``k`` largest values and
     ``D_k = lambda_k - lambda_{k+1}`` with ``lambda_{m+1} = 0``.
 
-    A level with ``D_k > 0`` gets an epigraph variable ``t_k`` and slacks
-    ``r_kj`` with ``t_k + r_kj >= f_j`` (denominator-cleared), one clique
+    The top level ``S_m`` is the plain sum ``sum_j f_j``.  With ``D_m > 0``
+    it is added to the objective directly, unless clearing it would
+    multiply two or more nonconstant denominators that no selector level
+    brings in anyway (``_telescoping_levels``).  Every other level with
+    ``D_k > 0`` gets an epigraph variable ``t_k`` and slacks ``r_kj`` with
+    ``t_k + r_kj >= f_j`` (denominator-cleared), one clique
     ``(x, t_k, r_kj)`` per function, and adds ``D_k (k t_k + sum_j r_kj)``.
     A level with ``D_k < 0`` gets 0/1 selectors ``v_kj`` with
-    ``sum_j v_kj = k`` marking the ``k`` largest values; ``v_kj`` joins
-    column ``j``'s clique of the first positive level, the level adds
-    ``D_k sum_j v_kj f_j``, and the whole objective is then taken over the
-    product of the denominators.  A level with ``D_k = 0`` gets no
-    variables, so all-zero weights leave the original variables alone with
-    objective 0.  Box and redundant ball constraints bound every auxiliary
-    variable.  Weights (1,..,1,0,..,0), nonincreasing nonnegative weights
-    and windows (0,..,0,1,..,1,0,..,0) have no or one negative level.
+    ``sum_j v_kj = k`` marking the ``k`` largest values and adds
+    ``D_k sum_j v_kj f_j``; ``v_kj`` joins column ``j``'s clique of the
+    first epigraph level, or the clique ``(x, v_.j)`` when no level has an
+    epigraph.  A plain sum or a selector level takes the whole objective
+    over the product of the denominators.  A level with ``D_k = 0`` gets no
+    variables, so all-zero weights and polynomial plain sums leave the
+    original variables alone in one clique.  Box and redundant ball
+    constraints bound every auxiliary variable.  Weights (1,..,1,0,..,0),
+    nonincreasing nonnegative weights and windows (0,..,0,1,..,1,0,..,0)
+    have no or one negative level.
     """
     if not problem.weights.is_constant():
         raise PatternMismatchError("telescoping needs constant weights")
     m = problem.m
-    deltas, positive, negative = _telescoping_levels(problem.weights)
-    if negative and not positive:
+    deltas, epigraph, negative, direct = _telescoping_levels(problem)
+    if negative and not (epigraph or direct):
         raise PatternMismatchError("weights need a level with lambda_k > lambda_{k+1}")
     g = _prepare(problem)
     ext = g.ext
@@ -627,9 +648,9 @@ def build_telescoping(problem: OmrfProblem) -> LiftedProblem:
     upper = max(hi for _, hi in bounds)
     r_boxes = [(0.0, bounds[j][1] - lower) for j in range(m)]
 
-    t_ids = [ext.add(_fresh_name(ext, f"t_{k + 1}")) for k in positive]
+    t_ids = [ext.add(_fresh_name(ext, f"t_{k + 1}")) for k in epigraph]
     r_ids = [
-        [ext.add(_fresh_name(ext, f"r_{k + 1}_{j + 1}")) for j in range(m)] for k in positive
+        [ext.add(_fresh_name(ext, f"r_{k + 1}_{j + 1}")) for j in range(m)] for k in epigraph
     ]
     v_ids = [
         [ext.add(_fresh_name(ext, f"v_{k + 1}_{j + 1}")) for j in range(m)] for k in negative
@@ -648,14 +669,23 @@ def build_telescoping(problem: OmrfProblem) -> LiftedProblem:
         inequalities.extend((tk - lower, upper - tk))
     for rk in r:
         inequalities.extend(r_boxes[j][1] - rk[j] for j in range(m))
+    # The boxes of each clique's auxiliaries: (t_k, r_kj) per epigraph level
+    # and column, with the selectors v_.j in the first level's column j.
+    clique_boxes = [
+        [(tid, lower, upper), (rk_ids[j], *r_boxes[j])]
+        for tid, rk_ids in zip(t_ids, r_ids)
+        for j in range(m)
+    ]
+    if v_ids:
+        if not t_ids:
+            clique_boxes = [[] for _ in range(m)]
+        for j in range(m):
+            clique_boxes[j].extend((row[j], 0.0, 1.0) for row in v_ids)
     x = list(g.x_ids)
     cliques = []
-    for level, (tid, rk_ids) in enumerate(zip(t_ids, r_ids)):
-        for j in range(m):  # redundant per-clique ball over the auxiliaries
-            selectors = [row[j] for row in v_ids] if level == 0 else []
-            boxes = [(tid, lower, upper), (rk_ids[j], *r_boxes[j])]
-            inequalities.append(_box_ball(ext, boxes + [(s, 0.0, 1.0) for s in selectors]))
-            cliques.append(tuple(sorted(x + [tid, rk_ids[j]] + selectors)))
+    for boxes in clique_boxes:  # redundant per-clique ball over the auxiliaries
+        inequalities.append(_box_ball(ext, boxes))
+        cliques.append(tuple(sorted(x + [vid for vid, _, _ in boxes])))
 
     equalities = list(g.equalities)
     for k, vk in zip(negative, v):
@@ -666,20 +696,24 @@ def build_telescoping(problem: OmrfProblem) -> LiftedProblem:
         equalities.extend(vj**2 - vj for vj in vk)
 
     objective = Polynomial.zero(ext)
-    for k, tk, rk in zip(positive, t, r):
+    for k, tk, rk in zip(epigraph, t, r):
         level = tk * float(k + 1)
         for rj in rk:
             level = level + rj
         objective = objective + deltas[k] * level
     objective_den = Polynomial.constant(ext, 1.0)
-    if negative:
+    if negative or direct:
         # (sum of the epigraph levels) * prod_j q_j
         #   + sum_k D_k sum_j v_kj p_j prod_{i != j} q_i
+        #   + D_m sum_j p_j prod_{i != j} q_i  (the plain top level)
         objective_den, cleared = _cleared_numerators(g)
         objective = objective * objective_den
         for k, vk in zip(negative, v):
             for j in range(m):
                 objective = objective + deltas[k] * (vk[j] * cleared[j])
+        if direct:
+            for j in range(m):
+                objective = objective + deltas[m - 1] * cleared[j]
 
     scales = [g.x_scale] * len(x) + [_scale_hint(lower, upper)] * len(t)
     scales += [_scale_hint(*r_boxes[j]) for _ in r for j in range(m)]
@@ -742,8 +776,8 @@ def lifted_witness(
         for position, func_index in enumerate(order):
             z[flat_w[func_index * m + position]] = 1.0
     elif lifted.form == "telescoping":
-        _, positive, negative = _telescoping_levels(problem.weights)
-        for level, k in enumerate(positive):  # t_k at the k-th largest value
+        _, epigraph, negative, _ = _telescoping_levels(problem)
+        for level, k in enumerate(epigraph):  # t_k at the k-th largest value
             t_val = values[order[k]]
             z[groups["t"][level]] = t_val
             for j in range(m):

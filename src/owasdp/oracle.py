@@ -48,6 +48,19 @@ _GRID_CHUNK = 65536
 _PENALTY = 1e4
 _MIN_STEP = 1e-8
 
+# Round caps of a descent that has not converged: pattern-search rounds per
+# descent and rounds of the grid's coordinate refinement.
+_MAX_DESCENT_ROUNDS = 100000
+_MAX_REFINE_ROUNDS = 10000
+
+# Random draws of one start, the last of which is kept even outside the
+# ball, and the constraint sweeps of one Newton restoration.
+_MAX_START_DRAWS = 200
+_RESTORE_SWEEPS = 3
+
+# Constraint violation up to which a point counts as feasible.
+_FEASIBLE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -95,17 +108,15 @@ def _safe_value(problem, point: np.ndarray) -> float:
     return float(_evaluate_block(problem, point[None, :])[0])
 
 
-def _feasible_mask(
-    region: SemialgebraicSet, points: np.ndarray, tol: float = 1e-9
-) -> np.ndarray:
+def _feasible_mask(region: SemialgebraicSet, points: np.ndarray) -> np.ndarray:
     mask = np.ones(len(points), dtype=bool)
     for h in region.equalities:
-        mask &= np.abs(h.evaluate_many(points)) <= tol
+        mask &= np.abs(h.evaluate_many(points)) <= _FEASIBLE_TOL
     for g in region.inequalities:
-        mask &= g.evaluate_many(points) >= -tol
+        mask &= g.evaluate_many(points) >= -_FEASIBLE_TOL
     ball = region.ball_values(points)
     if ball is not None:
-        mask &= ball >= -tol
+        mask &= ball >= -_FEASIBLE_TOL
     return mask
 
 
@@ -198,7 +209,6 @@ def _coordinate_refine(
     value: float,
     h: float,
     box: Box,
-    max_rounds: int = 10000,
 ) -> Tuple[np.ndarray, float, int]:
     """Fixed-step steepest coordinate descent inside the box.
 
@@ -214,7 +224,7 @@ def _coordinate_refine(
     lo = np.array([b[0] for b in box], dtype=float)[moved_axis]
     hi = np.array([b[1] for b in box], dtype=float)[moved_axis]
     evaluations = 0
-    for _ in range(max_rounds):
+    for _ in range(_MAX_REFINE_ROUNDS):
         candidates = point + h * moves
         moved = candidates[rows, moved_axis]
         candidates = candidates[~((moved < lo) | (moved > hi))]
@@ -319,12 +329,11 @@ def _draw_start(
     lo: np.ndarray,
     hi: np.ndarray,
     region: Optional[SemialgebraicSet],
-    max_tries: int = 200,
 ) -> np.ndarray:
     point = lo + (hi - lo) * rng.random(len(lo))
     if region is None or region.ball_bound is None:
         return point
-    for _ in range(max_tries):
+    for _ in range(_MAX_START_DRAWS):
         ss = sum(point[v] ** 2 for v in region.ball_variables)
         if ss <= region.ball_bound:
             return point
@@ -360,7 +369,6 @@ def _newton_restore(
     point: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    sweeps: int = 3,
 ) -> Optional[np.ndarray]:
     """Project a slightly infeasible point back onto the region boundary.
 
@@ -371,7 +379,7 @@ def _newton_restore(
     """
     z = np.array(point, dtype=float)
     ball_variables = list(region.ball_variables)
-    for _ in range(sweeps):
+    for _ in range(_RESTORE_SWEEPS):
         moved = False
         for g in region.inequalities:
             value = g.evaluate(z)
@@ -417,7 +425,6 @@ def _lockstep_search(
     lo: np.ndarray,
     hi: np.ndarray,
     directions: np.ndarray,
-    max_iters: int = 100000,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Pattern-search descents from every row of ``starts``, stepped in
     lockstep; returns the final points and each descent's evaluation count.
@@ -428,7 +435,7 @@ def _lockstep_search(
     them as a second block; each descent then takes the first strict
     improvement among its own candidates, stencil rows before restored
     rows.  A descent leaves the round set when its step falls below
-    ``_MIN_STEP`` or after ``max_iters`` rounds.
+    ``_MIN_STEP`` or after ``_MAX_DESCENT_ROUNDS`` rounds.
     """
     count, width = len(starts), len(directions)
     points = np.clip(np.asarray(starts, dtype=float), lo, hi)
@@ -481,7 +488,7 @@ def _lockstep_search(
         points[live[moved]] = raw[rows[moved], best[moved]]
         merits[live[moved]] = chosen[moved]
         steps[live] = np.where(moved, np.minimum(steps[live] * 2.0, span), steps[live] * 0.5)
-        live = live[(steps[live] >= _MIN_STEP) & (iterations[live] < max_iters)]
+        live = live[(steps[live] >= _MIN_STEP) & (iterations[live] < _MAX_DESCENT_ROUNDS)]
     return points, evaluations
 
 
@@ -495,10 +502,10 @@ def _repair(
 
     Descends on the constraint violation alone with the same pattern search,
     one batched violation poll per round; reports whether the final point is
-    feasible within 1e-9.
+    feasible within ``_FEASIBLE_TOL``.
     """
     evaluations = 1
-    if region is None or region.contains(point, 1e-9):
+    if region is None or region.contains(point, _FEASIBLE_TOL):
         return point, _safe_value(problem, point), True, evaluations
     violation = float(_violation_block(region, point[None, :])[0])
     h = 1e-2
@@ -512,5 +519,5 @@ def _repair(
             h *= 2.0
         else:
             h *= 0.5
-    feasible = region.contains(point, 1e-9)
+    feasible = region.contains(point, _FEASIBLE_TOL)
     return point, _safe_value(problem, point), feasible, evaluations

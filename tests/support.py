@@ -271,3 +271,36 @@ def random_sign_mixed_problem(rng, rational=None, max_m=4):
         deltas = values - np.append(values[1:], 0.0)
         if (deltas > 0.0).any() and (deltas < 0.0).sum() >= 2:
             return with_constant_weights(problem, values)
+
+
+# Constant position weights of each telescoping weight class, over three
+# functions (and one for "single").
+WEIGHT_CLASSES = {
+    "kcentrum": (1.0, 1.0, 0.0),
+    "plainsum": (1.0, 1.0, 1.0),
+    "monotone": (2.0, 1.5, 0.5),
+    "window": (0.0, 1.0, 1.0),
+    "window2": (0.0, 1.0, 0.0),
+    "signmixed": (0.5, 1.0, 2.0),
+    "allzero": (0.0, 0.0, 0.0),
+    "single": (1.5,),
+}
+
+
+def weight_class_problem(weight_class, rational):
+    """Ordered median of quadratics in one variable over the ball x^2 <= 4,
+    with the weights of ``WEIGHT_CLASSES[weight_class]``; ``rational``
+    divides each by its own quadratic denominator."""
+    from owasdp.omrf import LambdaWeights, OmrfProblem
+    from owasdp.polynomial import RationalFunction
+
+    weights = WEIGHT_CLASSES[weight_class]
+    universe = VariableUniverse(["x"])
+    numerators = ("x^2 - 1", "x - 0.5*x^2 + 0.3", "0.5 - x")[: len(weights)]
+    denominators = ("1 + x^2", "2 + 0.5*x^2", "1.5 + x^2") if rational else ("1",) * 3
+    functions = tuple(
+        RationalFunction(parse(p, universe), parse(q, universe))
+        for p, q in zip(numerators, denominators)
+    )
+    ground = SemialgebraicSet(universe, [], [])
+    return OmrfProblem(functions, LambdaWeights.constants(universe, weights), ground, 4.0)

@@ -33,10 +33,12 @@ from owasdp.polynomial import (
 )
 
 from support import (
+    WEIGHT_CLASSES,
     abs_evaluate,
     random_omrf_point,
     random_omrf_problem,
     random_sign_mixed_problem,
+    weight_class_problem,
     with_constant_weights,
 )
 
@@ -572,8 +574,16 @@ class TestMonotone:
         )
         lifted = build_telescoping(problem)
         assert lifted.form == "telescoping"
-        assert len(lifted.universe) == 1 + 3 + 9
-        assert len(lifted.cliques) == 9
+        # levels 1 and 2 get epigraphs; the top level is the plain sum
+        assert len(lifted.universe) == 1 + 2 + 6
+        assert len(lifted.cliques) == 6
+        assert lifted.objective_den == Polynomial.constant(lifted.universe, 1.0)
+        expected = parse(
+            "t_1 + r_1_1 + r_1_2 + r_1_3 + 2*t_2 + r_2_1 + r_2_2 + r_2_3"
+            " + 4*x^2 - x + 1",
+            lifted.universe,
+        )
+        assert lifted.objective_num == expected
         assert putinar_structurally_bounded(lifted)
         assert running_intersection_holds(lifted.cliques)
 
@@ -582,9 +592,12 @@ class TestMonotone:
             ("x",), ("x^2", "x^2 - x", "2*x^2 + 1"), (2.0, 2.0, 1.0), ball=9.0
         )
         lifted = build_telescoping(problem)
-        assert group_sizes(lifted) == {"t": 2, "r": 6, "v": 0}
+        # D = (0, 1, 1): no level 1, an epigraph for level 2 and the plain
+        # sum for level 3
+        assert group_sizes(lifted) == {"t": 1, "r": 3, "v": 0}
         assert "t_1" not in lifted.universe
-        assert len(lifted.cliques) == 6
+        assert "t_3" not in lifted.universe
+        assert len(lifted.cliques) == 3
         assert_lift_sound(problem, lifted, np.array([0.3]))
 
     def test_telescoping_identity(self):
@@ -661,7 +674,9 @@ class TestTrimmed:
     def test_zero_trim_is_plain_sum(self):
         problem = self.make([1.0, 1.0, 1.0, 1.0])
         lifted = build_telescoping(problem)
-        assert group_sizes(lifted) == {"t": 1, "r": 4, "v": 0}
+        assert group_sizes(lifted) == {"t": 0, "r": 0, "v": 0}
+        assert lifted.cliques == ((0,),)
+        assert lifted.objective_num == parse("4*x^2 + 2", lifted.universe)
         x = np.array([0.4])
         z = lifted_witness(problem, lifted, x)
         total = sum(f.evaluate(x) for f in problem.functions)
@@ -696,7 +711,8 @@ class TestTrimmed:
 
 class TestSignMixed:
     def test_structure(self):
-        # differences (-0.5, -1, 2): two selector levels, one epigraph level
+        # differences (-0.5, -1, 2): two selector levels and the top level
+        # as a plain sum, so no epigraph
         problem = make_problem(
             ("x",),
             ("x^2", "x^2 - x", "2*x^2 + 1"),
@@ -705,10 +721,10 @@ class TestSignMixed:
             ball=4.0,
         )
         lifted = build_telescoping(problem)
-        assert group_sizes(lifted) == {"t": 1, "r": 3, "v": 6}
+        assert group_sizes(lifted) == {"t": 0, "r": 0, "v": 6}
         assert len(lifted.cliques) == 3
         for clique in lifted.cliques:
-            assert len(clique) == 1 + 1 + 1 + 2  # x, t_3, r_3j, v_1j, v_2j
+            assert len(clique) == 1 + 2  # x, v_1j, v_2j
         v_ids = dict(lifted.variable_groups)["v"]
         sums = [
             h for h in lifted.equality_constraints if len(h.variables()) == 3
@@ -740,6 +756,56 @@ class TestSignMixed:
         assert_lift_sound(problem, lifted, np.array([0.3, -1.2]))
 
 
+class TestTopLevel:
+    """The top level S_m = sum_j f_j is a plain sum unless clearing it would
+    multiply two or more nonconstant denominators with no selector level."""
+
+    def test_rational_plain_sum_keeps_its_epigraph(self):
+        problem = weight_class_problem("plainsum", rational=True)
+        lifted = build_telescoping(problem)
+        assert group_sizes(lifted) == {"t": 1, "r": 3, "v": 0}
+        assert "t_3" in lifted.universe
+        assert lifted.objective_den == Polynomial.constant(lifted.universe, 1.0)
+
+    def test_single_rational_function_is_its_quotient(self):
+        problem = weight_class_problem("single", rational=True)
+        lifted = build_telescoping(problem)
+        assert lifted.universe.names == ("x",)
+        assert lifted.objective_num == parse("1.5*x^2 - 1.5", lifted.universe)
+        assert lifted.objective_den == parse("1 + x^2", lifted.universe)
+
+    def test_one_rational_denominator_is_a_plain_sum(self):
+        problem = make_problem(
+            ("x",), ("x^2", "x"), (2.0, 1.0), denominator_texts=("1 + x^2", "2")
+        )
+        lifted = build_telescoping(problem)
+        assert group_sizes(lifted) == {"t": 1, "r": 2, "v": 0}
+        assert lifted.objective_den == parse("2 + 2*x^2", lifted.universe)
+        for x in (-1.5, 0.0, 0.8):
+            assert_lift_sound(problem, lifted, np.array([x]))
+
+    def test_rational_window_clears_over_the_selectors(self):
+        # D = (-1, 0, 1): one selector level and the plain sum, so each
+        # column j gets the clique (x, v_1j) with a ball over its selector
+        problem = weight_class_problem("window", rational=True)
+        lifted = build_telescoping(problem)
+        assert group_sizes(lifted) == {"t": 0, "r": 0, "v": 3}
+        v_ids = dict(lifted.variable_groups)["v"]
+        assert lifted.cliques == tuple((0, vid) for vid in v_ids)
+        assert not lifted.objective_den.is_constant()
+        assert putinar_structurally_bounded(lifted)
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["poly", "rational"])
+    @pytest.mark.parametrize("weight_class", sorted(WEIGHT_CLASSES))
+    def test_witness_is_sound(self, weight_class, rational):
+        problem = weight_class_problem(weight_class, rational)
+        lifted = build_telescoping(problem)
+        for x in np.linspace(-2.0, 2.0, 9):
+            assert_lift_sound(problem, lifted, np.array([x]))
+        assert putinar_structurally_bounded(lifted)
+        assert running_intersection_holds(lifted.cliques)
+
+
 # ---------------------------------------------------------------------------
 # Dispatcher
 # ---------------------------------------------------------------------------
@@ -750,7 +816,9 @@ class TestBuildAuto:
         problem = make_problem(("x",), ("x", "1 - x"), (1.0, 1.0), ball=4.0)
         lifted = build_auto(problem)
         assert lifted.form == "telescoping"
-        assert group_sizes(lifted) == {"t": 1, "r": 2, "v": 0}
+        # k = m: the plain sum x + (1 - x)
+        assert group_sizes(lifted) == {"t": 0, "r": 0, "v": 0}
+        assert lifted.objective_num == Polynomial.constant(lifted.universe, 1.0)
 
     def test_window_routes_to_trimmed(self):
         problem = make_problem(("x",), ("x", "1 - x", "x^2"), (0.0, 1.0, 0.0), ball=4.0)
@@ -762,7 +830,7 @@ class TestBuildAuto:
         problem = make_problem(("x",), ("x", "1 - x"), (3.0, 1.0), ball=4.0)
         lifted = build_auto(problem)
         assert lifted.form == "telescoping"
-        assert group_sizes(lifted) == {"t": 2, "r": 4, "v": 0}
+        assert group_sizes(lifted) == {"t": 1, "r": 2, "v": 0}
 
     def test_generic_routes_to_general(self):
         problem = make_problem(("x",), ("x", "1 - x"), (1.0, -1.0), ball=4.0)

@@ -44,6 +44,7 @@ from owasdp.moment import MomentIndex, monomial_rows
 
 from support import (
     DEMO_POINTS,
+    WEIGHT_CLASSES,
     dirac_moments,
     hand_lift,
     localizing_matrix,
@@ -53,6 +54,7 @@ from support import (
     random_sign_mixed_problem,
     row_monomials,
     two_point_weber_lift,
+    weight_class_problem,
     with_constant_weights,
 )
 
@@ -426,6 +428,13 @@ class TestDiracInvariant:
             lift = build_telescoping(problem)
             self.check(problem, lift, min_order(lift).r_min)
 
+    @pytest.mark.parametrize("rational", [False, True], ids=["poly", "rational"])
+    @pytest.mark.parametrize("weight_class", sorted(WEIGHT_CLASSES))
+    def test_weight_class(self, weight_class, rational):
+        problem = weight_class_problem(weight_class, rational)
+        lift = build_telescoping(problem)
+        self.check(problem, lift, min_order(lift).r_min)
+
 
 class TestSizeStatsEdge:
     def test_empty_problem_reports_zeros(self):
@@ -595,16 +604,18 @@ GOLDEN_DIGESTS = {
     "ladder-trimmed": "2534fd69cf260daa664f02de216d62e4384f2545aed532eb1b3fe98ce66ef61c",
     "ladder-range": "629472cab04c5499efd3fee70d9debb9bd4e446cf2a267afb18ebb311100a4e4",
     "ladder-general": "f1fb746ca52801bf925e1a70da865a9357bf276327a107611cb45bf85452bcba",
-    "omrf-monotone": "49475d1a20ea90c6eb26d1e47fe2dd34cd694365b55b220a62582b9791c05765",
-    "omrf-trimmed": "3261410f1490e2adba2c4570bf58779ebd76a3a1fd7e9359b26b7de5dd6a0d0c",
     # Re-recorded when unpaired odd-degree inequalities moved to the
     # truncation order r - ceil(d/2): each of these lifts has a cubic
     # epigraph row whose block shrank.
     "omrf-general": "d39fd6d7745c0582780021fff0490cb40985ee51cd45ea32b611cbe7eadb3424",
     "omrf-kcentrum": "178d10e0073fb3d214b62a0dcdc7aab935bd26936410b178716d0b22d2567911",
     "omrf-monotone3": "e3005ebfa984ac328687ee6e89c99c2ec93824de8ea50657786599b88df1f160",
-    "omrf-trimmedrational": "730191ca9ffbd8ed6682c6a4618cffd6947fb9187d027298771ff6c35292c3d7",
     "omrf-kcentrum2of3": "3f463b97ba455b1417f6ac705c5052cf55b55703b86c899abbfc3e5d37e86aaa",
+    # Re-recorded when a positive top telescoping level became the plain sum
+    # of the functions: these lifts lost the epigraph of that level.
+    "omrf-monotone": "d226ddc09431fc06f7fa3a180f6a24c6b6be032ca41aec7a68c51d1f0d209dcd",
+    "omrf-trimmed": "74ab714206deb15d0f369183b765ad7b0f42d26df49fc614d18d4e265df0e9fd",
+    "omrf-trimmedrational": "39de37b45aad84c1881647f15139e75524298920f51a8c239941b9e9e9a07648",
     "demo-l3": "03f3c4892e87f6f55827a5b84715da0871adf983591cbad8ee4d6df0b2a97ee5",
     # Recorded from the per-variant location builders that ``build_lifted``
     # folded into one scaffold.

@@ -49,11 +49,13 @@ from owasdp.solver import (
 )
 
 from support import (
+    WEIGHT_CLASSES,
     hand_lift,
     psd_block,
     random_omrf_problem,
     random_sign_mixed_problem,
     two_point_weber_lift,
+    weight_class_problem,
 )
 
 
@@ -1464,17 +1466,42 @@ class TestTelescopingBounds:
             assert result.objective <= reference + 1e-6 * (1.0 + abs(reference))
         return result, reference
 
-    def test_sign_mixed(self):
-        # Most selector lifts stall at the minimum order (numerical_failure,
-        # no bound), as the trimmed lifts do; every solved one is checked.
-        rng = np.random.default_rng(8)
+    def solved_count(self, problems, step=None):
+        """How many of ``problems`` solve; each solved bound is checked
+        against a grid of ``step``, by default 1e-2 in one variable and
+        5e-2 in two."""
         solved = 0
-        for _ in range(8):
-            problem = random_sign_mixed_problem(rng, rational=False, max_m=3)
-            step = 1e-2 if len(problem.universe) == 1 else 5e-2
-            result, _ = self.bound_and_reference(problem, step)
+        for problem in problems:
+            grid = step or (1e-2 if len(problem.universe) == 1 else 5e-2)
+            result, _ = self.bound_and_reference(problem, grid)
             solved += result.status.solved()
-        assert solved >= 2
+        return solved
+
+    def test_sign_mixed(self):
+        # Three of these selector lifts still stall at the minimum order
+        # (numerical_failure, no bound).
+        rng = np.random.default_rng(8)
+        problems = [random_sign_mixed_problem(rng, rational=False, max_m=3) for _ in range(8)]
+        assert self.solved_count(problems) >= 5
+
+    def test_trimmed(self):
+        # Windows that discard the largest values; one of these selector
+        # lifts still stalls at the minimum order.
+        rng = np.random.default_rng(7)
+        problems = [
+            random_omrf_problem(rng, "trimmed", rational=False, max_m=3) for _ in range(10)
+        ]
+        assert self.solved_count(problems) >= 9
+
+    def test_weight_classes(self):
+        # Every telescoping weight class, polynomial and rational; the
+        # rational window with k2 > 0 (order 4) still stalls.
+        problems = [
+            weight_class_problem(weight_class, rational)
+            for weight_class in WEIGHT_CLASSES
+            for rational in (False, True)
+        ]
+        assert self.solved_count(problems, step=1e-3) >= len(problems) - 1
 
     def test_all_zero(self):
         universe = VariableUniverse(["x", "y"])
