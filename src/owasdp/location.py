@@ -21,7 +21,8 @@ rank weights, trimmed selectors) also cap each distance variable.  The
 variant's builder then adds its aggregation variables, constraints and
 cliques; the general variant takes the assignment lift of
 :func:`~owasdp.omrf.build_assignment`, the one ``build_general_lift`` uses,
-over the weighted distances.
+over the weighted distances: ``n*(n-1)`` assignment variables, since each
+rank column sums to one and the last anchor's row is one minus the others.
 
 Per-anchor variables stay in their own clique (all cliques share the
 facility coordinates plus any aggregation variables), and every anchor has
@@ -718,12 +719,11 @@ def _general(scaffold: _Scaffold) -> LiftedProblem:
     n = instance.n
     weighted = [instance.weights[i] * scaffold.u(i) for i in range(n)]
     lift = build_assignment(scaffold.ext, weighted)
-    scaffold.scales.extend([1.0] * (n * n))
+    scaffold.scales.extend([1.0] * len(lift.flat_ids))
 
-    for row_sum, binaries in zip(lift.row_sums, lift.binaries):
+    for binaries in lift.binaries:
         scaffold.equalities.extend(binaries)
-        scaffold.equalities.append(row_sum)
-    scaffold.equalities.extend(lift.column_sums)
+    scaffold.equalities.extend(lift.row_sums)
     scaffold.inequalities.extend(lift.column_balls)
     scaffold.inequalities.extend(lift.ordering)
     objective = Polynomial.zero(scaffold.ext)
@@ -799,7 +799,8 @@ def lifted_witness(
             z[[groups["s"][i] for i in order[:k1]]] = 1.0
     elif lifted.form == "general-loc":
         for rank, i in enumerate(order):
-            z[groups["w"][i * n + rank]] = 1.0
+            if i < n - 1:  # the last row is one minus the others
+                z[groups["w"][i * n + rank]] = 1.0
     elif lifted.form != "weber":
         raise ValueError(f"unknown lifted form {lifted.form!r}")
     return z

@@ -6,18 +6,20 @@ values of finitely many rational functions.  This module models such problems
 rewrites them as polynomial optimization problems over an extended variable
 set (``LiftedProblem``):
 
-* ``build_general_lift`` introduces one 0/1 assignment variable per
-  (function, sorted position) pair and supports arbitrary, even polynomial,
-  position weights; its assignment lift (``build_assignment``) is shared
-  with the general location variant, which sorts weighted distances;
+* ``build_general_lift`` sorts with a 0/1 assignment matrix (function,
+  sorted position) and supports arbitrary, even polynomial, position
+  weights.  Its columns sum to one, so the last row is one minus the
+  others and only ``m*(m-1)`` entries are variables.  The assignment lift
+  (``build_assignment``) is shared with the general location variant,
+  which sorts weighted distances;
 * ``build_telescoping`` handles constant weights by writing the objective
   as ``sum_k (lambda_k - lambda_{k+1}) S_k`` over the sums ``S_k`` of the k
   largest values: an epigraph variable and one slack per function for each
-  level with a positive difference, 0/1 selectors of the k largest values
-  for each level with a negative one.  The top level ``S_m`` is the plain
-  sum of the functions and enters the objective as it stands, unless
-  clearing it would multiply two or more nonconstant denominators that no
-  selector level brings in anyway.
+  level with a positive difference (the max level ``S_1`` needs no
+  slacks), 0/1 selectors of the k largest values for each level with a
+  negative one.  The top level ``S_m`` is the plain sum of the functions
+  and enters the objective as it stands, unless clearing its denominators
+  would raise the minimum relaxation order.
 
 ``build_auto`` sends nonincreasing nonnegative weights (the k-centrum
 ``(1,..,1,0,..,0)`` among them) and trimming windows
@@ -480,19 +482,22 @@ def _scale_hint(lo: float, hi: float) -> float:
 class AssignmentLift:
     """0/1 assignment encoding of the nonincreasing sort of ``m`` values.
 
-    ``ids[i][j]`` is the variable placing value ``i`` at rank ``j``, and
-    ``columns[j] = sum_i w_ij * value_i`` the value at rank ``j``.  The
+    ``w_ij`` places value ``i`` at rank ``j``.  Each column of a permutation
+    matrix sums to one, so only rows ``0..m-2`` are variables (``ids[i][j]``)
+    and the last row is the expression ``w_mj = 1 - sum_{i<m} w_ij``.
+    ``columns[j] = sum_i w_ij * value_i`` is the value at rank ``j``.  The
     constraints come in named pieces, so each front-end appends them in its
-    own order: the equalities ``row_sums`` and ``column_sums``
-    (``sum - 1``) and ``binaries[i][j] = w_ij**2 - w_ij``; the inequalities
-    ``ordering[j] = columns[j] - columns[j + 1]`` and the redundant
-    ``column_balls[j] = m - sum_i w_ij**2`` that keep the lift compact.
+    own order: the equalities ``row_sums`` (``sum - 1`` of the variable
+    rows; the last row's follows from them) and ``binaries[i][j] =
+    w_ij**2 - w_ij`` of all ``m`` rows; the inequalities ``ordering[j] =
+    columns[j] - columns[j + 1]`` and the redundant ``column_balls[j] = m -
+    sum_i w_ij**2`` that keep the lift compact.  With ``m == 1`` there is
+    nothing to lift: no variables and no constraints.
     """
 
     ids: Tuple[Tuple[VarId, ...], ...]
     columns: Tuple[Polynomial, ...]
     row_sums: Tuple[Polynomial, ...]
-    column_sums: Tuple[Polynomial, ...]
     binaries: Tuple[Tuple[Polynomial, ...], ...]
     ordering: Tuple[Polynomial, ...]
     column_balls: Tuple[Polynomial, ...]
@@ -504,51 +509,36 @@ class AssignmentLift:
 
     def cliques(self, shared: Sequence[VarId]) -> Tuple[Tuple[VarId, ...], ...]:
         """One clique per pair of adjacent rank columns, each with the
-        ``shared`` variables (the single variable's when ``m == 1``)."""
-        m = len(self.ids)
-        if m == 1:
-            return (tuple(sorted([*shared, self.ids[0][0]])),)
+        ``shared`` variables (those alone when ``m == 1``)."""
+        if not self.ids:
+            return (tuple(sorted(shared)),)
         ranks = list(zip(*self.ids))  # ranks[j]: the variables of rank j
-        return tuple(tuple(sorted([*shared, *ranks[j], *ranks[j + 1]])) for j in range(m - 1))
+        return tuple(
+            tuple(sorted([*shared, *ranks[j], *ranks[j + 1]])) for j in range(len(ranks) - 1)
+        )
 
 
 def build_assignment(ext: VariableUniverse, values: Sequence[Polynomial]) -> AssignmentLift:
-    """Register the ``m**2`` assignment variables ``w_<i>_<j>`` of
-    ``values`` in ``ext``, row by row, and build their constraints."""
+    """Register the ``m*(m-1)`` assignment variables ``w_<i>_<j>`` of the
+    first ``m - 1`` rows of ``values`` in ``ext``, row by row, and build
+    their constraints over all ``m`` rows."""
     m = len(values)
+    if m == 1:
+        return AssignmentLift((), (values[0],), (), (), (), ())
     ids = tuple(
         tuple(ext.add(_fresh_name(ext, f"w_{i + 1}_{j + 1}")) for j in range(m))
-        for i in range(m)
+        for i in range(m - 1)
     )
     w = [[Polynomial.variable(ext, vid) for vid in row] for row in ids]
-    columns = []
-    for j in range(m):
-        col = Polynomial.zero(ext)
-        for i in range(m):
-            col = col + w[i][j] * values[i]
-        columns.append(col)
-
-    def sum_minus_one(polys: Sequence[Polynomial]) -> Polynomial:
-        total = Polynomial.constant(ext, -1.0)
-        for p in polys:
-            total = total + p
-        return total
-
-    def ball(polys: Sequence[Polynomial]) -> Polynomial:
-        total = Polynomial.constant(ext, float(m))
-        for p in polys:
-            total = total - p**2
-        return total
-
-    transposed = [[row[j] for row in w] for j in range(m)]
+    w.append([1.0 - sum(row[j] for row in w) for j in range(m)])
+    columns = [sum(w[i][j] * values[i] for i in range(m)) for j in range(m)]
     return AssignmentLift(
         ids=ids,
         columns=tuple(columns),
-        row_sums=tuple(sum_minus_one(row) for row in w),
-        column_sums=tuple(sum_minus_one(col) for col in transposed),
+        row_sums=tuple(sum(row) - 1.0 for row in w[:-1]),
         binaries=tuple(tuple(p**2 - p for p in row) for row in w),
         ordering=tuple(columns[j] - columns[j + 1] for j in range(m - 1)),
-        column_balls=tuple(ball(col) for col in transposed),
+        column_balls=tuple(float(m) - sum(row[j] ** 2 for row in w) for j in range(m)),
     )
 
 
@@ -556,10 +546,11 @@ def build_general_lift(problem: OmrfProblem) -> LiftedProblem:
     """Rewrite with one 0/1 assignment variable per (function, position) pair.
 
     Supports arbitrary position weights, including polynomial and sign-mixed
-    ones, at the cost of m**2 auxiliary variables.  Feasible assignments are
-    exactly the permutation matrices that sort the function values
-    nonincreasingly; the objective is the cleared-denominator weighted sum of
-    sorted values over the product of all denominators.
+    ones, at the cost of m*(m-1) auxiliary variables (the last row of the
+    assignment is one minus the others, see ``AssignmentLift``).  Feasible
+    assignments are exactly the permutation matrices that sort the function
+    values nonincreasingly; the objective is the cleared-denominator
+    weighted sum of sorted values over the product of all denominators.
     """
     g = _prepare(problem)
     m = problem.m
@@ -572,7 +563,7 @@ def build_general_lift(problem: OmrfProblem) -> LiftedProblem:
     for j in range(m):
         objective_num = objective_num + g.lambdas[j] * lift.columns[j]
 
-    equalities = [*g.equalities, *lift.row_sums, *lift.column_sums]
+    equalities = [*g.equalities, *lift.row_sums]
     equalities.extend(b for row in lift.binaries for b in row)
     inequalities = [*g.inequalities, *lift.ordering, *lift.column_balls]
     return LiftedProblem(
@@ -585,7 +576,7 @@ def build_general_lift(problem: OmrfProblem) -> LiftedProblem:
         original_variables=g.x_ids,
         form="general",
         variable_groups=(("w", lift.flat_ids),),
-        variable_scales=(g.x_scale,) * len(g.x_ids) + (1.0,) * (m * m),
+        variable_scales=(g.x_scale,) * len(g.x_ids) + (1.0,) * len(lift.flat_ids),
     )
 
 
@@ -595,18 +586,36 @@ def _telescoping_levels(problem: OmrfProblem) -> Tuple[List[float], List[int], L
     epigraph, the levels with ``D_k < 0``, and whether the top level
     ``S_m = sum_j f_j`` enters the objective as a plain sum.
 
-    A positive top level is a plain sum unless the sum would have to be
-    cleared over two or more nonconstant denominators while no selector
-    level clears the objective already; its epigraph then keeps the
-    objective's degree down.
+    A positive top level is a plain sum unless that raises the lift's
+    minimum relaxation order, the largest ``ceil(deg / 2)`` over its
+    objective and constraints.  The two forms differ only there: the plain
+    sum puts the objective over the product of the denominators, and the
+    epigraph keeps it linear over 1 with the rows ``q_j (t + r_j) - p_j``.
+    A selector level clears the objective over that product anyway, so with
+    one the plain sum never raises the order.
     """
     m = problem.m
     padded = problem.weights.padded_constant_values()
     deltas = [padded[k] - padded[k + 1] for k in range(m)]
     positive = [k for k, d in enumerate(deltas) if d > 0.0]
     negative = [k for k, d in enumerate(deltas) if d < 0.0]
-    nonconstant = sum(not f.denominator.is_constant() for f in problem.functions)
-    direct = deltas[m - 1] > 0.0 and (bool(negative) or nonconstant < 2)
+    direct = deltas[m - 1] > 0.0
+    if direct and not negative:
+        nums = [f.numerator.degree for f in problem.functions]
+        dens = [f.denominator.degree for f in problem.functions]
+        total = sum(dens)
+        region = problem.region
+        epigraph = max(
+            2,  # the ball and the boxes
+            *(max(q + 1, p) for p, q in zip(nums, dens)),
+            *(h.degree for h in (*region.inequalities, *region.equalities)),
+        )
+        plain = max(
+            total,
+            *(p + total - q for p, q in zip(nums, dens)),
+            total + 1 if len(positive) > 1 else 0,  # D_k t_k of the other levels
+        )
+        direct = (plain + 1) // 2 <= (epigraph + 1) // 2
     return deltas, positive[:-1] if direct else positive, negative, direct
 
 
@@ -617,23 +626,25 @@ def build_telescoping(problem: OmrfProblem) -> LiftedProblem:
     ``D_k = lambda_k - lambda_{k+1}`` with ``lambda_{m+1} = 0``.
 
     The top level ``S_m`` is the plain sum ``sum_j f_j``.  With ``D_m > 0``
-    it is added to the objective directly, unless clearing it would
-    multiply two or more nonconstant denominators that no selector level
-    brings in anyway (``_telescoping_levels``).  Every other level with
-    ``D_k > 0`` gets an epigraph variable ``t_k`` and slacks ``r_kj`` with
-    ``t_k + r_kj >= f_j`` (denominator-cleared), one clique
-    ``(x, t_k, r_kj)`` per function, and adds ``D_k (k t_k + sum_j r_kj)``.
-    A level with ``D_k < 0`` gets 0/1 selectors ``v_kj`` with
-    ``sum_j v_kj = k`` marking the ``k`` largest values and adds
-    ``D_k sum_j v_kj f_j``; ``v_kj`` joins column ``j``'s clique of the
-    first epigraph level, or the clique ``(x, v_.j)`` when no level has an
-    epigraph.  A plain sum or a selector level takes the whole objective
-    over the product of the denominators.  A level with ``D_k = 0`` gets no
-    variables, so all-zero weights and polynomial plain sums leave the
-    original variables alone in one clique.  Box and redundant ball
-    constraints bound every auxiliary variable.  Weights (1,..,1,0,..,0),
-    nonincreasing nonnegative weights and windows (0,..,0,1,..,1,0,..,0)
-    have no or one negative level.
+    it is added to the objective directly, unless clearing its
+    denominators would raise the minimum relaxation order
+    (``_telescoping_levels``).  Every other level with ``D_k > 0`` gets an
+    epigraph variable ``t_k`` and slacks ``r_kj`` with ``t_k + r_kj >= f_j``
+    (denominator-cleared), one clique ``(x, t_k, r_kj)`` per function, and
+    adds ``D_k (k t_k + sum_j r_kj)``.  The max level ``S_1`` needs no
+    slacks, since ``max_j f_j = min {t : t >= f_j}``: it gets ``t_1 >= f_j``
+    and adds ``D_1 t_1``, in the one clique ``(x, t_1)``.  A level with
+    ``D_k < 0`` gets 0/1 selectors ``v_kj`` with ``sum_j v_kj = k`` marking
+    the ``k`` largest values and adds ``D_k sum_j v_kj f_j``; ``v_kj``
+    joins column ``j``'s clique of the first epigraph level (so the max
+    level's clique splits into ``(x, t_1, v_.j)``), or the clique
+    ``(x, v_.j)`` when no level has an epigraph.  A plain sum or a selector
+    level takes the whole objective over the product of the denominators.
+    A level with ``D_k = 0`` gets no variables, so all-zero weights and
+    polynomial plain sums leave the original variables alone in one
+    clique.  Box and redundant ball constraints bound every auxiliary
+    variable.  Weights (1,..,1,0,..,0), nonincreasing nonnegative weights
+    and windows (0,..,0,1,..,1,0,..,0) have no or one negative level.
     """
     if not problem.weights.is_constant():
         raise PatternMismatchError("telescoping needs constant weights")
@@ -649,8 +660,9 @@ def build_telescoping(problem: OmrfProblem) -> LiftedProblem:
     r_boxes = [(0.0, bounds[j][1] - lower) for j in range(m)]
 
     t_ids = [ext.add(_fresh_name(ext, f"t_{k + 1}")) for k in epigraph]
-    r_ids = [
-        [ext.add(_fresh_name(ext, f"r_{k + 1}_{j + 1}")) for j in range(m)] for k in epigraph
+    r_ids = [  # the max level (k = 0) has no slacks
+        [ext.add(_fresh_name(ext, f"r_{k + 1}_{j + 1}")) for j in range(m)] if k else []
+        for k in epigraph
     ]
     v_ids = [
         [ext.add(_fresh_name(ext, f"v_{k + 1}_{j + 1}")) for j in range(m)] for k in negative
@@ -662,17 +674,18 @@ def build_telescoping(problem: OmrfProblem) -> LiftedProblem:
     inequalities = list(g.inequalities)
     for tk, rk in zip(t, r):
         for j in range(m):  # t_k + r_kj >= f_j, denominators cleared
-            inequalities.append(g.denominators[j] * (tk + rk[j]) - g.numerators[j])
+            inequalities.append(g.denominators[j] * (tk + rk[j] if rk else tk) - g.numerators[j])
     for rk in r:
         inequalities.extend(rk)
     for tk in t:
         inequalities.extend((tk - lower, upper - tk))
     for rk in r:
-        inequalities.extend(r_boxes[j][1] - rk[j] for j in range(m))
+        inequalities.extend(hi - rj for rj, (_, hi) in zip(rk, r_boxes))
     # The boxes of each clique's auxiliaries: (t_k, r_kj) per epigraph level
-    # and column, with the selectors v_.j in the first level's column j.
+    # and column (t_1 alone for the max level), with the selectors v_.j in
+    # the first level's column j.
     clique_boxes = [
-        [(tid, lower, upper), (rk_ids[j], *r_boxes[j])]
+        [(tid, lower, upper)] + ([(rk_ids[j], *r_boxes[j])] if rk_ids else [])
         for tid, rk_ids in zip(t_ids, r_ids)
         for j in range(m)
     ]
@@ -684,8 +697,10 @@ def build_telescoping(problem: OmrfProblem) -> LiftedProblem:
     x = list(g.x_ids)
     cliques = []
     for boxes in clique_boxes:  # redundant per-clique ball over the auxiliaries
-        inequalities.append(_box_ball(ext, boxes))
-        cliques.append(tuple(sorted(x + [vid for vid, _, _ in boxes])))
+        clique = tuple(sorted(x + [vid for vid, _, _ in boxes]))
+        if clique not in cliques:  # the max level's columns, without selectors
+            inequalities.append(_box_ball(ext, boxes))
+            cliques.append(clique)
 
     equalities = list(g.equalities)
     for k, vk in zip(negative, v):
@@ -716,7 +731,7 @@ def build_telescoping(problem: OmrfProblem) -> LiftedProblem:
                 objective = objective + deltas[m - 1] * cleared[j]
 
     scales = [g.x_scale] * len(x) + [_scale_hint(lower, upper)] * len(t)
-    scales += [_scale_hint(*r_boxes[j]) for _ in r for j in range(m)]
+    scales += [_scale_hint(*box) for rk in r for _, box in zip(rk, r_boxes)]
     scales += [1.0] * (m * len(v))
     return LiftedProblem(
         universe=ext,
@@ -774,14 +789,17 @@ def lifted_witness(
     if lifted.form == "general":
         flat_w = groups["w"]
         for position, func_index in enumerate(order):
-            z[flat_w[func_index * m + position]] = 1.0
+            if func_index < m - 1:  # the last row is one minus the others
+                z[flat_w[func_index * m + position]] = 1.0
     elif lifted.form == "telescoping":
         _, epigraph, negative, _ = _telescoping_levels(problem)
+        slacks = iter(groups["r"])
         for level, k in enumerate(epigraph):  # t_k at the k-th largest value
             t_val = values[order[k]]
             z[groups["t"][level]] = t_val
-            for j in range(m):
-                z[groups["r"][level * m + j]] = max(0.0, values[j] - t_val)
+            if k:  # the max level has no slacks
+                for j in range(m):
+                    z[next(slacks)] = max(0.0, values[j] - t_val)
         for level, k in enumerate(negative):  # v_kj marks the k largest values
             for position in range(k + 1):
                 z[groups["v"][level * m + order[position]]] = 1.0

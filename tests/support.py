@@ -259,6 +259,18 @@ def with_constant_weights(problem, values):
     return OmrfProblem(problem.functions, weights, problem.ground_set, problem.ball_bound)
 
 
+def assignment_binaries(lifted, m):
+    """The ``m**2`` binaries ``w_ij**2 - w_ij`` of a lift's assignment
+    matrix (variable group "w"), its last row being one minus the others."""
+    ids = dict(lifted.variable_groups)["w"]
+    w = [
+        [Polynomial.variable(lifted.universe, ids[i * m + j]) for j in range(m)]
+        for i in range(m - 1)
+    ]
+    w.append([1.0 - sum(row[j] for row in w) for j in range(m)])
+    return [p**2 - p for row in w for p in row]
+
+
 def random_sign_mixed_problem(rng, rational=None, max_m=4):
     """Random problem of 3 to ``max_m`` functions whose constant weights
     telescope into at least one positive and at least two negative levels:
@@ -276,6 +288,7 @@ def random_sign_mixed_problem(rng, rational=None, max_m=4):
 # Constant position weights of each telescoping weight class, over three
 # functions (and one for "single").
 WEIGHT_CLASSES = {
+    "max": (1.0, 0.0, 0.0),
     "kcentrum": (1.0, 1.0, 0.0),
     "plainsum": (1.0, 1.0, 1.0),
     "monotone": (2.0, 1.5, 0.5),

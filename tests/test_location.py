@@ -22,7 +22,7 @@ from owasdp.polynomial import SemialgebraicSet, VariableUniverse
 from owasdp.relaxation import build_sparse, dirac_moment_vector, min_order
 from owasdp.solver import solve
 
-from support import abs_evaluate
+from support import abs_evaluate, assignment_binaries
 
 WEIGHTS = (1.0, 0.5, 2.0, 1.5)
 
@@ -107,14 +107,29 @@ def test_dirac_at_the_witness_is_feasible_for_the_relaxation(shape, tau):
     assert_dirac_feasible(instance, lifted, sdp, box_point(instance, np.random.default_rng(2)))
 
 
+@pytest.mark.parametrize("tau", [(2, 1), (3, 1)])
+def test_general_lift_keeps_every_binary(tau):
+    # n*(n - 1) assignment variables; all n**2 binaries, the last row's
+    # among them, reach the equalities, and every variable has a scale.
+    instance = make_instance("general", tau)
+    lifted = build_lifted(instance)
+    n = instance.n
+    assert len(dict(lifted.variable_groups)["w"]) == n * (n - 1)
+    equalities = set(lifted.equality_constraints)
+    binaries = assignment_binaries(lifted, n)
+    assert len(binaries) == n * n
+    assert all(b in equalities for b in binaries)
+    assert len(lifted.variable_scales) == len(lifted.universe)
+
+
 @pytest.mark.parametrize(
     "params",
     [{"variant": "general", "position_lambda": (1.0,)}, {"variant": "range"}],
     ids=["general", "range"],
 )
 def test_one_anchor_instance_is_sound(params):
-    # One anchor: the general lift has a single clique over its one
-    # assignment variable, and the range weights are (0,).  The ball is
+    # One anchor: the general lift's one assignment entry is 1, so it has a
+    # single clique and no assignment variable, and the range weights are (0,).  The ball is
     # widened to hold a point off the anchor.
     away = [1.1, -0.4]
     instance = LocationInstance(points=((0.3, 0.6),), **params)

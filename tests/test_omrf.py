@@ -35,6 +35,7 @@ from owasdp.polynomial import (
 from support import (
     WEIGHT_CLASSES,
     abs_evaluate,
+    assignment_binaries,
     random_omrf_point,
     random_omrf_problem,
     random_sign_mixed_problem,
@@ -402,12 +403,13 @@ class TestGeneralLift:
         )
         lifted = build_general_lift(problem)
         assert lifted.form == "general"
-        assert len(lifted.universe) == 1 + 4
-        # rows + columns + binarity
-        assert len(lifted.equality_constraints) == 2 + 2 + 4
+        # the first row of w; the second is one minus it
+        assert len(lifted.universe) == 1 + 2
+        # the first row's sum + binarity of both rows
+        assert len(lifted.equality_constraints) == 1 + 4
         # ground (2) + ball + sorting (1) + per-column balls (2)
         assert len(lifted.inequality_constraints) == 2 + 1 + 1 + 2
-        assert lifted.cliques == ((0, 1, 2, 3, 4),)
+        assert lifted.cliques == ((0, 1, 2),)
         assert putinar_structurally_bounded(lifted)
         assert running_intersection_holds(lifted.cliques)
         assert lifted.objective_den.is_constant()
@@ -419,23 +421,24 @@ class TestGeneralLift:
         lifted = build_general_lift(problem)
         assert len(lifted.cliques) == 2
         for clique in lifted.cliques:
-            assert len(clique) == 2 + 2 * 3  # x vars + two columns of w
+            assert len(clique) == 2 + 2 * 2  # x vars + two columns of w_1., w_2.
         assert running_intersection_holds(lifted.cliques)
 
     def test_m1_forces_single_assignment(self):
+        # w_11 = 1 is the one column's sum: no variable and no constraint
         problem = make_problem(("x",), ("x^2",), (2.0,), ball=4.0)
         lifted = build_general_lift(problem)
-        assert len(lifted.universe) == 2
-        w_minus_one = parse("w_1_1 - 1", lifted.universe)
-        matching = [h for h in lifted.equality_constraints if h == w_minus_one]
-        assert len(matching) == 2  # row sum and column sum coincide
-        expected = parse("2.0*w_1_1*x^2", lifted.universe)
-        assert lifted.objective_num == expected
+        assert lifted.universe.names == ("x",)
+        assert dict(lifted.variable_groups)["w"] == ()
+        assert lifted.equality_constraints == ()
+        assert lifted.cliques == ((0,),)
+        assert lifted.objective_num == parse("2.0*x^2", lifted.universe)
 
     def test_objective_matches_weighted_columns(self):
         problem = make_problem(("x",), ("x", "1 - x"), (1.0, 0.0), ball=2.0)
         lifted = build_general_lift(problem)
-        expected = parse("w_1_1*x - w_2_1*x + w_2_1", lifted.universe)
+        # w_21 = 1 - w_11
+        expected = parse("2*w_1_1*x - x - w_1_1 + 1", lifted.universe)
         assert lifted.objective_num == expected
 
     def test_only_sorting_permutations_feasible(self):
@@ -467,7 +470,8 @@ class TestGeneralLift:
                 z = np.zeros(len(lifted.universe))
                 z[0] = x_val
                 for position, func_index in enumerate(perm):
-                    z[w_ids[func_index * m + position]] = 1.0
+                    if func_index < m - 1:  # the last row is one minus the others
+                        z[w_ids[func_index * m + position]] = 1.0
                 feasible = all(g.evaluate(z) >= -1e-9 for g in sorting)
                 correctly_sorted = all(
                     values[perm[j]] >= values[perm[j + 1]] - 1e-12
@@ -488,7 +492,32 @@ class TestGeneralLift:
         w_ids = dict(lifted.variable_groups)["w"]
         m = 2
         assert z[w_ids[0 * m + 0]] == 1.0  # function 1 takes position 1
-        assert z[w_ids[1 * m + 1]] == 1.0  # function 2 takes position 2
+        assert z[w_ids[0 * m + 1]] == 0.0  # so function 2 takes position 2
+
+    def test_registers_all_rows_but_the_last(self):
+        problem = make_problem(("x",), ("x", "x^2", "1 - x"), (1.0, 3.0, 2.0), ball=2.0)
+        lifted = build_general_lift(problem)
+        m = 3
+        w_ids = dict(lifted.variable_groups)["w"]
+        assert len(w_ids) == m * (m - 1)
+        assert lifted.universe.names[1:] == tuple(
+            f"w_{i + 1}_{j + 1}" for i in range(m - 1) for j in range(m)
+        )
+        # the only linear equalities are the sums of the registered rows:
+        # no column sums, and no sum of the last row
+        linear = [h for h in lifted.equality_constraints if h.degree == 1]
+        rows = [set(w_ids[i * m : (i + 1) * m]) for i in range(m - 1)]
+        assert [set(h.variables()) for h in linear] == rows
+        assert all(h.constant_value() == -1.0 for h in linear)
+
+    def test_every_binary_reaches_the_equalities(self):
+        problem = make_problem(("x",), ("x", "x^2", "1 - x"), (1.0, 3.0, 2.0), ball=2.0)
+        lifted = build_general_lift(problem)
+        equalities = set(lifted.equality_constraints)
+        binaries = assignment_binaries(lifted, 3)
+        assert len(binaries) == 9
+        assert all(b in equalities for b in binaries)
+        assert len(lifted.variable_scales) == len(lifted.universe)
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +565,35 @@ class TestKcentrum:
         expected = parse("2*t_2 + r_2_1 + r_2_2 + r_2_3", lifted.universe)
         assert lifted.objective_num == expected
 
+    def test_max_level_needs_no_slacks(self):
+        # max_j f_j = min {t : t >= f_j}: one clique (x, t_1)
+        problem = self.make(1)
+        lifted = build_telescoping(problem)
+        assert group_sizes(lifted) == {"t": 1, "r": 0, "v": 0}
+        assert lifted.universe.names == ("x", "t_1")
+        assert lifted.cliques == ((0, 1),)
+        assert lifted.objective_num == parse("t_1", lifted.universe)
+        t = parse("t_1", lifted.universe)
+        for f in ("x^2", "x^2 - x", "2*x^2 + 1"):  # t_1 >= f_j
+            assert t - parse(f, lifted.universe) in lifted.inequality_constraints
+        assert putinar_structurally_bounded(lifted)
+
+    def test_max_level_with_selectors_splits_by_column(self):
+        # D = (1, -0.5, 0.5): the max level, one selector level and the
+        # plain sum; column j's clique is (x, t_1, v_2j)
+        problem = make_problem(
+            ("x",), ("x^2", "x^2 - x", "2*x^2 + 1"), (1.0, 0.0, 0.5), ball=9.0
+        )
+        lifted = build_telescoping(problem)
+        assert group_sizes(lifted) == {"t": 1, "r": 0, "v": 3}
+        (t_id,) = dict(lifted.variable_groups)["t"]
+        v_ids = dict(lifted.variable_groups)["v"]
+        assert lifted.cliques == tuple((0, t_id, vid) for vid in v_ids)
+        assert putinar_structurally_bounded(lifted)
+        assert running_intersection_holds(lifted.cliques)
+        for x in (-1.5, 0.0, 0.4, 2.0):
+            assert_lift_sound(problem, lifted, np.array([x]))
+
     def test_k_equals_m_objective_is_plain_sum(self):
         problem = self.make(3)
         lifted = build_telescoping(problem)
@@ -574,13 +632,14 @@ class TestMonotone:
         )
         lifted = build_telescoping(problem)
         assert lifted.form == "telescoping"
-        # levels 1 and 2 get epigraphs; the top level is the plain sum
-        assert len(lifted.universe) == 1 + 2 + 6
-        assert len(lifted.cliques) == 6
+        # levels 1 and 2 get epigraphs, level 1 (the max) without slacks;
+        # the top level is the plain sum
+        assert group_sizes(lifted) == {"t": 2, "r": 3, "v": 0}
+        assert len(lifted.universe) == 1 + 2 + 3
+        assert len(lifted.cliques) == 1 + 3  # (x, t_1), then (x, t_2, r_2j)
         assert lifted.objective_den == Polynomial.constant(lifted.universe, 1.0)
         expected = parse(
-            "t_1 + r_1_1 + r_1_2 + r_1_3 + 2*t_2 + r_2_1 + r_2_2 + r_2_3"
-            " + 4*x^2 - x + 1",
+            "t_1 + 2*t_2 + r_2_1 + r_2_2 + r_2_3 + 4*x^2 - x + 1",
             lifted.universe,
         )
         assert lifted.objective_num == expected
@@ -757,8 +816,8 @@ class TestSignMixed:
 
 
 class TestTopLevel:
-    """The top level S_m = sum_j f_j is a plain sum unless clearing it would
-    multiply two or more nonconstant denominators with no selector level."""
+    """The top level S_m = sum_j f_j is a plain sum unless clearing its
+    denominators would raise the minimum relaxation order."""
 
     def test_rational_plain_sum_keeps_its_epigraph(self):
         problem = weight_class_problem("plainsum", rational=True)
@@ -779,8 +838,21 @@ class TestTopLevel:
             ("x",), ("x^2", "x"), (2.0, 1.0), denominator_texts=("1 + x^2", "2")
         )
         lifted = build_telescoping(problem)
-        assert group_sizes(lifted) == {"t": 1, "r": 2, "v": 0}
+        assert group_sizes(lifted) == {"t": 1, "r": 0, "v": 0}  # the max level
         assert lifted.objective_den == parse("2 + 2*x^2", lifted.universe)
+        for x in (-1.5, 0.0, 0.8):
+            assert_lift_sound(problem, lifted, np.array([x]))
+
+    def test_two_rational_denominators_at_the_same_order_are_a_plain_sum(self):
+        # k = m = 2 over two quadratic denominators: the cleared sum has
+        # degree 4, as low as the epigraph rows' 3 in half-degree
+        problem = make_problem(
+            ("x",), ("x^2", "x"), (1.0, 1.0), denominator_texts=("1 + x^2", "2 + x^2")
+        )
+        lifted = build_telescoping(problem)
+        assert lifted.universe.names == ("x",)
+        assert lifted.objective_num == parse("2*x^2 + x^4 + x + x^3", lifted.universe)
+        assert lifted.objective_den == parse("2 + 3*x^2 + x^4", lifted.universe)
         for x in (-1.5, 0.0, 0.8):
             assert_lift_sound(problem, lifted, np.array([x]))
 
@@ -830,7 +902,7 @@ class TestBuildAuto:
         problem = make_problem(("x",), ("x", "1 - x"), (3.0, 1.0), ball=4.0)
         lifted = build_auto(problem)
         assert lifted.form == "telescoping"
-        assert group_sizes(lifted) == {"t": 1, "r": 2, "v": 0}
+        assert group_sizes(lifted) == {"t": 1, "r": 0, "v": 0}  # the max level
 
     def test_generic_routes_to_general(self):
         problem = make_problem(("x",), ("x", "1 - x"), (1.0, -1.0), ball=4.0)

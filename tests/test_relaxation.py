@@ -318,9 +318,10 @@ class TestCrossCliqueEqualities:
         assert len(lift.cliques) == 2
         sdp = build_sparse(lift, min_order(lift).r_min)
         cross = [row for row in sdp.equalities if row.label.endswith(".cross")]
-        # one scalar row per assignment-variable row sum: those span both
-        # cliques, while column sums and binarity stay clique-local
-        assert len(cross) == 3
+        # one scalar row per registered assignment row's sum: those span
+        # both cliques, while binarity stays clique-local (the last row is
+        # one minus the others, so no column sum is left)
+        assert len(cross) == 2
         for row in cross:
             assert row.form.nnz == 3
             assert row.rhs == 1.0
@@ -603,13 +604,9 @@ GOLDEN_DIGESTS = {
     "ladder-kcentrum": "d3a22314ea2fb5e9443fb959f7499737ed7711190fdc71f90270803086eebc05",
     "ladder-trimmed": "2534fd69cf260daa664f02de216d62e4384f2545aed532eb1b3fe98ce66ef61c",
     "ladder-range": "629472cab04c5499efd3fee70d9debb9bd4e446cf2a267afb18ebb311100a4e4",
-    "ladder-general": "f1fb746ca52801bf925e1a70da865a9357bf276327a107611cb45bf85452bcba",
     # Re-recorded when unpaired odd-degree inequalities moved to the
     # truncation order r - ceil(d/2): each of these lifts has a cubic
     # epigraph row whose block shrank.
-    "omrf-general": "d39fd6d7745c0582780021fff0490cb40985ee51cd45ea32b611cbe7eadb3424",
-    "omrf-kcentrum": "178d10e0073fb3d214b62a0dcdc7aab935bd26936410b178716d0b22d2567911",
-    "omrf-monotone3": "e3005ebfa984ac328687ee6e89c99c2ec93824de8ea50657786599b88df1f160",
     "omrf-kcentrum2of3": "3f463b97ba455b1417f6ac705c5052cf55b55703b86c899abbfc3e5d37e86aaa",
     # Re-recorded when a positive top telescoping level became the plain sum
     # of the functions: these lifts lost the epigraph of that level.
@@ -621,11 +618,20 @@ GOLDEN_DIGESTS = {
     # folded into one scaffold.
     "loc-trimmed32": "fd6b656a74f6c01b0dcdf88a590b3e5a410c702df2bd2586e2343a9eec36f45e",
     "loc-range43": "e316860fe0acb61711e82eb3cb96d0253cbef48cff41d9a7ebcb34703ca01a34",
-    "loc-general3": "4fe72fa567ab43d3f7244059f755f886bf1c6ecd3aafb5dfc15fd4ff15d1df12",
     "loc-kcentrum3": "79a5e133a2f535ea8519c21583b7d0bed29a15e4f7b078d3b36f507d185ccc58",
     "loc-trimmed02": "57226952ac0640c4fac4e5e93ce425f7f35ab05e9461f8ff6ff7c23fd8d8e5bb",
     "loc-center4": "c0da6291c7d30f8a80c5926f842de20f0174fff8ff1fec7611522942303c5081",
     "loc-weberhalfplane": "1ddc0284444b691b3cb5c4619b62bf6886348c54a18f3c258281cdb9d050b48f",
+    # Re-recorded when the assignment lift stopped registering its last row
+    # (one minus the others) and the column sums that row made redundant.
+    "ladder-general": "22da5fc9f2be703b28c554dbfa819d6b695f0decf2982d0bfd81107ca6e9363b",
+    "loc-general3": "2fbd4fdd93cf82ef9cb9c3ca36081bf256f2fb6b8db60fad6f252f245101141f",
+    "omrf-general": "81d07f4c61870eb524e726b69fe7af436534d863639768e9e7a847e24da589b7",
+    # Re-recorded when the max level S_1 lost its slacks (omrf-monotone3)
+    # and two rational denominators at the plain sum's own order stopped
+    # keeping the top epigraph (omrf-kcentrum, k = m = 2).
+    "omrf-kcentrum": "78c7cebe4f47675bd3bb09f193810dc1c72a7aab7aa95c60d75eef47b0d782f6",
+    "omrf-monotone3": "06a473391f19196b41a1312ccf4f38735166c6153d310d66a03c6aded039764a",
 }
 
 

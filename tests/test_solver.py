@@ -273,8 +273,9 @@ def rational_general_sparse(rational_omrf):
 def omrf_order3_sparse():
     """A rational ordered median of two functions of two variables with
     polynomial position weights, lifted by ``build_auto`` and relaxed at its
-    minimum order 3: one moment block of size 84 (550 free moments) beside
-    blocks of sizes 1 and 28.  Compiled by the tests, never solved."""
+    minimum order 3: one moment block of size 35 over the two coordinates
+    and the assignment row, beside blocks of sizes 1 and 15.  Compiled by
+    the tests, never solved."""
     problem = random_omrf_problem(
         np.random.default_rng([7, 0]), "general", rational=True, max_m=2
     )
@@ -955,7 +956,7 @@ class TestCompactSchur:
             assert bool(shape.buckets) == compact
             assert shape.left.shape == ((rows if compact else K * n * m), K * n)
             sizes[n] = compact
-        assert sizes == {1: False, 28: False, 84: True}
+        assert sizes == {1: False, 15: False, 35: True}
 
     @pytest.mark.parametrize("compact", [True, False], ids=["compact", "F2"])
     @pytest.mark.parametrize("problem", ["omrf_order3_sparse", "weber50_sparse"])
@@ -1002,9 +1003,9 @@ class TestCompactSchur:
             assert peak(comp, shape) < K * n * m * n * 8
         forced_formula(monkeypatch, compact=False)
         dense = solver_module._Compiled(omrf_order3_sparse)
-        (shape,) = [s for s in dense.shapes if dense.groups[s.group][0] == 84]
+        (shape,) = [s for s in dense.shapes if dense.groups[s.group][0] == 35]
         K, m = shape.indices.shape
-        assert peak(dense, shape) >= K * 84 * m * 84 * 8
+        assert peak(dense, shape) >= K * 35 * m * 35 * 8
 
 
 class TestBatchedCompile:
