@@ -8,7 +8,6 @@ from .location import (
     InvalidNormError,
     LocationInstance,
     build_lifted,
-    calibrate_ball,
     lifted_witness,
     random_instance,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "InvalidNormError",
     "LocationInstance",
     "build_lifted",
-    "calibrate_ball",
     "lifted_witness",
     "random_instance",
 ]

@@ -270,9 +270,14 @@ class ExtractedSolution:
     """A candidate minimizer with its independently recomputed value.
 
     ``certified_value`` comes from re-evaluating the objective at the point
-    (never from the solver), so ``gap = certified_value - sdp_bound`` is the
-    sandwich width between the relaxation bound and a feasible evaluation;
-    a tiny gap certifies practical exactness.
+    (never from the solver).  ``sdp_bound`` is the primal moment objective
+    c'y + c0 at the moment vector, read from ``y`` alone: it is not the
+    solver's reported bound (``SolverResult.objective``, the dual objective),
+    which lies below it by the solver's duality gap.  So
+    ``gap = certified_value - sdp_bound`` is the sandwich width against the
+    primal moment objective, and the width against the reported bound is
+    larger by that duality gap; a tiny gap certifies practical exactness
+    only together with a small duality gap.
     """
 
     point: Mapping[VarId, float]

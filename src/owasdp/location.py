@@ -11,9 +11,15 @@ per-rank weights (``general``).  :func:`build_lifted` turns it into the
 :func:`lifted_witness` maps a facility position to a feasible point of it.
 
 ``build_lifted`` first builds the shared scaffold: the ground set's
-constraints and the norm lift (a distance variable per anchor and, for
+constraints and the norm lift.  For tau = 2, a ground set cut out by
+linear constraints (or free space) and the aggregations that are
+nonnegative sums of largest distances (Weber, center, k-centrum, and the
+trimmed sum that drops no largest ones), the problem is convex and the lift
+exact: each weighted distance enters through one arrow matrix inequality on
+the aggregation's own epigraph expression, so the relaxation is exact at
+every order.  Otherwise it takes a distance variable per anchor and, for
 non-Euclidean exponents, one coordinate variable per dimension carrying
-``|x_l - a_l|**(r/s)``).  Even numerators make the lift exact through
+``|x_l - a_l|**(r/s)``.  Even numerators make that lift exact through
 equalities; odd numerators use two-sided inequalities that are tight under
 minimization whenever the rank weights are nonnegative, so with an odd
 numerator the aggregations that reward large distances (range, sign-mixed
@@ -59,7 +65,6 @@ __all__ = [
     "InvalidNormError",
     "LocationInstance",
     "build_lifted",
-    "calibrate_ball",
     "lifted_witness",
     "random_instance",
 ]
@@ -318,63 +323,6 @@ class LocationInstance:
         return costs @ np.asarray(self.position_weights())
 
 
-def calibrate_ball(
-    instance: LocationInstance,
-    candidate: Sequence[float],
-    margin: float = 1.25,
-) -> float:
-    """Snug ball bound derived from a near-optimal facility position.
-
-    Evaluates, at ``candidate``, every quantity that the instance's ball
-    constraints carry (squared position norm, per-anchor squared distances
-    and coordinate lifts, and the aggregation variables at their optimal
-    values for that position), takes the largest per-anchor total, and scales
-    it by ``margin`` to absorb the candidate's suboptimality.  The result is
-    floored at the largest squared anchor norm so the instance invariant
-    keeps holding.  A tighter ball sharpens the relaxation considerably, so
-    pipelines that already run a direct search should feed its best point
-    back through this function.
-    """
-    if margin < 1.0:
-        raise ValueError("margin must be at least 1")
-    point = np.asarray(candidate, dtype=float)
-    if point.shape != (instance.dim,):
-        raise ValueError(
-            f"candidate has shape {point.shape}; expected ({instance.dim},)"
-        )
-    anchors = np.asarray(instance.points, dtype=float)
-    diffs = np.abs(point[None, :] - anchors)
-    tau = instance.tau
-    r, s = instance.norm_tau
-    dists = np.power(np.power(diffs, tau).sum(axis=1), 1.0 / tau)
-    assert instance.weights is not None
-    costs = dists * np.asarray(instance.weights, dtype=float)
-    base = float(point @ point) + dists * dists
-    if s != 1 or r % 2 == 1:
-        base = base + (diffs ** (2.0 * tau)).sum(axis=1)
-    variant = instance.variant
-    if variant == "center":
-        extra = np.full_like(base, float(np.max(costs)) ** 2)
-    elif variant == "kcentrum":
-        assert instance.k is not None
-        level = float(np.sort(costs)[::-1][instance.k - 1])
-        extra = np.maximum(costs - level, 0.0) ** 2
-    elif variant == "trimmed":
-        assert instance.trim is not None
-        k1, k2 = instance.trim
-        level = float(np.sort(costs)[::-1][min(len(costs) - 1, len(costs) - k2 - 1)])
-        extra = level * level + 1.0 + np.maximum(costs - level, 0.0) ** 2
-    elif variant == "range":
-        extra = np.full_like(
-            base, float(np.max(costs)) ** 2 + float(np.min(costs)) ** 2
-        )
-    else:
-        extra = np.zeros_like(base)
-    load = float(np.max(base + extra))
-    floor = float((anchors * anchors).sum(axis=1).max())
-    return max(margin * load, floor * (1.0 + 1e-12), 1e-6)
-
-
 @dataclass
 class _Scaffold:
     """Shared builder state: the norm lift, the ground constraints and the
@@ -382,9 +330,13 @@ class _Scaffold:
 
     ``u_ids[i]`` is the distance variable of anchor ``i`` and ``v_ids[i]``
     its coordinate lift variables (empty when the exponent needs none);
-    ``u_caps[i]`` is a proven upper bound on ``u_i`` over the instance ball.
-    A variant's builder registers its aggregation variables through
-    :meth:`add`, appends its constraints and ends in :meth:`lifted`.
+    ``u_caps[i]`` is a proven upper bound on ``u_i`` over the instance ball;
+    ``cores[i]`` lists the facility coordinates and the anchor's lift
+    variables.  ``arrow`` marks the arrow lift (see :func:`_base`), which
+    has distance variables for the Weber sum only.  A variant's builder
+    registers its aggregation variables through :meth:`add`, bounds each
+    weighted distance through :meth:`dominate`, appends its constraints and
+    ends in :meth:`lifted`.
     """
 
     instance: LocationInstance
@@ -394,10 +346,12 @@ class _Scaffold:
     x_sq: Polynomial
     scales: List[float]
     cost_hint: float
+    arrow: bool
     u_ids: List[VarId] = field(default_factory=list)
     v_ids: List[Tuple[VarId, ...]] = field(default_factory=list)
     u_caps: List[float] = field(default_factory=list)
     cores: List[List[VarId]] = field(default_factory=list)
+    matrices: List[Tuple[Tuple[Polynomial, ...], ...]] = field(default_factory=list)
 
     @property
     def x_ids(self) -> Tuple[VarId, ...]:
@@ -420,14 +374,33 @@ class _Scaffold:
         extras."""
         total = Polynomial.constant(self.ext, self.instance.ball_bound)
         total = total - self.x_sq
-        u_poly = self.u(i)
-        total = total - u_poly * u_poly
-        for vid in self.v_ids[i]:
+        for vid in self.cores[i][self.instance.dim :]:
             v_poly = self.var(vid)
             total = total - v_poly * v_poly
         for sq in extra:
             total = total - sq * sq
         return total
+
+    def arrow_block(
+        self, i: int, bound: Polynomial, weight: float
+    ) -> Tuple[Tuple[Polynomial, ...], ...]:
+        """The arrow matrix [[e, w (x - a)'], [w (x - a), e I]] of anchor ``i``
+        with e = ``bound`` and w = ``weight``, by its upper triangle: it is
+        PSD exactly when e >= w * ||x - a_i||_2."""
+        d = self.instance.dim
+        anchor = self.instance.points[i]
+        zero = Polynomial.zero(self.ext)
+        first = tuple(weight * (self.var(l) - anchor[l]) for l in range(d))
+        return ((bound, *first), *((bound,) + (zero,) * (d - 1 - l) for l in range(d)))
+
+    def dominate(self, i: int, bound: Polynomial) -> None:
+        """Require ``bound`` >= the weighted distance of anchor ``i``: by its
+        arrow block in the arrow lift, else by ``bound - w_i u_i >= 0``."""
+        weight = self.instance.weights[i]
+        if self.arrow:
+            self.matrices.append(self.arrow_block(i, bound, weight))
+        else:
+            self.inequalities.append(bound - weight * self.u(i))
 
     def append_u_caps(self) -> None:
         """Cap each distance variable by its proven bound over the ball.
@@ -452,30 +425,49 @@ class _Scaffold:
         *groups: Tuple[str, Tuple[VarId, ...]],
     ) -> LiftedProblem:
         """The finished problem; ``groups`` name the aggregation variables,
-        after the distance (``z``) and coordinate (``v``) lift groups."""
+        after the distance (``z``) and coordinate (``v``) lift groups, where
+        present.  Cliques and inequalities are kept once each: the arrow
+        lift of the center aggregation gives every anchor the same ones."""
         ext = self.ext
-        lift_groups: List[Tuple[str, Tuple[VarId, ...]]] = [("z", tuple(self.u_ids))]
         flat_v = tuple(v for row in self.v_ids for v in row)
-        if flat_v:
-            lift_groups.append(("v", flat_v))
+        lift_groups = [
+            (name, ids) for name, ids in (("z", tuple(self.u_ids)), ("v", flat_v)) if ids
+        ]
         return LiftedProblem(
             universe=ext,
             objective_num=objective,
             objective_den=Polynomial.constant(ext, 1.0),
-            inequality_constraints=tuple(self.inequalities),
+            inequality_constraints=tuple(dict.fromkeys(self.inequalities)),
             equality_constraints=tuple(self.equalities),
-            cliques=tuple(cliques),
+            cliques=tuple(dict.fromkeys(cliques)),
             original_variables=self.x_ids,
             form=form,
             variable_groups=(*lift_groups, *groups),
             variable_scales=tuple(self.scales),
+            matrix_inequalities=tuple(self.matrices),
         )
 
 
 def _base(instance: LocationInstance) -> _Scaffold:
     """The ground set's constraints, then the norm lift of every anchor.
 
-    For tau = r/s and anchor ``a`` the distance variable ``u`` satisfies:
+    For tau = 2, an aggregation nondecreasing in each distance and a ground
+    set of linear constraints, the lift is exact and convex through arrow
+    blocks (``arrow``): the aggregation bounds each weighted distance
+    w_i ||x - a_i||_2 from above by one expression e_i of its own variables
+    (:meth:`_Scaffold.dominate`), and the arrow matrix [[e_i, w_i (x - a_i)'], [w_i (x - a_i), e_i I]] >= 0
+    holds exactly when e_i >= w_i ||x - a_i||_2 (Ben-Tal & Nemirovski,
+    *Lectures on Modern Convex Optimization*, 2001).  Only the Weber sum
+    keeps a distance variable u_i per anchor, bounded by the arrow block
+    with e_i = u_i and w_i = 1 (its weight multiplies u_i in the
+    objective), with no equality and no sign constraint.  The blocks bound
+    first moments only, so they need a convex ground set: on a nonconvex one
+    a mixture of points, with its mean in the hull, passes them at every
+    order and the bound stalls at the hull's minimum.  Nonlinear ground
+    sets therefore keep the distance equalities.
+
+    Otherwise, for tau = r/s and anchor ``a`` the distance variable ``u``
+    satisfies:
 
     - ``r`` even, ``s == 1``: single equality ``u**r = sum_l (x_l - a_l)**r``
       (for tau = 2 this is the squared Euclidean distance identity), no
@@ -497,6 +489,15 @@ def _base(instance: LocationInstance) -> _Scaffold:
     d = instance.dim
     ext = VariableUniverse(instance.universe.names)
     gs = instance.ground_set
+    if instance.variant == "trimmed":
+        nondecreasing = instance.trim[0] == 0
+    else:
+        nondecreasing = instance.variant in ("weber", "center", "kcentrum")
+    arrow = (
+        (r, s) == (2, 1)
+        and nondecreasing
+        and all(p.degree <= 1 for p in (*gs.inequalities, *gs.equalities))
+    )
     x_polys = [Polynomial.variable(ext, xid) for xid in range(d)]
     x_sq = Polynomial.zero(ext)
     for x_poly in x_polys:
@@ -520,8 +521,18 @@ def _base(instance: LocationInstance) -> _Scaffold:
         x_sq=x_sq,
         scales=[x_hint] * d,
         cost_hint=max(1.0, weight_cap * dist_hint),
+        arrow=arrow,
     )
     for i, anchor in enumerate(instance.points):
+        if arrow:
+            scaffold.v_ids.append(())
+            scaffold.cores.append(list(scaffold.x_ids))
+            if instance.variant == "weber":
+                u = scaffold.add(f"z{i + 1}", dist_hint)
+                scaffold.u_ids.append(u)
+                scaffold.cores[i].append(u)
+                scaffold.matrices.append(scaffold.arrow_block(i, scaffold.var(u), 1.0))
+            continue
         u = scaffold.add(f"z{i + 1}", dist_hint)
         u_poly = scaffold.var(u)
         scaffold.inequalities.append(u_poly)
@@ -559,7 +570,8 @@ def _base(instance: LocationInstance) -> _Scaffold:
 def _weber(scaffold: _Scaffold) -> LiftedProblem:
     """Weighted sum of distances: one clique per anchor (facility coordinates
     plus that anchor's lift variables), each with its own copy of the
-    compactness ball."""
+    compactness ball.  The weights multiply the distance variables in the
+    objective, also in the arrow lift."""
     instance = scaffold.instance
     objective = Polynomial.zero(scaffold.ext)
     cliques = []
@@ -572,13 +584,15 @@ def _weber(scaffold: _Scaffold) -> LiftedProblem:
 
 def _center(scaffold: _Scaffold) -> LiftedProblem:
     """Largest weighted distance: a shared epigraph variable ``t`` dominates
-    every weighted distance and joins every clique and every ball."""
+    every weighted distance and joins every clique and every ball.  The
+    arrow lift has no per-anchor variable, so it has one clique (x, t) and
+    one ball."""
     instance = scaffold.instance
     t = scaffold.add("t", scaffold.cost_hint)
     t_poly = scaffold.var(t)
     cliques = []
     for i in range(instance.n):
-        scaffold.inequalities.append(t_poly - instance.weights[i] * scaffold.u(i))
+        scaffold.dominate(i, t_poly)
         scaffold.inequalities.append(scaffold.ball(i, t_poly))
         cliques.append(tuple(sorted(scaffold.cores[i] + [t])))
     scaffold.inequalities.append(t_poly)
@@ -590,8 +604,9 @@ def _kcentrum(scaffold: _Scaffold, k: int) -> LiftedProblem:
 
     Uses the epigraph identity ``sum of k largest = min_t k t +
     sum_i max(c_i - t, 0)``: a shared variable ``t`` plus one nonnegative
-    surplus variable per anchor with ``t + r_i >= c_i``.  The per-anchor
-    balls bound the surplus variables; ``t`` itself is capped by a separate
+    surplus variable per anchor with ``t + r_i >= c_i`` (in the arrow lift,
+    the arrow block of ``t + r_i``).  The per-anchor balls bound the
+    surplus variables; ``t`` itself is capped by a separate
     quadratic constraint derived from the ball bound and the largest weight,
     which never cuts the optimum because the minimizing ``t`` equals one of
     the weighted distances.
@@ -606,7 +621,7 @@ def _kcentrum(scaffold: _Scaffold, k: int) -> LiftedProblem:
     for i in range(instance.n):
         r_poly = scaffold.var(surplus_ids[i])
         objective = objective + r_poly
-        scaffold.inequalities.append(t_poly + r_poly - instance.weights[i] * scaffold.u(i))
+        scaffold.dominate(i, t_poly + r_poly)
         scaffold.inequalities.append(r_poly)
         scaffold.inequalities.append(scaffold.ball(i, r_poly))
         cliques.append(tuple(sorted(scaffold.cores[i] + [t, surplus_ids[i]])))
@@ -765,13 +780,15 @@ def lifted_witness(
 ) -> np.ndarray:
     """Point of ``lifted = build_lifted(instance)`` over facility ``point``.
 
-    Distance variables take the tau-norm distances, coordinate lift
-    variables ``|x_l - a_l|**(r/s)``, and aggregation variables the values
-    implied by the tie-stable descending sort of the weighted distances used
-    by :meth:`LocationInstance.objective_value`.  Whenever ``point`` lies in
-    the ground set and the returned vector inside the instance's ball, it
-    satisfies every lifted constraint, and the lifted objective evaluates to
-    the aggregated value there (the soundness tests rely on both facts).
+    Distance variables (where the lift has them) take the tau-norm
+    distances, coordinate lift variables ``|x_l - a_l|**(r/s)``, and
+    aggregation variables the values implied by the tie-stable descending
+    sort of the weighted distances used by
+    :meth:`LocationInstance.objective_value`.  Whenever ``point`` lies in the
+    ground set and the returned vector inside the instance's ball, it
+    satisfies every lifted constraint and matrix inequality, and the lifted
+    objective evaluates to the aggregated value there (the soundness tests
+    rely on both facts).
     """
     x = np.asarray(point, dtype=float)
     n = instance.n
@@ -780,7 +797,8 @@ def lifted_witness(
     z[: len(x)] = x
     groups = {name: list(ids) for name, ids in lifted.variable_groups}
     dists = instance.distances(x)
-    z[groups["z"]] = dists
+    if "z" in groups:
+        z[groups["z"]] = dists
     if "v" in groups:
         z[groups["v"]] = (np.abs(x[None, :] - np.asarray(instance.points)) ** (r / s)).ravel()
     costs = np.asarray(instance.weights) * dists

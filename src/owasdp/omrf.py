@@ -236,7 +236,10 @@ class LiftedProblem:
     linear conditions).  ``variable_groups`` records auxiliary variables by
     role ("w", "t", "r", "v") in construction order so witnesses and
     diagnostics can address them; ``variable_scales`` carries magnitude hints
-    used for numerical conditioning downstream.
+    used for numerical conditioning downstream.  ``matrix_inequalities``
+    lists symmetric matrices of polynomials G that are PSD on the feasible
+    set, each by its upper triangle: row p holds G_pq for q >= p.  Like an
+    inequality, each must be supported in one clique.
     """
 
     universe: VariableUniverse
@@ -249,11 +252,20 @@ class LiftedProblem:
     form: str
     variable_groups: Tuple[Tuple[str, Tuple[VarId, ...]], ...] = ()
     variable_scales: Tuple[float, ...] = ()
+    matrix_inequalities: Tuple[Tuple[Tuple[Polynomial, ...], ...], ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "inequality_constraints", tuple(self.inequality_constraints)
         )
+        object.__setattr__(
+            self,
+            "matrix_inequalities",
+            tuple(tuple(tuple(row) for row in G) for G in self.matrix_inequalities),
+        )
+        for G in self.matrix_inequalities:
+            if [len(row) for row in G] != list(range(len(G), 0, -1)):
+                raise ValueError("a matrix inequality must list its upper triangle by rows")
         object.__setattr__(self, "equality_constraints", tuple(self.equality_constraints))
         object.__setattr__(self, "cliques", tuple(tuple(c) for c in self.cliques))
         object.__setattr__(self, "original_variables", tuple(self.original_variables))
@@ -263,6 +275,7 @@ class LiftedProblem:
             self.objective_den,
             *self.inequality_constraints,
             *self.equality_constraints,
+            *(entry for G in self.matrix_inequalities for row in G for entry in row),
         ):
             if poly.universe is not universe:
                 raise UniverseMismatchError("lifted polynomial from a different universe")
@@ -281,6 +294,10 @@ class LiftedProblem:
             support = set(g.variables())
             if not any(support <= cs for cs in clique_sets):
                 raise ValueError("inequality support not contained in any clique")
+        for G in self.matrix_inequalities:
+            support = {v for row in G for entry in row for v in entry.variables()}
+            if not any(support <= cs for cs in clique_sets):
+                raise ValueError("matrix inequality support not contained in any clique")
         for poly in (self.objective_num, self.objective_den):
             for mono in poly.terms:
                 support = set(mono.variables())

@@ -2,12 +2,13 @@
 
 Given a lifted problem (polynomial objective ratio, constraints, cliques),
 this module produces the order-``r`` semidefinite relaxation: per-clique
-moment blocks, localizing blocks for inequalities, expanded linear equality
-rows, and a normalized rational objective.  The normalization L_y(q) = 1 is
-eliminated by substituting the moment variable of q's graded-lex-smallest
-monomial, so the assembled problem has ``y_dim`` free moment variables,
-affine PSD blocks and affine equality rows — exactly the data a conic solver
-consumes, and exactly the shape whose size statistics are reported.
+moment blocks, localizing blocks for inequalities, one block per matrix
+inequality, expanded linear equality rows, and a normalized rational
+objective.  The normalization L_y(q) = 1 is eliminated by substituting the
+moment variable of q's graded-lex-smallest monomial, so the assembled
+problem has ``y_dim`` free moment variables, affine PSD blocks and affine
+equality rows — exactly the data a conic solver consumes, and exactly the
+shape whose size statistics are reported.
 
 Truncation conventions (fixed by the reference block structures and size
 tables this package reproduces):
@@ -21,6 +22,10 @@ tables this package reproduces):
   moments from both sides;
 - an equality of degree ``d`` is expanded against all multiplier monomials of
   degree at most ``min(r, 2r - d + (d % 2))`` over its assigned variables;
+- a matrix inequality G enters through its first-moment matrix, the block of
+  entries L_y(G_pq), at every order: that block is a principal submatrix of
+  every higher localization of G, and on the ℓ2 arrow blocks of the location
+  lifts the higher ones cost more solve time without raising any bound;
 - a constraint is assigned the variables in the intersection of all cliques
   containing its support; equalities whose support lies in no single clique
   contribute a single scalar row L_y(h) = 0;
@@ -92,8 +97,9 @@ def multiplier_degree(r: int, degree: int) -> int:
 class RelaxationOrders:
     """Half-degrees of all problem pieces and the resulting minimum order.
 
-    ``inequality_orders`` and ``equality_orders`` hold ceil(deg/2) per lifted
-    constraint, in constraint order; ``objective_order`` covers both the
+    ``inequality_orders``, ``equality_orders`` and ``matrix_orders`` hold
+    ceil(deg/2) per lifted constraint, in constraint order (the degree of a
+    matrix is that of its largest entry); ``objective_order`` covers both the
     numerator and the denominator.  Any relaxation order r >= ``r_min`` is
     admissible.
     """
@@ -102,6 +108,7 @@ class RelaxationOrders:
     objective_order: int
     inequality_orders: Tuple[int, ...]
     equality_orders: Tuple[int, ...]
+    matrix_orders: Tuple[int, ...] = ()
 
     def validate(self, r: int) -> None:
         if r < self.r_min:
@@ -122,9 +129,13 @@ def min_order(lifted) -> RelaxationOrders:
     equality_orders = tuple(
         _half_ceil(h.degree) for h in lifted.equality_constraints
     )
-    r_min = max(1, objective_order, *inequality_orders, *equality_orders, 0)
+    matrix_orders = tuple(
+        _half_ceil(max(entry.degree for row in G for entry in row))
+        for G in lifted.matrix_inequalities
+    )
+    r_min = max(1, objective_order, *inequality_orders, *equality_orders, *matrix_orders)
     return RelaxationOrders(
-        r_min, objective_order, inequality_orders, equality_orders
+        r_min, objective_order, inequality_orders, equality_orders, matrix_orders
     )
 
 
@@ -171,8 +182,9 @@ class PsdBlock(LinearMatrixMap):
     only, in row-major order; structurally zero entries are omitted.
     ``variables`` records the variable ids the block was built over, and
     ``basis`` the monomial row b_i (see ``moment``) of each row i: entry
-    (i, j) is L_y(g b_i b_j), with g = 1 in a moment block.  Both may be
-    empty or None on hand-built problems.
+    (i, j) is L_y(g b_i b_j), with g = 1 in a moment block; the block of a
+    matrix inequality G has the constant row throughout, and entry (i, j)
+    L_y(G_ij).  Both may be empty or None on hand-built problems.
     """
 
     kind: str  # "moment" | "localizing"
@@ -408,7 +420,8 @@ def _build(lifted, r: int, cliques: Sequence[Tuple[VarId, ...]]) -> SdpProblem:
         return ids[rows], i, j, ids[pairs]
 
     # Raw block entries: clique moment blocks, then one localizing block per
-    # inequality, each a product polynomial times basis pair.
+    # inequality, each a product polynomial times basis pair, then one block
+    # per matrix inequality, each entry its polynomial times 1.
     one = Polynomial.constant(universe, 1.0)
     products: List[np.ndarray] = []
     polys: List[Polynomial] = []
@@ -429,6 +442,19 @@ def _build(lifted, r: int, cliques: Sequence[Tuple[VarId, ...]]) -> SdpProblem:
         blocks.append(("localizing", f"loc.g{g_idx}", assigned, rows, i, j))
         products.append(pairs)
         polys.append(g)
+    for m_idx, G in enumerate(lifted.matrix_inequalities):
+        entries = [entry for row in G for entry in row]
+        support = tuple({v for entry in entries for v in entry.variables()})
+        assigned = _basis_variables(support, cliques)
+        if assigned is None:
+            raise RelaxationStructureError(
+                f"matrix inequality {m_idx} is supported on no single clique"
+            )
+        size = len(G)
+        rows = np.full((size, 0), -1, dtype=np.int64)
+        blocks.append(("localizing", f"loc.G{m_idx}", assigned, rows, *np.triu_indices(size)))
+        products.extend(rows[:1] for _ in entries)
+        polys.extend(entries)
     n_entries = sum(i.size for *_, i, _ in blocks)
 
     # Raw equality rows: clique-local equalities against all multipliers,

@@ -133,8 +133,13 @@ class SolverResult:
 
     ``y`` is present exactly when the status is optimal or near-optimal; for
     numerical failures the last iterate travels in ``diagnostics['last_y']``.
-    ``objective`` is +inf for infeasible problems, -inf for unbounded ones and
-    NaN on numerical failure.  The solver reports in
+    On those statuses ``objective`` is the bound: the dual objective of the
+    reported iterate plus the objective's constant, which approaches the
+    optimum from below, while the primal moment objective c'y + c0, which
+    approaches it from above, is ``diagnostics['primal_objective']``.  When
+    the equality rows fix every moment, both are c'y + c0, which is exact
+    there.  ``objective`` is +inf for infeasible problems, -inf for
+    unbounded ones and NaN on numerical failure.  The solver reports in
     ``diagnostics['phase_seconds']`` the seconds spent compiling the problem
     (``compile``) and its iterations' seconds in each phase: ``residuals``,
     ``scaling`` (the NT scaling from the Cholesky factors by one SVD, and
@@ -1187,17 +1192,26 @@ def solve(sdp: SdpProblem) -> SolverResult:
     trace: List[List[float]] = []
 
     def finish(
-        status: SolveStatus, y: Optional[np.ndarray], note: str, iterations: int, **extra
+        status: SolveStatus,
+        y: Optional[np.ndarray],
+        note: str,
+        iterations: int,
+        dual_objective: Optional[float] = None,
+        **extra,
     ) -> SolverResult:
         """The result that reports the scaled moment vector ``y`` (None when
         there is none) with ``status``: in original units when solved, as
-        ``last_y`` on a numerical failure, and its equality residual."""
+        ``last_y`` on a numerical failure, and its equality residual.  A
+        solved result reports ``dual_objective`` (c'y when it is None) plus
+        the objective's constant."""
         if y is not None:
             equality_stats["residual"] = comp.equality_residual(y)
             y = comp.y_scales * y
         diagnostics = {"note": note, **extra, **stats}
         if status.solved():
-            objective = sdp.objective.evaluate(y)
+            objective = diagnostics["primal_objective"] = sdp.objective.evaluate(y)
+            if dual_objective is not None:
+                objective = dual_objective + sdp.objective.constant
         else:
             objective = _UNSOLVED_OBJECTIVE[status]
             if status is SolveStatus.NUMERICAL_FAILURE:
@@ -1243,6 +1257,7 @@ def solve(sdp: SdpProblem) -> SolverResult:
     # the one of least worst-case merit among those that pass the
     # near-optimal gates (among all of them when none does).
     best_y = comp.moments(z)
+    best_dobj = math.nan
     best_triple = (math.inf, math.inf, math.inf)
     best_key = (True, math.inf)
     best_iteration = 0
@@ -1273,7 +1288,7 @@ def solve(sdp: SdpProblem) -> SolverResult:
             merit = max(relgap, pres, dres)
             key = (not _near(relgap, pres, dres), merit)
             if key < best_key:
-                best_y, best_key, best_iteration = y, key, iteration
+                best_y, best_dobj, best_key, best_iteration = y, dobj, key, iteration
                 best_triple = (relgap, pres, dres)
 
             if relgap <= _REL_TOL and pres <= _ABS_TOL and dres <= _ABS_TOL:
@@ -1420,6 +1435,7 @@ def solve(sdp: SdpProblem) -> SolverResult:
         best_y,
         note,
         iteration,  # _MAX_ITERS >= 1: the loop ran
+        best_dobj,
         relative_gap=relgap,
         primal_residual=pres,
         dual_residual=dres,

@@ -71,6 +71,12 @@ def abs_evaluate(poly: Polynomial, point: np.ndarray) -> float:
     )
 
 
+def half_plane():
+    """The ground set {x1 + x2 >= 1/2} over the planar facility position."""
+    universe = VariableUniverse(["x1", "x2"])
+    return SemialgebraicSet(universe, [parse("x1 + x2 - 0.5", universe)], [])
+
+
 def row_monomials(rows):
     """The ``Monomial`` of each monomial row (sorted variable ids, padded in
     front with -1), as a tuple."""

@@ -1,5 +1,5 @@
 """Tests for the single-facility location front-end: instance validation,
-the lift's witness and Dirac soundness, and ball calibration."""
+the lift's witness and Dirac soundness, and the exact arrow lifts."""
 
 from __future__ import annotations
 
@@ -9,20 +9,22 @@ import math
 import numpy as np
 import pytest
 
+from owasdp.extract import extract_point
 from owasdp.location import (
     InvalidNormError,
     LocationInstance,
+    _default_ball,
     build_lifted,
-    calibrate_ball,
     lifted_witness,
     random_instance,
 )
 from owasdp.omrf import EmptyWindowError
-from owasdp.polynomial import SemialgebraicSet, VariableUniverse
+from owasdp.oracle import multistart_descent
+from owasdp.polynomial import SemialgebraicSet, VariableUniverse, parse
 from owasdp.relaxation import build_sparse, dirac_moment_vector, min_order
-from owasdp.solver import solve
+from owasdp.solver import SolveStatus, solve
 
-from support import abs_evaluate, assignment_binaries
+from support import abs_evaluate, assignment_binaries, half_plane
 
 WEIGHTS = (1.0, 0.5, 2.0, 1.5)
 
@@ -39,12 +41,26 @@ SHAPES = {
     "general": {"position_lambda": (1.0, 0.5, -0.25, 0.0)},
 }
 TAUS = [(2, 1), (3, 1), (3, 2), (4, 3), (4, 1)]
+# The shapes whose planar l2 lifts take arrow blocks.
+ARROW_SHAPES = ("weber", "center", "kcentrum", "trimmed02")
 
 
 def make_instance(shape, tau, seed=0):
     variant = "trimmed" if shape == "trimmed02" else shape
     return random_instance(
         4, 2, seed, variant, tau, weights=WEIGHTS, **SHAPES[shape]
+    )
+
+
+def ball_holding(instance, x):
+    """The default ball of the anchors' bounding box widened to hold ``x``:
+    every quantity the ball constraints carry at a point of that box stays
+    within it."""
+    return _default_ball(
+        instance.points + (tuple(x),),
+        instance.weights + (0.0,),
+        instance.norm_tau,
+        instance.variant,
     )
 
 
@@ -62,6 +78,13 @@ def assert_feasible(lifted, z, tol=1e-10):
         assert abs(h.evaluate(z)) <= tol * (1.0 + abs_evaluate(h, z))
     for g in lifted.inequality_constraints:
         assert g.evaluate(z) >= -tol * (1.0 + abs_evaluate(g, z))
+    for G in lifted.matrix_inequalities:
+        matrix = np.zeros((len(G), len(G)))
+        for p, row in enumerate(G):
+            for q, entry in enumerate(row, start=p):
+                matrix[p, q] = matrix[q, p] = entry.evaluate(z)
+        eigs = np.linalg.eigvalsh(matrix)
+        assert eigs[0] >= -tol * (1.0 + abs(eigs[-1]))
 
 
 lift_cases = pytest.mark.parametrize(
@@ -133,9 +156,7 @@ def test_one_anchor_instance_is_sound(params):
     # widened to hold a point off the anchor.
     away = [1.1, -0.4]
     instance = LocationInstance(points=((0.3, 0.6),), **params)
-    instance = dataclasses.replace(
-        instance, ball_bound=calibrate_ball(instance, away, margin=1.0)
-    )
+    instance = dataclasses.replace(instance, ball_bound=ball_holding(instance, away))
     lifted = build_lifted(instance)
     sdp = build_sparse(lifted, min_order(lifted).r_min)
     for x in (instance.points[0], away):
@@ -152,11 +173,96 @@ def test_one_anchor_instance_is_sound(params):
 def test_calibrated_ball_keeps_the_witness_feasible(shape, tau, outside):
     instance = make_instance(shape, tau)
     x = box_point(instance, np.random.default_rng(3), outside)
-    snug = dataclasses.replace(
-        instance, ball_bound=calibrate_ball(instance, x, margin=1.0)
-    )
+    snug = dataclasses.replace(instance, ball_bound=ball_holding(instance, x))
     lifted = build_lifted(snug)
     assert_feasible(lifted, lifted_witness(snug, lifted, x))
+
+
+@pytest.mark.parametrize("tau", [(2, 1), (3, 1)], ids=["2_1", "3_1"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_arrow_blocks_replace_the_distance_equalities(shape, tau):
+    # Planar l2 lifts of the aggregations nondecreasing in each distance
+    # have one 3x3 arrow block per anchor and no distance equality; only
+    # the Weber sum keeps a distance variable.  The others keep the
+    # polynomial norm lift.
+    lifted = build_lifted(make_instance(shape, tau))
+    groups = dict(lifted.variable_groups)
+    if shape in ARROW_SHAPES and tau == (2, 1):
+        assert [len(G) for G in lifted.matrix_inequalities] == [3] * 4
+        assert lifted.equality_constraints == ()
+        assert ("z" in groups) is (shape == "weber")
+        assert max(g.degree for g in lifted.inequality_constraints) == 2
+    else:
+        assert lifted.matrix_inequalities == ()
+        assert len(groups["z"]) == 4
+
+
+@pytest.mark.parametrize("shape", ARROW_SHAPES)
+def test_arrow_lift_is_sound_on_a_half_plane(shape):
+    instance = dataclasses.replace(make_instance(shape, (2, 1)), ground_set=half_plane())
+    lifted = build_lifted(instance)
+    sdp = build_sparse(lifted, 1)
+    rng = np.random.default_rng(4)
+    points = [box_point(instance, rng) for _ in range(12)]
+    inside = [x for x in points if instance.region.contains(x)][:3]
+    assert len(inside) == 3
+    for x in inside:
+        z = lifted_witness(instance, lifted, x)
+        assert_feasible(lifted, z)
+        value = instance.objective_value(x)
+        assert lifted.objective_num.evaluate(z) == pytest.approx(value, rel=1e-9, abs=1e-9)
+        assert_dirac_feasible(instance, lifted, sdp, x)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "variant, params", [("weber", {}), ("center", {}), ("kcentrum", {"k": 2})],
+    ids=["weber", "center", "kcentrum"],
+)
+def test_arrow_relaxation_is_exact(variant, params, seed, order):
+    # The convex aggregations relax exactly: the bound meets the better of
+    # the direct search and the value at the extracted point, from below up
+    # to the dual residual's rounding.
+    instance = random_instance(6, 2, seed, variant, weights=WEIGHTS + (1.0, 0.25), **params)
+    sdp = build_sparse(build_lifted(instance), order)
+    result = solve(sdp)
+    assert result.status is SolveStatus.OPTIMAL
+    oracle = multistart_descent(instance, n_starts=10, seed=0).best_value
+    solution = extract_point(sdp, result.y, objective=instance.objective_value)
+    reference = min(oracle, solution.certified_value)
+    assert abs(result.objective - reference) <= 1e-6 * (1.0 + abs(reference))
+
+
+@pytest.mark.parametrize(
+    "variant, params, order",
+    [
+        ("weber", {}, 2),
+        ("weber", {}, 3),
+        ("center", {}, 2),
+        ("center", {}, 3),
+        ("kcentrum", {"k": 2}, 2),
+    ],
+    ids=["weber-2", "weber-3", "center-2", "center-3", "kcentrum-2"],
+)
+def test_nonconvex_ground_set_keeps_the_distance_equalities(variant, params, order):
+    # On the unit circle around the anchors the minimum lies far above the
+    # one over its hull, the disk, where arrow blocks on first moments would
+    # hold the bound at every order.  The distance equalities reach the
+    # circle's minimum.  (The k-centrum at order 3 takes seconds.)
+    universe = VariableUniverse(["x1", "x2"])
+    circle = SemialgebraicSet(universe, [], [parse("x1^2 + x2^2 - 1", universe)])
+    points = ((0.2, 0.1), (-0.3, 0.2), (0.1, -0.4))
+    instance = LocationInstance(points=points, variant=variant, ground_set=circle, **params)
+    lifted = build_lifted(instance)
+    assert lifted.matrix_inequalities == ()
+    assert len(lifted.equality_constraints) == 1 + len(points)
+    result = solve(build_sparse(lifted, order))
+    assert result.status is SolveStatus.OPTIMAL
+    oracle = multistart_descent(instance, n_starts=10, seed=0).best_value
+    free = dataclasses.replace(instance, ground_set=None)
+    assert multistart_descent(free, n_starts=10, seed=0).best_value < 0.5 * oracle
+    assert abs(result.objective - oracle) <= 1e-6 * (1.0 + abs(oracle))
 
 
 def test_witness_rejects_an_unknown_form():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -46,6 +47,7 @@ from support import (
     DEMO_POINTS,
     WEIGHT_CLASSES,
     dirac_moments,
+    half_plane,
     hand_lift,
     localizing_matrix,
     psd_block,
@@ -301,6 +303,52 @@ class TestOddDegreeConventions:
             build_dense(lift, 1)
 
 
+class TestMatrixInequalities:
+    """A matrix inequality G enters as one block of its first moments
+    L_y(G_pq), over the variables of the cliques that hold its support."""
+
+    @staticmethod
+    def lift(corner="1 + x"):
+        base = hand_lift(
+            ("x", "y", "z"),
+            "x + z",
+            inequality_texts=("1 - x^2 - y^2", "1 - y^2 - z^2"),
+            cliques=((0, 1), (1, 2)),
+            denominator_text="2",
+        )
+        u = base.universe
+        G = ((parse(corner, u), parse("y", u)), (parse("1 - x", u),))
+        return dataclasses.replace(base, matrix_inequalities=(G,))
+
+    def test_block_of_first_moments_at_every_order(self):
+        lift = self.lift()
+        for order in (1, 2):
+            sdp = build_sparse(lift, order)
+            (block,) = [b for b in sdp.psd_blocks if b.label == "loc.G0"]
+            assert (block.size, block.kind, block.variables) == (2, "localizing", (0, 1))
+            assert block.basis.shape == (2, 0)
+            # L_y(1 + x) with L_y(1) = 1/2 substituted from L_y(2) = 1.
+            x_moment = moment_position(sdp, "x", lift.universe)
+            assert corner_form(block) == AffineForm((x_moment,), (1.0,), 0.5)
+            y = dirac_moment_vector(sdp, np.array([0.6, 0.3, 0.1]))
+            assert np.allclose(block.assemble(y), [[0.8, 0.15], [0.15, 0.2]], rtol=0, atol=1e-15)
+
+    def test_min_order_counts_the_largest_entry(self):
+        assert min_order(self.lift()).matrix_orders == (1,)
+        cubic = self.lift("1 + x^3")
+        orders = min_order(cubic)
+        assert (orders.matrix_orders, orders.r_min) == ((2,), 2)
+        with pytest.raises(OrderTooSmallError):
+            build_sparse(cubic, 1)
+
+    def test_support_must_lie_in_one_clique(self):
+        lift = self.lift()
+        u = lift.universe
+        G = ((parse("1 + x", u), parse("z", u)), (parse("1 - x", u),))
+        with pytest.raises(ValueError, match="matrix inequality support"):
+            dataclasses.replace(lift, matrix_inequalities=(G,))
+
+
 class TestCrossCliqueEqualities:
     def general_m3(self):
         universe = VariableUniverse(["x"])
@@ -541,12 +589,6 @@ OMRF_CASES = {
 }
 
 
-def half_plane():
-    """The ground set {x1 + x2 >= 1/2} over the planar facility position."""
-    universe = VariableUniverse(["x1", "x2"])
-    return SemialgebraicSet(universe, [parse("x1 + x2 - 0.5", universe)], [])
-
-
 # ``LocationInstance`` keywords of each location digest case beyond the
 # ladder's planar l2 shapes: the lift branches those leave out.  The odd
 # numerator over an even denominator (tau = 3/2) adds ``v >= 0`` and, with a
@@ -599,9 +641,15 @@ def golden_case(name):
 # Recorded from the object-by-object relaxation assembly that the array
 # assembly replaced.
 GOLDEN_DIGESTS = {
-    "ladder-weber": "3481f46c08a17d957985eb483ac9971c28e4887134722f2037c0c1214807e85e",
-    "ladder-center": "75ec6c3e325186c5a42ad190d1b63586b6cfa610bbbb272faf42f77d193349a2",
-    "ladder-kcentrum": "d3a22314ea2fb5e9443fb959f7499737ed7711190fdc71f90270803086eebc05",
+    # Re-recorded when the planar l2 lifts of the aggregations nondecreasing
+    # in each distance traded the distance equalities for arrow blocks:
+    # center and k-centrum (and the (0, 2) trim, a 4-centrum) lost their
+    # distance variables, and the Weber sums their equality rows.
+    "ladder-weber": "b403c982b6cd5d05621d010968db4a1876969136658866c8b77db7445378920b",
+    "ladder-center": "dddb70c286b7ff977fbc1a11dff58a01343ea9e790d6cfce4734d4c01f6dd5cf",
+    "ladder-kcentrum": "e5b5ec8c1f4e68402a3e6b3a21cc72eaa0c23504b8481e802f5f40fcef1f0ac9",
+    "loc-trimmed02": "56192f14d9609e137f7ab1e0954e2e23ab37475167197ccc6b05e533197b52c7",
+    "loc-weberhalfplane": "a6acdd1db81780469f0b5f825857bb765ad578d57b25e83d4aeedaa3ff7949ea",
     "ladder-trimmed": "2534fd69cf260daa664f02de216d62e4384f2545aed532eb1b3fe98ce66ef61c",
     "ladder-range": "629472cab04c5499efd3fee70d9debb9bd4e446cf2a267afb18ebb311100a4e4",
     # Re-recorded when unpaired odd-degree inequalities moved to the
@@ -619,9 +667,7 @@ GOLDEN_DIGESTS = {
     "loc-trimmed32": "fd6b656a74f6c01b0dcdf88a590b3e5a410c702df2bd2586e2343a9eec36f45e",
     "loc-range43": "e316860fe0acb61711e82eb3cb96d0253cbef48cff41d9a7ebcb34703ca01a34",
     "loc-kcentrum3": "79a5e133a2f535ea8519c21583b7d0bed29a15e4f7b078d3b36f507d185ccc58",
-    "loc-trimmed02": "57226952ac0640c4fac4e5e93ce425f7f35ab05e9461f8ff6ff7c23fd8d8e5bb",
     "loc-center4": "c0da6291c7d30f8a80c5926f842de20f0174fff8ff1fec7611522942303c5081",
-    "loc-weberhalfplane": "1ddc0284444b691b3cb5c4619b62bf6886348c54a18f3c258281cdb9d050b48f",
     # Re-recorded when the assignment lift stopped registering its last row
     # (one minus the others) and the column sums that row made redundant.
     "ladder-general": "22da5fc9f2be703b28c554dbfa819d6b695f0decf2982d0bfd81107ca6e9363b",

@@ -23,7 +23,7 @@ from owasdp.omrf import (
     build_general_lift,
     build_telescoping,
 )
-from owasdp.oracle import ball_box, grid_search
+from owasdp.oracle import ball_box, grid_search, multistart_descent
 from owasdp.polynomial import (
     Polynomial,
     RationalFunction,
@@ -224,7 +224,7 @@ def weber_sparse(weber_lift):
 @pytest.fixture(scope="module")
 def weber50_instance():
     """Planar l2 Weber with 50 anchors: at order 2 its KKT system over the
-    free moments has 514 rows in 50 cliques."""
+    free moments has 1,014 rows in 50 cliques."""
     return random_instance(50, 2, seed=2)
 
 
@@ -570,7 +570,9 @@ class TestBundledBackend:
         assert res.status.solved()
         # The relaxation lower-bounds the true optimum 1 (the anchor gap).
         assert 0.0 < res.objective <= 1.0 + 1e-6
-        report = verify_vector(weber_sparse, res.y, 1e-6, reported_objective=res.objective)
+        report = verify_vector(
+            weber_sparse, res.y, 1e-6, reported_objective=res.diagnostics["primal_objective"]
+        )
         assert report.within_tolerance
 
     def test_hierarchy_is_monotone(self, weber_lift, weber_sparse):
@@ -587,10 +589,16 @@ class TestBundledBackend:
         assert res.diagnostics["dual_residual"] <= solver_module._ABS_TOL
 
     def test_best_iterate_passes_the_gates_before_it_minimizes_merit(self):
-        # Planar 1-center of six anchors at order 2: its iterate of least
-        # merit misses the near-optimal gates, and a later one passes them.
-        points = np.random.default_rng(2).random((6, 2)).tolist()
-        instance = LocationInstance(points=tuple(map(tuple, points)), variant="center")
+        # Planar 1-center of seven anchors on a disk at order 2 (a nonlinear
+        # ground set, so the lift keeps the distance equalities): its
+        # iterate of least merit misses the near-optimal gates, and an
+        # earlier one passes them.
+        universe = VariableUniverse(["x1", "x2"])
+        disk = SemialgebraicSet(universe, [parse("3 - x1^2 - x2^2", universe)], [])
+        points = np.random.default_rng(2).random((7, 2)).tolist()
+        instance = LocationInstance(
+            points=tuple(map(tuple, points)), variant="center", ground_set=disk
+        )
         res = solve(build_sparse(build_lifted(instance), 2))
         relgap, pres, dres = res.trace[:, :3].T
         merit = np.maximum.reduce([relgap, pres, dres])
@@ -1090,11 +1098,12 @@ class TestSparseKkt:
         stats = result.diagnostics["kkt"]
         assert set(stats) == {"dim", "cliques", "private", "separator", "nnz", "factor_nnz"}
         free = solver_module._Compiled(weber50_sparse).z_dim
-        assert stats["dim"] == free == result.diagnostics["equalities"]["free"] == 514
-        # One clique per anchor, each with 10 private moments; the 14 free
+        assert stats["dim"] == free == result.diagnostics["equalities"]["free"] == 1014
+        # One clique per anchor, each with 20 private moments (its arrow
+        # lift has no distance equality to fix those of u_i^2); the 14 free
         # moments of the facility position alone are shared.
         assert stats["cliques"] == len(stats["private"]) == 50
-        assert stats["private"] == [10] * 50 and stats["separator"] == 14
+        assert stats["private"] == [20] * 50 and stats["separator"] == 14
         s = stats["separator"]
         blocks = sum(p * p + 2 * p * s for p in stats["private"]) + s * s
         assert stats["nnz"] == stats["factor_nnz"] == blocks < stats["dim"] ** 2
@@ -1324,7 +1333,8 @@ class TestEqualityElimination:
         sdp = request.getfixturevalue(problem)
         res = solve(sdp)
         assert res.status.solved()
-        report = verify_vector(sdp, res.y, 1e-6, reported_objective=res.objective)
+        primal = res.diagnostics["primal_objective"]
+        report = verify_vector(sdp, res.y, 1e-6, reported_objective=primal)
         assert report.max_equality_residual <= 1e-10
         assert res.diagnostics["equalities"]["residual"] <= 1e-12
 
@@ -1398,12 +1408,13 @@ class TestVerifyResult:
         sdp = request.getfixturevalue(problem)
         res = solve(sdp)
         solved = res.y if res.y is not None else res.diagnostics["last_y"]
+        primal = res.diagnostics.get("primal_objective", res.objective)
         random = np.random.default_rng(7).standard_normal(sdp.y_dim)
         flags = set()
         for y in (random, solved):
             least = reference_verify(sdp, y, 1.0).min_block_eigenvalue
             for tol in (1e-10, 1e-8, 1e-6, 1e-3, max(-least, 0.0) / 1.5):
-                for objective in (None, res.objective):
+                for objective in (None, primal):
                     report = verify_vector(sdp, y, tol, reported_objective=objective)
                     assert_same_bits(
                         np.array(dataclasses.astuple(report), dtype=float),
@@ -1449,9 +1460,60 @@ class TestVerifyResult:
 
     def test_solver_output_self_check(self, max_dense):
         res = solve(max_dense)
-        report = verify_vector(max_dense, res.y, 1e-7, reported_objective=res.objective)
+        report = verify_vector(
+            max_dense, res.y, 1e-7, reported_objective=res.diagnostics["primal_objective"]
+        )
         assert report.within_tolerance
         assert report.min_block_eigenvalue >= -1e-7
+
+
+class TestDualBound:
+    """The reported bound is the dual objective of the reported iterate.  Over
+    seeds it lies at or below the direct-search value on both front-ends,
+    where the primal moment objective c'y, reported beside it, lies above
+    that value on some instances.  The dual iterate is feasible only up to
+    its residual, so the bound may pass the value by rounding; it gets the
+    allowance of :class:`TestTelescopingBounds`."""
+
+    def test_location(self):
+        variants = (
+            ("weber", {}),
+            ("center", {}),
+            ("kcentrum", {"k": 2}),
+            ("trimmed", {"trim": (1, 1)}),
+            ("range", {}),
+        )
+        above = 0
+        for seed, (variant, params) in itertools.product(range(3), variants):
+            instance = random_instance(5, 2, seed, variant, **params)
+            result = solve(build_sparse(build_lifted(instance), 2))
+            assert result.status.solved()
+            oracle = multistart_descent(instance, n_starts=10, seed=0).best_value
+            assert result.objective <= oracle + 1e-6 * (1.0 + abs(oracle))
+            above += result.diagnostics["primal_objective"] > oracle
+        assert above > 0
+
+    def test_omrf(self):
+        # The lifts of minimum order at most 2 among five random problems
+        # per weight pattern, against a grid of step 1e-2 in one variable
+        # and 5e-2 in two.
+        solved = above = 0
+        for pattern in ("general", "kcentrum", "monotone", "trimmed"):
+            rng = np.random.default_rng(3)
+            for _ in range(5):
+                problem = random_omrf_problem(rng, pattern, max_m=3)
+                lift = build_auto(problem)
+                order = min_order(lift).r_min
+                if order > 2:
+                    continue
+                result = solve(build_sparse(lift, order))
+                assert result.status.solved()
+                step = 1e-2 if len(problem.universe) == 1 else 5e-2
+                reference = grid_search(problem, ball_box(problem.region), step).best_value
+                assert result.objective <= reference + 1e-6 * (1.0 + abs(reference))
+                solved += 1
+                above += result.diagnostics["primal_objective"] > reference
+        assert solved >= 15 and above > 0
 
 
 class TestTelescopingBounds:
@@ -1536,7 +1598,7 @@ class TestOverflowGuards:
 
     @pytest.mark.parametrize("fixture", ["weber_sparse", "weber50_sparse"])
     def test_kkt_solve_of_an_overflowing_norm(self, request, fixture):
-        # two cliques of 10 private moments (weber), fifty (weber50)
+        # two cliques of 10 private moments (weber), fifty of 20 (weber50)
         comp = solver_module._Compiled(request.getfixturevalue(fixture))
         solver_module._schur_terms(comp, random_scaling(comp, 4))
         kkt = solver_module._Kkt(comp, comp.kkt_data(1e-12))
