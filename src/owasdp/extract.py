@@ -11,7 +11,8 @@ objective-error measure (`eps_obj`).  Both read the moments through the
 basis that every moment block carries (``PsdBlock.basis``): a selection of
 basis rows by variables and degree picks each ranked submatrix, and the
 first moments L_y(1) and L_y(x_l) are the first-row entries of the moment
-blocks at the basis rows of degree at most one.
+blocks at the basis rows of degree at most one.  The first moment of a
+linear variable, which no moment block holds, is read from y.
 
 Only the single-minimizer case (all ranks one) is extracted; higher finite
 ranks are detected and reported but not decomposed into atoms.
@@ -293,14 +294,17 @@ class ExtractedSolution:
         )
 
 
-def _first_moments(blocks: List[PsdBlock], y: np.ndarray, n_vars: int) -> np.ndarray:
-    """L_y(1), L_y(x_0), ..., L_y(x_{n_vars - 1}): the entries (0, l) of the
+def _first_moments(sdp: SdpProblem, y: np.ndarray) -> np.ndarray:
+    """L_y(1), L_y(x_0), ..., L_y(x_{n - 1}): the entries (0, l) of the
     moment blocks whose basis row 0 is the constant monomial, at the basis
     rows l of degree at most one, each read from the first block that holds
-    it.  The block entries carry the pivot substitution."""
+    it.  The block entries carry the pivot substitution.  A moment that no
+    block holds (that of a linear variable) is read from y by its monomial
+    row, or through the pivot substitution when it is the pivot."""
+    n_vars = len(sdp.universe)
     first = np.empty(n_vars + 1)
     found = np.zeros(n_vars + 1, dtype=bool)
-    for block in blocks:
+    for block in _moment_blocks(sdp):
         if found.all():
             break
         degree = (block.basis >= 0).sum(axis=1)
@@ -311,10 +315,21 @@ def _first_moments(blocks: List[PsdBlock], y: np.ndarray, n_vars: int) -> np.nda
         if new.any() and degree[0] == 0:
             first[slot[new]] = block.assemble(y)[0, low[new]]
             found[slot] = True
+    single = np.flatnonzero((sdp.moment_rows >= 0).sum(axis=1) == 1)
+    slot = sdp.moment_rows[single].max(axis=1, initial=-1) + 1
+    new = ~found[slot]
+    first[slot[new]] = y[single[new]]
+    found[slot] = True
+    pivot = min(sdp.denominator.terms, key=lambda m: m.grlex_key())
+    if pivot.degree <= 1:
+        slot = max(pivot.variables(), default=-1) + 1
+        if not found[slot]:
+            first[slot] = sdp.pivot_substitution.evaluate(y)
+            found[slot] = True
     if not found.all():
         slot = int(np.argmin(found))
         monomial = "1" if slot == 0 else f"x{slot - 1}"
-        raise ExtractionError(f"no moment block holds L_y({monomial}) in its first row")
+        raise ExtractionError(f"the relaxation holds no moment L_y({monomial})")
     return first
 
 
@@ -333,12 +348,11 @@ def extract_point(
     given, otherwise through the relaxation's rational objective at the full
     lifted point.  Meaningful only when `rank_check` certifies a single
     atom; on higher-rank moment vectors the returned point is the atoms'
-    barycenter.  ExtractionError when a moment block carries no basis or no
-    block holds a first moment.
+    barycenter.  ExtractionError when a moment block carries no basis or the
+    relaxation holds no first moment of some variable.
     """
     sdp._require_metadata()
-    n_vars = len(sdp.universe)
-    first = _first_moments(_moment_blocks(sdp), y, n_vars)
+    first = _first_moments(sdp, y)
     mass = float(first[0])
     if not mass > 0.0:
         raise DegenerateMomentError(

@@ -33,7 +33,11 @@ rank column sums to one and the last anchor's row is one minus the others.
 Per-anchor variables stay in their own clique (all cliques share the
 facility coordinates plus any aggregation variables), and every anchor has
 its own compactness ball, so the problems relax with clique-sized moment
-blocks instead of one dense block.
+blocks instead of one dense block.  The arrow lifts are the exception: their
+epigraph variables (the Weber distances, and the aggregation variables of
+the center and k-centrum) enter only linearly, so they lie in no clique and
+no ball, and the relaxation holds their first moments alone.  Those lifts
+have one clique, the facility coordinates, and one ball over them.
 """
 
 from __future__ import annotations
@@ -332,11 +336,12 @@ class _Scaffold:
     its coordinate lift variables (empty when the exponent needs none);
     ``u_caps[i]`` is a proven upper bound on ``u_i`` over the instance ball;
     ``cores[i]`` lists the facility coordinates and the anchor's lift
-    variables.  ``arrow`` marks the arrow lift (see :func:`_base`), which
-    has distance variables for the Weber sum only.  A variant's builder
-    registers its aggregation variables through :meth:`add`, bounds each
-    weighted distance through :meth:`dominate`, appends its constraints and
-    ends in :meth:`lifted`.
+    variables.  ``arrow`` marks the arrow lift (see :func:`_base`): there
+    only the Weber sum has distance variables, and neither they nor the
+    aggregation variables join a core, a clique or a ball.  A variant's
+    builder registers its aggregation variables through :meth:`add`, bounds
+    each weighted distance through :meth:`dominate`, appends its constraints
+    and ends in :meth:`lifted`.
     """
 
     instance: LocationInstance
@@ -368,18 +373,24 @@ class _Scaffold:
     def u(self, i: int) -> Polynomial:
         return self.var(self.u_ids[i])
 
-    def ball(self, i: int, *extra: Polynomial) -> Polynomial:
+    def ball(self, i: int, *extra: VarId) -> Polynomial:
         """Compactness constraint of anchor ``i``: ball bound minus the squared
-        facility coordinates, the anchor's lift variables, and any listed
-        extras."""
+        facility coordinates, the anchor's lift variables, and the listed
+        aggregation variables, which the arrow lift drops (see
+        :meth:`clique`)."""
         total = Polynomial.constant(self.ext, self.instance.ball_bound)
         total = total - self.x_sq
-        for vid in self.cores[i][self.instance.dim :]:
+        for vid in (*self.cores[i][self.instance.dim :], *(() if self.arrow else extra)):
             v_poly = self.var(vid)
             total = total - v_poly * v_poly
-        for sq in extra:
-            total = total - sq * sq
         return total
+
+    def clique(self, i: int, *extra: VarId) -> Tuple[VarId, ...]:
+        """Clique of anchor ``i``: its core and the listed aggregation
+        variables.  The arrow lift drops them: there they enter only
+        linearly, so they join no clique and no ball, and the relaxation
+        holds their first moments alone."""
+        return tuple(sorted(self.cores[i] + ([] if self.arrow else list(extra))))
 
     def arrow_block(
         self, i: int, bound: Polynomial, weight: float
@@ -427,7 +438,7 @@ class _Scaffold:
         """The finished problem; ``groups`` name the aggregation variables,
         after the distance (``z``) and coordinate (``v``) lift groups, where
         present.  Cliques and inequalities are kept once each: the arrow
-        lift of the center aggregation gives every anchor the same ones."""
+        lifts give every anchor the same ones."""
         ext = self.ext
         flat_v = tuple(v for row in self.v_ids for v in row)
         lift_groups = [
@@ -460,11 +471,13 @@ def _base(instance: LocationInstance) -> _Scaffold:
     *Lectures on Modern Convex Optimization*, 2001).  Only the Weber sum
     keeps a distance variable u_i per anchor, bounded by the arrow block
     with e_i = u_i and w_i = 1 (its weight multiplies u_i in the
-    objective), with no equality and no sign constraint.  The blocks bound
-    first moments only, so they need a convex ground set: on a nonconvex one
-    a mixture of points, with its mean in the hull, passes them at every
-    order and the bound stalls at the hull's minimum.  Nonlinear ground
-    sets therefore keep the distance equalities.
+    objective), with no equality and no sign constraint.  Every epigraph
+    variable enters linearly, so none joins a clique: the relaxation holds
+    one moment block over x and the first moments of the rest.  The blocks
+    bound first moments only, so they need a convex ground set: on a
+    nonconvex one a mixture of points, with its mean in the hull, passes
+    them at every order and the bound stalls at the hull's minimum.
+    Nonlinear ground sets therefore keep the distance equalities.
 
     Otherwise, for tau = r/s and anchor ``a`` the distance variable ``u``
     satisfies:
@@ -530,7 +543,6 @@ def _base(instance: LocationInstance) -> _Scaffold:
             if instance.variant == "weber":
                 u = scaffold.add(f"z{i + 1}", dist_hint)
                 scaffold.u_ids.append(u)
-                scaffold.cores[i].append(u)
                 scaffold.matrices.append(scaffold.arrow_block(i, scaffold.var(u), 1.0))
             continue
         u = scaffold.add(f"z{i + 1}", dist_hint)
@@ -578,23 +590,23 @@ def _weber(scaffold: _Scaffold) -> LiftedProblem:
     for i in range(instance.n):
         objective = objective + instance.weights[i] * scaffold.u(i)
         scaffold.inequalities.append(scaffold.ball(i))
-        cliques.append(tuple(sorted(scaffold.cores[i])))
+        cliques.append(scaffold.clique(i))
     return scaffold.lifted(objective, cliques, "weber")
 
 
 def _center(scaffold: _Scaffold) -> LiftedProblem:
     """Largest weighted distance: a shared epigraph variable ``t`` dominates
     every weighted distance and joins every clique and every ball.  The
-    arrow lift has no per-anchor variable, so it has one clique (x, t) and
-    one ball."""
+    arrow lift has no per-anchor variable and leaves ``t`` linear, so it has
+    one clique over x and one ball."""
     instance = scaffold.instance
     t = scaffold.add("t", scaffold.cost_hint)
     t_poly = scaffold.var(t)
     cliques = []
     for i in range(instance.n):
         scaffold.dominate(i, t_poly)
-        scaffold.inequalities.append(scaffold.ball(i, t_poly))
-        cliques.append(tuple(sorted(scaffold.cores[i] + [t])))
+        scaffold.inequalities.append(scaffold.ball(i, t))
+        cliques.append(scaffold.clique(i, t))
     scaffold.inequalities.append(t_poly)
     return scaffold.lifted(t_poly, cliques, "center", ("t", (t,)))
 
@@ -604,12 +616,13 @@ def _kcentrum(scaffold: _Scaffold, k: int) -> LiftedProblem:
 
     Uses the epigraph identity ``sum of k largest = min_t k t +
     sum_i max(c_i - t, 0)``: a shared variable ``t`` plus one nonnegative
-    surplus variable per anchor with ``t + r_i >= c_i`` (in the arrow lift,
-    the arrow block of ``t + r_i``).  The per-anchor balls bound the
-    surplus variables; ``t`` itself is capped by a separate
+    surplus variable per anchor with ``t + r_i >= c_i``.  The per-anchor
+    balls bound the surplus variables; ``t`` itself is capped by a separate
     quadratic constraint derived from the ball bound and the largest weight,
     which never cuts the optimum because the minimizing ``t`` equals one of
-    the weighted distances.
+    the weighted distances.  The arrow lift bounds ``t + r_i`` by the arrow
+    block and leaves ``t`` and the ``r_i`` linear: one clique over x, one
+    ball, and no cap on ``t``.
     """
     instance = scaffold.instance
     t = scaffold.add("t", scaffold.cost_hint)
@@ -623,14 +636,15 @@ def _kcentrum(scaffold: _Scaffold, k: int) -> LiftedProblem:
         objective = objective + r_poly
         scaffold.dominate(i, t_poly + r_poly)
         scaffold.inequalities.append(r_poly)
-        scaffold.inequalities.append(scaffold.ball(i, r_poly))
-        cliques.append(tuple(sorted(scaffold.cores[i] + [t, surplus_ids[i]])))
+        scaffold.inequalities.append(scaffold.ball(i, surplus_ids[i]))
+        cliques.append(scaffold.clique(i, t, surplus_ids[i]))
     scaffold.inequalities.append(t_poly)
-    weight_cap = max(1.0, max(instance.weights))
-    scaffold.inequalities.append(
-        Polynomial.constant(scaffold.ext, weight_cap * weight_cap * instance.ball_bound)
-        - t_poly * t_poly
-    )
+    if not scaffold.arrow:
+        weight_cap = max(1.0, max(instance.weights))
+        scaffold.inequalities.append(
+            Polynomial.constant(scaffold.ext, weight_cap * weight_cap * instance.ball_bound)
+            - t_poly * t_poly
+        )
     return scaffold.lifted(
         objective, cliques, "kcentrum-loc", ("t", (t,)), ("r", tuple(surplus_ids))
     )
@@ -670,10 +684,8 @@ def _trimmed(scaffold: _Scaffold) -> LiftedProblem:
         scaffold.inequalities.append(t_poly + r_poly - instance.weights[i] * u_poly)
         scaffold.inequalities.append(r_poly)
         scaffold.inequalities.append(s_poly)
-        scaffold.inequalities.append(scaffold.ball(i, t_poly, s_poly, r_poly))
-        cliques.append(
-            tuple(sorted(scaffold.cores[i] + [t, surplus_ids[i], selector_ids[i]]))
-        )
+        scaffold.inequalities.append(scaffold.ball(i, t, selector_ids[i], surplus_ids[i]))
+        cliques.append(scaffold.clique(i, t, surplus_ids[i], selector_ids[i]))
     scaffold.inequalities.append(t_poly)
     scaffold.equalities.append(selector_sum - float(k1))
     if instance.norm_tau[0] % 2 == 1:
@@ -707,8 +719,8 @@ def _range(scaffold: _Scaffold) -> LiftedProblem:
         weighted = instance.weights[i] * scaffold.u(i)
         scaffold.inequalities.append(weighted - t_poly)
         scaffold.inequalities.append(zmax_poly - weighted)
-        scaffold.inequalities.append(scaffold.ball(i, t_poly, zmax_poly))
-        cliques.append(tuple(sorted(scaffold.cores[i] + [t, zmax])))
+        scaffold.inequalities.append(scaffold.ball(i, t, zmax))
+        cliques.append(scaffold.clique(i, t, zmax))
     scaffold.inequalities.append(t_poly)
     scaffold.inequalities.append(zmax_poly)
     if instance.norm_tau[0] % 2 == 1:
@@ -751,7 +763,7 @@ def _general(scaffold: _Scaffold) -> LiftedProblem:
         scaffold.append_u_caps()
 
     cliques = list(lift.cliques([*scaffold.x_ids, *scaffold.u_ids]))
-    cliques.extend(tuple(sorted(scaffold.cores[i])) for i in range(n) if scaffold.v_ids[i])
+    cliques.extend(scaffold.clique(i) for i in range(n) if scaffold.v_ids[i])
     return scaffold.lifted(objective, cliques, "general-loc", ("w", lift.flat_ids))
 
 

@@ -229,17 +229,20 @@ class LiftedProblem:
     The objective is the ratio ``objective_num / objective_den``.  The
     denominator is the product of the function denominators, except on
     telescoping lifts with neither a selector level nor a plain top-level
-    sum, where it is 1.  ``cliques`` lists variable groups that cover
-    every objective term and every inequality constraint; the ordered list
-    satisfies the running intersection property.  Equality constraints may
-    couple variables across cliques (relaxations impose those only as scalar
-    linear conditions).  ``variable_groups`` records auxiliary variables by
-    role ("w", "t", "r", "v") in construction order so witnesses and
-    diagnostics can address them; ``variable_scales`` carries magnitude hints
-    used for numerical conditioning downstream.  ``matrix_inequalities``
-    lists symmetric matrices of polynomials G that are PSD on the feasible
-    set, each by its upper triangle: row p holds G_pq for q >= p.  Like an
-    inequality, each must be supported in one clique.
+    sum, where it is 1.  ``cliques`` lists variable groups that cover the
+    clique variables of every objective term and every inequality
+    constraint; the ordered list satisfies the running intersection
+    property.  A variable in no clique is *linear*: it may enter only terms
+    of degree at most one, and relaxations hold its first moment alone.
+    Equality constraints may couple variables across cliques (relaxations
+    impose those only as scalar linear conditions).  ``variable_groups``
+    records auxiliary variables by role ("w", "t", "r", "v") in
+    construction order so witnesses and diagnostics can address them;
+    ``variable_scales`` carries magnitude hints used for numerical
+    conditioning downstream.  ``matrix_inequalities`` lists symmetric
+    matrices of polynomials G that are PSD on the feasible set, each by its
+    upper triangle: row p holds G_pq for q >= p.  Like an inequality, each
+    must have its clique variables in one clique.
     """
 
     universe: VariableUniverse
@@ -270,6 +273,11 @@ class LiftedProblem:
         object.__setattr__(self, "cliques", tuple(tuple(c) for c in self.cliques))
         object.__setattr__(self, "original_variables", tuple(self.original_variables))
         universe = self.universe
+        n_vars = len(universe)
+        covered = {v for clique in self.cliques for v in clique}
+        if not covered <= set(range(n_vars)):
+            raise ValueError("cliques list a variable outside the universe")
+        linear = set(range(n_vars)) - covered
         for poly in (
             self.objective_num,
             self.objective_den,
@@ -279,29 +287,31 @@ class LiftedProblem:
         ):
             if poly.universe is not universe:
                 raise UniverseMismatchError("lifted polynomial from a different universe")
+            if linear and any(
+                m.degree > 1 and not linear.isdisjoint(m.variables()) for m in poly.terms
+            ):
+                raise ValueError(
+                    "a variable in no clique may enter only terms of degree at most one"
+                )
         if self.objective_den.is_zero():
             raise ValueError("objective denominator is identically zero")
-        n_vars = len(universe)
-        covered: set = set()
-        for clique in self.cliques:
-            covered.update(clique)
-        if covered != set(range(n_vars)):
-            raise ValueError("cliques must cover every variable exactly once or more")
         if not running_intersection_holds(self.cliques):
             raise ValueError("clique list violates the running intersection property")
         clique_sets = [frozenset(c) for c in self.cliques]
+
+        def in_one_clique(variables) -> bool:
+            support = set(variables) - linear
+            return any(support <= cs for cs in clique_sets)
+
         for g in self.inequality_constraints:
-            support = set(g.variables())
-            if not any(support <= cs for cs in clique_sets):
+            if not in_one_clique(g.variables()):
                 raise ValueError("inequality support not contained in any clique")
         for G in self.matrix_inequalities:
-            support = {v for row in G for entry in row for v in entry.variables()}
-            if not any(support <= cs for cs in clique_sets):
+            if not in_one_clique(v for row in G for entry in row for v in entry.variables()):
                 raise ValueError("matrix inequality support not contained in any clique")
         for poly in (self.objective_num, self.objective_den):
             for mono in poly.terms:
-                support = set(mono.variables())
-                if not any(support <= cs for cs in clique_sets):
+                if not in_one_clique(mono.variables()):
                     raise ValueError("objective term spans multiple cliques")
         if self.original_variables != tuple(range(len(self.original_variables))):
             raise ValueError("original variables must occupy the leading identifiers")

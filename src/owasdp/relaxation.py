@@ -29,6 +29,12 @@ tables this package reproduces):
 - a constraint is assigned the variables in the intersection of all cliques
   containing its support; equalities whose support lies in no single clique
   contribute a single scalar row L_y(h) = 0;
+- a *linear* variable, one in no clique, enters only terms of degree at most
+  one, and the relaxation holds its first moment alone.  A constraint on it
+  enters at order 0: an inequality as the 1x1 block L_y(g), an equality as
+  one scalar row, a matrix inequality as its first-moment block.  The cliques
+  assigned to such a constraint are those holding its other variables, and
+  its block is built over those plus its linear variables;
 - paired inequalities and odd-degree equalities may reference moments of
   degree 2r + 1; the moment dictionary extends on demand.
 
@@ -312,14 +318,16 @@ def size_stats_of(sdp: "SdpProblem") -> SizeStats:
 
 
 def _basis_variables(
-    support: Tuple[VarId, ...], cliques: Sequence[Tuple[VarId, ...]]
+    support: Tuple[VarId, ...], cliques: Sequence[Tuple[VarId, ...]], linear: frozenset
 ) -> Optional[Tuple[VarId, ...]]:
     """Variables assigned to a constraint: the intersection of all cliques
-    containing its support, or None when no clique contains it."""
-    containing = [set(c) for c in cliques if set(support) <= set(c)]
+    containing its support outside ``linear``, with its ``linear`` variables
+    added, or None when no clique contains the rest."""
+    inner = set(support) - linear
+    containing = [set(c) for c in cliques if inner <= set(c)]
     if not containing:
         return None
-    shared = set.intersection(*containing)
+    shared = set.intersection(*containing) | (linear & set(support))
     return tuple(sorted(shared))
 
 
@@ -405,6 +413,9 @@ def _build(lifted, r: int, cliques: Sequence[Tuple[VarId, ...]]) -> SdpProblem:
     universe = lifted.universe
     index = MomentIndex(universe)
     index.intern(np.concatenate([basis_rows(clique, 2 * r) for clique in cliques]))
+    linear = frozenset(range(len(universe))).difference(*cliques)
+    if linear:  # variables in no clique hold their first moment only
+        index.intern(np.array(sorted(linear), dtype=np.int64).reshape(-1, 1))
 
     # Local bases and their pair products, by (variable count, degree).
     tables: Dict[Tuple[int, int], Tuple[np.ndarray, ...]] = {}
@@ -433,19 +444,20 @@ def _build(lifted, r: int, cliques: Sequence[Tuple[VarId, ...]]) -> SdpProblem:
         polys.append(one)
     paired = _paired_inequalities(lifted.inequality_constraints)
     for g_idx, g in enumerate(lifted.inequality_constraints):
-        assigned = _basis_variables(g.variables(), cliques)
+        assigned = _basis_variables(g.variables(), cliques, linear)
         if assigned is None:
             raise RelaxationStructureError(
                 f"inequality {g_idx} is supported on no single clique"
             )
-        rows, i, j, pairs = basis(assigned, localizing_order(r, g.degree, paired[g_idx]))
+        order = localizing_order(r, g.degree, paired[g_idx]) if linear.isdisjoint(assigned) else 0
+        rows, i, j, pairs = basis(assigned, order)
         blocks.append(("localizing", f"loc.g{g_idx}", assigned, rows, i, j))
         products.append(pairs)
         polys.append(g)
     for m_idx, G in enumerate(lifted.matrix_inequalities):
         entries = [entry for row in G for entry in row]
         support = tuple({v for entry in entries for v in entry.variables()})
-        assigned = _basis_variables(support, cliques)
+        assigned = _basis_variables(support, cliques, linear)
         if assigned is None:
             raise RelaxationStructureError(
                 f"matrix inequality {m_idx} is supported on no single clique"
@@ -458,13 +470,14 @@ def _build(lifted, r: int, cliques: Sequence[Tuple[VarId, ...]]) -> SdpProblem:
     n_entries = sum(i.size for *_, i, _ in blocks)
 
     # Raw equality rows: clique-local equalities against all multipliers,
-    # cross-clique equalities as a single scalar row.
+    # cross-clique equalities and those on linear variables as a single
+    # scalar row.
     labels: List[str] = []
     expanded_rows: List[int] = []
     strict: List[Tuple[int, Tuple[np.ndarray, np.ndarray]]] = []
     for h_idx, h in enumerate(lifted.equality_constraints):
-        assigned = _basis_variables(h.variables(), cliques)
-        if assigned is None:
+        assigned = _basis_variables(h.variables(), cliques, linear)
+        if assigned is None or not linear.isdisjoint(assigned):
             strict.append((len(labels), _strict_terms(h, index, f"equality {h_idx}")))
             labels.append(f"eq{h_idx}.cross")
             continue

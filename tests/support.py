@@ -77,6 +77,15 @@ def half_plane():
     return SemialgebraicSet(universe, [parse("x1 + x2 - 0.5", universe)], [])
 
 
+def corner_disk():
+    """The disk through the corners of the unit square, {x1 + x2 - x1^2 -
+    x2^2 >= 0}, over the planar facility position.  The ground set is
+    nonlinear, so an l2 lift over it keeps each anchor's distance variable
+    in a clique of its own."""
+    universe = VariableUniverse(["x1", "x2"])
+    return SemialgebraicSet(universe, [parse("x1 + x2 - x1^2 - x2^2", universe)], [])
+
+
 def row_monomials(rows):
     """The ``Monomial`` of each monomial row (sorted variable ids, padded in
     front with -1), as a tuple."""

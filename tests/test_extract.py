@@ -36,7 +36,7 @@ from owasdp.relaxation import (
 )
 from owasdp.solver import solve
 
-from support import hand_lift, two_point_weber_lift
+from support import corner_disk, hand_lift, two_point_weber_lift
 
 
 @pytest.fixture(scope="module")
@@ -215,8 +215,9 @@ class TestRankCheck:
     def test_cross_ranks_match_the_pairwise_reference(self):
         # 40 anchors: 780 overlapping pairs of moment blocks, but only one
         # shared variable set per block.  The two-facility mixture gives
-        # cross ranks of 2 that the memo must carry to every pair.
-        instance = random_instance(40, 2, seed=1)
+        # cross ranks of 2 that the memo must carry to every pair.  The
+        # nonlinear ground set keeps one clique per anchor.
+        instance = dataclasses.replace(random_instance(40, 2, seed=1), ground_set=corner_disk())
         lift = build_lifted(instance)
         sdp = build_sparse(lift, 2)
         y = 0.5 * sum(
@@ -292,6 +293,24 @@ class TestRankCheck:
 
 
 class TestExtractPoint:
+    @pytest.mark.parametrize("denominator", [None, "2 + x", "t"])
+    def test_linear_variable_is_read_from_y(self, denominator):
+        # t lies in no clique, so no moment block holds L_y(t): it is read
+        # from y, or through the pivot substitution when the normalization
+        # L_y(t) = 1 eliminated it.
+        lift = hand_lift(
+            ("x", "t"),
+            "t",
+            inequality_texts=("1 - x^2", "t - x", "t"),
+            cliques=((0,),),
+            denominator_text=denominator,
+        )
+        sdp = build_sparse(lift, 2)
+        assert all(1 not in b.basis for b in sdp.psd_blocks if b.kind == "moment")
+        solution = extract_point(sdp, dirac_moment_vector(sdp, np.array([0.3, 0.5])))
+        assert solution.point == pytest.approx({0: 0.3, 1: 0.5}, rel=0, abs=1e-12)
+        assert solution.feasible
+
     def test_dirac_recovers_the_point_exactly(self, weber_sparse):
         y = dirac_moment_vector(weber_sparse, WEBER_POINT)
         solution = extract_point(weber_sparse, y)

@@ -234,6 +234,38 @@ def test_arrow_relaxation_is_exact(variant, params, seed, order):
     assert abs(result.objective - reference) <= 1e-6 * (1.0 + abs(reference))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("shape", ARROW_SHAPES)
+def test_arrow_lifts_leave_the_epigraph_variables_linear(shape, seed, dim):
+    # The epigraph variables (Weber's distances, the center's t, the
+    # k-centrum's t and r) enter only linearly: they lie in no clique, the
+    # relaxation holds their first moments alone and one moment block over
+    # the facility position.  Order 2 then gains nothing over order 1.
+    variant = "trimmed" if shape == "trimmed02" else shape
+    instance = random_instance(
+        6, dim, seed, variant, weights=WEIGHTS + (1.0, 0.25), **SHAPES[shape]
+    )
+    lifted = build_lifted(instance)
+    epigraph = [v for _, ids in lifted.variable_groups for v in ids]
+    x_ids = tuple(range(dim))
+    assert lifted.cliques == (x_ids,)
+    bounds = []
+    for order in (1, 2):
+        sdp = build_sparse(lifted, order)
+        moments = [(b.size, b.variables) for b in sdp.psd_blocks if b.kind == "moment"]
+        assert moments == [(math.comb(dim + order, order), x_ids)]
+        rows = sdp.moment_rows[np.isin(sdp.moment_rows, epigraph).any(axis=1)]
+        assert sorted(rows.max(axis=1)) == epigraph
+        assert np.all((rows >= 0).sum(axis=1) == 1)
+        result = solve(sdp)
+        assert result.status is SolveStatus.OPTIMAL
+        bounds.append(result.objective)
+    assert abs(bounds[1] - bounds[0]) <= 1e-7 * abs(bounds[0])
+    oracle = multistart_descent(instance, n_starts=10, seed=0).best_value
+    assert bounds[1] <= oracle + 1e-6 * (1.0 + abs(oracle))
+
+
 @pytest.mark.parametrize(
     "variant, params, order",
     [

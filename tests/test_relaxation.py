@@ -42,6 +42,7 @@ from owasdp.relaxation import (
 )
 
 from owasdp.moment import MomentIndex, monomial_rows
+from owasdp.solver import solve
 
 from support import (
     DEMO_POINTS,
@@ -349,6 +350,82 @@ class TestMatrixInequalities:
             dataclasses.replace(lift, matrix_inequalities=(G,))
 
 
+class TestLinearVariables:
+    """A variable in no clique enters only terms of degree at most one; the
+    relaxation holds its first moment alone, and every constraint on it
+    enters at order 0."""
+
+    @staticmethod
+    def lift(objective="t", names=("x", "t"), **kwargs):
+        # min t subject to t >= |x - 1/2| and x in [-1, 1], t in no clique.
+        params = dict(
+            inequality_texts=("1 - x^2", "t - x + 0.5", "t + x - 0.5", "t"),
+            cliques=((0,),),
+        )
+        return hand_lift(names, objective, **{**params, **kwargs})
+
+    @pytest.mark.parametrize(
+        "text", ["t^2", "t*x", "x^2*t"], ids=["square", "product", "cubic"]
+    )
+    def test_rejects_a_linear_variable_above_degree_one(self, text):
+        with pytest.raises(ValueError, match="degree at most one"):
+            self.lift(inequality_texts=("1 - x^2", f"1 - {text}"))
+        with pytest.raises(ValueError, match="degree at most one"):
+            self.lift(objective=f"t + {text}")
+        with pytest.raises(ValueError, match="degree at most one"):
+            self.lift(equality_texts=(f"x - {text}",))
+
+    def test_rejects_a_product_of_linear_variables(self):
+        with pytest.raises(ValueError, match="degree at most one"):
+            self.lift(names=("x", "t", "s"), inequality_texts=("1 - x^2", "t*s"))
+
+    def test_clique_variables_still_lie_in_one_clique(self):
+        with pytest.raises(ValueError, match="inequality support"):
+            self.lift(
+                names=("x", "y", "t"),
+                inequality_texts=("1 - x^2", "1 - y^2", "t - x - y"),
+                cliques=((0,), (1,)),
+            )
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_first_moment_only_and_order_zero_constraints(self, order):
+        lift = self.lift(equality_texts=("t - x",))
+        sdp = build_sparse(lift, order)
+        holds_t = np.flatnonzero((sdp.moment_rows == 1).any(axis=1))
+        assert sdp.moment_rows[holds_t].tolist() == [[-1] * (2 * order - 1) + [1]]
+        assert [(b.kind, b.size, b.variables) for b in sdp.psd_blocks] == [
+            ("moment", order + 1, (0,)),
+            ("localizing", order, (0,)),
+            *[("localizing", 1, (0, 1))] * 3,
+        ]
+
+        def form(terms, constant):
+            items = sorted(terms.items())
+            return AffineForm(tuple(i for i, _ in items), tuple(c for _, c in items), constant)
+
+        # The 1x1 blocks L_y(t - x + 1/2), L_y(t + x - 1/2) and L_y(t), and
+        # the equality as the one scalar row L_y(t - x) = 0.
+        t = moment_position(sdp, "t", lift.universe)
+        x = moment_position(sdp, "x", lift.universe)
+        assert [corner_form(b) for b in sdp.psd_blocks[2:]] == [
+            form({t: 1.0, x: -1.0}, 0.5),
+            form({t: 1.0, x: 1.0}, -0.5),
+            form({t: 1.0}, 0.0),
+        ]
+        (row,) = sdp.equalities
+        assert (row.label, row.form, row.rhs) == ("eq0.cross", form({t: 1.0, x: -1.0}, 0.0), 0.0)
+        y = dirac_moment_vector(sdp, np.array([0.25, 0.25]))
+        for block in sdp.psd_blocks:
+            assert np.linalg.eigvalsh(block.assemble(y))[0] >= -1e-12
+        assert row.residual(y) == 0.0
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_relaxation_is_exact(self, order):
+        result = solve(build_sparse(self.lift(), order))
+        assert result.status.solved()
+        assert abs(result.objective) <= 1e-7
+
+
 class TestCrossCliqueEqualities:
     def general_m3(self):
         universe = VariableUniverse(["x"])
@@ -642,14 +719,17 @@ def golden_case(name):
 # assembly replaced.
 GOLDEN_DIGESTS = {
     # Re-recorded when the planar l2 lifts of the aggregations nondecreasing
-    # in each distance traded the distance equalities for arrow blocks:
-    # center and k-centrum (and the (0, 2) trim, a 4-centrum) lost their
-    # distance variables, and the Weber sums their equality rows.
-    "ladder-weber": "b403c982b6cd5d05621d010968db4a1876969136658866c8b77db7445378920b",
-    "ladder-center": "dddb70c286b7ff977fbc1a11dff58a01343ea9e790d6cfce4734d4c01f6dd5cf",
-    "ladder-kcentrum": "e5b5ec8c1f4e68402a3e6b3a21cc72eaa0c23504b8481e802f5f40fcef1f0ac9",
-    "loc-trimmed02": "56192f14d9609e137f7ab1e0954e2e23ab37475167197ccc6b05e533197b52c7",
-    "loc-weberhalfplane": "a6acdd1db81780469f0b5f825857bb765ad578d57b25e83d4aeedaa3ff7949ea",
+    # in each distance traded the distance equalities for arrow blocks
+    # (center and k-centrum, and the (0, 2) trim, a 4-centrum, lost their
+    # distance variables, and the Weber sums their equality rows), and again
+    # when those lifts left their epigraph variables linear: one moment block
+    # over the facility position, one ball, and 1x1 blocks for the sign rows
+    # of the epigraph variables.
+    "ladder-weber": "9a6427a6b5bda8ad9a3f44b08417764ca3de1208cb6e6cb195eec23c1561c39a",
+    "ladder-center": "5a535c71955a941241ea1bce2306f4b794d7568529825f19171927c68147cf25",
+    "ladder-kcentrum": "e0a65eed16d1f7842df5bc663b3cdd8a74bc0d26fe3ef8e0630d3c30116c5a4e",
+    "loc-trimmed02": "3d6f284d98a20206d89f0e3f3c1d7e6a5f33eb3091439aa0bd128e63076f4753",
+    "loc-weberhalfplane": "638db529e37f49c8bfa4c954cbad32972230f458514a28b9fa5a1204442a8a17",
     "ladder-trimmed": "2534fd69cf260daa664f02de216d62e4384f2545aed532eb1b3fe98ce66ef61c",
     "ladder-range": "629472cab04c5499efd3fee70d9debb9bd4e446cf2a267afb18ebb311100a4e4",
     # Re-recorded when unpaired odd-degree inequalities moved to the

@@ -50,6 +50,7 @@ from owasdp.solver import (
 
 from support import (
     WEIGHT_CLASSES,
+    corner_disk,
     hand_lift,
     psd_block,
     random_omrf_problem,
@@ -223,9 +224,11 @@ def weber_sparse(weber_lift):
 
 @pytest.fixture(scope="module")
 def weber50_instance():
-    """Planar l2 Weber with 50 anchors: at order 2 its KKT system over the
-    free moments has 1,014 rows in 50 cliques."""
-    return random_instance(50, 2, seed=2)
+    """Planar l2 Weber with 50 anchors on the disk through the corners of
+    the unit square: the nonlinear ground set keeps a distance variable per
+    anchor in its own clique, and at order 2 the KKT system over the free
+    moments has 514 rows in 50 cliques."""
+    return dataclasses.replace(random_instance(50, 2, seed=2), ground_set=corner_disk())
 
 
 @pytest.fixture(scope="module")
@@ -1098,12 +1101,12 @@ class TestSparseKkt:
         stats = result.diagnostics["kkt"]
         assert set(stats) == {"dim", "cliques", "private", "separator", "nnz", "factor_nnz"}
         free = solver_module._Compiled(weber50_sparse).z_dim
-        assert stats["dim"] == free == result.diagnostics["equalities"]["free"] == 1014
-        # One clique per anchor, each with 20 private moments (its arrow
-        # lift has no distance equality to fix those of u_i^2); the 14 free
-        # moments of the facility position alone are shared.
+        assert stats["dim"] == free == result.diagnostics["equalities"]["free"] == 514
+        # One clique per anchor, each with 10 private moments (its distance
+        # equality fixes the other 10 that hold u_i^2); the 14 free moments
+        # of the facility position alone are shared.
         assert stats["cliques"] == len(stats["private"]) == 50
-        assert stats["private"] == [20] * 50 and stats["separator"] == 14
+        assert stats["private"] == [10] * 50 and stats["separator"] == 14
         s = stats["separator"]
         blocks = sum(p * p + 2 * p * s for p in stats["private"]) + s * s
         assert stats["nnz"] == stats["factor_nnz"] == blocks < stats["dim"] ** 2
@@ -1598,7 +1601,7 @@ class TestOverflowGuards:
 
     @pytest.mark.parametrize("fixture", ["weber_sparse", "weber50_sparse"])
     def test_kkt_solve_of_an_overflowing_norm(self, request, fixture):
-        # two cliques of 10 private moments (weber), fifty of 20 (weber50)
+        # two cliques of 10 private moments (weber), fifty of 10 (weber50)
         comp = solver_module._Compiled(request.getfixturevalue(fixture))
         solver_module._schur_terms(comp, random_scaling(comp, 4))
         kkt = solver_module._Kkt(comp, comp.kkt_data(1e-12))
