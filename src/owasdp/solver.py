@@ -44,8 +44,10 @@ the others are shared, so H + dI is block-arrow shaped.  Its dense blocks
 moments, and the shared block) are filled straight from the Schur terms;
 the private moments are eliminated first, by a Cholesky (or LU) factor per
 clique, and the shared moments last, by a dense factor of their Schur
-complement.  The iteration is deterministic: identical inputs and
-BLAS thread counts produce bitwise identical iterates.
+complement.  Each Newton system takes one pass of that elimination, with
+no iterative refinement: H + dI is symmetric positive definite, and the
+pass is backward stable on it.  The iteration is deterministic: identical
+inputs and BLAS thread counts produce bitwise identical iterates.
 ``diagnostics['phase_seconds']`` splits the compile and iteration time by
 phase, ``diagnostics['kkt']`` reports the size and fill
 of the KKT system, ``diagnostics['schur']`` the size of the Schur terms and
@@ -1074,29 +1076,25 @@ class _CliqueFactor:
 
 
 class _Kkt:
-    """Factorization of the positive-definite H + dI over the free moments,
-    with iterative refinement.
+    """Factorization of the positive-definite H + dI over the free moments.
 
     The system arrives in the ``_CliqueLayout`` of :class:`_Compiled` and is
     factored by block elimination of the clique-private moments: every P_c
     is factored (``_CliqueFactor``), and so is the separator's Schur
     complement S - sum_c B_c' P_c^{-1} B_c.  A solve eliminates the private
     moments of every clique, solves for the shared ones and substitutes them
-    back, x_c = P_c^{-1} (r_c - B_c x_s).  The right-hand side is permuted
-    into the layout's order and the solution out; the refinement residual
-    runs in the same block form, with the products batched over the cliques
-    of one private size."""
+    back, x_c = P_c^{-1} (r_c - B_c x_s), in one pass; the right-hand side
+    is permuted into the layout's order and the solution out."""
 
     def __init__(self, comp: _Compiled, data: np.ndarray) -> None:
         with np.errstate(over="ignore", invalid="ignore"):  # the pivots are checked
             self.layout = layout = comp.kkt_layout
             s = layout.shared
-            self._shared = data[layout.shared_offset : layout.size].reshape(s, s)
             # Per group of same-size cliques: its unknowns (a slice of the
-            # layout's order), P (C, p, p), the stacked B (C p, s) and the
-            # factors of every P_c.
+            # layout's order), the stacked B (C p, s) and the factors of
+            # every P_c (p, p).
             self._cliques = []
-            reduced = self._shared.copy()
+            reduced = data[layout.shared_offset : layout.size].reshape(s, s).copy()
             start = 0
             for p, count, p_offset, b_offset in layout.groups:
                 P = data[p_offset:b_offset].reshape(count, p, p)
@@ -1105,7 +1103,7 @@ class _Kkt:
                 for factor, coupling in zip(factors, B):
                     reduced -= factor.gram(coupling)
                 span = slice(start, start + count * p)
-                self._cliques.append((span, P, B.reshape(count * p, s), factors))
+                self._cliques.append((span, B.reshape(count * p, s), factors))
                 start = span.stop
             self._separator = _CliqueFactor(reduced) if s else None
 
@@ -1114,45 +1112,23 @@ class _Kkt:
         out = np.empty_like(rhs)
         shared = rhs[private:].copy()
         if self._separator is not None:  # without shared moments B has no columns
-            for span, _, B, factors in self._cliques:
+            for span, B, factors in self._cliques:
                 part = rhs[span].reshape(len(factors), -1)
                 shared -= B.T @ np.concatenate([f.solve(r) for f, r in zip(factors, part)])
             shared = self._separator.solve(shared)
         out[private:] = shared
-        for span, _, B, factors in self._cliques:
+        for span, B, factors in self._cliques:
             part = (rhs[span] - B @ shared).reshape(len(factors), -1)
             out[span] = np.concatenate([f.solve(r) for f, r in zip(factors, part)])
         return out
 
-    def _product(self, x: np.ndarray) -> np.ndarray:
-        """(H + dI) x."""
-        private = x.size - self.layout.shared
-        out = np.empty_like(x)
-        shared = x[private:]
-        out[private:] = self._shared @ shared
-        for span, P, B, _ in self._cliques:
-            part = x[span]
-            out[span] = (P @ part.reshape(P.shape[0], -1, 1)).ravel() + B @ shared
-            out[private:] += B.T @ part
-        return out
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Refined solution; non-finite when the factorization breaks down."""
+        """(H + dI)^{-1} rhs; non-finite when the factorization breaks down."""
         with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
             order = self.layout.order
-            rhs = rhs[order]
-            scale = 1.0 + float(np.linalg.norm(rhs))
-            sol = self._solve_once(rhs)
-            for _ in range(3):
-                if not _finite(sol):
-                    break
-                residual = rhs - self._product(sol)
-                if float(np.linalg.norm(residual)) <= 1e-13 * scale:
-                    break
-                sol = sol + self._solve_once(residual)
-            unpermuted = np.empty_like(sol)
-            unpermuted[order] = sol
-            return unpermuted
+            solution = np.empty_like(rhs)
+            solution[order] = self._solve_once(rhs[order])
+            return solution
 
 
 def _near(relgap: float, pres: float, dres: float) -> bool:

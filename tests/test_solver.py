@@ -223,6 +223,11 @@ def weber_sparse(weber_lift):
 
 
 @pytest.fixture(scope="module")
+def weber_dense(weber_lift):
+    return build_dense(weber_lift, 2)
+
+
+@pytest.fixture(scope="module")
 def weber50_instance():
     """Planar l2 Weber with 50 anchors on the disk through the corners of
     the unit square: the nonlinear ground set keeps a distance variable per
@@ -343,6 +348,30 @@ def assembled_kkt(comp, data):
     out = np.empty_like(stored)
     out[np.ix_(layout.order, layout.order)] = stored
     return out
+
+
+def last_newton_systems(monkeypatch, sdp):
+    """The result of ``solve(sdp)``, and the compiled problem, the KKT data
+    and the right-hand sides of the Newton systems of its last iteration
+    (predictor, corrector and dual correction): a late iterate, where
+    H + dI is far worse conditioned than at a random scaling."""
+    systems = []
+    real_init = solver_module._Kkt.__init__
+    real_solve = solver_module._Kkt.solve
+
+    def recording_init(kkt, comp, data):
+        real_init(kkt, comp, data)
+        systems.append((comp, data, []))
+
+    def recording_solve(kkt, rhs):
+        systems[-1][2].append(rhs.copy())
+        return real_solve(kkt, rhs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module._Kkt, "__init__", recording_init)
+        patch.setattr(solver_module._Kkt, "solve", recording_solve)
+        result = solve(sdp)
+    return (result, *systems[-1])
 
 
 def operator_schur(comp, G):
@@ -597,7 +626,7 @@ class TestBundledBackend:
         # iterate of least merit misses the near-optimal gates, and an
         # earlier one passes them.
         universe = VariableUniverse(["x1", "x2"])
-        disk = SemialgebraicSet(universe, [parse("3 - x1^2 - x2^2", universe)], [])
+        disk = SemialgebraicSet(universe, [parse("4 - x1^2 - x2^2", universe)], [])
         points = np.random.default_rng(2).random((7, 2)).tolist()
         instance = LocationInstance(
             points=tuple(map(tuple, points)), variant="center", ground_set=disk
@@ -1154,7 +1183,7 @@ class TestSparseKkt:
         self, weber50_sparse, weber_sparse, problem, cliques, separator
     ):
         # H + dI assembled from the block operator alone, against the block
-        # elimination's refined solve and its block-form product.
+        # elimination's solve.
         sdp = {
             "weber50": weber50_sparse,
             "weber": weber_sparse,
@@ -1174,30 +1203,25 @@ class TestSparseKkt:
         np.testing.assert_allclose(
             kkt.solve(rhs), expected, rtol=0, atol=1e-12 * np.max(np.abs(expected))
         )
-        order = comp.kkt_layout.order
-        np.testing.assert_allclose(
-            kkt._product(rhs[order]),
-            (H @ rhs)[order],
-            rtol=0,
-            atol=1e-12 * np.max(np.abs(H @ rhs)),
-        )
 
+    @pytest.mark.parametrize("method", ["_solve_once", "solve"])
     @pytest.mark.parametrize(
         "problem, cliques, separator, passes",
-        [("max_dense", 1, 0, 1), ("weber_sparse", 2, 14, 2)],
+        [("weber_dense", 1, 0, 1), ("weber_sparse", 2, 14, 2)],
     )
     def test_clique_solves_per_pass(
-        self, monkeypatch, request, problem, cliques, separator, passes
+        self, monkeypatch, request, problem, cliques, separator, passes, method
     ):
         # With shared moments every clique is solved twice per pass, once to
         # eliminate it and once to substitute back; without them the
-        # elimination pass would only be discarded, so it is skipped.
-        comp = solver_module._Compiled(request.getfixturevalue(problem))
+        # elimination pass would only be discarded, so it is skipped.  A
+        # solve is one pass, also on the predictor's system of the last
+        # iterate, which is ill-conditioned.
+        sdp = request.getfixturevalue(problem)
+        _, comp, data, (predictor, *_) = last_newton_systems(monkeypatch, sdp)
         stats = comp.kkt_stats()
         assert (stats["cliques"], stats["separator"]) == (cliques, separator)
-        solver_module._schur_terms(comp, random_scaling(comp, 6))
-        kkt = solver_module._Kkt(comp, comp.kkt_data(1e-12))
-        rhs = np.random.default_rng(8).standard_normal(comp.z_dim)
+        kkt = solver_module._Kkt(comp, data)
         real_solve = solver_module._CliqueFactor.solve
         calls = []
 
@@ -1206,8 +1230,26 @@ class TestSparseKkt:
             return real_solve(factor, vector)
 
         monkeypatch.setattr(solver_module._CliqueFactor, "solve", counting_solve)
-        kkt._solve_once(rhs)
+        getattr(kkt, method)(predictor)
         assert len(calls) == passes * cliques + (separator > 0)
+
+    def test_late_iterate_solve_is_backward_stable(self, monkeypatch):
+        # The planar range instance over six anchors from default_rng(0) at
+        # order 2 ends near_optimal; every Newton system of its last
+        # iterate is solved to a normwise backward error of 1e-12 by one
+        # elimination pass.
+        anchors = tuple(map(tuple, np.random.default_rng(0).random((6, 2))))
+        sdp = build_sparse(build_lifted(LocationInstance(points=anchors, variant="range")), 2)
+        result, comp, data, rhs_list = last_newton_systems(monkeypatch, sdp)
+        assert result.status is SolveStatus.NEAR_OPTIMAL
+        assert len(rhs_list) == 3
+        matrix = assembled_kkt(comp, data)
+        norm = np.linalg.norm(matrix, 2)
+        kkt = solver_module._Kkt(comp, data)
+        for rhs in rhs_list:
+            x = kkt.solve(rhs)
+            residual = np.linalg.norm(matrix @ x - rhs)
+            assert residual <= 1e-12 * (norm * np.linalg.norm(x) + np.linalg.norm(rhs))
 
     def test_clique_labels(self, weber50_sparse):
         # Every moment block is a clique of its own, and every block lies in
