@@ -329,8 +329,7 @@ class LocationInstance:
 
 @dataclass
 class _Scaffold:
-    """Shared builder state: the norm lift, the ground constraints and the
-    moment-scale hints.
+    """Shared builder state: the norm lift and the ground constraints.
 
     ``u_ids[i]`` is the distance variable of anchor ``i`` and ``v_ids[i]``
     its coordinate lift variables (empty when the exponent needs none);
@@ -349,8 +348,6 @@ class _Scaffold:
     inequalities: List[Polynomial]
     equalities: List[Polynomial]
     x_sq: Polynomial
-    scales: List[float]
-    cost_hint: float
     arrow: bool
     u_ids: List[VarId] = field(default_factory=list)
     v_ids: List[Tuple[VarId, ...]] = field(default_factory=list)
@@ -362,9 +359,8 @@ class _Scaffold:
     def x_ids(self) -> Tuple[VarId, ...]:
         return tuple(range(self.instance.dim))
 
-    def add(self, name: str, scale: float) -> VarId:
-        """Register a fresh variable with its moment scale."""
-        self.scales.append(scale)
+    def add(self, name: str) -> VarId:
+        """Register a fresh variable."""
         return self.ext.add(_fresh_name(self.ext, name))
 
     def var(self, vid: VarId) -> Polynomial:
@@ -454,7 +450,6 @@ class _Scaffold:
             original_variables=self.x_ids,
             form=form,
             variable_groups=(*lift_groups, *groups),
-            variable_scales=tuple(self.scales),
             matrix_inequalities=tuple(self.matrices),
         )
 
@@ -516,14 +511,7 @@ def _base(instance: LocationInstance) -> _Scaffold:
     for x_poly in x_polys:
         x_sq = x_sq + x_poly**2
 
-    pts = np.asarray(instance.points, dtype=float)
-    spans = pts.max(axis=0) - pts.min(axis=0)
-    diagonal = math.sqrt(float((spans * spans).sum()))
     dual_factor = float(d) ** max(0.0, s / r - 0.5)
-    dist_hint = max(1.0, dual_factor * diagonal)
-    weight_cap = max(1.0, max(instance.weights))
-    x_hint = max(1.0, float(np.sqrt((pts * pts).sum(axis=1)).max()))
-    v_hint = max(1.0, diagonal ** (r / s))
     radius = math.sqrt(instance.ball_bound)
 
     scaffold = _Scaffold(
@@ -532,8 +520,6 @@ def _base(instance: LocationInstance) -> _Scaffold:
         inequalities=[_rehome(g, ext) for g in gs.inequalities],
         equalities=[_rehome(h, ext) for h in gs.equalities],
         x_sq=x_sq,
-        scales=[x_hint] * d,
-        cost_hint=max(1.0, weight_cap * dist_hint),
         arrow=arrow,
     )
     for i, anchor in enumerate(instance.points):
@@ -541,11 +527,11 @@ def _base(instance: LocationInstance) -> _Scaffold:
             scaffold.v_ids.append(())
             scaffold.cores.append(list(scaffold.x_ids))
             if instance.variant == "weber":
-                u = scaffold.add(f"z{i + 1}", dist_hint)
+                u = scaffold.add(f"z{i + 1}")
                 scaffold.u_ids.append(u)
                 scaffold.matrices.append(scaffold.arrow_block(i, scaffold.var(u), 1.0))
             continue
-        u = scaffold.add(f"z{i + 1}", dist_hint)
+        u = scaffold.add(f"z{i + 1}")
         u_poly = scaffold.var(u)
         scaffold.inequalities.append(u_poly)
         deltas = [x_polys[l] - anchor[l] for l in range(d)]
@@ -556,7 +542,7 @@ def _base(instance: LocationInstance) -> _Scaffold:
                 total = total + delta**r
             scaffold.equalities.append(u_poly**r - total)
         else:
-            row = tuple(scaffold.add(f"v{i + 1}_{l + 1}", v_hint) for l in range(d))
+            row = tuple(scaffold.add(f"v{i + 1}_{l + 1}") for l in range(d))
             v_polys = [scaffold.var(v) for v in row]
             v_sum = Polynomial.zero(ext)
             for v_poly in v_polys:
@@ -600,7 +586,7 @@ def _center(scaffold: _Scaffold) -> LiftedProblem:
     arrow lift has no per-anchor variable and leaves ``t`` linear, so it has
     one clique over x and one ball."""
     instance = scaffold.instance
-    t = scaffold.add("t", scaffold.cost_hint)
+    t = scaffold.add("t")
     t_poly = scaffold.var(t)
     cliques = []
     for i in range(instance.n):
@@ -625,8 +611,8 @@ def _kcentrum(scaffold: _Scaffold, k: int) -> LiftedProblem:
     ball, and no cap on ``t``.
     """
     instance = scaffold.instance
-    t = scaffold.add("t", scaffold.cost_hint)
-    surplus_ids = [scaffold.add(f"r{i + 1}", scaffold.cost_hint) for i in range(instance.n)]
+    t = scaffold.add("t")
+    surplus_ids = [scaffold.add(f"r{i + 1}") for i in range(instance.n)]
     t_poly = scaffold.var(t)
 
     objective = float(k) * t_poly
@@ -666,9 +652,9 @@ def _trimmed(scaffold: _Scaffold) -> LiftedProblem:
     if k1 == 0:
         return _kcentrum(scaffold, n - k2)
 
-    t = scaffold.add("t", scaffold.cost_hint)
-    surplus_ids = [scaffold.add(f"r{i + 1}", scaffold.cost_hint) for i in range(n)]
-    selector_ids = [scaffold.add(f"s{i + 1}", 1.0) for i in range(n)]
+    t = scaffold.add("t")
+    surplus_ids = [scaffold.add(f"r{i + 1}") for i in range(n)]
+    selector_ids = [scaffold.add(f"s{i + 1}") for i in range(n)]
     t_poly = scaffold.var(t)
 
     objective = float(n - k2) * t_poly
@@ -709,8 +695,8 @@ def _range(scaffold: _Scaffold) -> LiftedProblem:
     each distance variable (see :func:`_base` on one-sided tightness).
     """
     instance = scaffold.instance
-    t = scaffold.add("t", scaffold.cost_hint)
-    zmax = scaffold.add("zmax", scaffold.cost_hint)
+    t = scaffold.add("t")
+    zmax = scaffold.add("zmax")
     t_poly = scaffold.var(t)
     zmax_poly = scaffold.var(zmax)
 
@@ -746,7 +732,6 @@ def _general(scaffold: _Scaffold) -> LiftedProblem:
     n = instance.n
     weighted = [instance.weights[i] * scaffold.u(i) for i in range(n)]
     lift = build_assignment(scaffold.ext, weighted)
-    scaffold.scales.extend([1.0] * len(lift.flat_ids))
 
     for binaries in lift.binaries:
         scaffold.equalities.extend(binaries)

@@ -237,12 +237,11 @@ class LiftedProblem:
     Equality constraints may couple variables across cliques (relaxations
     impose those only as scalar linear conditions).  ``variable_groups``
     records auxiliary variables by role ("w", "t", "r", "v") in
-    construction order so witnesses and diagnostics can address them;
-    ``variable_scales`` carries magnitude hints used for numerical
-    conditioning downstream.  ``matrix_inequalities`` lists symmetric
-    matrices of polynomials G that are PSD on the feasible set, each by its
-    upper triangle: row p holds G_pq for q >= p.  Like an inequality, each
-    must have its clique variables in one clique.
+    construction order so witnesses and diagnostics can address them.
+    ``matrix_inequalities`` lists symmetric matrices of polynomials G that
+    are PSD on the feasible set, each by its upper triangle: row p holds
+    G_pq for q >= p.  Like an inequality, each must have its clique
+    variables in one clique.
     """
 
     universe: VariableUniverse
@@ -254,7 +253,6 @@ class LiftedProblem:
     original_variables: Tuple[VarId, ...]
     form: str
     variable_groups: Tuple[Tuple[str, Tuple[VarId, ...]], ...] = ()
-    variable_scales: Tuple[float, ...] = ()
     matrix_inequalities: Tuple[Tuple[Tuple[Polynomial, ...], ...], ...] = ()
 
     def __post_init__(self) -> None:
@@ -315,8 +313,6 @@ class LiftedProblem:
                     raise ValueError("objective term spans multiple cliques")
         if self.original_variables != tuple(range(len(self.original_variables))):
             raise ValueError("original variables must occupy the leading identifiers")
-        if self.variable_scales and len(self.variable_scales) != n_vars:
-            raise ValueError("one scale hint per variable is required")
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +425,6 @@ class _Ground:
     inequalities: List[Polynomial]
     equalities: List[Polynomial]
     x_ids: Tuple[VarId, ...]
-    x_scale: float
 
 
 def _rehome(poly: Polynomial, universe: VariableUniverse) -> Polynomial:
@@ -462,7 +457,6 @@ def _prepare(problem: OmrfProblem) -> _Ground:
         inequalities=inequalities,
         equalities=equalities,
         x_ids=tuple(range(len(base))),
-        x_scale=math.sqrt(problem.ball_bound),
     )
 
 
@@ -493,11 +487,6 @@ def _cleared_numerators(g: _Ground) -> Tuple[Polynomial, List[Polynomial]]:
     suffix.reverse()  # suffix[i] = product of denominators i..m-1
     m = len(g.denominators)
     return prefix[m], [g.numerators[i] * prefix[i] * suffix[i + 1] for i in range(m)]
-
-
-def _scale_hint(lo: float, hi: float) -> float:
-    magnitude = max(abs(lo), abs(hi))
-    return magnitude if magnitude > 0.0 else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +592,6 @@ def build_general_lift(problem: OmrfProblem) -> LiftedProblem:
         original_variables=g.x_ids,
         form="general",
         variable_groups=(("w", lift.flat_ids),),
-        variable_scales=(g.x_scale,) * len(g.x_ids) + (1.0,) * len(lift.flat_ids),
     )
 
 
@@ -757,9 +745,6 @@ def build_telescoping(problem: OmrfProblem) -> LiftedProblem:
             for j in range(m):
                 objective = objective + deltas[m - 1] * cleared[j]
 
-    scales = [g.x_scale] * len(x) + [_scale_hint(lower, upper)] * len(t)
-    scales += [_scale_hint(*box) for rk in r for _, box in zip(rk, r_boxes)]
-    scales += [1.0] * (m * len(v))
     return LiftedProblem(
         universe=ext,
         objective_num=objective,
@@ -774,7 +759,6 @@ def build_telescoping(problem: OmrfProblem) -> LiftedProblem:
             ("r", tuple(rid for row in r_ids for rid in row)),
             ("v", tuple(vid for row in v_ids for vid in row)),
         ),
-        variable_scales=tuple(scales),
     )
 
 

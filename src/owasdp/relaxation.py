@@ -247,7 +247,6 @@ class SdpProblem:
     psd_blocks: Tuple[PsdBlock, ...]
     equalities: Tuple[EqualityRow, ...]
     pivot_substitution: AffineForm
-    moment_scales: Tuple[float, ...]
     original_variables: Tuple[VarId, ...]
     stats: SizeStats = field(init=False)
     moment_rows: Optional[np.ndarray] = None
@@ -255,8 +254,6 @@ class SdpProblem:
     denominator: Optional[Polynomial] = None
 
     def __post_init__(self) -> None:
-        if self.moment_scales and len(self.moment_scales) != self.y_dim:
-            raise ValueError("moment_scales length must equal y_dim")
         for idx in self.objective.indices + self.pivot_substitution.indices:
             if not 0 <= idx < self.y_dim:
                 raise ValueError("objective/pivot index out of range")
@@ -555,7 +552,6 @@ def _build(lifted, r: int, cliques: Sequence[Tuple[VarId, ...]]) -> SdpProblem:
     objective = affine(n_forms - 1, constant_list[n_forms - 1])
 
     moment_rows = np.delete(key_rows(index.keys, len(universe)), eliminator.pivot_raw, axis=0)
-    per_var = np.array(lifted.variable_scales or [1.0] * len(universe), dtype=float)
 
     return SdpProblem(
         y_dim=eliminator.y_dim,
@@ -564,7 +560,6 @@ def _build(lifted, r: int, cliques: Sequence[Tuple[VarId, ...]]) -> SdpProblem:
         psd_blocks=tuple(psd_blocks),
         equalities=tuple(equalities),
         pivot_substitution=eliminator.substitution,
-        moment_scales=tuple(monomial_values(moment_rows, per_var).tolist()),
         original_variables=tuple(lifted.original_variables),
         moment_rows=moment_rows,
         universe=universe,

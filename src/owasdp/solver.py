@@ -56,9 +56,9 @@ elimination.
 
 Before solving, every equality row is normalized to unit Euclidean norm
 before the elimination and every substituted PSD block map to unit Frobenius
-norm; the per-moment magnitude hints carried by the relaxation
-(``moment_scales``) rescale the variables.  All reported quantities (the
-full-length ``y``, objective) are mapped back to original units.
+norm.  The moments themselves are not rescaled: the iteration runs on the
+relaxation's raw moments, so the full-length ``y`` it reports needs no
+mapping back.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ class SolverResult:
     its ``dim`` and the Schur terms are over the free moments only;
     ``diagnostics['equalities']`` reports the ``rows``, how many of them
     were ``dependent`` (dropped), the number of ``free`` moments (equal to
-    ``kkt['dim']``) and the ``residual`` max |E y - b| over the scaled,
+    ``kkt['dim']``) and the ``residual`` max |E y - b| over the
     unit-norm rows at the reported iterate (or, when the rows are
     inconsistent, the largest right-hand side of a row that reduced to
     0 = rhs).  ``primal_residual`` includes that residual, and
@@ -298,7 +298,7 @@ def _equality_terms(sdp: SdpProblem) -> Tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Compilation to scaled, grouped array form
+# Compilation to normalized, grouped array form
 # ---------------------------------------------------------------------------
 
 
@@ -642,10 +642,10 @@ class _SchurGroup:
 
 
 class _Compiled:
-    """Scaled standard form over the free moments in grouped layout, plus the
-    bookkeeping to undo the elimination and the scaling.
+    """Normalized standard form over the free moments in grouped layout, plus
+    the bookkeeping to undo the elimination.
 
-    The equality rows, scaled and normalized to unit norm, are eliminated
+    The equality rows, normalized to unit norm, are eliminated
     once (``_eliminate``): every y with E y = b is y = fixed + free z, so the
     iteration runs over the free moments z alone, on the blocks substituted
     at that y (objective c'y = (free' c)'z + c'fixed).  Blocks are ordered
@@ -664,16 +664,8 @@ class _Compiled:
 
     def __init__(self, sdp: SdpProblem) -> None:
         self.y_dim = y_dim = sdp.y_dim
-        scales = (
-            np.asarray(sdp.moment_scales, dtype=float)
-            if sdp.moment_scales
-            else np.ones(y_dim)
-        )
-        self.y_scales = scales
-
         terms, indices, coeffs = _equality_terms(sdp)
         self.n_eq = terms.size
-        coeffs *= scales[indices]
         norms = np.ones(self.n_eq)
         for r_idx, end in enumerate(np.cumsum(terms).tolist()):
             row = coeffs[end - terms[r_idx] : end]
@@ -694,7 +686,7 @@ class _Compiled:
         self.dependent = elim.dependent
         self.inconsistency = elim.inconsistency
 
-        self._compile_blocks([b for b in sdp.psd_blocks if b.size], scales, elim)
+        self._compile_blocks([b for b in sdp.psd_blocks if b.size], elim)
         self.At = self.A.T.tocsr()
         compact = [s for s in self.shapes if s.buckets]
         self.schur_stats = {
@@ -710,7 +702,7 @@ class _Compiled:
 
         c = np.zeros(y_dim)
         for idx, coeff in zip(sdp.objective.indices, sdp.objective.coefficients):
-            c[idx] += coeff * scales[idx]
+            c[idx] += coeff
         self.c_ref = 1.0 + float(np.max(np.abs(c), initial=0.0))
         self.c = self.free.T @ c
         self.c_offset = float(c @ self.fixed)
@@ -721,10 +713,10 @@ class _Compiled:
             z_dim, self.shapes, self.kkt_values.size
         )
 
-    def _compile_blocks(self, blocks, scales: np.ndarray, elim: _Elimination) -> None:
+    def _compile_blocks(self, blocks, elim: _Elimination) -> None:
         """Substitute, normalize, order and group the nonempty blocks.
 
-        All blocks are stacked into one raw map R from the scaled moments to
+        All blocks are stacked into one raw map R from the moments to
         their flat vectors (entry (i, j) of block k at offset_k + i n_k + j,
         in the given order), and substituted at y = fixed + free z by two
         products, R fixed and R free.  Every block is then divided by the
@@ -737,7 +729,6 @@ class _Compiled:
         raw_offsets = np.concatenate([[0], np.cumsum(n * n)]).astype(np.int64)
 
         owner, i, j, constants, terms, moments, coeffs = _block_entries(blocks)
-        coeffs *= scales[moments]
         flat = raw_offsets[owner] + i * n[owner] + j
         mirror = raw_offsets[owner] + j * n[owner] + i
         entry = np.repeat(np.arange(i.size), terms)
@@ -857,11 +848,11 @@ class _Compiled:
         return np.bincount(self.kkt_scatter, weights=self.kkt_values, minlength=size)
 
     def moments(self, z: np.ndarray) -> np.ndarray:
-        """The scaled moment vector fixed + free z."""
+        """The moment vector fixed + free z."""
         return self.fixed + self.free @ z
 
     def equality_residual(self, y: np.ndarray) -> float:
-        """max |E y - b| over the scaled, unit-norm rows."""
+        """max |E y - b| over the unit-norm rows."""
         return float(np.max(np.abs(self.E @ y - self.b), initial=0.0))
 
     def stacks(self, flat: np.ndarray) -> List[np.ndarray]:
@@ -1175,14 +1166,13 @@ def solve(sdp: SdpProblem) -> SolverResult:
         dual_objective: Optional[float] = None,
         **extra,
     ) -> SolverResult:
-        """The result that reports the scaled moment vector ``y`` (None when
-        there is none) with ``status``: in original units when solved, as
-        ``last_y`` on a numerical failure, and its equality residual.  A
+        """The result that reports the moment vector ``y`` (None when there
+        is none) with ``status``: as the solution when solved, as ``last_y``
+        on a numerical failure, and its equality residual.  A
         solved result reports ``dual_objective`` (c'y when it is None) plus
         the objective's constant."""
         if y is not None:
             equality_stats["residual"] = comp.equality_residual(y)
-            y = comp.y_scales * y
         diagnostics = {"note": note, **extra, **stats}
         if status.solved():
             objective = diagnostics["primal_objective"] = sdp.objective.evaluate(y)

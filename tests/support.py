@@ -214,7 +214,6 @@ def hand_lift(
     cliques=None,
     denominator_text=None,
     original=None,
-    scales=(),
 ):
     """Assemble a LiftedProblem directly from polynomial text."""
     from owasdp.omrf import LiftedProblem
@@ -239,7 +238,6 @@ def hand_lift(
             range(len(names) if original is None else original)
         ),
         form="general",
-        variable_scales=tuple(scales),
     )
 
 

@@ -517,7 +517,6 @@ class TestGeneralLift:
         binaries = assignment_binaries(lifted, 3)
         assert len(binaries) == 9
         assert all(b in equalities for b in binaries)
-        assert len(lifted.variable_scales) == len(lifted.universe)
 
 
 # ---------------------------------------------------------------------------

@@ -455,22 +455,6 @@ class TestCrossCliqueEqualities:
         assert expanded
 
 
-class TestScales:
-    def test_moment_scales_multiply_per_degree(self):
-        lift = hand_lift(
-            ("x", "y"),
-            "x + y",
-            inequality_texts=("4 - x^2 - y^2",),
-            scales=(2.0, 3.0),
-        )
-        sdp = build_dense(lift, 2)
-        target = moment_position(sdp, "x^2*y", lift.universe)
-        assert sdp.moment_scales[target] == pytest.approx(12.0)
-        plain = hand_lift(("x", "y"), "x + y",
-                          inequality_texts=("4 - x^2 - y^2",))
-        assert all(s == 1.0 for s in build_dense(plain, 2).moment_scales)
-
-
 class TestSparseDenseCoincidence:
     def test_single_clique_builds_identical_problems(self):
         problem = random_omrf_problem(
@@ -571,7 +555,6 @@ class TestSizeStatsEdge:
             psd_blocks=(),
             equalities=(),
             pivot_substitution=AffineForm((), (), 1.0),
-            moment_scales=(),
             original_variables=(),
         )
         assert empty.stats == SizeStats(0, 0, 0.0)
@@ -593,7 +576,6 @@ class TestIndexValidation:
             ),
             equalities=(EqualityRow("e", AffineForm((equality_index,), (1.0,)), 0.5),),
             pivot_substitution=AffineForm((), (), 1.0),
-            moment_scales=(1.0, 1.0),
             original_variables=(),
         )
 
@@ -621,8 +603,8 @@ def relaxation_digest(sdp):
     and label and, per upper-triangle entry in order, i, j, its constant and
     its (index, coefficient) terms; every equality row's label, right-hand
     side and terms; the objective and the pivot substitution (constant and
-    terms); the moment scales and ``repr`` of the tuple of ``Monomial``
-    objects of the moment rows."""
+    terms); and ``repr`` of the tuple of ``Monomial`` objects of the moment
+    rows."""
 
     def terms(indices, coefficients):
         return " ".join(f"{int(i)}:{float(c).hex()}" for i, c in zip(indices, coefficients))
@@ -645,7 +627,6 @@ def relaxation_digest(sdp):
         lines.append(
             f"{name} {float(form.constant).hex()} " + terms(form.indices, form.coefficients)
         )
-    lines.append("scales " + " ".join(float(s).hex() for s in sdp.moment_scales))
     lines.append("moments " + repr(row_monomials(sdp.moment_rows)))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
@@ -718,6 +699,9 @@ def golden_case(name):
 # Recorded from the object-by-object relaxation assembly that the array
 # assembly replaced.
 GOLDEN_DIGESTS = {
+    # Every digest was re-recorded when the relaxation stopped carrying
+    # per-moment scale hints: the digest lost its ``scales`` line, and each
+    # equals the one of its earlier relaxation with that line dropped.
     # Re-recorded when the planar l2 lifts of the aggregations nondecreasing
     # in each distance traded the distance equalities for arrow blocks
     # (center and k-centrum, and the (0, 2) trim, a 4-centrum, lost their
@@ -725,39 +709,39 @@ GOLDEN_DIGESTS = {
     # when those lifts left their epigraph variables linear: one moment block
     # over the facility position, one ball, and 1x1 blocks for the sign rows
     # of the epigraph variables.
-    "ladder-weber": "9a6427a6b5bda8ad9a3f44b08417764ca3de1208cb6e6cb195eec23c1561c39a",
-    "ladder-center": "5a535c71955a941241ea1bce2306f4b794d7568529825f19171927c68147cf25",
-    "ladder-kcentrum": "e0a65eed16d1f7842df5bc663b3cdd8a74bc0d26fe3ef8e0630d3c30116c5a4e",
-    "loc-trimmed02": "3d6f284d98a20206d89f0e3f3c1d7e6a5f33eb3091439aa0bd128e63076f4753",
-    "loc-weberhalfplane": "638db529e37f49c8bfa4c954cbad32972230f458514a28b9fa5a1204442a8a17",
-    "ladder-trimmed": "2534fd69cf260daa664f02de216d62e4384f2545aed532eb1b3fe98ce66ef61c",
-    "ladder-range": "629472cab04c5499efd3fee70d9debb9bd4e446cf2a267afb18ebb311100a4e4",
+    "ladder-weber": "532b7b9916599efd8340eef7f6c6f91fb010626e1f34e0049fa34b90fefaba4f",
+    "ladder-center": "f158a9a274e9f10b4030e2f8e646edf85d9512fb7d05b415e4a02a798675f656",
+    "ladder-kcentrum": "0306abc1cabd712072323ed559cbb6a7024bd0c5854c44afe2c42ca94572fd4e",
+    "loc-trimmed02": "c8b7e03ee22f38163fac9b857915e80be81b83132009ece99720b13fe88bc97e",
+    "loc-weberhalfplane": "a5ee47cd2704b217a3536b400232673ee0838f431ca145aca28dad93327faf16",
+    "ladder-trimmed": "69c06e96e878c343ba7ce89867321e65bbb3272c6fb85d8b2f7270052f109d90",
+    "ladder-range": "dbc2853bb67a601b2ce22336365e1d63888ad1e8d777990288af18191b9d8e65",
     # Re-recorded when unpaired odd-degree inequalities moved to the
     # truncation order r - ceil(d/2): each of these lifts has a cubic
     # epigraph row whose block shrank.
-    "omrf-kcentrum2of3": "3f463b97ba455b1417f6ac705c5052cf55b55703b86c899abbfc3e5d37e86aaa",
+    "omrf-kcentrum2of3": "a285cec2dee016d486407fbc9f6da38b5fcc90a9f68b25cbb23660a2002a5a3a",
     # Re-recorded when a positive top telescoping level became the plain sum
     # of the functions: these lifts lost the epigraph of that level.
-    "omrf-monotone": "d226ddc09431fc06f7fa3a180f6a24c6b6be032ca41aec7a68c51d1f0d209dcd",
-    "omrf-trimmed": "74ab714206deb15d0f369183b765ad7b0f42d26df49fc614d18d4e265df0e9fd",
-    "omrf-trimmedrational": "39de37b45aad84c1881647f15139e75524298920f51a8c239941b9e9e9a07648",
-    "demo-l3": "03f3c4892e87f6f55827a5b84715da0871adf983591cbad8ee4d6df0b2a97ee5",
+    "omrf-monotone": "6e173ea9e1011350cce1a27b68e4187880c693883d5754a03d3ea2e440ee4f9f",
+    "omrf-trimmed": "d0390f1cfb9f9eb9ffd6b89ff886cfe4960f9ffc6764bc9055c72ca2d95b399a",
+    "omrf-trimmedrational": "d30e46b0a693e81fec4c0a31d9fd81efbcdab5947de7995c80d6559d37765f20",
+    "demo-l3": "37ee2112617ab85349a7a9e02560befa9f0b8ebaa0b13b396258229ccd77af91",
     # Recorded from the per-variant location builders that ``build_lifted``
     # folded into one scaffold.
-    "loc-trimmed32": "fd6b656a74f6c01b0dcdf88a590b3e5a410c702df2bd2586e2343a9eec36f45e",
-    "loc-range43": "e316860fe0acb61711e82eb3cb96d0253cbef48cff41d9a7ebcb34703ca01a34",
-    "loc-kcentrum3": "79a5e133a2f535ea8519c21583b7d0bed29a15e4f7b078d3b36f507d185ccc58",
-    "loc-center4": "c0da6291c7d30f8a80c5926f842de20f0174fff8ff1fec7611522942303c5081",
+    "loc-trimmed32": "93e914e545b910694e9e845c23f04c0f88bac74fab2c7c504d0f9554b51d8cff",
+    "loc-range43": "a64d49332b3e44ddc49c316c237190592b250bd94b6779ac276d647956bcf7a8",
+    "loc-kcentrum3": "2a0c0bea98e75c0feeb174980ec771e29bdf41ee6ab862d0fbed873b0ad974a7",
+    "loc-center4": "c7883ececaf4e7d8f8df1a468f9410d43df401f8723bb9d5593a8502c62255d0",
     # Re-recorded when the assignment lift stopped registering its last row
     # (one minus the others) and the column sums that row made redundant.
-    "ladder-general": "22da5fc9f2be703b28c554dbfa819d6b695f0decf2982d0bfd81107ca6e9363b",
-    "loc-general3": "2fbd4fdd93cf82ef9cb9c3ca36081bf256f2fb6b8db60fad6f252f245101141f",
-    "omrf-general": "81d07f4c61870eb524e726b69fe7af436534d863639768e9e7a847e24da589b7",
+    "ladder-general": "d52f43ad15d2754574008922c6ce12b661ccbd8ff5da6e99f39016e299d1e5c3",
+    "loc-general3": "e6c6ef86af4e689ad23690e541333bd6344ae538b3997fcb8f385fa96ff30a5f",
+    "omrf-general": "9630f2a207580a09518591ed9d7a4b014d2a38e07ec9d69a95d10b01b3e9d86b",
     # Re-recorded when the max level S_1 lost its slacks (omrf-monotone3)
     # and two rational denominators at the plain sum's own order stopped
     # keeping the top epigraph (omrf-kcentrum, k = m = 2).
-    "omrf-kcentrum": "78c7cebe4f47675bd3bb09f193810dc1c72a7aab7aa95c60d75eef47b0d782f6",
-    "omrf-monotone3": "06a473391f19196b41a1312ccf4f38735166c6153d310d66a03c6aded039764a",
+    "omrf-kcentrum": "283352948c517f9d1842df4db75a220c61ef942099ef15fbc7864f0543ca1e61",
+    "omrf-monotone3": "2e3aa977019d3c32c6c0a6581447de05c15f05d3f0be54396018af154843567b",
 }
 
 

@@ -71,7 +71,6 @@ def one_by_one_sdp():
         ),
         equalities=(),
         pivot_substitution=AffineForm((), (), 1.0),
-        moment_scales=(1.0,),
         original_variables=(),
     )
 
@@ -94,7 +93,6 @@ def infeasible_sdp():
         ),
         equalities=(),
         pivot_substitution=AffineForm((), (), 1.0),
-        moment_scales=(1.0,),
         original_variables=(),
     )
 
@@ -110,7 +108,6 @@ def unbounded_sdp():
         ),
         equalities=(),
         pivot_substitution=AffineForm((), (), 1.0),
-        moment_scales=(1.0,),
         original_variables=(),
     )
 
@@ -160,7 +157,6 @@ def mixed_layout_sdp():
         psd_blocks=blocks,
         equalities=(EqualityRow("fix", form([(2, 1.0)]), 0.5),),
         pivot_substitution=AffineForm((), (), 1.0),
-        moment_scales=(1.0, 1.0, 1.0),
         original_variables=(),
     )
 
@@ -190,7 +186,6 @@ def clique_chain_sdp(labelled):
         psd_blocks=tuple(blocks),
         equalities=(),
         pivot_substitution=AffineForm((), (), 1.0),
-        moment_scales=(1.0,) * 521,
         original_variables=(),
     )
 
@@ -264,16 +259,14 @@ def rational_omrf():
 @pytest.fixture(scope="module")
 def rational_omrf_sparse(rational_omrf):
     """Its epigraph lift at order 2: moment and localizing blocks with
-    non-unit coefficients and moment scales, in shape groups of one and two
-    blocks."""
+    non-unit coefficients, in shape groups of one and two blocks."""
     return build_sparse(build_telescoping(rational_omrf), 2)
 
 
 @pytest.fixture(scope="module")
 def rational_general_sparse(rational_omrf):
     """Its general (assignment) lift at the minimum order 3: binary and
-    assignment equality rows, about half of them dependent, and non-unit
-    moment scales."""
+    assignment equality rows, about half of them dependent."""
     return build_sparse(build_general_lift(rational_omrf), 3)
 
 
@@ -386,24 +379,20 @@ def operator_schur(comp, G):
 
 
 def substituted_blocks(sdp, comp, z):
-    """Every PSD block assembled at the moments y = fixed + free z (original
-    units) and divided by the Frobenius norm of its substituted map,
+    """Every PSD block assembled at the moments y = fixed + free z and
+    divided by the Frobenius norm of its substituted map,
     sqrt(|C|^2 + sum_l |A_l|^2) with C the block at z = 0 and A_l the change
     along the l-th free moment; computed from ``PsdBlock.assemble`` alone."""
-
-    def moments(point):
-        return comp.y_scales * comp.moments(point)
-
     out = []
     for block in sdp.psd_blocks:
         if not block.size:
             continue
-        constant = block.assemble(moments(np.zeros(comp.z_dim)))
+        constant = block.assemble(comp.moments(np.zeros(comp.z_dim)))
         coefficients = [
-            block.assemble(moments(e)) - constant for e in np.eye(comp.z_dim)
+            block.assemble(comp.moments(e)) - constant for e in np.eye(comp.z_dim)
         ]
         norm = math.sqrt(np.sum(constant**2) + sum(np.sum(a**2) for a in coefficients))
-        out.append(block.assemble(moments(z)) / norm)
+        out.append(block.assemble(comp.moments(z)) / norm)
     return out
 
 
@@ -422,12 +411,12 @@ def assert_compiled_blocks_match(sdp, seed, atol):
     return comp, z
 
 
-def reference_block_pattern(block, scales, elim):
+def reference_block_pattern(block, elim):
     """One block compiled on its own, entry by entry: its constant (n, n),
     touched free moments (m,) and coefficient pattern (sorted flat positions
     l n^2 + i n + j of the (m, n, n) coefficient tensor, and their values),
-    scaled, substituted at y = fixed + free z and normalized to unit
-    Frobenius norm."""
+    substituted at y = fixed + free z and normalized to unit Frobenius
+    norm."""
     n = block.size
     constant = np.zeros((n, n))
     ij, moments, coeffs = [], [], []
@@ -439,7 +428,7 @@ def reference_block_pattern(block, scales, elim):
             for position in {i * n + j, j * n + i}:
                 ij.append(position)
                 moments.append(idx)
-                coeffs.append(coeff * scales[idx])
+                coeffs.append(coeff)
     touched, local = np.unique(np.array(moments, dtype=np.int64), return_inverse=True)
     raw = scipy.sparse.csr_matrix(
         (np.array(coeffs), (np.array(ij, dtype=np.int64), local)),
@@ -464,7 +453,7 @@ def reference_compile(sdp, comp):
     nonempty = [b for b in sdp.psd_blocks if b.size]
     ranked = sorted(
         zip(
-            (reference_block_pattern(b, comp.y_scales, elim) for b in nonempty),
+            (reference_block_pattern(b, elim) for b in nonempty),
             solver_module._clique_labels(nonempty).tolist(),
         ),
         key=lambda pair: (pair[0][0].shape[0], pair[0][1].size),
@@ -704,9 +693,9 @@ class TestBundledBackend:
         comp = solver_module._Compiled(weber_sparse)
         coefficients = terms = rows = 0
         for block in weber_sparse.psd_blocks:
-            base = block.assemble(comp.y_scales * comp.moments(np.zeros(comp.z_dim)))
+            base = block.assemble(comp.moments(np.zeros(comp.z_dim)))
             changes = [
-                block.assemble(comp.y_scales * comp.moments(e)) - base
+                block.assemble(comp.moments(e)) - base
                 for e in np.eye(comp.z_dim)
             ]
             nonzero = [np.abs(a) > 1e-12 * (1.0 + np.abs(base)) for a in changes]
@@ -858,8 +847,8 @@ class TestBatchedKernels:
 
     def test_block_operator_matches_per_block_maps(self):
         # The compiled block is the assembled one at y = fixed + free z over
-        # the Frobenius norm of its substituted map; the moment scales are
-        # all 1, and the row y2 = 0.5 fixes one moment.
+        # the Frobenius norm of its substituted map; the row y2 = 0.5 fixes
+        # one moment.
         assert_compiled_blocks_match(mixed_layout_sdp(), 0, 1e-14)
 
     def test_nt_scaling_identities(self):
@@ -1308,7 +1297,7 @@ class TestEqualityElimination:
         assert comp.n_eq == len(sdp.equalities)
         assert comp.z_dim == sdp.y_dim - (comp.n_eq - comp.dependent)
         assert comp.equality_residual(comp.moments(z)) <= 1e-13
-        y = comp.y_scales * comp.moments(z)
+        y = comp.moments(z)
         residuals = [abs(row.residual(y)) for row in sdp.equalities]
         assert max(residuals, default=0.0) <= 1e-13 * (1.0 + np.max(np.abs(y)))
 
@@ -1356,7 +1345,6 @@ class TestEqualityElimination:
                 EqualityRow("difference", AffineForm((0, 1), (1.0, -1.0), 0.0), 0.5),
             ),
             pivot_substitution=AffineForm((), (), 1.0),
-            moment_scales=(1.0, 1.0),
             original_variables=(),
         )
 
@@ -1520,22 +1508,38 @@ class TestDualBound:
     its residual, so the bound may pass the value by rounding; it gets the
     allowance of :class:`TestTelescopingBounds`."""
 
-    def test_location(self):
-        variants = (
-            ("weber", {}),
-            ("center", {}),
-            ("kcentrum", {"k": 2}),
-            ("trimmed", {"trim": (1, 1)}),
-            ("range", {}),
-        )
+    LOCATION_VARIANTS = (
+        ("weber", {}),
+        ("center", {}),
+        ("kcentrum", {"k": 2}),
+        ("trimmed", {"trim": (1, 1)}),
+        ("range", {}),
+    )
+
+    @staticmethod
+    def location_bound(seed, variant, params, scale):
+        """The order-2 result of an instance over five anchors of the unit
+        square scaled by ``scale``, and the instance."""
+        anchors = random_instance(5, 2, seed, variant, **params).points
+        points = tuple(tuple(scale * c for c in point) for point in anchors)
+        instance = LocationInstance(points=points, variant=variant, **params)
+        return solve(build_sparse(build_lifted(instance), 2)), instance
+
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 3.0, 10.0])
+    def test_location(self, scale):
+        # Anchors scaled from 0.01 to 10: each variant ends usable, and the
+        # exact arrow lifts (Weber, center, 2-centrum) give the unit-square
+        # bound times the scale.
         above = 0
-        for seed, (variant, params) in itertools.product(range(3), variants):
-            instance = random_instance(5, 2, seed, variant, **params)
-            result = solve(build_sparse(build_lifted(instance), 2))
+        for seed, (variant, params) in itertools.product(range(3), self.LOCATION_VARIANTS):
+            result, instance = self.location_bound(seed, variant, params, scale)
             assert result.status.solved()
             oracle = multistart_descent(instance, n_starts=10, seed=0).best_value
             assert result.objective <= oracle + 1e-6 * (1.0 + abs(oracle))
             above += result.diagnostics["primal_objective"] > oracle
+            if variant in ("weber", "center", "kcentrum"):
+                unit = self.location_bound(seed, variant, params, 1.0)[0].objective
+                assert abs(result.objective / scale - unit) <= 1e-6 * abs(unit)
         assert above > 0
 
     def test_omrf(self):
@@ -1559,6 +1563,36 @@ class TestDualBound:
                 solved += 1
                 above += result.diagnostics["primal_objective"] > reference
         assert solved >= 15 and above > 0
+
+
+class TestLargeBall:
+    """OMRF problems of ``random_omrf_problem`` rebuilt on the ball
+    sum(x^2) <= 100, where the moments of degree 4 reach 1e4: each solves
+    at its minimum order, with its bound below a grid of step 0.2."""
+
+    @pytest.mark.parametrize(
+        "pattern, seed",
+        [
+            ("general", 5),
+            ("general", 10),
+            ("kcentrum", 6),
+            ("kcentrum", 9),
+            ("monotone", 4),
+            ("monotone", 10),
+            ("trimmed", 2),
+            ("trimmed", 3),
+            ("trimmed", 5),
+            ("trimmed", 8),
+        ],
+    )
+    def test_bound_below_the_grid(self, pattern, seed):
+        drawn = random_omrf_problem(np.random.default_rng(seed), pattern, max_m=3)
+        problem = OmrfProblem(drawn.functions, drawn.weights, drawn.ground_set, 100.0)
+        lift = build_auto(problem)
+        result = solve(build_sparse(lift, min_order(lift).r_min))
+        assert result.status.solved()
+        reference = grid_search(problem, ball_box(problem.region), 0.2).best_value
+        assert result.objective <= reference + 1e-8 * (1.0 + abs(reference))
 
 
 class TestTelescopingBounds:
@@ -1586,30 +1620,29 @@ class TestTelescopingBounds:
         return solved
 
     def test_sign_mixed(self):
-        # Three of these selector lifts still stall at the minimum order
-        # (numerical_failure, no bound).
+        # Every one of these selector lifts solves at the minimum order.
         rng = np.random.default_rng(8)
         problems = [random_sign_mixed_problem(rng, rational=False, max_m=3) for _ in range(8)]
-        assert self.solved_count(problems) >= 5
+        assert self.solved_count(problems) == len(problems)
 
     def test_trimmed(self):
-        # Windows that discard the largest values; one of these selector
-        # lifts still stalls at the minimum order.
+        # Windows that discard the largest values; every one of these
+        # selector lifts solves at the minimum order.
         rng = np.random.default_rng(7)
         problems = [
             random_omrf_problem(rng, "trimmed", rational=False, max_m=3) for _ in range(10)
         ]
-        assert self.solved_count(problems) >= 9
+        assert self.solved_count(problems) == len(problems)
 
     def test_weight_classes(self):
-        # Every telescoping weight class, polynomial and rational; the
-        # rational window with k2 > 0 (order 4) still stalls.
+        # Every telescoping weight class, polynomial and rational, the
+        # rational window with k2 > 0 (order 4) included.
         problems = [
             weight_class_problem(weight_class, rational)
             for weight_class in WEIGHT_CLASSES
             for rational in (False, True)
         ]
-        assert self.solved_count(problems, step=1e-3) >= len(problems) - 1
+        assert self.solved_count(problems, step=1e-3) == len(problems)
 
     def test_all_zero(self):
         universe = VariableUniverse(["x", "y"])
