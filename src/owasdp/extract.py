@@ -7,12 +7,12 @@ Lasserre, "Detecting global optimality and extracting solutions in
 GloptiPoly", 2005).  This module provides the rank diagnostics
 (`rank_check`), first-moment extraction with an independent feasibility and
 objective re-check (`extract_point`), and the standard relative
-objective-error measure (`eps_obj`).  Both read the moments through the
-basis that every moment block carries (``PsdBlock.basis``): a selection of
-basis rows by variables and degree picks each ranked submatrix, and the
-first moments L_y(1) and L_y(x_l) are the first-row entries of the moment
-blocks at the basis rows of degree at most one.  The first moment of a
-linear variable, which no moment block holds, is read from y.
+objective-error measure (`eps_obj`).  The rank diagnostics read the
+moments through the basis that every moment block carries
+(``PsdBlock.basis``): a selection of basis rows by variables and degree
+picks each ranked submatrix.  Extraction reads the first moments L_y(1) and
+L_y(x_l) straight from y by monomial row (``SdpProblem.moment_rows``), and
+takes L_y(1) = 1/q0 when the denominator is a constant q0.
 
 Only the single-minimizer case (all ranks one) is extracted; higher finite
 ranks are detected and reported but not decomposed into atoms.
@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Callable, Collection, Dict, FrozenSet, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .polynomial import VarId
-from .relaxation import PsdBlock, SdpProblem, dirac_moment_vector
+from .relaxation import SdpProblem, dirac_moment_vector
 from .solver import verify_vector
 
 __all__ = [
@@ -182,15 +182,6 @@ def _numerical_rank(matrix: np.ndarray) -> int:
     return int(np.sum(singular > RANK_TOLERANCE * top))
 
 
-def _moment_blocks(sdp: SdpProblem) -> List[PsdBlock]:
-    """The moment blocks of ``sdp``, each of which must carry its basis."""
-    blocks = [b for b in sdp.psd_blocks if b.kind == "moment"]
-    for block in blocks:
-        if block.basis is None:
-            raise ExtractionError(f"moment block {block.label} carries no basis")
-    return blocks
-
-
 def _submatrix_rows(
     basis: np.ndarray, variables: Optional[Collection[VarId]], max_degree: int
 ) -> np.ndarray:
@@ -215,7 +206,10 @@ def rank_check(
     above ``RANK_TOLERANCE`` times the largest one.  ExtractionError when a
     moment block carries no basis.
     """
-    moment_blocks = _moment_blocks(sdp)
+    moment_blocks = [b for b in sdp.psd_blocks if b.kind == "moment"]
+    for block in moment_blocks:
+        if block.basis is None:
+            raise ExtractionError(f"moment block {block.label} carries no basis")
     pairs = [(block, block.assemble(y)) for block in moment_blocks]
 
     def ranks(label, basis, matrix, variables, reduction) -> BlockRanks:
@@ -295,37 +289,20 @@ class ExtractedSolution:
 
 
 def _first_moments(sdp: SdpProblem, y: np.ndarray) -> np.ndarray:
-    """L_y(1), L_y(x_0), ..., L_y(x_{n - 1}): the entries (0, l) of the
-    moment blocks whose basis row 0 is the constant monomial, at the basis
-    rows l of degree at most one, each read from the first block that holds
-    it.  The block entries carry the pivot substitution.  A moment that no
-    block holds (that of a linear variable) is read from y by its monomial
-    row, or through the pivot substitution when it is the pivot."""
+    """L_y(1), L_y(x_0), ..., L_y(x_{n - 1}), read from y by monomial row,
+    except L_y(1) = 1/q0 under a constant denominator q0, whose constant
+    monomial is no moment."""
     n_vars = len(sdp.universe)
     first = np.empty(n_vars + 1)
     found = np.zeros(n_vars + 1, dtype=bool)
-    for block in _moment_blocks(sdp):
-        if found.all():
-            break
-        degree = (block.basis >= 0).sum(axis=1)
-        low = np.flatnonzero(degree <= 1)
-        # Slot 0 is the constant row, slot v + 1 the row of x_v.
-        slot = block.basis[low].max(axis=1, initial=-1) + 1
-        new = ~found[slot]
-        if new.any() and degree[0] == 0:
-            first[slot[new]] = block.assemble(y)[0, low[new]]
-            found[slot] = True
-    single = np.flatnonzero((sdp.moment_rows >= 0).sum(axis=1) == 1)
-    slot = sdp.moment_rows[single].max(axis=1, initial=-1) + 1
-    new = ~found[slot]
-    first[slot[new]] = y[single[new]]
+    low = np.flatnonzero((sdp.moment_rows >= 0).sum(axis=1) <= 1)
+    # Slot 0 is the constant row, slot v + 1 the row of x_v.
+    slot = sdp.moment_rows[low].max(axis=1, initial=-1) + 1
+    first[slot] = y[low]
     found[slot] = True
-    pivot = min(sdp.denominator.terms, key=lambda m: m.grlex_key())
-    if pivot.degree <= 1:
-        slot = max(pivot.variables(), default=-1) + 1
-        if not found[slot]:
-            first[slot] = sdp.pivot_substitution.evaluate(y)
-            found[slot] = True
+    if sdp.denominator.is_constant():
+        first[0] = 1.0 / sdp.denominator.constant_value()
+        found[0] = True
     if not found.all():
         slot = int(np.argmin(found))
         monomial = "1" if slot == 0 else f"x{slot - 1}"
@@ -348,8 +325,8 @@ def extract_point(
     given, otherwise through the relaxation's rational objective at the full
     lifted point.  Meaningful only when `rank_check` certifies a single
     atom; on higher-rank moment vectors the returned point is the atoms'
-    barycenter.  ExtractionError when a moment block carries no basis or the
-    relaxation holds no first moment of some variable.
+    barycenter.  ExtractionError when the relaxation holds no first moment
+    of some variable.
     """
     sdp._require_metadata()
     first = _first_moments(sdp, y)

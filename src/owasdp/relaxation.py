@@ -4,11 +4,15 @@ Given a lifted problem (polynomial objective ratio, constraints, cliques),
 this module produces the order-``r`` semidefinite relaxation: per-clique
 moment blocks, localizing blocks for inequalities, one block per matrix
 inequality, expanded linear equality rows, and a normalized rational
-objective.  The normalization L_y(q) = 1 is eliminated by substituting the
-moment variable of q's graded-lex-smallest monomial, so the assembled
-problem has ``y_dim`` free moment variables, affine PSD blocks and affine
-equality rows — exactly the data a conic solver consumes, and exactly the
-shape whose size statistics are reported.
+objective.  The relaxation of p/q is normalized by L_y(q) = 1 (Jibetean &
+de Klerk 2006).  When q is a constant q0 the constant monomial is no moment:
+L_y(1) = 1/q0 enters the affine maps as constants, as in Lasserre's
+relaxations of polynomials.  Otherwise the constant monomial is an ordinary
+moment and L_y(q) = 1 is the first equality row, labelled
+``normalization``; the solver eliminates it with the other rows.  The
+assembled problem has ``y_dim`` moment variables, affine PSD blocks and
+affine equality rows — exactly the data a conic solver consumes, and
+exactly the shape whose size statistics are reported.
 
 Truncation conventions (fixed by the reference block structures and size
 tables this package reproduces):
@@ -24,8 +28,10 @@ tables this package reproduces):
   degree at most ``min(r, 2r - d + (d % 2))`` over its assigned variables;
 - a matrix inequality G enters through its first-moment matrix, the block of
   entries L_y(G_pq), at every order: that block is a principal submatrix of
-  every higher localization of G, and on the ℓ2 arrow blocks of the location
-  lifts the higher ones cost more solve time without raising any bound;
+  every higher localization of G.  On linear epigraph variables, as in the
+  l2 arrow blocks of the location lifts over linear ground sets, the higher
+  localizations cost more solve time without raising any bound; over clique
+  variables on a nonlinear ground set they can raise it, and are not built;
 - a constraint is assigned the variables in the intersection of all cliques
   containing its support; equalities whose support lies in no single clique
   contribute a single scalar row L_y(h) = 0;
@@ -39,8 +45,8 @@ tables this package reproduces):
   degree 2r + 1; the moment dictionary extends on demand.
 
 Every block entry, equality row and the objective is built as an array of
-raw terms in one pass (``localizing_forms``), and the pivot substitution is
-applied to all of them at once (``_Eliminator.forms``).
+raw terms in one pass (``localizing_forms``) and laid out by rows in one
+more (``_csr_forms``).
 """
 
 from __future__ import annotations
@@ -173,13 +179,6 @@ class AffineForm:
         return len(self.indices)
 
 
-def _affine_from_dict(acc: Dict[int, float], constant: float) -> AffineForm:
-    items = sorted((i, c) for i, c in acc.items() if abs(c) > COEFF_EPS)
-    return AffineForm(
-        tuple(i for i, _ in items), tuple(c for _, c in items), constant
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class PsdBlock(LinearMatrixMap):
     """One semidefinite block: an affine symmetric matrix map of the moments.
@@ -226,13 +225,13 @@ class SizeStats:
 
 @dataclass(frozen=True, eq=False)
 class SdpProblem:
-    """Order-``order`` moment relaxation in eliminated standard form.
+    """Order-``order`` moment relaxation in standard form.
 
     Minimize ``objective`` over moment vectors y (length ``y_dim``) subject
     to every ``psd_blocks`` map being PSD and every ``equalities`` row
-    holding.  The normalization L_y(q) = 1 has been eliminated: the moment of
-    the pivot monomial is ``pivot_substitution`` evaluated at y, and constant
-    offsets appear inside the affine maps.
+    holding.  Under a constant denominator q0 the constant monomial is no
+    moment and L_y(1) = 1/q0 appears as constants inside the affine maps;
+    otherwise the first equality row is the normalization L_y(q) = 1.
 
     Metadata fields support moment evaluation and point extraction; they may
     be None on hand-built problems.  ``moment_rows`` holds the monomial row
@@ -246,7 +245,6 @@ class SdpProblem:
     objective: AffineForm
     psd_blocks: Tuple[PsdBlock, ...]
     equalities: Tuple[EqualityRow, ...]
-    pivot_substitution: AffineForm
     original_variables: Tuple[VarId, ...]
     stats: SizeStats = field(init=False)
     moment_rows: Optional[np.ndarray] = None
@@ -254,9 +252,8 @@ class SdpProblem:
     denominator: Optional[Polynomial] = None
 
     def __post_init__(self) -> None:
-        for idx in self.objective.indices + self.pivot_substitution.indices:
-            if not 0 <= idx < self.y_dim:
-                raise ValueError("objective/pivot index out of range")
+        if not all(0 <= idx < self.y_dim for idx in self.objective.indices):
+            raise ValueError("objective index out of range")
         for block in self.psd_blocks:
             if np.any((block.indices < 0) | (block.indices >= self.y_dim)):
                 raise ValueError("block index out of range")
@@ -273,11 +270,12 @@ class SdpProblem:
 
 
 def dirac_moment_vector(sdp: SdpProblem, point: np.ndarray) -> np.ndarray:
-    """Free-moment vector of the normalized Dirac measure at ``point``.
+    """Moment vector of the normalized Dirac measure at ``point``.
 
     ``point`` assigns a value to every lifted variable.  The measure is the
-    Dirac delta scaled by 1/q(point) so the normalization L_y(q) = 1 holds;
-    by construction it satisfies every relaxation constraint whenever the
+    Dirac delta scaled by 1/q(point) so the normalization L_y(q) = 1 holds,
+    and y at the constant row, when y has one, is 1/q(point); by
+    construction it satisfies every relaxation constraint whenever the
     point is feasible for the lifted problem.
     """
     sdp._require_metadata()
@@ -340,54 +338,16 @@ def _paired_inequalities(inequalities: Sequence[Polynomial]) -> List[bool]:
     return [is_odd and top(g, -1.0) in tops for g, is_odd in zip(inequalities, odd)]
 
 
-class _Eliminator:
-    """Rewrites raw moment-position forms over the free moments, substituting
-    the pivot moment via the normalization row.  ``positions`` are the raw
-    positions of the denominator's terms, in term order."""
-
-    def __init__(self, denominator: Polynomial, positions: np.ndarray, n_raw: int) -> None:
-        terms = denominator.terms
-        pivot = min(terms, key=lambda m: m.grlex_key())
-        pivot_coeff = terms[pivot]
-        self.pivot_raw = int(positions[list(terms).index(pivot)])
-        self.y_dim = n_raw - 1
-        # y_pivot = (1 - sum_{other} q_gamma y_gamma) / q_pivot
-        acc: Dict[int, float] = {}
-        for (mono, coeff), raw in zip(terms.items(), positions.tolist()):
-            if mono == pivot:
-                continue
-            idx = raw - (raw > self.pivot_raw)
-            acc[idx] = acc.get(idx, 0.0) - coeff / pivot_coeff
-        self.substitution = _affine_from_dict(acc, 1.0 / pivot_coeff)
-
-    def forms(self, n_forms: int, form: np.ndarray, raw: np.ndarray, coef: np.ndarray):
-        """The forms of the raw terms (form, raw position, coefficient) over
-        the free moments: per form its constant, and its terms in CSR layout
-        (indptr, indices, coefficients) sorted by index, with the terms of
-        one index summed and those of magnitude <= COEFF_EPS dropped."""
-        pivot = raw == self.pivot_raw
-        constants = np.zeros(n_forms)
-        constants[form[pivot]] += coef[pivot] * self.substitution.constant
-        sub_indices = np.array(self.substitution.indices, dtype=np.int64)
-        sub_coefficients = np.array(self.substitution.coefficients, dtype=float)
-        hits = int(np.count_nonzero(pivot))
-        direct = raw[~pivot]
-        form = np.concatenate([form[~pivot], np.repeat(form[pivot], sub_indices.size)])
-        index = np.concatenate(
-            [direct - (direct > self.pivot_raw), np.tile(sub_indices, hits)]
-        )
-        value = np.concatenate(
-            [
-                coef[~pivot],
-                np.repeat(coef[pivot], sub_indices.size) * np.tile(sub_coefficients, hits),
-            ]
-        )
-        width = max(self.y_dim, 1)
-        keys, inverse = np.unique(form * width + index, return_inverse=True)
-        sums = np.bincount(inverse, weights=value, minlength=keys.size)
-        keep = np.abs(sums) > COEFF_EPS
-        form, index = np.divmod(keys[keep], width)
-        return constants, np.searchsorted(form, np.arange(n_forms + 1)), index, sums[keep]
+def _csr_forms(n_forms: int, y_dim: int, form: np.ndarray, index: np.ndarray, coef: np.ndarray):
+    """The forms of the terms (form, moment index, coefficient) in CSR
+    layout (indptr, indices, coefficients), sorted by index, with the terms
+    of one index summed and those of magnitude <= COEFF_EPS dropped."""
+    width = max(y_dim, 1)
+    keys, inverse = np.unique(form * width + index, return_inverse=True)
+    sums = np.bincount(inverse, weights=coef, minlength=keys.size)
+    keep = np.abs(sums) > COEFF_EPS
+    form, index = np.divmod(keys[keep], width)
+    return np.searchsorted(form, np.arange(n_forms + 1)), index, sums[keep]
 
 
 def _strict_terms(p: Polynomial, index: MomentIndex, what: str):
@@ -466,12 +426,17 @@ def _build(lifted, r: int, cliques: Sequence[Tuple[VarId, ...]]) -> SdpProblem:
         polys.extend(entries)
     n_entries = sum(i.size for *_, i, _ in blocks)
 
-    # Raw equality rows: clique-local equalities against all multipliers,
-    # cross-clique equalities and those on linear variables as a single
-    # scalar row.
+    # Raw equality rows: the normalization L_y(q) = 1 of a nonconstant q,
+    # clique-local equalities against all multipliers, cross-clique
+    # equalities and those on linear variables as a single scalar row.
     labels: List[str] = []
     expanded_rows: List[int] = []
     strict: List[Tuple[int, Tuple[np.ndarray, np.ndarray]]] = []
+    denominator = lifted.objective_den
+    constant_q = denominator.is_constant()
+    if not constant_q:
+        strict.append((0, _strict_terms(denominator, index, "normalization")))
+        labels.append("normalization")
     for h_idx, h in enumerate(lifted.equality_constraints):
         assigned = _basis_variables(h.variables(), cliques, linear)
         if assigned is None or not linear.isdisjoint(assigned):
@@ -485,7 +450,6 @@ def _build(lifted, r: int, cliques: Sequence[Tuple[VarId, ...]]) -> SdpProblem:
         polys.append(h)
 
     strict.append((len(labels), _strict_terms(lifted.objective_num, index, "objective")))
-    den_positions, _ = _strict_terms(lifted.objective_den, index, "normalization")
     expanded, raw, coef = localizing_forms(index, products, polys)
 
     # Forms: the block entries, the equality rows, the objective.
@@ -499,10 +463,17 @@ def _build(lifted, r: int, cliques: Sequence[Tuple[VarId, ...]]) -> SdpProblem:
         raws.append(positions)
         coefs.append(coefficients)
 
-    eliminator = _Eliminator(lifted.objective_den, den_positions, index.n_moments)
-    constants, indptr, indices, coefficients = eliminator.forms(
-        n_forms, np.concatenate(forms), np.concatenate(raws), np.concatenate(coefs)
-    )
+    form, raw, coef = np.concatenate(forms), np.concatenate(raws), np.concatenate(coefs)
+    constants = np.zeros(n_forms)
+    if constant_q:
+        # The constant monomial (position 0) is no moment: L_y(1) = 1/q0.
+        unit = raw == 0
+        constants[form[unit]] += coef[unit] * (1.0 / denominator.constant_value())
+        form, raw, coef = form[~unit], raw[~unit] - 1, coef[~unit]
+    else:
+        constants[n_entries] = -1.0  # the normalization row L_y(q) - 1 = 0
+    y_dim = index.n_moments - int(constant_q)
+    indptr, indices, coefficients = _csr_forms(n_forms, y_dim, form, raw, coef)
 
     keep = (np.diff(indptr) > 0) | (constants != 0.0)
     psd_blocks: List[PsdBlock] = []
@@ -551,19 +522,16 @@ def _build(lifted, r: int, cliques: Sequence[Tuple[VarId, ...]]) -> SdpProblem:
 
     objective = affine(n_forms - 1, constant_list[n_forms - 1])
 
-    moment_rows = np.delete(key_rows(index.keys, len(universe)), eliminator.pivot_raw, axis=0)
-
     return SdpProblem(
-        y_dim=eliminator.y_dim,
+        y_dim=y_dim,
         order=r,
         objective=objective,
         psd_blocks=tuple(psd_blocks),
         equalities=tuple(equalities),
-        pivot_substitution=eliminator.substitution,
         original_variables=tuple(lifted.original_variables),
-        moment_rows=moment_rows,
+        moment_rows=key_rows(index.keys, len(universe))[int(constant_q) :],
         universe=universe,
-        denominator=lifted.objective_den,
+        denominator=denominator,
     )
 
 

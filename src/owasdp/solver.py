@@ -45,8 +45,12 @@ moments, and the shared block) are filled straight from the Schur terms;
 the private moments are eliminated first, by a Cholesky (or LU) factor per
 clique, and the shared moments last, by a dense factor of their Schur
 complement.  Each Newton system takes one pass of that elimination, with
-no iterative refinement: H + dI is symmetric positive definite, and the
-pass is backward stable on it.  The iteration is deterministic: identical
+no iterative refinement: H + dI is symmetric positive definite in exact
+arithmetic, and the pass is backward stable on it.  In floating point
+Cholesky can still meet a nonpositive pivot on late iterates, and that
+clique's factor falls back to LU (``_CliqueFactor``): a few factors of the
+range and trimmed relaxations do, and so do dozens of the 20-anchor l3
+Weber relaxation's order-2 solve.  The iteration is deterministic: identical
 inputs and BLAS thread counts produce bitwise identical iterates.
 ``diagnostics['phase_seconds']`` splits the compile and iteration time by
 phase, ``diagnostics['kkt']`` reports the size and fill
@@ -1035,9 +1039,10 @@ def _step_lengths(
 
 
 class _CliqueFactor:
-    """LAPACK factors of one symmetric positive-definite block M of a
-    ``_CliqueLayout``: its Cholesky factor (potrf), or its LU factors
-    (getrf) when Cholesky meets a nonpositive pivot.  Both read M.T, which
+    """LAPACK factors of one block M of a ``_CliqueLayout``, symmetric and
+    positive definite in exact arithmetic: its Cholesky factor (potrf), or
+    its LU factors (getrf) when rounding makes Cholesky meet a nonpositive
+    pivot, as it does on some late iterates.  Both read M.T, which
     is M: the transpose of a C-ordered block is a Fortran-ordered view that
     LAPACK takes without reordering.  RuntimeError on an exactly zero or a
     non-finite pivot."""

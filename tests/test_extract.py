@@ -288,16 +288,18 @@ class TestRankCheck:
         y = dirac_moment_vector(weber_sparse, WEBER_POINT)
         with pytest.raises(ExtractionError, match="moment.c0 carries no basis"):
             rank_check(stripped, y, FlatnessOrders())
-        with pytest.raises(ExtractionError, match="moment.c0 carries no basis"):
-            extract_point(stripped, y)
+        # extraction reads the first moments from y, not through the blocks
+        solution = extract_point(stripped, y)
+        for var in weber_sparse.original_variables:
+            assert solution.point[var] == pytest.approx(WEBER_POINT[var], abs=1e-12)
 
 
 class TestExtractPoint:
     @pytest.mark.parametrize("denominator", [None, "2 + x", "t"])
     def test_linear_variable_is_read_from_y(self, denominator):
-        # t lies in no clique, so no moment block holds L_y(t): it is read
-        # from y, or through the pivot substitution when the normalization
-        # L_y(t) = 1 eliminated it.
+        # t lies in no clique, so no moment block holds L_y(t); extraction
+        # reads it from y like every first moment, under the normalization
+        # L_y(t) = 1 too.
         lift = hand_lift(
             ("x", "t"),
             "t",

@@ -42,7 +42,7 @@ from owasdp.relaxation import (
 )
 
 from owasdp.moment import MomentIndex, monomial_rows
-from owasdp.solver import solve
+from owasdp.solver import SolveStatus, solve
 
 from support import (
     DEMO_POINTS,
@@ -215,33 +215,43 @@ class TestHandWeberStructure:
         )
 
 
-class TestPivotElimination:
+class TestNormalization:
     def test_constant_denominator_scales_corner(self):
         lift = hand_lift(("x",), "x", inequality_texts=("1 - x^2",),
                          denominator_text="2")
         sdp = build_dense(lift, 1)
+        # the constant monomial is no moment: L_y(1) = 1/q is a constant
         assert corner_form(sdp.psd_blocks[0]) == AffineForm((), (), 0.5)
+        assert sdp.y_dim == 2
+        assert sdp.equalities == ()
 
-    def test_polynomial_denominator_substitutes(self):
+    def test_polynomial_denominator_is_the_first_row(self):
         lift = hand_lift(("x",), "x", inequality_texts=("1 - x^2",),
-                         denominator_text="1 + x^2")
+                         equality_texts=("x^2 - x",), denominator_text="1 + x^2")
         sdp = build_dense(lift, 1)
-        idx = moment_position(sdp, "x^2", lift.universe)
-        assert sdp.pivot_substitution == AffineForm((idx,), (-1.0,), 1.0)
-        assert corner_form(sdp.psd_blocks[0]) == AffineForm((idx,), (-1.0,), 1.0)
+        one = moment_position(sdp, "1", lift.universe)
+        x2 = moment_position(sdp, "x^2", lift.universe)
+        assert sdp.y_dim == 3
+        assert corner_form(sdp.psd_blocks[0]) == AffineForm((one,), (1.0,), 0.0)
+        normalization = sdp.equalities[0]
+        assert normalization.label == "normalization"
+        assert normalization.rhs == 1.0
+        assert normalization.form == AffineForm(tuple(sorted((one, x2))), (1.0, 1.0))
+        assert [row.label for row in sdp.equalities[1:]] == ["eq0.m0"]
 
     def test_rational_dirac_matches_function_value(self):
         lift = hand_lift(("x",), "x^2 + 1", inequality_texts=("1 - x^2",),
                          denominator_text="x^2 + 2")
         sdp = build_dense(lift, 2)
+        one = moment_position(sdp, "1", lift.universe)
+        normalization = sdp.equalities[0]
         for x in (-0.8, 0.0, 0.3):
             y = dirac_moment_vector(sdp, np.array([x]))
             expected = (x * x + 1.0) / (x * x + 2.0)
             assert sdp.objective.evaluate(y) == pytest.approx(expected, abs=1e-12)
-            # the substituted pivot moment reproduces L_y(1) = 1/q(x)
-            assert sdp.pivot_substitution.evaluate(y) == pytest.approx(
-                1.0 / (x * x + 2.0), abs=1e-12
-            )
+            # the constant moment is L_y(1) = 1/q(x), and L_y(q) = 1 holds
+            assert y[one] == pytest.approx(1.0 / (x * x + 2.0), abs=1e-12)
+            assert abs(normalization.residual(y)) <= 1e-12
 
 
 class TestOddDegreeConventions:
@@ -252,7 +262,8 @@ class TestOddDegreeConventions:
         assert cubic_block.kind == "localizing"
         assert cubic_block.size == 1  # truncated at order r - ceil(3/2) = 0
         assert sdp.psd_blocks[2].size == 2  # the quadratic keeps order r - 1
-        # so only x, ..., x^4 are free (the pivot 1 is eliminated): no x^5
+        # so y holds only x, ..., x^4 (under the constant denominator 1 is
+        # no moment): no x^5
         assert sdp.y_dim == 4
         with pytest.raises(ValueError):
             moment_position(sdp, "x^5", lift.universe)
@@ -293,6 +304,20 @@ class TestOddDegreeConventions:
         assert [b.size for b in build_dense(lift, 3).psd_blocks[1:]] == sizes
 
     def test_contradictory_equality_rejected(self):
+        # Under a constant denominator 1 is no moment, so the equality
+        # 2 = 0 reduces to a row without moments and assembly rejects it.
+        lift = hand_lift(
+            ("x",),
+            "x",
+            inequality_texts=("1 - x^2",),
+            equality_texts=("2",),
+        )
+        with pytest.raises(RelaxationStructureError, match="contradiction"):
+            build_dense(lift, 1)
+
+    def test_contradiction_with_the_normalization_is_infeasible(self):
+        # Under q = 1 + x^2 the equality 2 + 2 x^2 = 0 reads 2 L_y(q) = 0,
+        # which the solver's elimination finds inconsistent with L_y(q) = 1.
         lift = hand_lift(
             ("x",),
             "x",
@@ -300,8 +325,9 @@ class TestOddDegreeConventions:
             equality_texts=("2 + 2*x^2",),
             denominator_text="1 + x^2",
         )
-        with pytest.raises(RelaxationStructureError, match="contradiction"):
-            build_dense(lift, 1)
+        result = solve(build_dense(lift, 1))
+        assert result.status is SolveStatus.INFEASIBLE
+        assert result.diagnostics["note"] == "equality rows inconsistent"
 
 
 class TestMatrixInequalities:
@@ -554,7 +580,6 @@ class TestSizeStatsEdge:
             objective=AffineForm((), (), 0.0),
             psd_blocks=(),
             equalities=(),
-            pivot_substitution=AffineForm((), (), 1.0),
             original_variables=(),
         )
         assert empty.stats == SizeStats(0, 0, 0.0)
@@ -575,7 +600,6 @@ class TestIndexValidation:
                 ),
             ),
             equalities=(EqualityRow("e", AffineForm((equality_index,), (1.0,)), 0.5),),
-            pivot_substitution=AffineForm((), (), 1.0),
             original_variables=(),
         )
 
@@ -602,9 +626,8 @@ def relaxation_digest(sdp):
     item with every float as ``float.hex``: y_dim; every block's size, kind
     and label and, per upper-triangle entry in order, i, j, its constant and
     its (index, coefficient) terms; every equality row's label, right-hand
-    side and terms; the objective and the pivot substitution (constant and
-    terms); and ``repr`` of the tuple of ``Monomial`` objects of the moment
-    rows."""
+    side and terms; the objective (constant and terms); and ``repr`` of the
+    tuple of ``Monomial`` objects of the moment rows."""
 
     def terms(indices, coefficients):
         return " ".join(f"{int(i)}:{float(c).hex()}" for i, c in zip(indices, coefficients))
@@ -623,10 +646,10 @@ def relaxation_digest(sdp):
             f"eq {row.label} {float(row.rhs).hex()} "
             + terms(row.form.indices, row.form.coefficients)
         )
-    for name, form in (("objective", sdp.objective), ("pivot", sdp.pivot_substitution)):
-        lines.append(
-            f"{name} {float(form.constant).hex()} " + terms(form.indices, form.coefficients)
-        )
+    form = sdp.objective
+    lines.append(
+        f"objective {float(form.constant).hex()} " + terms(form.indices, form.coefficients)
+    )
     lines.append("moments " + repr(row_monomials(sdp.moment_rows)))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
@@ -702,6 +725,12 @@ GOLDEN_DIGESTS = {
     # Every digest was re-recorded when the relaxation stopped carrying
     # per-moment scale hints: the digest lost its ``scales`` line, and each
     # equals the one of its earlier relaxation with that line dropped.
+    # Every digest was re-recorded again when the relaxation stopped
+    # eliminating the normalization moment: the digest lost its ``pivot``
+    # line.  The 18 constant-denominator cases equal the digests of their
+    # earlier relaxations with that line dropped; omrf-general,
+    # omrf-kcentrum and omrf-trimmedrational, whose denominators are not
+    # constant, gained the constant moment and the normalization row.
     # Re-recorded when the planar l2 lifts of the aggregations nondecreasing
     # in each distance traded the distance equalities for arrow blocks
     # (center and k-centrum, and the (0, 2) trim, a 4-centrum, lost their
@@ -709,39 +738,39 @@ GOLDEN_DIGESTS = {
     # when those lifts left their epigraph variables linear: one moment block
     # over the facility position, one ball, and 1x1 blocks for the sign rows
     # of the epigraph variables.
-    "ladder-weber": "532b7b9916599efd8340eef7f6c6f91fb010626e1f34e0049fa34b90fefaba4f",
-    "ladder-center": "f158a9a274e9f10b4030e2f8e646edf85d9512fb7d05b415e4a02a798675f656",
-    "ladder-kcentrum": "0306abc1cabd712072323ed559cbb6a7024bd0c5854c44afe2c42ca94572fd4e",
-    "loc-trimmed02": "c8b7e03ee22f38163fac9b857915e80be81b83132009ece99720b13fe88bc97e",
-    "loc-weberhalfplane": "a5ee47cd2704b217a3536b400232673ee0838f431ca145aca28dad93327faf16",
-    "ladder-trimmed": "69c06e96e878c343ba7ce89867321e65bbb3272c6fb85d8b2f7270052f109d90",
-    "ladder-range": "dbc2853bb67a601b2ce22336365e1d63888ad1e8d777990288af18191b9d8e65",
+    "ladder-weber": "16ddf71955f783867a3e43c532acf1c22b6936f91ad0742ccbf51f7dd0675c7e",
+    "ladder-center": "9d54c0f6ad71c734de7f342e1699239522291b266f5e326e4a9f5da82838b27c",
+    "ladder-kcentrum": "6b67ed03b59646b733b26732209122b0ecc5b655dd0727c7c8916310b6ffe1d6",
+    "loc-trimmed02": "78a7b669d3690b44d8d8d3bf765e2061667e744efeb94e3360271069e27d64a8",
+    "loc-weberhalfplane": "bdb8a55d935df3a6ddc767f1d446ce2f63575461e65686a99014b6a3fd8e4743",
+    "ladder-trimmed": "246cd969ec716cd43383dac5f004b3c795e7fcedce6a9f6e83d7393824d5a5f0",
+    "ladder-range": "bd9f5bc46db7712305db5dfb4f780dd5ac4ec88b7f2366bd3985a2a2826de7a2",
     # Re-recorded when unpaired odd-degree inequalities moved to the
     # truncation order r - ceil(d/2): each of these lifts has a cubic
     # epigraph row whose block shrank.
-    "omrf-kcentrum2of3": "a285cec2dee016d486407fbc9f6da38b5fcc90a9f68b25cbb23660a2002a5a3a",
+    "omrf-kcentrum2of3": "5f8ca8768846e8de763a01f8a5c5b8ae7adf18188254ef5f1873858e38ef5e43",
     # Re-recorded when a positive top telescoping level became the plain sum
     # of the functions: these lifts lost the epigraph of that level.
-    "omrf-monotone": "6e173ea9e1011350cce1a27b68e4187880c693883d5754a03d3ea2e440ee4f9f",
-    "omrf-trimmed": "d0390f1cfb9f9eb9ffd6b89ff886cfe4960f9ffc6764bc9055c72ca2d95b399a",
-    "omrf-trimmedrational": "d30e46b0a693e81fec4c0a31d9fd81efbcdab5947de7995c80d6559d37765f20",
-    "demo-l3": "37ee2112617ab85349a7a9e02560befa9f0b8ebaa0b13b396258229ccd77af91",
+    "omrf-monotone": "84235689d122f5e956fc593e1a7db35543a3ffe71f1dd9a1bab6f101169b2b3b",
+    "omrf-trimmed": "99356a175978c50a3e7e1bf5c7c6dc65775e2af1cef0180838008479b777504b",
+    "omrf-trimmedrational": "4b65c371e47d3d1f10dec18e01f6f5227635f0d6d86156c5ae0136c4e0aa65aa",
+    "demo-l3": "95865dbc8f8083043aaa7ba91651e01baac87dd7857585cb513af4e930a7a766",
     # Recorded from the per-variant location builders that ``build_lifted``
     # folded into one scaffold.
-    "loc-trimmed32": "93e914e545b910694e9e845c23f04c0f88bac74fab2c7c504d0f9554b51d8cff",
-    "loc-range43": "a64d49332b3e44ddc49c316c237190592b250bd94b6779ac276d647956bcf7a8",
-    "loc-kcentrum3": "2a0c0bea98e75c0feeb174980ec771e29bdf41ee6ab862d0fbed873b0ad974a7",
-    "loc-center4": "c7883ececaf4e7d8f8df1a468f9410d43df401f8723bb9d5593a8502c62255d0",
+    "loc-trimmed32": "fd13e2f634738149e1bbb70d38d6f7a51f833b7b547e52173eaa8de6c17f6233",
+    "loc-range43": "0ad337225bfa3be71b427f61ccd7802475df3d0bb1ae9b0cd4d9642508f12d0c",
+    "loc-kcentrum3": "3b86ce97edbef5ec1b1670e03de9177506c0e01f014341dcea4c7f878f76a5ba",
+    "loc-center4": "7193e2c5aec32aba3f24732690cc21ad4a0b89a919a1b1907eb0fbfbfba0f1af",
     # Re-recorded when the assignment lift stopped registering its last row
     # (one minus the others) and the column sums that row made redundant.
-    "ladder-general": "d52f43ad15d2754574008922c6ce12b661ccbd8ff5da6e99f39016e299d1e5c3",
-    "loc-general3": "e6c6ef86af4e689ad23690e541333bd6344ae538b3997fcb8f385fa96ff30a5f",
-    "omrf-general": "9630f2a207580a09518591ed9d7a4b014d2a38e07ec9d69a95d10b01b3e9d86b",
+    "ladder-general": "cd54f09cc3b4a1bae0d48e3d8de60a7a1fe928b0be910e2d40451ab2b3da98c5",
+    "loc-general3": "fe71443636b4f939f4b807b83f6d3be2c8ea8425dd7d2ddd865816c5906f2f03",
+    "omrf-general": "8c1d194bb0265bead908a20476eea21b547f1d067dd9db4857cebe669a990a29",
     # Re-recorded when the max level S_1 lost its slacks (omrf-monotone3)
     # and two rational denominators at the plain sum's own order stopped
     # keeping the top epigraph (omrf-kcentrum, k = m = 2).
-    "omrf-kcentrum": "283352948c517f9d1842df4db75a220c61ef942099ef15fbc7864f0543ca1e61",
-    "omrf-monotone3": "2e3aa977019d3c32c6c0a6581447de05c15f05d3f0be54396018af154843567b",
+    "omrf-kcentrum": "e8f2da4cbf4b8b0f8697eef025661267dd666772edc9ec06c7c66fe64fe9101a",
+    "omrf-monotone3": "bb4b7a322257d3c35111a6787ce19a152e4acf50219f9efb9c8e5141703dee76",
 }
 
 

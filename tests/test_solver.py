@@ -70,7 +70,6 @@ def one_by_one_sdp():
             psd_block(1, "moment", "m", (), ((0, 0, AffineForm((0,), (1.0,), 0.0)),)),
         ),
         equalities=(),
-        pivot_substitution=AffineForm((), (), 1.0),
         original_variables=(),
     )
 
@@ -92,7 +91,6 @@ def infeasible_sdp():
             ),
         ),
         equalities=(),
-        pivot_substitution=AffineForm((), (), 1.0),
         original_variables=(),
     )
 
@@ -107,7 +105,6 @@ def unbounded_sdp():
             psd_block(1, "moment", "m", (), ((0, 0, AffineForm((0,), (1.0,), 0.0)),)),
         ),
         equalities=(),
-        pivot_substitution=AffineForm((), (), 1.0),
         original_variables=(),
     )
 
@@ -156,7 +153,6 @@ def mixed_layout_sdp():
         objective=form([(0, 1.0), (1, 1.0), (2, 1.0)]),
         psd_blocks=blocks,
         equalities=(EqualityRow("fix", form([(2, 1.0)]), 0.5),),
-        pivot_substitution=AffineForm((), (), 1.0),
         original_variables=(),
     )
 
@@ -185,7 +181,6 @@ def clique_chain_sdp(labelled):
         objective=AffineForm(tuple(range(521)), (1.0,) * 521, 0.0),
         psd_blocks=tuple(blocks),
         equalities=(),
-        pivot_substitution=AffineForm((), (), 1.0),
         original_variables=(),
     )
 
@@ -1344,7 +1339,6 @@ class TestEqualityElimination:
                 EqualityRow("sum", AffineForm((0, 1), (1.0, 1.0), 0.0), 1.0),
                 EqualityRow("difference", AffineForm((0, 1), (1.0, -1.0), 0.0), 0.5),
             ),
-            pivot_substitution=AffineForm((), (), 1.0),
             original_variables=(),
         )
 
