@@ -365,7 +365,12 @@ def extract_point(
 
 
 def eps_obj(sdp_value: float, reference: float) -> float:
-    """Relative objective error |sdp_value - reference| / max(1, reference)."""
+    """Objective error |sdp_value - reference| / max(1, reference).
+
+    Relative at a reference above 1; at a reference of 1 or below (every
+    negative reference among them) the denominator is 1, so the error is
+    the absolute gap.
+    """
     if not math.isfinite(reference):
         raise ValueError("reference optimum must be finite")
     return abs(sdp_value - reference) / max(1.0, reference)

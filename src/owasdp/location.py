@@ -301,29 +301,23 @@ class LocationInstance:
         assert self.position_lambda is not None
         return tuple(self.position_lambda)
 
-    def distances(self, point: Sequence[float]) -> np.ndarray:
-        """tau-norm distances from ``point`` to each anchor."""
-        x = np.asarray(point, dtype=float)
-        diffs = np.abs(x[None, :] - np.asarray(self.points, dtype=float))
+    def distances(self, points: Sequence[float] | np.ndarray) -> np.ndarray:
+        """tau-norm distances from ``points`` to each anchor: one row of
+        them per row of a 2-D array of points, or one row for one point."""
+        x = np.asarray(points, dtype=float)
+        diffs = np.abs(x[..., None, :] - np.asarray(self.points, dtype=float))
         t = self.tau
-        return np.power(np.power(diffs, t).sum(axis=1), 1.0 / t)
+        return np.power(np.power(diffs, t).sum(axis=-1), 1.0 / t)
 
     def objective_value(self, point: Sequence[float]) -> float:
-        """Aggregated weighted distance at ``point`` (sorted descending;
-        ties broken by anchor index ascending)."""
-        costs = np.asarray(self.weights) * self.distances(point)
-        order = sorted(range(self.n), key=lambda i: (-costs[i], i))
-        lam = self.position_weights()
-        return float(sum(lam[j] * costs[order[j]] for j in range(self.n)))
+        """Aggregated weighted distance at ``point``: the one row of
+        :meth:`objective_values`."""
+        return float(self.objective_values(np.asarray(point, dtype=float)[None, :])[0])
 
     def objective_values(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`objective_value` over rows of ``points``."""
-        pts = np.asarray(points, dtype=float)
-        anchors = np.asarray(self.points, dtype=float)
-        diffs = np.abs(pts[:, None, :] - anchors[None, :, :])
-        t = self.tau
-        dists = np.power(np.power(diffs, t).sum(axis=2), 1.0 / t)
-        costs = np.sort(dists * np.asarray(self.weights)[None, :], axis=1)[:, ::-1]
+        """Aggregated weighted distance at each row of ``points``: the
+        weighted distances sorted descending, weighted by rank."""
+        costs = np.sort(self.distances(points) * np.asarray(self.weights), axis=1)[:, ::-1]
         return costs @ np.asarray(self.position_weights())
 
 
@@ -779,13 +773,12 @@ def lifted_witness(
 
     Distance variables (where the lift has them) take the tau-norm
     distances, coordinate lift variables ``|x_l - a_l|**(r/s)``, and
-    aggregation variables the values implied by the tie-stable descending
-    sort of the weighted distances used by
-    :meth:`LocationInstance.objective_value`.  Whenever ``point`` lies in the
-    ground set and the returned vector inside the instance's ball, it
-    satisfies every lifted constraint and matrix inequality, and the lifted
-    objective evaluates to the aggregated value there (the soundness tests
-    rely on both facts).
+    aggregation variables the values implied by the descending sort of the
+    weighted distances, ties broken by anchor index.  Whenever ``point``
+    lies in the ground set and the returned vector inside the instance's
+    ball, it satisfies every lifted constraint and matrix inequality, and
+    the lifted objective evaluates to the aggregated value there (the
+    soundness tests rely on both facts).
     """
     x = np.asarray(point, dtype=float)
     n = instance.n

@@ -69,10 +69,10 @@ def monomial_rows(monos: Sequence[Monomial], width: int) -> np.ndarray:
 
 def monomial_values(rows: np.ndarray, point: Sequence[float]) -> np.ndarray:
     """The monomials of the rows at ``point`` (indexed by variable id): per
-    row, the product of ``float(point[v]) ** e`` over its variables v with
-    exponents e, in increasing v from 1.0.  Each power is a Python float
-    power, not NumPy's vectorized one, so every value agrees bit for bit
-    with ``Monomial.evaluate``."""
+    row, the product of ``point[v] ** e`` over its variables v with
+    exponents e, in increasing v from 1.0.  Each power raises an array to a
+    Python int, one exponent at a time, so every value agrees bit for bit
+    with ``Polynomial.evaluate_many``."""
     n, width = rows.shape
     # Exponent of each run of equal ids, at the run's last position.
     run = np.ones((n, width), dtype=np.int64)
@@ -82,9 +82,13 @@ def monomial_values(rows: np.ndarray, point: Sequence[float]) -> np.ndarray:
     last[:, :-1] &= rows[:, :-1] != rows[:, 1:]
     pairs, inverse = np.unique(rows[last] * (width + 1) + run[last], return_inverse=True)
     ids, exponents = np.divmod(pairs, width + 1)
-    powers = [float(point[v]) ** e for v, e in zip(ids.tolist(), exponents.tolist())]
+    x = np.asarray(point, dtype=float)
+    powers = np.empty(len(pairs))
+    for e in np.unique(exponents).tolist():
+        at = exponents == e
+        powers[at] = x[ids[at]] ** e
     factors = np.ones((n, width))
-    factors[last] = np.array(powers, dtype=float)[inverse]
+    factors[last] = powers[inverse]
     values = np.ones(n)
     for column in factors.T:
         values *= column

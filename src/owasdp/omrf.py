@@ -2,9 +2,10 @@
 
 An ordered-median objective applies position-dependent weights to the sorted
 values of finitely many rational functions.  This module models such problems
-(``OmrfProblem``), evaluates them directly (``evaluate_ordered_median``), and
-rewrites them as polynomial optimization problems over an extended variable
-set (``LiftedProblem``):
+(``OmrfProblem``), evaluates them directly at a batch of points
+(``OmrfProblem.objective_values``) or at one point as its one row
+(``evaluate_ordered_median``), and rewrites them as polynomial optimization
+problems over an extended variable set (``LiftedProblem``):
 
 * ``build_general_lift`` sorts with a 0/1 assignment matrix (function,
   sorted position) and supports arbitrary, even polynomial, position
@@ -142,9 +143,6 @@ class LambdaWeights:
         values = self.constant_values()
         return values[-1] >= 0.0 and all(a >= b for a, b in zip(values, values[1:]))
 
-    def evaluate(self, point: np.ndarray) -> np.ndarray:
-        return np.array([entry.evaluate(point) for entry in self.entries])
-
 
 @dataclass(frozen=True)
 class OmrfProblem:
@@ -197,13 +195,11 @@ class OmrfProblem:
     def objective_values(self, points: np.ndarray) -> np.ndarray:
         """Ordered-median value at each row of the 2-D array ``points``.
 
-        Vectorized counterpart of ``objective_value`` through
-        ``Polynomial.evaluate_many``, so the two agree to rounding.  Each
-        row's function values are sorted nonincreasingly by a stable sort,
-        so ties go by function index as in ``evaluate_ordered_median``;
-        weights may be constants or polynomials.  A row where some
-        denominator is not positive gets +inf, where ``objective_value``
-        raises ``ValueError``.
+        ``objective_value`` is its one-row case, so the two agree bit for
+        bit.  Each row's function values are sorted nonincreasingly by a
+        stable sort, so ties go by function index; weights may be constants
+        or polynomials.  A row where some denominator is not positive gets
+        +inf, where ``objective_value`` raises ``ValueError``.
         """
         x = np.asarray(points, dtype=float)
         values = np.zeros((len(x), self.m))
@@ -387,14 +383,9 @@ def function_bounds(problem: OmrfProblem) -> Tuple[Tuple[float, float], ...]:
 # ---------------------------------------------------------------------------
 
 
-def _sort_permutation(values: Sequence[float]) -> List[int]:
-    """Indices ordering ``values`` nonincreasingly; ties keep the original
-    index order (lower index first)."""
-    return sorted(range(len(values)), key=lambda i: (-values[i], i))
-
-
 def evaluate_ordered_median(problem: OmrfProblem, point: np.ndarray) -> float:
-    """Weighted sum of sorted function values at ``point``.
+    """Weighted sum of sorted function values at ``point``: the one row of
+    ``problem.objective_values``.
 
     Function values are sorted nonincreasingly (the j-th weight multiplies
     the j-th largest value).  Ties are broken by original function index,
@@ -403,10 +394,9 @@ def evaluate_ordered_median(problem: OmrfProblem, point: np.ndarray) -> float:
     denominator is not positive at ``point``.
     """
     x = np.asarray(point, dtype=float)
-    values = [f.evaluate(x) for f in problem.functions]
-    order = _sort_permutation(values)
-    lam = problem.weights.evaluate(x)
-    return float(sum(lam[j] * values[order[j]] for j in range(problem.m)))
+    for f in problem.functions:
+        f.evaluate(x)  # raises ValueError where the denominator is not positive
+    return float(problem.objective_values(x[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -793,7 +783,7 @@ def lifted_witness(
     x = np.asarray(point, dtype=float)
     m = problem.m
     values = [f.evaluate(x) for f in problem.functions]
-    order = _sort_permutation(values)
+    order = np.argsort(-np.array(values), kind="stable").tolist()
     z = np.zeros(len(lifted.universe))
     z[: len(x)] = x
     groups: Dict[str, Tuple[VarId, ...]] = dict(lifted.variable_groups)

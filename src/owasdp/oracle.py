@@ -13,7 +13,8 @@ method, one value per row of a 2-D array, and a ``region`` attribute (a
 evaluate their objective through it, whole blocks of points per call; a
 value that is not finite (say, at a vanishing denominator) counts as +inf.
 Region checks on blocks of points are batched the same way
-(``Polynomial.evaluate_many`` and ``SemialgebraicSet.ball_values``).
+(``SemialgebraicSet.contains_many`` and ``Polynomial.evaluate_many``), and a
+check at one point is the one-row case of the same arithmetic.
 ``CallableProblem`` adapts a bare batched callable to the protocol.
 
 ``grid_search`` evaluates the grid in chunks of whole first-axis slices of
@@ -108,18 +109,6 @@ def _safe_value(problem, point: np.ndarray) -> float:
     return float(_evaluate_block(problem, point[None, :])[0])
 
 
-def _feasible_mask(region: SemialgebraicSet, points: np.ndarray) -> np.ndarray:
-    mask = np.ones(len(points), dtype=bool)
-    for h in region.equalities:
-        mask &= np.abs(h.evaluate_many(points)) <= _FEASIBLE_TOL
-    for g in region.inequalities:
-        mask &= g.evaluate_many(points) >= -_FEASIBLE_TOL
-    ball = region.ball_values(points)
-    if ball is not None:
-        mask &= ball >= -_FEASIBLE_TOL
-    return mask
-
-
 def _violation_block(region: SemialgebraicSet, points: np.ndarray) -> np.ndarray:
     """Total constraint violation at each row of ``points``; a violation
     that is not a number counts as +inf."""
@@ -184,7 +173,7 @@ def grid_search(problem, box: Box, step: float) -> OracleResult:
         values = _evaluate_block(problem, chunk)
         evaluations += len(chunk)
         if region is not None:
-            values = np.where(_feasible_mask(region, chunk), values, math.inf)
+            values = np.where(region.contains_many(chunk, _FEASIBLE_TOL), values, math.inf)
         idx = int(np.argmin(values))
         value = float(values[idx])
         if value < best_value:
@@ -229,7 +218,7 @@ def _coordinate_refine(
         moved = candidates[rows, moved_axis]
         candidates = candidates[~((moved < lo) | (moved > hi))]
         if region is not None:
-            candidates = candidates[_feasible_mask(region, candidates)]
+            candidates = candidates[region.contains_many(candidates, _FEASIBLE_TOL)]
         if not len(candidates):
             break
         values = _evaluate_block(problem, candidates)
@@ -334,8 +323,7 @@ def _draw_start(
     if region is None or region.ball_bound is None:
         return point
     for _ in range(_MAX_START_DRAWS):
-        ss = sum(point[v] ** 2 for v in region.ball_variables)
-        if ss <= region.ball_bound:
+        if region.ball_values(point) >= 0.0:
             return point
         point = lo + (hi - lo) * rng.random(len(lo))
     return point

@@ -5,11 +5,15 @@ Algebraic substrate for the rest of the package: named variables live in a
 monomial-to-coefficient maps with float coefficients, and rational functions
 are numerator/denominator pairs.  A small text grammar (``parse`` /
 ``to_string``) round-trips polynomials exactly.
+
+Values at points have one arithmetic, ``Polynomial.evaluate_many``, which
+raises float arrays to Python int exponents.  One point is its one-row
+case, and the ball and region tests take the same powers, so a value does
+not depend on whether its point is evaluated alone or in a batch.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
@@ -138,12 +142,6 @@ class Monomial:
         for v, e in other._exps:
             merged[v] = merged.get(v, 0) + e
         return Monomial(merged)
-
-    def evaluate(self, point: np.ndarray) -> float:
-        out = 1.0
-        for v, e in self._exps:
-            out *= float(point[v]) ** e
-        return out
 
     def grlex_key(self) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
         """Sort key for graded-lexicographic order (degree, then lex).
@@ -290,19 +288,20 @@ class Polynomial:
         return result
 
     def evaluate(self, point: np.ndarray) -> float:
-        return sum(c * m.evaluate(point) for m, c in self._terms.items())
+        """Value at one point: the one row of ``evaluate_many``."""
+        return float(self.evaluate_many(np.asarray(point, dtype=float)[None, :])[0])
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Values at each row of the 2-D array ``points``.
 
-        Vectorized counterpart of ``evaluate``, with the same order of
-        operations.  NumPy's vector power is not the C library's ``pow``
-        that ``evaluate`` uses, so the two agree to rounding, not bitwise.
+        Each monomial is the product, from 1.0 and in increasing variable
+        id, of its columns raised to Python int exponents; the terms add
+        from 0.0 in insertion order.
         """
         x = np.asarray(points, dtype=float)
         out = np.zeros(len(x))
         for mono, coef in self._terms.items():
-            values = np.ones(len(x))
+            values = 1.0
             for vid, exp in mono.exps:
                 values = values * x[:, vid] ** exp
             out += coef * values
@@ -347,6 +346,9 @@ class RationalFunction:
         return self.numerator.universe
 
     def evaluate(self, point: np.ndarray) -> float:
+        """Numerator over denominator at one point, each the one row of its
+        ``evaluate_many``; raises ValueError where the denominator is not
+        positive."""
         den = self.denominator.evaluate(point)
         if den <= 0.0:
             raise ValueError(f"denominator nonpositive ({den!r}) at evaluation point")
@@ -414,29 +416,36 @@ class SemialgebraicSet:
     def ball_values(self, points: np.ndarray) -> np.ndarray | None:
         """M - sum(v^2) at one point, or at each row of a 2-D array of points.
 
-        Numeric counterpart of ``ball_polynomial().evaluate``, equal to it
-        bit for bit: the squares go through Python's float power, as in
-        ``Monomial.evaluate``, because the C library's ``pow`` and NumPy's
-        exact product differ in the last bit on about 0.1% of squares.
-        None when M is not set.
+        Equal bit for bit to ``ball_polynomial().evaluate_many``, whose
+        squares are the same ``column ** 2``.  None when M is not set.
         """
         if self.ball_bound is None:
             return None
         x = np.asarray(points, dtype=float)
         values = np.full(x.shape[:-1], float(self.ball_bound))
         for v in self.ball_variables:
-            column = x[..., v]
-            squares = map(pow, column.ravel().tolist(), itertools.repeat(2))
-            values -= np.fromiter(squares, float, column.size).reshape(column.shape)
+            values -= x[..., v] ** 2
         return values
 
+    def contains_many(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        """Whether each row of the 2-D array ``points`` lies in the set within
+        ``tol``: no equality is off zero, and neither an inequality nor the
+        ball is below zero, by more than ``tol``.  A constraint value that
+        is NaN violates nothing, except the ball's."""
+        x = np.asarray(points, dtype=float)
+        inside = np.ones(len(x), dtype=bool)
+        for h in self.equalities:
+            inside &= ~(np.abs(h.evaluate_many(x)) > tol)
+        for g in self.inequalities:
+            inside &= ~(g.evaluate_many(x) < -tol)
+        ball = self.ball_values(x)
+        if ball is not None:
+            inside &= ball >= -tol
+        return inside
+
     def contains(self, point: np.ndarray, tol: float = 1e-9) -> bool:
-        if any(abs(h.evaluate(point)) > tol for h in self.equalities):
-            return False
-        if any(g.evaluate(point) < -tol for g in self.inequalities):
-            return False
-        ball = self.ball_values(point)
-        return ball is None or bool(ball >= -tol)
+        """Whether ``point`` lies in the set: the one row of ``contains_many``."""
+        return bool(self.contains_many(np.asarray(point, dtype=float)[None, :], tol)[0])
 
 
 # ----------------------------------------------------------------------------

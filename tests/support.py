@@ -66,9 +66,8 @@ def cone_region(ball_bound: float = 3.0) -> SemialgebraicSet:
 
 def abs_evaluate(poly: Polynomial, point: np.ndarray) -> float:
     """Sum of absolute term values: a conditioning scale for residual checks."""
-    return float(
-        sum(abs(c) * abs(mono.evaluate(point)) for mono, c in poly.terms.items())
-    )
+    magnitudes = Polynomial(poly.universe, {mono: abs(c) for mono, c in poly.terms.items()})
+    return magnitudes.evaluate(np.abs(point))
 
 
 def half_plane():
@@ -115,7 +114,7 @@ def dirac_moments(point, index):
     variable id) over every monomial of ``index``, one ``Monomial`` at a
     time."""
     monos = row_monomials(key_rows(index.keys, len(index.universe)))
-    return np.array([mono.evaluate(point) for mono in monos], dtype=float)
+    return np.array([Polynomial(index.universe, {mono: 1.0}).evaluate(point) for mono in monos])
 
 
 def psd_block(size, kind, label, variables, entries):

@@ -130,6 +130,15 @@ def test_dirac_at_the_witness_is_feasible_for_the_relaxation(shape, tau):
     assert_dirac_feasible(instance, lifted, sdp, box_point(instance, np.random.default_rng(2)))
 
 
+@pytest.mark.parametrize("tau", [(2, 1), (3, 1)], ids=["2_1", "3_1"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_objective_value_is_one_row_of_objective_values(shape, tau):
+    instance = make_instance(shape, tau)
+    points = np.random.default_rng(4).uniform(-0.5, 1.5, (200, 2))
+    for x in points:
+        assert instance.objective_value(x) == instance.objective_values(x[None, :])[0]
+
+
 @pytest.mark.parametrize("tau", [(2, 1), (3, 1)])
 def test_general_lift_keeps_every_binary(tau):
     # n*(n - 1) assignment variables; all n**2 binaries, the last row's

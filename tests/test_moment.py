@@ -77,11 +77,24 @@ class TestMonomialValues:
         rng = np.random.default_rng(5)
         point = rng.uniform(-2.0, 2.0, 4)
         rows = basis_rows(range(4), 5)
-        expected = [mono.evaluate(point) for mono in row_monomials(rows)]
+        monos = row_monomials(rows)
+        expected = [Polynomial(uni(4), {mono: 1.0}).evaluate(point) for mono in monos]
         assert monomial_values(rows, point).tolist() == expected
         # wider padding leaves every value unchanged
         padded = np.concatenate([np.full((len(rows), 2), -1), rows], axis=1)
         assert monomial_values(padded, point).tolist() == expected
+
+    def test_matches_evaluate_many_bitwise(self):
+        # enough points that a power taken another way than evaluate_many's
+        # (a Python float power, or an exponent array) differs somewhere
+        points = np.random.default_rng(9).uniform(-3.0, 3.0, (500, 3))
+        rows = basis_rows(range(3), 4)
+        columns = [
+            Polynomial(uni(3), {mono: 1.0}).evaluate_many(points) for mono in row_monomials(rows)
+        ]
+        expected = np.stack(columns, axis=1)
+        actual = np.stack([monomial_values(rows, point) for point in points])
+        np.testing.assert_array_equal(actual, expected)
 
 
 class TestMomentMatrix:

@@ -30,7 +30,6 @@ class TestMonomial:
     def test_one(self):
         m = Monomial.one()
         assert m.degree == 0 and m.is_one()
-        assert m.evaluate(np.array([2.0, 3.0])) == 1.0
 
     def test_mul_merges_exponents(self):
         m = Monomial.of(0, 2) * Monomial.of(1) * Monomial.of(0)
@@ -185,6 +184,13 @@ class TestRational:
         f = RationalFunction(x * x + 1.0, x + 2.0)
         assert f.evaluate(np.array([1.0])) == pytest.approx(2.0 / 3.0)
 
+    def test_evaluate_is_the_batched_ratio_bitwise(self):
+        u = uni(2)
+        f = RationalFunction(parse("x1^3 - 2*x1*x2^2 + x2", u), parse("3 + x1^3*x2", u))
+        points = np.random.default_rng(8).uniform(-1.0, 1.0, (1000, 2))
+        batch = f.numerator.evaluate_many(points) / f.denominator.evaluate_many(points)
+        assert [f.evaluate(p) for p in points] == batch.tolist()
+
     def test_nonpositive_denominator_rejected(self):
         u = uni(1)
         x = Polynomial.variable(u, 0)
@@ -212,8 +218,8 @@ class TestSemialgebraicSet:
     def test_ball_values_equal_the_ball_polynomial_bitwise(self):
         u = uni(3)
         K = SemialgebraicSet(u, ball_bound=3.5, ball_variables=(2, 0))
-        # enough points that a square rounded differently from Python's float
-        # power (as NumPy's exact product is on ~0.1% of them) shows up
+        # enough points that a square taken another way than evaluate_many's
+        # (Python's float power, or NumPy's power of an exponent array) shows up
         points = np.random.default_rng(5).uniform(-2.5, 2.5, (20000, 3))
         ball = K.ball_polynomial()
         expected = np.array([ball.evaluate(p) for p in points])
@@ -230,6 +236,25 @@ class TestSemialgebraicSet:
         # NaN fails no comparison, so it is not rejected (as before)
         assert K.contains(np.array([np.nan, 1.0]))
 
+    def test_contains_is_one_row_of_contains_many(self):
+        u = uni(2)
+        tol = 1e-6
+        K = SemialgebraicSet(
+            u, [parse("x1", u)], [parse("x2 - 0.5", u)], ball_bound=4.0, ball_variables=(0, 1)
+        )
+        offsets = (-2.0 * tol, -0.5 * tol, 0.5 * tol, 2.0 * tol)
+        rim = [np.sqrt(3.75 - d) for d in offsets]  # ball value d at x2 = 0.5
+        points = np.array(
+            [[d, 0.5] for d in offsets]  # near the inequality
+            + [[1.0, 0.5 + d] for d in offsets]  # near the equality
+            + [[x, 0.5] for x in rim]  # near the ball
+        )
+        inside = K.contains_many(points, tol)
+        assert inside.tolist() == [False, True, True, True] + [False, True, True, False] + [
+            False, True, True, True
+        ]
+        assert [K.contains(p, tol) for p in points] == inside.tolist()
+
 
 class TestEvaluateMany:
     def test_matches_evaluate_row_by_row(self):
@@ -241,16 +266,20 @@ class TestEvaluateMany:
             for exps in itertools.product(range(4), repeat=3)
             if sum(exps) <= 4
         ]
+        polys = []
         for _ in range(5):
             chosen = rng.choice(len(monomials), size=8, replace=False)
             poly = Polynomial(
                 u, {monomials[i]: float(rng.uniform(-2.0, 2.0)) for i in chosen}
             )
+            polys.append(poly)
+        # squares and cubes, where a Python float power and NumPy's vector
+        # power can round differently
+        polys.append(parse("x1^3 + x2^2 - 2*x1*x2", u))
+        for poly in polys:
             batch = poly.evaluate_many(points)
             assert batch.shape == (len(points),)
-            for row, value in zip(points, batch):
-                expected = poly.evaluate(row)
-                assert abs(value - expected) <= 1e-14 * (1.0 + abs(expected))
+            assert [poly.evaluate(row) for row in points] == batch.tolist()
 
     def test_constant_and_zero_polynomials(self):
         u = uni(2)
