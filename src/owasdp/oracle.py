@@ -12,19 +12,23 @@ method, one value per row of a 2-D array, and a ``region`` attribute (a
 ``SemialgebraicSet`` or None for unconstrained problems).  The searches
 evaluate their objective through it, whole blocks of points per call; a
 value that is not finite (say, at a vanishing denominator) counts as +inf.
-Region checks on blocks of points are batched the same way
-(``SemialgebraicSet.contains_many`` and ``Polynomial.evaluate_many``), and a
-check at one point is the one-row case of the same arithmetic.
-``CallableProblem`` adapts a bare batched callable to the protocol.
+The region is read on blocks the same way, through one arithmetic,
+``Polynomial.evaluate_many``: memberships by
+``SemialgebraicSet.contains_many``, total violations (NaN counting as
++inf) by ``SemialgebraicSet.violation_many``, and the gradients of the
+Newton restoration by ``Polynomial.derivative``.  No search makes a call
+for one point alone.  ``CallableProblem`` adapts a bare batched callable
+to the protocol.
 
 ``grid_search`` evaluates the grid in chunks of whole first-axis slices of
 at least ``_GRID_CHUNK`` points (a 101 x 101 grid in one call).  Within a
 chunk and across chunks the first minimum in row-major order wins, so the
 tie-break is lexicographic whatever the chunk size.  Each round of the
-coordinate refinement and each poll of the feasibility repair is evaluated
-as one block, and the pattern search's polls as one block per round across
-all live starts; a move is taken only on strict improvement, and ties go
-to the first candidate in poll order.
+coordinate refinement is evaluated as one block.  The pattern search
+evaluates its starts as one block, and its polls, restorations and
+feasibility repairs as one block per round across all live starts; a move
+is taken only on strict improvement, and ties go to the first candidate in
+poll order.
 """
 
 from __future__ import annotations
@@ -32,11 +36,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .polynomial import Polynomial, SemialgebraicSet
+from .polynomial import SemialgebraicSet
 
 Box = Sequence[Tuple[float, float]]
 
@@ -102,25 +106,6 @@ def _evaluate_block(problem, points: np.ndarray) -> np.ndarray:
     """Objective at each row of ``points``, +inf where it is not finite."""
     values = np.asarray(problem.objective_values(points), dtype=float)
     return np.where(np.isfinite(values), values, math.inf)
-
-
-def _safe_value(problem, point: np.ndarray) -> float:
-    """Objective at one point, +inf where it is not finite."""
-    return float(_evaluate_block(problem, point[None, :])[0])
-
-
-def _violation_block(region: SemialgebraicSet, points: np.ndarray) -> np.ndarray:
-    """Total constraint violation at each row of ``points``; a violation
-    that is not a number counts as +inf."""
-    total = np.zeros(len(points))
-    for h in region.equalities:
-        total += np.abs(h.evaluate_many(points))
-    for g in region.inequalities:
-        total += np.maximum(0.0, -g.evaluate_many(points))
-    ball = region.ball_values(points)
-    if ball is not None:
-        total += np.maximum(0.0, -ball)
-    return np.where(np.isnan(total), math.inf, total)
 
 
 def ball_box(region: SemialgebraicSet) -> Tuple[Tuple[float, float], ...]:
@@ -255,14 +240,10 @@ def multistart_descent(
     discarded.  Results merge deterministically by value, then lexicographic
     point.
 
-    All starts are drawn first; the descents then run in lockstep, one
-    round per step of every descent still live.  A round evaluates the
-    stencils of all live descents as one block, restores each descent's
-    up-to-three violating candidates of lowest merit (stable order) and
-    evaluates those restored points as a second block.  Each descent then
-    moves to the first strict improvement among its own candidates, its
-    stencil rows in stencil order before its restored rows, so it follows
-    exactly the path it would follow alone, with the same evaluations.
+    All starts are drawn first.  The descents, and then the repairs, run
+    in lockstep (``_lockstep_search``, ``_repair``): every evaluation is
+    one block across the starts, and each start follows exactly the path it
+    would follow alone, with the same evaluations.
     """
     region = problem.region
     if box is None:
@@ -274,31 +255,19 @@ def multistart_descent(
     rng = np.random.default_rng(seed)
     directions = _stencil(len(box))
 
-    starts = np.array([_draw_start(rng, lo, hi, region) for _ in range(n_starts)])
-    points, counts = _lockstep_search(
-        problem, region, starts.reshape(n_starts, len(box)), lo, hi, directions
-    )
-    evaluations = int(counts.sum())
-    best: Optional[Tuple[float, Tuple[float, ...]]] = None
-    start_values: List[float] = []
-    for point in points:
-        point, value, feasible, used = _repair(problem, region, point, directions)
-        evaluations += used
-        if not feasible or not math.isfinite(value):
-            start_values.append(math.inf)
-            continue
-        start_values.append(value)
-        candidate = (value, tuple(float(c) for c in point))
-        if best is None or candidate < best:
-            best = candidate
-    if best is None:
-        return OracleResult(
-            None, math.inf, "multistart", evaluations,
-            starts=n_starts, start_values=tuple(start_values),
-        )
+    starts = _draw_starts(rng, lo, hi, region, n_starts)
+    points, counts = _lockstep_search(problem, region, starts, lo, hi, directions)
+    points, values, feasible, used = _repair(problem, region, points, directions)
+    start_values = tuple(float(v) if ok else math.inf for v, ok in zip(values, feasible))
+    ranked = [
+        (value, tuple(float(c) for c in point))
+        for value, point in zip(start_values, points)
+        if math.isfinite(value)
+    ]
+    best_value, best_point = min(ranked) if ranked else (math.inf, None)
     return OracleResult(
-        best[1], best[0], "multistart", evaluations,
-        starts=n_starts, start_values=tuple(start_values),
+        best_point, best_value, "multistart", int(counts.sum() + used.sum()),
+        starts=n_starts, start_values=start_values,
     )
 
 
@@ -313,97 +282,82 @@ def _stencil(dimension: int) -> np.ndarray:
     return np.array(directions)
 
 
-def _draw_start(
+def _draw_starts(
     rng: np.random.Generator,
     lo: np.ndarray,
     hi: np.ndarray,
     region: Optional[SemialgebraicSet],
+    count: int,
 ) -> np.ndarray:
-    point = lo + (hi - lo) * rng.random(len(lo))
+    """``count`` uniform starts in the box, one per row.  Inside a region's
+    ball each start takes the first of its next ``_MAX_START_DRAWS`` draws
+    that lies in the ball, or else the draw after them; the draws come from
+    one block, the most the starts can use, in the order of one stream."""
     if region is None or region.ball_bound is None:
-        return point
-    for _ in range(_MAX_START_DRAWS):
-        if region.ball_values(point) >= 0.0:
-            return point
-        point = lo + (hi - lo) * rng.random(len(lo))
-    return point
-
-
-def _merit(problem, region: Optional[SemialgebraicSet], point: np.ndarray) -> float:
-    value = _safe_value(problem, point)
-    if not math.isfinite(value):
-        return math.inf
-    if region is not None:
-        value += _PENALTY * float(_violation_block(region, point[None, :])[0])
-    return value
-
-
-def _poly_gradient(poly: Polynomial, point: np.ndarray) -> np.ndarray:
-    """Exact gradient of a polynomial at a point."""
-    grad = np.zeros(len(point))
-    for mono, coef in poly.terms.items():
-        for vid, exp in mono.exps:
-            value = coef * exp
-            for other_vid, other_exp in mono.exps:
-                e = other_exp - 1 if other_vid == vid else other_exp
-                if e:
-                    value *= point[other_vid] ** e
-            grad[vid] += value
-    return grad
+        return lo + (hi - lo) * rng.random((count, len(lo)))
+    draws = lo + (hi - lo) * rng.random((count * (_MAX_START_DRAWS + 1), len(lo)))
+    inside = region.ball_values(draws) >= 0.0
+    rows, row = [], 0
+    for _ in range(count):
+        tries = inside[row:row + _MAX_START_DRAWS]
+        row += int(np.argmax(tries)) if tries.any() else _MAX_START_DRAWS
+        rows.append(row)
+        row += 1
+    return draws[rows]
 
 
 def _newton_restore(
     region: SemialgebraicSet,
-    point: np.ndarray,
+    points: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-) -> Optional[np.ndarray]:
-    """Project a slightly infeasible point back onto the region boundary.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Project slightly infeasible points back onto the region boundary.
 
-    Sweeps the violated constraints, moving along each one's exact gradient
-    to its nearest root (one Newton step per constraint per sweep).  Returns
-    None when a violated constraint has a vanishing gradient.  The result is
-    clipped to the box; tiny residual violations are left to the penalty.
+    Each row sweeps the violated constraints (inequalities, the ball, then
+    equalities), moving along each one's exact gradient to its nearest root,
+    one Newton step per constraint per sweep.  All rows sweep together, each
+    taking the steps it would take alone.  Returns the rows clipped to the
+    box and a mask of the rows restored: a row fails where a violated
+    constraint's gradient vanishes.  Residual violations are left to the
+    penalty.
     """
-    z = np.array(point, dtype=float)
+    z = np.array(points, dtype=float)
+    restored = np.ones(len(z), dtype=bool)
     ball_variables = list(region.ball_variables)
+    # None stands for the ball, whose values and gradient stay numeric.
+    constraints = [(g, False) for g in region.inequalities]
+    if region.ball_bound is not None:
+        constraints.append((None, False))
+    constraints += [(h, True) for h in region.equalities]
+    sweeping = np.arange(len(z))
     for _ in range(_RESTORE_SWEEPS):
-        moved = False
-        for g in region.inequalities:
-            value = g.evaluate(z)
-            if value < 0.0:
-                z = _newton_step(z, value, _poly_gradient(g, z))
-                if z is None:
-                    return None
-                moved = True
-        ball = region.ball_values(z)
-        if ball is not None and ball < 0.0:
-            # The gradient of M - sum(v^2), as _poly_gradient would give it.
-            grad = np.zeros(len(z))
-            grad[ball_variables] = -2.0 * z[ball_variables]
-            z = _newton_step(z, float(ball), grad)
-            if z is None:
-                return None
-            moved = True
-        for h in region.equalities:
-            value = h.evaluate(z)
-            if abs(value) > 1e-12:
-                z = _newton_step(z, value, _poly_gradient(h, z))
-                if z is None:
-                    return None
-                moved = True
-        if not moved:
+        moved = np.zeros(len(z), dtype=bool)
+        for poly, equality in constraints:
+            rows = sweeping[restored[sweeping]]
+            x = z[rows]
+            values = region.ball_values(x) if poly is None else poly.evaluate_many(x)
+            hit = np.abs(values) > 1e-12 if equality else values < 0.0
+            rows, values, x = rows[hit], values[hit], x[hit]
+            if not len(rows):
+                continue
+            grad = np.zeros_like(x)
+            if poly is None:
+                # The gradient of M - sum(v^2), as its derivatives would give it.
+                grad[:, ball_variables] = -2.0 * x[:, ball_variables]
+            else:
+                for vid in poly.variables():
+                    grad[:, vid] = poly.derivative(vid).evaluate_many(x)
+            norm_sq = np.vecdot(grad, grad)
+            vanishing = norm_sq <= 1e-18
+            restored[rows[vanishing]] = False
+            step = ~vanishing
+            z[rows[step]] = x[step] - (values[step] / norm_sq[step])[:, None] * grad[step]
+            moved[rows[step]] = True
+        sweeping = sweeping[moved[sweeping] & restored[sweeping]]
+        if not len(sweeping):
             break
-    return np.clip(z, lo, hi)
-
-
-def _newton_step(z: np.ndarray, value: float, grad: np.ndarray) -> Optional[np.ndarray]:
-    """Newton step from ``z`` toward a constraint's root along its gradient;
-    None when the gradient vanishes."""
-    norm_sq = float(np.dot(grad, grad))
-    if norm_sq <= 1e-18:
-        return None
-    return z - (value / norm_sq) * grad
+    return np.clip(z, lo, hi), restored
 
 
 def _lockstep_search(
@@ -418,16 +372,17 @@ def _lockstep_search(
     lockstep; returns the final points and each descent's evaluation count.
 
     Each descent keeps its own point, merit, step and round count, and
-    makes the moves it would make alone.  A round polls the stencils of
-    all live descents as one block and the restored candidates of all of
-    them as a second block; each descent then takes the first strict
+    makes the moves it would make alone.  The start merits are one block.
+    A round polls the stencils of all live descents as one block, restores
+    the violating candidates it picks as a second block and evaluates the
+    restored points as a third; each descent then takes the first strict
     improvement among its own candidates, stencil rows before restored
     rows.  A descent leaves the round set when its step falls below
     ``_MIN_STEP`` or after ``_MAX_DESCENT_ROUNDS`` rounds.
     """
     count, width = len(starts), len(directions)
     points = np.clip(np.asarray(starts, dtype=float), lo, hi)
-    merits = np.array([_merit(problem, region, p) for p in points])
+    merits = _merits(problem, region, points)
     evaluations = np.ones(count, dtype=int)
     span = float(np.max(hi - lo))
     steps = np.full(count, 0.25 * span)
@@ -440,35 +395,28 @@ def _lockstep_search(
         pool = _evaluate_block(problem, flat).reshape(len(live), width)
         evaluations[live] += width
         if region is not None:
-            violations = _violation_block(region, flat).reshape(len(live), width)
+            violations = region.violation_many(flat).reshape(len(live), width)
             pool = pool + _PENALTY * violations
             # Steps that graze a curved constraint pick up an O(h^2) penalty
-            # that blocks tangential progress; restoring each descent's most
-            # promising violating candidates to the boundary keeps it moving
-            # along active constraints.
-            restored, owners, slots = [], [], []
-            for row in np.flatnonzero((violations > 0.0).any(axis=1)):
-                violated = np.flatnonzero(violations[row] > 0.0)
-                slot = width
-                for i in violated[np.argsort(pool[row, violated], kind="stable")][:3]:
-                    point = _newton_restore(region, raw[row, i], lo, hi)
-                    if point is not None:
-                        restored.append(point)
-                        owners.append(row)
-                        slots.append(slot)
-                        slot += 1
-            if restored:
-                extra = np.array(restored)
-                sizes = np.bincount(owners, minlength=len(live))
-                extra_merits = _evaluate_block(problem, extra)
-                extra_merits += _PENALTY * _violation_block(region, extra)
-                evaluations[live] += sizes
-                # Pad every descent's candidates to width + 3 with +inf, so
-                # a row-wise argmin still picks each one's first minimum.
-                raw = np.concatenate([raw, np.zeros((len(live), 3, raw.shape[-1]))], axis=1)
-                raw[owners, slots] = extra
-                pool = np.concatenate([pool, np.full((len(live), 3), math.inf)], axis=1)
-                pool[owners, slots] = extra_merits
+            # that blocks tangential progress; restoring each descent's (up
+            # to) three violating candidates of lowest merit, ties in
+            # stencil order, keeps it moving along active constraints.
+            rows, cols = np.nonzero(violations > 0.0)
+            if len(rows):
+                order = np.lexsort((pool[rows, cols], rows))
+                picked = order[_rank_within(rows[order]) < 3]
+                extra, restored = _newton_restore(region, raw[rows[picked], cols[picked]], lo, hi)
+                owners, extra = rows[picked][restored], extra[restored]
+                if len(owners):
+                    slots = width + _rank_within(owners)
+                    evaluations[live] += np.bincount(owners, minlength=len(live))
+                    # Pad every descent's candidates to width + 3 with +inf,
+                    # so a row-wise argmin still picks each one's first
+                    # minimum.
+                    raw = np.concatenate([raw, np.zeros((len(live), 3, raw.shape[-1]))], axis=1)
+                    raw[owners, slots] = extra
+                    pool = np.concatenate([pool, np.full((len(live), 3), math.inf)], axis=1)
+                    pool[owners, slots] = _merits(problem, region, extra)
         rows = np.arange(len(live))
         best = np.argmin(pool, axis=1)
         chosen = pool[rows, best]
@@ -480,32 +428,57 @@ def _lockstep_search(
     return points, evaluations
 
 
+def _merits(problem, region: Optional[SemialgebraicSet], points: np.ndarray) -> np.ndarray:
+    """Exact-penalty merit at each row of ``points``: the objective plus
+    ``_PENALTY`` times the total constraint violation."""
+    values = _evaluate_block(problem, points)
+    if region is None:
+        return values
+    return values + _PENALTY * region.violation_many(points)
+
+
+def _rank_within(groups: np.ndarray) -> np.ndarray:
+    """Position of each entry within its run of equal entries of the sorted
+    array ``groups``."""
+    return np.arange(len(groups)) - np.searchsorted(groups, groups)
+
+
 def _repair(
     problem,
     region: Optional[SemialgebraicSet],
-    point: np.ndarray,
+    points: np.ndarray,
     directions: np.ndarray,
-) -> Tuple[np.ndarray, float, bool, int]:
-    """Pull a near-feasible candidate into the region, then re-evaluate.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pull near-feasible candidates into the region, then evaluate them.
 
-    Descends on the constraint violation alone with the same pattern search,
-    one batched violation poll per round; reports whether the final point is
-    feasible within ``_FEASIBLE_TOL``.
+    Every row outside the region descends on the constraint violation alone
+    with the same pattern search; the descents run in lockstep, one batched
+    violation poll per round, and each makes the moves it would make alone.
+    Returns the points, their objective values as one block, whether each
+    is feasible within ``_FEASIBLE_TOL``, and each one's evaluation count.
     """
-    evaluations = 1
-    if region is None or region.contains(point, _FEASIBLE_TOL):
-        return point, _safe_value(problem, point), True, evaluations
-    violation = float(_violation_block(region, point[None, :])[0])
-    h = 1e-2
-    while h >= 1e-12 and violation > 0.0:
-        candidates = point + h * directions
-        violations = _violation_block(region, candidates)
-        evaluations += len(candidates)
-        idx = int(np.argmin(violations))
-        if violations[idx] < violation:
-            point, violation = candidates[idx], float(violations[idx])
-            h *= 2.0
-        else:
-            h *= 0.5
-    feasible = region.contains(point, _FEASIBLE_TOL)
-    return point, _safe_value(problem, point), feasible, evaluations
+    points = np.array(points, dtype=float)
+    evaluations = np.ones(len(points), dtype=int)
+    if region is None:
+        return points, _evaluate_block(problem, points), np.ones(len(points), bool), evaluations
+    outside = np.flatnonzero(~region.contains_many(points, _FEASIBLE_TOL))
+    violation = region.violation_many(points[outside])
+    steps = np.full(len(outside), 1e-2)
+    live = np.flatnonzero(violation > 0.0)
+    width = len(directions)
+    while len(live):
+        owners = outside[live]
+        candidates = points[owners, None, :] + steps[live, None, None] * directions
+        violations = region.violation_many(candidates.reshape(len(live) * width, -1))
+        violations = violations.reshape(len(live), width)
+        evaluations[owners] += width
+        rows = np.arange(len(live))
+        best = np.argmin(violations, axis=1)
+        chosen = violations[rows, best]
+        moved = chosen < violation[live]
+        points[owners[moved]] = candidates[rows[moved], best[moved]]
+        violation[live[moved]] = chosen[moved]
+        steps[live] = np.where(moved, steps[live] * 2.0, steps[live] * 0.5)
+        live = live[(steps[live] >= 1e-12) & (violation[live] > 0.0)]
+    feasible = region.contains_many(points, _FEASIBLE_TOL)
+    return points, _evaluate_block(problem, points), feasible, evaluations

@@ -8,8 +8,9 @@ are numerator/denominator pairs.  A small text grammar (``parse`` /
 
 Values at points have one arithmetic, ``Polynomial.evaluate_many``, which
 raises float arrays to Python int exponents.  One point is its one-row
-case, and the ball and region tests take the same powers, so a value does
-not depend on whether its point is evaluated alone or in a batch.
+case, the ball and region tests take the same powers, and a gradient is
+the values of ``Polynomial.derivative``, so a value does not depend on
+whether its point is evaluated alone or in a batch.
 """
 
 from __future__ import annotations
@@ -287,6 +288,15 @@ class Polynomial:
             n >>= 1
         return result
 
+    def derivative(self, vid: VarId) -> "Polynomial":
+        """Partial derivative in variable ``vid``; the terms keep their order."""
+        terms: Dict[Monomial, float] = {}
+        for mono, coef in self._terms.items():
+            exp = mono.exponent(vid)
+            if exp:
+                terms[Monomial((v, e - 1 if v == vid else e) for v, e in mono.exps)] = coef * exp
+        return Polynomial(self.universe, terms)
+
     def evaluate(self, point: np.ndarray) -> float:
         """Value at one point: the one row of ``evaluate_many``."""
         return float(self.evaluate_many(np.asarray(point, dtype=float)[None, :])[0])
@@ -427,20 +437,31 @@ class SemialgebraicSet:
             values -= x[..., v] ** 2
         return values
 
-    def contains_many(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        """Whether each row of the 2-D array ``points`` lies in the set within
-        ``tol``: no equality is off zero, and neither an inequality nor the
-        ball is below zero, by more than ``tol``.  A constraint value that
-        is NaN violates nothing, except the ball's."""
-        x = np.asarray(points, dtype=float)
-        inside = np.ones(len(x), dtype=bool)
+    def _violations(self, x: np.ndarray) -> Iterator[np.ndarray]:
+        """Each constraint's violation at each row of ``x``: |h| for the
+        equalities, then max(0, -g) for the inequalities and the ball."""
         for h in self.equalities:
-            inside &= ~(np.abs(h.evaluate_many(x)) > tol)
+            yield np.abs(h.evaluate_many(x))
         for g in self.inequalities:
-            inside &= ~(g.evaluate_many(x) < -tol)
+            yield np.maximum(0.0, -g.evaluate_many(x))
         ball = self.ball_values(x)
         if ball is not None:
-            inside &= ball >= -tol
+            yield np.maximum(0.0, -ball)
+
+    def violation_many(self, points: np.ndarray) -> np.ndarray:
+        """Total constraint violation at each row of the 2-D array
+        ``points``; a NaN total is +inf."""
+        total = np.zeros(len(points))
+        for violation in self._violations(np.asarray(points, dtype=float)):
+            total += violation
+        return np.where(np.isnan(total), np.inf, total)
+
+    def contains_many(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        """Whether each row of the 2-D array ``points`` lies in the set: no
+        constraint is violated by more than ``tol``, and none is NaN."""
+        inside = np.ones(len(points), dtype=bool)
+        for violation in self._violations(np.asarray(points, dtype=float)):
+            inside &= violation <= tol
         return inside
 
     def contains(self, point: np.ndarray, tol: float = 1e-9) -> bool:

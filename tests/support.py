@@ -70,6 +70,21 @@ def abs_evaluate(poly: Polynomial, point: np.ndarray) -> float:
     return magnitudes.evaluate(np.abs(point))
 
 
+def scalar_gradient(poly: Polynomial, point: np.ndarray) -> np.ndarray:
+    """Exact gradient of a polynomial at one point, term by term with
+    scalar powers: a reference for ``Polynomial.derivative``."""
+    grad = np.zeros(len(point))
+    for mono, coef in poly.terms.items():
+        for vid, exp in mono.exps:
+            value = coef * exp
+            for other_vid, other_exp in mono.exps:
+                e = other_exp - 1 if other_vid == vid else other_exp
+                if e:
+                    value *= point[other_vid] ** e
+            grad[vid] += value
+    return grad
+
+
 def half_plane():
     """The ground set {x1 + x2 >= 1/2} over the planar facility position."""
     universe = VariableUniverse(["x1", "x2"])

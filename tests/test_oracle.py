@@ -12,14 +12,10 @@ from owasdp.oracle import (
     CallableProblem,
     OracleResult,
     _coordinate_refine,
-    _draw_start,
     _evaluate_block,
-    _merit,
     _newton_restore,
-    _poly_gradient,
     _repair,
     _stencil,
-    _violation_block,
     ball_box,
     grid_search,
     multistart_descent,
@@ -39,6 +35,7 @@ from support import (
     SUM_L3_OPT_POINT,
     SUM_L3_OPT_VALUE,
     cone_region,
+    scalar_gradient,
     sum_l3_batch,
 )
 
@@ -63,6 +60,20 @@ def pointwise(objective, region=None):
 def value_at(problem, point):
     """The problem's objective at one point, through its batched protocol."""
     return float(problem.objective_values(np.asarray(point, dtype=float)[None, :])[0])
+
+
+def scalar_value(problem, point):
+    """The problem's objective at one point, +inf where it is not finite."""
+    value = value_at(problem, point)
+    return value if np.isfinite(value) else np.inf
+
+
+def scalar_merit(problem, region, point):
+    """The pattern search's exact-penalty merit at one point."""
+    value = scalar_value(problem, point)
+    if region is None or not np.isfinite(value):
+        return value
+    return value + oracle._PENALTY * float(region.violation_many(point[None, :])[0])
 
 
 def quadratic_distance_problem(anchors, weights=None, region=None):
@@ -229,12 +240,13 @@ class TestMultistart:
             universe, [], [circle], ball_bound=4.0, ball_variables=(0, 1)
         )
         restored = []
+        real_derivative = Polynomial.derivative
 
-        def gradient(poly, point):
+        def derivative(poly, vid):
             restored.append(poly)
-            return _poly_gradient(poly, point)
+            return real_derivative(poly, vid)
 
-        monkeypatch.setattr(oracle, "_poly_gradient", gradient)
+        monkeypatch.setattr(Polynomial, "derivative", derivative)
         problem = pointwise(lambda p: float(p[0] + p[1]), region)
         result = multistart_descent(problem, n_starts=5, seed=0)
         assert restored and all(poly is circle for poly in restored)
@@ -376,19 +388,19 @@ class TestBatchedCalls:
             return location.objective_values(points)
 
         def restore(*args):
-            restored = real_restore(*args)
-            if restored is not None:
+            points, restored = real_restore(*args)
+            if restored.any():
                 events.append("restored")
-            return restored
+            return points, restored
 
         real_restore = oracle._newton_restore
         monkeypatch.setattr(oracle, "_newton_restore", restore)
         problem = CallableProblem(batch, location.region)
         multistart_descent(problem, n_starts=10, seed=0)
-        # every start's first merit and repaired value are one-row calls of
-        # their own, before and after the rounds
-        assert events[:10] == events[-10:] == [1] * 10
-        events = events[10:-10]
+        # the start merits and the repaired values are one call of all ten
+        # starts each, before and after the rounds
+        assert events[0] == events[-1] == 10
+        events = events[1:-1]
         calls = [event for event in events if event != "restored"]
         # a call right after a restored point evaluates the restored block
         polls = [
@@ -440,11 +452,63 @@ class TestPollsMatchSequentialLoops:
         return point, value, evaluations
 
     @staticmethod
-    def sequential_descent(problem, region, start, lo, hi, directions):
+    def draw_start(rng, lo, hi, region):
+        """One start: uniform draws until one lies in the ball, the last
+        of ``_MAX_START_DRAWS`` + 1 kept even outside it."""
+        point = lo + (hi - lo) * rng.random(len(lo))
+        if region is None or region.ball_bound is None:
+            return point
+        for _ in range(oracle._MAX_START_DRAWS):
+            if region.ball_values(point) >= 0.0:
+                return point
+            point = lo + (hi - lo) * rng.random(len(lo))
+        return point
+
+    @staticmethod
+    def sequential_restore(region, point, lo, hi):
+        """One point's Newton restoration, constraint by constraint: None
+        where a violated constraint's gradient vanishes."""
+
+        def step(z, value, grad):
+            norm_sq = float(np.dot(grad, grad))
+            return None if norm_sq <= 1e-18 else z - (value / norm_sq) * grad
+
+        z = np.array(point, dtype=float)
+        ball_variables = list(region.ball_variables)
+        for _ in range(oracle._RESTORE_SWEEPS):
+            moved = False
+            for g in region.inequalities:
+                value = g.evaluate(z)
+                if value < 0.0:
+                    z = step(z, value, scalar_gradient(g, z))
+                    if z is None:
+                        return None
+                    moved = True
+            ball = region.ball_values(z)
+            if ball is not None and ball < 0.0:
+                grad = np.zeros(len(z))
+                grad[ball_variables] = -2.0 * z[ball_variables]
+                z = step(z, float(ball), grad)
+                if z is None:
+                    return None
+                moved = True
+            for h in region.equalities:
+                value = h.evaluate(z)
+                if abs(value) > 1e-12:
+                    z = step(z, value, scalar_gradient(h, z))
+                    if z is None:
+                        return None
+                    moved = True
+            if not moved:
+                break
+        return np.clip(z, lo, hi)
+
+    @classmethod
+    def sequential_descent(cls, problem, region, start, lo, hi, directions):
         """One pattern-search descent on its own: its final point, its
         evaluation count and its number of poll rounds."""
         point = np.clip(np.asarray(start, dtype=float), lo, hi)
-        merit = _merit(problem, region, point)
+        merit = scalar_merit(problem, region, point)
         evaluations, rounds = 1, 0
         span = float(np.max(hi - lo))
         h = 0.25 * span
@@ -454,20 +518,18 @@ class TestPollsMatchSequentialLoops:
             merits = _evaluate_block(problem, raw)
             evaluations += len(raw)
             if region is not None:
-                violations = _violation_block(region, raw)
+                violations = region.violation_many(raw)
                 merits = merits + oracle._PENALTY * violations
                 violated = np.flatnonzero(violations > 0.0)
                 restored = []
                 for i in violated[np.argsort(merits[violated], kind="stable")][:3]:
-                    candidate = _newton_restore(region, raw[i], lo, hi)
+                    candidate = cls.sequential_restore(region, raw[i], lo, hi)
                     if candidate is not None:
                         restored.append(candidate)
                 if restored:
-                    extra = np.array(restored)
-                    extra_merits = _evaluate_block(problem, extra)
-                    extra_merits += oracle._PENALTY * _violation_block(region, extra)
-                    evaluations += len(extra)
-                    raw = np.vstack([raw, extra])
+                    extra_merits = [scalar_merit(problem, region, p) for p in restored]
+                    evaluations += len(restored)
+                    raw = np.vstack([raw, restored])
                     merits = np.concatenate([merits, extra_merits])
             idx = int(np.argmin(merits))
             if merits[idx] < merit:
@@ -487,12 +549,16 @@ class TestPollsMatchSequentialLoops:
         directions = _stencil(len(lo))
         evaluations, best, start_values, rounds = 0, None, [], []
         for _ in range(n_starts):
-            start = _draw_start(rng, lo, hi, region)
+            start = cls.draw_start(rng, lo, hi, region)
             point, used, count = cls.sequential_descent(problem, region, start, lo, hi, directions)
             evaluations += used
             rounds.append(count)
-            point, value, feasible, used = _repair(problem, region, point, directions)
+            used = 1
+            if not region.contains(point, 1e-9):
+                point, used = cls.sequential_repair(region, point, directions)
             evaluations += used
+            feasible = region.contains(point, 1e-9)
+            value = scalar_value(problem, point)
             if not feasible or not np.isfinite(value):
                 start_values.append(np.inf)
                 continue
@@ -570,7 +636,7 @@ class TestPollsMatchSequentialLoops:
             for g in constraints:
                 value = g.evaluate(z)
                 if value < 0.0:
-                    grad = _poly_gradient(g, z)
+                    grad = scalar_gradient(g, z)
                     z = z - (value / float(np.dot(grad, grad))) * grad
                     moved = True
             if not moved:
@@ -604,11 +670,14 @@ class TestPollsMatchSequentialLoops:
     def test_repair(self):
         problem = constrained_location()
         directions = _stencil(2)
-        for point in np.random.default_rng(9).uniform(0.2, 1.0, (6, 2)):
-            got_point, _, _, used = _repair(problem, problem.region, point, directions)
+        points = np.random.default_rng(9).uniform(0.2, 1.0, (6, 2))
+        got_points, values, _, used = _repair(problem, problem.region, points, directions)
+        assert not problem.region.contains_many(points).all()
+        for point, got_point, value, got_used in zip(points, got_points, values, used):
             want_point, want_used = self.sequential_repair(problem.region, point, directions)
             assert tuple(got_point) == tuple(want_point)
-            assert used == want_used
+            assert got_used == want_used
+            assert value == scalar_value(problem, want_point)
 
     def test_repair_keeps_its_point_on_a_violation_plateau(self):
         universe = VariableUniverse(["x", "y"])
@@ -617,22 +686,48 @@ class TestPollsMatchSequentialLoops:
         )
         problem = pointwise(lambda p: 0.0, region)
         point = np.array([0.1, 0.2])
-        got_point, _, feasible, used = _repair(problem, region, point, _stencil(2))
+        got_points, _, feasible, used = _repair(problem, region, point[None, :], _stencil(2))
         want_point, want_used = self.sequential_repair(region, point, _stencil(2))
-        assert not feasible
-        assert tuple(got_point) == tuple(want_point) == (0.1, 0.2)
-        assert used == want_used
+        assert not feasible[0]
+        assert tuple(got_points[0]) == tuple(want_point) == (0.1, 0.2)
+        assert used[0] == want_used
 
     def test_newton_restore_matches_the_symbolic_ball(self):
         problem = constrained_location()
         region = problem.region
         lo, hi = np.array(ball_box(region)).T
         radius = np.sqrt(region.ball_bound)
-        rng = np.random.default_rng(10)
-        for angle in rng.uniform(0.0, 2.0 * np.pi, 8):
-            # outside the ball, and on either side of the half-plane
-            point = 1.05 * radius * np.array([np.cos(angle), np.sin(angle)])
-            got = _newton_restore(region, point, lo, hi)
+        angles = np.random.default_rng(10).uniform(0.0, 2.0 * np.pi, 8)
+        # outside the ball, and on either side of the half-plane
+        points = 1.05 * radius * np.column_stack([np.cos(angles), np.sin(angles)])
+        got, restored = _newton_restore(region, points, lo, hi)
+        assert restored.all()
+        for point, row in zip(points, got):
             want = self.symbolic_restore(region, point, lo, hi)
-            assert tuple(got) == tuple(want)
-            assert not np.array_equal(got, point)
+            assert tuple(row) == tuple(want)
+            assert not np.array_equal(row, point)
+
+    @pytest.mark.parametrize("which", ["omrf", "circle"])
+    def test_newton_restore_of_a_block_is_each_row_alone(self, which):
+        rng = np.random.default_rng(12)
+        if which == "omrf":
+            region = constrained_omrf().region
+            # around the active half-plane and the ellipse, some rows inside
+            points = rng.uniform(-0.5, 1.6, (40, 2))
+        else:
+            universe = VariableUniverse(["x", "y"])
+            circle = parse("x^2 + y^2 - 1", universe)
+            region = SemialgebraicSet(universe, [], [circle], 4.0, (0, 1))
+            # the origin's circle gradient vanishes: that row fails alone
+            points = np.vstack([rng.uniform(-1.5, 1.5, (20, 2)), [[0.0, 0.0]]])
+            points = points[rng.permutation(len(points))]
+        lo, hi = np.array(ball_box(region)).T
+        got, restored = _newton_restore(region, points, lo, hi)
+        for point, row, ok in zip(points, got, restored):
+            want = self.sequential_restore(region, point, lo, hi)
+            alone, alone_ok = _newton_restore(region, point[None, :], lo, hi)
+            assert ok == alone_ok[0] == (want is not None)
+            if ok:
+                assert tuple(row) == tuple(alone[0]) == tuple(want)
+        assert restored.sum() == len(points) - (which == "circle")
+        assert not np.array_equal(got[restored], np.clip(points, lo, hi)[restored])

@@ -21,6 +21,8 @@ from owasdp.polynomial import (
     to_string,
 )
 
+from support import scalar_gradient
+
 
 def uni(n=3, prefix="x"):
     return VariableUniverse([f"{prefix}{i + 1}" for i in range(n)])
@@ -233,8 +235,41 @@ class TestSemialgebraicSet:
         assert K.contains(np.array([1.0, 1.0 + 5e-10]))
         assert not K.contains(np.array([1.0, 1.0 + 2e-9]))
         assert not K.contains(np.array([1.0 + 2e-9, 1.0]))
-        # NaN fails no comparison, so it is not rejected (as before)
-        assert K.contains(np.array([np.nan, 1.0]))
+        # a NaN constraint value violates the set, as in the oracle's totals
+        assert not K.contains(np.array([np.nan, 1.0]))
+
+    def test_nan_values_violate_every_kind_of_constraint(self):
+        u = uni(2)
+        nan = np.nan
+        points = np.array([[nan, 0.5], [0.5, nan], [0.5, 0.5]])
+        for K in (
+            SemialgebraicSet(u, equalities=[parse("x1 - 0.5", u)]),
+            SemialgebraicSet(u, inequalities=[parse("x1", u)]),
+            SemialgebraicSet(u, ball_bound=1.0, ball_variables=(0, 1)),
+        ):
+            inside = K.contains_many(points)
+            violation = K.violation_many(points)
+            # the first coordinate alone enters the polynomials; both enter the ball
+            ball = K.ball_bound is not None
+            assert inside.tolist() == [False, not ball, True]
+            assert violation.tolist() == [np.inf, np.inf if ball else 0.0, 0.0]
+
+    def test_violation_many_sums_each_constraint_in_order(self):
+        u = uni(2)
+        K = SemialgebraicSet(
+            u, [parse("x1", u)], [parse("x2 - 0.5", u)], ball_bound=1.0, ball_variables=(0, 1)
+        )
+        points = np.random.default_rng(3).uniform(-1.5, 1.5, (200, 2))
+        parts = (
+            np.abs(points[:, 1] - 0.5),
+            np.maximum(0.0, -points[:, 0]),
+            np.maximum(0.0, -K.ball_values(points)),
+        )
+        np.testing.assert_array_equal(K.violation_many(points), parts[0] + parts[1] + parts[2])
+        # membership bounds each violation, not their total
+        inside = K.contains_many(points, 0.3)
+        np.testing.assert_array_equal(inside, np.maximum.reduce(parts) <= 0.3)
+        assert (inside & (K.violation_many(points) > 0.3)).any()
 
     def test_contains_is_one_row_of_contains_many(self):
         u = uni(2)
@@ -254,6 +289,45 @@ class TestSemialgebraicSet:
             False, True, True, True
         ]
         assert [K.contains(p, tol) for p in points] == inside.tolist()
+
+
+class TestDerivative:
+    def test_monomial_in_each_variable(self):
+        u = uni(2)
+        p = parse("x1^3*x2^2", u)
+        assert p.derivative(0) == parse("3*x1^2*x2^2", u)
+        assert p.derivative(1) == parse("2*x1^3*x2", u)
+
+    def test_constant_and_missing_variable_give_zero(self):
+        u = uni(3)
+        assert Polynomial.constant(u, 2.5).derivative(0).is_zero()
+        p = parse("x1^2 - 3*x1*x2 + 4", u)
+        assert p.derivative(2).is_zero()
+        np.testing.assert_array_equal(p.derivative(2).evaluate_many(np.ones((4, 3))), 0.0)
+
+    def test_central_differences(self):
+        u = uni(3)
+        p = parse("x1^3*x2^2 - 2*x1*x3 + 0.5*x2^4*x3 - x3 + 7", u)
+        h = 1e-6
+        for point in np.random.default_rng(2).uniform(-1.5, 1.5, (20, 3)):
+            for vid in range(3):
+                step = np.zeros(3)
+                step[vid] = h
+                central = (p.evaluate(point + step) - p.evaluate(point - step)) / (2 * h)
+                assert p.derivative(vid).evaluate(point) == pytest.approx(
+                    central, rel=1e-6, abs=1e-6
+                )
+
+    @pytest.mark.parametrize(
+        "text", ["x1 + x2 - 1.6", "2 - x1^2 - 2*x2^2", "x1^2 + x2^2 - 1", "0.3*x1*x2 - x2 + 0.7*x1^2"]
+    )
+    def test_matches_the_scalar_gradient_bitwise_to_degree_two(self, text):
+        u = uni(2)
+        p = parse(text, u)
+        points = np.random.default_rng(4).uniform(-3.0, 3.0, (2000, 2))
+        got = np.column_stack([p.derivative(vid).evaluate_many(points) for vid in range(2)])
+        want = np.array([scalar_gradient(p, point) for point in points])
+        np.testing.assert_array_equal(got, want)
 
 
 class TestEvaluateMany:
