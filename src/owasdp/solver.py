@@ -26,7 +26,11 @@ lengths, Cholesky checks) is a few batched NumPy calls per group.  All block
 maps are substituted at once, by two sparse products over the stacked blocks,
 and compiled into the sparsity patterns of their coefficient matrices, which
 yield the block map and its adjoint (one sparse operator), the KKT pattern
-and the Schur terms.  The Schur complement is formed per
+and the Schur terms.  Every sparse map the iteration applies (the block map
+and its adjoint, the equality rows, the null-space basis of the elimination
+and the Schur groups' maps) is compiled into CSR arrays (``_Csr``) that
+scipy's own compiled kernels apply, so no ``scipy.sparse`` object remains
+in the loop; the products have scipy's bits.  The Schur complement is formed per
 group of same-shape blocks from those patterns (Fujisawa, Kojima & Nakata
 1997, formula F2: one sparse product, one batched dense product and one
 sparse contraction per group) and inherits the clique sparsity of the
@@ -78,6 +82,7 @@ import numpy as np
 import scipy.linalg.blas
 import scipy.linalg.lapack
 import scipy.sparse
+from scipy.sparse import _sparsetools
 
 from .moment import term_sums
 from .relaxation import SdpProblem
@@ -306,6 +311,78 @@ def _equality_terms(sdp: SdpProblem) -> Tuple[np.ndarray, np.ndarray, np.ndarray
 # ---------------------------------------------------------------------------
 
 
+class _Csr:
+    """A sparse matrix in canonical CSR form: each row's entries by
+    increasing column, no position twice.  ``indptr``, ``indices`` and
+    ``data`` are the arrays ``scipy.sparse.csr_matrix`` holds for the same
+    entries (32-bit indices while they fit), and a product calls the
+    compiled kernel that scipy's ``@`` ends in (``csr_matvec``, or
+    ``csr_matvecs`` for several columns) on a zeroed output, so it has
+    scipy's bits without its Python layers."""
+
+    __slots__ = ("shape", "indptr", "indices", "data")
+
+    def __init__(self, shape, indptr, indices, data) -> None:
+        self.shape = shape
+        self.indptr, self.indices, self.data = indptr, indices, data
+
+    @classmethod
+    def from_entries(cls, rows, cols, values, shape: Tuple[int, int]) -> "_Csr":
+        """The matrix with entries values[e] at (rows[e], cols[e]); the values
+        at a repeated position are summed in the given order."""
+        M, N = shape
+        key = np.asarray(rows, dtype=np.int64) * N + np.asarray(cols, dtype=np.int64)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        data = np.asarray(values, dtype=float)[order]
+        new = np.ones(key.size, dtype=bool)
+        new[1:] = key[1:] != key[:-1]
+        if not new.all():
+            data = np.bincount(np.cumsum(new) - 1, weights=data)
+            key = key[new]
+        dtype = np.int32 if max(M, N, key.size) <= np.iinfo(np.int32).max else np.int64
+        row, col = np.divmod(key, max(N, 1))
+        indptr = np.zeros(M + 1, dtype=dtype)
+        indptr[1:] = np.cumsum(np.bincount(row, minlength=M))
+        return cls(shape, indptr, col.astype(dtype), data)
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def transpose(self) -> "_Csr":
+        """The transpose, each row's entries by increasing column."""
+        M, N = self.shape
+        rows = np.repeat(np.arange(M, dtype=self.indices.dtype), np.diff(self.indptr))
+        order = np.argsort(self.indices, kind="stable")
+        indptr = np.zeros(N + 1, dtype=self.indptr.dtype)
+        indptr[1:] = np.cumsum(np.bincount(self.indices, minlength=N))
+        return _Csr((N, M), indptr, rows[order], self.data[order])
+
+    def __matmul__(self, operand: np.ndarray) -> np.ndarray:
+        """``self @ operand`` for a 1-D or 2-D float operand."""
+        M, N = self.shape
+        if operand.ndim > 2 or operand.shape[0] != N:
+            raise ValueError("operand of the wrong shape")
+        out = np.zeros((M,) + operand.shape[1:])
+        if operand.ndim == 1 or operand.shape[1] == 1:
+            _sparsetools.csr_matvec(
+                M, N, self.indptr, self.indices, self.data, operand.ravel(), out.reshape(-1)
+            )
+        else:
+            _sparsetools.csr_matvecs(
+                M,
+                N,
+                operand.shape[1],
+                self.indptr,
+                self.indices,
+                self.data,
+                operand.ravel(),
+                out.reshape(-1),
+            )
+        return out
+
+
 @dataclass(frozen=True)
 class _Elimination:
     """The solution set y = fixed + free z of E y = b, over the free moments z.
@@ -317,12 +394,12 @@ class _Elimination:
     them."""
 
     fixed: np.ndarray
-    free: scipy.sparse.csr_matrix
+    free: _Csr
     dependent: int
     inconsistency: float
 
 
-def _eliminate(E: scipy.sparse.csr_matrix, b: np.ndarray) -> _Elimination:
+def _eliminate(E: _Csr, b: np.ndarray) -> _Elimination:
     """Sparse Gauss-Jordan elimination of E y = b with threshold pivoting.
 
     The rows are taken in order.  Each is first reduced by the earlier pivot
@@ -391,9 +468,7 @@ def _eliminate(E: scipy.sparse.csr_matrix, b: np.ndarray) -> _Elimination:
         rows.extend([p] * len(row))
         cols.extend(z_of[list(row)].tolist())
         vals.extend(-v for v in row.values())
-    free = scipy.sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(y_dim, free_cols.size)
-    )
+    free = _Csr.from_entries(rows, cols, vals, (y_dim, free_cols.size))
     return _Elimination(fixed, free, dependent, inconsistency)
 
 
@@ -566,10 +641,10 @@ class _SchurGroup:
     start: int
     indices: np.ndarray
     cliques: np.ndarray
-    left: scipy.sparse.csr_matrix
+    left: _Csr
     pair_rows: np.ndarray
     pair_cols: np.ndarray
-    right: scipy.sparse.csr_matrix
+    right: _Csr
     buckets: Tuple[Tuple[int, int, int, np.ndarray], ...]
 
     @classmethod
@@ -598,9 +673,7 @@ class _SchurGroup:
             rows, row_of = np.unique((k * m + l) * n + i, return_inverse=True)
         buckets = []
         if rows is None or _COMPACT_SUPPORT_SHARE * rows.size > K * m * n:
-            left = scipy.sparse.csr_matrix(
-                (value, (((k * n + i) * m + l), k * n + j)), shape=(K * n * m, K * n)
-            )
+            left = _Csr.from_entries((k * n + i) * m + l, k * n + j, value, (K * n * m, K * n))
         else:
             # Each block's moments by (support size |R_l|, moment), so that
             # the slots of one support size are a run of the block's moments.
@@ -610,9 +683,7 @@ class _SchurGroup:
             l = np.argsort(order, axis=1)[k, l]
             support = np.take_along_axis(support, order, axis=1).ravel()
             rows, row_of = np.unique((k * m + l) * n + i, return_inverse=True)
-            left = scipy.sparse.csr_matrix(
-                (value, (row_of, k * n + j)), shape=(rows.size, K * n)
-            )
+            left = _Csr.from_entries(row_of, k * n + j, value, (rows.size, K * n))
             slots = rows // n
             g_rows = slots // m * n + rows % n
             run = slots // m * (n + 1) + support[slots]
@@ -623,12 +694,11 @@ class _SchurGroup:
                 buckets.append((block, l0, l1, g_rows[first:end]))
         upper = i <= j
         pairs, pair = np.unique(ij[upper], return_inverse=True)
-        right = scipy.sparse.csr_matrix(
-            (
-                np.where(i == j, 0.5, 1.0)[upper] * value[upper],
-                (k[upper] * m + l[upper], pair * K + k[upper]),
-            ),
-            shape=(K * m, pairs.size * K),
+        right = _Csr.from_entries(
+            k[upper] * m + l[upper],
+            pair * K + k[upper],
+            np.where(i == j, 0.5, 1.0)[upper] * value[upper],
+            (K * m, pairs.size * K),
         )
         return cls(
             group,
@@ -659,11 +729,17 @@ class _Compiled:
     map is  vec M(z) = constant + A z  and its adjoint is  A' v.  All blocks
     are compiled together into their coefficient patterns
     (``_compile_blocks``), which yield A and, for the blocks of one shape
-    (size and moment count), the sparse maps of a ``_SchurGroup``.  The
+    (size and moment count), the sparse maps of a ``_SchurGroup``.  Every
+    map the iteration applies (E, free, A, its adjoint At and each Schur
+    group's ``left`` and ``right``) is a compiled ``_Csr``, and the only
+    ``scipy.sparse`` matrices, the stacked raw blocks and their product
+    with the null-space basis, live in ``_compile_blocks`` alone.  The
     storage of the KKT matrix H + dI (a ``_CliqueLayout``), the values
     vector its Schur terms and diagonal are written into and the scatter map
-    from that vector into the storage are fixed here, so an iteration only
-    fills numbers in.
+    from that vector into the storage are fixed here, and so are the
+    per-group constants of the iteration (stack ``spans``, ``identities``
+    and ``diagonals``) and the workspace of the Schur terms, so an
+    iteration only fills numbers in.
     """
 
     def __init__(self, sdp: SdpProblem) -> None:
@@ -676,12 +752,11 @@ class _Compiled:
             norm = math.sqrt(row.dot(row))
             if norm > 0.0:
                 norms[r_idx] = norm
-        self.E = scipy.sparse.csr_matrix(
-            (
-                coeffs / np.repeat(norms, terms),
-                (np.repeat(np.arange(self.n_eq), terms), indices),
-            ),
-            shape=(self.n_eq, y_dim),
+        self.E = _Csr.from_entries(
+            np.repeat(np.arange(self.n_eq), terms),
+            indices,
+            coeffs / np.repeat(norms, terms),
+            (self.n_eq, y_dim),
         )
         self.b = np.array([row.rhs for row in sdp.equalities], dtype=float) / norms
         elim = _eliminate(self.E, self.b)
@@ -691,7 +766,7 @@ class _Compiled:
         self.inconsistency = elim.inconsistency
 
         self._compile_blocks([b for b in sdp.psd_blocks if b.size], elim)
-        self.At = self.A.T.tocsr()
+        self.At = self.A.transpose()
         compact = [s for s in self.shapes if s.buckets]
         self.schur_stats = {
             "coefficients": int(self.A.nnz),
@@ -708,7 +783,7 @@ class _Compiled:
         for idx, coeff in zip(sdp.objective.indices, sdp.objective.coefficients):
             c[idx] += coeff
         self.c_ref = 1.0 + float(np.max(np.abs(c), initial=0.0))
-        self.c = self.free.T @ c
+        self.c = self.free.transpose() @ c
         self.c_offset = float(c @ self.fixed)
 
         # The storage of H + dI and the position in it of every entry of
@@ -752,7 +827,10 @@ class _Compiled:
         constant[flat[nonzero]] = constants[nonzero]
         constant[mirror[nonzero]] = constants[nonzero]
         constant += raw @ elim.fixed
-        sub = (raw @ elim.free).tocoo()
+        free = elim.free
+        sub = (
+            raw @ scipy.sparse.csr_matrix((free.data, free.indices, free.indptr), free.shape)
+        ).tocoo()
 
         # The block order, and the coefficient nonzeros in that order, each
         # block's by (free moment, flat position).
@@ -797,9 +875,7 @@ class _Compiled:
             constant[raw_offsets[order][slot] + np.arange(self.dim) - offsets[slot]]
             / norms[slot]
         )
-        self.A = scipy.sparse.csr_matrix(
-            (value, (offsets[ranked] + ij, col)), shape=(self.dim, z_dim)
-        )
+        self.A = _Csr.from_entries(offsets[ranked] + ij, col, value, (self.dim, z_dim))
 
         # Size groups (n, first block, end block) and the Schur shape groups,
         # whose terms follow the z_dim diagonal entries in ``kkt_values``.
@@ -832,6 +908,13 @@ class _Compiled:
                 start += (hi - lo) * width * width
             lo = hi
         self.kkt_values = np.empty(start)
+        # Per size group: the span (start, end, (K, n, n)) of its stack in a
+        # flat block vector, its identity and its diagonal indices.
+        self.spans = [
+            (int(offsets[lo]), int(offsets[hi]), (hi - lo, n, n)) for n, lo, hi in self.groups
+        ]
+        self.identities = [np.eye(n) for n, _, _ in self.groups]
+        self.diagonals = [np.arange(n) for n, _, _ in self.groups]
         # One buffer for the largest F = G T of ``_schur_terms``, reused by
         # every shape and iteration: a fresh multi-megabyte F per call lets
         # the C allocator return it to the system and fault it in again.
@@ -857,21 +940,17 @@ class _Compiled:
 
     def equality_residual(self, y: np.ndarray) -> float:
         """max |E y - b| over the unit-norm rows."""
-        return float(np.max(np.abs(self.E @ y - self.b), initial=0.0))
+        return float(np.abs(self.E @ y - self.b).max(initial=0.0))
 
     def stacks(self, flat: np.ndarray) -> List[np.ndarray]:
         """(K, n, n) views of a flat block vector, one per size group."""
-        return [
-            flat[self.block_starts[lo] : self.block_starts[lo] + (hi - lo) * n * n]
-            .reshape(hi - lo, n, n)
-            for n, lo, hi in self.groups
-        ]
+        return [flat[start:end].reshape(shape) for start, end, shape in self.spans]
 
     def identity_point(self) -> np.ndarray:
         """The starting point: each block is (1 + ||C_k||) I."""
         out = np.empty(self.dim)
-        for (n, lo, hi), stack in zip(self.groups, self.stacks(out)):
-            stack[...] = np.eye(n) * self.block_scale[lo:hi, None, None]
+        for (_, lo, hi), eye, stack in zip(self.groups, self.identities, self.stacks(out)):
+            stack[...] = eye * self.block_scale[lo:hi, None, None]
         return out
 
     def block_norms(self, flat: np.ndarray) -> np.ndarray:
@@ -880,13 +959,24 @@ class _Compiled:
             return np.zeros(0)
         return np.sqrt(np.add.reduceat(flat * flat, self.block_starts))
 
-    def cholesky(self, flat: np.ndarray) -> Optional[List[np.ndarray]]:
-        """Cholesky factors of the stacked blocks of every size group, or
+    def cholesky(
+        self, x: np.ndarray, z: np.ndarray
+    ) -> Optional[Tuple[List[np.ndarray], List[np.ndarray]]]:
+        """The Cholesky factors of the stacked blocks of two flat block
+        vectors, per size group, from one call per group on both stacks;
         None when some block is not positive definite."""
         try:
-            return [np.linalg.cholesky(stack) for stack in self.stacks(flat)]
+            factors = [
+                np.linalg.cholesky(np.concatenate(pair))
+                for pair in zip(self.stacks(x), self.stacks(z))
+            ]
         except np.linalg.LinAlgError:
             return None
+        counts = [hi - lo for _, lo, hi in self.groups]
+        return (
+            [f[:k] for f, k in zip(factors, counts)],
+            [f[k:] for f, k in zip(factors, counts)],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -918,16 +1008,15 @@ class _PhaseClock:
         self._last = now
 
 
-def _t(stack: np.ndarray) -> np.ndarray:
-    return np.swapaxes(stack, -1, -2)
-
-
 def _symmetrize(stack: np.ndarray) -> np.ndarray:
-    return 0.5 * (stack + _t(stack))
+    return 0.5 * (stack + stack.mT)
 
 
 def _finite(*arrays: np.ndarray) -> bool:
-    return all(bool(np.all(np.isfinite(a))) for a in arrays)
+    for a in arrays:
+        if not np.isfinite(a).all():
+            return False
+    return True
 
 
 def _nt_scaling(Lx: np.ndarray, Lz: np.ndarray):
@@ -938,12 +1027,12 @@ def _nt_scaling(Lx: np.ndarray, Lz: np.ndarray):
     with W Z W = X), and the shared scaled point
     lambda = T^{-1} X T^{-T} = T' Z T = diag(d).  Returns (G, T, T^{-1}, d);
     the caller checks that they are finite."""
-    U, d, Vt = np.linalg.svd(_t(Lz) @ Lx)
-    d = np.clip(d, 1e-300, None)
+    U, d, Vt = np.linalg.svd(Lz.mT @ Lx)
+    d = np.maximum(d, 1e-300)
     root = 1.0 / np.sqrt(d)
-    T = (Lx @ _t(Vt)) * root[:, None, :]
-    T_inv = root[:, :, None] * (_t(U) @ _t(Lz))
-    G = _symmetrize(_t(T_inv) @ T_inv)
+    T = (Lx @ Vt.mT) * root[:, None, :]
+    T_inv = root[:, :, None] * (U.mT @ Lz.mT)
+    G = _symmetrize(T_inv.mT @ T_inv)
     return G, T, T_inv, d
 
 
@@ -967,7 +1056,7 @@ def _schur_terms(comp: _Compiled, G: List[np.ndarray]) -> None:
         half = (shape.right @ gathered).reshape(K, m, m)
         del gathered  # before the next group forms its T
         terms = comp.kkt_values[shape.start : shape.start + K * m * m]
-        np.add(half, _t(half), out=terms.reshape(K, m, m))
+        np.add(half, half.mT, out=terms.reshape(K, m, m))
 
 
 def _products(comp: _Compiled, shape: _SchurGroup, g: np.ndarray) -> np.ndarray:
@@ -988,7 +1077,7 @@ def _products(comp: _Compiled, shape: _SchurGroup, g: np.ndarray) -> np.ndarray:
         end = first + g_rows.size
         support = stacked[g_rows].reshape(l1 - l0, -1, n)
         np.matmul(
-            _t(support), Tc[first:end].reshape(support.shape), out=F[k, :, l0:l1].swapaxes(0, 1)
+            support.mT, Tc[first:end].reshape(support.shape), out=F[k, :, l0:l1].swapaxes(0, 1)
         )
         first = end
     return F
@@ -1005,7 +1094,7 @@ def _congruence(comp: _Compiled, G: List[np.ndarray], flat: np.ndarray) -> np.nd
 def _scaled(comp: _Compiled, T_inv: List[np.ndarray], flat: np.ndarray) -> List[np.ndarray]:
     """sym(T^{-1} M T^{-T}) for every block M of a flat block vector, as
     stacks per size group."""
-    return [_symmetrize(ti @ m @ _t(ti)) for ti, m in zip(T_inv, comp.stacks(flat))]
+    return [_symmetrize(ti @ m @ ti.mT) for ti, m in zip(T_inv, comp.stacks(flat))]
 
 
 def _diagonal(d: np.ndarray) -> np.ndarray:
@@ -1032,8 +1121,8 @@ def _step_lengths(
             return None
         least = np.linalg.eigvalsh(stacked)[:, 0]
         K = di.shape[0]
-        smallest[0] = min(smallest[0], float(np.min(least[:K])))
-        smallest[1] = min(smallest[1], float(np.min(least[K:])))
+        smallest[0] = min(smallest[0], float(least[:K].min()))
+        smallest[1] = min(smallest[1], float(least[K:].min()))
     alpha_p, alpha_d = (math.inf if s >= 0.0 else -1.0 / s for s in smallest)
     return alpha_p, alpha_d
 
@@ -1080,30 +1169,35 @@ class _Kkt:
     complement S - sum_c B_c' P_c^{-1} B_c.  A solve eliminates the private
     moments of every clique, solves for the shared ones and substitutes them
     back, x_c = P_c^{-1} (r_c - B_c x_s), in one pass; the right-hand side
-    is permuted into the layout's order and the solution out."""
+    is permuted into the layout's order and the solution out.  The
+    factorization and ``_solve_once`` leave overflow to the caller's
+    ``np.errstate`` (the interior-point loop's); ``solve`` ignores it
+    itself."""
 
     def __init__(self, comp: _Compiled, data: np.ndarray) -> None:
-        with np.errstate(over="ignore", invalid="ignore"):  # the pivots are checked
-            self.layout = layout = comp.kkt_layout
-            s = layout.shared
-            # Per group of same-size cliques: its unknowns (a slice of the
-            # layout's order), the stacked B (C p, s) and the factors of
-            # every P_c (p, p).
-            self._cliques = []
-            reduced = data[layout.shared_offset : layout.size].reshape(s, s).copy()
-            start = 0
-            for p, count, p_offset, b_offset in layout.groups:
-                P = data[p_offset:b_offset].reshape(count, p, p)
-                B = data[b_offset : b_offset + count * p * s].reshape(count, p, s)
-                factors = [_CliqueFactor(block) for block in P]
-                for factor, coupling in zip(factors, B):
-                    reduced -= factor.gram(coupling)
-                span = slice(start, start + count * p)
-                self._cliques.append((span, B.reshape(count * p, s), factors))
-                start = span.stop
-            self._separator = _CliqueFactor(reduced) if s else None
+        self.layout = layout = comp.kkt_layout
+        s = layout.shared
+        # Per group of same-size cliques: its unknowns (a slice of the
+        # layout's order), the stacked B (C p, s) and the factors of every
+        # P_c (p, p).
+        self._cliques = []
+        reduced = data[layout.shared_offset : layout.size].reshape(s, s).copy()
+        start = 0
+        for p, count, p_offset, b_offset in layout.groups:
+            P = data[p_offset:b_offset].reshape(count, p, p)
+            B = data[b_offset : b_offset + count * p * s].reshape(count, p, s)
+            factors = [_CliqueFactor(block) for block in P]
+            for factor, coupling in zip(factors, B):
+                reduced -= factor.gram(coupling)
+            span = slice(start, start + count * p)
+            self._cliques.append((span, B.reshape(count * p, s), factors))
+            start = span.stop
+        self._separator = _CliqueFactor(reduced) if s else None
 
     def _solve_once(self, rhs: np.ndarray) -> np.ndarray:
+        """(H + dI)^{-1} rhs by one elimination pass."""
+        order = self.layout.order
+        rhs = rhs[order]
         private = rhs.size - self.layout.shared
         out = np.empty_like(rhs)
         shared = rhs[private:].copy()
@@ -1116,15 +1210,14 @@ class _Kkt:
         for span, B, factors in self._cliques:
             part = (rhs[span] - B @ shared).reshape(len(factors), -1)
             out[span] = np.concatenate([f.solve(r) for f, r in zip(factors, part)])
-        return out
+        solution = np.empty_like(out)
+        solution[order] = out
+        return solution
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """(H + dI)^{-1} rhs; non-finite when the factorization breaks down."""
         with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
-            order = self.layout.order
-            solution = np.empty_like(rhs)
-            solution[order] = self._solve_once(rhs[order])
-            return solution
+            return self._solve_once(rhs)
 
 
 def _near(relgap: float, pres: float, dres: float) -> bool:
@@ -1214,8 +1307,7 @@ def solve(sdp: SdpProblem) -> SolverResult:
     X = comp.identity_point()
     Z = X.copy()
     # Cholesky factors of X and Z, carried over from the step search.
-    chol_x = comp.cholesky(X)
-    chol_z = comp.cholesky(Z)
+    chol_x, chol_z = comp.cholesky(X, Z)
 
     status = SolveStatus.NUMERICAL_FAILURE
     stall_ref = math.inf
@@ -1234,8 +1326,9 @@ def solve(sdp: SdpProblem) -> SolverResult:
     best_iteration = 0
 
     # Overflow and invalid values are expected once an iterate degenerates;
-    # the iteration checks its scalings, Schur complements and directions for
-    # finiteness instead.
+    # the iteration checks its scalings, Schur complements, KKT pivots and
+    # directions for finiteness instead.  This is the one errstate scope of
+    # the iteration: nothing it calls enters another.
     with np.errstate(over="ignore", invalid="ignore"):
         for iteration in range(1, _MAX_ITERS + 1):
             y = comp.moments(z)
@@ -1249,9 +1342,9 @@ def solve(sdp: SdpProblem) -> SolverResult:
             pobj = float(comp.c @ z) + comp.c_offset
             dobj = comp.c_offset - float(comp.constant @ Z)
             relgap = gap / (1.0 + abs(pobj) + abs(dobj))
-            pres_blocks = np.max(comp.block_norms(residual) / comp.block_scale, initial=0.0)
+            pres_blocks = (comp.block_norms(residual) / comp.block_scale).max(initial=0.0)
             pres = max(comp.equality_residual(y), float(pres_blocks))
-            dres = float(np.max(np.abs(r_d))) / comp.c_ref
+            dres = float(np.abs(r_d).max()) / comp.c_ref
             row = [relgap, pres, dres, mu, 0.0, 0.0, 0.0]
             trace.append(row)
             clock.lap("residuals")
@@ -1290,11 +1383,11 @@ def solve(sdp: SdpProblem) -> SolverResult:
                 scaling = [_nt_scaling(lx, lz) for lx, lz in zip(chol_x, chol_z)]
             except np.linalg.LinAlgError:  # the SVD of non-finite factors
                 scaling = None
-            if scaling is None or not all(_finite(*parts) for parts in scaling):
+            if scaling is None or not _finite(*itertools.chain.from_iterable(scaling)):
                 note, finite = "non-finite NT scaling", False
                 break
-            G, T, T_inv, d = ([parts[i] for parts in scaling] for i in range(4))
-            lam = [_diagonal(di) for di in d]
+            G, T, T_inv, d = map(list, zip(*scaling))
+            lam = [di[:, :, None] * eye for di, eye in zip(d, comp.identities)]
             clock.lap("scaling")
 
             _schur_terms(comp, G)
@@ -1318,18 +1411,18 @@ def solve(sdp: SdpProblem) -> SolverResult:
                 corrector's dZ = G (target - dX) G drifts off A'dZ = r_d as
                 ||H|| grows; it adds sym(G (A w) G), w = (H + dI)^{-1} (r_d -
                 A'dZ), and dZ~ = sym(T' dZ T)."""
-                dz = kkt.solve(comp.At @ _congruence(comp, G, target - residual) - r_d)
+                dz = kkt._solve_once(comp.At @ _congruence(comp, G, target - residual) - r_d)
                 dX = comp.A @ dz + residual
                 dZ = None
                 if R is None:
                     dZ = _congruence(comp, G, target - dX)
-                    dZ += _congruence(comp, G, comp.A @ kkt.solve(r_d - comp.At @ dZ))
+                    dZ += _congruence(comp, G, comp.A @ kkt._solve_once(r_d - comp.At @ dZ))
                 clock.lap("kkt_solve")
                 if not _finite(dz, dX) or (dZ is not None and not _finite(dZ)):
                     return None
                 dx = _scaled(comp, T_inv, dX)
                 if R is None:
-                    dzs = [_symmetrize(_t(t) @ m @ t) for t, m in zip(T, comp.stacks(dZ))]
+                    dzs = [_symmetrize(t.mT @ m @ t) for t, m in zip(T, comp.stacks(dZ))]
                 else:
                     dzs = [r - x for r, x in zip(R, dx)]
                 steps = _step_lengths(d, dx, dzs)
@@ -1343,8 +1436,10 @@ def solve(sdp: SdpProblem) -> SolverResult:
             *_, dx_aff, dz_aff, steps = predictor
             alpha_p_aff, alpha_d_aff = (min(1.0, step) for step in steps)
             gap_aff = sum(
-                float(np.sum((lm + alpha_p_aff * dx) * (lm + alpha_d_aff * dzs)))
-                for lm, dx, dzs in zip(lam, dx_aff, dz_aff)
+                [
+                    float(((lm + alpha_p_aff * dx) * (lm + alpha_d_aff * dzs)).sum())
+                    for lm, dx, dzs in zip(lam, dx_aff, dz_aff)
+                ]
             )
             sigma = min(0.999, max(1e-8, (max(gap_aff, 0.0) / gap) ** 3))
             clock.lap("step_search")
@@ -1356,18 +1451,17 @@ def solve(sdp: SdpProblem) -> SolverResult:
             # the pure centering step; a direction that is still non-finite
             # ends the solve below.
             target = np.empty(comp.dim)
-            for (n, _, _), ti, di, dx, dzs, dst in zip(
-                comp.groups, T, d, dx_aff, dz_aff, comp.stacks(target)
+            for diag, ti, di, dx, dzs, dst in zip(
+                comp.diagonals, T, d, dx_aff, dz_aff, comp.stacks(target)
             ):
                 rhs = -_symmetrize(dx @ dzs)
-                diag = np.arange(n)
                 rhs[:, diag, diag] += sigma * mu - di * di
                 J = 2.0 * rhs / (di[:, :, None] + di[:, None, :])
-                corrected = ti @ J @ _t(ti)
-                bad = ~np.all(np.isfinite(corrected), axis=(1, 2))
+                corrected = ti @ J @ ti.mT
+                bad = ~np.isfinite(corrected).all(axis=(1, 2))
                 if bad.any():
                     J[bad] = _diagonal(sigma * mu / di[bad] - di[bad])
-                    corrected[bad] = ti[bad] @ J[bad] @ _t(ti[bad])
+                    corrected[bad] = ti[bad] @ J[bad] @ ti[bad].mT
                 dst[...] = _symmetrize(corrected)
             clock.lap("scaling")
 
@@ -1381,21 +1475,20 @@ def solve(sdp: SdpProblem) -> SolverResult:
             for _ in range(6):
                 new_x = X + alpha_p * dX
                 new_z = Z + alpha_d * dZ
-                new_chol_x = comp.cholesky(new_x)
-                new_chol_z = None if new_chol_x is None else comp.cholesky(new_z)
-                if new_chol_z is not None:
+                factors = comp.cholesky(new_x, new_z)
+                if factors is not None:
                     break
                 alpha_p *= 0.5
                 alpha_d *= 0.5
             clock.lap("step_search")
-            if new_chol_z is None:
+            if factors is None:
                 note = "step rejected"
                 break
 
             row[4:] = [sigma, alpha_p, alpha_d]
             z = z + alpha_p * dz
-            X, chol_x = new_x, new_chol_x
-            Z, chol_z = new_z, new_chol_z
+            X, Z = new_x, new_z
+            chol_x, chol_z = factors
 
     if status is not SolveStatus.OPTIMAL:
         near = finite and _near(*best_triple)

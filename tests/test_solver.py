@@ -300,7 +300,7 @@ def random_scaling(comp, seed):
     Z = random_block_vector(comp, rng, definite=True)
     return [
         solver_module._nt_scaling(lx, lz)[0]
-        for lx, lz in zip(comp.cholesky(X), comp.cholesky(Z))
+        for lx, lz in zip(*comp.cholesky(X, Z))
     ]
 
 
@@ -345,7 +345,7 @@ def last_newton_systems(monkeypatch, sdp):
     H + dI is far worse conditioned than at a random scaling."""
     systems = []
     real_init = solver_module._Kkt.__init__
-    real_solve = solver_module._Kkt.solve
+    real_solve = solver_module._Kkt._solve_once
 
     def recording_init(kkt, comp, data):
         real_init(kkt, comp, data)
@@ -357,14 +357,21 @@ def last_newton_systems(monkeypatch, sdp):
 
     with monkeypatch.context() as patch:
         patch.setattr(solver_module._Kkt, "__init__", recording_init)
-        patch.setattr(solver_module._Kkt, "solve", recording_solve)
+        patch.setattr(solver_module._Kkt, "_solve_once", recording_solve)
         result = solve(sdp)
     return (result, *systems[-1])
 
 
+def as_scipy(matrix):
+    """A ``solver._Csr`` as the ``scipy.sparse.csr_matrix`` of its arrays."""
+    return scipy.sparse.csr_matrix(
+        (matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape
+    )
+
+
 def operator_schur(comp, G):
     """H[:, j] = A' vec(G A_j G), with A_j the j-th column of the operator."""
-    columns = comp.A.toarray()
+    columns = as_scipy(comp.A).toarray()
     return np.column_stack(
         [
             comp.At @ solver_module._congruence(comp, G, columns[:, j])
@@ -430,7 +437,7 @@ def reference_block_pattern(block, elim):
         shape=(n * n, touched.size),
     )
     constant += (raw @ elim.fixed[touched]).reshape(n, n)
-    sub = (raw @ elim.free[touched]).tocoo()
+    sub = (raw @ as_scipy(elim.free)[touched]).tocoo()
     indices, local = np.unique(sub.col, return_inverse=True)
     position = local.astype(np.int64) * (n * n) + sub.row
     order = np.argsort(position)
@@ -501,11 +508,12 @@ def reference_compile(sdp, comp):
 
 
 def assert_same_bits(actual, expected):
-    """Equal dtype, shape and bytes (CSR matrices: data, indices, indptr;
-    clique layouts: every field)."""
-    if scipy.sparse.issparse(expected):
+    """Equal dtype, shape and bytes (CSR matrices, scipy's or the solver's
+    ``_Csr``: shape, indptr, indices and data; clique layouts: every field)."""
+    if scipy.sparse.issparse(expected) or isinstance(expected, solver_module._Csr):
+        assert isinstance(actual, solver_module._Csr)
         assert actual.shape == expected.shape
-        for name in ("data", "indices", "indptr"):
+        for name in ("indptr", "indices", "data"):
             assert_same_bits(getattr(actual, name), getattr(expected, name))
         return
     if isinstance(expected, solver_module._CliqueLayout):
@@ -852,7 +860,7 @@ class TestBatchedKernels:
         X = random_block_vector(comp, rng, definite=True)
         Z = random_block_vector(comp, rng, definite=True)
         for x, z, lx, lz in zip(
-            comp.stacks(X), comp.stacks(Z), comp.cholesky(X), comp.cholesky(Z)
+            comp.stacks(X), comp.stacks(Z), *comp.cholesky(X, Z)
         ):
             G, T, T_inv, d = solver_module._nt_scaling(lx, lz)
             W = T @ np.swapaxes(T, 1, 2)
@@ -885,7 +893,7 @@ class TestBatchedKernels:
         primal, dual = smallest(dX, X), smallest(dZ, Z)
         assert primal < 0.0 and dual < 0.0
         _, T, T_inv, d = zip(
-            *map(solver_module._nt_scaling, comp.cholesky(X), comp.cholesky(Z))
+            *map(solver_module._nt_scaling, *comp.cholesky(X, Z))
         )
         steps = solver_module._step_lengths(
             list(d),
@@ -907,7 +915,7 @@ class TestBatchedKernels:
         G, T, T_inv, d = (
             list(parts)
             for parts in zip(
-                *map(solver_module._nt_scaling, comp.cholesky(X), comp.cholesky(Z))
+                *map(solver_module._nt_scaling, *comp.cholesky(X, Z))
             )
         )
         T_t = [np.swapaxes(t, 1, 2) for t in T]
@@ -953,7 +961,7 @@ def nonzero_t_rows(comp, shape):
     n, first, _ = comp.groups[shape.group]
     count = 0
     for q in range(first + shape.lo, first + shape.hi):
-        rows = comp.A[comp.block_starts[q] : comp.block_starts[q] + n * n].tocoo()
+        rows = as_scipy(comp.A)[comp.block_starts[q] : comp.block_starts[q] + n * n].tocoo()
         count += np.unique(np.stack([rows.col, rows.row // n]), axis=1).shape[1]
     return count
 
@@ -1032,6 +1040,64 @@ class TestCompactSchur:
         assert peak(dense, shape) >= K * 35 * m * 35 * 8
 
 
+def random_entries(rng, shape, count):
+    """``count`` distinct positions of ``shape`` in random order, rows 0 and
+    2 left empty, with random values (exact zeros among them)."""
+    rows = rng.choice(np.setdiff1d(np.arange(shape[0]), [0, 2]), count)
+    cols = rng.integers(0, shape[1], count)
+    keys = np.unique(rows * shape[1] + cols)
+    keys = keys[rng.permutation(keys.size)]
+    values = rng.standard_normal(keys.size)
+    values[::7] = 0.0
+    return keys // shape[1], keys % shape[1], values
+
+
+class TestCsr:
+    """The solver's sparse maps: scipy's CSR arrays and products, bit for
+    bit, without scipy's Python layers."""
+
+    def test_arrays_equal_scipy(self):
+        rng = np.random.default_rng(0)
+        rows, cols, values = random_entries(rng, (9, 7), 30)
+        ours = solver_module._Csr.from_entries(rows, cols, values, (9, 7))
+        theirs = scipy.sparse.csr_matrix((values, (rows, cols)), shape=(9, 7))
+        assert_same_bits(ours, theirs)
+        assert ours.nnz == theirs.nnz
+        assert_same_bits(ours.transpose(), theirs.T.tocsr())
+        empty = solver_module._Csr.from_entries([], [], [], (3, 4))
+        assert_same_bits(empty, scipy.sparse.csr_matrix((3, 4)))
+
+    def test_repeated_positions_are_summed(self):
+        ours = solver_module._Csr.from_entries(
+            [1, 0, 1, 1], [2, 1, 0, 2], [0.5, 1.0, 2.0, 0.25], (2, 3)
+        )
+        assert ours.indptr.tolist() == [0, 1, 3]
+        assert ours.indices.tolist() == [1, 0, 2]
+        assert ours.data.tolist() == [1.0, 2.0, 0.75]
+
+    def test_products_equal_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(1)
+        shape = (40, 25)
+        rows, cols, values = random_entries(rng, shape, 200)
+        ours = solver_module._Csr.from_entries(rows, cols, values, shape)
+        theirs = scipy.sparse.csr_matrix((values, (rows, cols)), shape=shape)
+        wide = rng.standard_normal((25, 12))
+        operands = [
+            rng.standard_normal(25),
+            rng.standard_normal((25, 1)),
+            wide,
+            wide[:, ::3],  # not contiguous
+            rng.standard_normal(50)[::2],  # not contiguous
+            np.zeros((25, 0)),
+        ]
+        for operand in operands:
+            assert_same_bits(ours @ operand, theirs @ operand)
+        with pytest.raises(ValueError):
+            ours @ rng.standard_normal(24)
+        with pytest.raises(ValueError):
+            ours @ rng.standard_normal((25, 2, 2))
+
+
 class TestBatchedCompile:
     """All blocks are substituted and compiled together; the result is the
     per-block compilation's, bit for bit."""
@@ -1070,6 +1136,20 @@ class TestBatchedCompile:
             for name in ("indices", "cliques", "left", "pair_rows", "pair_cols", "right"):
                 assert_same_bits(getattr(shape, name), getattr(expected, name))
 
+    def test_the_iteration_makes_no_scipy_sparse_product(self, monkeypatch, weber_sparse):
+        real_init = solver_module._Compiled.__init__
+
+        def refuse(*args):
+            raise AssertionError("scipy.sparse product inside the iteration")
+
+        def compiled(comp, sdp):
+            real_init(comp, sdp)
+            monkeypatch.setattr(scipy.sparse._base._spbase, "__matmul__", refuse)
+
+        monkeypatch.setattr(solver_module._Compiled, "__init__", compiled)
+        result = solve(weber_sparse)
+        assert result.status.solved() and result.iterations > 1
+
     @pytest.mark.parametrize("problem", ["weber_sparse", "weber50_sparse"])
     def test_builds_no_sparse_matrix_per_block(self, monkeypatch, request, problem):
         sdp = request.getfixturevalue(problem)
@@ -1082,10 +1162,10 @@ class TestBatchedCompile:
 
         monkeypatch.setattr(scipy.sparse, "csr_matrix", CountingCsr)
         comp = solver_module._Compiled(sdp)
-        # A few per problem (E, its null-space basis, the stacked raw
-        # blocks, their products, A and its transpose), and the left and
-        # right maps of every Schur group: none per block.
-        assert len(built) <= 8 + 2 * len(comp.shapes)
+        # The stacked raw blocks and the null-space basis they are
+        # substituted with, and two inside scipy's product of the two:
+        # every map the iteration applies is a ``_Csr``.
+        assert len(built) <= 4
         if problem == "weber50_sparse":
             assert len(built) < len(sdp.psd_blocks) / 4
 
