@@ -588,24 +588,25 @@ def build_general_lift(problem: OmrfProblem) -> LiftedProblem:
 def _telescoping_levels(problem: OmrfProblem) -> Tuple[List[float], List[int], List[int], bool]:
     """The differences ``D_k = lambda_k - lambda_{k+1}`` of constant weights
     (with ``lambda_{m+1} = 0``, indexed from 0), the levels that get an
-    epigraph, the levels with ``D_k < 0``, and whether the top level
-    ``S_m = sum_j f_j`` enters the objective as a plain sum.
+    epigraph, the levels below the top with ``D_k < 0``, and whether the
+    top level ``S_m = sum_j f_j`` enters the objective as a plain sum.
 
-    A positive top level is a plain sum unless that raises the lift's
-    minimum relaxation order, the largest ``ceil(deg / 2)`` over its
-    objective and constraints.  The two forms differ only there: the plain
-    sum puts the objective over the product of the denominators, and the
-    epigraph keeps it linear over 1 with the rows ``q_j (t + r_j) - p_j``.
-    A selector level clears the objective over that product anyway, so with
-    one the plain sum never raises the order.
+    A negative top level is a plain sum, since ``S_m`` takes every value
+    and selectors would all be fixed at 1.  A positive one is a plain sum
+    unless that raises the lift's minimum relaxation order, the largest
+    ``ceil(deg / 2)`` over its objective and constraints.  The two forms
+    differ only there: the plain sum puts the objective over the product of
+    the denominators, and the epigraph keeps it linear over 1 with the rows
+    ``q_j (t + r_j) - p_j``.  A selector level clears the objective over
+    that product anyway, so with one the plain sum never raises the order.
     """
     m = problem.m
     padded = problem.weights.padded_constant_values()
     deltas = [padded[k] - padded[k + 1] for k in range(m)]
-    positive = [k for k, d in enumerate(deltas) if d > 0.0]
-    negative = [k for k, d in enumerate(deltas) if d < 0.0]
-    direct = deltas[m - 1] > 0.0
-    if direct and not negative:
+    levels = [k for k, d in enumerate(deltas[:-1]) if d > 0.0]
+    negative = [k for k, d in enumerate(deltas[:-1]) if d < 0.0]
+    direct = deltas[m - 1] != 0.0
+    if deltas[m - 1] > 0.0 and not negative:
         nums = [f.numerator.degree for f in problem.functions]
         dens = [f.denominator.degree for f in problem.functions]
         total = sum(dens)
@@ -618,10 +619,12 @@ def _telescoping_levels(problem: OmrfProblem) -> Tuple[List[float], List[int], L
         plain = max(
             total,
             *(p + total - q for p, q in zip(nums, dens)),
-            total + 1 if len(positive) > 1 else 0,  # D_k t_k of the other levels
+            total + 1 if levels else 0,  # D_k t_k of the other levels
         )
         direct = (plain + 1) // 2 <= (epigraph + 1) // 2
-    return deltas, positive[:-1] if direct else positive, negative, direct
+        if not direct:
+            levels.append(m - 1)
+    return deltas, levels, negative, direct
 
 
 def build_telescoping(problem: OmrfProblem) -> LiftedProblem:
@@ -630,15 +633,16 @@ def build_telescoping(problem: OmrfProblem) -> LiftedProblem:
     ``S_k`` is the sum of the ``k`` largest values and
     ``D_k = lambda_k - lambda_{k+1}`` with ``lambda_{m+1} = 0``.
 
-    The top level ``S_m`` is the plain sum ``sum_j f_j``.  With ``D_m > 0``
-    it is added to the objective directly, unless clearing its
-    denominators would raise the minimum relaxation order
-    (``_telescoping_levels``).  Every other level with ``D_k > 0`` gets an
-    epigraph variable ``t_k`` and slacks ``r_kj`` with ``t_k + r_kj >= f_j``
-    (denominator-cleared), one clique ``(x, t_k, r_kj)`` per function, and
-    adds ``D_k (k t_k + sum_j r_kj)``.  The max level ``S_1`` needs no
-    slacks, since ``max_j f_j = min {t : t >= f_j}``: it gets ``t_1 >= f_j``
-    and adds ``D_1 t_1``, in the one clique ``(x, t_1)``.  A level with
+    The top level ``S_m`` is the plain sum ``sum_j f_j``.  With ``D_m < 0``
+    it is added to the objective directly, and so it is with ``D_m > 0``
+    unless clearing its denominators would raise the minimum relaxation
+    order (``_telescoping_levels``).  Every other level with ``D_k > 0``
+    gets an epigraph variable ``t_k`` and slacks ``r_kj`` with
+    ``t_k + r_kj >= f_j`` (denominator-cleared), one clique
+    ``(x, t_k, r_kj)`` per function, and adds ``D_k (k t_k + sum_j r_kj)``.
+    The max level ``S_1`` needs no slacks, since
+    ``max_j f_j = min {t : t >= f_j}``: it gets ``t_1 >= f_j`` and adds
+    ``D_1 t_1``, in the one clique ``(x, t_1)``.  A level k < m with
     ``D_k < 0`` gets 0/1 selectors ``v_kj`` with ``sum_j v_kj = k`` marking
     the ``k`` largest values and adds ``D_k sum_j v_kj f_j``; ``v_kj``
     joins column ``j``'s clique of the first epigraph level (so the max
@@ -655,8 +659,6 @@ def build_telescoping(problem: OmrfProblem) -> LiftedProblem:
         raise PatternMismatchError("telescoping needs constant weights")
     m = problem.m
     deltas, epigraph, negative, direct = _telescoping_levels(problem)
-    if negative and not (epigraph or direct):
-        raise PatternMismatchError("weights need a level with lambda_k > lambda_{k+1}")
     g = _prepare(problem)
     ext = g.ext
     bounds = function_bounds(problem)

@@ -335,7 +335,6 @@ def _newton_restore(
     """
     z = np.array(points, dtype=float)
     restored = np.ones(len(z), dtype=bool)
-    ball_variables = list(region.ball_variables)
     # None stands for the ball, whose values and gradient stay numeric.
     constraints = [(g, False) for g in region.inequalities]
     if region.ball_bound is not None:
@@ -352,11 +351,11 @@ def _newton_restore(
             rows, values, x = rows[hit], values[hit], x[hit]
             if not len(rows):
                 continue
-            grad = np.zeros_like(x)
             if poly is None:
                 # The gradient of M - sum(v^2), as its derivatives would give it.
-                grad[:, ball_variables] = -2.0 * x[:, ball_variables]
+                grad = -2.0 * x
             else:
+                grad = np.zeros_like(x)
                 for vid in poly.variables():
                     grad[:, vid] = poly.derivative(vid).evaluate_many(x)
             norm_sq = np.vecdot(grad, grad)

@@ -237,9 +237,9 @@ class Polynomial:
             out.update(m.variables())
         return tuple(sorted(out))
 
-    def sorted_terms(self, reverse: bool = True) -> List[Tuple[Monomial, float]]:
-        """Terms in graded-lex order (descending by default: leading first)."""
-        return sorted(self._terms.items(), key=lambda t: t[0].grlex_key(), reverse=reverse)
+    def sorted_terms(self) -> List[Tuple[Monomial, float]]:
+        """Terms in descending graded-lex order: leading term first."""
+        return sorted(self._terms.items(), key=lambda t: t[0].grlex_key(), reverse=True)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -375,15 +375,15 @@ class SemialgebraicSet:
     """Basic closed semialgebraic set {x : g_j(x) >= 0, h_k(x) = 0}.
 
     ``ball_bound`` optionally records a bound M such that the set is contained
-    in {sum of squares of the listed variables <= M}; builders use it to emit
-    redundant compactness constraints.
+    in the ball {sum of the squares of every variable <= M}; builders use it
+    to emit redundant compactness constraints, and membership tests it as a
+    constraint of the set.
     """
 
     universe: VariableUniverse
     inequalities: List[Polynomial] = field(default_factory=list)
     equalities: List[Polynomial] = field(default_factory=list)
     ball_bound: float | None = None
-    ball_variables: Tuple[VarId, ...] = ()
 
     def __post_init__(self) -> None:
         for p in list(self.inequalities) + list(self.equalities):
@@ -394,32 +394,26 @@ class SemialgebraicSet:
         """This set with the ball ``sum of all squared variables <= bound``.
 
         A set that already records that ball is returned itself; one that
-        records another bound, or a ball missing some variable, raises
-        ValueError, as does a bound that is not finite and positive.
+        records another bound raises ValueError, as does a bound that is not
+        finite and positive.
         """
         if not (np.isfinite(bound) and bound > 0.0):
             raise ValueError(f"ball bound must be finite and positive, got {bound}")
-        everything = tuple(range(len(self.universe)))
         if self.ball_bound is None:
             return SemialgebraicSet(
-                self.universe,
-                list(self.inequalities),
-                list(self.equalities),
-                ball_bound=bound,
-                ball_variables=everything,
+                self.universe, list(self.inequalities), list(self.equalities), bound
             )
         if self.ball_bound != bound:
             raise ValueError(f"ground-set ball bound {self.ball_bound} disagrees with {bound}")
-        if set(self.ball_variables) != set(everything):
-            raise ValueError("ground-set ball must cover every variable")
         return self
 
     def ball_polynomial(self) -> Polynomial | None:
-        """The ball constraint M - sum(v^2) as a polynomial, if M is set."""
+        """The ball constraint M - sum(v^2) over every variable v in id
+        order, as a polynomial, if M is set."""
         if self.ball_bound is None:
             return None
         p = Polynomial.constant(self.universe, self.ball_bound)
-        for v in self.ball_variables:
+        for v in range(len(self.universe)):
             p = p - Polynomial.variable(self.universe, v) ** 2
         return p
 
@@ -433,7 +427,7 @@ class SemialgebraicSet:
             return None
         x = np.asarray(points, dtype=float)
         values = np.full(x.shape[:-1], float(self.ball_bound))
-        for v in self.ball_variables:
+        for v in range(len(self.universe)):
             values -= x[..., v] ** 2
         return values
 

@@ -161,8 +161,7 @@ class SolverResult:
     and in ``diagnostics['kkt']`` the KKT system's ``dim``, the number of
     ``cliques`` it is factored by, their ``private`` sizes p and the
     ``separator`` size s of the shared moments, the ``nnz`` of its clique
-    blocks, sum(p^2 + 2 p s) + s^2, and the ``factor_nnz`` of its last
-    factorization (the same count; 0 before the first), and
+    blocks, sum(p^2 + 2 p s) + s^2, and
     in ``diagnostics['schur']`` the work of the Schur terms: the nonzero
     ``coefficients`` of the block maps, the number of ``terms`` formed
     per iteration (the sum over blocks of (moments touched)^2), how many
@@ -208,26 +207,20 @@ class SolverResult:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Feasibility and objective residuals of a candidate moment vector."""
+    """Feasibility residuals of a candidate moment vector."""
 
     max_equality_residual: float
     min_block_eigenvalue: float
-    objective_delta: float
     within_tolerance: bool
 
 
-def verify_vector(
-    sdp: SdpProblem,
-    y: np.ndarray,
-    tol: float,
-    reported_objective: Optional[float] = None,
-) -> ResidualReport:
-    """Residual report for an arbitrary moment vector (Dirac checks, tests).
+def verify_vector(sdp: SdpProblem, y: np.ndarray, tol: float) -> ResidualReport:
+    """Residual report for an arbitrary moment vector: ``extract_point``'s
+    re-check of the Dirac moments of its candidate point, and the tests'.
 
     The tolerance check is relative: equality residuals against ``tol``
-    directly, block eigenvalues against ``-tol * (1 + block Frobenius norm)``
-    and, when ``reported_objective`` is given, its recomputation against
-    ``tol * (1 + |objective|)``.
+    directly and block eigenvalues against ``-tol * (1 + block Frobenius
+    norm)``.
 
     Every block entry and equality row is summed term by term in order
     (``term_sums``), and the blocks of one size are assembled as one stack
@@ -267,10 +260,7 @@ def verify_vector(
             if low < -tol * (1.0 + float(np.linalg.norm(mat))):
                 eig_ok = False
     min_eig = float(np.min(least)) if least.size else 0.0
-    value = sdp.objective.evaluate(y)
-    delta = 0.0 if reported_objective is None else abs(value - reported_objective)
-    ok = eig_ok and max_eq <= tol and delta <= tol * (1.0 + abs(value))
-    return ResidualReport(max_eq, min_eig, delta, ok)
+    return ResidualReport(max_eq, min_eig, eig_ok and max_eq <= tol)
 
 
 def _block_entries(blocks) -> Tuple[np.ndarray, ...]:
@@ -353,11 +343,8 @@ class _Csr:
     def transpose(self) -> "_Csr":
         """The transpose, each row's entries by increasing column."""
         M, N = self.shape
-        rows = np.repeat(np.arange(M, dtype=self.indices.dtype), np.diff(self.indptr))
-        order = np.argsort(self.indices, kind="stable")
-        indptr = np.zeros(N + 1, dtype=self.indptr.dtype)
-        indptr[1:] = np.cumsum(np.bincount(self.indices, minlength=N))
-        return _Csr((N, M), indptr, rows[order], self.data[order])
+        rows = np.repeat(np.arange(M), np.diff(self.indptr))
+        return _Csr.from_entries(self.indices, rows, self.data, (N, M))
 
     def __matmul__(self, operand: np.ndarray) -> np.ndarray:
         """``self @ operand`` for a 1-D or 2-D float operand."""
@@ -1019,21 +1006,23 @@ def _finite(*arrays: np.ndarray) -> bool:
     return True
 
 
-def _nt_scaling(Lx: np.ndarray, Lz: np.ndarray):
+def _nt_scaling(Lx: np.ndarray, Lz: np.ndarray, eye: np.ndarray):
     """Nesterov-Todd scaling of stacked blocks X = Lx Lx', Z = Lz Lz' from
     their Cholesky factors (Todd, Toh & Tutuncu 1998): with the SVD
     Lz' Lx = U diag(d) V', the scaling T = Lx V d^{-1/2}, its inverse
     T^{-1} = d^{-1/2} U' Lz', G = W^{-1} = T^{-T} T^{-1} for W = T T' (the W
     with W Z W = X), and the shared scaled point
-    lambda = T^{-1} X T^{-T} = T' Z T = diag(d).  Returns (G, T, T^{-1}, d);
-    the caller checks that they are finite."""
+    lambda = T^{-1} X T^{-T} = T' Z T = diag(d), built from the identity
+    ``eye``.  Returns (G, T, T^{-1}, d, lambda, d^{-1/2} d^{-1/2}'), all
+    that the iteration reads of d; the caller checks that they are
+    finite."""
     U, d, Vt = np.linalg.svd(Lz.mT @ Lx)
     d = np.maximum(d, 1e-300)
     root = 1.0 / np.sqrt(d)
     T = (Lx @ Vt.mT) * root[:, None, :]
     T_inv = root[:, :, None] * (U.mT @ Lz.mT)
     G = _symmetrize(T_inv.mT @ T_inv)
-    return G, T, T_inv, d
+    return G, T, T_inv, d, d[:, :, None] * eye, root[:, :, None] * root[:, None, :]
 
 
 def _schur_terms(comp: _Compiled, G: List[np.ndarray]) -> None:
@@ -1097,30 +1086,24 @@ def _scaled(comp: _Compiled, T_inv: List[np.ndarray], flat: np.ndarray) -> List[
     return [_symmetrize(ti @ m @ ti.mT) for ti, m in zip(T_inv, comp.stacks(flat))]
 
 
-def _diagonal(d: np.ndarray) -> np.ndarray:
-    """The stack of diagonal matrices diag(d[k])."""
-    return d[:, :, None] * np.eye(d.shape[1])
-
-
 def _step_lengths(
-    d: List[np.ndarray], primal: List[np.ndarray], dual: List[np.ndarray]
+    outer: List[np.ndarray], primal: List[np.ndarray], dual: List[np.ndarray]
 ) -> Optional[Tuple[float, float]]:
     """sup {a : X + a dX PSD} and sup {a : Z + a dZ PSD} from the scaled
     directions dX~ = T^{-1} dX T^{-T} and dZ~ = T' dZ T per size group.
 
     X + a dX = T (lambda + a dX~) T' with lambda = diag(d), so each bound is
-    -1 / lambda_min(d^{-1/2} dX~ d^{-1/2}) (inf when that is nonnegative);
-    the primal and dual matrices of a group share one ``eigvalsh``.  None
-    when a scaled direction is not finite."""
+    -1 / lambda_min(d^{-1/2} dX~ d^{-1/2}) (inf when that is nonnegative),
+    with the ``outer`` = d^{-1/2} d^{-1/2}' of the NT scaling; the primal
+    and dual matrices of a group share one ``eigvalsh``.  None when a
+    scaled direction is not finite."""
     smallest = [math.inf, math.inf]
-    for di, dx, dz in zip(d, primal, dual):
-        root = 1.0 / np.sqrt(di)
-        outer = root[:, :, None] * root[:, None, :]
-        stacked = np.concatenate([dx * outer, dz * outer])
+    for oi, dx, dz in zip(outer, primal, dual):
+        stacked = np.concatenate([dx * oi, dz * oi])
         if not _finite(stacked):
             return None
         least = np.linalg.eigvalsh(stacked)[:, 0]
-        K = di.shape[0]
+        K = oi.shape[0]
         smallest[0] = min(smallest[0], float(least[:K].min()))
         smallest[1] = min(smallest[1], float(least[K:].min()))
     alpha_p, alpha_d = (math.inf if s >= 0.0 else -1.0 / s for s in smallest)
@@ -1170,9 +1153,9 @@ class _Kkt:
     moments of every clique, solves for the shared ones and substitutes them
     back, x_c = P_c^{-1} (r_c - B_c x_s), in one pass; the right-hand side
     is permuted into the layout's order and the solution out.  The
-    factorization and ``_solve_once`` leave overflow to the caller's
-    ``np.errstate`` (the interior-point loop's); ``solve`` ignores it
-    itself."""
+    factorization and ``solve`` leave overflow to the caller's
+    ``np.errstate`` (the interior-point loop's), which checks the solution
+    for finiteness."""
 
     def __init__(self, comp: _Compiled, data: np.ndarray) -> None:
         self.layout = layout = comp.kkt_layout
@@ -1194,8 +1177,9 @@ class _Kkt:
             start = span.stop
         self._separator = _CliqueFactor(reduced) if s else None
 
-    def _solve_once(self, rhs: np.ndarray) -> np.ndarray:
-        """(H + dI)^{-1} rhs by one elimination pass."""
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """(H + dI)^{-1} rhs by one elimination pass; non-finite when the
+        factorization breaks down."""
         order = self.layout.order
         rhs = rhs[order]
         private = rhs.size - self.layout.shared
@@ -1213,11 +1197,6 @@ class _Kkt:
         solution = np.empty_like(out)
         solution[order] = out
         return solution
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """(H + dI)^{-1} rhs; non-finite when the factorization breaks down."""
-        with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
-            return self._solve_once(rhs)
 
 
 def _near(relgap: float, pres: float, dres: float) -> bool:
@@ -1239,7 +1218,7 @@ def solve(sdp: SdpProblem) -> SolverResult:
     clock = _PhaseClock()
     comp = _Compiled(sdp)
     clock.lap("compile")
-    kkt_stats = {**comp.kkt_stats(), "factor_nnz": 0}
+    kkt_stats = comp.kkt_stats()
     equality_stats = {
         "rows": comp.n_eq,
         "dependent": comp.dependent,
@@ -1377,17 +1356,20 @@ def solve(sdp: SdpProblem) -> SolverResult:
                 break
 
             # NT scaling per size group from the Cholesky factors of X and Z:
-            # G = W^{-1}, T with W = T T', and the shared scaled point
-            # lambda = diag(d) for the Jordan-product solves below.
+            # G = W^{-1}, T with W = T T', the shared scaled point
+            # lambda = diag(d) for the Jordan-product solves below, and
+            # d^{-1/2} d^{-1/2}' for both step-length searches.
             try:
-                scaling = [_nt_scaling(lx, lz) for lx, lz in zip(chol_x, chol_z)]
+                scaling = [
+                    _nt_scaling(lx, lz, eye)
+                    for lx, lz, eye in zip(chol_x, chol_z, comp.identities)
+                ]
             except np.linalg.LinAlgError:  # the SVD of non-finite factors
                 scaling = None
             if scaling is None or not _finite(*itertools.chain.from_iterable(scaling)):
                 note, finite = "non-finite NT scaling", False
                 break
-            G, T, T_inv, d = map(list, zip(*scaling))
-            lam = [di[:, :, None] * eye for di, eye in zip(d, comp.identities)]
+            G, T, T_inv, d, lam, outer = map(list, zip(*scaling))
             clock.lap("scaling")
 
             _schur_terms(comp, G)
@@ -1398,7 +1380,6 @@ def solve(sdp: SdpProblem) -> SolverResult:
                 break
             try:
                 kkt = _Kkt(comp, data)
-                kkt_stats["factor_nnz"] = kkt_stats["nnz"]
             except RuntimeError:
                 note = "KKT factorization failed"
                 break
@@ -1411,12 +1392,12 @@ def solve(sdp: SdpProblem) -> SolverResult:
                 corrector's dZ = G (target - dX) G drifts off A'dZ = r_d as
                 ||H|| grows; it adds sym(G (A w) G), w = (H + dI)^{-1} (r_d -
                 A'dZ), and dZ~ = sym(T' dZ T)."""
-                dz = kkt._solve_once(comp.At @ _congruence(comp, G, target - residual) - r_d)
+                dz = kkt.solve(comp.At @ _congruence(comp, G, target - residual) - r_d)
                 dX = comp.A @ dz + residual
                 dZ = None
                 if R is None:
                     dZ = _congruence(comp, G, target - dX)
-                    dZ += _congruence(comp, G, comp.A @ kkt._solve_once(r_d - comp.At @ dZ))
+                    dZ += _congruence(comp, G, comp.A @ kkt.solve(r_d - comp.At @ dZ))
                 clock.lap("kkt_solve")
                 if not _finite(dz, dX) or (dZ is not None and not _finite(dZ)):
                     return None
@@ -1425,7 +1406,7 @@ def solve(sdp: SdpProblem) -> SolverResult:
                     dzs = [_symmetrize(t.mT @ m @ t) for t, m in zip(T, comp.stacks(dZ))]
                 else:
                     dzs = [r - x for r, x in zip(R, dx)]
-                steps = _step_lengths(d, dx, dzs)
+                steps = _step_lengths(outer, dx, dzs)
                 return None if steps is None else (dz, dX, dZ, dx, dzs, steps)
 
             # Predictor: pure Newton step toward the boundary, R = -lambda.
@@ -1451,8 +1432,8 @@ def solve(sdp: SdpProblem) -> SolverResult:
             # the pure centering step; a direction that is still non-finite
             # ends the solve below.
             target = np.empty(comp.dim)
-            for diag, ti, di, dx, dzs, dst in zip(
-                comp.diagonals, T, d, dx_aff, dz_aff, comp.stacks(target)
+            for diag, eye, ti, di, dx, dzs, dst in zip(
+                comp.diagonals, comp.identities, T, d, dx_aff, dz_aff, comp.stacks(target)
             ):
                 rhs = -_symmetrize(dx @ dzs)
                 rhs[:, diag, diag] += sigma * mu - di * di
@@ -1460,7 +1441,7 @@ def solve(sdp: SdpProblem) -> SolverResult:
                 corrected = ti @ J @ ti.mT
                 bad = ~np.isfinite(corrected).all(axis=(1, 2))
                 if bad.any():
-                    J[bad] = _diagonal(sigma * mu / di[bad] - di[bad])
+                    J[bad] = (sigma * mu / di[bad] - di[bad])[:, :, None] * eye
                     corrected[bad] = ti[bad] @ J[bad] @ ti[bad].mT
                 dst[...] = _symmetrize(corrected)
             clock.lap("scaling")

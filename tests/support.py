@@ -59,9 +59,7 @@ def cone_region(ball_bound: float = 3.0) -> SemialgebraicSet:
     """{x in R^3 : x1^2 - 2 x2^2 - 2 x3^2 >= 0}, with a covering ball."""
     universe = VariableUniverse(["x1", "x2", "x3"])
     cone = parse("x1^2 - 2*x2^2 - 2*x3^2", universe)
-    return SemialgebraicSet(
-        universe, [cone], [], ball_bound=ball_bound, ball_variables=(0, 1, 2)
-    )
+    return SemialgebraicSet(universe, [cone], [], ball_bound=ball_bound)
 
 
 def abs_evaluate(poly: Polynomial, point: np.ndarray) -> float:
@@ -300,15 +298,16 @@ def assignment_binaries(lifted, m):
 
 def random_sign_mixed_problem(rng, rational=None, max_m=4):
     """Random problem of 3 to ``max_m`` functions whose constant weights
-    telescope into at least one positive and at least two negative levels:
-    lambda_k - lambda_{k+1} (with lambda_{m+1} = 0) takes both signs."""
+    telescope into at least one positive level and at least two selector
+    levels: lambda_k - lambda_{k+1} (with lambda_{m+1} = 0) is positive at
+    some k and negative at two k < m (the top level k = m is a plain sum)."""
     problem = random_omrf_problem(rng, "monotone", rational=rational, max_m=max_m)
     while problem.m < 3:
         problem = random_omrf_problem(rng, "monotone", rational=rational, max_m=max_m)
     while True:
         values = rng.uniform(-2.0, 2.0, problem.m)
         deltas = values - np.append(values[1:], 0.0)
-        if (deltas > 0.0).any() and (deltas < 0.0).sum() >= 2:
+        if (deltas > 0.0).any() and (deltas[:-1] < 0.0).sum() >= 2:
             return with_constant_weights(problem, values)
 
 

@@ -341,22 +341,11 @@ ANCHORS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
         ({"ball_bound": -4.0}, ValueError, "finite and positive"),
         (
             {
-                "ground_set": SemialgebraicSet(
-                    VariableUniverse(["x1", "x2"]), ball_bound=40.0, ball_variables=(0, 1)
-                ),
+                "ground_set": SemialgebraicSet(VariableUniverse(["x1", "x2"]), ball_bound=40.0),
                 "ball_bound": 50.0,
             },
             ValueError,
             "disagrees",
-        ),
-        (
-            {
-                "ground_set": SemialgebraicSet(
-                    VariableUniverse(["x1", "x2"]), ball_bound=40.0, ball_variables=(0,)
-                )
-            },
-            ValueError,
-            "every variable",
         ),
         ({"variant": "kcentrum", "k": 2.7}, ValueError, "k must be an integer"),
         ({"variant": "kcentrum", "k": True}, ValueError, "k must be an integer"),
@@ -389,7 +378,6 @@ ANCHORS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
         "nan_ball",
         "negative_ball",
         "ground_ball_disagrees",
-        "ground_ball_misses_a_coordinate",
         "k_fraction",
         "k_bool",
         "trim_fractions",
@@ -414,9 +402,7 @@ def test_instance_keeps_integer_counts():
 
 @pytest.mark.parametrize("ball_bound", [40.0, None])
 def test_matching_ground_ball_is_the_region(ball_bound):
-    ground = SemialgebraicSet(
-        VariableUniverse(["x1", "x2"]), ball_bound=40.0, ball_variables=(1, 0)
-    )
+    ground = SemialgebraicSet(VariableUniverse(["x1", "x2"]), ball_bound=40.0)
     instance = LocationInstance(points=ANCHORS, ground_set=ground, ball_bound=ball_bound)
     assert instance.ball_bound == 40.0
     assert instance.region is ground

@@ -24,6 +24,7 @@ from owasdp.omrf import (
     putinar_structurally_bounded,
     running_intersection_holds,
 )
+from owasdp.oracle import ball_box, grid_search
 from owasdp.polynomial import (
     Polynomial,
     RationalFunction,
@@ -31,6 +32,8 @@ from owasdp.polynomial import (
     VariableUniverse,
     parse,
 )
+from owasdp.relaxation import build_sparse, dirac_moment_vector, min_order
+from owasdp.solver import SolveStatus, solve, verify_vector
 
 from support import (
     WEIGHT_CLASSES,
@@ -186,30 +189,33 @@ class TestOmrfProblem:
         problem = make_problem(("x", "y"), ("x", "y"), (1.0, 0.0), ball=9.0)
         region = problem.region
         assert region.ball_bound == 9.0
-        assert region.ball_variables == (0, 1)
+        assert region.ball_polynomial() == parse("9 - x^2 - y^2", region.universe)
         assert region.contains(np.array([1.0, 2.0]))
         assert not region.contains(np.array([3.0, 1.0]))
 
     def test_ground_ball_must_cover_all_variables(self):
+        # a ground set's ball bound is a ball over every variable, so the
+        # region excludes (0, 3) although only x enters the function
         universe = VariableUniverse(["x", "y"])
         f = RationalFunction.from_polynomial(parse("x", universe))
         w = LambdaWeights.constants(universe, [1.0])
-        ground = SemialgebraicSet(universe, ball_bound=4.0, ball_variables=(0,))
-        with pytest.raises(ValueError):
-            OmrfProblem((f,), w, ground, 4.0)
+        ground = SemialgebraicSet(universe, ball_bound=4.0)
+        region = OmrfProblem((f,), w, ground, 4.0).region
+        assert region is ground
+        assert not region.contains(np.array([0.0, 3.0]))
 
     def test_matching_ground_ball_is_the_region(self):
         universe = VariableUniverse(["x", "y"])
         f = RationalFunction.from_polynomial(parse("x", universe))
         w = LambdaWeights.constants(universe, [1.0])
-        ground = SemialgebraicSet(universe, ball_bound=4.0, ball_variables=(1, 0))
+        ground = SemialgebraicSet(universe, ball_bound=4.0)
         assert OmrfProblem((f,), w, ground, 4.0).region is ground
 
     def test_ground_ball_must_agree(self):
         universe = VariableUniverse(["x"])
         f = RationalFunction.from_polynomial(parse("x", universe))
         w = LambdaWeights.constants(universe, [1.0])
-        ground = SemialgebraicSet(universe, ball_bound=2.0, ball_variables=(0,))
+        ground = SemialgebraicSet(universe, ball_bound=2.0)
         with pytest.raises(ValueError):
             OmrfProblem((f,), w, ground, 4.0)
 
@@ -530,11 +536,7 @@ class TestKcentrum:
         return make_problem(("x",), texts, weights, ball=9.0)
 
     def test_pattern_required(self):
-        # no level with lambda_k > lambda_{k+1}
-        for weights in ((-1.0, 0.0), (-1.0, -1.0)):
-            problem = make_problem(("x",), ("x", "1 - x"), weights, ball=4.0)
-            with pytest.raises(PatternMismatchError):
-                build_telescoping(problem)
+        # telescoping needs constant weights (any signs: see TestSelectorOnly)
         universe = VariableUniverse(["x"])
         functions = tuple(
             RationalFunction.from_polynomial(parse(t, universe)) for t in ("x", "1 - x")
@@ -807,6 +809,75 @@ class TestSignMixed:
         assert lifted.objective_den == Polynomial.constant(lifted.universe, 1.0)
         assert putinar_structurally_bounded(lifted)
         assert_lift_sound(problem, lifted, np.array([0.3, -1.2]))
+
+
+# The benchmark's OMRF ``general-0``: two quadratics in one variable on the
+# ball x^2 <= 4.
+GENERAL_0 = (
+    "0.5478467492858172 - 0.9208531449445188*x - 0.9180529521276106*x^2",
+    "-1.9338894578858836 + 1.2530809568010897*x + 0.8255111545554434*x^2",
+)
+
+
+def assert_dirac_witness_feasible(problem, lifted, sdp, point):
+    """The normalized Dirac measure at the witness of ``point`` passes the
+    relaxation's residual check and has the ordered-median value there."""
+    y = dirac_moment_vector(sdp, lifted_witness(problem, lifted, point))
+    assert verify_vector(sdp, y, 1e-7).within_tolerance
+    value = evaluate_ordered_median(problem, point)
+    assert sdp.objective.evaluate(y) == pytest.approx(value, rel=1e-9, abs=1e-9)
+
+
+def solve_at_min_order(lifted):
+    sdp = build_sparse(lifted, min_order(lifted).r_min)
+    return sdp, solve(sdp)
+
+
+class TestSelectorOnly:
+    """Constant weights with no level lambda_k > lambda_{k+1} (lambda_{m+1} =
+    0): every level below the top is a selector level or vanishes, and the
+    top level S_m = sum_j f_j is a plain sum, so no epigraph is needed, and
+    the relaxation still bounds the optimum."""
+
+    @pytest.mark.parametrize(
+        "weights, selectors, reference",
+        [
+            ((-1.0, 0.0), 2, -3.8743170739380854),
+            ((-2.0, -1.0), 2, -2.782562798762492),
+            ((-1.0, -1.0), 0, 1.0878657716195375),
+        ],
+    )
+    def test_general_0(self, weights, selectors, reference):
+        # references from grid_search at step 0.04 over the ball's box
+        problem = make_problem(("x",), GENERAL_0, weights, ball=4.0)
+        lifted = build_telescoping(problem)
+        assert group_sizes(lifted) == {"t": 0, "r": 0, "v": selectors}
+        assert putinar_structurally_bounded(lifted)
+        assert running_intersection_holds(lifted.cliques)
+        sdp, result = solve_at_min_order(lifted)
+        for x in np.linspace(-2.0, 2.0, 9):
+            assert_lift_sound(problem, lifted, np.array([x]))
+            assert_dirac_witness_feasible(problem, lifted, sdp, np.array([x]))
+        assert result.status is SolveStatus.OPTIMAL
+        assert reference - 1e-7 <= result.objective <= reference
+        grid = grid_search(problem, ball_box(problem.region), 0.04)
+        assert grid.best_value == reference
+
+    def test_random_nonpositive_nondecreasing_weights(self):
+        rng = np.random.default_rng(11)
+        for _ in range(24):
+            base = random_problem(rng, "monotone", max_m=3)
+            problem = with_constant_weights(base, np.sort(rng.uniform(-2.0, 0.0, base.m)))
+            lifted = build_telescoping(problem)
+            assert group_sizes(lifted)["t"] == 0
+            sdp, result = solve_at_min_order(lifted)
+            for _ in range(3):
+                point = random_point(rng, problem)
+                assert_lift_sound(problem, lifted, point)
+                assert_dirac_witness_feasible(problem, lifted, sdp, point)
+            assert result.status.solved()
+            grid = grid_search(problem, ball_box(problem.region), 0.04)
+            assert result.objective <= grid.best_value + 1e-8
 
 
 class TestTopLevel:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -96,9 +98,7 @@ class TestOracleResult:
 
 class TestBallBox:
     def test_box_from_ball(self):
-        region = SemialgebraicSet(
-            VariableUniverse(["x", "y"]), ball_bound=9.0, ball_variables=(0, 1)
-        )
+        region = SemialgebraicSet(VariableUniverse(["x", "y"]), ball_bound=9.0)
         box = ball_box(region)
         np.testing.assert_allclose(box, [(-3.0, 3.0), (-3.0, 3.0)])
 
@@ -139,9 +139,7 @@ class TestGridSearch:
 
     def test_infeasible_region_yields_empty(self):
         universe = VariableUniverse(["x"])
-        region = SemialgebraicSet(
-            universe, [parse("x - 10", universe)], ball_bound=4.0, ball_variables=(0,)
-        )
+        region = SemialgebraicSet(universe, [parse("x - 10", universe)], ball_bound=4.0)
         problem = pointwise(lambda x: float(x[0]), region)
         result = grid_search(problem, [(-2.0, 2.0)], 0.5)
         assert result.empty
@@ -164,7 +162,6 @@ class TestGridSearch:
             [],
             [parse("x - y", universe)],
             ball_bound=8.0,
-            ball_variables=(0, 1),
         )
         problem = pointwise(lambda p: float((p[0] - 1.0) ** 2 + p[1]), region)
         result = grid_search(problem, [(-1.0, 1.0), (-1.0, 1.0)], 0.25)
@@ -222,7 +219,6 @@ class TestMultistart:
             universe,
             [parse("x - 0.5", universe)],
             ball_bound=4.0,
-            ball_variables=(0, 1),
         )
         problem = pointwise(lambda p: float(p[0] ** 2 + p[1] ** 2), region)
         result = multistart_descent(problem, n_starts=20, seed=3)
@@ -230,15 +226,22 @@ class TestMultistart:
         assert result.best_value == pytest.approx(0.25, abs=1e-5)
         np.testing.assert_allclose(result.best_point, [0.5, 0.0], atol=1e-4)
 
+    def test_a_ball_bound_alone_keeps_the_search_in_the_ball(self):
+        # min (x - 5)^2 + (y - 5)^2 over the unit disk: at (1, 1) / sqrt(2),
+        # not at the corner (1, 1) of the ball's box
+        region = SemialgebraicSet(VariableUniverse(["x", "y"]), [], [], ball_bound=1.0)
+        problem = pointwise(lambda p: float((p[0] - 5.0) ** 2 + (p[1] - 5.0) ** 2), region)
+        result = multistart_descent(problem, n_starts=10, seed=0)
+        assert region.contains(np.array(result.best_point), tol=1e-6)
+        np.testing.assert_allclose(result.best_point, [math.sqrt(0.5)] * 2, atol=1e-4)
+
     def test_equality_constraint(self, monkeypatch):
         # min x + y on the unit circle: -sqrt(2) at -(1, 1)/sqrt(2).  The
         # region has no inequality, so every gradient the restoration takes
         # is the circle's, in the equality loop of ``_newton_restore``.
         universe = VariableUniverse(["x", "y"])
         circle = parse("x^2 + y^2 - 1", universe)
-        region = SemialgebraicSet(
-            universe, [], [circle], ball_bound=4.0, ball_variables=(0, 1)
-        )
+        region = SemialgebraicSet(universe, [], [circle], ball_bound=4.0)
         restored = []
         real_derivative = Polynomial.derivative
 
@@ -507,7 +510,6 @@ class TestPollsMatchSequentialLoops:
             return None if norm_sq <= 1e-18 else z - (value / norm_sq) * grad
 
         z = np.array(point, dtype=float)
-        ball_variables = list(region.ball_variables)
         for _ in range(oracle._RESTORE_SWEEPS):
             moved = False
             for g in region.inequalities:
@@ -519,8 +521,7 @@ class TestPollsMatchSequentialLoops:
                     moved = True
             ball = region.ball_values(z)
             if ball is not None and ball < 0.0:
-                grad = np.zeros(len(z))
-                grad[ball_variables] = -2.0 * z[ball_variables]
+                grad = -2.0 * z
                 z = step(z, float(ball), grad)
                 if z is None:
                     return None
@@ -715,7 +716,7 @@ class TestPollsMatchSequentialLoops:
     def test_repair_keeps_its_point_on_a_violation_plateau(self):
         universe = VariableUniverse(["x", "y"])
         region = SemialgebraicSet(
-            universe, [], [Polynomial.constant(universe, 1.0)], 4.0, (0, 1)
+            universe, [], [Polynomial.constant(universe, 1.0)], 4.0
         )
         problem = pointwise(lambda p: 0.0, region)
         point = np.array([0.1, 0.2])
@@ -750,7 +751,7 @@ class TestPollsMatchSequentialLoops:
         else:
             universe = VariableUniverse(["x", "y"])
             circle = parse("x^2 + y^2 - 1", universe)
-            region = SemialgebraicSet(universe, [], [circle], 4.0, (0, 1))
+            region = SemialgebraicSet(universe, [], [circle], 4.0)
             # the origin's circle gradient vanishes: that row fails alone
             points = np.vstack([rng.uniform(-1.5, 1.5, (20, 2)), [[0.0, 0.0]]])
             points = points[rng.permutation(len(points))]

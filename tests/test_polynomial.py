@@ -210,16 +210,25 @@ class TestSemialgebraicSet:
     def test_ball_and_contains(self):
         u = uni(2)
         x, y = (Polynomial.variable(u, i) for i in (0, 1))
-        K = SemialgebraicSet(u, inequalities=[x], ball_bound=2.0, ball_variables=(0, 1))
+        K = SemialgebraicSet(u, inequalities=[x], ball_bound=2.0)
         assert K.contains(np.array([1.0, 1.0]))
         assert not K.contains(np.array([-0.5, 0.0]))
         assert not K.contains(np.array([1.3, 1.0]))
         ball = K.ball_polynomial()
         assert ball.evaluate(np.array([1.0, 1.0])) == pytest.approx(0.0)
 
+    def test_a_ball_bound_alone_bounds_every_variable(self):
+        u = uni(2)
+        K = SemialgebraicSet(u, [], [], ball_bound=1.0)
+        assert K.ball_polynomial() == parse("1 - x1^2 - x2^2", u)
+        assert not K.contains(np.array([5.0, 5.0]))
+        points = np.array([[5.0, 5.0], [0.6, 0.6], [0.0, 5.0]])
+        assert K.contains_many(points).tolist() == [False, True, False]
+        np.testing.assert_array_equal(K.violation_many(points), [49.0, 0.0, 24.0])
+
     def test_ball_values_equal_the_ball_polynomial_bitwise(self):
         u = uni(3)
-        K = SemialgebraicSet(u, ball_bound=3.5, ball_variables=(2, 0))
+        K = SemialgebraicSet(u, ball_bound=3.5)
         # enough points that a square taken another way than evaluate_many's
         # (Python's float power, or NumPy's power of an exponent array) shows up
         points = np.random.default_rng(5).uniform(-2.5, 2.5, (20000, 3))
@@ -245,7 +254,7 @@ class TestSemialgebraicSet:
         for K in (
             SemialgebraicSet(u, equalities=[parse("x1 - 0.5", u)]),
             SemialgebraicSet(u, inequalities=[parse("x1", u)]),
-            SemialgebraicSet(u, ball_bound=1.0, ball_variables=(0, 1)),
+            SemialgebraicSet(u, ball_bound=1.0),
         ):
             inside = K.contains_many(points)
             violation = K.violation_many(points)
@@ -257,7 +266,7 @@ class TestSemialgebraicSet:
     def test_violation_many_sums_each_constraint_in_order(self):
         u = uni(2)
         K = SemialgebraicSet(
-            u, [parse("x1", u)], [parse("x2 - 0.5", u)], ball_bound=1.0, ball_variables=(0, 1)
+            u, [parse("x1", u)], [parse("x2 - 0.5", u)], ball_bound=1.0
         )
         points = np.random.default_rng(3).uniform(-1.5, 1.5, (200, 2))
         parts = (
@@ -275,7 +284,7 @@ class TestSemialgebraicSet:
         u = uni(2)
         tol = 1e-6
         K = SemialgebraicSet(
-            u, [parse("x1", u)], [parse("x2 - 0.5", u)], ball_bound=4.0, ball_variables=(0, 1)
+            u, [parse("x1", u)], [parse("x2 - 0.5", u)], ball_bound=4.0
         )
         offsets = (-2.0 * tol, -0.5 * tol, 0.5 * tol, 2.0 * tol)
         rim = [np.sqrt(3.75 - d) for d in offsets]  # ball value d at x2 = 0.5
