@@ -20,13 +20,22 @@ rows are eliminated once, at compile time, by a sparse Gauss-Jordan pass
 with threshold pivoting (Andersen & Andersen 1995): every y with E y = b is
 y = fixed + free z, dependent rows are dropped after a consistency check,
 and the iteration runs over the free moments z on the blocks substituted at
-that y.  The blocks are grouped by size: the primal and dual matrices of one
-group are stacked, so every phase of an iteration (scaling, corrector, step
-lengths, Cholesky checks) is a few batched NumPy calls per group.  All block
-maps are substituted at once, by two sparse products over the stacked blocks,
-and compiled into the sparsity patterns of their coefficient matrices, which
-yield the block map and its adjoint (one sparse operator), the KKT pattern
-and the Schur terms.  Every sparse map the iteration applies (the block map
+that y.  Every block matrix of an iterate lives in one flat block vector,
+the blocks of one size consecutive, so that each size group is a (K, n, n)
+view of it.  A group makes its own calls only where a batched ``np.matmul``
+or a LAPACK routine needs that stack; every elementwise step of an
+iteration (symmetrizing, the scalings by d, finiteness checks, the gap sums
+and the trial point of the step search) is one call on the flat vector,
+through index maps fixed at compile time.  The primal and the dual matrix
+of the same step form a pair (2, dim) of flat vectors, whose (2, K, n, n)
+view per group, [X stack; Z stack], one ``eigvalsh`` or Cholesky call
+reads.  SVD, ``eigvalsh`` and Cholesky are NumPy's own gufuncs
+(``numpy.linalg._umath_linalg``), called without the ``np.linalg``
+wrappers: same bits, with NaN for a block they cannot factor, which the
+finiteness checks catch.  All block maps are substituted at once, by two
+sparse products over the stacked blocks, and compiled into the sparsity
+patterns of their coefficient matrices, which yield the block map and its
+adjoint (one sparse operator), the KKT pattern and the Schur terms.  Every sparse map the iteration applies (the block map
 and its adjoint, the equality rows, the null-space basis of the elimination
 and the Schur groups' maps) is compiled into CSR arrays (``_Csr``) that
 scipy's own compiled kernels apply, so no ``scipy.sparse`` object remains
@@ -82,6 +91,7 @@ import numpy as np
 import scipy.linalg.blas
 import scipy.linalg.lapack
 import scipy.sparse
+from numpy.linalg import _umath_linalg
 from scipy.sparse import _sparsetools
 
 from .moment import term_sums
@@ -724,9 +734,19 @@ class _Compiled:
     storage of the KKT matrix H + dI (a ``_CliqueLayout``), the values
     vector its Schur terms and diagonal are written into and the scatter map
     from that vector into the storage are fixed here, and so are the
-    per-group constants of the iteration (stack ``spans``, ``identities``
-    and ``diagonals``) and the workspace of the Schur terms, so an
-    iteration only fills numbers in.
+    workspace of the Schur terms and the flat layout of the iteration, so
+    an iteration only fills numbers in.
+
+    The flat layout: every group's stack spans ``spans`` of a flat block
+    vector (``stacks`` gives the views), and its rows, one per row of every
+    block (d and the eigenvalues), ``row_spans`` of a row vector (``rows``).
+    A pair (2, dim) of flat vectors, primal then dual, has the group views
+    (2, K, n, n).  The index maps let one call do an elementwise step for
+    every block: ``mirror`` is the entry (j, i) of every entry (i, j),
+    ``row_of`` and ``col_of`` the rows of its i and its j (so d_i d_j is
+    d[row_of] * d[col_of]), ``diagonal`` the entry of every row's diagonal,
+    ``first_rows`` every block's first row, and ``padded`` and
+    ``padded_starts`` the gather and segments of ``group_sums``.
     """
 
     def __init__(self, sdp: SdpProblem) -> None:
@@ -896,12 +916,26 @@ class _Compiled:
             lo = hi
         self.kkt_values = np.empty(start)
         # Per size group: the span (start, end, (K, n, n)) of its stack in a
-        # flat block vector, its identity and its diagonal indices.
+        # flat block vector, and (start, end, (K, n)) of its rows in a row
+        # vector.
+        rows = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
         self.spans = [
             (int(offsets[lo]), int(offsets[hi]), (hi - lo, n, n)) for n, lo, hi in self.groups
         ]
-        self.identities = [np.eye(n) for n, _, _ in self.groups]
-        self.diagonals = [np.arange(n) for n, _, _ in self.groups]
+        self.row_spans = [
+            (int(rows[lo]), int(rows[hi]), (hi - lo, n)) for n, lo, hi in self.groups
+        ]
+        # The index maps of the flat layout (see the class docstring).
+        local = np.arange(self.dim) - offsets[slot]
+        i, j = np.divmod(local, sizes[slot])
+        self.mirror = offsets[slot] + j * sizes[slot] + i
+        self.row_of = rows[slot] + i
+        self.col_of = rows[slot] + j
+        self.diagonal = np.flatnonzero(i == j)
+        self.first_rows = rows[:-1]
+        group_starts = [start for start, _, _ in self.spans]
+        self.padded = np.insert(np.arange(self.dim), group_starts, self.dim)
+        self.padded_starts = np.array(group_starts, dtype=np.int64) + np.arange(len(group_starts))
         # One buffer for the largest F = G T of ``_schur_terms``, reused by
         # every shape and iteration: a fresh multi-megabyte F per call lets
         # the C allocator return it to the system and fault it in again.
@@ -930,14 +964,34 @@ class _Compiled:
         return float(np.abs(self.E @ y - self.b).max(initial=0.0))
 
     def stacks(self, flat: np.ndarray) -> List[np.ndarray]:
-        """(K, n, n) views of a flat block vector, one per size group."""
-        return [flat[start:end].reshape(shape) for start, end, shape in self.spans]
+        """(K, n, n) views of a flat block vector, one per size group; of
+        rows of them, as a pair (2, dim), the (2, K, n, n) views, here
+        [X stack; Z stack]."""
+        if flat.ndim == 1:
+            return [flat[start:end].reshape(shape) for start, end, shape in self.spans]
+        lead = flat.shape[:1]
+        return [flat[:, start:end].reshape(lead + shape) for start, end, shape in self.spans]
+
+    def rows(self, vector: np.ndarray) -> List[np.ndarray]:
+        """(K, n) views of a row vector (d, or the eigenvalues), one per size
+        group; of a pair, (2, K, n)."""
+        if vector.ndim == 1:
+            return [vector[start:end].reshape(shape) for start, end, shape in self.row_spans]
+        lead = vector.shape[:1]
+        return [vector[:, start:end].reshape(lead + shape) for start, end, shape in self.row_spans]
+
+    def group_sums(self, flat: np.ndarray) -> np.ndarray:
+        """The sum of every size group's entries, with the bits of each
+        group stack's ``sum()``: that sum adds its entries to a zero, so one
+        ``reduceat`` adds each group's after a zero gathered in front."""
+        return np.add.reduceat(np.concatenate((flat, (0.0,)))[self.padded], self.padded_starts)
 
     def identity_point(self) -> np.ndarray:
         """The starting point: each block is (1 + ||C_k||) I."""
-        out = np.empty(self.dim)
-        for (_, lo, hi), eye, stack in zip(self.groups, self.identities, self.stacks(out)):
-            stack[...] = eye * self.block_scale[lo:hi, None, None]
+        out = np.zeros(self.dim)
+        out[self.diagonal] = np.repeat(
+            self.block_scale, np.diff(self.first_rows, append=self.cone_dim)
+        )
         return out
 
     def block_norms(self, flat: np.ndarray) -> np.ndarray:
@@ -945,25 +999,6 @@ class _Compiled:
         if not self.groups:
             return np.zeros(0)
         return np.sqrt(np.add.reduceat(flat * flat, self.block_starts))
-
-    def cholesky(
-        self, x: np.ndarray, z: np.ndarray
-    ) -> Optional[Tuple[List[np.ndarray], List[np.ndarray]]]:
-        """The Cholesky factors of the stacked blocks of two flat block
-        vectors, per size group, from one call per group on both stacks;
-        None when some block is not positive definite."""
-        try:
-            factors = [
-                np.linalg.cholesky(np.concatenate(pair))
-                for pair in zip(self.stacks(x), self.stacks(z))
-            ]
-        except np.linalg.LinAlgError:
-            return None
-        counts = [hi - lo for _, lo, hi in self.groups]
-        return (
-            [f[:k] for f, k in zip(factors, counts)],
-            [f[k:] for f, k in zip(factors, counts)],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -995,8 +1030,12 @@ class _PhaseClock:
         self._last = now
 
 
-def _symmetrize(stack: np.ndarray) -> np.ndarray:
-    return 0.5 * (stack + stack.mT)
+def _symmetrize(
+    comp: _Compiled, flat: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """(M + M') / 2 for every block M of a flat block vector, by one gather
+    of the mirror entries."""
+    return np.multiply(0.5, flat + flat[comp.mirror], out=out)
 
 
 def _finite(*arrays: np.ndarray) -> bool:
@@ -1006,23 +1045,63 @@ def _finite(*arrays: np.ndarray) -> bool:
     return True
 
 
-def _nt_scaling(Lx: np.ndarray, Lz: np.ndarray, eye: np.ndarray):
-    """Nesterov-Todd scaling of stacked blocks X = Lx Lx', Z = Lz Lz' from
-    their Cholesky factors (Todd, Toh & Tutuncu 1998): with the SVD
-    Lz' Lx = U diag(d) V', the scaling T = Lx V d^{-1/2}, its inverse
-    T^{-1} = d^{-1/2} U' Lz', G = W^{-1} = T^{-T} T^{-1} for W = T T' (the W
-    with W Z W = X), and the shared scaled point
-    lambda = T^{-1} X T^{-T} = T' Z T = diag(d), built from the identity
-    ``eye``.  Returns (G, T, T^{-1}, d, lambda, d^{-1/2} d^{-1/2}'), all
-    that the iteration reads of d; the caller checks that they are
-    finite."""
-    U, d, Vt = np.linalg.svd(Lz.mT @ Lx)
+def _sandwich(
+    comp: _Compiled, left: List[np.ndarray], flat: np.ndarray, right: List[np.ndarray]
+) -> np.ndarray:
+    """L M R for every block M of a flat block vector, from the stacks
+    ``left`` and ``right`` of every size group: two batched products per
+    group."""
+    out = np.empty_like(flat)
+    for lhs, m, rhs, dst in zip(left, comp.stacks(flat), right, comp.stacks(out)):
+        np.matmul(lhs @ m, rhs, out=dst)
+    return out
+
+
+def _cholesky(comp: _Compiled, pair: np.ndarray) -> Optional[np.ndarray]:
+    """The Cholesky factors of the blocks of a pair (2, dim) of flat block
+    vectors, as a pair: one ``cholesky_lo`` call per size group on its
+    [X stack; Z stack] view.  None when some block is not positive
+    definite, which leaves NaN in its factor."""
+    out = np.empty_like(pair)
+    for blocks, factors in zip(comp.stacks(pair), comp.stacks(out)):
+        _umath_linalg.cholesky_lo(blocks, out=factors)
+    return out if np.isfinite(out).all() else None
+
+
+def _nt_scaling(comp: _Compiled, factors: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Nesterov-Todd scaling of every block pair X = Lx Lx', Z = Lz Lz' from
+    the pair of their Cholesky factors (see ``_cholesky``; Todd, Toh &
+    Tutuncu 1998): with the SVD Lz' Lx = U diag(d) V', the scaling
+    T = Lx V d^{-1/2}, its inverse T^{-1} = d^{-1/2} U' Lz', G = W^{-1} =
+    T^{-T} T^{-1} for W = T T' (the W with W Z W = X), and the shared scaled
+    point lambda = T^{-1} X T^{-T} = T' Z T = diag(d).  Returns (G, T,
+    T^{-1}, d, lambda, d^{-1/2} d^{-1/2}'), all that the iteration reads of
+    the scaling, with d a row vector and the others flat block vectors.
+    Each size group makes its three products with Lx and Lz, its SVD and
+    the product that forms G; every scaling by d is one flat product through
+    the row and column maps.  The caller checks that the parts are finite:
+    the SVD leaves NaN where it does not converge."""
+    d = np.empty(comp.cone_dim)
+    parts = np.empty((3, comp.dim))
+    T, T_inv, G = parts
+    factor_stacks, part_stacks = comp.stacks(factors), comp.stacks(parts)
+    svds = [
+        _umath_linalg.svd_f(lz.mT @ lx, out=(None, values, None))
+        for (lx, lz), values in zip(factor_stacks, comp.rows(d))
+    ]
     d = np.maximum(d, 1e-300)
     root = 1.0 / np.sqrt(d)
-    T = (Lx @ Vt.mT) * root[:, None, :]
-    T_inv = root[:, :, None] * (U.mT @ Lz.mT)
-    G = _symmetrize(T_inv.mT @ T_inv)
-    return G, T, T_inv, d, d[:, :, None] * eye, root[:, :, None] * root[:, None, :]
+    for (lx, lz), (U, _, Vt), (t, ti, _) in zip(factor_stacks, svds, part_stacks):
+        np.matmul(lx, Vt.mT, out=t)
+        np.matmul(U.mT, lz.mT, out=ti)
+    root_row, root_col = root[comp.row_of], root[comp.col_of]
+    T *= root_col
+    T_inv *= root_row
+    for _, ti, g in part_stacks:
+        np.matmul(ti.mT, ti, out=g)
+    lam = np.zeros(comp.dim)
+    lam[comp.diagonal] = d
+    return _symmetrize(comp, G, out=G), T, T_inv, d, lam, root_row * root_col
 
 
 def _schur_terms(comp: _Compiled, G: List[np.ndarray]) -> None:
@@ -1072,42 +1151,84 @@ def _products(comp: _Compiled, shape: _SchurGroup, g: np.ndarray) -> np.ndarray:
     return F
 
 
-def _congruence(comp: _Compiled, G: List[np.ndarray], flat: np.ndarray) -> np.ndarray:
-    """sym(G M G) for every block M of a flat block vector."""
-    out = np.empty_like(flat)
-    for g, m, dst in zip(G, comp.stacks(flat), comp.stacks(out)):
-        dst[...] = _symmetrize(g @ m @ g)
-    return out
-
-
-def _scaled(comp: _Compiled, T_inv: List[np.ndarray], flat: np.ndarray) -> List[np.ndarray]:
-    """sym(T^{-1} M T^{-T}) for every block M of a flat block vector, as
-    stacks per size group."""
-    return [_symmetrize(ti @ m @ ti.mT) for ti, m in zip(T_inv, comp.stacks(flat))]
+def _congruence(
+    comp: _Compiled,
+    left: List[np.ndarray],
+    flat: np.ndarray,
+    right: List[np.ndarray],
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """sym(L M R) for every block M of a flat block vector (see
+    ``_sandwich``), with R = L' or, for a symmetric L as G, R = L:
+    sym(G M G), sym(T^{-1} M T^{-T}) and sym(T' M T)."""
+    return _symmetrize(comp, _sandwich(comp, left, flat, right), out=out)
 
 
 def _step_lengths(
-    outer: List[np.ndarray], primal: List[np.ndarray], dual: List[np.ndarray]
+    comp: _Compiled, outer: np.ndarray, scaled: np.ndarray
 ) -> Optional[Tuple[float, float]]:
-    """sup {a : X + a dX PSD} and sup {a : Z + a dZ PSD} from the scaled
-    directions dX~ = T^{-1} dX T^{-T} and dZ~ = T' dZ T per size group.
+    """sup {a : X + a dX PSD} and sup {a : Z + a dZ PSD} from the pair
+    ``scaled`` of the scaled directions dX~ = T^{-1} dX T^{-T} and dZ~ =
+    T' dZ T.
 
     X + a dX = T (lambda + a dX~) T' with lambda = diag(d), so each bound is
     -1 / lambda_min(d^{-1/2} dX~ d^{-1/2}) (inf when that is nonnegative),
-    with the ``outer`` = d^{-1/2} d^{-1/2}' of the NT scaling; the primal
-    and dual matrices of a group share one ``eigvalsh``.  None when a
-    scaled direction is not finite."""
-    smallest = [math.inf, math.inf]
-    for oi, dx, dz in zip(outer, primal, dual):
-        stacked = np.concatenate([dx * oi, dz * oi])
-        if not _finite(stacked):
-            return None
-        least = np.linalg.eigvalsh(stacked)[:, 0]
-        K = oi.shape[0]
-        smallest[0] = min(smallest[0], float(least[:K].min()))
-        smallest[1] = min(smallest[1], float(least[K:].min()))
-    alpha_p, alpha_d = (math.inf if s >= 0.0 else -1.0 / s for s in smallest)
+    with the flat ``outer`` = d^{-1/2} d^{-1/2}' of the NT scaling.  One
+    flat product scales both directions, and each size group's
+    [primal stack; dual stack] is one (2, K, n, n) view of the pair that
+    one ``eigvalsh_lo`` call reads; the least eigenvalue of every block is
+    gathered from the eigenvalue pair at its first row.  None when a
+    scaled direction is not finite, or when ``eigvalsh_lo`` does not
+    converge on a block (it leaves NaN there)."""
+    scaled = scaled * outer
+    if not np.isfinite(scaled).all():
+        return None
+    eigenvalues = np.empty((2, comp.cone_dim))
+    for blocks, values in zip(comp.stacks(scaled), comp.rows(eigenvalues)):
+        _umath_linalg.eigvalsh_lo(blocks, out=values)
+    least = eigenvalues[:, comp.first_rows].min(axis=1, initial=math.inf).tolist()
+    if math.isnan(least[0]) or math.isnan(least[1]):
+        return None
+    alpha_p, alpha_d = [math.inf if s >= 0.0 else -1.0 / s for s in least]
     return alpha_p, alpha_d
+
+
+def _corrector_target(
+    comp: _Compiled,
+    T: List[np.ndarray],
+    d: np.ndarray,
+    scaled: np.ndarray,
+    sigma: float,
+    mu: float,
+) -> np.ndarray:
+    """The X-space target T J T' of the Mehrotra corrector, as a flat block
+    vector, from the NT scaling (the stacks T of every size group and the
+    row vector d) and the pair ``scaled`` of the predictor's scaled
+    directions.
+
+    In the scaled space the combined step solves lambda o J = sigma*mu*I -
+    lambda^2 - sym(dx~_aff dz~_aff) for J = dx~ + dz~, exactly since lambda
+    is diagonal.  A block whose target overflows falls back to the pure
+    centering step J = sigma*mu*lambda^{-1} - lambda; a target that is still
+    non-finite is left for the caller's finiteness check."""
+    product = np.empty(comp.dim)
+    for (dx, dzs), dst in zip(comp.stacks(scaled), comp.stacks(product)):
+        np.matmul(dx, dzs, out=dst)
+    rhs = -_symmetrize(comp, product)
+    rhs[comp.diagonal] += sigma * mu - d * d
+    J = 2.0 * rhs / (d[comp.row_of] + d[comp.col_of])
+    corrected = _sandwich(comp, T, J, [t.mT for t in T])
+    finite = np.isfinite(corrected)
+    if not finite.all():
+        bad = ~np.logical_and.reduceat(finite, comp.block_starts)
+        for (n, lo, hi), t, j, c, di in zip(
+            comp.groups, T, comp.stacks(J), comp.stacks(corrected), comp.rows(d)
+        ):
+            b = bad[lo:hi]
+            if b.any():
+                j[b] = (sigma * mu / di[b] - di[b])[:, :, None] * np.eye(n)
+                c[b] = t[b] @ j[b] @ t[b].mT
+    return _symmetrize(comp, corrected)
 
 
 class _CliqueFactor:
@@ -1283,10 +1404,10 @@ def solve(sdp: SdpProblem) -> SolverResult:
 
     total_cone = max(comp.cone_dim, 1)
     z = np.zeros(comp.z_dim)
-    X = comp.identity_point()
-    Z = X.copy()
-    # Cholesky factors of X and Z, carried over from the step search.
-    chol_x, chol_z = comp.cholesky(X, Z)
+    # The iterate (X, Z) as a pair of flat block vectors, and its Cholesky
+    # factors, carried over from the step search.
+    XZ = np.stack([comp.identity_point()] * 2)
+    factors = _cholesky(comp, XZ)
 
     status = SolveStatus.NUMERICAL_FAILURE
     stall_ref = math.inf
@@ -1310,6 +1431,7 @@ def solve(sdp: SdpProblem) -> SolverResult:
     # the iteration: nothing it calls enters another.
     with np.errstate(over="ignore", invalid="ignore"):
         for iteration in range(1, _MAX_ITERS + 1):
+            X, Z = XZ
             y = comp.moments(z)
             residual = comp.constant + comp.A @ z - X
             # free' (c - A'Z): the y-space dual residual at the multipliers of
@@ -1355,21 +1477,19 @@ def solve(sdp: SdpProblem) -> SolverResult:
                 note = "progress stalled"
                 break
 
-            # NT scaling per size group from the Cholesky factors of X and Z:
-            # G = W^{-1}, T with W = T T', the shared scaled point
-            # lambda = diag(d) for the Jordan-product solves below, and
-            # d^{-1/2} d^{-1/2}' for both step-length searches.
-            try:
-                scaling = [
-                    _nt_scaling(lx, lz, eye)
-                    for lx, lz, eye in zip(chol_x, chol_z, comp.identities)
-                ]
-            except np.linalg.LinAlgError:  # the SVD of non-finite factors
-                scaling = None
-            if scaling is None or not _finite(*itertools.chain.from_iterable(scaling)):
+            # NT scaling from the Cholesky factors of X and Z: G = W^{-1}, T
+            # with W = T T', the shared scaled point lambda = diag(d) for the
+            # Jordan-product solves of the corrector, and d^{-1/2} d^{-1/2}'
+            # for both step-length searches.  lambda and d^{-1/2} d^{-1/2}'
+            # are finite exactly when d is, so they need no check of their own.
+            scaling = _nt_scaling(comp, factors)
+            if not _finite(*scaling[:4]):
                 note, finite = "non-finite NT scaling", False
                 break
-            G, T, T_inv, d, lam, outer = map(list, zip(*scaling))
+            G, T, T_inv, d, lam, outer = scaling
+            G, T, T_inv = map(comp.stacks, (G, T, T_inv))
+            T_t = [t.mT for t in T]
+            T_inv_t = [t.mT for t in T_inv]
             clock.lap("scaling")
 
             _schur_terms(comp, G)
@@ -1385,65 +1505,48 @@ def solve(sdp: SdpProblem) -> SolverResult:
                 break
             clock.lap("kkt_factor")
 
-            def newton(target: np.ndarray, R: Optional[List[np.ndarray]]):
+            def newton(target: np.ndarray, R: Optional[np.ndarray]):
                 """The Newton step with dX + W dZ W = target: (dz, dX, dZ,
-                dX~, dZ~, step lengths); None when a direction is not finite.
-                The predictor (``R`` given) has no dZ and dZ~ = R - dX~.  The
-                corrector's dZ = G (target - dX) G drifts off A'dZ = r_d as
-                ||H|| grows; it adds sym(G (A w) G), w = (H + dI)^{-1} (r_d -
-                A'dZ), and dZ~ = sym(T' dZ T)."""
-                dz = kkt.solve(comp.At @ _congruence(comp, G, target - residual) - r_d)
+                the pair [dX~; dZ~], step lengths); None when a direction is
+                not finite.  The predictor (``R`` given) has no dZ and dZ~ =
+                R - dX~.  The corrector's dZ = G (target - dX) G drifts off
+                A'dZ = r_d as ||H|| grows; it adds sym(G (A w) G), w = (H +
+                dI)^{-1} (r_d - A'dZ), and dZ~ = sym(T' dZ T)."""
+                dz = kkt.solve(comp.At @ _congruence(comp, G, target - residual, G) - r_d)
                 dX = comp.A @ dz + residual
                 dZ = None
                 if R is None:
-                    dZ = _congruence(comp, G, target - dX)
-                    dZ += _congruence(comp, G, comp.A @ kkt.solve(r_d - comp.At @ dZ))
+                    dZ = _congruence(comp, G, target - dX, G)
+                    dZ += _congruence(comp, G, comp.A @ kkt.solve(r_d - comp.At @ dZ), G)
                 clock.lap("kkt_solve")
                 if not _finite(dz, dX) or (dZ is not None and not _finite(dZ)):
                     return None
-                dx = _scaled(comp, T_inv, dX)
+                scaled = np.empty((2, comp.dim))
+                _congruence(comp, T_inv, dX, T_inv_t, out=scaled[0])
                 if R is None:
-                    dzs = [_symmetrize(t.mT @ m @ t) for t, m in zip(T, comp.stacks(dZ))]
+                    _congruence(comp, T_t, dZ, T, out=scaled[1])
                 else:
-                    dzs = [r - x for r, x in zip(R, dx)]
-                steps = _step_lengths(outer, dx, dzs)
-                return None if steps is None else (dz, dX, dZ, dx, dzs, steps)
+                    np.subtract(R, scaled[0], out=scaled[1])
+                steps = _step_lengths(comp, outer, scaled)
+                return None if steps is None else (dz, dX, dZ, scaled, steps)
 
             # Predictor: pure Newton step toward the boundary, R = -lambda.
-            predictor = newton(-X, [-lm for lm in lam])
+            predictor = newton(-X, -lam)
             if predictor is None:
                 note, finite = "non-finite predictor direction", False
                 break
-            *_, dx_aff, dz_aff, steps = predictor
-            alpha_p_aff, alpha_d_aff = (min(1.0, step) for step in steps)
-            gap_aff = sum(
-                [
-                    float(((lm + alpha_p_aff * dx) * (lm + alpha_d_aff * dzs)).sum())
-                    for lm, dx, dzs in zip(lam, dx_aff, dz_aff)
-                ]
-            )
+            *_, scaled_aff, steps = predictor
+            alpha_p_aff, alpha_d_aff = [min(1.0, step) for step in steps]
+            dx_aff, dz_aff = scaled_aff
+            products = (lam + alpha_p_aff * dx_aff) * (lam + alpha_d_aff * dz_aff)
+            gap_aff = sum(comp.group_sums(products).tolist())
             sigma = min(0.999, max(1e-8, (max(gap_aff, 0.0) / gap) ** 3))
             clock.lap("step_search")
 
-            # Mehrotra corrector: in the scaled space the combined step solves
-            # lambda o J = sigma*mu*I - lambda^2 - sym(dx~_aff dz~_aff) for
-            # J = dx~ + dz~, exactly since lambda is diagonal; the X-space
-            # target is T J T'.  A block whose target overflows falls back to
-            # the pure centering step; a direction that is still non-finite
+            # Mehrotra corrector toward the target T J T' (see
+            # ``_corrector_target``); a direction that is still non-finite
             # ends the solve below.
-            target = np.empty(comp.dim)
-            for diag, eye, ti, di, dx, dzs, dst in zip(
-                comp.diagonals, comp.identities, T, d, dx_aff, dz_aff, comp.stacks(target)
-            ):
-                rhs = -_symmetrize(dx @ dzs)
-                rhs[:, diag, diag] += sigma * mu - di * di
-                J = 2.0 * rhs / (di[:, :, None] + di[:, None, :])
-                corrected = ti @ J @ ti.mT
-                bad = ~np.isfinite(corrected).all(axis=(1, 2))
-                if bad.any():
-                    J[bad] = (sigma * mu / di[bad] - di[bad])[:, :, None] * eye
-                    corrected[bad] = ti[bad] @ J[bad] @ ti[bad].mT
-                dst[...] = _symmetrize(corrected)
+            target = _corrector_target(comp, T, d, scaled_aff, sigma, mu)
             clock.lap("scaling")
 
             corrector = newton(target, None)
@@ -1451,12 +1554,13 @@ def solve(sdp: SdpProblem) -> SolverResult:
                 note, finite = "non-finite corrector direction", False
                 break
             dz, dX, dZ, *_, steps = corrector
-            alpha_p, alpha_d = (min(1.0, 0.98 * step) for step in steps)
+            alpha_p, alpha_d = [min(1.0, 0.98 * step) for step in steps]
 
+            trial = np.empty_like(XZ)
             for _ in range(6):
-                new_x = X + alpha_p * dX
-                new_z = Z + alpha_d * dZ
-                factors = comp.cholesky(new_x, new_z)
+                np.add(X, alpha_p * dX, out=trial[0])
+                np.add(Z, alpha_d * dZ, out=trial[1])
+                factors = _cholesky(comp, trial)
                 if factors is not None:
                     break
                 alpha_p *= 0.5
@@ -1468,8 +1572,7 @@ def solve(sdp: SdpProblem) -> SolverResult:
 
             row[4:] = [sigma, alpha_p, alpha_d]
             z = z + alpha_p * dz
-            X, Z = new_x, new_z
-            chol_x, chol_z = factors
+            XZ = trial
 
     if status is not SolveStatus.OPTIMAL:
         near = finite and _near(*best_triple)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import os
+import sys
 import tracemalloc
 import types
 import warnings
@@ -298,10 +300,104 @@ def random_scaling(comp, seed):
     rng = np.random.default_rng(seed)
     X = random_block_vector(comp, rng, definite=True)
     Z = random_block_vector(comp, rng, definite=True)
-    return [
-        solver_module._nt_scaling(lx, lz, eye)[0]
-        for lx, lz, eye in zip(*comp.cholesky(X, Z), comp.identities)
-    ]
+    factors = solver_module._cholesky(comp, np.stack([X, Z]))
+    return comp.stacks(solver_module._nt_scaling(comp, factors)[0])
+
+
+# Per-group reference kernels of the interior-point iteration: every step
+# one call per size group, through NumPy's public ``linalg``.  The flat
+# kernels must give their bits.
+
+
+def reference_symmetrize(stack):
+    return 0.5 * (stack + stack.mT)
+
+
+def reference_cholesky(comp, x, z):
+    """Per size group, the Cholesky factors of the X and the Z stack from one
+    ``np.linalg.cholesky`` of both; None when a block is not PD."""
+    try:
+        factors = [
+            np.linalg.cholesky(np.concatenate(pair))
+            for pair in zip(comp.stacks(x), comp.stacks(z))
+        ]
+    except np.linalg.LinAlgError:
+        return None
+    counts = [hi - lo for _, lo, hi in comp.groups]
+    return [f[:k] for f, k in zip(factors, counts)], [f[k:] for f, k in zip(factors, counts)]
+
+
+def reference_nt_scaling(Lx, Lz, eye):
+    """(G, T, T^{-1}, d, lambda, d^{-1/2} d^{-1/2}') of one size group."""
+    U, d, Vt = np.linalg.svd(Lz.mT @ Lx)
+    d = np.maximum(d, 1e-300)
+    root = 1.0 / np.sqrt(d)
+    T = (Lx @ Vt.mT) * root[:, None, :]
+    T_inv = root[:, :, None] * (U.mT @ Lz.mT)
+    G = reference_symmetrize(T_inv.mT @ T_inv)
+    return G, T, T_inv, d, d[:, :, None] * eye, root[:, :, None] * root[:, None, :]
+
+
+def reference_congruence(comp, G, flat):
+    """sym(G M G) per block, as a flat block vector."""
+    out = np.empty_like(flat)
+    for g, m, dst in zip(G, comp.stacks(flat), comp.stacks(out)):
+        dst[...] = reference_symmetrize(g @ m @ g)
+    return out
+
+
+def reference_scaled(comp, T_inv, flat):
+    """sym(T^{-1} M T^{-T}) per block, as stacks per size group."""
+    return [reference_symmetrize(ti @ m @ ti.mT) for ti, m in zip(T_inv, comp.stacks(flat))]
+
+
+def reference_step_lengths(outer, primal, dual):
+    """Both step lengths from the scaled direction stacks of every group."""
+    smallest = [math.inf, math.inf]
+    for oi, dx, dz in zip(outer, primal, dual):
+        stacked = np.concatenate([dx * oi, dz * oi])
+        if not np.isfinite(stacked).all():
+            return None
+        least = np.linalg.eigvalsh(stacked)[:, 0]
+        K = oi.shape[0]
+        smallest[0] = min(smallest[0], float(least[:K].min()))
+        smallest[1] = min(smallest[1], float(least[K:].min()))
+    return tuple(math.inf if s >= 0.0 else -1.0 / s for s in smallest)
+
+
+def reference_corrector_target(comp, T, d, dx_aff, dz_aff, sigma, mu):
+    """T J T' per size group, with the pure centering step in every block
+    whose T J T' overflows."""
+    target = np.empty(comp.dim)
+    for (n, _, _), ti, di, dx, dzs, dst in zip(
+        comp.groups, T, d, dx_aff, dz_aff, comp.stacks(target)
+    ):
+        diag = np.arange(n)
+        rhs = -reference_symmetrize(dx @ dzs)
+        rhs[:, diag, diag] += sigma * mu - di * di
+        J = 2.0 * rhs / (di[:, :, None] + di[:, None, :])
+        corrected = ti @ J @ ti.mT
+        bad = ~np.isfinite(corrected).all(axis=(1, 2))
+        if bad.any():
+            J[bad] = (sigma * mu / di[bad] - di[bad])[:, :, None] * np.eye(n)
+            corrected[bad] = ti[bad] @ J[bad] @ ti[bad].mT
+        dst[...] = reference_symmetrize(corrected)
+    return target
+
+
+def reference_scaling(comp, X, Z):
+    """The per-group reference NT scaling of a flat pair, as lists per part
+    (G, T, T^{-1}, d, lambda, outer)."""
+    Lx, Lz = reference_cholesky(comp, X, Z)
+    parts = [reference_nt_scaling(lx, lz, np.eye(lx.shape[1])) for lx, lz in zip(Lx, Lz)]
+    return [list(part) for part in zip(*parts)]
+
+
+def flat_scaling(comp, X, Z):
+    """The flat NT scaling of a flat pair, (G, T, T^{-1}, d, lambda, outer),
+    and the stacks of G, T and T^{-1} per size group."""
+    parts = solver_module._nt_scaling(comp, solver_module._cholesky(comp, np.stack([X, Z])))
+    return parts, [comp.stacks(part) for part in parts[:3]]
 
 
 def reference_nt_inverse(x, z):
@@ -374,7 +470,7 @@ def operator_schur(comp, G):
     columns = as_scipy(comp.A).toarray()
     return np.column_stack(
         [
-            comp.At @ solver_module._congruence(comp, G, columns[:, j])
+            comp.At @ solver_module._congruence(comp, G, columns[:, j], G)
             for j in range(comp.z_dim)
         ]
     )
@@ -756,14 +852,15 @@ class TestBundledBackend:
         # Blowing up the NT scaling G overflows the Schur terms, T^{-1} the
         # scaled directions and their step lengths, and T, which only the
         # corrector uses, its X-space target T J T' and so its direction:
-        # the solver checks each.
+        # the solver checks each.  The scaling blows up from the fourth
+        # iteration on.
         real_nt_scaling = solver_module._nt_scaling
         calls = []
 
-        def blown_up(Lx, Lz, eye):
+        def blown_up(comp, factors):
             calls.append(1)
-            parts = list(real_nt_scaling(Lx, Lz, eye))
-            if len(calls) > 6:
+            parts = list(real_nt_scaling(comp, factors))
+            if len(calls) > 3:
                 parts[part] = parts[part] * 1e200
             return tuple(parts)
 
@@ -771,32 +868,56 @@ class TestBundledBackend:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = solve(weber_sparse)
-        assert len(calls) > 6
+        assert len(calls) > 3
         assert res.status is SolveStatus.NUMERICAL_FAILURE
         assert res.y is None
         assert res.diagnostics["note"] == note
 
     @pytest.mark.parametrize("failure", ["svd", "nan"])
     def test_non_finite_nt_scaling_reports_failure(self, monkeypatch, weber_sparse, failure):
-        # The SVD of non-finite Cholesky factors raises; a scaling that
-        # comes out non-finite is caught by the check that follows.
-        real_nt_scaling = solver_module._nt_scaling
+        # An SVD that does not converge leaves NaN in its outputs, and a
+        # scaling that comes out non-finite another way is caught by the
+        # same check.  weber_sparse has two size groups, so the seventh SVD
+        # is the first of the fourth iteration, and in that iteration the
+        # first group's d turns NaN in the other case.
         calls = []
+        if failure == "svd":
+            real = solver_module._umath_linalg
 
-        def broken(Lx, Lz, eye):
-            calls.append(1)
-            parts = real_nt_scaling(Lx, Lz, eye)
-            if len(calls) <= 6:
+            def unconverged_svd(a, out):
+                calls.append(1)
+                parts = real.svd_f(a, out=out)
+                if len(calls) > 6:
+                    for part in parts:
+                        part[...] = np.nan
                 return parts
-            if failure == "svd":
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return (*parts[:3], np.full_like(parts[3], np.nan), *parts[4:])
 
-        monkeypatch.setattr(solver_module, "_nt_scaling", broken)
+            monkeypatch.setattr(
+                solver_module,
+                "_umath_linalg",
+                types.SimpleNamespace(
+                    svd_f=unconverged_svd,
+                    eigvalsh_lo=real.eigvalsh_lo,
+                    cholesky_lo=real.cholesky_lo,
+                ),
+            )
+        else:
+            real_nt_scaling = solver_module._nt_scaling
+
+            def broken(comp, factors):
+                calls.append(1)
+                parts = real_nt_scaling(comp, factors)
+                if len(calls) <= 3:
+                    return parts
+                d = parts[3].copy()
+                comp.rows(d)[0][...] = np.nan
+                return (*parts[:3], d, *parts[4:])
+
+            monkeypatch.setattr(solver_module, "_nt_scaling", broken)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = solve(weber_sparse)
-        assert len(calls) > 6
+        assert len(calls) > (6 if failure == "svd" else 3)
         assert res.status is SolveStatus.NUMERICAL_FAILURE
         assert res.y is None
         assert res.diagnostics["note"] == "non-finite NT scaling"
@@ -823,6 +944,51 @@ class TestBundledBackend:
         assert res.diagnostics["note"] == "primal objective diverging"
         assert res.iterations == 12
         assert res.y is None
+
+
+# Python frames of the package per interior-point iteration of the
+# ``rational_omrf_sparse`` solve (14 iterations over blocks of sizes 1, 3
+# and 6), not counting comprehensions, which Python 3.12 runs without a
+# frame of their own.  The flat layout makes 111.6; running every
+# elementwise step once per size group makes 123.8.
+_FRAME_BUDGET = 112
+
+
+def package_frames(call):
+    """The number of Python frames whose code lies in the package that
+    ``call()`` enters, without comprehension frames, and its result."""
+    package = os.path.dirname(solver_module.__file__)
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        code = frame.f_code
+        if (
+            event == "call"
+            and code.co_filename.startswith(package)
+            and code.co_name not in ("<listcomp>", "<dictcomp>", "<setcomp>")
+        ):
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(previous)
+    return count, result
+
+
+class TestCallBudget:
+    """An iteration's calls stay within budget: a per-block or per-group
+    Python step brought back into the loop shows in the frame count, which
+    does not depend on the host's speed as a timing does."""
+
+    def test_frames_per_iteration(self, rational_omrf_sparse):
+        solved, result = package_frames(lambda: solve(rational_omrf_sparse))
+        compiled, _ = package_frames(lambda: solver_module._Compiled(rational_omrf_sparse))
+        assert result.status is SolveStatus.OPTIMAL
+        assert (solved - compiled) / result.iterations <= _FRAME_BUDGET
 
 
 class TestGroupedLayout:
@@ -856,21 +1022,26 @@ class TestBatchedKernels:
         rng = np.random.default_rng(1)
         X = random_block_vector(comp, rng, definite=True)
         Z = random_block_vector(comp, rng, definite=True)
-        for x, z, lx, lz, eye in zip(
-            comp.stacks(X), comp.stacks(Z), *comp.cholesky(X, Z), comp.identities
+        (_, _, _, d, lam, outer), stacks = flat_scaling(comp, X, Z)
+        for x, z, G, T, T_inv, di, lm, oi in zip(
+            comp.stacks(X),
+            comp.stacks(Z),
+            *stacks,
+            comp.rows(d),
+            comp.stacks(lam),
+            comp.stacks(outer),
         ):
-            G, T, T_inv, d, lam, outer = solver_module._nt_scaling(lx, lz, eye)
             W = T @ np.swapaxes(T, 1, 2)
             # lambda = diag(d) and d^{-1/2} d^{-1/2}', exactly
-            root = 1.0 / np.sqrt(d)
-            np.testing.assert_array_equal(lam, np.stack([np.diag(di) for di in d]))
-            np.testing.assert_array_equal(outer, np.einsum("ki,kj->kij", root, root))
+            root = 1.0 / np.sqrt(di)
+            np.testing.assert_array_equal(lm, np.stack([np.diag(v) for v in di]))
+            np.testing.assert_array_equal(oi, np.einsum("ki,kj->kij", root, root))
             tol = dict(rtol=1e-10, atol=1e-10)
             np.testing.assert_allclose(W @ z @ W, x, **tol)
-            identity = np.broadcast_to(np.eye(d.shape[1]), T.shape)
+            identity = np.broadcast_to(np.eye(di.shape[1]), T.shape)
             np.testing.assert_allclose(T @ T_inv, identity, **tol)
-            np.testing.assert_allclose(T_inv @ x @ np.swapaxes(T_inv, 1, 2), lam, **tol)
-            np.testing.assert_allclose(np.swapaxes(T, 1, 2) @ z @ T, lam, **tol)
+            np.testing.assert_allclose(T_inv @ x @ np.swapaxes(T_inv, 1, 2), lm, **tol)
+            np.testing.assert_allclose(np.swapaxes(T, 1, 2) @ z @ T, lm, **tol)
             np.testing.assert_allclose(G @ x @ G, z, **tol)
             reference = np.stack([reference_nt_inverse(a, b) for a, b in zip(x, z)])
             np.testing.assert_allclose(G, reference, **tol)
@@ -892,14 +1063,14 @@ class TestBatchedKernels:
 
         primal, dual = smallest(dX, X), smallest(dZ, Z)
         assert primal < 0.0 and dual < 0.0
-        _, T, T_inv, _, _, outer = zip(
-            *map(solver_module._nt_scaling, *comp.cholesky(X, Z), comp.identities)
+        (*_, outer), (_, T, T_inv) = flat_scaling(comp, X, Z)
+        scaled = np.stack(
+            [
+                solver_module._congruence(comp, T_inv, dX, [t.mT for t in T_inv]),
+                solver_module._congruence(comp, [t.mT for t in T], dZ, T),
+            ]
         )
-        steps = solver_module._step_lengths(
-            list(outer),
-            solver_module._scaled(comp, T_inv, dX),
-            solver_module._scaled(comp, [np.swapaxes(t, 1, 2) for t in T], dZ),
-        )
+        steps = solver_module._step_lengths(comp, outer, scaled)
         assert steps == pytest.approx((-1.0 / primal, -1.0 / dual), rel=1e-10)
 
     def test_scaled_dual_directions_match_the_x_space_direction(self):
@@ -911,26 +1082,19 @@ class TestBatchedKernels:
         X = random_block_vector(comp, rng, definite=True)
         Z = random_block_vector(comp, rng, definite=True)
         dX = random_block_vector(comp, rng, definite=False)
-        J = comp.stacks(random_block_vector(comp, rng, definite=False))
-        G, T, T_inv, _, lam, _ = (
-            list(parts)
-            for parts in zip(
-                *map(solver_module._nt_scaling, *comp.cholesky(X, Z), comp.identities)
-            )
-        )
+        J = random_block_vector(comp, rng, definite=False)
+        (_, _, _, _, lam, _), (G, T, T_inv) = flat_scaling(comp, X, Z)
         T_t = [np.swapaxes(t, 1, 2) for t in T]
-        dx = solver_module._scaled(comp, T_inv, dX)
+        dx = solver_module._congruence(comp, T_inv, dX, [t.mT for t in T_inv])
         corrector_target = np.empty(comp.dim)
-        for t, j, dst in zip(T, J, comp.stacks(corrector_target)):
+        for t, j, dst in zip(T, comp.stacks(J), comp.stacks(corrector_target)):
             dst[...] = t @ j @ np.swapaxes(t, 1, 2)
         tol = dict(rtol=1e-10, atol=1e-10)
-        for target, expected in [
-            (-X, [-lm - x for lm, x in zip(lam, dx)]),
-            (corrector_target, [j - x for j, x in zip(J, dx)]),
-        ]:
-            dZ = solver_module._congruence(comp, G, target - dX)
-            for got, want in zip(solver_module._scaled(comp, T_t, dZ), expected):
-                np.testing.assert_allclose(got, want, **tol)
+        for target, expected in [(-X, -lam - dx), (corrector_target, J - dx)]:
+            dZ = solver_module._congruence(comp, G, target - dX, G)
+            np.testing.assert_allclose(
+                solver_module._congruence(comp, T_t, dZ, T), expected, **tol
+            )
 
     @pytest.mark.parametrize(
         "problem",
@@ -953,6 +1117,159 @@ class TestBatchedKernels:
         scale = np.max(np.abs(reference))
         np.testing.assert_allclose(schur, reference, rtol=0, atol=1e-12 * scale)
         np.testing.assert_array_equal(schur, schur.T)
+
+
+def assert_stacks_equal(actual, expected):
+    """Equal bits, stack by stack."""
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        assert_same_bits(got, want)
+
+
+class TestFlatLayout:
+    """The flat kernels of one iteration, each a call per size group only
+    where a batched product or a LAPACK routine needs the stack, against
+    the per-group reference kernels (``reference_*``), bit for bit."""
+
+    @pytest.fixture(params=["mixed_layout", "rational_omrf_sparse"])
+    def comp(self, request):
+        comp = solver_module._Compiled(request.getfixturevalue(request.param))
+        # Three size groups or more, one of them of 1x1 blocks.
+        assert len(comp.groups) >= 3 and comp.groups[0][0] == 1
+        return comp
+
+    def test_index_maps(self, comp):
+        mirror, row_of, col_of, diagonal, scale = [], [], [], [], []
+        for k, start in enumerate(comp.block_starts.tolist()):
+            n = next(n for n, lo, hi in comp.groups if lo <= k < hi)
+            first = int(comp.first_rows[k])
+            for i in range(n):
+                diagonal.append(start + i * n + i)
+                scale.append(comp.block_scale[k])
+                for j in range(n):
+                    mirror.append(start + j * n + i)
+                    row_of.append(first + i)
+                    col_of.append(first + j)
+        assert comp.first_rows[-1] + comp.groups[-1][0] == comp.cone_dim
+        assert comp.mirror.tolist() == mirror
+        assert comp.row_of.tolist() == row_of and comp.col_of.tolist() == col_of
+        assert comp.diagonal.tolist() == diagonal
+        identity = np.zeros(comp.dim)
+        for (n, lo, hi), dst in zip(comp.groups, comp.stacks(identity)):
+            dst[...] = np.eye(n) * comp.block_scale[lo:hi, None, None]
+        assert_same_bits(comp.identity_point(), identity)
+
+    def test_group_sums_are_the_stack_sums(self, comp):
+        flat = random_block_vector(comp, np.random.default_rng(4), definite=False)
+        expected = [float(stack.sum()) for stack in comp.stacks(flat)]
+        assert comp.group_sums(flat).tolist() == expected
+
+    def test_kernels_equal_the_per_group_reference(self, comp):
+        rng = np.random.default_rng(5)
+        X, Z, dX, dZ, M = (
+            random_block_vector(comp, rng, definite=definite)
+            for definite in (True, True, False, False, False)
+        )
+        factors = solver_module._cholesky(comp, np.stack([X, Z]))
+        Lx, Lz = reference_cholesky(comp, X, Z)
+        assert_stacks_equal([f[0] for f in comp.stacks(factors)], Lx)
+        assert_stacks_equal([f[1] for f in comp.stacks(factors)], Lz)
+
+        parts = solver_module._nt_scaling(comp, factors)
+        G, T, T_inv, d, lam, outer = reference_scaling(comp, X, Z)
+        for flat, expected in zip(parts[:3] + parts[4:], [G, T, T_inv, lam, outer]):
+            assert_stacks_equal(comp.stacks(flat), expected)
+        assert_stacks_equal(comp.rows(parts[3]), d)
+
+        G_s, T_s, T_inv_s = (comp.stacks(part) for part in parts[:3])
+        T_t = [t.mT for t in T_s]
+        assert_same_bits(
+            solver_module._congruence(comp, G_s, M, G_s), reference_congruence(comp, G, M)
+        )
+        dx = solver_module._congruence(comp, T_inv_s, dX, [t.mT for t in T_inv_s])
+        assert_stacks_equal(comp.stacks(dx), reference_scaled(comp, T_inv, dX))
+        dzs = solver_module._congruence(comp, T_t, dZ, T_s)
+        expected_dzs = [reference_symmetrize(t.mT @ m @ t) for t, m in zip(T, comp.stacks(dZ))]
+        assert_stacks_equal(comp.stacks(dzs), expected_dzs)
+
+        scaled = np.stack([dx, dzs])
+        steps = solver_module._step_lengths(comp, parts[5], scaled)
+        assert steps == reference_step_lengths(outer, comp.stacks(dx), expected_dzs)
+        sigma, mu = 0.3, 0.7
+        assert_same_bits(
+            solver_module._corrector_target(comp, T_s, parts[3], scaled, sigma, mu),
+            reference_corrector_target(comp, T, d, comp.stacks(dx), expected_dzs, sigma, mu),
+        )
+
+    def test_non_finite_scaled_direction_has_no_step_length(self, comp):
+        rng = np.random.default_rng(6)
+        scaled = np.stack([random_block_vector(comp, rng, definite=False) for _ in range(2)])
+        scaled[1, -1] = np.inf
+        assert solver_module._step_lengths(comp, np.ones(comp.dim), scaled) is None
+
+    def test_unconverged_eigenvalues_have_no_step_length(self, comp, monkeypatch):
+        # eigvalsh_lo leaves NaN in a block it does not converge on.
+        real = solver_module._umath_linalg
+
+        def unconverged(blocks, out):
+            real.eigvalsh_lo(blocks, out=out)
+            out[-1, -1, 0] = np.nan
+
+        monkeypatch.setattr(
+            solver_module,
+            "_umath_linalg",
+            types.SimpleNamespace(
+                svd_f=real.svd_f, eigvalsh_lo=unconverged, cholesky_lo=real.cholesky_lo
+            ),
+        )
+        rng = np.random.default_rng(9)
+        scaled = np.stack([random_block_vector(comp, rng, definite=False) for _ in range(2)])
+        assert solver_module._step_lengths(comp, np.ones(comp.dim), scaled) is None
+
+    def test_not_positive_definite_pair_has_no_factors(self, comp):
+        rng = np.random.default_rng(7)
+        X = random_block_vector(comp, rng, definite=True)
+        Z = random_block_vector(comp, rng, definite=True)
+        Z[comp.diagonal[-1]] = -1.0
+        # The interior-point loop's errstate, under which the factor of
+        # that block is NaN and raises no warning.
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            warnings.simplefilter("error")
+            assert solver_module._cholesky(comp, np.stack([X, Z])) is None
+        assert reference_cholesky(comp, X, Z) is None
+
+    def test_corrector_falls_back_to_centering_in_an_overflowing_block(self, comp):
+        # The last block's predictor directions are so large that dx~ dz~,
+        # and with it T J T', overflows there: its target is the pure
+        # centering step T (sigma*mu*lambda^{-1} - lambda) T', and every
+        # other block keeps its Jordan-product target.
+        rng = np.random.default_rng(8)
+        X = random_block_vector(comp, rng, definite=True)
+        Z = random_block_vector(comp, rng, definite=True)
+        scaled = np.stack([random_block_vector(comp, rng, definite=False) for _ in range(2)])
+        last = slice(int(comp.block_starts[-1]), comp.dim)
+        scaled[:, last] *= 1e200
+        parts, (_, T_s, _) = flat_scaling(comp, X, Z)
+        _, T, _, d, _, _ = reference_scaling(comp, X, Z)
+        sigma, mu = 0.2, 0.9
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
+            target = solver_module._corrector_target(comp, T_s, parts[3], scaled, sigma, mu)
+            expected = reference_corrector_target(
+                comp, T, d, comp.stacks(scaled[0]), comp.stacks(scaled[1]), sigma, mu
+            )
+        assert_same_bits(target, expected)
+        assert np.isfinite(target).all()
+        t = T[-1][-1]
+        di = d[-1][-1]
+        centering = t @ np.diag(sigma * mu / di - di) @ t.T
+        np.testing.assert_allclose(
+            target[last].reshape(t.shape), 0.5 * (centering + centering.T), rtol=1e-12, atol=0
+        )
+        # Without the overflow the same block takes the Jordan-product step.
+        scaled[:, last] /= 1e200
+        calm = solver_module._corrector_target(comp, T_s, parts[3], scaled, sigma, mu)
+        assert not np.allclose(calm[last], target[last])
 
 
 def nonzero_t_rows(comp, shape):
